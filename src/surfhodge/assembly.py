@@ -2,8 +2,13 @@
 
 All triangles are affine, so volume integrands reduce to reference
 tabulations combined with per-element geometry factors; those contractions
-are batched over the whole mesh with einsum.  Edge (DG) terms loop over
-edges in Python with small dense kernels per edge.
+are batched over the whole mesh with einsum.  Edge (DG) terms are batched
+over edges the same way, from element-side traces tabulated per (local
+edge, orientation) on the reference triangle.
+
+The convection form exists both assembled (assemble_convection, for energy
+and operator tests) and matrix-free (convection_action, which applies
+C(w) u from the same tabulation without forming C; time stepping uses it).
 
 Matrix convention: A[a, b] = form(trial phi_b, test phi_a), so A @ u gives
 the residual against the test basis.
@@ -88,13 +93,9 @@ def _scatter(local: np.ndarray, rows_map, rows_signs, cols_map, cols_signs, shap
 
 
 def _scatter_vec(local: np.ndarray, dof_map, signs, n):
-    T, nl = local.shape
-    data = (local * signs).ravel()
     rows = dof_map.ravel()
     keep = rows >= 0
-    out = np.zeros(n)
-    np.add.at(out, rows[keep], data[keep])
-    return out
+    return np.bincount(rows[keep], weights=(local * signs).ravel()[keep], minlength=n)
 
 
 # ------------------------------------------------------------------ volume
@@ -167,17 +168,6 @@ def assemble_div(V: FeSpace, Q: FeSpace) -> sp.csr_matrix:
                     (Q.total_dofs, V.total_dofs))
 
 
-def assemble_div_gram(V: FeSpace) -> sp.csr_matrix:
-    """Gram matrix of divergences, (div v_j, div v_i); ||div u||^2 = u' D u."""
-    rule = triangle_rule(2 * V.degree + 2)
-    divs = V.ref.div(rule.xy)
-    block = np.einsum("lq,mq,q->lm", divs, divs, rule.weights)
-    local = block[None, :, :] / V.mesh.Jdet[:, None, None]
-    A = _scatter(local, V.dof_map, V.dof_signs, V.dof_map, V.dof_signs,
-                 (V.total_dofs, V.total_dofs))
-    return (A + A.T) * 0.5
-
-
 def assemble_moment(space: FeSpace) -> np.ndarray:
     """Vector of integrals (phi_i, 1); the zero-mean constraint row."""
     rule = volume_rule(space)
@@ -189,22 +179,31 @@ def assemble_moment(space: FeSpace) -> np.ndarray:
     return _scatter_vec(local, space.dof_map, space.dof_signs, space.total_dofs)
 
 
-def assemble_load(V: FeSpace, f, time: float | None = None) -> np.ndarray:
+def load_tabulation(V: FeSpace):
+    """Time-independent data of the load vector: quadrature points
+    (T, n_q, 3) and basis values pre-multiplied by weights * Jdet
+    (T, n_loc, n_q, 3)."""
+    rule = volume_rule(V, extra=2)
+    vals, _, _ = tabulate_vector(V, rule)
+    weighted = vals * (rule.weights[None, :, None] * V.mesh.Jdet[:, None, None])[:, None]
+    return physical_points(V.mesh, rule), weighted
+
+
+def assemble_load(V: FeSpace, f, time: float | None = None, tab=None) -> np.ndarray:
     """Load vector (f, v_i) with f projected onto each tangent plane.
 
     f is a vectorized callable mapping positions (n, 3) -> (n, 3) (an
     optional time argument is passed through when given); any normal
-    component is removed per triangle before integration.
+    component is removed per triangle before integration.  tab, from
+    load_tabulation(V), saves re-tabulating the basis on repeated calls.
     """
-    rule = volume_rule(V, extra=2)
-    mesh = V.mesh
-    pts = physical_points(mesh, rule)
+    pts, weighted = load_tabulation(V) if tab is None else tab
+    normals = V.mesh.tri_normals
     flat = pts.reshape(-1, 3)
     fv = f(flat, time) if time is not None else f(flat)
     fv = np.asarray(fv, dtype=float).reshape(pts.shape)
-    fv = fv - np.einsum("tqi,ti->tq", fv, mesh.tri_normals)[:, :, None] * mesh.tri_normals[:, None, :]
-    vals, _, _ = tabulate_vector(V, rule)
-    local = np.einsum("tlqi,tqi,q->tl", vals, fv, rule.weights) * mesh.Jdet[:, None]
+    fv = fv - np.einsum("tqi,ti->tq", fv, normals)[:, :, None] * normals[:, None, :]
+    local = np.einsum("tlqi,tqi->tl", weighted, fv)
     return _scatter_vec(local, V.dof_map, V.dof_signs, V.total_dofs)
 
 
@@ -279,33 +278,27 @@ def assemble_rot_embedding(S: FeSpace, V: FeSpace) -> sp.csr_matrix:
 
 
 # ---------------------------------------------------------------- SIP form
-_EDGE_TAB_CACHE: dict = {}
+def _edge_sides(V: FeSpace, edges: np.ndarray, tris: np.ndarray, tq, need_grads: bool):
+    """Physical tabulation of element sides of edges, ordered along each
+    global edge tangent.
 
-
-def _edge_ref_tab(ref, le: int, flip: bool, tq: np.ndarray, need_grads: bool):
-    key = (id(ref), le, flip, len(tq), need_grads)
-    hit = _EDGE_TAB_CACHE.get(key)
-    if hit is None:
-        xy = edge_ref_points(le, tq, flip)
-        vals = ref.eval(xy)
-        grads = ref.grad(xy) if need_grads else None
-        hit = (vals, grads)
-        _EDGE_TAB_CACHE[key] = hit
-    return hit
-
-
-def _edge_side(space: FeSpace, t: int, le: int, tq, need_grads: bool):
-    """Physical tabulation of one element side of an edge, ordered along the
-    global edge tangent."""
-    mesh = space.mesh
-    flip = not mesh.tri_edge_along[t, le]
-    ref_vals, ref_grads = _edge_ref_tab(space.ref, le, flip, tq, need_grads)
-    piola = mesh.F[t] / mesh.Jdet[t]
-    vals = np.einsum("ic,lqc->lqi", piola, ref_vals)
-    grads = None
-    if need_grads:
-        grads = np.einsum("ia,lqab,jb->lqij", piola, ref_grads, mesh.G[t])
-    return vals, grads
+    tris (E, S) holds the triangles on the sides of edges (E,).  Returns
+    their local edge indices (E, S), values (E, S, n_loc, n_q, 3) and
+    optionally ambient gradients (E, S, n_loc, n_q, 3, 3).
+    """
+    mesh = V.mesh
+    le = np.argmax(mesh.tri_edges[tris] == edges[:, None, None], axis=2)
+    flip = (~mesh.tri_edge_along[tris, le]).astype(int)
+    xy = [[edge_ref_points(i, tq, f) for f in (False, True)] for i in range(3)]
+    piola = mesh.F[tris] / mesh.Jdet[tris][:, :, None, None]
+    ref_vals = np.array([[V.ref.eval(p) for p in row] for row in xy])[le, flip]
+    vals = np.einsum("esic,eslqc->eslqi", piola, ref_vals)
+    if not need_grads:
+        return le, vals, None
+    ref_grads = np.array([[V.ref.grad(p) for p in row] for row in xy])[le, flip]
+    grads = np.einsum("esia,eslqab,esjb->eslqij", piola, ref_grads, mesh.G[tris],
+                      optimize=True)
+    return le, vals, grads
 
 
 def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
@@ -339,50 +332,38 @@ def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
 
     tq, tw = edge_rule(2 * k + 2)
     n_loc = V.ref.n_local
-    rows_all, cols_all, vals_all = [], [], []
-    for e in range(mesh.n_edges):
-        boundary = mesh.boundary_edge_mask[e]
-        if boundary and not dirichlet:
-            continue
-        tau = mesh.edge_tangents[e]
-        h_e = mesh.edge_lengths[e]
-        w = tw * h_e
-        sides = [int(mesh.edge_tris[e, 0])]
-        if not boundary:
-            sides.append(int(mesh.edge_tris[e, 1]))
-        jump_rows, flux_rows, gdofs, gsigns = [], [], [], []
-        for s_idx, t in enumerate(sides):
-            le = mesh.local_edge_of(t, e)
-            nu_out = mesh.conormals[t, le]
-            vals, grads_s = _edge_side(V, t, le, tq, need_grads=True)
-            eps_s = 0.5 * (grads_s + np.swapaxes(grads_s, 2, 3))
-            trac = mu * np.einsum("lqij,j,i->lq", eps_s, nu_out, tau)
-            vt = vals @ tau  # (n_loc, n_q)
-            s_jump = 1.0 if s_idx == 0 else -1.0
-            # average of co-normal tractions: (sig1 nu1 - sig2 nu2)/2
-            s_flux = (1.0 if s_idx == 0 else -1.0) * (0.5 if not boundary else 1.0)
-            jump_rows.append(s_jump * vt)
-            flux_rows.append(s_flux * trac)
-            gdofs.append(V.dof_map[t])
-            gsigns.append(V.dof_signs[t])
-        J = np.concatenate(jump_rows, axis=0)  # (n_side*n_loc, n_q)
-        G = np.concatenate(flux_rows, axis=0)
-        Jw = J * w
-        block = -(G @ Jw.T) - (Jw @ G.T) + (alpha * mu / h_e) * (J @ Jw.T)
-        gd = np.concatenate(gdofs)
-        gs = np.concatenate(gsigns)
-        block = block * gs[:, None] * gs[None, :]
-        nn = len(gd)
-        rows_all.append(np.broadcast_to(gd[:, None], (nn, nn)).ravel())
-        cols_all.append(np.broadcast_to(gd[None, :], (nn, nn)).ravel())
-        vals_all.append(block.ravel())
-    if rows_all:
-        rows = np.concatenate(rows_all)
-        cols = np.concatenate(cols_all)
-        data = np.concatenate(vals_all)
-        keep = (rows >= 0) & (cols >= 0)
-        A = A + sp.coo_matrix((data[keep], (rows[keep], cols[keep])),
-                              shape=(V.total_dofs, V.total_dofs)).tocsr()
+    edges = np.flatnonzero(~mesh.boundary_edge_mask | dirichlet)
+    if len(edges) == 0:
+        return (A + A.T) * 0.5
+    n_e = len(edges)
+    bnd = mesh.boundary_edge_mask[edges]
+    tris = mesh.edge_tris[edges]
+    # a boundary edge's second side repeats the first; its dofs are dropped below
+    tris[bnd, 1] = tris[bnd, 0]
+    le, vals, grads = _edge_sides(V, edges, tris, tq, need_grads=True)
+    tau = mesh.edge_tangents[edges]
+    h_e = mesh.edge_lengths[edges]
+    eps = 0.5 * (grads + np.swapaxes(grads, 4, 5))
+    trac = mu * np.einsum("eslqij,esj,ei->eslq", eps, mesh.conormals[tris, le], tau)
+    vt = np.einsum("eslqi,ei->eslq", vals, tau)
+    # jump v1 - v2; average of co-normal tractions (sig1 nu1 - sig2 nu2)/2,
+    # or the single traction on a boundary edge
+    sides = np.array([1.0, -1.0])[None, :, None, None]
+    J = (sides * vt).reshape(n_e, 2 * n_loc, -1)
+    G = (sides * np.where(bnd, 1.0, 0.5)[:, None, None, None] * trac).reshape(n_e, 2 * n_loc, -1)
+    Jw = J * (tw[None, :] * h_e[:, None])[:, None, :]
+    GJ = G @ Jw.transpose(0, 2, 1)
+    block = -GJ - GJ.transpose(0, 2, 1) \
+        + (alpha * mu / h_e)[:, None, None] * (J @ Jw.transpose(0, 2, 1))
+    gd = V.dof_map[tris].reshape(n_e, -1)
+    gd[bnd, n_loc:] = -1
+    gs = V.dof_signs[tris].reshape(n_e, -1)
+    block *= gs[:, :, None] * gs[:, None, :]
+    rows = np.broadcast_to(gd[:, :, None], block.shape).ravel()
+    cols = np.broadcast_to(gd[:, None, :], block.shape).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    A = A + sp.coo_matrix((block.ravel()[keep], (rows[keep], cols[keep])),
+                          shape=(V.total_dofs, V.total_dofs)).tocsr()
     return (A + A.T) * 0.5
 
 
@@ -402,13 +383,13 @@ def divergence_norm(V: FeSpace, coefficients: np.ndarray) -> float:
     return float(np.sqrt(max(sq, 0.0)))
 
 
-def _convection_cache(V: FeSpace) -> dict:
+def convection_tabulation(V: FeSpace) -> dict:
     """State-independent tabulations for the convection form.
 
-    Cached by the Navier-Stokes stepper so each time step only recomputes
+    Built once by the Navier-Stokes stepper so each time step only computes
     the w-dependent parts: volume basis values/gradients, per-interior-edge
-    basis traces decomposed into conormal/tangent components, and the
-    scatter index arrays.
+    basis traces decomposed into conormal/tangent components, and their
+    dof maps and signs.
     """
     mesh = V.mesh
     k = V.degree
@@ -419,31 +400,36 @@ def _convection_cache(V: FeSpace) -> dict:
 
     tq, tw = edge_rule(max(2 * k + 2, 3 * k))
     interior = np.flatnonzero(~mesh.boundary_edge_mask)
-    n_loc = V.ref.n_local
-    n_e, n_q = len(interior), len(tq)
-    bn = np.zeros((n_e, 2, n_loc, n_q))
-    bt = np.zeros((n_e, 2, n_loc, n_q))
-    gd = np.zeros((n_e, 2 * n_loc), dtype=np.int64)
-    gs = np.zeros((n_e, 2 * n_loc))
-    t_sides = np.zeros((n_e, 2), dtype=np.int64)
-    for i, e in enumerate(interior):
-        tau = mesh.edge_tangents[e]
-        for side in range(2):
-            t = int(mesh.edge_tris[e, side])
-            le = mesh.local_edge_of(t, e)
-            svals, _ = _edge_side(V, t, le, tq, need_grads=False)
-            bn[i, side] = svals @ mesh.conormals[t, le]
-            bt[i, side] = svals @ tau
-            gd[i, side * n_loc : (side + 1) * n_loc] = V.dof_map[t]
-            gs[i, side * n_loc : (side + 1) * n_loc] = V.dof_signs[t]
-            t_sides[i, side] = t
+    n_e = len(interior)
+    t_sides = mesh.edge_tris[interior]  # (E, 2)
+    le, svals, _ = _edge_sides(V, interior, t_sides, tq, need_grads=False)
+    bn = np.einsum("eslqi,esi->eslq", svals, mesh.conormals[t_sides, le])
+    bt = np.einsum("eslqi,ei->eslq", svals, mesh.edge_tangents[interior])
+    gd = V.dof_map[t_sides].reshape(n_e, -1)
+    gs = V.dof_signs[t_sides].reshape(n_e, -1)
     cache["edge"] = (interior, tq, tw, bn, bt, gd, gs, t_sides)
-    nn = 2 * n_loc
-    rows = np.broadcast_to(gd[:, :, None], (n_e, nn, nn)).ravel()
-    cols = np.broadcast_to(gd[:, None, :], (n_e, nn, nn)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    cache["scatter"] = (rows[keep], cols[keep], keep)
-    cache["gs_outer"] = gs[:, :, None] * gs[:, None, :]
+    return cache
+
+
+def _convection_setup(V: FeSpace, w: FeField, check_divfree: bool, div_tol: float,
+                      cache: dict | None) -> dict:
+    """Input checks shared by the assembled and matrix-free convection
+    forms; returns the tabulation, refreshing cache when it belongs to
+    another space."""
+    ws = w.space
+    if ws is not V and (ws.kind != V.kind or ws.degree != V.degree or ws.mesh is not V.mesh
+                        or ws.total_dofs != V.total_dofs):
+        raise DegreeMismatch("convecting field must live in the velocity space")
+    if check_divfree:
+        wm = float(np.linalg.norm(w.coefficients))
+        if wm > 0 and divergence_norm(V, w.coefficients) > div_tol * wm:
+            raise NotDivergenceFree("convecting field is not discretely divergence-free")
+    if cache is None or cache.get("space") is not V:
+        fresh = convection_tabulation(V)
+        if cache is None:
+            return fresh
+        cache.clear()
+        cache.update(fresh)
     return cache
 
 
@@ -461,21 +447,8 @@ def assemble_convection(V: FeSpace, w: FeField, check_divfree: bool = True,
     A cache dict (reused across calls with the same space) avoids
     re-tabulating the state-independent basis data.
     """
-    if w.space is not V and w.space.total_dofs != V.total_dofs:
-        raise DegreeMismatch("convecting field must live in the velocity space")
+    cache = _convection_setup(V, w, check_divfree, div_tol, cache)
     mesh = V.mesh
-    if check_divfree:
-        wm = float(np.linalg.norm(w.coefficients))
-        if wm > 0 and divergence_norm(V, w.coefficients) > div_tol * wm:
-            raise NotDivergenceFree("convecting field is not discretely divergence-free")
-    if cache is None or cache.get("space") is not V:
-        fresh = _convection_cache(V)
-        if cache is not None:
-            cache.clear()
-            cache.update(fresh)
-        else:
-            cache = fresh
-
     rule, vals, grads = cache["vol"]
     w_loc = V.local_coefficients(w.coefficients)
     wv = np.einsum("tl,tlqi->tqi", w_loc, vals)
@@ -505,20 +478,53 @@ def assemble_convection(V: FeSpace, w: FeField, check_divfree: bool = True,
             "eaq,ebq,eq->eab", bt[:, s_idx], bt[:, 0], np.where(up1, sgn * cn, 0.0))
         blocks[:, rows_sl, n_loc:nn] += np.einsum(
             "eaq,ebq,eq->eab", bt[:, s_idx], bt[:, 1], np.where(up1, 0.0, sgn * cn))
-    blocks *= cache["gs_outer"]
-    rows, cols, keep = cache["scatter"]
-    data = blocks.ravel()[keep]
-    A = A + sp.coo_matrix((data, (rows, cols)),
+    blocks *= gs[:, :, None] * gs[:, None, :]
+    rows = np.broadcast_to(gd[:, :, None], blocks.shape).ravel()
+    cols = np.broadcast_to(gd[:, None, :], blocks.shape).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    A = A + sp.coo_matrix((blocks.ravel()[keep], (rows[keep], cols[keep])),
                           shape=(V.total_dofs, V.total_dofs)).tocsr()
     return A
 
 
+def convection_action(V: FeSpace, w: FeField, u: np.ndarray, div_tol: float = 1e-8,
+                      cache: dict | None = None) -> np.ndarray:
+    """C(w) u for the form of assemble_convection, without forming C.
+
+    Takes the same checks (w is always checked to be divergence-free) and
+    cache.  The volume term contracts in two
+    stages, first outer(u, w * weights * Jdet) per quadrature point, then
+    against the basis gradients; the facet term evaluates the upwind flux
+    per edge and scatters it.
+    """
+    cache = _convection_setup(V, w, True, div_tol, cache)
+    mesh = V.mesh
+    rule, vals, grads = cache["vol"]
+    w_loc = V.local_coefficients(w.coefficients)
+    u_loc = V.local_coefficients(u)
+    wJ = rule.weights[None, :] * mesh.Jdet[:, None]
+    wv = np.einsum("tl,tlqi->tqi", w_loc, vals) * wJ[:, :, None]
+    uv = np.einsum("tl,tlqi->tqi", u_loc, vals)
+    local = -np.einsum("taqij,tqij->ta", grads, np.einsum("tqi,tqj->tqij", uv, wv))
+    out = _scatter_vec(local, V.dof_map, V.dof_signs, V.total_dofs)
+
+    interior, tq, tw, bn, bt, gd, gs, t_sides = cache["edge"]
+    if len(interior) == 0:
+        return out
+    wq = tw[None, :] * mesh.edge_lengths[interior][:, None]
+    wn1 = np.einsum("el,elq->eq", w_loc[t_sides[:, 0]], bn[:, 0])
+    # signed flux weight per side: side 0 sees w . nu_0, side 1 its negative
+    cn = (wn1 * wq)[:, None, :] * np.array([1.0, -1.0])[None, :, None]
+    u_sides = u_loc[t_sides]  # (E, 2, n_loc)
+    un = np.einsum("esl,eslq->esq", u_sides, bn)
+    ut = np.einsum("esl,eslq->esq", u_sides, bt)
+    ut_up = np.where(wn1 > 0, ut[:, 0], ut[:, 1])
+    edge = (np.einsum("eslq,esq->esl", bn, un * cn)
+            + np.einsum("eslq,esq->esl", bt, ut_up[:, None, :] * cn))
+    return out + _scatter_vec(edge.reshape(len(interior), -1), gd, gs, V.total_dofs)
+
+
 # -------------------------------------------------------------------- misc
-def l2_norm(field: FeField, mass: sp.csr_matrix | None = None) -> float:
-    M = assemble_mass(field.space) if mass is None else mass
-    return float(np.sqrt(max(field.coefficients @ (M @ field.coefficients), 0.0)))
-
-
 def dump_matrix_market(A, path) -> None:
     """Debug dump in MatrixMarket coordinate format."""
     from scipy.io import mmwrite

@@ -222,13 +222,24 @@ def monolithic_solve(system: BlockSystem):
 @dataclass
 class FlowState:
     """Velocity state of a flow computation: time, streamfunction and
-    harmonic coefficients, the cached velocity field and its energy."""
+    harmonic coefficients, the cached velocity field and its energy.
+
+    A time-stepped state also records its step index and the time t0 its
+    run started from, so that t = t0 + step * dt holds without the rounding
+    that summing dt would accumulate.
+    """
 
     t: float
     psi: FeField
     h_coeffs: np.ndarray
     u: FeField
     kinetic_energy: float
+    step: int = 0
+    t0: float | None = None
+
+    def __post_init__(self):
+        if self.t0 is None:
+            self.t0 = self.t
 
 
 @dataclass
@@ -299,13 +310,15 @@ class FlowOperators:
         if config.mu == 0:
             self.A_visc = sp.csr_matrix(self.A_visc.shape)
         self.forcing = config.forcing if config.forcing is not None else _zero_forcing
+        self._load_tab = asm.load_tabulation(self.V)
         self._kernel_gauges: list[np.ndarray] = []
 
     # ------------------------------------------------------------- loads
     def load_vector(self, t: float) -> np.ndarray:
-        return asm.assemble_load(self.V, self.forcing, time=t)
+        return asm.assemble_load(self.V, self.forcing, time=t, tab=self._load_tab)
 
-    def make_state(self, t: float, x_s: np.ndarray, x_h: np.ndarray) -> FlowState:
+    def make_state(self, t: float, x_s: np.ndarray, x_h: np.ndarray,
+                   step: int = 0, t0: float | None = None) -> FlowState:
         u = self.emb.apply(x_s, x_h)
         ke = 0.5 * float(u @ (self.M @ u))
         return FlowState(
@@ -314,6 +327,8 @@ class FlowOperators:
             h_coeffs=np.asarray(x_h, dtype=float),
             u=FeField(self.V, u),
             kinetic_energy=ke,
+            step=step,
+            t0=t0,
         )
 
     # ------------------------------------------------------------- Stokes
@@ -437,7 +452,7 @@ class NavierStokesStepper:
 
     The reduced mass-plus-viscosity operator is factorized once (costing
     n_harmonic + 1 sparse solves) and reused; each step costs one
-    convection assembly and one sparse solve.
+    matrix-free convection action and one sparse solve.
     """
 
     def __init__(self, ops: FlowOperators):
@@ -451,8 +466,8 @@ class NavierStokesStepper:
         except SingularOperator as exc:  # M/dt shift makes this unexpected
             raise SolverFailure(f"time-step operator singular: {exc}") from exc
         self._cfl_warned = False
-        self._sup_rule = asm.volume_rule(ops.V)
-        self._conv_cache: dict = {}
+        self._sup_vals, _, _ = asm.tabulate_vector(ops.V, asm.volume_rule(ops.V))
+        self._conv_cache = asm.convection_tabulation(ops.V)
 
     def initial_state(self) -> FlowState:
         cfg = self.ops.config
@@ -464,7 +479,8 @@ class NavierStokesStepper:
         return state
 
     def _sup_norm(self, u: FeField) -> float:
-        vals = asm.tabulate_field(u, self._sup_rule)
+        loc = u.space.local_coefficients(u.coefficients)
+        vals = np.einsum("tl,tlqi->tqi", loc, self._sup_vals)
         return float(np.linalg.norm(vals, axis=-1).max()) if vals.size else 0.0
 
     def step(self, state: FlowState) -> FlowState:
@@ -474,24 +490,27 @@ class NavierStokesStepper:
         u = state.u
         if not np.isfinite(u.coefficients).all():
             raise NaNDetected(f"non-finite state at t = {state.t:g}")
+        # first, so that the convection form's space and divergence checks
+        # see the state before anything else evaluates it
+        cu = asm.convection_action(ops.V, u, u.coefficients,
+                                   div_tol=max(cfg.div_tol * 1e2, 1e-8),
+                                   cache=self._conv_cache)
         umax = self._sup_norm(u)
         if umax > 0 and cfg.dt > 0.5 * ops.mesh.h_min / umax and not self._cfl_warned:
             warnings.warn(
                 f"time step {cfg.dt:g} exceeds the convective CFL bound "
                 f"{0.5 * ops.mesh.h_min / umax:g}", RuntimeWarning)
             self._cfl_warned = True
-        C = asm.assemble_convection(ops.V, u, div_tol=max(cfg.div_tol * 1e2, 1e-8),
-                                    cache=self._conv_cache)
-        t_next = state.t + cfg.dt
-        b = (ops.M @ u.coefficients) / cfg.dt - C @ u.coefficients \
-            + ops.load_vector(t_next)
+        n = state.step + 1
+        t_next = state.t0 + n * cfg.dt
+        b = (ops.M @ u.coefficients) / cfg.dt - cu + ops.load_vector(t_next)
         if not np.isfinite(b).all():
             raise NaNDetected(f"non-finite right-hand side at t = {t_next:g}")
         b_s, b_h = ops.emb.reduce_vector(b)
         x_s, x_h = self.solver.solve(b_s, b_h)
         if not (np.isfinite(x_s).all() and np.isfinite(x_h).all()):
             raise NaNDetected(f"non-finite state at t = {t_next:g}")
-        return ops.make_state(t_next, x_s, x_h)
+        return ops.make_state(t_next, x_s, x_h, step=n, t0=state.t0)
 
 
 @dataclass

@@ -332,6 +332,68 @@ def test_convection_hand_assembled_upwind():
         assert got == pytest.approx(hand, rel=1e-12, abs=1e-13)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("mesh_name", ["torus", "sphere4"])
+def test_convection_action_matches_assembled(request, rng, mesh_name, k):
+    # sphere4 is open (boundary edges); rotations of random streamfunctions
+    # are divergence-free and cross interior edges in both directions
+    mesh = request.getfixturevalue(mesh_name)
+    V = build_space(mesh, "bdm", k, "zero_normal_trace")
+    S = build_space(mesh, "lagrange", k + 1,
+                    "zero_mean" if mesh.is_closed else "zero_boundary_trace")
+    E = asm.assemble_rot_embedding(S, V)
+    cache = asm.convection_tabulation(V)
+    for _ in range(2):
+        w = FeField(V, E @ rng.standard_normal(S.total_dofs))
+        C = asm.assemble_convection(V, w, cache=cache)
+        # a generic u, and the stepper's use u = w
+        for u in (rng.standard_normal(V.total_dofs), w.coefficients):
+            want = C @ u
+            got = asm.convection_action(V, w, u, cache=cache)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_convection_action_upwinds_both_directions(rng):
+    mesh = meshes.square_two_triangles()
+    V = build_space(mesh, "bdm", 1)
+    diag = next(e for e in range(mesh.n_edges) if not mesh.boundary_edge_mask[e])
+    t0 = int(mesh.edge_tris[diag, 0])
+    nu0 = mesh.conormals[t0, mesh.local_edge_of(t0, diag)]
+    for sign in (1.0, -1.0):  # outflow from t0, then inflow into it
+        w = FeField(V, _interp_piecewise_constants(V, [sign * nu0, sign * nu0]))
+        for _ in range(3):
+            u = rng.standard_normal(V.total_dofs)
+            want = asm.assemble_convection(V, w) @ u
+            got = asm.convection_action(V, w, u)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_convection_action_energy_stability(sphere4, rng, k):
+    V = build_space(sphere4, "bdm", k, "zero_normal_trace")
+    S = build_space(sphere4, "lagrange", k + 1, "zero_boundary_trace")
+    E = asm.assemble_rot_embedding(S, V)
+    cache = asm.convection_tabulation(V)
+    for _ in range(4):
+        w = FeField(V, E @ rng.standard_normal(S.total_dofs))
+        for u in (E @ rng.standard_normal(S.total_dofs), w.coefficients):
+            cu = asm.convection_action(V, w, u, cache=cache)
+            assert u @ cu >= -1e-12 * np.linalg.norm(u) * np.linalg.norm(cu)
+
+
+def test_convection_rejects_foreign_space():
+    # equal-size spaces on two separately built copies of one mesh
+    a, b = meshes.torus_structured(3, 3), meshes.torus_structured(3, 3)
+    V = build_space(a, "bdm", 1, "zero_normal_trace")
+    W = build_space(b, "bdm", 1, "zero_normal_trace")
+    assert W.total_dofs == V.total_dofs
+    w = FeField(W, np.zeros(W.total_dofs))
+    with pytest.raises(DegreeMismatch):
+        asm.assemble_convection(V, w)
+    with pytest.raises(DegreeMismatch):
+        asm.convection_action(V, w, np.zeros(V.total_dofs))
+
+
 # -------------------------------------------------------------------- loads
 def test_load_zero_and_normal(corpus):
     mesh = corpus["icosphere"]

@@ -1,14 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from surfhodge import assembly as asm
 from surfhodge.errors import (
+    DegreeMismatch,
     DimensionMismatch,
     NaNDetected,
     NonpositiveParameter,
+    NotDivergenceFree,
     SingularOperator,
 )
+from surfhodge.fespace import FeField
 from surfhodge.flow import (
     BlockSystem,
     FlowOperators,
@@ -277,6 +282,42 @@ def test_nse_nan_guard(torus3, basis_cache):
         stepper.step(bad)
 
 
+def test_nse_rejects_nondivfree_state(torus3, basis_cache, rng):
+    cfg = SimulationConfig(k=1, mu=0.1, dt=1e-2, t_end=1e-1)
+    ops = FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1))
+    stepper = NavierStokesStepper(ops)
+    state = stepper.initial_state()
+    bad = replace(state, u=FeField(ops.V, rng.standard_normal(ops.V.total_dofs)))
+    with pytest.raises(NotDivergenceFree):
+        stepper.step(bad)
+
+
+def test_nse_rejects_foreign_degree_state(torus3, basis_cache):
+    cfg = SimulationConfig(k=1, mu=0.1, dt=1e-2, t_end=2e-2)
+    stepper = NavierStokesStepper(FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1)))
+    other = FlowOperators(torus3, replace(cfg, k=2), basis=basis_cache(torus3, 2))
+    state = other.make_state(0.0, np.zeros(other.emb.n_stream), np.zeros(other.emb.n_harmonic))
+    with pytest.raises(DegreeMismatch):
+        stepper.step(state)
+
+
+def test_cached_load_matches_assembly_in_time(torus3, basis_cache):
+    base = smooth_forcing(9)
+
+    def f(x, t=0.0):
+        return np.cos(3.0 * t) * base(x) + t * x
+
+    cfg = SimulationConfig(k=1, mu=0.1, forcing=f)
+    ops = FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1))
+    loads = []
+    for t in (0.3, 1.7):
+        b = ops.load_vector(t)
+        want = asm.assemble_load(ops.V, f, time=t)
+        assert np.abs(b - want).max() <= 1e-14 * np.abs(want).max()
+        loads.append(b)
+    assert np.abs(loads[0] - loads[1]).max() > 1e-3 * np.abs(loads[0]).max()
+
+
 def test_nse_cfl_warning(torus3, basis_cache):
     cfg0 = SimulationConfig(k=1, mu=0.5, dt=10.0, t_end=0.0,
                             forcing=smooth_forcing(7))
@@ -297,6 +338,18 @@ def test_nse_divergence_free_every_step(torus3, basis_cache):
         state = stepper.step(state)
         un = np.sqrt(state.u.coefficients @ (ops.M @ state.u.coefficients))
         assert asm.divergence_norm(ops.V, state.u.coefficients) <= 1e-10 * un
+
+
+def test_simulation_times_do_not_drift(torus3, basis_cache):
+    cfg0 = SimulationConfig(k=1, mu=0.2, dt=0.1, t_end=0.0, forcing=smooth_forcing(10))
+    ops = FlowOperators(torus3, cfg0, basis=basis_cache(torus3, 1))
+    start, _ = ops.stokes_reduced(t=0.1)
+    cfg = replace(cfg0, t_end=3.0)
+    res = run_simulation(torus3, cfg, basis=ops.basis, initial_state=start)
+    n = round(cfg.t_end / cfg.dt)
+    # summed steps would drift: 0.1 + 0.1 + 0.1 != 0.3
+    np.testing.assert_array_equal(res.times, 0.1 + np.arange(n + 1) * cfg.dt)
+    assert res.final_state.step == n
 
 
 def test_run_simulation_sphere_no_harmonic(corpus):
