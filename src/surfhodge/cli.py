@@ -1,11 +1,11 @@
 """Command line interface.
 
 Verbs: topology | harmonic | decompose | stokes | nse | verify.
-Exit codes: 0 success, 2 input error, 3 algorithmic failure, 4 solver
-failure.  Every command prints a human-readable summary; the last stdout
-line is a JSON object for machine consumption.  With --out-dir, output
-files plus a run manifest (config snapshot, mesh checksum, seed, phase
-timings, output list) are written there.
+Exit codes: 0 success, 3 algorithmic failure, 4 solver failure, 2 input
+error (every other package error).  Every command prints a human-readable
+summary; the last stdout line is a JSON object for machine consumption.
+With --out-dir, output files plus a run manifest (config snapshot, mesh
+checksum, seed, phase timings, output list) are written there.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from .config import (
     parse_config_file,
     simulation_config_from_dict,
 )
-from .errors import AlgorithmError, MeshInputError, SolverError
+from .errors import AlgorithmError, MeshInputError, SolverError, SurfHodgeError
 from .fespace import FeField, build_space, count_dofs
 from .flow import FlowOperators, run_simulation
 from .hodge import HarmonicBasis, HodgeSolver, verify_dimension
-from .linalg import GaugedOperator
 from .mesh import analyze_topology, load_mesh
 
 MESH_BUILDERS = dict(meshes.CORPUS_BUILDERS)
@@ -166,8 +165,7 @@ def _decompose_input(args, solver: HodgeSolver) -> FeField:
         return FeField(solver.V, solver.E @ psi)
     f = expression_forcing(args.fx, args.fy, args.fz)
     load = asm.assemble_load(solver.V, f, time=0.0)
-    coeffs = GaugedOperator(solver.M.tocsc(), kind="SPD").solve(load)
-    return FeField(solver.V, coeffs)
+    return FeField(solver.V, solver.mass_operator.solve(load))
 
 
 def cmd_decompose(args) -> int:
@@ -479,6 +477,9 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4
+    except SurfHodgeError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -196,7 +196,10 @@ def forcing_from_dict(values: dict):
     if preset is None:
         raise ParseError(f"unknown forcing {name!r}")
     kwargs = {k: values[k] for k in _FORCING_KEYS[name] if k in values}
-    return preset(**kwargs)
+    try:
+        return preset(**kwargs)
+    except ValueError as exc:
+        raise ParseError(f"bad parameters for forcing {name!r}: {exc}") from exc
 
 
 _CONFIG_KEYS = ("k", "mu", "alpha", "dt", "t_end", "output_every", "seed",
@@ -208,7 +211,7 @@ def simulation_config_from_dict(values: dict) -> SimulationConfig:
     kwargs["forcing"] = forcing_from_dict(values)
     try:
         return SimulationConfig(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"bad config: {exc}") from exc
 
 

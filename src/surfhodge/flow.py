@@ -37,7 +37,7 @@ from .errors import (
 )
 from .fespace import FeField
 from .hodge import HarmonicBasis, HodgeSolver
-from .linalg import FactorizedOperator, GaugedOperator
+from .linalg import FactorizedOperator
 from .mesh import SurfaceMesh
 
 
@@ -101,7 +101,7 @@ class JEmbedding:
 class BlockSystem:
     """Reduced 2x2 block system: sparse streamfunction block, dense
     harmonic rows/columns, optional gauge constraints on the
-    streamfunction block (zero mean, detected kernel directions)."""
+    streamfunction block (the zero mean on closed surfaces)."""
 
     A_ss: sp.spmatrix
     A_sh: np.ndarray
@@ -150,7 +150,7 @@ class ReducedSolver:
     def __init__(self, system: BlockSystem):
         self.system = system
         try:
-            self.op = GaugedOperator(system.A_ss.tocsc(), system.gauges)
+            self.op = FactorizedOperator(system.A_ss, system.gauges)
         except SingularMatrix as exc:
             raise SingularOperator(
                 "streamfunction block is singular; an un-gauged kernel remains"
@@ -311,7 +311,6 @@ class FlowOperators:
             self.A_visc = sp.csr_matrix(self.A_visc.shape)
         self.forcing = config.forcing if config.forcing is not None else _zero_forcing
         self._load_tab = asm.load_tabulation(self.V)
-        self._kernel_gauges: list[np.ndarray] = []
 
     # ------------------------------------------------------------- loads
     def load_vector(self, t: float) -> np.ndarray:
@@ -335,62 +334,19 @@ class FlowOperators:
     def stokes_reduced(self, t: float = 0.0, load: np.ndarray | None = None):
         """Solve the reduced viscous problem; returns (state, info).
 
-        If the gauged streamfunction block is singular (discrete Killing
-        fields on closed symmetric surfaces), near-null directions of the
-        reduced operator are detected and added as gauge constraints before
-        retrying.
+        Raises SingularOperator when the gauged streamfunction block is
+        singular, e.g. for mu = 0, where no viscous form remains.
         """
         b = self.load_vector(t) if load is None else load
-        system = build_reduced_system(self.A_visc, b, self.emb,
-                                      self.gauges + self._kernel_gauges)
-        try:
-            x_s, x_h, info = schur_solve(system)
-        except SingularOperator:
-            self._kernel_gauges = self._detect_kernel(system)
-            if not self._kernel_gauges:
-                raise
-            system = BlockSystem(system.A_ss, system.A_sh, system.A_hs,
-                                 system.A_hh, system.b_s, system.b_h,
-                                 tuple(self.gauges + self._kernel_gauges))
-            x_s, x_h, info = schur_solve(system)
+        system = build_reduced_system(self.A_visc, b, self.emb, self.gauges)
+        x_s, x_h, info = schur_solve(system)
         return self.make_state(t, x_s, x_h), info
-
-    def _detect_kernel(self, system: BlockSystem, tol: float = 1e-10):
-        """Near-null eigenvectors of the streamfunction block (beyond the
-        explicit gauges), used to gauge out discrete Killing fields."""
-        A = system.A_ss
-        n = A.shape[0]
-        if n == 0:
-            return []
-        if n <= 3000:
-            w, v = np.linalg.eigh(A.toarray())
-        else:
-            import scipy.sparse.linalg as spla
-
-            k = min(8, n - 2)
-            shift = tol * abs(A).max()
-            w, v = spla.eigsh(A + shift * sp.identity(n), k=k, sigma=0.0)
-            w = w - shift
-        scale = max(abs(A).max(), 1e-300)
-        null = [v[:, i] for i in range(len(w)) if abs(w[i]) <= tol * scale]
-        if not null:
-            return []
-        # orthonormalize against the explicit gauges to keep the bordered
-        # system full rank
-        cand = list(self.gauges) + null
-        Qmat, R = np.linalg.qr(np.column_stack(cand))
-        keep = [Qmat[:, i] for i in range(Qmat.shape[1])
-                if abs(R[i, i]) > 1e-12][len(self.gauges):]
-        return keep
 
     def stokes_saddle(self, t: float = 0.0, load: np.ndarray | None = None):
         """Velocity-pressure saddle-point oracle on the parent space with a
         zero-mean pressure gauge; returns (u, p) fields."""
         b = self.load_vector(t) if load is None else load
-        B = self.hodge.B
-        mq = sp.csc_matrix(asm.assemble_moment(self.Q)).T
-        blocks = [[self.A_visc, B.T, None], [B, None, mq], [None, mq.T, None]]
-        K = sp.bmat(blocks, format="csc")
+        K = self.hodge.saddle_matrix(self.A_visc)
         rhs = np.concatenate([b, np.zeros(self.Q.total_dofs + 1)])
         try:
             sol = FactorizedOperator(K).solve(rhs)

@@ -29,7 +29,7 @@ from .errors import (
     WrongDegree,
 )
 from .fespace import FeField, build_space
-from .linalg import FactorizedOperator, GaugedOperator
+from .linalg import FactorizedOperator
 from .mesh import SurfaceMesh, TopologySummary, analyze_topology
 from .quadrature import triangle_rule
 
@@ -181,38 +181,40 @@ class HodgeSolver:
         self.B = asm.assemble_div(self.V, self.Q)
         self.E = asm.assemble_rot_embedding(self.S, self.V)
         self._mixed: FactorizedOperator | None = None
-        self._laplace: GaugedOperator | None = None
-        self._mass_op: GaugedOperator | None = None
+        self._laplace: FactorizedOperator | None = None
+        self._mass_op: FactorizedOperator | None = None
         self._checksum = mesh.checksum()
 
     # ------------------------------------------------------------ operators
+    def saddle_matrix(self, A: sp.spmatrix) -> sp.csc_matrix:
+        """Velocity-pressure saddle matrix [[A, B', 0], [B, 0, m], [0, m', 0]]
+        of a velocity-space operator A, with the pressure gauged to zero
+        mean by the multiplier of its moment m."""
+        mq = sp.csc_matrix(asm.assemble_moment(self.Q)).T  # (nQ, 1)
+        return sp.bmat([[A, self.B.T, None], [self.B, None, mq], [None, mq.T, None]],
+                       format="csc")
+
     @property
     def mixed_operator(self) -> FactorizedOperator:
-        """Factorized saddle system of the mixed Helmholtz projection with a
-        zero-mean pressure gauge."""
+        """Factorized saddle system of the mixed Helmholtz projection."""
         if self._mixed is None:
-            mq = sp.csc_matrix(asm.assemble_moment(self.Q)).T  # (nQ, 1)
-            K = sp.bmat(
-                [[self.M, self.B.T, None], [self.B, None, mq], [None, mq.T, None]],
-                format="csc",
-            )
-            self._mixed = FactorizedOperator(K, kind="symmetric-indefinite")
+            self._mixed = FactorizedOperator(self.saddle_matrix(self.M))
         return self._mixed
 
     @property
-    def laplace_operator(self) -> GaugedOperator:
+    def laplace_operator(self) -> FactorizedOperator:
         """Factorized streamfunction form (rot psi, rot phi), gauged by the
         zero-mean constraint on closed surfaces."""
         if self._laplace is None:
-            L = (self.E.T @ self.M @ self.E).tocsc()
+            L = self.E.T @ self.M @ self.E
             gauges = [asm.assemble_moment(self.S)] if self.S.zero_mean else []
-            self._laplace = GaugedOperator(L, gauges, kind="SPD" if not gauges else "symmetric-indefinite")
+            self._laplace = FactorizedOperator(L, gauges, kind="SPD")
         return self._laplace
 
     @property
-    def mass_operator(self) -> GaugedOperator:
+    def mass_operator(self) -> FactorizedOperator:
         if self._mass_op is None:
-            self._mass_op = GaugedOperator(self.M.tocsc(), kind="SPD")
+            self._mass_op = FactorizedOperator(self.M, kind="SPD")
         return self._mass_op
 
     def mixed_solve(self, rhs_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -394,7 +396,7 @@ def decompose_p0_incomplete(v: FeField, basis: HarmonicBasis | None = None,
 
     CR = build_space(mesh, "crouzeix_raviart", 1, "zero_mean")
     K = asm.assemble_broken_stiffness(CR)
-    cr_gauge = GaugedOperator(K.tocsc(), [asm.assemble_moment(CR)])
+    cr_gauge = FactorizedOperator(K, [asm.assemble_moment(CR)])
     phi = cr_gauge.solve(asm.assemble_gradient_load(CR, v))
 
     # pointwise residual: v - rot(psi) - harmonic - grad_h(phi)

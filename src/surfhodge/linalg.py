@@ -1,14 +1,17 @@
-"""Sparse direct solvers and small dense kernels.
+"""Sparse direct factorization with optional bordered constraints.
 
 Desk-scale problems (<= ~1e5 dofs) are handled by scipy's SuperLU
 factorization for both SPD and symmetric-indefinite systems; no iterative
-solvers.  Zero-mean and other gauge constraints enter as bordered systems
-(one extra row/column per constraint) rather than by pinning dofs.
-Every FactorizedOperator counts its solves (one per right-hand side), which
-the Schur-complement instrumentation relies on.
+solvers.  FactorizedOperator is the one factorization class.  Zero-mean and
+other gauge constraints enter as a bordered system (one extra row/column
+per constraint) rather than by pinning dofs.  Every FactorizedOperator
+counts its solves (one per right-hand side), which the Schur-complement
+instrumentation relies on.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,32 +21,48 @@ from .errors import NotSPD, SingularMatrix
 
 
 class FactorizedOperator:
-    """Reusable LU factorization of a sparse square matrix.
+    """Reusable LU factorization of a sparse square matrix A, optionally
+    bordered by linear constraints c_i' x = 0.
+
+    With constraints the factorized matrix is the symmetric bordered system
+    [[A, C], [C', 0]], C = [c_1 ... c_m]; solve(b) pads b with zeros and
+    returns the primal part, discarding the multipliers.  kind describes A
+    itself: "SPD" (with constraints: positive definite on their null space)
+    checks that A is symmetric with a positive diagonal.
 
     solve() accepts a vector or a matrix of right-hand-side columns and
-    increments solve_count by the number of columns.
+    increments solve_count by the number of columns; concurrent solves from
+    several threads are allowed.
     """
 
-    def __init__(self, A: sp.spmatrix, kind: str = "symmetric-indefinite"):
+    def __init__(self, A: sp.spmatrix, constraints=(),
+                 kind: str = "symmetric-indefinite"):
         A = sp.csc_matrix(A)
         n, m = A.shape
         if n != m:
-            raise SingularMatrix("factorize requires a square matrix")
+            raise SingularMatrix("factorization requires a square matrix")
         if kind not in ("SPD", "symmetric-indefinite"):
             raise ValueError(f"unknown factorization kind {kind!r}")
         self.kind = kind
         self.n = n
+        self.n_constraints = len(constraints)
         self.solve_count = 0
+        self._count_lock = threading.Lock()
         if n == 0:  # empty systems occur e.g. for trace-constrained spaces
             self._lu = None
+            self.pivot_ratio = 1.0
             return
         if kind == "SPD":
             d = A.diagonal()
             if (d <= 0).any():
                 raise NotSPD("nonpositive diagonal entry under SPD kind")
-            sym_err = abs(A - A.T).max() if (A - A.T).nnz else 0.0
+            D = A - A.T
+            sym_err = abs(D).max() if D.nnz else 0.0
             if sym_err > 1e-12 * max(abs(A).max(), 1e-300):
                 raise NotSPD("matrix declared SPD is not symmetric")
+        if self.n_constraints:
+            C = sp.csc_matrix(np.column_stack(constraints))
+            A = sp.bmat([[A, C], [C.T, None]], format="csc")
         try:
             self._lu = spla.splu(A)
         except RuntimeError as exc:  # "Factor is exactly singular"
@@ -51,79 +70,15 @@ class FactorizedOperator:
         d = np.abs(self._lu.U.diagonal())
         if not np.isfinite(d).all():
             raise SingularMatrix("factorization produced non-finite pivots")
-        self.pivot_ratio = float(d.min() / d.max()) if d.size else 1.0
+        self.pivot_ratio = float(d.min() / d.max())
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        self.solve_count += 1 if b.ndim == 1 else b.shape[1]
+        with self._count_lock:
+            self.solve_count += 1 if b.ndim == 1 else b.shape[1]
         if self.n == 0:
             return np.zeros_like(b)
-        return self._lu.solve(b)
-
-
-def factorize(A: sp.spmatrix, kind: str = "symmetric-indefinite") -> FactorizedOperator:
-    """Factorize a sparse matrix for repeated solves."""
-    return FactorizedOperator(A, kind=kind)
-
-
-class GaugedOperator:
-    """Factorization of A with linear constraints c_i' x = 0 as a bordered
-    symmetric system [[A, C], [C', 0]].
-
-    solve(b) returns the primal part of the bordered solution; the
-    multipliers are discarded.  With no constraints this reduces to a plain
-    factorization of A.  Solves are counted like FactorizedOperator.
-    """
-
-    def __init__(self, A: sp.spmatrix, constraints=(), kind: str = "symmetric-indefinite"):
-        self.n = A.shape[0]
-        self.n_constraints = len(constraints)
-        if self.n_constraints:
-            C = sp.csc_matrix(np.column_stack(constraints))
-            K = sp.bmat([[A, C], [C.T, None]], format="csc")
-            self._op = FactorizedOperator(K, kind="symmetric-indefinite")
-        else:
-            self._op = FactorizedOperator(A, kind=kind)
-
-    @property
-    def solve_count(self) -> int:
-        return self._op.solve_count
-
-    @property
-    def pivot_ratio(self) -> float:
-        return self._op.pivot_ratio
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
         if not self.n_constraints:
-            return self._op.solve(b)
-        if b.ndim == 1:
-            bb = np.concatenate([b, np.zeros(self.n_constraints)])
-            return self._op.solve(bb)[: self.n]
-        bb = np.vstack([b, np.zeros((self.n_constraints, b.shape[1]))])
-        return self._op.solve(bb)[: self.n]
-
-
-def gram_schmidt(vectors, M: sp.spmatrix, drop_tol: float = 1e-10):
-    """M-orthonormalize a list of coefficient vectors.
-
-    Modified Gram-Schmidt applied twice for stability.  Vectors whose
-    post-orthogonalization M-norm falls below drop_tol (relative to their
-    initial M-norm, or absolutely for zero input) are dropped and reported.
-
-    Returns (orthonormal list, dropped index list).
-    """
-    out: list[np.ndarray] = []
-    dropped: list[int] = []
-    for i, v in enumerate(vectors):
-        v = np.asarray(v, dtype=float).copy()
-        nrm0 = np.sqrt(max(v @ (M @ v), 0.0))
-        for _ in range(2):
-            for q in out:
-                v -= (q @ (M @ v)) * q
-        nrm = np.sqrt(max(v @ (M @ v), 0.0))
-        if nrm <= drop_tol * max(nrm0, 1.0e-300):
-            dropped.append(i)
-            continue
-        out.append(v / nrm)
-    return out, dropped
+            return self._lu.solve(b)
+        pad = np.zeros((self.n_constraints,) + b.shape[1:])
+        return self._lu.solve(np.concatenate([b, pad]))[: self.n]

@@ -485,9 +485,9 @@ def test_sip_consistency_continuous_field_flat():
 
     b = asm.assemble_load(V, field)
     M = asm.assemble_mass(V)
-    from surfhodge.linalg import GaugedOperator
+    from surfhodge.linalg import FactorizedOperator
 
-    u = GaugedOperator(M.tocsc(), kind="SPD").solve(b)
+    u = FactorizedOperator(M, kind="SPD").solve(b)
     mu = 0.8
     A = asm.assemble_sip(V, mu=mu, dirichlet=False)
     got = u @ (A @ u)

@@ -254,3 +254,42 @@ def test_flow_reuses_precomputed_basis(tmp_path, capsys):
     code, payload, _ = run_cli(capsys, "nse", "--config", cfg,
                                "--basis", str(d / "harmonic_basis.json"))
     assert code == 0 and payload["b1"] == 2
+
+
+def test_stokes_inviscid_exit_4(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "mesh = builtin:icosphere\nk = 1\nmu = 0\n"
+                              "allow_inviscid = true\nforcing = expression\n"
+                              "fx = sin(y)\nfy = cos(z)\nfz = 0.2*x\n")
+    assert main(["stokes", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure:") and len(err.splitlines()) == 1
+
+
+# ------------------------------------------------------ other input errors
+def assert_input_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and len(err.splitlines()) == 1
+
+
+def test_harmonic_unsupported_degree_exit_2(capsys):
+    assert_input_error(capsys, ["harmonic", "--mesh", "builtin:torus", "--k", "9"])
+
+
+def test_decompose_foreign_basis_exit_2(tmp_path, capsys):
+    d = tmp_path / "basis"
+    run_cli(capsys, "harmonic", "--mesh", "builtin:genus2", "--k", "0",
+            "--out-dir", str(d))
+    assert_input_error(capsys, ["decompose", "--mesh", "builtin:torus", "--k", "0",
+                                "--basis", str(d / "harmonic_basis.json")])
+
+
+def test_config_unknown_bc_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\nbc = weird\n")
+    assert_input_error(capsys, ["stokes", "--config", cfg])
+
+
+def test_config_bad_forcing_vector_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\n"
+                              "forcing = rigid_rotation\ncenter = 0 0 0\n")
+    assert_input_error(capsys, ["stokes", "--config", cfg])

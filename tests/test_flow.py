@@ -148,8 +148,7 @@ def test_schur_vs_monolithic(torus_ops):
 
 
 def test_singular_streamblock_detected(torus3):
-    """An un-gauged singular streamfunction block raises SingularOperator,
-    and the kernel detector recovers the missing direction."""
+    """An un-gauged singular streamfunction block raises SingularOperator."""
     from surfhodge.hodge import HodgeSolver
 
     solver = HodgeSolver(torus3, 0)
@@ -158,16 +157,6 @@ def test_singular_streamblock_detected(torus3):
     system = build_reduced_system(solver.M, np.zeros(solver.V.total_dofs), emb)
     with pytest.raises(SingularOperator):
         ReducedSolver(system)
-    cfg = SimulationConfig(k=0, mu=1.0)
-    ops = FlowOperators(torus3, cfg)
-    kern = ops._detect_kernel(system)
-    assert len(kern) == 1
-    # the explicit zero-mean gauge plus the detected direction span the
-    # kernel of the block (the constants)
-    span = np.column_stack([ops.gauges[0], kern[0]])
-    ones = np.ones(span.shape[0])
-    proj, *_ = np.linalg.lstsq(span, ones, rcond=None)
-    assert np.linalg.norm(span @ proj - ones) < 1e-8
 
 
 # ------------------------------------------------------------------ Stokes
@@ -379,24 +368,39 @@ def test_run_simulation_outputs(tmp_path, torus3, basis_cache):
     assert "SCALARS psi double 1" in vtk
 
 
-def test_stokes_killing_gauge_retry(torus3, basis_cache):
+def test_stokes_ungauged_block_raises(torus3, basis_cache):
     """A singular viscous block (here: the mass form without its zero-mean
-    gauge) triggers kernel detection and a gauged retry."""
+    gauge) makes the Stokes solve raise SingularOperator."""
     cfg = SimulationConfig(k=0, mu=1.0, forcing=smooth_forcing(12))
     ops = FlowOperators(torus3, cfg, basis=basis_cache(torus3, 0))
     ops.A_visc = ops.M  # reduced block E' M E is singular on the constants
     ops.gauges = []  # drop the explicit zero-mean gauge
+    with pytest.raises(SingularOperator):
+        ops.stokes_reduced()
+
+
+def test_stokes_empty_streamblock():
+    """A space with no streamfunction dofs (one triangle, k = 0) gives the
+    zero velocity; the empty block still counts its one solve."""
+    from surfhodge import meshes
+
+    ops = FlowOperators(meshes.single_triangle(), SimulationConfig(k=0, mu=1.0))
+    assert ops.S.total_dofs == 0 and ops.emb.n_harmonic == 0
     state, info = ops.stokes_reduced()
-    assert len(ops._kernel_gauges) == 1
-    assert np.isfinite(state.u.coefficients).all()
-    # the gauged solution still solves the reduced system
-    system = build_reduced_system(ops.M, ops.load_vector(0.0), ops.emb,
-                                  ops._kernel_gauges)
-    rs = np.concatenate([
-        system.A_ss @ state.psi.coefficients + system.A_sh @ state.h_coeffs - system.b_s,
-        system.A_hs @ state.psi.coefficients + system.A_hh @ state.h_coeffs - system.b_h])
-    scale = max(np.abs(system.b_s).max(), 1e-300)
-    assert np.abs(rs).max() <= 1e-8 * scale
+    assert state.kinetic_energy == 0.0
+    assert info["sparse_solves"] == 1
+
+
+def test_stokes_inviscid_raises():
+    """With mu = 0 no viscous form is left, so the reduced Stokes operator
+    is singular; the solve reports it instead of returning a zero flow."""
+    from surfhodge import meshes
+
+    cfg = SimulationConfig(k=1, mu=0.0, allow_inviscid=True,
+                           forcing=smooth_forcing(15))
+    ops = FlowOperators(meshes.icosphere(1), cfg)
+    with pytest.raises(SingularOperator):
+        ops.stokes_reduced()
 
 
 def test_equivalence_on_closed_genus2(genus2):

@@ -261,9 +261,9 @@ def test_p0_cr_hat_recovery(torus3, rng):
     bloc = np.einsum("tlqi,tqi,q->tl", vals, gv, rule.weights) * torus3.Jdet[:, None]
     for t in range(torus3.n_triangles):
         b[P0.dof_map[t]] = bloc[t]
-    from surfhodge.linalg import GaugedOperator
+    from surfhodge.linalg import FactorizedOperator
 
-    v = FeField(P0, GaugedOperator(Mp.tocsc(), kind="SPD").solve(b))
+    v = FeField(P0, FactorizedOperator(Mp, kind="SPD").solve(b))
     dec = decompose_p0_incomplete(v)
     psz = np.abs(dec.psi.coefficients).max() if dec.psi.coefficients.size else 0.0
     assert psz <= 1e-10

@@ -3,18 +3,18 @@ import pytest
 import scipy.sparse as sp
 
 from surfhodge.errors import NotSPD, SingularMatrix
-from surfhodge.linalg import GaugedOperator, factorize, gram_schmidt
+from surfhodge.linalg import FactorizedOperator
 
 
 def test_identity_solve():
-    op = factorize(sp.identity(5, format="csc"), kind="SPD")
+    op = FactorizedOperator(sp.identity(5, format="csc"), kind="SPD")
     b = np.arange(5.0)
     assert np.allclose(op.solve(b), b)
 
 
 def test_two_by_two():
     A = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    op = factorize(A, kind="SPD")
+    op = FactorizedOperator(A, kind="SPD")
     x = op.solve(np.array([3.0, 3.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
@@ -23,7 +23,7 @@ def test_random_spd_residual(rng):
     n = 200
     R = rng.standard_normal((n, n))
     A = sp.csc_matrix(R.T @ R + n * np.eye(n))
-    op = factorize(A, kind="SPD")
+    op = FactorizedOperator(A, kind="SPD")
     for _ in range(3):
         b = rng.standard_normal(n)
         x = op.solve(b)
@@ -35,25 +35,25 @@ def test_random_spd_residual(rng):
 def test_not_spd_detection():
     A = sp.csc_matrix(np.diag([1.0, -2.0, 3.0]))
     with pytest.raises(NotSPD):
-        factorize(A, kind="SPD")
+        FactorizedOperator(A, kind="SPD")
     B = sp.csc_matrix(np.array([[1.0, 5.0], [0.0, 1.0]]))
     with pytest.raises(NotSPD):
-        factorize(B, kind="SPD")
+        FactorizedOperator(B, kind="SPD")
     # the same matrices factorize fine as symmetric-indefinite / general
-    factorize(A, kind="symmetric-indefinite")
+    FactorizedOperator(A, kind="symmetric-indefinite")
 
 
 def test_singular_matrix():
     A = sp.csc_matrix((3, 3))
     with pytest.raises(SingularMatrix):
-        factorize(A)
+        FactorizedOperator(A)
     with pytest.raises(SingularMatrix):
-        factorize(sp.csc_matrix(np.ones((2, 3))))
+        FactorizedOperator(sp.csc_matrix(np.ones((2, 3))))
 
 
 def test_solve_counting(rng):
     A = sp.csc_matrix(np.diag([1.0, 2.0, 3.0]))
-    op = factorize(A, kind="SPD")
+    op = FactorizedOperator(A, kind="SPD")
     op.solve(np.ones(3))
     op.solve(rng.standard_normal((3, 4)))
     assert op.solve_count == 5
@@ -64,8 +64,8 @@ def test_deterministic_solves(rng):
     R = rng.standard_normal((n, n))
     A = sp.csc_matrix(R.T @ R + n * np.eye(n))
     b = rng.standard_normal(n)
-    x1 = factorize(A, kind="SPD").solve(b)
-    x2 = factorize(A, kind="SPD").solve(b)
+    x1 = FactorizedOperator(A, kind="SPD").solve(b)
+    x2 = FactorizedOperator(A, kind="SPD").solve(b)
     assert (x1 == x2).all()  # bitwise
 
 
@@ -78,41 +78,41 @@ def test_gauged_operator_zero_mean(rng):
     L[-1, 0] -= 1
     L[0, 0] -= 0.0  # periodic Laplacian, kernel = constants
     ones = np.ones(n)
-    op = GaugedOperator(sp.csc_matrix(L), [ones])
+    op = FactorizedOperator(sp.csc_matrix(L), [ones])
     b = rng.standard_normal(n)
     b -= b.mean()
     x = op.solve(b)
     assert abs(x.sum()) < 1e-10
     assert np.linalg.norm(L @ x - b) < 1e-10
+    # a matrix of right-hand sides gives the column-wise solves, without
+    # the multipliers, and counts one solve per column
+    B = rng.standard_normal((n, 4))
+    B -= B.mean(axis=0)
+    X = op.solve(B)
+    cols = np.column_stack([op.solve(B[:, j]) for j in range(4)])
+    assert X.shape == (n, 4)
+    assert np.abs(X - cols).max() <= 1e-13 * np.abs(cols).max()
+    assert op.solve_count == 9
 
 
 def test_empty_system():
-    op = factorize(sp.csc_matrix((0, 0)))
+    op = FactorizedOperator(sp.csc_matrix((0, 0)))
     assert op.solve(np.zeros(0)).shape == (0,)
 
 
-# ------------------------------------------------------------ gram schmidt
-def test_gram_schmidt_orthonormal_unchanged():
-    M = sp.identity(4, format="csc")
-    vecs = [np.eye(4)[i] for i in range(3)]
-    out, dropped = gram_schmidt(vecs, M)
-    assert not dropped
-    for a, b in zip(out, vecs):
-        assert np.abs(a - b).max() < 1e-12
+def test_concurrent_solves_match_serial(torus):
+    """Solves from several threads on one bordered factorization (the
+    zero-mean streamfunction operator of a closed torus) give the serial
+    results bitwise and an exact solve count."""
+    from concurrent.futures import ThreadPoolExecutor
 
+    from surfhodge.hodge import HodgeSolver
 
-def test_gram_schmidt_drops_duplicates(rng):
-    M = sp.identity(5, format="csc")
-    v = rng.standard_normal(5)
-    out, dropped = gram_schmidt([v, v.copy()], M, drop_tol=1e-10)
-    assert len(out) == 1
-    assert dropped == [1]
-
-
-def test_gram_schmidt_weighted(rng):
-    M = sp.diags([1.0, 2.0, 3.0, 4.0, 5.0]).tocsc()
-    vecs = [rng.standard_normal(5) for _ in range(3)]
-    out, dropped = gram_schmidt(vecs, M)
-    assert not dropped
-    G = np.array([[a @ (M @ b) for b in out] for a in out])
-    assert np.abs(G - np.eye(3)).max() < 1e-10
+    op = HodgeSolver(torus, 1).laplace_operator
+    assert op.n_constraints == 1
+    rhs = np.random.default_rng(5).standard_normal((300, op.n))
+    serial = [op.solve(b) for b in rhs]
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        threaded = list(pool.map(op.solve, rhs))
+    assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+    assert op.solve_count == 600
