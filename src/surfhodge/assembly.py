@@ -54,8 +54,8 @@ def tabulate_vector(space: FeSpace, rule, grads: bool = False):
     divs = space.ref.div(xy)[None, :, :] / mesh.Jdet[:, None, None]
     if not grads:
         return vals, divs, None
-    g = np.einsum("tia,lqab,tjb->tlqij", piola, space.ref.grad(xy), mesh.G)
-    return vals, divs, g
+    g = np.einsum("tia,lqab,tjb->tlqij", piola, space.ref.grad(xy), mesh.G, optimize=True)
+    return vals, divs, np.ascontiguousarray(g)  # the step loop contracts g per call
 
 
 def tabulate_field(field: FeField, rule) -> np.ndarray:
@@ -253,28 +253,17 @@ def assemble_rot_embedding(S: FeSpace, V: FeSpace) -> sp.csr_matrix:
                 rot_coeffs[j, idx[(a - 1, b)], 1] -= c * a
     block = V.ref.apply_dofs(rot_coeffs, exps_k)  # (n_bdm_loc, n_lag)
 
-    rows, cols, vals = [], [], []
-    n_edge_dofs = V.ref.n_edge_dofs
-    for t in range(mesh.n_triangles):
-        own = np.ones(V.ref.n_local, dtype=bool)
-        for i, (le, m) in enumerate(V.ref.edge_dofs):
-            e = mesh.tri_edges[t, le]
-            own[i] = mesh.edge_tris[e, 0] == t
-        for i in range(V.ref.n_local):
-            if not own[i]:
-                continue
-            g = V.dof_map[t, i]
-            if g < 0:
-                continue
-            s = V.dof_signs[t, i]
-            for j in range(n_lag):
-                gj = S.dof_map[t, j]
-                if gj < 0:
-                    continue
-                rows.append(g)
-                cols.append(gj)
-                vals.append(block[i, j] / s)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(V.total_dofs, S.total_dofs))
+    # Triangle t writes its edge dofs only on edges it owns (edge_tris[e, 0]).
+    T = mesh.n_triangles
+    own = np.ones((T, V.ref.n_local), dtype=bool)
+    dof_edges = mesh.tri_edges[:, [le for le, _ in V.ref.edge_dofs]]
+    own[:, :V.ref.n_edge_dofs] = mesh.edge_tris[dof_edges, 0] == np.arange(T)[:, None]
+    rows = np.broadcast_to(V.dof_map[:, :, None], (T, V.ref.n_local, n_lag))
+    cols = np.broadcast_to(S.dof_map[:, None, :], rows.shape)
+    keep = (own & (V.dof_map >= 0))[:, :, None] & (cols >= 0)
+    vals = block[None, :, :] / V.dof_signs[:, :, None]
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(V.total_dofs, S.total_dofs))
 
 
 # ---------------------------------------------------------------- SIP form

@@ -97,14 +97,24 @@ def expression_forcing(fx: str, fy: str, fz: str):
 
 
 # ----------------------------------------------------------------- presets
+def _vector3(name, value) -> np.ndarray:
+    vec = np.asarray(value, dtype=float)
+    if vec.shape != (3,):
+        raise ValueError(f"{name} must have 3 components, got {value!r}")
+    return vec
+
+
 def constant_band_forcing(direction=(0.0, 1.0, 0.0), amplitude=1.0,
                           band_axis=0, band_max=0.0, band_min=None):
     """Constant force `amplitude * direction` where band_min <= x_axis <
     band_max (band_min defaults to -inf), zero elsewhere."""
-    direction = np.asarray(direction, dtype=float)
+    direction = _vector3("direction", direction)
+    amplitude = float(amplitude)
     lo = -np.inf if band_min is None else float(band_min)
     hi = float(band_max)
     axis = int(band_axis)
+    if axis not in (0, 1, 2):
+        raise ValueError(f"band_axis must be 0, 1 or 2, got {band_axis!r}")
 
     def f(points, t=0.0):
         points = np.atleast_2d(points)
@@ -117,8 +127,9 @@ def constant_band_forcing(direction=(0.0, 1.0, 0.0), amplitude=1.0,
 def rigid_rotation_forcing(center=(0.0, 0.0, 0.0), axis=(0.0, 0.0, 1.0),
                            amplitude=1.0):
     """Rotation-driving force: amplitude * (x-c)/|x-c| x axis."""
-    center = np.asarray(center, dtype=float)
-    axis = np.asarray(axis, dtype=float)
+    center = _vector3("center", center)
+    axis = _vector3("axis", axis)
+    amplitude = float(amplitude)
 
     def f(points, t=0.0):
         points = np.atleast_2d(points)
@@ -161,16 +172,20 @@ def _parse_value(text: str):
 
 def parse_config_file(path) -> dict:
     """Parse a flat key = value config file into a typed dict."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read config file {str(path)!r}: {exc}") from exc
     values: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            values[key.strip()] = _parse_value(val)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        values[key.strip()] = _parse_value(val)
     return values
 
 
@@ -198,7 +213,7 @@ def forcing_from_dict(values: dict):
     kwargs = {k: values[k] for k in _FORCING_KEYS[name] if k in values}
     try:
         return preset(**kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"bad parameters for forcing {name!r}: {exc}") from exc
 
 

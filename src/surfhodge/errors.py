@@ -15,7 +15,7 @@ class MeshInputError(SurfHodgeError):
 
 
 class ParseError(MeshInputError):
-    """Malformed OFF/OBJ file."""
+    """Malformed or unreadable input file: mesh, config or harmonic basis."""
 
 
 class NonTriangle(MeshInputError):

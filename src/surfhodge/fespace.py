@@ -511,19 +511,15 @@ def _build_lagrange(mesh, p, constraint):
         nxt += per_edge * int(e_keep.sum())
     n_int = len(ref.interior_nodes)
     dof_map = -np.ones((mesh.n_triangles, ref.n_local), dtype=np.int64)
-    for t in range(mesh.n_triangles):
-        for lv, node in enumerate(ref.vertex_nodes):
-            dof_map[t, node] = v_ids[mesh.triangles[t, lv]]
-        for le in range(3):
-            e = mesh.tri_edges[t, le]
-            if e_base[e] < 0:
-                continue
-            along = mesh.tri_edge_along[t, le]
-            for i, node in enumerate(ref.edge_nodes[le], start=1):
-                slot = i if along else p - i
-                dof_map[t, node] = e_base[e] + slot - 1
-        for j, node in enumerate(ref.interior_nodes):
-            dof_map[t, node] = nxt + t * n_int + j
+    dof_map[:, ref.vertex_nodes] = v_ids[mesh.triangles]
+    # Edge node i (1..p-1) along the local direction sits in slot i of the
+    # edge, or in slot p - i when the triangle runs against the edge.
+    i = np.arange(1, p)
+    slot = np.where(mesh.tri_edge_along[:, :, None], i, p - i)
+    base = e_base[mesh.tri_edges][:, :, None]
+    edge_nodes = np.array(ref.edge_nodes, dtype=np.int64).reshape(3, per_edge)
+    dof_map[:, edge_nodes] = np.where(base >= 0, base + slot - 1, -1)
+    dof_map[:, ref.interior_nodes] = nxt + _interior_dofs(mesh.n_triangles, n_int)
     total = nxt + mesh.n_triangles * n_int
     return dof_map, np.ones_like(dof_map, dtype=float), total
 
@@ -546,38 +542,37 @@ def _build_bdm(mesh, k, constraint):
     e_base[e_keep] = per_edge * np.arange(e_keep.sum())
     nxt = per_edge * int(e_keep.sum())
     n_int = ref.n_local - ref.n_edge_dofs
-    dof_map = -np.ones((mesh.n_triangles, ref.n_local), dtype=np.int64)
-    signs = np.ones((mesh.n_triangles, ref.n_local), dtype=float)
-    for t in range(mesh.n_triangles):
-        for i, (le, m) in enumerate(ref.edge_dofs):
-            e = mesh.tri_edges[t, le]
-            along = mesh.tri_edge_along[t, le]
-            interior_edge = not mesh.boundary_edge_mask[e]
-            if along:
-                sign = -1.0 if interior_edge else 1.0
-            else:
-                sign = -1.0 if (m % 2) else 1.0
-            signs[t, i] = sign * mesh.edge_lengths[e]
-            if e_base[e] >= 0:
-                dof_map[t, i] = e_base[e] + m
-        for j in range(n_int):
-            dof_map[t, ref.n_edge_dofs + j] = nxt + t * n_int + j
-            signs[t, ref.n_edge_dofs + j] = np.sqrt(mesh.Jdet[t])
-    total = nxt + mesh.n_triangles * n_int
+    e = mesh.tri_edges
+    m = np.arange(per_edge)
+    # Edge dof (le, m) sits at local index le * (k + 1) + m.
+    sign = np.where(mesh.tri_edge_along[:, :, None],
+                    np.where(mesh.boundary_edge_mask[e], 1.0, -1.0)[:, :, None],
+                    np.where(m % 2, -1.0, 1.0))
+    base = e_base[e][:, :, None]
+    edge_map = np.where(base >= 0, base + m, -1)
+    edge_signs = sign * mesh.edge_lengths[e][:, :, None]
+    T = mesh.n_triangles
+    dof_map = np.concatenate([edge_map.reshape(T, -1), nxt + _interior_dofs(T, n_int)], axis=1)
+    signs = np.concatenate([edge_signs.reshape(T, -1),
+                            np.repeat(np.sqrt(mesh.Jdet)[:, None], n_int, axis=1)], axis=1)
+    total = nxt + T * n_int
     return dof_map, signs, total
 
 
+def _interior_dofs(n_triangles, n_int):
+    """Element-private dof numbers t * n_int + j, as (T, n_int)."""
+    return np.arange(n_triangles * n_int, dtype=np.int64).reshape(n_triangles, n_int)
+
+
 def _build_dg_scalar(mesh, p, constraint):
-    ref = _reference("dg_pressure", p)
-    n = ref.n_local
-    dof_map = np.arange(mesh.n_triangles * n, dtype=np.int64).reshape(mesh.n_triangles, n)
+    n = _reference("dg_pressure", p).n_local
+    dof_map = _interior_dofs(mesh.n_triangles, n)
     return dof_map, np.ones_like(dof_map, dtype=float), mesh.n_triangles * n
 
 
 def _build_dg_vector(mesh, k, constraint):
-    ref = _reference("dg_vector", k)
-    n = ref.n_local
-    dof_map = np.arange(mesh.n_triangles * n, dtype=np.int64).reshape(mesh.n_triangles, n)
+    n = _reference("dg_vector", k).n_local
+    dof_map = _interior_dofs(mesh.n_triangles, n)
     return dof_map, np.ones_like(dof_map, dtype=float), mesh.n_triangles * n
 
 
@@ -588,11 +583,8 @@ def _build_cr(mesh, p, constraint):
 
 def _build_facet(mesh, k, constraint):
     per_edge = k + 1
-    dof_map = np.empty((mesh.n_triangles, 3 * per_edge), dtype=np.int64)
-    for t in range(mesh.n_triangles):
-        for le in range(3):
-            e = mesh.tri_edges[t, le]
-            dof_map[t, le * per_edge : (le + 1) * per_edge] = per_edge * e + np.arange(per_edge)
+    dof_map = (per_edge * mesh.tri_edges[:, :, None] + np.arange(per_edge)).reshape(
+        mesh.n_triangles, 3 * per_edge)
     return dof_map, np.ones_like(dof_map, dtype=float), per_edge * mesh.n_edges
 
 

@@ -303,12 +303,12 @@ class FlowOperators:
         self.M = self.hodge.M
         self.emb = JEmbedding(self.hodge.E, basis.vectors)
         self.gauges = [asm.assemble_moment(self.S)] if self.S.zero_mean else []
-        mu = config.mu if config.mu > 0 else 1.0
-        self.A_visc = asm.assemble_sip(
-            self.V, mu=mu, alpha=config.alpha_value,
-            dirichlet=(config.bc == "noslip"))
         if config.mu == 0:
-            self.A_visc = sp.csr_matrix(self.A_visc.shape)
+            self.A_visc = sp.csr_matrix((self.V.total_dofs, self.V.total_dofs))
+        else:
+            self.A_visc = asm.assemble_sip(
+                self.V, mu=config.mu, alpha=config.alpha_value,
+                dirichlet=(config.bc == "noslip"))
         self.forcing = config.forcing if config.forcing is not None else _zero_forcing
         self._load_tab = asm.load_tabulation(self.V)
 

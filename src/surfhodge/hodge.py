@@ -26,6 +26,7 @@ from .errors import (
     BasisMismatch,
     DisconnectedMesh,
     MaxAttemptsExceeded,
+    ParseError,
     WrongDegree,
 )
 from .fespace import FeField, build_space
@@ -73,22 +74,29 @@ class HarmonicBasis:
 
     @classmethod
     def load_json(cls, path) -> "HarmonicBasis":
-        with open(path) as fh:
-            payload = json.load(fh)
-        if payload.get("format") != "surfhodge-harmonic-basis":
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON or not text
+            raise ParseError(f"cannot read harmonic basis {str(path)!r}: {exc}") from exc
+        if not isinstance(payload, dict) or payload.get("format") != "surfhodge-harmonic-basis":
             raise BasisMismatch("not a harmonic basis container")
-        vectors = np.array(payload["vectors"], dtype=float).reshape(
-            payload["b1"], payload["n_dofs"]
-        )
-        return cls(
-            k=payload["k"],
-            vectors=vectors,
-            seed=payload["seed"],
-            tol=payload["tol"],
-            mesh_checksum=payload["mesh_checksum"],
-            n_attempts=payload.get("n_attempts", 0),
-            gram_residual=payload.get("gram_residual", 0.0),
-        )
+        try:
+            vectors = np.array(payload["vectors"], dtype=float).reshape(
+                payload["b1"], payload["n_dofs"]
+            )
+            return cls(
+                k=payload["k"],
+                vectors=vectors,
+                seed=payload["seed"],
+                tol=payload["tol"],
+                mesh_checksum=payload["mesh_checksum"],
+                n_attempts=payload.get("n_attempts", 0),
+                gram_residual=payload.get("gram_residual", 0.0),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BasisMismatch(
+                f"malformed harmonic basis container ({type(exc).__name__}: {exc})") from exc
 
 
 @dataclass

@@ -5,6 +5,18 @@ finite element layers: edge adjacency, globally consistent orientation,
 per-triangle frames for the Piola map, and per-edge tangent/conormal frames
 for inter-element (DG) terms.
 
+Topology is array code: one half-edge table pairs the 3T local edges
+(tri[le], tri[le+1]) by their sorted vertex pairs (np.unique), and
+scipy.sparse.csgraph labels the connected components of three graphs:
+
+* orientation: the double cover of the dual graph (node t keeps triangle
+  t, node T + t flips it); the mesh is non-orientable iff some triangle's
+  two nodes are connected, and the lowest triangle of each component
+  keeps its winding;
+* vertex umbrellas: triangle corners joined across interior edges; each
+  vertex is manifold iff its corners form one group;
+* connected components: the dual graph, numbered by lowest triangle.
+
 Edge conventions
 ----------------
 * Edges are stored as vertex pairs (lo, hi) with lo < hi; the unit tangent
@@ -23,6 +35,8 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import (
     DegenerateTriangle,
@@ -129,7 +143,8 @@ class SurfaceMesh:
             raise NonTriangle("faces must have exactly 3 vertices")
         if triangles.min() < 0 or triangles.max() >= len(vertices):
             raise ParseError("triangle vertex index out of range")
-        if any(len(set(t)) != 3 for t in triangles):
+        s = np.sort(triangles, axis=1)
+        if (s[:, 1:] == s[:, :-1]).any():
             raise DegenerateTriangle("triangle with repeated vertex")
 
         # Drop unreferenced vertices (common in OBJ exports) and reindex.
@@ -144,7 +159,6 @@ class SurfaceMesh:
         self.vertices = vertices
         self.triangles = triangles
         self._check_degenerate()
-        self._orient()
         self._build_edges()
         self._check_umbrellas()
         self._build_boundary_loops()
@@ -164,116 +178,58 @@ class SurfaceMesh:
             bad = int(np.argmax(areas <= tol))
             raise DegenerateTriangle(f"triangle {bad} has (near-)zero area")
 
-    def _edge_adjacency(self):
-        """Map sorted vertex pair -> list of (triangle, local_edge, along)."""
-        adj: dict[tuple[int, int], list[tuple[int, int, bool]]] = {}
-        for t, tri in enumerate(self.triangles):
-            for le in range(3):
-                a, b = int(tri[le]), int(tri[(le + 1) % 3])
-                key = (a, b) if a < b else (b, a)
-                adj.setdefault(key, []).append((t, le, a < b))
-        for key, tris in adj.items():
-            if len(tris) > 2:
-                raise NonManifold(f"edge {key} adjacent to {len(tris)} triangles")
-        return adj
-
-    def _orient(self):
-        """Flip triangle windings (BFS over the dual graph) until every
-        interior edge is traversed in opposite directions by its two
-        triangles; raise NonOrientable if impossible."""
-        adj = self._edge_adjacency()
-        n_tri = len(self.triangles)
-        neighbors: list[list[tuple[int, bool]]] = [[] for _ in range(n_tri)]
-        for tris in adj.values():
-            if len(tris) == 2:
-                (t1, _, d1), (t2, _, d2) = tris
-                # same_dir: both traverse the shared edge the same way
-                neighbors[t1].append((t2, d1 == d2))
-                neighbors[t2].append((t1, d1 == d2))
-        flip = np.zeros(n_tri, dtype=np.int8)  # 0 unvisited, +1 keep, -1 flip
-        any_flipped = False
-        for seed in range(n_tri):
-            if flip[seed]:
-                continue
-            flip[seed] = 1
-            stack = [seed]
-            while stack:
-                t = stack.pop()
-                for u, same_dir in neighbors[t]:
-                    want = -flip[t] if same_dir else flip[t]
-                    if flip[u] == 0:
-                        flip[u] = want
-                        stack.append(u)
-                    elif flip[u] != want:
-                        raise NonOrientable("mesh admits no consistent orientation")
-        if (flip < 0).any():
-            any_flipped = True
-            tris = self.triangles.copy()
-            tris[flip < 0] = tris[flip < 0][:, ::-1]
-            self.triangles = tris
-        self.orientation_repaired = bool(any_flipped)
-
-    # ---------------------------------------------------------- connectivity
     def _build_edges(self):
-        adj = self._edge_adjacency()
-        keys = sorted(adj.keys())
-        self.edges = np.array(keys, dtype=np.int64).reshape(-1, 2)
-        n_edges = len(keys)
-        index = {k: i for i, k in enumerate(keys)}
+        """Pair the half-edges into edges, repair inconsistent windings and
+        order the sides of each edge as the module docstring describes."""
+        n_v, n_tri = len(self.vertices), len(self.triangles)
+        edges, tri_edges, along, halves = _half_edges(self.triangles, n_v)
+        # On the double cover, two triangles that traverse their shared
+        # edge the same way must disagree (keep one, flip the other).
+        h1, h2 = halves[halves[:, 1] >= 0].T
+        t1, t2 = h1 // 3, h2 // 3
+        cross = np.where(along.ravel()[h1] == along.ravel()[h2], n_tri, 0)
+        _, labels = _components(2 * n_tri, np.concatenate([t1, t1 + n_tri]),
+                                np.concatenate([t2 + cross, t2 + n_tri - cross]))
+        keep, flip = labels[:n_tri], labels[n_tri:]
+        if (keep == flip).any():
+            raise NonOrientable("mesh admits no consistent orientation")
+        # Components are numbered by their lowest node, so the lowest
+        # triangle of each dual component keeps its winding.
+        flip = keep > flip
+        self.orientation_repaired = bool(flip.any())
+        if self.orientation_repaired:
+            tris = self.triangles.copy()
+            tris[flip] = tris[flip][:, ::-1]
+            self.triangles = tris
+            edges, tri_edges, along, halves = _half_edges(tris, n_v)
+        self.edges, self.tri_edges, self.tri_edge_along = edges, tri_edges, along
 
-        self.edge_tris = -np.ones((n_edges, 2), dtype=np.int64)
-        self.tri_edges = np.zeros((len(self.triangles), 3), dtype=np.int64)
-        self.tri_edge_along = np.zeros((len(self.triangles), 3), dtype=bool)
-        for key, tris in adj.items():
-            e = index[key]
-            if len(tris) == 2:
-                (ta, la, da), (tb, lb, db) = tris
-                if da == db:  # cannot happen after _orient
-                    raise NonOrientable("inconsistent orientation survived repair")
-                anti, along = ((ta, la), (tb, lb)) if not da else ((tb, lb), (ta, la))
-                self.edge_tris[e] = (anti[0], along[0])
-            else:
-                (t0, l0, d0) = tris[0]
-                self.edge_tris[e] = (t0, -1)
-            for t, le, d in tris:
-                self.tri_edges[t, le] = e
-                self.tri_edge_along[t, le] = d
-
-        self.boundary_edge_mask = self.edge_tris[:, 1] < 0
-        self.n_edges = n_edges
-        self.n_vertices = len(self.vertices)
-        self.n_triangles = len(self.triangles)
+        # Put the side traversing the edge against its tangent first.
+        interior = halves[:, 1] >= 0
+        swap = interior & self.tri_edge_along.ravel()[halves[:, 0]]
+        self._edge_halves = np.where(swap[:, None], halves[:, ::-1], halves)
+        self.edge_tris = self._edge_halves // 3  # -1 // 3 == -1
+        self.boundary_edge_mask = ~interior
+        self.n_edges = len(self.edges)
+        self.n_vertices = n_v
+        self.n_triangles = n_tri
         bverts = np.zeros(self.n_vertices, dtype=bool)
         bverts[self.edges[self.boundary_edge_mask].ravel()] = True
         self.boundary_vertex_mask = bverts
 
     def _check_umbrellas(self):
         """Require the triangles around each vertex to form a single fan."""
-        incident: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for t, tri in enumerate(self.triangles):
-            for v in tri:
-                incident[int(v)].append(t)
-        # union by shared edges containing v
-        for v, tris in enumerate(incident):
-            if len(tris) <= 1:
-                continue
-            parent = {t: t for t in tris}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for e in np.flatnonzero((self.edges == v).any(axis=1)):
-                t1, t2 = self.edge_tris[e]
-                if t2 >= 0:
-                    r1, r2 = find(int(t1)), find(int(t2))
-                    if r1 != r2:
-                        parent[r1] = r2
-            roots = {find(t) for t in tris}
-            if len(roots) > 1:
-                raise NonManifold(f"vertex {v} has a non-manifold umbrella")
+        h1, h2 = self._edge_halves[~self.boundary_edge_mask].T
+        # The two sides run opposite ways: the start corner of one is the
+        # end corner of the other.
+        n_groups, labels = _components(3 * self.n_triangles,
+                                       np.concatenate([h1, _next_corner(h1)]),
+                                       np.concatenate([_next_corner(h2), h2]))
+        if n_groups != self.n_vertices:
+            group_vertex = np.empty(n_groups, dtype=np.int64)
+            group_vertex[labels] = self.triangles.ravel()
+            counts = np.bincount(group_vertex, minlength=self.n_vertices)
+            raise NonManifold(f"vertex {int(np.argmax(counts > 1))} has a non-manifold umbrella")
 
     def _build_boundary_loops(self):
         self.boundary_loops: list[list[int]] = []
@@ -338,34 +294,13 @@ class SurfaceMesh:
             self.conormals[:, le, :] = nu
 
         # Per-edge frames nu1 (side of edge_tris[:,0]) and nu2.
-        self.nu1 = np.full((self.n_edges, 3), np.nan)
-        self.nu2 = np.full((self.n_edges, 3), np.nan)
-        for e_id in range(self.n_edges):
-            t1, t2 = self.edge_tris[e_id]
-            le1 = int(np.flatnonzero(self.tri_edges[t1] == e_id)[0])
-            self.nu1[e_id] = self.conormals[t1, le1]
-            if t2 >= 0:
-                le2 = int(np.flatnonzero(self.tri_edges[t2] == e_id)[0])
-                self.nu2[e_id] = self.conormals[t2, le2]
+        nu = self.conormals.reshape(-1, 3)[self._edge_halves]
+        nu[self.boundary_edge_mask, 1] = np.nan
+        self.nu1, self.nu2 = nu[:, 0].copy(), nu[:, 1].copy()
 
     def _build_components(self):
-        parent = np.arange(self.n_triangles)
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e_id in range(self.n_edges):
-            t1, t2 = self.edge_tris[e_id]
-            if t2 >= 0:
-                r1, r2 = find(int(t1)), find(int(t2))
-                if r1 != r2:
-                    parent[r1] = r2
-        roots = np.array([find(t) for t in range(self.n_triangles)])
-        _, self.tri_component = np.unique(roots, return_inverse=True)
-        self.n_components = int(self.tri_component.max()) + 1
+        t1, t2 = self.edge_tris[~self.boundary_edge_mask].T
+        self.n_components, self.tri_component = _components(self.n_triangles, t1, t2)
 
     # ------------------------------------------------------------------- API
     @property
@@ -383,6 +318,46 @@ class SurfaceMesh:
         h.update(np.ascontiguousarray(self.vertices).tobytes())
         h.update(np.ascontiguousarray(self.triangles).tobytes())
         return h.hexdigest()
+
+
+def _half_edges(triangles, n_vertices):
+    """Pair the 3T half-edges into edges by their sorted vertex pairs.
+
+    Half-edge 3t + le runs from triangles[t, le] to triangles[t, le + 1].
+    Returns edges (E, 2) as sorted (lo, hi) pairs in lexicographic order,
+    tri_edges and tri_edge_along (T, 3), and the half-edges of each edge in
+    triangle order (E, 2), with -1 for the missing side of a boundary edge.
+    """
+    a = triangles.ravel()
+    b = triangles[:, [1, 2, 0]].ravel()
+    keys, edge_of, counts = np.unique(np.minimum(a, b) * n_vertices + np.maximum(a, b),
+                                      return_inverse=True, return_counts=True)
+    if counts.max() > 2:
+        e = int(np.argmax(counts > 2))
+        lo, hi = divmod(int(keys[e]), n_vertices)
+        raise NonManifold(f"edge {(lo, hi)} adjacent to {counts[e]} triangles")
+    order = np.argsort(edge_of, kind="stable")
+    first = np.cumsum(counts) - counts
+    halves = np.stack([order[first], -np.ones_like(first)], axis=1)
+    halves[counts == 2, 1] = order[first[counts == 2] + 1]
+    edges = np.stack(np.divmod(keys, n_vertices), axis=1)
+    return edges, edge_of.reshape(-1, 3), (a < b).reshape(-1, 3), halves
+
+
+def _next_corner(h):
+    """The corner (or half-edge) following h = 3t + le within triangle t."""
+    return h - h % 3 + (h + 1) % 3
+
+
+def _components(n, i, j):
+    """Connected components of the undirected graph on n nodes with edges
+    (i, j), numbered in the order of their lowest node."""
+    graph = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    n_comp, labels = csgraph.connected_components(graph, directed=False)
+    _, lowest = np.unique(labels, return_index=True)
+    rank = np.empty(n_comp, dtype=np.int64)
+    rank[np.argsort(lowest)] = np.arange(n_comp)
+    return n_comp, rank[labels]
 
 
 def edge_frames(mesh: SurfaceMesh, edge: int):
@@ -457,8 +432,11 @@ def load_mesh(path, fmt: str | None = None) -> SurfaceMesh:
         else:
             raise ParseError(f"cannot infer mesh format from path {path!r}")
     fmt = fmt.upper()
-    with open(path, "r") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read mesh file {path!r}: {exc}") from exc
     if fmt == "OFF":
         verts, tris = _parse_off(text)
     elif fmt == "OBJ":

@@ -110,6 +110,26 @@ def test_chain_complex_div_rot_zero(corpus, k):
         assert abs(BE).max() <= 1e-12 * max(scale, 1e-300)
 
 
+@pytest.mark.parametrize("name", ["torus", "sphere_4holes"])
+def test_dof_maps_and_rot_embedding_independent_of_winding(corpus, name):
+    mesh = corpus[name]
+    tris = mesh.triangles.copy()
+    flip = np.random.default_rng(3).random(len(tris)) < 0.5
+    flip[0] = False  # triangle 0 fixes the orientation
+    tris[flip] = tris[flip][:, ::-1]
+    rewound = SurfaceMesh(mesh.vertices, tris)
+    assert rewound.orientation_repaired
+    for k in range(4):
+        for cs, cv in (("none", "none"), ("zero_boundary_trace", "zero_normal_trace")):
+            S0, S1 = (build_space(m, "lagrange", k + 1, cs) for m in (mesh, rewound))
+            V0, V1 = (build_space(m, "bdm", k, cv) for m in (mesh, rewound))
+            for a, b in ((S0, S1), (V0, V1)):
+                assert np.array_equal(a.dof_map, b.dof_map)
+                assert np.array_equal(a.dof_signs, b.dof_signs)
+            diff = asm.assemble_rot_embedding(S0, V0) != asm.assemble_rot_embedding(S1, V1)
+            assert diff.nnz == 0
+
+
 def test_rot_embedding_interpolation_round_trip(torus, rng):
     """Embedded fields interpolate back to themselves: rot(S) sits inside
     the H(div) space exactly."""

@@ -293,3 +293,31 @@ def test_config_bad_forcing_vector_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\n"
                               "forcing = rigid_rotation\ncenter = 0 0 0\n")
     assert_input_error(capsys, ["stokes", "--config", cfg])
+
+
+def test_config_missing_file_exit_2(tmp_path, capsys):
+    assert_input_error(capsys, ["stokes", "--config", str(tmp_path / "nope.cfg")])
+
+
+def test_config_bad_forcing_amplitude_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\n"
+                              "forcing = constant_band\namplitude = abc\n")
+    assert_input_error(capsys, ["stokes", "--config", cfg])
+
+
+def test_topology_missing_mesh_exit_2(tmp_path, capsys):
+    assert_input_error(capsys, ["topology", "--mesh", str(tmp_path / "nope.off")])
+
+
+def test_decompose_non_json_basis_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("this is not json\n")
+    assert_input_error(capsys, ["decompose", "--mesh", "builtin:torus", "--k", "0",
+                                "--basis", str(path)])
+
+
+def test_decompose_basis_without_vectors_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format": "surfhodge-harmonic-basis"}))
+    assert_input_error(capsys, ["decompose", "--mesh", "builtin:torus", "--k", "0",
+                                "--basis", str(path)])

@@ -89,3 +89,15 @@ def test_config_errors(tmp_path):
         parse_config_file(bad)
     with pytest.raises(ParseError):
         forcing_from_dict({"forcing": "warp_drive"})
+
+
+@pytest.mark.parametrize("values", [
+    {"forcing": "constant_band", "amplitude": "abc"},
+    {"forcing": "constant_band", "direction": (0.0, 1.0)},
+    {"forcing": "constant_band", "band_axis": 3},
+    {"forcing": "rigid_rotation", "amplitude": (1.0, 2.0)},
+    {"forcing": "rigid_rotation", "axis": 1.0},
+])
+def test_bad_preset_parameters_rejected_on_read(values):
+    with pytest.raises(ParseError):
+        forcing_from_dict(values)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +129,16 @@ def test_nonorientable_rejected():
         SurfaceMesh(verts, np.array(tris))
 
 
+def test_pinched_tetrahedra_rejected():
+    # two closed tetrahedra sharing vertex 0: every edge has two triangles,
+    # so only the vertex umbrella check can reject it
+    tet = meshes.tetrahedron()
+    verts = np.vstack([tet.vertices, -tet.vertices[1:] + 2 * tet.vertices[0]])
+    other = np.where(tet.triangles == 0, 0, tet.triangles + 3)
+    with pytest.raises(NonManifold, match="vertex 0"):
+        SurfaceMesh(verts, np.vstack([tet.triangles, other]))
+
+
 def test_degenerate_triangle_rejected():
     verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]], float)
     tris = np.array([[0, 1, 2], [0, 1, 3]])
@@ -200,6 +212,31 @@ def test_disconnected_components():
     assert topo.n_components == 2
     assert (topo.b0, topo.b1, topo.b2) == (2, 0, 2)
     assert topo.component_betti == ((1, 0, 1), (1, 0, 1))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_components_numbered_by_lowest_triangle(seed):
+    parts = [meshes.tetrahedron(), meshes.torus_structured(3, 3), meshes.flat_patch(2)]
+    offsets = np.cumsum([0] + [p.n_vertices for p in parts])
+    verts = np.vstack([p.vertices + 10.0 * i for i, p in enumerate(parts)])
+    tris = np.vstack([p.triangles + off for p, off in zip(parts, offsets)])
+    part_of = np.repeat(np.arange(3), [p.n_triangles for p in parts])
+    perm = np.random.default_rng(seed).permutation(len(tris))
+    mesh = SurfaceMesh(verts, tris[perm])
+    order = np.argsort([np.flatnonzero(part_of[perm] == i)[0] for i in range(3)])
+    assert np.array_equal(mesh.tri_component, np.argsort(order)[part_of[perm]])
+    betti = [(1, 0, 1), (1, 2, 1), (1, 0, 0)]
+    assert analyze_topology(mesh).component_betti == tuple(betti[i] for i in order)
+
+
+def test_large_mesh_builds_in_linear_time():
+    torus = meshes.torus_structured(96, 48)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        SurfaceMesh(torus.vertices, torus.triangles)
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 0.5, times
 
 
 @settings(max_examples=20, deadline=None)
