@@ -357,17 +357,26 @@ def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
 
 
 # -------------------------------------------------------------- convection
-def divergence_norm(V: FeSpace, coefficients: np.ndarray) -> float:
+def _divergence_tabulation(V: FeSpace):
+    """Quadrature rule of divergence_norm and the reference divergences
+    (n_loc, n_q) of V's basis at its points."""
+    rule = triangle_rule(2 * V.degree + 2)
+    return rule, V.ref.div(rule.xy)
+
+
+def divergence_norm(V: FeSpace, coefficients: np.ndarray, tab=None) -> float:
     """||div u||_{L2}, evaluated pointwise before squaring.
 
     Summing the pointwise divergences first keeps the cancellation error at
     eps * scale instead of the sqrt(eps) floor of the Gram quadratic form,
-    so machine-zero divergences measure as ~1e-15 relative.
+    so machine-zero divergences measure as ~1e-15 relative.  tab, the
+    "div" entry of convection_tabulation(V), saves re-tabulating the basis
+    on repeated calls.
     """
-    rule = triangle_rule(2 * V.degree + 2)
+    rule, ref_div = _divergence_tabulation(V) if tab is None else tab
     mesh = V.mesh
     loc = V.local_coefficients(np.asarray(coefficients, dtype=float))
-    div_vals = np.einsum("tl,lq->tq", loc, V.ref.div(rule.xy)) / mesh.Jdet[:, None]
+    div_vals = np.einsum("tl,lq->tq", loc, ref_div) / mesh.Jdet[:, None]
     sq = np.einsum("tq,q,t->", div_vals**2, rule.weights, mesh.Jdet)
     return float(np.sqrt(max(sq, 0.0)))
 
@@ -378,11 +387,12 @@ def convection_tabulation(V: FeSpace) -> dict:
     Built once by the Navier-Stokes stepper so each time step only computes
     the w-dependent parts: volume basis values/gradients, per-interior-edge
     basis traces decomposed into conormal/tangent components, and their
-    dof maps and signs.
+    dof maps and signs, and the reference divergences of the
+    divergence-free check.
     """
     mesh = V.mesh
     k = V.degree
-    cache: dict = {"space": V}
+    cache: dict = {"space": V, "div": _divergence_tabulation(V)}
     rule = triangle_rule(max(2 * k + 3, 3 * k))
     vals, _, grads = tabulate_vector(V, rule, grads=True)
     cache["vol"] = (rule, vals, grads)
@@ -409,16 +419,17 @@ def _convection_setup(V: FeSpace, w: FeField, check_divfree: bool, div_tol: floa
     if ws is not V and (ws.kind != V.kind or ws.degree != V.degree or ws.mesh is not V.mesh
                         or ws.total_dofs != V.total_dofs):
         raise DegreeMismatch("convecting field must live in the velocity space")
-    if check_divfree:
-        wm = float(np.linalg.norm(w.coefficients))
-        if wm > 0 and divergence_norm(V, w.coefficients) > div_tol * wm:
-            raise NotDivergenceFree("convecting field is not discretely divergence-free")
     if cache is None or cache.get("space") is not V:
         fresh = convection_tabulation(V)
         if cache is None:
-            return fresh
-        cache.clear()
-        cache.update(fresh)
+            cache = fresh
+        else:
+            cache.clear()
+            cache.update(fresh)
+    if check_divfree:
+        wm = float(np.linalg.norm(w.coefficients))
+        if wm > 0 and divergence_norm(V, w.coefficients, tab=cache["div"]) > div_tol * wm:
+            raise NotDivergenceFree("convecting field is not discretely divergence-free")
     return cache
 
 

@@ -179,6 +179,7 @@ def cmd_decompose(args) -> int:
     solver = HodgeSolver(mesh, args.k)
     if args.basis:
         basis = HarmonicBasis.load_json(args.basis)
+        solver.validate_basis(basis)
     else:
         basis = solver.harmonic_basis(seed=args.seed)
     manifest.phase("decompose")

@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     NaNDetected,
     NonpositiveParameter,
+    NotSPD,
     SingularMatrix,
     SingularOperator,
     SingularSchur,
@@ -150,8 +151,8 @@ class ReducedSolver:
     def __init__(self, system: BlockSystem):
         self.system = system
         try:
-            self.op = FactorizedOperator(system.A_ss, system.gauges)
-        except SingularMatrix as exc:
+            self.op = FactorizedOperator(system.A_ss, system.gauges, kind="SPD")
+        except (SingularMatrix, NotSPD) as exc:
             raise SingularOperator(
                 "streamfunction block is singular; an un-gauged kernel remains"
             ) from exc
@@ -285,7 +286,11 @@ def _zero_forcing(x, t=0.0):
 
 # ---------------------------------------------------------------- operators
 class FlowOperators:
-    """Spaces, forms and the embedding for one (mesh, config) pair."""
+    """Spaces, forms and the embedding for one (mesh, config) pair.
+
+    A basis passed in is checked by HodgeSolver.validate_basis; without one
+    the basis is drawn with config.seed.
+    """
 
     def __init__(self, mesh: SurfaceMesh, config: SimulationConfig,
                  basis: HarmonicBasis | None = None):
@@ -295,7 +300,7 @@ class FlowOperators:
         if basis is None:
             basis = self.hodge.harmonic_basis(seed=config.seed)
         else:
-            self.hodge.check_basis(basis)
+            self.hodge.validate_basis(basis)
         self.basis = basis
         self.V = self.hodge.V
         self.S = self.hodge.S

@@ -321,6 +321,27 @@ class HodgeSolver:
         if basis.mesh_checksum != self._checksum:
             raise BasisMismatch("basis was built for a different mesh")
 
+    def validate_basis(self, basis: HarmonicBasis) -> None:
+        """check_basis plus the numeric checks on a basis from outside the
+        solver: finite entries, Gram residual <= 1e-10, divergence <= 1e-6
+        of each unit field and |E' M h|_inf <= 1e-8 (L2-orthogonal to the
+        rotated gradients)."""
+        self.check_basis(basis)
+        H = basis.vectors
+        if not np.isfinite(H).all():
+            raise BasisMismatch("harmonic basis has non-finite entries")
+        MH = self.M @ H.T
+        gram = float(abs(H @ MH - np.eye(basis.dimension)).max(initial=0.0))
+        if gram > 1e-10:
+            raise BasisMismatch(f"harmonic basis is not orthonormal (Gram residual {gram:.1e})")
+        div = max((asm.divergence_norm(self.V, h) for h in H), default=0.0)
+        if div > 1e-6:
+            raise BasisMismatch(f"harmonic basis is not divergence-free (|div h| {div:.1e})")
+        rot = float(abs(self.E.T @ MH).max(initial=0.0))
+        if rot > 1e-8:
+            raise BasisMismatch(
+                f"harmonic basis is not orthogonal to the rotated gradients ({rot:.1e})")
+
     def decompose(self, v: FeField, basis: HarmonicBasis) -> HodgeComponents:
         """Split an H(div) field into rot(psi) + harmonic + gradient parts.
 
@@ -404,7 +425,7 @@ def decompose_p0_incomplete(v: FeField, basis: HarmonicBasis | None = None,
 
     CR = build_space(mesh, "crouzeix_raviart", 1, "zero_mean")
     K = asm.assemble_broken_stiffness(CR)
-    cr_gauge = FactorizedOperator(K, [asm.assemble_moment(CR)])
+    cr_gauge = FactorizedOperator(K, [asm.assemble_moment(CR)], kind="SPD")
     phi = cr_gauge.solve(asm.assemble_gradient_load(CR, v))
 
     # pointwise residual: v - rot(psi) - harmonic - grad_h(phi)

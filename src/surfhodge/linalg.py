@@ -1,12 +1,14 @@
-"""Sparse direct factorization with optional bordered constraints.
+"""Sparse direct factorization with an optional pinned gauge.
 
 Desk-scale problems (<= ~1e5 dofs) are handled by scipy's SuperLU
 factorization for both SPD and symmetric-indefinite systems; no iterative
-solvers.  FactorizedOperator is the one factorization class.  Zero-mean and
-other gauge constraints enter as a bordered system (one extra row/column
-per constraint) rather than by pinning dofs.  Every FactorizedOperator
-counts its solves (one per right-hand side), which the Schur-complement
-instrumentation relies on.
+solvers.  FactorizedOperator is the one factorization class, and the one
+place that chooses the ordering and pivoting for each operator class.  A
+zero-mean (or other) gauge constraint on a symmetric operator with a
+one-dimensional kernel is imposed by pinning the first dof and projecting
+along the kernel, so an SPD block keeps a symmetric factorization.  Every
+FactorizedOperator counts its solves (one per right-hand side), which the
+Schur-complement instrumentation relies on.
 """
 
 from __future__ import annotations
@@ -19,16 +21,38 @@ import scipy.sparse.linalg as spla
 
 from .errors import NotSPD, SingularMatrix
 
+# SuperLU settings per operator class.  SPD blocks (streamfunction forms,
+# mass matrices) take a symmetric minimum-degree ordering and their diagonal
+# pivots, which cuts fill 4-5x against COLAMD with partial pivoting.  The
+# symmetric-indefinite saddle systems have a zero pressure block: on them
+# every symmetric ordering or lower pivot threshold measured was slower or
+# lost pivot accuracy, so they keep COLAMD with full partial pivoting.
+_SPLU_OPTIONS = {
+    "SPD": {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+            "options": {"SymmetricMode": True}},
+    "symmetric-indefinite": {"permc_spec": "COLAMD", "diag_pivot_thresh": 1.0},
+}
+
+# Gauge checks: z is accepted as the kernel when |A z| <= tol |A| |z|, and
+# c as its gauge when |c' z| > tol |c|_1 |z| (other norms: infinity norms).
+_KERNEL_TOL = 1e-10
+
 
 class FactorizedOperator:
-    """Reusable LU factorization of a sparse square matrix A, optionally
-    bordered by linear constraints c_i' x = 0.
+    """Reusable LU factorization of a sparse symmetric matrix A, optionally
+    gauged by one linear constraint c' x = 0.
 
-    With constraints the factorized matrix is the symmetric bordered system
-    [[A, C], [C', 0]], C = [c_1 ... c_m]; solve(b) pads b with zeros and
-    returns the primal part, discarding the multipliers.  kind describes A
-    itself: "SPD" (with constraints: positive definite on their null space)
-    checks that A is symmetric with a positive diagonal.
+    kind describes A itself: "SPD" (with a constraint: positive definite on
+    its null space) checks that A is symmetric with a positive diagonal and
+    factorizes it symmetrically; "symmetric-indefinite" uses partial
+    pivoting.
+
+    With a constraint, A must have a one-dimensional kernel z with z_0 != 0.
+    A is factorized without its first row and column, z is computed once
+    from that factor (z_0 = 1), and solve(b) returns the solution of the
+    bordered system [[A, c], [c', 0]] [x; l] = [b; 0]: it removes the
+    component of b outside the range of A, solves with x_0 = 0 and adds the
+    multiple of z that makes c' x = 0.
 
     solve() accepts a vector or a matrix of right-hand-side columns and
     increments solve_count by the number of columns; concurrent solves from
@@ -41,8 +65,10 @@ class FactorizedOperator:
         n, m = A.shape
         if n != m:
             raise SingularMatrix("factorization requires a square matrix")
-        if kind not in ("SPD", "symmetric-indefinite"):
+        if kind not in _SPLU_OPTIONS:
             raise ValueError(f"unknown factorization kind {kind!r}")
+        if len(constraints) > 1:
+            raise ValueError("at most one gauge constraint is supported")
         self.kind = kind
         self.n = n
         self.n_constraints = len(constraints)
@@ -60,17 +86,33 @@ class FactorizedOperator:
             sym_err = abs(D).max() if D.nnz else 0.0
             if sym_err > 1e-12 * max(abs(A).max(), 1e-300):
                 raise NotSPD("matrix declared SPD is not symmetric")
-        if self.n_constraints:
-            C = sp.csc_matrix(np.column_stack(constraints))
-            A = sp.bmat([[A, C], [C.T, None]], format="csc")
+        pinned = A[1:, 1:] if self.n_constraints else A
         try:
-            self._lu = spla.splu(A)
+            self._lu = spla.splu(pinned, **_SPLU_OPTIONS[kind])
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise SingularMatrix(str(exc)) from exc
         d = np.abs(self._lu.U.diagonal())
         if not np.isfinite(d).all():
             raise SingularMatrix("factorization produced non-finite pivots")
         self.pivot_ratio = float(d.min() / d.max())
+        if self.n_constraints:
+            self._gauge(A, np.asarray(constraints[0], dtype=float))
+
+    def _gauge(self, A: sp.csc_matrix, c: np.ndarray) -> None:
+        """Compute the kernel vector z of A from the pinned factor (not a
+        counted solve) and check that it is one and that c fixes it."""
+        z = np.empty(self.n)
+        z[0] = 1.0
+        z[1:] = -self._lu.solve(A[1:, 0].toarray().ravel())
+        z_norm = np.abs(z).max()
+        A_norm = abs(A).sum(axis=1).max()
+        if np.abs(A @ z).max() > _KERNEL_TOL * A_norm * z_norm:
+            raise SingularMatrix("gauge constraint given for an operator "
+                                 "without a kernel")
+        cz = float(c @ z)
+        if not abs(cz) > _KERNEL_TOL * np.abs(c).sum() * z_norm:
+            raise SingularMatrix("gauge constraint does not fix the kernel")
+        self._z, self._c, self._cz = z, c, cz
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -80,5 +122,10 @@ class FactorizedOperator:
             return np.zeros_like(b)
         if not self.n_constraints:
             return self._lu.solve(b)
-        pad = np.zeros((self.n_constraints,) + b.shape[1:])
-        return self._lu.solve(np.concatenate([b, pad]))[: self.n]
+        z, c = self._z, self._c
+        # A is symmetric, so z spans its left kernel: drop c's share of b
+        # along it, which is what the bordered system's multiplier absorbs
+        b = b - np.multiply.outer(c, (z @ b) / self._cz)
+        x = np.zeros_like(b)
+        x[1:] = self._lu.solve(b[1:])
+        return x - np.multiply.outer(z, (c @ x) / self._cz)

@@ -381,21 +381,20 @@ def analyze_topology(mesh: SurfaceMesh) -> TopologySummary:
     Euler-Poincare formula (b0 = 1, b2 = 1 for closed components, 0
     otherwise, b1 = b0 + b2 - chi) and summed.
     """
-    comp_betti = []
-    b0 = mesh.n_components
-    b1 = b2 = 0
-    for c in range(mesh.n_components):
-        tmask = mesh.tri_component == c
-        verts = np.unique(mesh.triangles[tmask])
-        emask = mesh.tri_component[mesh.edge_tris[:, 0]] == c
-        n_v, n_e, n_t = len(verts), int(emask.sum()), int(tmask.sum())
-        chi = n_v - n_e + n_t
-        closed = not (emask & mesh.boundary_edge_mask).any()
-        c_b2 = 1 if closed else 0
-        c_b1 = 1 + c_b2 - chi
-        comp_betti.append((1, c_b1, c_b2))
-        b1 += c_b1
-        b2 += c_b2
+    n_c = mesh.n_components
+    tri_c = mesh.tri_component.astype(np.int64)
+    edge_c = tri_c[mesh.edge_tris[:, 0]]
+    # each vertex's triangles form one fan, hence lie in one component;
+    # vertices of no triangle belong to none
+    vert_c = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    vert_c[mesh.triangles] = tri_c[:, None]
+    chi = (np.bincount(vert_c[vert_c >= 0], minlength=n_c) - np.bincount(edge_c, minlength=n_c)
+           + np.bincount(tri_c, minlength=n_c))
+    n_bnd = np.bincount(edge_c, weights=mesh.boundary_edge_mask, minlength=n_c)
+    c_b2 = (n_bnd == 0).astype(np.int64)
+    c_b1 = 1 + c_b2 - chi
+    comp_betti = tuple((1, int(x), int(y)) for x, y in zip(c_b1, c_b2))
+    b0, b1, b2 = n_c, int(c_b1.sum()), int(c_b2.sum())
 
     n_be = int(mesh.boundary_edge_mask.sum())
     n_bv = int(mesh.boundary_vertex_mask.sum())

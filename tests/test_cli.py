@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from surfhodge import meshes
 from surfhodge.cli import main
@@ -140,6 +141,8 @@ def test_decompose_expression_field(capsys):
 
 
 def test_decompose_basis_reuse(tmp_path, capsys):
+    """A basis written by `harmonic` passes the load checks and decomposes
+    exactly as the basis drawn with the same seed."""
     d = tmp_path / "basis"
     run_cli(capsys, "harmonic", "--mesh", "builtin:torus", "--k", "1",
             "--out-dir", str(d))
@@ -147,6 +150,10 @@ def test_decompose_basis_reuse(tmp_path, capsys):
         capsys, "decompose", "--mesh", "builtin:torus", "--k", "1",
         "--basis", str(d / "harmonic_basis.json"))
     assert code == 0
+    code, fresh, _ = run_cli(capsys, "decompose", "--mesh", "builtin:torus", "--k", "1")
+    assert code == 0
+    for key in ("rot_norm", "harmonic_norm", "gradient_norm", "residual"):
+        assert payload[key] == fresh[key]
 
 
 # ------------------------------------------------------------------- flows
@@ -321,3 +328,23 @@ def test_decompose_basis_without_vectors_exit_2(tmp_path, capsys):
     path.write_text(json.dumps({"format": "surfhodge-harmonic-basis"}))
     assert_input_error(capsys, ["decompose", "--mesh", "builtin:torus", "--k", "0",
                                 "--basis", str(path)])
+
+
+@pytest.mark.parametrize("damage", ["tampered", "nan"])
+@pytest.mark.parametrize("command", ["decompose", "stokes"])
+def test_damaged_basis_file_exit_2(tmp_path, capsys, damage, command):
+    """Numeric checks on a basis read from a file: one changed entry breaks
+    orthonormality and harmonicity, a NaN is not finite."""
+    d = tmp_path / "basis"
+    run_cli(capsys, "harmonic", "--mesh", "builtin:torus", "--k", "1",
+            "--out-dir", str(d))
+    path = d / "harmonic_basis.json"
+    payload = json.loads(path.read_text())
+    payload["vectors"][1][7] = float("nan") if damage == "nan" else payload["vectors"][1][7] + 1e-3
+    path.write_text(json.dumps(payload))
+    if command == "decompose":
+        argv = ["decompose", "--mesh", "builtin:torus", "--k", "1", "--basis", str(path)]
+    else:
+        cfg = write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\nmu = 0.5\n")
+        argv = ["stokes", "--config", cfg, "--basis", str(path)]
+    assert_input_error(capsys, argv)

@@ -147,6 +147,22 @@ def test_schur_vs_monolithic(torus_ops):
     assert np.abs(xh - xh2).max() <= 1e-10 * scale
 
 
+def test_pinned_stokes_block_matches_monolithic(torus3, basis_cache):
+    """The Stokes block, gauged by pinning a dof, gives the dense bordered
+    solution and meets its zero-mean constraint."""
+    cfg = SimulationConfig(k=1, mu=0.7, forcing=smooth_forcing(16))
+    ops = FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1))
+    system = build_reduced_system(ops.A_visc, ops.load_vector(0.0), ops.emb, ops.gauges)
+    assert len(system.gauges) == 1
+    xs, xh, _ = schur_solve(system)
+    xs2, xh2 = monolithic_solve(system)
+    scale = max(np.abs(xs2).max(), np.abs(xh2).max())
+    assert np.abs(xs - xs2).max() <= 1e-10 * scale
+    assert np.abs(xh - xh2).max() <= 1e-10 * scale
+    g = system.gauges[0]
+    assert abs(g @ xs) <= 1e-12 * np.abs(g).sum() * np.abs(xs).max()
+
+
 def test_singular_streamblock_detected(torus3):
     """An un-gauged singular streamfunction block raises SingularOperator."""
     from surfhodge.hodge import HodgeSolver
@@ -279,6 +295,23 @@ def test_nse_rejects_nondivfree_state(torus3, basis_cache, rng):
     bad = replace(state, u=FeField(ops.V, rng.standard_normal(ops.V.total_dofs)))
     with pytest.raises(NotDivergenceFree):
         stepper.step(bad)
+
+
+def test_step_reuses_divergence_tabulation(torus3, basis_cache, monkeypatch):
+    """The per-step divergence check takes the reference divergences from
+    the stepper's tabulation and measures what a fresh evaluation does."""
+    cfg = SimulationConfig(k=1, mu=0.1, dt=1e-2, t_end=1e-1, forcing=smooth_forcing(17))
+    stepper = NavierStokesStepper(FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1)))
+    state = stepper.initial_state()
+    V = stepper.ops.V
+    u = state.u.coefficients
+    assert asm.divergence_norm(V, u, tab=stepper._conv_cache["div"]) == asm.divergence_norm(V, u)
+    calls = []
+    original = type(V.ref).div
+    monkeypatch.setattr(type(V.ref), "div", lambda self, xy: calls.append(1) or original(self, xy))
+    for _ in range(3):
+        state = stepper.step(state)
+    assert calls == []
 
 
 def test_nse_rejects_foreign_degree_state(torus3, basis_cache):

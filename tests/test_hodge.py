@@ -124,6 +124,27 @@ def test_basis_mismatch(torus3, torus, basis_cache):
         wrong_k.check_basis(basis)
 
 
+def test_validate_basis_numeric_checks(torus3, solver_cache, basis_cache, rng):
+    """validate_basis accepts a computed basis and names the failed check
+    for an orthonormal set that is not divergence-free or not orthogonal
+    to the rotated gradients."""
+    from dataclasses import replace
+
+    solver = solver_cache(torus3, 1)
+    basis = basis_cache(torus3, 1)
+    solver.validate_basis(basis)
+    M, h0 = solver.M, basis.vectors[0]
+
+    def second(w):
+        w = w - (h0 @ (M @ w)) * h0
+        return replace(basis, vectors=np.array([h0, w / np.sqrt(w @ (M @ w))]))
+
+    with pytest.raises(BasisMismatch, match="divergence"):
+        solver.validate_basis(second(rng.standard_normal(solver.V.total_dofs)))
+    with pytest.raises(BasisMismatch, match="rotated gradients"):
+        solver.validate_basis(second(solver.E @ rng.standard_normal(solver.S.total_dofs)))
+
+
 # -------------------------------------------------------------- projection
 def test_helmholtz_rot_field_fixed(torus3, solver_cache, rng):
     solver = solver_cache(torus3, 1)

@@ -239,6 +239,42 @@ def test_large_mesh_builds_in_linear_time():
     assert min(times) < 0.5, times
 
 
+def _component_betti_by_loop(mesh):
+    """Per-component (b0, b1, b2), one component at a time (the reference
+    for the single pass of analyze_topology)."""
+    out = []
+    for c in range(mesh.n_components):
+        tmask = mesh.tri_component == c
+        emask = mesh.tri_component[mesh.edge_tris[:, 0]] == c
+        chi = len(np.unique(mesh.triangles[tmask])) - int(emask.sum()) + int(tmask.sum())
+        b2 = 0 if (emask & mesh.boundary_edge_mask).any() else 1
+        out.append((1, 1 + b2 - chi, b2))
+    return tuple(out)
+
+
+def test_component_betti_matches_per_component_count(corpus):
+    parts = list(corpus.values())
+    offsets = np.cumsum([0] + [p.n_vertices for p in parts])
+    union = SurfaceMesh(np.vstack([p.vertices + 10.0 * i for i, p in enumerate(parts)]),
+                        np.vstack([p.triangles + off for p, off in zip(parts, offsets)]))
+    for mesh in parts + [union]:
+        assert analyze_topology(mesh).component_betti == _component_betti_by_loop(mesh)
+
+
+def test_topology_of_many_components_in_linear_time():
+    n = 8000  # disjoint triangles, one component each
+    verts = np.tile([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], (n, 1))
+    verts[:, 2] = np.repeat(np.arange(n), 3)
+    mesh = SurfaceMesh(verts, np.arange(3 * n).reshape(n, 3))
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        topo = analyze_topology(mesh)
+        times.append(time.perf_counter() - t0)
+    assert topo.component_betti == ((1, 0, 0),) * n
+    assert min(times) < 0.05, times
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_topology_invariant_under_vertex_permutation(seed):
