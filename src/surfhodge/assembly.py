@@ -522,11 +522,3 @@ def convection_action(V: FeSpace, w: FeField, u: np.ndarray, div_tol: float = 1e
     edge = (np.einsum("eslq,esq->esl", bn, un * cn)
             + np.einsum("eslq,esq->esl", bt, ut_up[:, None, :] * cn))
     return out + _scatter_vec(edge.reshape(len(interior), -1), gd, gs, V.total_dofs)
-
-
-# -------------------------------------------------------------------- misc
-def dump_matrix_market(A, path) -> None:
-    """Debug dump in MatrixMarket coordinate format."""
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), sp.coo_matrix(A))

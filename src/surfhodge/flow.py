@@ -348,10 +348,13 @@ class FlowOperators:
         return self.make_state(t, x_s, x_h), info
 
     def stokes_saddle(self, t: float = 0.0, load: np.ndarray | None = None):
-        """Velocity-pressure saddle-point oracle on the parent space with a
-        zero-mean pressure gauge; returns (u, p) fields."""
+        """Velocity-pressure saddle-point oracle on the parent space,
+        [[A, B', 0], [B, 0, m], [0, m', 0]] with the pressure gauged to zero
+        mean by the multiplier of its moment m; returns (u, p) fields."""
         b = self.load_vector(t) if load is None else load
-        K = self.hodge.saddle_matrix(self.A_visc)
+        B, mq = self.hodge.B, sp.csc_matrix(asm.assemble_moment(self.Q)).T
+        K = sp.bmat([[self.A_visc, B.T, None], [B, None, mq], [None, mq.T, None]],
+                    format="csc")
         rhs = np.concatenate([b, np.zeros(self.Q.total_dofs + 1)])
         try:
             sol = FactorizedOperator(K).solve(rhs)
@@ -367,18 +370,17 @@ class FlowOperators:
                              extra_operator: sp.spmatrix | None = None) -> FeField:
         """Recover the pressure from a reduced velocity solution.
 
-        The force residual f(v) - a(u, v) vanishes on the divergence-free
-        subspace and is carried entirely by the discrete-gradient
-        complement; feeding it through the mixed projection returns the
-        multiplier, which equals the saddle-point pressure (mean-zero).
+        The force residual r = f(v) - a(u, v) vanishes on the
+        divergence-free subspace, so r = B' p for the saddle-point pressure
+        p; the discrete pressure Poisson equation B B' p = B r returns it
+        with zero mean.
         """
         if load is None:
             load = self.load_vector(state.t if t is None else t)
         residual = load - self.A_visc @ state.u.coefficients
         if extra_operator is not None:
             residual = residual - extra_operator @ state.u.coefficients
-        _, lam = self.hodge.mixed_solve(residual)
-        return FeField(self.Q, lam)
+        return FeField(self.Q, self.hodge.pressure_solve(residual))
 
 
 def solve_stokes_reduced(mesh: SurfaceMesh, config: SimulationConfig,

@@ -4,8 +4,10 @@ The divergence-free subspace of the degree-k H(div) space splits
 L2-orthogonally into rotated streamfunction gradients and a b1-dimensional
 space of discrete harmonic fields.  This module computes that splitting:
 
-* mixed Helmholtz projection onto the divergence-free subspace (and, as a
-  byproduct, the discrete-gradient complement via the multiplier),
+* projection onto the divergence-free subspace through the streamfunction
+  Laplacian and the harmonic basis, with the discrete-gradient complement
+  from a pressure Poisson multiplier (every factorization is SPD; there is
+  no saddle-point system),
 * randomized construction of an orthonormal harmonic basis,
 * three-way decomposition of arbitrary H(div) fields,
 * the lowest-order incomplete decomposition with the Crouzeix-Raviart
@@ -19,7 +21,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import assembly as asm
 from .errors import (
@@ -104,8 +105,9 @@ class HodgeComponents:
     """Three-way split of an H(div) field.
 
     The reconstruction rot(psi) + sum_i h_i H_i + gradient_part reproduces
-    the input up to residual_norm; lam is the discrete-gradient potential
-    (the multiplier of the mixed projection).
+    the input up to residual_norm; lam is the zero-mean discrete-gradient
+    potential, gradient_part = M^-1 B' lam, from the pressure Poisson
+    equation B B' lam = B M (v - rot(psi) - harmonic part).
     """
 
     psi: FeField
@@ -188,26 +190,21 @@ class HodgeSolver:
         self.M = asm.assemble_mass(self.V)
         self.B = asm.assemble_div(self.V, self.Q)
         self.E = asm.assemble_rot_embedding(self.S, self.V)
-        self._mixed: FactorizedOperator | None = None
+        self._pressure: FactorizedOperator | None = None
         self._laplace: FactorizedOperator | None = None
         self._mass_op: FactorizedOperator | None = None
+        self._basis: HarmonicBasis | None = None
         self._checksum = mesh.checksum()
 
     # ------------------------------------------------------------ operators
-    def saddle_matrix(self, A: sp.spmatrix) -> sp.csc_matrix:
-        """Velocity-pressure saddle matrix [[A, B', 0], [B, 0, m], [0, m', 0]]
-        of a velocity-space operator A, with the pressure gauged to zero
-        mean by the multiplier of its moment m."""
-        mq = sp.csc_matrix(asm.assemble_moment(self.Q)).T  # (nQ, 1)
-        return sp.bmat([[A, self.B.T, None], [self.B, None, mq], [None, mq.T, None]],
-                       format="csc")
-
     @property
-    def mixed_operator(self) -> FactorizedOperator:
-        """Factorized saddle system of the mixed Helmholtz projection."""
-        if self._mixed is None:
-            self._mixed = FactorizedOperator(self.saddle_matrix(self.M))
-        return self._mixed
+    def pressure_operator(self) -> FactorizedOperator:
+        """Factorized pressure Poisson operator B B' on zero-mean
+        multipliers."""
+        if self._pressure is None:
+            self._pressure = FactorizedOperator(
+                self.B @ self.B.T, [asm.assemble_moment(self.Q)], kind="SPD")
+        return self._pressure
 
     @property
     def laplace_operator(self) -> FactorizedOperator:
@@ -225,13 +222,20 @@ class HodgeSolver:
             self._mass_op = FactorizedOperator(self.M, kind="SPD")
         return self._mass_op
 
-    def mixed_solve(self, rhs_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve the mixed projection system for a velocity-space functional
-        rhs_v; returns (divergence-free coefficients, multiplier)."""
-        nV, nQ = self.V.total_dofs, self.Q.total_dofs
-        b = np.concatenate([rhs_v, np.zeros(nQ + 1)])
-        sol = self.mixed_operator.solve(b)
-        return sol[:nV], sol[nV : nV + nQ]
+    def pressure_solve(self, r: np.ndarray) -> np.ndarray:
+        """Zero-mean multiplier lam of B B' lam = B r: the least-squares
+        solution of B' lam = r, exact when the velocity functional r vanishes
+        on the divergence-free subspace."""
+        return self.pressure_operator.solve(self.B @ r)
+
+    def _project(self, f: np.ndarray, H: np.ndarray):
+        """Split the velocity functional f: its divergence-free projection
+        rot + harm = E psi + H'h, and the multiplier lam of the rest,
+        B' lam = f - M (rot + harm).  Returns (psi, h, rot, harm, lam)."""
+        psi = self.streamfunction_solve(self.E.T @ f)
+        h = H @ f
+        rot, harm = self.E @ psi, H.T @ h
+        return psi, h, rot, harm, self.pressure_solve(f - self.M @ (rot + harm))
 
     # ----------------------------------------------------------- operations
     def helmholtz_project(self, r) -> tuple[FeField, FeField]:
@@ -240,11 +244,14 @@ class HodgeSolver:
         r may be an FeField in the solver's H(div) space or in a broken
         vector space on the same mesh.  Returns (u, lam) where u is the
         projection and lam the mean-zero multiplier representing the
-        discrete-gradient part: Pi_{H(div)} r = u + grad-part(lam).
+        discrete-gradient part: Pi_{H(div)} r = u + grad-part(lam).  The
+        harmonic part uses a basis drawn once per solver (seed 0); the
+        projection does not depend on the draw.
         """
-        rhs = self._velocity_functional(r)
-        u, lam = self.mixed_solve(rhs)
-        return FeField(self.V, u), FeField(self.Q, lam)
+        if self._basis is None:
+            self._basis = self.harmonic_basis(seed=0)
+        _, _, rot, harm, lam = self._project(self._velocity_functional(r), self._basis.vectors)
+        return FeField(self.V, rot + harm), FeField(self.Q, lam)
 
     def _velocity_functional(self, r) -> np.ndarray:
         if isinstance(r, FeField):
@@ -268,12 +275,13 @@ class HodgeSolver:
                        max_attempts: int | None = None) -> HarmonicBasis:
         """Randomized construction of the orthonormal harmonic basis.
 
-        Draw a random unit field, project it onto the divergence-free
-        subspace, remove its streamfunction part, orthogonalize against the
-        accepted members, and keep the remainder unless its norm falls
-        below tol.  Terminates with probability one after b1 accepted
-        fields; a draw budget of 20 b1 + 20 guards against inconsistent
-        topology/assembly input.
+        Draw a random unit field, make it divergence-free by removing its
+        Euclidean projection onto the range of B' (any divergence-free
+        field will do, since its rot part goes next), remove its
+        streamfunction part, orthogonalize against the accepted members,
+        and keep the remainder unless its norm falls below tol.  Terminates
+        with probability one after b1 accepted fields; a draw budget of
+        20 b1 + 20 guards against inconsistent topology/assembly input.
         """
         b1 = self.topology.b1
         if max_attempts is None:
@@ -290,7 +298,7 @@ class HodgeSolver:
             attempts += 1
             r = rng.standard_normal(n)
             r /= np.sqrt(r @ (self.M @ r))
-            u, _ = self.mixed_solve(self.M @ r)
+            u = r - self.B.T @ self.pressure_solve(r)
             psi = self.streamfunction_solve(self.E.T @ (self.M @ u))
             w = u - self.E @ psi
             for _ in range(2):  # twice-applied MGS for conditioning
@@ -347,22 +355,17 @@ class HodgeSolver:
 
         psi solves the streamfunction problem tested against rotated
         gradients, the harmonic coefficients are plain L2 inner products
-        with the basis, and the gradient part comes from the mixed
-        projection's multiplier.
+        with the basis, and the gradient part M^-1 B' lam comes from the
+        pressure Poisson multiplier of what the two leave, so the residual
+        measures the whole split.
         """
         self.check_basis(basis)
         if v.space.total_dofs != self.V.total_dofs:
             raise BasisMismatch("field does not live in the solver's space")
         vc = v.coefficients
-        Mv = self.M @ vc
-        h = basis.vectors @ Mv
-        psi = self.streamfunction_solve(self.E.T @ Mv)
-        u_proj, lam = self.mixed_solve(Mv)
-        rot_part = self.E @ psi
-        harmonic_part = basis.vectors.T @ h if basis.dimension else np.zeros_like(vc)
-        gradient_part = vc - u_proj
-        recon = rot_part + harmonic_part + gradient_part
-        diff = vc - recon
+        psi, h, rot_part, harmonic_part, lam = self._project(self.M @ vc, basis.vectors)
+        gradient_part = self.mass_operator.solve(self.B.T @ lam)
+        diff = vc - rot_part - harmonic_part - gradient_part
         residual = float(np.sqrt(max(diff @ (self.M @ diff), 0.0)))
         return HodgeComponents(
             psi=FeField(self.S, psi),

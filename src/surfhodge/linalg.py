@@ -1,8 +1,10 @@
 """Sparse direct factorization with an optional pinned gauge.
 
 Desk-scale problems (<= ~1e5 dofs) are handled by scipy's SuperLU
-factorization for both SPD and symmetric-indefinite systems; no iterative
-solvers.  FactorizedOperator is the one factorization class, and the one
+factorization; no iterative solvers.  Every operator of the solvers is SPD
+(streamfunction forms, mass matrices, the pressure Poisson operator B B');
+the symmetric-indefinite kind serves only the velocity-pressure saddle-point
+oracle.  FactorizedOperator is the one factorization class, and the one
 place that chooses the ordering and pivoting for each operator class.  A
 zero-mean (or other) gauge constraint on a symmetric operator with a
 one-dimensional kernel is imposed by pinning the first dof and projecting
@@ -22,11 +24,12 @@ import scipy.sparse.linalg as spla
 from .errors import NotSPD, SingularMatrix
 
 # SuperLU settings per operator class.  SPD blocks (streamfunction forms,
-# mass matrices) take a symmetric minimum-degree ordering and their diagonal
-# pivots, which cuts fill 4-5x against COLAMD with partial pivoting.  The
-# symmetric-indefinite saddle systems have a zero pressure block: on them
-# every symmetric ordering or lower pivot threshold measured was slower or
-# lost pivot accuracy, so they keep COLAMD with full partial pivoting.
+# mass matrices, B B') take a symmetric minimum-degree ordering and their
+# diagonal pivots, which cuts fill 4-5x against COLAMD with partial
+# pivoting.  The symmetric-indefinite kind is only the saddle-point oracle,
+# with its zero pressure block: on it every symmetric ordering or lower
+# pivot threshold measured was slower or lost pivot accuracy, so it keeps
+# COLAMD with full partial pivoting.
 _SPLU_OPTIONS = {
     "SPD": {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
             "options": {"SymmetricMode": True}},

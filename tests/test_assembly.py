@@ -481,17 +481,6 @@ def test_assembly_independent_of_triangle_order(torus3):
         assert abs(A1 - A2).max() <= 1e-14 * abs(A1).max()
 
 
-def test_matrix_market_dump(tmp_path, torus3):
-    V = build_space(torus3, "bdm", 0, "zero_normal_trace")
-    M = asm.assemble_mass(V)
-    path = tmp_path / "mass.mtx"
-    asm.dump_matrix_market(M, path)
-    from scipy.io import mmread
-
-    back = mmread(str(path)).tocsr()
-    assert abs(back - M).max() < 1e-15
-
-
 def test_sip_consistency_continuous_field_flat():
     """A globally polynomial tangential field on a flat patch has no
     tangential jumps, so the free-slip viscous energy reduces to the pure

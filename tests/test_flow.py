@@ -232,6 +232,33 @@ def test_pressure_robustness_gradient_forcing(torus_ops, rng):
     assert np.abs(p1.coefficients - p0.coefficients).max() > 1e-6
 
 
+def test_one_pressure_factor_serves_draws_decompose_and_pressure(torus3, monkeypatch, rng):
+    """The basis draws, decompose and reconstruct_pressure share one
+    factorization of B B'; the Schur solve still costs b1 + 1 solves."""
+    from surfhodge import hodge, linalg
+
+    built = []
+
+    class Counting(linalg.FactorizedOperator):
+        def __init__(self, A, *args, **kwargs):
+            super().__init__(A, *args, **kwargs)
+            built.append(A.shape)
+
+    monkeypatch.setattr(hodge, "FactorizedOperator", Counting)
+    ops = FlowOperators(torus3, SimulationConfig(k=1, mu=0.5, forcing=smooth_forcing(5)))
+    solver = ops.hodge
+    op = solver.pressure_operator
+    assert op.solve_count == ops.basis.n_attempts == 2
+    state, info = ops.stokes_reduced()
+    assert info["sparse_solves"] == ops.emb.n_harmonic + 1 == 3
+    ops.reconstruct_pressure(state)
+    solver.decompose(FeField(solver.V, rng.standard_normal(solver.V.total_dofs)), ops.basis)
+    assert solver.pressure_operator is op
+    assert op.solve_count == ops.basis.n_attempts + 2
+    n_q = solver.Q.total_dofs
+    assert built.count((n_q, n_q)) == 1
+
+
 def test_gradient_only_forcing_gives_zero_velocity(torus_ops, rng):
     """A pure discrete-gradient load is invisible to the velocity."""
     ops = torus_ops

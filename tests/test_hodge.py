@@ -55,7 +55,7 @@ def test_sphere_needs_zero_solves(tetra):
     basis = solver.harmonic_basis(seed=0)
     assert basis.dimension == 0
     assert basis.n_attempts == 0
-    assert solver._mixed is None  # no factorization triggered
+    assert solver._pressure is None  # no factorization triggered
 
 
 def test_torus3_k0_orthogonality(torus3, solver_cache):
@@ -218,6 +218,31 @@ def test_decompose_random_orthogonality(torus, solver_cache, basis_cache, rng):
     assert comp.residual_norm <= 1e-10 * np.sqrt(nv2)
     total = sum(p @ (solver.M @ p) for p in parts)
     assert abs(total - nv2) <= 1e-10 * nv2  # Pythagoras
+
+
+@pytest.mark.parametrize("mesh_name,k", [("torus3", 1), ("sphere4", 2)])
+def test_decompose_multiplier_matches_mixed_saddle(mesh_name, k, request,
+                                                   solver_cache, basis_cache, rng):
+    """The pressure Poisson multiplier and gradient part of decompose are
+    those of the mixed projection [[M, B', 0], [B, 0, m], [0, m', 0]]."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    mesh = request.getfixturevalue(mesh_name)
+    solver = solver_cache(mesh, k)
+    M, B = solver.M, solver.B
+    nV, nQ = B.shape[1], B.shape[0]
+    mq = sp.csc_matrix(asm.assemble_moment(solver.Q)).T
+    K = sp.bmat([[M, B.T, None], [B, None, mq], [None, mq.T, None]], format="csc")
+    v = rng.standard_normal(nV)
+    sol = spla.spsolve(K, np.concatenate([M @ v, np.zeros(nQ + 1)]))
+    u_mixed, lam_mixed = sol[:nV], sol[nV:nV + nQ]
+    comp = solver.decompose(FeField(solver.V, v), basis_cache(mesh, k))
+    assert np.abs(comp.lam.coefficients - lam_mixed).max() <= 1e-10 * np.abs(lam_mixed).max()
+    d = comp.gradient_part - (v - u_mixed)
+    nv = np.sqrt(v @ (M @ v))
+    assert np.sqrt(d @ (M @ d)) <= 1e-10 * nv
+    assert comp.residual_norm <= 1e-10 * nv
 
 
 def test_hierarchy_lowest_order_harmonics_span(torus, solver_cache, basis_cache):
