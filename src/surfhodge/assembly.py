@@ -246,7 +246,7 @@ def assemble_rot_embedding(S: FeSpace, V: FeSpace) -> sp.csr_matrix:
     rot_coeffs = np.zeros((n_lag, len(exps_k), 2))
     for j in range(n_lag):
         for m, (a, b) in enumerate(exps_S):
-            c = S.ref.coeffs[m, j]
+            c = S.ref.coeffs[j, m]
             if b > 0:  # d/dy x^a y^b -> b x^a y^(b-1), first component
                 rot_coeffs[j, idx[(a, b - 1)], 0] += c * b
             if a > 0:  # -d/dx -> -a x^(a-1) y^b, second component
@@ -347,12 +347,7 @@ def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
     gd = V.dof_map[tris].reshape(n_e, -1)
     gd[bnd, n_loc:] = -1
     gs = V.dof_signs[tris].reshape(n_e, -1)
-    block *= gs[:, :, None] * gs[:, None, :]
-    rows = np.broadcast_to(gd[:, :, None], block.shape).ravel()
-    cols = np.broadcast_to(gd[:, None, :], block.shape).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    A = A + sp.coo_matrix((block.ravel()[keep], (rows[keep], cols[keep])),
-                          shape=(V.total_dofs, V.total_dofs)).tocsr()
+    A = A + _scatter(block, gd, gs, gd, gs, (V.total_dofs, V.total_dofs))
     return (A + A.T) * 0.5
 
 
@@ -478,13 +473,7 @@ def assemble_convection(V: FeSpace, w: FeField, check_divfree: bool = True,
             "eaq,ebq,eq->eab", bt[:, s_idx], bt[:, 0], np.where(up1, sgn * cn, 0.0))
         blocks[:, rows_sl, n_loc:nn] += np.einsum(
             "eaq,ebq,eq->eab", bt[:, s_idx], bt[:, 1], np.where(up1, 0.0, sgn * cn))
-    blocks *= gs[:, :, None] * gs[:, None, :]
-    rows = np.broadcast_to(gd[:, :, None], blocks.shape).ravel()
-    cols = np.broadcast_to(gd[:, None, :], blocks.shape).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    A = A + sp.coo_matrix((blocks.ravel()[keep], (rows[keep], cols[keep])),
-                          shape=(V.total_dofs, V.total_dofs)).tocsr()
-    return A
+    return A + _scatter(blocks, gd, gs, gd, gs, (V.total_dofs, V.total_dofs))
 
 
 def convection_action(V: FeSpace, w: FeField, u: np.ndarray, div_tol: float = 1e-8,

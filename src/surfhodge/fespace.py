@@ -111,7 +111,26 @@ def eval_monomial_grads(exps, xy) -> np.ndarray:
 
 
 # ------------------------------------------------------- reference elements
-class LagrangeRef:
+class ScalarPolyRef:
+    """Common evaluation for scalar elements stored as monomial coefficients.
+
+    Row l of coeffs holds the coefficients of local function l over the
+    scalar monomials of self.exps.
+    """
+
+    exps: list[tuple[int, int]]
+    coeffs: np.ndarray  # (n_local, n_mono)
+    n_local: int
+
+    def eval(self, xy) -> np.ndarray:
+        return self.coeffs @ eval_monomials(self.exps, xy)
+
+    def grad(self, xy) -> np.ndarray:
+        mg = eval_monomial_grads(self.exps, xy)
+        return np.einsum("lm,mqd->lqd", self.coeffs, mg)
+
+
+class LagrangeRef(ScalarPolyRef):
     """Nodal Lagrange basis on equispaced nodes of the reference triangle."""
 
     def __init__(self, p: int):
@@ -134,37 +153,22 @@ class LagrangeRef:
         self.nodes = np.array(nodes)
         self.exps = scalar_monomials(p)
         V = eval_monomials(self.exps, self.nodes).T  # (n_nodes, n_mono)
-        self.coeffs = np.linalg.inv(V)  # column i: monomial coeffs of phi_i
+        self.coeffs = np.linalg.inv(V).T
         self.n_local = len(nodes)
 
-    def eval(self, xy) -> np.ndarray:
-        return self.coeffs.T @ eval_monomials(self.exps, xy)
 
-    def grad(self, xy) -> np.ndarray:
-        mg = eval_monomial_grads(self.exps, xy)
-        return np.einsum("ml,mqd->lqd", self.coeffs, mg)
-
-
-class CrouzeixRaviartRef:
+class CrouzeixRaviartRef(ScalarPolyRef):
     """Nonconforming P1 with edge-midpoint dofs: phi_e = 1 - 2*lambda_opp."""
 
     def __init__(self):
         self.p = 1
         self.exps = scalar_monomials(1)  # [1, x, y]
         self.coeffs = np.array(
-            [[1.0, 0.0, -2.0], [-1.0, 2.0, 2.0], [1.0, -2.0, 0.0]]
-        ).T  # columns: coefficients of the three basis functions
+            [[1.0, 0.0, -2.0], [-1.0, 2.0, 2.0], [1.0, -2.0, 0.0]])
         self.n_local = 3
 
-    def eval(self, xy) -> np.ndarray:
-        return self.coeffs.T @ eval_monomials(self.exps, xy)
 
-    def grad(self, xy) -> np.ndarray:
-        mg = eval_monomial_grads(self.exps, xy)
-        return np.einsum("ml,mqd->lqd", self.coeffs, mg)
-
-
-class DGScalarRef:
+class DGScalarRef(ScalarPolyRef):
     """L2-orthonormal polynomial basis on the reference triangle."""
 
     def __init__(self, p: int):
@@ -178,15 +182,8 @@ class DGScalarRef:
             for j, (a2, b2) in enumerate(self.exps):
                 G[i, j] = monomial_integral(a1 + a2, b1 + b2)
         L = np.linalg.cholesky(G)
-        self.coeffs = np.linalg.inv(L)  # rows: coefficients of orthonormal basis
+        self.coeffs = np.linalg.inv(L)
         self.n_local = n
-
-    def eval(self, xy) -> np.ndarray:
-        return self.coeffs @ eval_monomials(self.exps, xy)
-
-    def grad(self, xy) -> np.ndarray:
-        mg = eval_monomial_grads(self.exps, xy)
-        return np.einsum("lm,mqd->lqd", self.coeffs, mg)
 
 
 class VectorPolyRef:

@@ -142,11 +142,11 @@ class ReducedSolver:
 
     Setup performs n_harmonic + 1 sparse solves on the first full solve
     (the harmonic columns once, then one per right-hand side); subsequent
-    solves with new loads cost one sparse solve each.
+    solves with new loads cost one sparse solve each.  A singular
+    streamfunction block (an un-gauged kernel, or a gauge that does not fix
+    it) is detected by FactorizedOperator's near-null-vector test and
+    raised as SingularOperator.
     """
-
-    PIVOT_TOL = 1e-13  # LU pivot ratio below this flags a numerically
-    # singular streamfunction block (un-gauged kernel)
 
     def __init__(self, system: BlockSystem):
         self.system = system
@@ -156,10 +156,6 @@ class ReducedSolver:
             raise SingularOperator(
                 "streamfunction block is singular; an un-gauged kernel remains"
             ) from exc
-        if self.op.pivot_ratio < self.PIVOT_TOL:
-            raise SingularOperator(
-                f"streamfunction block numerically singular "
-                f"(pivot ratio {self.op.pivot_ratio:.2e})")
         nh = system.n_harmonic
         if nh:
             self.Z = self.op.solve(np.asarray(system.A_sh, dtype=float))

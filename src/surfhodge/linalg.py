@@ -8,7 +8,11 @@ oracle.  FactorizedOperator is the one factorization class, and the one
 place that chooses the ordering and pivoting for each operator class.  A
 zero-mean (or other) gauge constraint on a symmetric operator with a
 one-dimensional kernel is imposed by pinning the first dof and projecting
-along the kernel, so an SPD block keeps a symmetric factorization.  Every
+along the kernel, so an SPD block keeps a symmetric factorization.
+FactorizedOperator is also the one place that decides singularity, by one
+test on every factor: the factor yields a near-null vector z of A (the
+kernel vector under a gauge, A^-1 r for a fixed random r otherwise), and A
+counts as singular when |A z| <= 1e-10 |A| |z| (infinity norms).  Every
 FactorizedOperator counts its solves (one per right-hand side), which the
 Schur-complement instrumentation relies on.
 """
@@ -36,8 +40,11 @@ _SPLU_OPTIONS = {
     "symmetric-indefinite": {"permc_spec": "COLAMD", "diag_pivot_thresh": 1.0},
 }
 
-# Gauge checks: z is accepted as the kernel when |A z| <= tol |A| |z|, and
-# c as its gauge when |c' z| > tol |c|_1 |z| (other norms: infinity norms).
+# Singularity test: z is a near-null vector of A when |A z| <= tol |A| |z|,
+# and c fixes a kernel z when |c' z| > tol |c|_1 |z| (other norms: infinity
+# norms).  Measured |A z| / (|A| |z|): ungauged singular blocks <= 5e-15 and
+# gauged kernels <= 7e-14 (tori up to 96x48, k <= 2), accepted ungauged
+# factors >= 1e-5 (all factors of the test suite).
 _KERNEL_TOL = 1e-10
 
 
@@ -55,7 +62,9 @@ class FactorizedOperator:
     from that factor (z_0 = 1), and solve(b) returns the solution of the
     bordered system [[A, c], [c', 0]] [x; l] = [b; 0]: it removes the
     component of b outside the range of A, solves with x_0 = 0 and adds the
-    multiple of z that makes c' x = 0.
+    multiple of z that makes c' x = 0.  Without a constraint, z = A^-1 r
+    must not be near-null.  SingularMatrix is raised when the test fails and
+    for non-finite entries of A.
 
     solve() accepts a vector or a matrix of right-hand-side columns and
     increments solve_count by the number of columns; concurrent solves from
@@ -72,6 +81,8 @@ class FactorizedOperator:
             raise ValueError(f"unknown factorization kind {kind!r}")
         if len(constraints) > 1:
             raise ValueError("at most one gauge constraint is supported")
+        if not np.isfinite(A.data).all():
+            raise SingularMatrix("matrix has non-finite entries")
         self.kind = kind
         self.n = n
         self.n_constraints = len(constraints)
@@ -79,7 +90,6 @@ class FactorizedOperator:
         self._count_lock = threading.Lock()
         if n == 0:  # empty systems occur e.g. for trace-constrained spaces
             self._lu = None
-            self.pivot_ratio = 1.0
             return
         if kind == "SPD":
             d = A.diagonal()
@@ -94,26 +104,23 @@ class FactorizedOperator:
             self._lu = spla.splu(pinned, **_SPLU_OPTIONS[kind])
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise SingularMatrix(str(exc)) from exc
-        d = np.abs(self._lu.U.diagonal())
-        if not np.isfinite(d).all():
-            raise SingularMatrix("factorization produced non-finite pivots")
-        self.pivot_ratio = float(d.min() / d.max())
-        if self.n_constraints:
-            self._gauge(A, np.asarray(constraints[0], dtype=float))
-
-    def _gauge(self, A: sp.csc_matrix, c: np.ndarray) -> None:
-        """Compute the kernel vector z of A from the pinned factor (not a
-        counted solve) and check that it is one and that c fixes it."""
-        z = np.empty(self.n)
+        # the factor's own near-null vector z (its solve is not counted)
+        if not self.n_constraints:
+            z = self._lu.solve(np.random.default_rng(0).standard_normal(n))
+            if _is_near_null(A, z):
+                raise SingularMatrix("matrix is numerically singular")
+            return
+        z = np.empty(n)
         z[0] = 1.0
         z[1:] = -self._lu.solve(A[1:, 0].toarray().ravel())
-        z_norm = np.abs(z).max()
-        A_norm = abs(A).sum(axis=1).max()
-        if np.abs(A @ z).max() > _KERNEL_TOL * A_norm * z_norm:
+        if not _is_near_null(A, z):
             raise SingularMatrix("gauge constraint given for an operator "
                                  "without a kernel")
+        c = np.asarray(constraints[0], dtype=float)
         cz = float(c @ z)
-        if not abs(cz) > _KERNEL_TOL * np.abs(c).sum() * z_norm:
+        # a non-finite z (pinned block singular: the kernel is larger or
+        # z_0 = 0) fails this comparison too
+        if not abs(cz) > _KERNEL_TOL * np.abs(c).sum() * np.abs(z).max():
             raise SingularMatrix("gauge constraint does not fix the kernel")
         self._z, self._c, self._cz = z, c, cz
 
@@ -132,3 +139,12 @@ class FactorizedOperator:
         x = np.zeros_like(b)
         x[1:] = self._lu.solve(b[1:])
         return x - np.multiply.outer(z, (c @ x) / self._cz)
+
+
+def _is_near_null(A: sp.csc_matrix, z: np.ndarray) -> bool:
+    """|A z| <= _KERNEL_TOL |A| |z| in infinity norms; a non-finite z, which
+    only a singular factor produces, counts as null."""
+    if not np.isfinite(z).all():
+        return True
+    A_norm = abs(A).sum(axis=1).max()
+    return bool(np.abs(A @ z).max() <= _KERNEL_TOL * A_norm * np.abs(z).max())

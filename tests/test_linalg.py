@@ -49,6 +49,9 @@ def test_singular_matrix():
         FactorizedOperator(A)
     with pytest.raises(SingularMatrix):
         FactorizedOperator(sp.csc_matrix(np.ones((2, 3))))
+    for bad in (np.nan, np.inf):  # non-finite entries, rejected before SuperLU
+        with pytest.raises(SingularMatrix):
+            FactorizedOperator(sp.csc_matrix(np.diag([1.0, bad, 3.0])), kind="SPD")
 
 
 def test_solve_counting(rng):
@@ -178,3 +181,58 @@ def test_streamfunction_factor_fill():
 
     op = HodgeSolver(meshes.torus_structured(32, 16), 2).laplace_operator
     assert op._lu.nnz < 600_000
+
+
+def _neumann_grid_laplacian(m):
+    T = 2 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+    T[0, 0] = T[-1, -1] = 1.0
+    I = np.eye(m)
+    return np.kron(I, T) + np.kron(T, I)
+
+
+SINGULAR_SPD = {
+    "periodic10": lambda: _periodic_laplacian(10),
+    "periodic200": lambda: _periodic_laplacian(200),
+    "neumann30x30": lambda: _neumann_grid_laplacian(30),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+@pytest.mark.parametrize("name", sorted(SINGULAR_SPD))
+def test_ungauged_singular_spd_raises(name, scale, rng):
+    """A singular SPD matrix without a gauge is rejected whatever its size
+    and scale; with the ones gauge the same matrix solves."""
+    A = sp.csc_matrix(scale * SINGULAR_SPD[name]())
+    with pytest.raises(SingularMatrix):
+        FactorizedOperator(A, kind="SPD")
+    n = A.shape[0]
+    op = FactorizedOperator(A, [np.ones(n)], kind="SPD")
+    b = rng.standard_normal(n)
+    b -= b.mean()
+    x = op.solve(b)
+    assert abs(x.sum()) <= 1e-10 * np.abs(x).max() * n
+    assert np.abs(A @ x - b).max() <= 1e-10 * np.abs(b).max()
+
+
+def test_saddle_factor_peak_memory():
+    """Building the saddle-point oracle's factor allocates far less than
+    its LU (12 bytes per entry) under tracemalloc: no copy of U is made.
+    SuperLU's own allocations are not traced; the guard is on the Python-
+    side arrays around it."""
+    import tracemalloc
+
+    from surfhodge import assembly as asm
+    from surfhodge import meshes
+    from surfhodge.flow import FlowOperators, SimulationConfig
+
+    ops = FlowOperators(meshes.torus_structured(16, 8), SimulationConfig(k=2))
+    B, mq = ops.hodge.B, sp.csc_matrix(asm.assemble_moment(ops.Q)).T
+    K = sp.bmat([[ops.A_visc, B.T, None], [B, None, mq], [None, mq.T, None]],
+                format="csc")
+    tracemalloc.start()
+    try:
+        op = FactorizedOperator(K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * op._lu.nnz / 4
