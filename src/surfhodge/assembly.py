@@ -408,19 +408,16 @@ def convection_tabulation(V: FeSpace) -> dict:
 def _convection_setup(V: FeSpace, w: FeField, check_divfree: bool, div_tol: float,
                       cache: dict | None) -> dict:
     """Input checks shared by the assembled and matrix-free convection
-    forms; returns the tabulation, refreshing cache when it belongs to
-    another space."""
+    forms; returns the tabulation, built here when cache is None.  A cache
+    tabulated for another space raises DegreeMismatch."""
     ws = w.space
     if ws is not V and (ws.kind != V.kind or ws.degree != V.degree or ws.mesh is not V.mesh
                         or ws.total_dofs != V.total_dofs):
         raise DegreeMismatch("convecting field must live in the velocity space")
-    if cache is None or cache.get("space") is not V:
-        fresh = convection_tabulation(V)
-        if cache is None:
-            cache = fresh
-        else:
-            cache.clear()
-            cache.update(fresh)
+    if cache is None:
+        cache = convection_tabulation(V)
+    elif cache.get("space") is not V:
+        raise DegreeMismatch("convection tabulation was built for another space")
     if check_divfree:
         wm = float(np.linalg.norm(w.coefficients))
         if wm > 0 and divergence_norm(V, w.coefficients, tab=cache["div"]) > div_tol * wm:
@@ -439,8 +436,8 @@ def assemble_convection(V: FeSpace, w: FeField, check_divfree: bool = True,
     and are skipped.  The quadrature is exact for the trilinear form, which
     makes c_h(w; u, u) >= 0 hold to rounding error for divergence-free w.
 
-    A cache dict (reused across calls with the same space) avoids
-    re-tabulating the state-independent basis data.
+    A cache from convection_tabulation(V) avoids re-tabulating the basis
+    data; one built for another space raises DegreeMismatch.
     """
     cache = _convection_setup(V, w, check_divfree, div_tol, cache)
     mesh = V.mesh

@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__, assembly as asm, meshes, vtkio
 from .config import (
     expression_forcing,
-    load_simulation_config,
     parse_config_file,
     simulation_config_from_dict,
 )

@@ -4,9 +4,10 @@ Velocity is sought directly in the divergence-free H(div) subspace through
 its streamfunction + harmonic parametrization: operators are assembled in
 the parent H(div) space and restricted via the embedding whose columns are
 rotated Lagrange basis functions and the harmonic basis vectors.  The
-resulting system couples a sparse streamfunction block with b1 dense
-harmonic rows/columns and is solved by a Schur complement that costs
-exactly (number of harmonic dofs + 1) sparse solves.
+restricted operators are symmetric: the system couples a sparse
+streamfunction block with b1 dense harmonic columns and their transpose, and
+a Schur complement solves it with exactly (number of harmonic dofs + 1)
+sparse solves.
 
 A velocity-pressure saddle-point solver on the full H(div) space serves as
 the cross-validation oracle; both formulations produce the same velocity up
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .fespace import FeField
 from .hodge import HarmonicBasis, HodgeSolver
-from .linalg import FactorizedOperator
+from .linalg import FactorizedOperator, check_symmetric
 from .mesh import SurfaceMesh
 
 
@@ -49,7 +50,8 @@ class JEmbedding:
 
     The first block maps Lagrange coefficients to the H(div) coefficients
     of their rotated gradients; the last b1 columns are the harmonic basis
-    vectors.  The matrix has full column rank.
+    vectors.  The matrix has full column rank; the parent operators it
+    restricts are symmetric.
     """
 
     def __init__(self, E: sp.spmatrix, H: np.ndarray):
@@ -84,29 +86,20 @@ class JEmbedding:
         return self.E.T @ b, self.H @ b
 
     def reduce_matrix(self, A: sp.spmatrix):
-        """Blocks of T' A T in the (stream, harmonic) partition."""
-        A_ss = (self.E.T @ (A @ self.E)).tocsc()
-        if self.n_harmonic:
-            AH = A @ self.H.T  # (N, b1) dense
-            A_sh = self.E.T @ AH
-            A_hs = (self.E.T @ (A.T @ self.H.T)).T
-            A_hh = self.H @ AH
-        else:
-            A_sh = np.zeros((self.n_stream, 0))
-            A_hs = np.zeros((0, self.n_stream))
-            A_hh = np.zeros((0, 0))
-        return A_ss, A_sh, A_hs, A_hh
+        """Blocks (A_ss, A_sh, A_hh) of T' A T in the (stream, harmonic)
+        partition for symmetric A; the lower-left block is A_sh'."""
+        AH = A @ self.H.T  # (N, b1) dense
+        return (self.E.T @ (A @ self.E)).tocsc(), self.E.T @ AH, self.H @ AH
 
 
 @dataclass
 class BlockSystem:
-    """Reduced 2x2 block system: sparse streamfunction block, dense
-    harmonic rows/columns, optional gauge constraints on the
-    streamfunction block (the zero mean on closed surfaces)."""
+    """Symmetric reduced system [[A_ss, A_sh], [A_sh', A_hh]]: sparse
+    streamfunction block, dense harmonic columns and block, optional gauge
+    constraints on A_ss (the zero mean on closed surfaces)."""
 
     A_ss: sp.spmatrix
     A_sh: np.ndarray
-    A_hs: np.ndarray
     A_hh: np.ndarray
     b_s: np.ndarray
     b_h: np.ndarray
@@ -123,22 +116,21 @@ class BlockSystem:
 
 def build_reduced_system(A: sp.spmatrix, b: np.ndarray, emb: JEmbedding,
                          gauges=()) -> BlockSystem:
-    """Restrict a parent-space operator and load to the divergence-free
-    subspace via the embedding."""
+    """Restrict a symmetric parent-space operator and load to the
+    divergence-free subspace; NotSPD when |A - A'| > 1e-12 |A|."""
     n = emb.n_parent
     if A.shape != (n, n):
         raise DimensionMismatch(f"operator shape {A.shape} != parent dim {n}")
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise DimensionMismatch(f"load shape {b.shape} != parent dim {n}")
-    A_ss, A_sh, A_hs, A_hh = emb.reduce_matrix(A)
-    b_s, b_h = emb.reduce_vector(b)
-    return BlockSystem(A_ss, A_sh, A_hs, A_hh, b_s, b_h, tuple(gauges))
+    check_symmetric(sp.csr_matrix(A), "operator to restrict")
+    return BlockSystem(*emb.reduce_matrix(A), *emb.reduce_vector(b), tuple(gauges))
 
 
 class ReducedSolver:
     """Schur-complement solver for a BlockSystem with a reusable
-    factorization.
+    factorization; the Schur complement is A_hh - A_sh' A_ss^-1 A_sh.
 
     Setup performs n_harmonic + 1 sparse solves on the first full solve
     (the harmonic columns once, then one per right-hand side); subsequent
@@ -159,9 +151,7 @@ class ReducedSolver:
         nh = system.n_harmonic
         if nh:
             self.Z = self.op.solve(np.asarray(system.A_sh, dtype=float))
-            if self.Z.ndim == 1:
-                self.Z = self.Z[:, None]
-            S = system.A_hh - system.A_hs @ self.Z
+            S = system.A_hh - system.A_sh.T @ self.Z
             try:
                 self._schur_lu = dla.lu_factor(S)
             except (ValueError, dla.LinAlgError) as exc:
@@ -180,7 +170,7 @@ class ReducedSolver:
         z0 = self.op.solve(b_s)
         if self.system.n_harmonic == 0:
             return z0, np.zeros(0)
-        x_h = dla.lu_solve(self._schur_lu, b_h - self.system.A_hs @ z0)
+        x_h = dla.lu_solve(self._schur_lu, b_h - self.system.A_sh.T @ z0)
         x_s = z0 - self.Z @ x_h
         return x_s, x_h
 
@@ -205,7 +195,7 @@ def monolithic_solve(system: BlockSystem):
     K[:ns, :ns] = system.A_ss.toarray()
     if nh:
         K[:ns, ns:ns + nh] = system.A_sh
-        K[ns:ns + nh, :ns] = system.A_hs
+        K[ns:ns + nh, :ns] = system.A_sh.T
         K[ns:ns + nh, ns:ns + nh] = system.A_hh
     for i, g in enumerate(system.gauges):
         K[:ns, ns + nh + i] = g
@@ -282,7 +272,8 @@ def _zero_forcing(x, t=0.0):
 
 # ---------------------------------------------------------------- operators
 class FlowOperators:
-    """Spaces, forms and the embedding for one (mesh, config) pair.
+    """Spaces, forms and the embedding for one (mesh, config) pair; A_red
+    holds the blocks (A_ss, A_sh, A_hh) of A_visc, restricted once.
 
     A basis passed in is checked by HodgeSolver.validate_basis; without one
     the basis is drawn with config.seed.
@@ -303,13 +294,14 @@ class FlowOperators:
         self.Q = self.hodge.Q
         self.M = self.hodge.M
         self.emb = JEmbedding(self.hodge.E, basis.vectors)
-        self.gauges = [asm.assemble_moment(self.S)] if self.S.zero_mean else []
+        self.gauges = self.hodge.gauges
         if config.mu == 0:
             self.A_visc = sp.csr_matrix((self.V.total_dofs, self.V.total_dofs))
         else:
             self.A_visc = asm.assemble_sip(
                 self.V, mu=config.mu, alpha=config.alpha_value,
                 dirichlet=(config.bc == "noslip"))
+        self.A_red = self.emb.reduce_matrix(self.A_visc)
         self.forcing = config.forcing if config.forcing is not None else _zero_forcing
         self._load_tab = asm.load_tabulation(self.V)
 
@@ -339,7 +331,7 @@ class FlowOperators:
         singular, e.g. for mu = 0, where no viscous form remains.
         """
         b = self.load_vector(t) if load is None else load
-        system = build_reduced_system(self.A_visc, b, self.emb, self.gauges)
+        system = BlockSystem(*self.A_red, *self.emb.reduce_vector(b), tuple(self.gauges))
         x_s, x_h, info = schur_solve(system)
         return self.make_state(t, x_s, x_h), info
 
@@ -409,23 +401,26 @@ def _with_forcing(config: SimulationConfig, forcing) -> SimulationConfig:
 class NavierStokesStepper:
     """Semi-implicit Euler: viscosity implicit, convection explicit.
 
-    The reduced mass-plus-viscosity operator is factorized once (costing
-    n_harmonic + 1 sparse solves) and reused; each step costs one
+    The reduced operator of M/dt + A_visc is summed from existing blocks,
+    L/dt + A_ss, M_sh/dt + A_sh and M_hh/dt + A_hh, and factorized once
+    (costing n_harmonic + 1 sparse solves) and reused; each step costs one
     matrix-free convection action and one sparse solve.
     """
 
     def __init__(self, ops: FlowOperators):
         self.ops = ops
-        cfg = ops.config
-        A_step = (ops.M / cfg.dt + ops.A_visc).tocsr()
-        zero = np.zeros(ops.V.total_dofs)
-        self.system = build_reduced_system(A_step, zero, ops.emb, ops.gauges)
+        dt = ops.config.dt
+        A_ss, A_sh, A_hh = ops.A_red
+        # the harmonic columns M H' restricted like loads: E' M H', H M H'
+        M_sh, M_hh = ops.emb.reduce_vector(ops.M @ ops.emb.H.T)
+        self.system = BlockSystem(
+            (ops.hodge.L / dt + A_ss).tocsc(), M_sh / dt + A_sh, M_hh / dt + A_hh,
+            np.zeros(ops.emb.n_stream), np.zeros(ops.emb.n_harmonic), tuple(ops.gauges))
         try:
             self.solver = ReducedSolver(self.system)
         except SingularOperator as exc:  # M/dt shift makes this unexpected
             raise SolverFailure(f"time-step operator singular: {exc}") from exc
         self._cfl_warned = False
-        self._sup_vals, _, _ = asm.tabulate_vector(ops.V, asm.volume_rule(ops.V))
         self._conv_cache = asm.convection_tabulation(ops.V)
 
     def initial_state(self) -> FlowState:
@@ -438,8 +433,10 @@ class NavierStokesStepper:
         return state
 
     def _sup_norm(self, u: FeField) -> float:
+        """Largest |u| at the convection rule's volume points: those of
+        volume_rule(V) for k <= 3, 49 instead of 36 at k = 4."""
         loc = u.space.local_coefficients(u.coefficients)
-        vals = np.einsum("tl,tlqi->tqi", loc, self._sup_vals)
+        vals = np.einsum("tl,tlqi->tqi", loc, self._conv_cache["vol"][1])
         return float(np.linalg.norm(vals, axis=-1).max()) if vals.size else 0.0
 
     def step(self, state: FlowState) -> FlowState:

@@ -171,7 +171,9 @@ def verify_dimension(topology: TopologySummary, k: int) -> DimensionReport:
 class HodgeSolver:
     """Spaces, operators and cached factorizations for one (mesh, degree).
 
-    All operations are pure given the immutable mesh; the random number
+    L = E' M E is the streamfunction form (rot psi, rot phi) and gauges its
+    zero-mean moment on closed surfaces; the flow solvers reuse both.  All
+    operations are pure given the immutable mesh; the random number
     generator of the harmonic search is an explicit seeded input, so runs
     are reproducible.
     """
@@ -190,6 +192,8 @@ class HodgeSolver:
         self.M = asm.assemble_mass(self.V)
         self.B = asm.assemble_div(self.V, self.Q)
         self.E = asm.assemble_rot_embedding(self.S, self.V)
+        self.L = self.E.T @ self.M @ self.E
+        self.gauges = [asm.assemble_moment(self.S)] if self.S.zero_mean else []
         self._pressure: FactorizedOperator | None = None
         self._laplace: FactorizedOperator | None = None
         self._mass_op: FactorizedOperator | None = None
@@ -208,12 +212,10 @@ class HodgeSolver:
 
     @property
     def laplace_operator(self) -> FactorizedOperator:
-        """Factorized streamfunction form (rot psi, rot phi), gauged by the
-        zero-mean constraint on closed surfaces."""
+        """Factorized streamfunction form L, gauged by the zero-mean
+        constraint on closed surfaces."""
         if self._laplace is None:
-            L = self.E.T @ self.M @ self.E
-            gauges = [asm.assemble_moment(self.S)] if self.S.zero_mean else []
-            self._laplace = FactorizedOperator(L, gauges, kind="SPD")
+            self._laplace = FactorizedOperator(self.L, self.gauges, kind="SPD")
         return self._laplace
 
     @property

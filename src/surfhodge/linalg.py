@@ -95,10 +95,7 @@ class FactorizedOperator:
             d = A.diagonal()
             if (d <= 0).any():
                 raise NotSPD("nonpositive diagonal entry under SPD kind")
-            D = A - A.T
-            sym_err = abs(D).max() if D.nnz else 0.0
-            if sym_err > 1e-12 * max(abs(A).max(), 1e-300):
-                raise NotSPD("matrix declared SPD is not symmetric")
+            check_symmetric(A, "matrix declared SPD")
         pinned = A[1:, 1:] if self.n_constraints else A
         try:
             self._lu = spla.splu(pinned, **_SPLU_OPTIONS[kind])
@@ -139,6 +136,13 @@ class FactorizedOperator:
         x = np.zeros_like(b)
         x[1:] = self._lu.solve(b[1:])
         return x - np.multiply.outer(z, (c @ x) / self._cz)
+
+
+def check_symmetric(A: sp.spmatrix, what: str) -> None:
+    """Raise NotSPD unless |A - A'| <= 1e-12 |A| (largest entries)."""
+    D = A - A.T
+    if D.nnz and abs(D).max() > 1e-12 * abs(A).max():
+        raise NotSPD(f"{what} is not symmetric")
 
 
 def _is_near_null(A: sp.csc_matrix, z: np.ndarray) -> bool:

@@ -414,6 +414,19 @@ def test_convection_rejects_foreign_space():
         asm.convection_action(V, w, np.zeros(V.total_dofs))
 
 
+def test_convection_rejects_foreign_tabulation():
+    """A tabulation built for another space is refused, not silently
+    rebuilt in place."""
+    mesh = meshes.torus_structured(3, 3)
+    V = build_space(mesh, "bdm", 1, "zero_normal_trace")
+    W = build_space(mesh, "bdm", 2, "zero_normal_trace")
+    cache = asm.convection_tabulation(W)
+    w = FeField(V, np.zeros(V.total_dofs))
+    with pytest.raises(DegreeMismatch):
+        asm.convection_action(V, w, np.zeros(V.total_dofs), cache=cache)
+    assert cache["space"] is W
+
+
 # -------------------------------------------------------------------- loads
 def test_load_zero_and_normal(corpus):
     mesh = corpus["icosphere"]

@@ -11,6 +11,7 @@ from surfhodge.errors import (
     NaNDetected,
     NonpositiveParameter,
     NotDivergenceFree,
+    NotSPD,
     SingularOperator,
 )
 from surfhodge.fespace import FeField
@@ -82,7 +83,7 @@ def test_reduced_blocks_match_dense(torus3, basis_cache):
     ns = emb.n_stream
     assert np.abs(system.A_ss.toarray() - A_full[:ns, :ns]).max() < 1e-12
     assert np.abs(system.A_sh - A_full[:ns, ns:]).max() < 1e-12
-    assert np.abs(system.A_hs - A_full[ns:, :ns]).max() < 1e-12
+    assert np.abs(system.A_sh.T - A_full[ns:, :ns]).max() < 1e-12
     # mass case: orthonormal harmonic block, zero coupling
     assert np.abs(system.A_hh - np.eye(2)).max() < 1e-10
     assert np.abs(system.A_sh).max() < 1e-10
@@ -91,11 +92,25 @@ def test_reduced_blocks_match_dense(torus3, basis_cache):
 
 
 def test_reduced_system_symmetry(torus_ops):
-    b = torus_ops.load_vector(0.0)
-    system = build_reduced_system(torus_ops.A_visc, b, torus_ops.emb,
-                                  torus_ops.gauges)
-    assert np.abs(system.A_sh - system.A_hs.T).max() <= 1e-12 * max(
-        1.0, np.abs(system.A_sh).max())
+    """The restricted viscous form is symmetric: its lower-left block,
+    formed directly, equals A_sh', which the block system uses in its
+    place."""
+    emb = torus_ops.emb
+    A_ss, A_sh, A_hh = torus_ops.A_red
+    lower_left = (emb.H @ torus_ops.A_visc) @ emb.E
+    assert np.abs(lower_left - A_sh.T).max() <= 1e-12 * max(1.0, np.abs(A_sh).max())
+    assert np.abs(A_hh - A_hh.T).max() <= 1e-12 * np.abs(A_hh).max()
+    assert abs(A_ss - A_ss.T).max() <= 1e-12 * abs(A_ss).max()
+
+
+def test_reduced_system_rejects_nonsymmetric(torus_ops):
+    """The block system keeps only the upper blocks, so a non-symmetric
+    operator is refused instead of silently symmetrized."""
+    A = torus_ops.A_visc.tolil()
+    A[0, 1] += 1e-6 * abs(torus_ops.A_visc).max()
+    with pytest.raises(NotSPD):
+        build_reduced_system(A.tocsr(), torus_ops.load_vector(0.0), torus_ops.emb,
+                             torus_ops.gauges)
 
 
 def test_dimension_mismatch(torus_ops):
@@ -108,7 +123,7 @@ def test_dimension_mismatch(torus_ops):
 def test_schur_hand_example():
     system = BlockSystem(
         A_ss=sp.csr_matrix(np.array([[2.0]])),
-        A_sh=np.array([[1.0]]), A_hs=np.array([[1.0]]), A_hh=np.array([[1.0]]),
+        A_sh=np.array([[1.0]]), A_hh=np.array([[1.0]]),
         b_s=np.array([1.0]), b_h=np.array([1.0]))
     xs, xh, info = schur_solve(system)
     # S = 1 - 1/2 = 1/2, rhs_h = 1 - 1/2 = 1/2 -> x_h = 1, x_s = 0
@@ -341,6 +356,39 @@ def test_step_reuses_divergence_tabulation(torus3, basis_cache, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("mesh_name", ["torus3", "sphere4"])
+def test_step_blocks_match_restricted_parent(mesh_name, basis_cache, request):
+    """The time-step blocks, summed from L, the restricted viscous form and
+    the harmonic blocks of M, are the restriction of M/dt + A_visc: on a
+    closed gauged surface (torus, b1 = 2) and an open one (pierced sphere,
+    b1 = 3)."""
+    mesh = request.getfixturevalue(mesh_name)
+    cfg = SimulationConfig(k=1, mu=0.3, dt=1e-2, t_end=0.0)
+    ops = FlowOperators(mesh, cfg, basis=basis_cache(mesh, 1))
+    got = NavierStokesStepper(ops).system
+    want = build_reduced_system(ops.M / cfg.dt + ops.A_visc, np.zeros(ops.V.total_dofs),
+                                ops.emb, ops.gauges)
+    assert got.n_harmonic == {"torus3": 2, "sphere4": 3}[mesh_name]
+    assert len(got.gauges) == len(want.gauges) == (mesh_name == "torus3")
+    assert abs(got.A_ss - want.A_ss).max() <= 1e-12 * abs(want.A_ss).max()
+    for name in ("A_sh", "A_hh"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+
+def test_run_restricts_the_viscous_form_once(torus3, basis_cache, monkeypatch):
+    """A run restricts each parent operator once: the Stokes start and the
+    stepper reuse the viscous blocks of FlowOperators."""
+    calls = []
+    original = JEmbedding.reduce_matrix
+    monkeypatch.setattr(JEmbedding, "reduce_matrix",
+                        lambda self, A: calls.append(1) or original(self, A))
+    cfg = SimulationConfig(k=1, mu=0.2, dt=1e-2, t_end=3e-2, forcing=smooth_forcing(18))
+    res = run_simulation(torus3, cfg, basis=basis_cache(torus3, 1))
+    assert res.final_state.step == 3
+    assert len(calls) == 1
+
+
 def test_nse_rejects_foreign_degree_state(torus3, basis_cache):
     cfg = SimulationConfig(k=1, mu=0.1, dt=1e-2, t_end=2e-2)
     stepper = NavierStokesStepper(FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1)))
@@ -433,7 +481,7 @@ def test_stokes_ungauged_block_raises(torus3, basis_cache):
     gauge) makes the Stokes solve raise SingularOperator."""
     cfg = SimulationConfig(k=0, mu=1.0, forcing=smooth_forcing(12))
     ops = FlowOperators(torus3, cfg, basis=basis_cache(torus3, 0))
-    ops.A_visc = ops.M  # reduced block E' M E is singular on the constants
+    ops.A_red = ops.emb.reduce_matrix(ops.M)  # E' M E is singular on the constants
     ops.gauges = []  # drop the explicit zero-mean gauge
     with pytest.raises(SingularOperator):
         ops.stokes_reduced()

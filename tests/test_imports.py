@@ -1,0 +1,41 @@
+"""Static check in place of a linter: every name a module of surfhodge
+imports is used in that module or re-exported through its __all__."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import surfhodge
+
+PACKAGE = Path(surfhodge.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_checker_flags_an_unused_import():
+    assert unused_imports("import os\nimport sys\nprint(sys)\n") == ["os (line 1)"]
+    assert unused_imports("from a import b as c\n__all__ = ['c']\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
