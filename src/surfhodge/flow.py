@@ -20,7 +20,7 @@ Time stepping for Navier-Stokes is semi-implicit Euler: viscosity implicit
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as dla
@@ -336,22 +336,18 @@ class FlowOperators:
         return self.make_state(t, x_s, x_h), info
 
     def stokes_saddle(self, t: float = 0.0, load: np.ndarray | None = None):
-        """Velocity-pressure saddle-point oracle on the parent space,
-        [[A, B', 0], [B, 0, m], [0, m', 0]] with the pressure gauged to zero
-        mean by the multiplier of its moment m; returns (u, p) fields."""
+        """Velocity-pressure saddle-point oracle [[0, B], [B', A]] [p; u] =
+        [0; f] on the parent space, pressure first and gauged to zero mean by
+        FactorizedOperator's constraint [m; 0], m its moment; returns (u, p)."""
         b = self.load_vector(t) if load is None else load
-        B, mq = self.hodge.B, sp.csc_matrix(asm.assemble_moment(self.Q)).T
-        K = sp.bmat([[self.A_visc, B.T, None], [B, None, mq], [None, mq.T, None]],
-                    format="csc")
-        rhs = np.concatenate([b, np.zeros(self.Q.total_dofs + 1)])
+        nQ = self.Q.total_dofs
+        K = sp.bmat([[None, self.hodge.B], [self.hodge.B.T, self.A_visc]], format="csc")
+        gauge = np.concatenate([asm.assemble_moment(self.Q), np.zeros(self.V.total_dofs)])
         try:
-            sol = FactorizedOperator(K).solve(rhs)
+            sol = FactorizedOperator(K, [gauge]).solve(np.concatenate([np.zeros(nQ), b]))
         except SingularMatrix as exc:
             raise SolverFailure(f"saddle-point solve failed: {exc}") from exc
-        nV = self.V.total_dofs
-        u = FeField(self.V, sol[:nV])
-        p = FeField(self.Q, sol[nV:nV + self.Q.total_dofs])
-        return u, p
+        return FeField(self.V, sol[nQ:]), FeField(self.Q, sol[:nQ])
 
     def reconstruct_pressure(self, state: FlowState, t: float | None = None,
                              load: np.ndarray | None = None,
@@ -374,27 +370,14 @@ class FlowOperators:
 def solve_stokes_reduced(mesh: SurfaceMesh, config: SimulationConfig,
                          basis: HarmonicBasis | None = None,
                          forcing=None) -> FlowState:
-    cfg = config
-    if forcing is not None:
-        cfg = _with_forcing(config, forcing)
-    ops = FlowOperators(mesh, cfg, basis)
-    state, _ = ops.stokes_reduced(t=0.0)
-    return state
+    cfg = config if forcing is None else replace(config, forcing=forcing)
+    return FlowOperators(mesh, cfg, basis).stokes_reduced(t=0.0)[0]
 
 
 def solve_stokes_saddle(mesh: SurfaceMesh, config: SimulationConfig,
                         forcing=None):
-    cfg = config
-    if forcing is not None:
-        cfg = _with_forcing(config, forcing)
-    ops = FlowOperators(mesh, cfg)
-    return ops.stokes_saddle(t=0.0)
-
-
-def _with_forcing(config: SimulationConfig, forcing) -> SimulationConfig:
-    from dataclasses import replace
-
-    return replace(config, forcing=forcing)
+    cfg = config if forcing is None else replace(config, forcing=forcing)
+    return FlowOperators(mesh, cfg).stokes_saddle(t=0.0)
 
 
 # ----------------------------------------------------------- time stepping

@@ -187,6 +187,20 @@ def test_stokes_compare_saddle(tmp_path, capsys):
     assert payload["sparse_solves"] == 3
 
 
+def test_stokes_compare_saddle_high_viscosity(tmp_path, capsys):
+    """mu = 1e3 on the 16x8 torus at k = 2: the saddle oracle solves (it
+    exited 4, "numerically singular", under a partial-pivot LU)."""
+    mesh_path = tmp_path / "torus16x8.obj"
+    save_obj(meshes.torus_structured(16, 8), mesh_path)
+    cfg = write_cfg(tmp_path, f"mesh = {mesh_path}\nk = 2\nmu = 1e3\n"
+                              "dt = 1e-2\nt_end = 0\nforcing = expression\n"
+                              "fx = sin(y)\nfy = cos(z)\nfz = 0.2*x\n")
+    code, payload, _ = run_cli(capsys, "stokes", "--config", cfg, "--compare-saddle")
+    assert code == 0
+    assert payload["saddle_velocity_discrepancy"] <= 1e-8
+    assert payload["saddle_pressure_discrepancy"] <= 1e-8
+
+
 def test_nse_switched_off_forcing_monotone(tmp_path, capsys):
     # forcing active at t = 0 (sets the initial Stokes state), switched off
     # for t > 0: the CSV energy decays monotonically

@@ -229,6 +229,35 @@ def test_pressure_reconstruction_matches_saddle(torus_ops):
     assert np.sqrt(dp @ (Mq @ dp)) <= 1e-8 * np.sqrt(ps @ (Mq @ ps))
 
 
+def test_saddle_and_reconstructed_pressures_are_zero_mean(torus_ops):
+    """Both pressures come out with zero moment m'p, so they compare without
+    renormalization (the DG basis is orthonormal: all-ones coefficients are
+    not the constant function)."""
+    state, _ = torus_ops.stokes_reduced()
+    mq = asm.assemble_moment(torus_ops.Q)
+    for p in (torus_ops.stokes_saddle()[1], torus_ops.reconstruct_pressure(state)):
+        assert abs(mq @ p.coefficients) <= 1e-12 * np.abs(mq).sum() * np.abs(
+            p.coefficients).max()
+
+
+@pytest.mark.parametrize("n_major,n_minor,k,mu", [
+    (8, 6, 1, 1e-3), (8, 6, 1, 1.0), (8, 6, 1, 1e6), (16, 8, 2, 1e3)])
+def test_saddle_oracle_across_viscosity_scales(n_major, n_minor, k, mu):
+    """The saddle-point oracle matches the reduced solve whatever the scale
+    of the viscous block against the divergence block; a partial-pivot LU
+    of the unscaled saddle matrix reported the last two cases singular."""
+    from surfhodge import meshes
+
+    cfg = SimulationConfig(k=k, mu=mu, forcing=smooth_forcing(21))
+    ops = FlowOperators(meshes.torus_structured(n_major, n_minor), cfg)
+    state, info = ops.stokes_reduced()
+    u_s, _ = ops.stokes_saddle()
+    du = state.u.coefficients - u_s.coefficients
+    un = np.sqrt(u_s.coefficients @ (ops.M @ u_s.coefficients))
+    assert np.sqrt(du @ (ops.M @ du)) <= 1e-8 * un
+    assert info["sparse_solves"] == ops.emb.n_harmonic + 1
+
+
 def test_pressure_robustness_gradient_forcing(torus_ops, rng):
     """Perturbing the load by a discrete gradient leaves the velocity
     unchanged and only shifts the pressure."""
@@ -476,15 +505,30 @@ def test_run_simulation_outputs(tmp_path, torus3, basis_cache):
     assert "SCALARS psi double 1" in vtk
 
 
-def test_stokes_ungauged_block_raises(torus3, basis_cache):
+def test_stokes_ungauged_block_raises(torus3, basis_cache, monkeypatch):
     """A singular viscous block (here: the mass form without its zero-mean
-    gauge) makes the Stokes solve raise SingularOperator."""
+    gauge) makes the Stokes solve raise SingularOperator.  The block
+    factored is the replaced one, and with the gauge kept it solves."""
+    import surfhodge.flow as flow
+
+    factored = []
+
+    class Recording(flow.FactorizedOperator):
+        def __init__(self, A, *args, **kwargs):
+            factored.append(A)
+            super().__init__(A, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "FactorizedOperator", Recording)
     cfg = SimulationConfig(k=0, mu=1.0, forcing=smooth_forcing(12))
     ops = FlowOperators(torus3, cfg, basis=basis_cache(torus3, 0))
     ops.A_red = ops.emb.reduce_matrix(ops.M)  # E' M E is singular on the constants
-    ops.gauges = []  # drop the explicit zero-mean gauge
+    gauges, ops.gauges = ops.gauges, []  # drop the explicit zero-mean gauge
     with pytest.raises(SingularOperator):
         ops.stokes_reduced()
+    assert factored[-1] is ops.A_red[0]
+    ops.gauges = gauges
+    ops.stokes_reduced()
+    assert factored[-1] is ops.A_red[0]
 
 
 def test_stokes_empty_streamblock():
