@@ -9,6 +9,13 @@ edge, orientation) on the reference triangle.
 The convection form exists both assembled (assemble_convection, for energy
 and operator tests) and matrix-free (convection_action, which applies
 C(w) u from the same tabulation without forming C; time stepping uses it).
+Its tabulation stays in the reference frame: the Piola map makes the
+ambient gradient of a basis function (F / J) grad(vhat) G' with G' F = I,
+so the volume term needs only the 2x2 reference gradients shared by all
+triangles and one 2x2 metric F'F / J^2 per triangle.  Its facet term reads
+the normal and tangential traces of both sides of every interior edge
+through one sparse side-trace operator, upwinds them elementwise and
+applies the transpose.
 
 Matrix convention: A[a, b] = form(trial phi_b, test phi_a), so A @ u gives
 the residual against the test basis.
@@ -55,7 +62,7 @@ def tabulate_vector(space: FeSpace, rule, grads: bool = False):
     if not grads:
         return vals, divs, None
     g = np.einsum("tia,lqab,tjb->tlqij", piola, space.ref.grad(xy), mesh.G, optimize=True)
-    return vals, divs, np.ascontiguousarray(g)  # the step loop contracts g per call
+    return vals, divs, np.ascontiguousarray(g)  # C order: the SIP form's rounding depends on it
 
 
 def tabulate_field(field: FeField, rule) -> np.ndarray:
@@ -190,19 +197,19 @@ def load_tabulation(V: FeSpace):
 
 
 def assemble_load(V: FeSpace, f, time: float | None = None, tab=None) -> np.ndarray:
-    """Load vector (f, v_i) with f projected onto each tangent plane.
+    """Load vector (f, v_i) of the tangential part of f.
 
     f is a vectorized callable mapping positions (n, 3) -> (n, 3) (an
-    optional time argument is passed through when given); any normal
-    component is removed per triangle before integration.  tab, from
-    load_tabulation(V), saves re-tabulating the basis on repeated calls.
+    optional time argument is passed through when given).  The
+    Piola-mapped basis values F vhat / J lie in each triangle's plane, so
+    a normal component of f pairs to zero with them and needs no
+    projection.  tab, from load_tabulation(V), saves re-tabulating the
+    basis on repeated calls.
     """
     pts, weighted = load_tabulation(V) if tab is None else tab
-    normals = V.mesh.tri_normals
     flat = pts.reshape(-1, 3)
     fv = f(flat, time) if time is not None else f(flat)
     fv = np.asarray(fv, dtype=float).reshape(pts.shape)
-    fv = fv - np.einsum("tqi,ti->tq", fv, normals)[:, :, None] * normals[:, None, :]
     local = np.einsum("tlqi,tqi->tl", weighted, fv)
     return _scatter_vec(local, V.dof_map, V.dof_signs, V.total_dofs)
 
@@ -368,48 +375,110 @@ def divergence_norm(V: FeSpace, coefficients: np.ndarray, tab=None) -> float:
     "div" entry of convection_tabulation(V), saves re-tabulating the basis
     on repeated calls.
     """
-    rule, ref_div = _divergence_tabulation(V) if tab is None else tab
-    mesh = V.mesh
     loc = V.local_coefficients(np.asarray(coefficients, dtype=float))
-    div_vals = np.einsum("tl,lq->tq", loc, ref_div) / mesh.Jdet[:, None]
-    sq = np.einsum("tq,q,t->", div_vals**2, rule.weights, mesh.Jdet)
+    return _divergence_norm(V, loc, _divergence_tabulation(V) if tab is None else tab)
+
+
+def _divergence_norm(V: FeSpace, loc: np.ndarray, tab) -> float:
+    rule, ref_div = tab
+    # (div u)^2 J = (divhat uhat)^2 / J at each point
+    sq = ((loc @ ref_div) ** 2 @ rule.weights) @ (1.0 / V.mesh.Jdet)
     return float(np.sqrt(max(sq, 0.0)))
 
 
 def convection_tabulation(V: FeSpace) -> dict:
     """State-independent tabulations for the convection form.
 
-    Built once by the Navier-Stokes stepper so each time step only computes
-    the w-dependent parts: volume basis values/gradients, per-interior-edge
-    basis traces decomposed into conormal/tangent components, and their
-    dof maps and signs, and the reference divergences of the
-    divergence-free check.
+    Built once by the Navier-Stokes stepper so that each time step only
+    evaluates the fields.  "vol" keeps the volume term in the reference
+    frame, with the triangles as the fastest-varying axis of every
+    per-point array: the rule, the reference basis values R
+    (2 * n_q, n_loc) and the reference gradients of the test functions
+    times -weights (n_loc, 4 * n_q), both shared by all triangles, and the
+    metric g = F'F / J^2 of each triangle as (2, 2, 1, T).  "edge" holds
+    the side-trace operator Psi of the interior edges (see
+    _side_trace_operator), its transpose and the edge quadrature weights
+    times edge lengths (n_q_e * E,).  "div" holds the reference
+    divergences of the divergence-free check.
+
+    convection_action also records under "sup" the largest |w| it saw at
+    the volume points, with a copy of the coefficients of w, so that the
+    stepper's CFL check does not evaluate w again.
     """
     mesh = V.mesh
     k = V.degree
+    n_loc = V.ref.n_local
     cache: dict = {"space": V, "div": _divergence_tabulation(V)}
     rule = triangle_rule(max(2 * k + 3, 3 * k))
-    vals, _, grads = tabulate_vector(V, rule, grads=True)
-    cache["vol"] = (rule, vals, grads)
+    vals = V.ref.eval(rule.xy).transpose(2, 1, 0)  # (2, n_q, n_loc)
+    grads = np.moveaxis(V.ref.grad(rule.xy) * -rule.weights[:, None, None], 1, -1)
+    FtF = np.einsum("tia,tib->abt", mesh.F, mesh.F)  # exactly symmetric
+    cache["vol"] = (rule, vals.reshape(-1, n_loc), grads.reshape(n_loc, -1),
+                    (FtF / mesh.Jdet**2)[:, :, None, :])
 
     tq, tw = edge_rule(max(2 * k + 2, 3 * k))
     interior = np.flatnonzero(~mesh.boundary_edge_mask)
-    n_e = len(interior)
     t_sides = mesh.edge_tris[interior]  # (E, 2)
     le, svals, _ = _edge_sides(V, interior, t_sides, tq, need_grads=False)
-    bn = np.einsum("eslqi,esi->eslq", svals, mesh.conormals[t_sides, le])
-    bt = np.einsum("eslqi,ei->eslq", svals, mesh.edge_tangents[interior])
-    gd = V.dof_map[t_sides].reshape(n_e, -1)
-    gs = V.dof_signs[t_sides].reshape(n_e, -1)
-    cache["edge"] = (interior, tq, tw, bn, bt, gd, gs, t_sides)
+    traces = np.stack([np.einsum("eslqi,esi->sqel", svals, mesh.conormals[t_sides, le]),
+                       np.einsum("eslqi,ei->sqel", svals, mesh.edge_tangents[interior])])
+    psi = _side_trace_operator(V, t_sides, traces)
+    cache["edge"] = (psi, psi.T, (tw[:, None] * mesh.edge_lengths[interior]).ravel())
     return cache
 
 
+def _side_trace_operator(V: FeSpace, t_sides: np.ndarray, traces: np.ndarray) -> sp.csr_matrix:
+    """Sparse map from global coefficients to the traces on edge sides.
+
+    traces (2, 2, n_q, E, n_loc) holds the normal (on the side's outward
+    conormal) and tangential (on the edge tangent) components of the local
+    basis of the triangles t_sides (E, 2).  Row (c, s, q, e) of the result
+    is component c of the trace of side s of edge e at point q; the edges
+    vary fastest, so the upwind arithmetic runs over long contiguous rows.
+    Each row holds the side triangle's dofs that no trace constraint
+    removed, so indptr and indices are written in row order and nothing is
+    sorted.
+    """
+    data = traces * V.dof_signs[t_sides].transpose(1, 0, 2)[:, None]
+    cols = np.broadcast_to(V.dof_map[t_sides].transpose(1, 0, 2)[:, None], data.shape)
+    keep = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=-1).ravel())])
+    return sp.csr_matrix((data[keep], cols[keep], indptr),
+                         shape=(len(indptr) - 1, V.total_dofs))
+
+
+_SIDES = np.array([[1.0], [-1.0]])  # side 0 sees the flux w . nu_0, side 1 its negative
+
+
+def _upwind(x: np.ndarray, wn: np.ndarray):
+    """Upwind selection on arrays x (2, 2, n) laid out like the rows of the
+    side-trace operator: (normal/tangential, side, point).
+
+    wn (n,) is the weighted flux w . nu_0 seen from side 0.  Normal entries
+    stay on their own side; the tangential entries of both sides take side
+    0's where wn > 0 (side 0 is upwind) and side 1's elsewhere.  Returns x,
+    overwritten, and the weights of the facet term, wn on side 0 and -wn on
+    side 1, broadcast to x's shape.
+    """
+    x[1] = np.where(wn > 0, x[1, 0], x[1, 1])
+    return x, np.broadcast_to(wn * _SIDES, x.shape)
+
+
+def _reference_values(cache: dict, loc: np.ndarray):
+    """Reference values Uhat (2, n_q, T) at the convection rule's points of
+    the field with local coefficients loc (T, n_loc), and g Uhat.  The
+    physical value is F Uhat / J, so |u|^2 = Uhat . g Uhat."""
+    _, R, _, g = cache["vol"]
+    uh = (R @ loc.T).reshape(2, -1, len(loc))
+    return uh, (g * uh).sum(axis=1)
+
+
 def _convection_setup(V: FeSpace, w: FeField, check_divfree: bool, div_tol: float,
-                      cache: dict | None) -> dict:
+                      cache: dict | None):
     """Input checks shared by the assembled and matrix-free convection
-    forms; returns the tabulation, built here when cache is None.  A cache
-    tabulated for another space raises DegreeMismatch."""
+    forms; returns the tabulation, built here when cache is None, and the
+    local coefficients of w.  A cache tabulated for another space raises
+    DegreeMismatch."""
     ws = w.space
     if ws is not V and (ws.kind != V.kind or ws.degree != V.degree or ws.mesh is not V.mesh
                         or ws.total_dofs != V.total_dofs):
@@ -418,11 +487,12 @@ def _convection_setup(V: FeSpace, w: FeField, check_divfree: bool, div_tol: floa
         cache = convection_tabulation(V)
     elif cache.get("space") is not V:
         raise DegreeMismatch("convection tabulation was built for another space")
+    w_loc = V.local_coefficients(w.coefficients)
     if check_divfree:
         wm = float(np.linalg.norm(w.coefficients))
-        if wm > 0 and divergence_norm(V, w.coefficients, tab=cache["div"]) > div_tol * wm:
+        if wm > 0 and _divergence_norm(V, w_loc, cache["div"]) > div_tol * wm:
             raise NotDivergenceFree("convecting field is not discretely divergence-free")
-    return cache
+    return cache, w_loc
 
 
 def assemble_convection(V: FeSpace, w: FeField, check_divfree: bool = True,
@@ -437,40 +507,23 @@ def assemble_convection(V: FeSpace, w: FeField, check_divfree: bool = True,
     makes c_h(w; u, u) >= 0 hold to rounding error for divergence-free w.
 
     A cache from convection_tabulation(V) avoids re-tabulating the basis
-    data; one built for another space raises DegreeMismatch.
+    data; one built for another space raises DegreeMismatch.  The form is
+    the one convection_action applies, from the same tabulation.
     """
-    cache = _convection_setup(V, w, check_divfree, div_tol, cache)
-    mesh = V.mesh
-    rule, vals, grads = cache["vol"]
-    w_loc = V.local_coefficients(w.coefficients)
-    wv = np.einsum("tl,tlqi->tqi", w_loc, vals)
-    local = -np.einsum("tbqi,taqij,tqj,q->tab", vals, grads, wv,
-                       rule.weights) * mesh.Jdet[:, None, None]
+    cache, w_loc = _convection_setup(V, w, check_divfree, div_tol, cache)
+    _, R, grads, g = cache["vol"]
+    n_loc = V.ref.n_local
+    wh, _ = _reference_values(cache, w_loc)
+    local = np.einsum("acdq,dqt,eqb,cet->tab", grads.reshape(n_loc, 2, 2, -1), wh,
+                      R.reshape(2, -1, n_loc), g[:, :, 0], optimize=True)
     A = _scatter(local, V.dof_map, V.dof_signs, V.dof_map, V.dof_signs,
                  (V.total_dofs, V.total_dofs))
-
-    interior, tq, tw, bn, bt, gd, gs, t_sides = cache["edge"]
-    if len(interior) == 0:
+    psi, psi_t, wq = cache["edge"]
+    if psi.shape[0] == 0:
         return A
-    n_loc = V.ref.n_local
-    nn = 2 * n_loc
-    wq = tw[None, :] * mesh.edge_lengths[interior][:, None]  # (E, n_q)
-    # single-valued normal flux of w seen from side 1; upwind element has
-    # w . nu_out > 0 there
-    wn1 = np.einsum("el,elq->eq", w_loc[t_sides[:, 0]], bn[:, 0])
-    cn = wn1 * wq
-    up1 = wn1 > 0
-    blocks = np.zeros((len(interior), nn, nn))
-    for s_idx in range(2):
-        sgn = 1.0 if s_idx == 0 else -1.0
-        rows_sl = slice(s_idx * n_loc, (s_idx + 1) * n_loc)
-        blocks[:, rows_sl, rows_sl] += np.einsum(
-            "eaq,ebq,eq->eab", bn[:, s_idx], bn[:, s_idx], sgn * cn)
-        blocks[:, rows_sl, 0:n_loc] += np.einsum(
-            "eaq,ebq,eq->eab", bt[:, s_idx], bt[:, 0], np.where(up1, sgn * cn, 0.0))
-        blocks[:, rows_sl, n_loc:nn] += np.einsum(
-            "eaq,ebq,eq->eab", bt[:, s_idx], bt[:, 1], np.where(up1, 0.0, sgn * cn))
-    return A + _scatter(blocks, gd, gs, gd, gs, (V.total_dofs, V.total_dofs))
+    wn = (psi @ w.coefficients)[:len(wq)] * wq
+    rows, c = _upwind(np.arange(psi.shape[0]).reshape(2, 2, -1), wn)
+    return (A + psi_t @ sp.diags(c.ravel()) @ psi[rows.ravel()]).tocsr()
 
 
 def convection_action(V: FeSpace, w: FeField, u: np.ndarray, div_tol: float = 1e-8,
@@ -478,33 +531,27 @@ def convection_action(V: FeSpace, w: FeField, u: np.ndarray, div_tol: float = 1e
     """C(w) u for the form of assemble_convection, without forming C.
 
     Takes the same checks (w is always checked to be divergence-free) and
-    cache.  The volume term contracts in two
-    stages, first outer(u, w * weights * Jdet) per quadrature point, then
-    against the basis gradients; the facet term evaluates the upwind flux
-    per edge and scatters it.
+    cache.  The fields are evaluated once, in reference coordinates: on an
+    affine triangle the ambient gradient of a Piola-mapped basis function
+    is (F / J) grad(vhat) G' with G' F = I, so the volume term is
+    sum_q weight_q grad(vhat_a) : (g Uhat) (x) What, one GEMM against the
+    shared reference gradients.  The facet term applies the side-trace
+    operator Psi, upwinds elementwise and applies Psi'.  When u is w's
+    coefficient array, the evaluations of w serve for u.
     """
-    cache = _convection_setup(V, w, True, div_tol, cache)
-    mesh = V.mesh
-    rule, vals, grads = cache["vol"]
-    w_loc = V.local_coefficients(w.coefficients)
-    u_loc = V.local_coefficients(u)
-    wJ = rule.weights[None, :] * mesh.Jdet[:, None]
-    wv = np.einsum("tl,tlqi->tqi", w_loc, vals) * wJ[:, :, None]
-    uv = np.einsum("tl,tlqi->tqi", u_loc, vals)
-    local = -np.einsum("taqij,tqij->ta", grads, np.einsum("tqi,tqj->tqij", uv, wv))
-    out = _scatter_vec(local, V.dof_map, V.dof_signs, V.total_dofs)
+    cache, w_loc = _convection_setup(V, w, True, div_tol, cache)
+    grads = cache["vol"][2]
+    same = u is w.coefficients
+    wh, gw = _reference_values(cache, w_loc)
+    gu = gw if same else _reference_values(cache, V.local_coefficients(u))[1]
+    cache["sup"] = (w.coefficients.copy(),
+                    float(np.sqrt(max(np.einsum("cqt,cqt->qt", wh, gw).max(), 0.0))))
+    local = grads @ (gu[:, None] * wh[None]).reshape(grads.shape[1], -1)
+    out = _scatter_vec(local.T, V.dof_map, V.dof_signs, V.total_dofs)
 
-    interior, tq, tw, bn, bt, gd, gs, t_sides = cache["edge"]
-    if len(interior) == 0:
+    psi, psi_t, wq = cache["edge"]
+    if psi.shape[0] == 0:
         return out
-    wq = tw[None, :] * mesh.edge_lengths[interior][:, None]
-    wn1 = np.einsum("el,elq->eq", w_loc[t_sides[:, 0]], bn[:, 0])
-    # signed flux weight per side: side 0 sees w . nu_0, side 1 its negative
-    cn = (wn1 * wq)[:, None, :] * np.array([1.0, -1.0])[None, :, None]
-    u_sides = u_loc[t_sides]  # (E, 2, n_loc)
-    un = np.einsum("esl,eslq->esq", u_sides, bn)
-    ut = np.einsum("esl,eslq->esq", u_sides, bt)
-    ut_up = np.where(wn1 > 0, ut[:, 0], ut[:, 1])
-    edge = (np.einsum("eslq,esq->esl", bn, un * cn)
-            + np.einsum("eslq,esq->esl", bt, ut_up[:, None, :] * cn))
-    return out + _scatter_vec(edge.reshape(len(interior), -1), gd, gs, V.total_dofs)
+    tr_w = psi @ w.coefficients
+    tr, c = _upwind((tr_w if same else psi @ u).reshape(2, 2, -1), tr_w[:len(wq)] * wq)
+    return out + psi_t @ (tr * c).ravel()

@@ -10,7 +10,7 @@ from surfhodge.errors import (
 )
 from surfhodge.fespace import FeField, build_space
 from surfhodge.mesh import SurfaceMesh
-from surfhodge.quadrature import triangle_rule
+from surfhodge.quadrature import edge_rule, triangle_rule
 
 
 def interpolate_constant(space, tri, vec):
@@ -373,6 +373,69 @@ def test_convection_action_matches_assembled(request, rng, mesh_name, k):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _ambient_convection(V, w, u):
+    """C(w) u from ambient tabulations, independent of the reference-frame
+    tabulation: the volume term -(u, grad(v) w) from the physical values and
+    3x3 gradients of tabulate_vector, and the upwind facet term from the
+    physical side traces of the interior edges."""
+    mesh, k = V.mesh, V.degree
+    w_loc, u_loc = V.local_coefficients(w), V.local_coefficients(u)
+    rule = triangle_rule(max(2 * k + 3, 3 * k))
+    vals, _, grads = asm.tabulate_vector(V, rule, grads=True)
+    wv = np.einsum("tl,tlqi->tqi", w_loc, vals)
+    uv = np.einsum("tl,tlqi->tqi", u_loc, vals)
+    local = -np.einsum("taqij,tqi,tqj,q,t->ta", grads, uv, wv, rule.weights, mesh.Jdet)
+
+    tq, tw = edge_rule(max(2 * k + 2, 3 * k))
+    interior = np.flatnonzero(~mesh.boundary_edge_mask)
+    sides = mesh.edge_tris[interior]
+    le, svals, _ = asm._edge_sides(V, interior, sides, tq, need_grads=False)
+    nu = mesh.conormals[sides, le]  # (E, 2, 3)
+    tau = mesh.edge_tangents[interior]
+    bn = np.einsum("eslqi,esi->eslq", svals, nu)
+    bt = np.einsum("eslqi,ei->eslq", svals, tau)
+    un = np.einsum("esl,eslq->esq", u_loc[sides], bn)
+    ut = np.einsum("esl,eslq->esq", u_loc[sides], bt)
+    # w . nu seen from side 0, weighted; side 1 sees its negative
+    wn = np.einsum("el,elq->eq", w_loc[sides[:, 0]], bn[:, 0]) * tw * mesh.edge_lengths[
+        interior][:, None]
+    flux = wn[:, None, :] * np.array([1.0, -1.0])[None, :, None]
+    ut_up = np.where(wn > 0, ut[:, 0], ut[:, 1])
+    edge = np.einsum("eslq,esq->esl", bn, flux * un) + np.einsum(
+        "eslq,esq->esl", bt, flux * ut_up[:, None, :])
+
+    out = np.zeros(V.total_dofs)
+    for dofs, signs, vals_loc in ((V.dof_map, V.dof_signs, local),
+                                  (V.dof_map[sides], V.dof_signs[sides], edge)):
+        keep = dofs >= 0
+        np.add.at(out, dofs[keep], (signs * vals_loc)[keep])
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("mesh_name", ["torus", "sphere4"])
+def test_convection_action_matches_ambient_oracle(request, rng, mesh_name, k):
+    """The reference-frame action equals the ambient formula it replaced,
+    for a generic u and for u = w; the sup norm it records for the CFL
+    check equals the largest |w| that tabulate_field gives at its rule."""
+    mesh = request.getfixturevalue(mesh_name)
+    V = build_space(mesh, "bdm", k, "zero_normal_trace")
+    S = build_space(mesh, "lagrange", k + 1,
+                    "zero_mean" if mesh.is_closed else "zero_boundary_trace")
+    E = asm.assemble_rot_embedding(S, V)
+    cache = asm.convection_tabulation(V)
+    for _ in range(2):
+        w = FeField(V, E @ rng.standard_normal(S.total_dofs))
+        for u in (rng.standard_normal(V.total_dofs), w.coefficients):
+            want = _ambient_convection(V, w.coefficients, u)
+            got = asm.convection_action(V, w, u, cache=cache)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        seen, umax = cache["sup"]
+        assert np.array_equal(seen, w.coefficients)
+        wmax = np.linalg.norm(asm.tabulate_field(w, cache["vol"][0]), axis=-1).max()
+        assert abs(umax - wmax) <= 1e-13 * wmax
+
+
 def test_convection_action_upwinds_both_directions(rng):
     mesh = meshes.square_two_triangles()
     V = build_space(mesh, "bdm", 1)
@@ -428,29 +491,50 @@ def test_convection_rejects_foreign_tabulation():
 
 
 # -------------------------------------------------------------------- loads
+def _per_triangle_forcing(V, values):
+    """A forcing callable that returns values (T, n_q, 3) at the points of
+    load_tabulation(V), in the order assemble_load passes them."""
+    pts = asm.load_tabulation(V)[0].reshape(-1, 3)
+
+    def f(x):
+        assert np.array_equal(x, pts)
+        return values.reshape(-1, 3)
+
+    return f
+
+
 def test_load_zero_and_normal(corpus):
     mesh = corpus["icosphere"]
     V = build_space(mesh, "bdm", 1, "zero_normal_trace")
     b0 = asm.assemble_load(V, lambda x: np.zeros_like(x))
     assert np.abs(b0).max() == 0.0
-    # purely normal forcing: radial field on the icosphere is normal at
-    # each centroid but not exactly facet-normal; use the facet normals
-    normals = {tuple(np.round(c, 12)): n for c, n in zip(
-        mesh.vertices[mesh.triangles].mean(1), mesh.tri_normals)}
+    # the radial field is normal to the sphere but not to the facets: it
+    # loads exactly what its tangential part per triangle loads
+    pts = asm.load_tabulation(V)[0]
+    radial = 2.5 * pts / np.linalg.norm(pts, axis=-1)[..., None]
+    n = mesh.tri_normals[:, None, :]
+    tangential = radial - np.sum(radial * n, axis=-1)[..., None] * n
+    b1 = asm.assemble_load(V, _per_triangle_forcing(V, radial))
+    assert np.abs(b1).max() > 1e-3
+    assert np.allclose(b1, asm.assemble_load(V, _per_triangle_forcing(V, tangential)),
+                       rtol=0.0, atol=1e-14 * np.abs(b1).max())
 
-    def facet_normal_f(x):
-        # constant multiple of the true facet normal per triangle: requires
-        # mapping each quadrature point to its triangle; exploit that
-        # assemble_load projects out the normal component instead
-        return 2.5 * x / np.linalg.norm(x, axis=1)[:, None]
 
-    b1 = asm.assemble_load(V, facet_normal_f)
-    # radial forcing is not exactly facet-normal; compare against the
-    # explicitly projected tangential part (must agree exactly)
-    def tangential_f(x):
-        return facet_normal_f(x)
-
-    assert np.allclose(b1, asm.assemble_load(V, tangential_f))
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("mesh_name", ["trefoil", "sphere4"])
+def test_load_of_facet_normal_forcing_is_rounding(request, mesh_name, k):
+    """The Piola-mapped basis lies in each triangle's plane, so a forcing
+    along the facet normals loads at most rounding next to a tangential
+    forcing of the same size."""
+    mesh = (meshes.trefoil_tube(24, 8) if mesh_name == "trefoil"
+            else request.getfixturevalue(mesh_name))
+    V = build_space(mesh, "bdm", k, "zero_normal_trace")
+    pts = asm.load_tabulation(V)[0]
+    amp = (1.0 + pts[..., 0] ** 2)[..., None]
+    edge = mesh.F[:, :, 0] / np.linalg.norm(mesh.F[:, :, 0], axis=1)[:, None]
+    b_normal = asm.assemble_load(V, _per_triangle_forcing(V, amp * mesh.tri_normals[:, None]))
+    b_tangent = asm.assemble_load(V, _per_triangle_forcing(V, amp * edge[:, None]))
+    assert np.abs(b_normal).max() <= 1e-14 * np.abs(b_tangent).max()
 
 
 def test_load_exactly_normal_forcing_vanishes():
@@ -514,7 +598,7 @@ def test_sip_consistency_continuous_field_flat():
     A = asm.assemble_sip(V, mu=mu, dirichlet=False)
     got = u @ (A @ u)
     # independent oracle: eps(u) = [[2x, (y+1)/2], [(y+1)/2, x-6y]] analytic
-    from surfhodge.quadrature import triangle_rule
+    from surfhodge.quadrature import edge_rule, triangle_rule
 
     rule = triangle_rule(6)
     pts = asm.physical_points(mesh, rule)

@@ -222,9 +222,11 @@ def test_pressure_reconstruction_matches_saddle(torus_ops):
     p_rec = torus_ops.reconstruct_pressure(state)
     Mq = asm.assemble_mass(torus_ops.Q)
     mq = asm.assemble_moment(torus_ops.Q)
-    area = mq.sum()
-    pr = p_rec.coefficients - (mq @ p_rec.coefficients) / area
-    ps = p_s.coefficients - (mq @ p_s.coefficients) / area
+    # both are zero-mean and compare as they are; subtracting (m'p)/m'1 would
+    # remove a non-constant field, since the DG basis is orthonormal
+    pr, ps = p_rec.coefficients, p_s.coefficients
+    for p in (pr, ps):
+        assert abs(mq @ p) <= 1e-12 * np.abs(mq).sum() * np.abs(p).max()
     dp = pr - ps
     assert np.sqrt(dp @ (Mq @ dp)) <= 1e-8 * np.sqrt(ps @ (Mq @ ps))
 
@@ -383,6 +385,32 @@ def test_step_reuses_divergence_tabulation(torus3, basis_cache, monkeypatch):
     for _ in range(3):
         state = stepper.step(state)
     assert calls == []
+
+
+def test_step_reads_cfl_sup_norm_from_convection(torus3, basis_cache, monkeypatch):
+    """The CFL check reads max |u| from the values convection_action formed
+    during the step; it evaluates u itself only for coefficients no
+    convection_action call has seen.  Both agree with tabulate_field at the
+    convection rule."""
+    cfg = SimulationConfig(k=1, mu=0.1, dt=1e-2, t_end=1e-1, forcing=smooth_forcing(17))
+    stepper = NavierStokesStepper(FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1)))
+    state = stepper.initial_state()
+    rule = stepper._conv_cache["vol"][0]
+    tabulate = asm.tabulate_field
+
+    def sup(u):
+        return np.linalg.norm(tabulate(u, rule), axis=-1).max()
+
+    want = sup(state.u)
+    assert stepper._sup_norm(state.u) == pytest.approx(want, rel=1e-13, abs=0.0)
+    calls = []
+    monkeypatch.setattr(asm, "tabulate_field", lambda *a: calls.append(1) or tabulate(*a))
+    new = stepper.step(state)
+    assert calls == []
+    assert stepper._sup_norm(state.u) == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert calls == []
+    assert stepper._sup_norm(new.u) == pytest.approx(sup(new.u), rel=1e-13, abs=0.0)
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("mesh_name", ["torus3", "sphere4"])

@@ -1,0 +1,49 @@
+"""Peak memory of the whole flow pipeline on one mid-size mesh.
+
+The pipeline runs in its own process, so the peak resident size it
+reports belongs to this rung alone and not to whatever the test session
+allocated before.  The bound is generous: it guards against per-step or
+per-form tabulations that grow past the mesh (such as dense ambient
+gradient tables), not against small drifts, and it checks memory, not time.
+"""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+PIPELINE = """
+import resource, sys
+import numpy as np
+from surfhodge import meshes
+from surfhodge.flow import FlowOperators, NavierStokesStepper, SimulationConfig
+
+def forcing(x, t=0.0):
+    return 1e-3 * np.stack([np.sin(x[:, 1]), np.cos(x[:, 2]), np.sin(x[:, 0])], axis=1)
+
+mesh = meshes.torus_structured(48, 24)
+ops = FlowOperators(mesh, SimulationConfig(k=2, mu=0.1, dt=1e-3, t_end=0.0, forcing=forcing))
+state, _ = ops.stokes_reduced()
+stepper = NavierStokesStepper(ops)
+for _ in range(5):
+    state = stepper.step(state)
+assert np.isfinite(state.kinetic_energy)
+scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB elsewhere
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale / 2**20)
+"""
+
+PEAK_MB_BOUND = 700  # measured peak about 330 MB on x86_64 Linux
+
+
+def test_pipeline_peak_memory_48x24_k2():
+    """FlowOperators, the Stokes solve, the stepper set-up and 5 steps on
+    the 48x24 torus at k = 2 (17,280 H(div) dofs)."""
+    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p),
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", PIPELINE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = float(proc.stdout.split()[-1])
+    assert peak_mb <= PEAK_MB_BOUND, f"peak RSS {peak_mb:.0f} MB"
