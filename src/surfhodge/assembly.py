@@ -1,21 +1,20 @@
 """Assembly of global sparse operators on surface triangulations.
 
-All triangles are affine, so volume integrands reduce to reference
-tabulations combined with per-element geometry factors; those contractions
-are batched over the whole mesh with einsum.  Edge (DG) terms are batched
-over edges the same way, from element-side traces tabulated per (local
-edge, orientation) on the reference triangle.
+Every vector form is evaluated in the reference frame.  On an affine
+triangle the Piola map gives v = F vhat / J and grad v = F X G' / J with
+X = grad(vhat), g = F'F, G'G = g^-1 and G'F = I.  So each form reads the
+reference values and gradients, shared by all triangles, and a few numbers
+per triangle or edge side: (v . w) J = vhat' g what / J for the mass,
+(f . v) J = (F'f) . vhat for the load, eps(u):eps(v) J =
+(tr(X' g Y g^-1) + tr(X Y)) / 2J for the SIP volume term and g / J^2 for
+convection.  Edge terms read one side-trace tabulation (_side_traces),
+which one CSR builder (_side_trace_operator) turns into sparse operators:
+the SIP facet terms are products of a jump and a traction operator, and
+the convection form upwinds the traces of one operator Psi.
 
 The convection form exists both assembled (assemble_convection, for energy
 and operator tests) and matrix-free (convection_action, which applies
 C(w) u from the same tabulation without forming C; time stepping uses it).
-Its tabulation stays in the reference frame: the Piola map makes the
-ambient gradient of a basis function (F / J) grad(vhat) G' with G' F = I,
-so the volume term needs only the 2x2 reference gradients shared by all
-triangles and one 2x2 metric F'F / J^2 per triangle.  Its facet term reads
-the normal and tangential traces of both sides of every interior edge
-through one sparse side-trace operator, upwinds them elementwise and
-applies the transpose.
 
 Matrix convention: A[a, b] = form(trial phi_b, test phi_a), so A @ u gives
 the residual against the test basis.
@@ -31,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegreeMismatch, NonpositiveParameter, NotDivergenceFree
+from .errors import DegreeMismatch, NaNDetected, NonpositiveParameter, NotDivergenceFree
 from .fespace import FeField, FeSpace, edge_ref_points, scalar_monomials
 from .quadrature import edge_rule, triangle_rule
 
@@ -50,31 +49,17 @@ def tabulate_scalar(space: FeSpace, rule):
     return vals, grads
 
 
-def tabulate_vector(space: FeSpace, rule, grads: bool = False):
-    """Physical values (T, n_loc, n_q, 3), divergences (T, n_loc, n_q) and
-    optionally ambient gradients (T, n_loc, n_q, 3, 3)."""
-    mesh = space.mesh
-    xy = rule.xy
-    ref_vals = space.ref.eval(xy)
-    piola = mesh.F / mesh.Jdet[:, None, None]
-    vals = np.einsum("tic,lqc->tlqi", piola, ref_vals)
-    divs = space.ref.div(xy)[None, :, :] / mesh.Jdet[:, None, None]
-    if not grads:
-        return vals, divs, None
-    g = np.einsum("tia,lqab,tjb->tlqij", piola, space.ref.grad(xy), mesh.G, optimize=True)
-    return vals, divs, np.ascontiguousarray(g)  # C order: the SIP form's rounding depends on it
-
-
 def tabulate_field(field: FeField, rule) -> np.ndarray:
     """Field values at the rule's points on every triangle:
     (T, n_q, 3) for vector fields, (T, n_q) for scalar fields."""
-    space = field.space
-    loc = space.local_coefficients(field.coefficients)
-    if space.value_shape == "scalar":
-        vals = space.ref.eval(rule.xy)
-        return np.einsum("tl,lq->tq", loc, vals)
-    vals, _, _ = tabulate_vector(space, rule)
-    return np.einsum("tl,tlqi->tqi", loc, vals)
+    xy = rule.xy
+    return field.eval_cells(np.arange(field.space.mesh.n_triangles),
+                            np.column_stack([1.0 - xy.sum(axis=1), xy]))
+
+
+def _metric(mesh) -> np.ndarray:
+    """g = F'F of every triangle as (T, 2, 2), exactly symmetric."""
+    return np.einsum("tia,tib->tab", mesh.F, mesh.F)
 
 
 def physical_points(mesh, rule) -> np.ndarray:
@@ -106,17 +91,25 @@ def _scatter_vec(local: np.ndarray, dof_map, signs, n):
 
 
 # ------------------------------------------------------------------ volume
+def _local_mass(rows: FeSpace, cols: FeSpace, rule) -> np.ndarray:
+    """Per-triangle L2 pairings (T, n_r, n_c) of two spaces' local bases:
+    a reference Gram block times J for scalar spaces, and for Piola-mapped
+    vector spaces the reference block of vhat_a what_b contracted with
+    g / J."""
+    mesh = rows.mesh
+    rv, cv = rows.ref.eval(rule.xy), cols.ref.eval(rule.xy)
+    if rows.value_shape == "scalar":
+        block = np.einsum("lq,mq,q->lm", rv, cv, rule.weights)
+        return block[None, :, :] * mesh.Jdet[:, None, None]
+    block = np.einsum("lqa,mqb,q->ablm", rv, cv, rule.weights).reshape(4, -1)
+    g = (_metric(mesh) / mesh.Jdet[:, None, None]).reshape(-1, 4)
+    return (g @ block).reshape(-1, len(rv), len(cv))
+
+
 def assemble_mass(space: FeSpace) -> sp.csr_matrix:
-    """L2 Gram matrix of the space's global basis (SPD)."""
-    rule = volume_rule(space)
-    mesh = space.mesh
-    if space.value_shape == "scalar":
-        vals, _ = tabulate_scalar(space, rule)
-        block = np.einsum("lq,mq,q->lm", vals, vals, rule.weights)
-        local = block[None, :, :] * mesh.Jdet[:, None, None]
-    else:
-        vals, _, _ = tabulate_vector(space, rule)
-        local = np.einsum("tlqi,tmqi,q->tlm", vals, vals, rule.weights) * mesh.Jdet[:, None, None]
+    """L2 Gram matrix of the space's global basis (SPD), from the reference
+    blocks of _local_mass."""
+    local = _local_mass(space, space, volume_rule(space))
     A = _scatter(local, space.dof_map, space.dof_signs, space.dof_map, space.dof_signs,
                  (space.total_dofs, space.total_dofs))
     return (A + A.T) * 0.5
@@ -128,17 +121,7 @@ def assemble_cross_mass(rows: FeSpace, cols: FeSpace) -> sp.csr_matrix:
         raise DegreeMismatch("cross mass requires matching value shapes")
     if rows.mesh is not cols.mesh:
         raise DegreeMismatch("cross mass requires a common mesh")
-    rule = triangle_rule(rows.degree + cols.degree + 3)
-    mesh = rows.mesh
-    if rows.value_shape == "scalar":
-        rv, _ = tabulate_scalar(rows, rule)
-        cv, _ = tabulate_scalar(cols, rule)
-        block = np.einsum("lq,mq,q->lm", rv, cv, rule.weights)
-        local = block[None, :, :] * mesh.Jdet[:, None, None]
-    else:
-        rv, _, _ = tabulate_vector(rows, rule)
-        cv, _, _ = tabulate_vector(cols, rule)
-        local = np.einsum("tlqi,tmqi,q->tlm", rv, cv, rule.weights) * mesh.Jdet[:, None, None]
+    local = _local_mass(rows, cols, triangle_rule(rows.degree + cols.degree + 3))
     return _scatter(local, rows.dof_map, rows.dof_signs, cols.dof_map, cols.dof_signs,
                     (rows.total_dofs, cols.total_dofs))
 
@@ -187,13 +170,14 @@ def assemble_moment(space: FeSpace) -> np.ndarray:
 
 
 def load_tabulation(V: FeSpace):
-    """Time-independent data of the load vector: quadrature points
-    (T, n_q, 3) and basis values pre-multiplied by weights * Jdet
-    (T, n_loc, n_q, 3)."""
+    """Time-independent data of the load vector: the quadrature points
+    (T, n_q, 3) and the reference basis values times the weights as
+    (n_loc, 2 n_q), shared by all triangles.  Since (f . v) J = (F'f) . vhat
+    on an affine triangle, each load maps f to F'f at the points and
+    contracts with this table."""
     rule = volume_rule(V, extra=2)
-    vals, _, _ = tabulate_vector(V, rule)
-    weighted = vals * (rule.weights[None, :, None] * V.mesh.Jdet[:, None, None])[:, None]
-    return physical_points(V.mesh, rule), weighted
+    weighted = V.ref.eval(rule.xy) * rule.weights[:, None]
+    return physical_points(V.mesh, rule), weighted.reshape(V.ref.n_local, -1)
 
 
 def assemble_load(V: FeSpace, f, time: float | None = None, tab=None) -> np.ndarray:
@@ -202,16 +186,20 @@ def assemble_load(V: FeSpace, f, time: float | None = None, tab=None) -> np.ndar
     f is a vectorized callable mapping positions (n, 3) -> (n, 3) (an
     optional time argument is passed through when given).  The
     Piola-mapped basis values F vhat / J lie in each triangle's plane, so
-    a normal component of f pairs to zero with them and needs no
+    a normal component of f pairs to zero with them (F'n = 0) and needs no
     projection.  tab, from load_tabulation(V), saves re-tabulating the
-    basis on repeated calls.
+    basis on repeated calls.  A load that is not finite (f evaluated
+    outside its domain) raises NaNDetected.
     """
     pts, weighted = load_tabulation(V) if tab is None else tab
     flat = pts.reshape(-1, 3)
     fv = f(flat, time) if time is not None else f(flat)
     fv = np.asarray(fv, dtype=float).reshape(pts.shape)
-    local = np.einsum("tlqi,tqi->tl", weighted, fv)
-    return _scatter_vec(local, V.dof_map, V.dof_signs, V.total_dofs)
+    local = np.matmul(fv, V.mesh.F).reshape(len(fv), -1) @ weighted.T
+    b = _scatter_vec(local, V.dof_map, V.dof_signs, V.total_dofs)
+    if not np.isfinite(b).all():
+        raise NaNDetected("non-finite load" if time is None else f"non-finite load at t = {time:g}")
+    return b
 
 
 def assemble_gradient_load(scalar_space: FeSpace, field: FeField) -> np.ndarray:
@@ -273,28 +261,64 @@ def assemble_rot_embedding(S: FeSpace, V: FeSpace) -> sp.csr_matrix:
                          shape=(V.total_dofs, S.total_dofs))
 
 
-# ---------------------------------------------------------------- SIP form
-def _edge_sides(V: FeSpace, edges: np.ndarray, tris: np.ndarray, tq, need_grads: bool):
-    """Physical tabulation of element sides of edges, ordered along each
-    global edge tangent.
+# ------------------------------------------------------------- edge traces
+def _side_traces(V: FeSpace, edges: np.ndarray, tris: np.ndarray, tq):
+    """Traces of V's local basis on the element sides tris (E, S) of
+    edges (E,), at the points tq ordered along each global edge tangent.
 
-    tris (E, S) holds the triangles on the sides of edges (E,).  Returns
-    their local edge indices (E, S), values (E, S, n_loc, n_q, 3) and
-    optionally ambient gradients (E, S, n_loc, n_q, 3, 3).
+    With the side's outward conormal nu, the edge tangent tau and X =
+    grad(vhat), each trace contracts the reference value and gradient with
+    per-side 2-vectors: the normal value vhat . F'nu / J, the tangential
+    value vhat . F'tau / J and the co-normal traction tau . eps(v) nu =
+    X : (F'tau (x) G'nu + F'nu (x) G'tau) / 2J.  The reference data are
+    tabulated once per local edge and orientation.  Returns the local edge
+    indices (E, S) and the traces (3, S, n_q, E, n_loc): normal,
+    tangential, traction.
     """
     mesh = V.mesh
     le = np.argmax(mesh.tri_edges[tris] == edges[:, None, None], axis=2)
-    flip = (~mesh.tri_edge_along[tris, le]).astype(int)
-    xy = [[edge_ref_points(i, tq, f) for f in (False, True)] for i in range(3)]
-    piola = mesh.F[tris] / mesh.Jdet[tris][:, :, None, None]
-    ref_vals = np.array([[V.ref.eval(p) for p in row] for row in xy])[le, flip]
-    vals = np.einsum("esic,eslqc->eslqi", piola, ref_vals)
-    if not need_grads:
-        return le, vals, None
-    ref_grads = np.array([[V.ref.grad(p) for p in row] for row in xy])[le, flip]
-    grads = np.einsum("esia,eslqab,esjb->eslqij", piola, ref_grads, mesh.G[tris],
-                      optimize=True)
-    return le, vals, grads
+    flip = ~mesh.tri_edge_along[tris, le]
+    tau = np.broadcast_to(mesh.edge_tangents[edges][:, None], tris.shape + (3,))
+    dirs = np.stack([mesh.conormals[tris, le], tau], axis=2)  # (E, S, nu/tau, 3)
+    Fd = np.einsum("esia,esdi->esda", mesh.F[tris], dirs) / mesh.Jdet[tris][..., None, None]
+    Gd = np.einsum("esia,esdi->esda", mesh.G[tris], dirs)
+    # per-side functionals on (vhat_0, vhat_1, X_00, X_01, X_10, X_11)
+    coef = np.zeros(tris.shape + (3, 6))
+    coef[:, :, :2, :2] = Fd
+    (Fn, Ft), (Gn, Gt) = Fd.transpose(2, 0, 1, 3), Gd.transpose(2, 0, 1, 3)
+    traction = Ft[..., :, None] * Gn[..., None, :] + Fn[..., :, None] * Gt[..., None, :]
+    coef[:, :, 2, 2:] = 0.5 * traction.reshape(tris.shape + (4,))
+    n_loc, n_q = V.ref.n_local, len(tq)
+    out = np.empty(tris.shape + (3, n_q * n_loc))
+    for i in range(3):
+        for f in (False, True):
+            xy = edge_ref_points(i, tq, f)
+            ref = np.concatenate([V.ref.eval(xy), V.ref.grad(xy).reshape(n_loc, n_q, 4)], axis=2)
+            sel = (le == i) & (flip == f)
+            out[sel] = coef[sel] @ ref.transpose(2, 1, 0).reshape(6, -1)
+    return le, out.reshape(tris.shape + (3, n_q, n_loc)).transpose(2, 1, 3, 0, 4)
+
+
+def _side_trace_operator(n_cols: int, cols: np.ndarray, signs: np.ndarray,
+                         traces: np.ndarray) -> sp.csr_matrix:
+    """Sparse map from global coefficients to traces on edge sides.
+
+    traces (..., n) holds, for each row (the leading axes, flattened in C
+    order), the traces of n local basis functions; cols and signs, which
+    broadcast against traces, hold their global dofs and orientation
+    factors.  Entries whose dof is negative (removed by a trace constraint
+    or structurally zero) are dropped.  Each row's entries are written in
+    row order, so indptr and indices need no sorting.
+    """
+    data = traces * signs
+    cols = np.broadcast_to(cols, data.shape)
+    keep = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=-1).ravel())])
+    return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(len(indptr) - 1, n_cols))
+
+
+# ---------------------------------------------------------------- SIP form
+_SIDES = np.array([[1.0], [-1.0]])  # side 0 counts +, side 1 - (jumps, fluxes w . nu_0)
 
 
 def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
@@ -308,6 +332,14 @@ def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
     tangential Dirichlet data); dirichlet=False leaves boundary edges
     untouched (free slip).
 
+    The element term is the per-triangle row g (x) g^-1 times a reference
+    block of gradient pairs, plus a constant block, over 2J.  The facet
+    terms read side-trace operators with rows (point, edge) over both
+    sides' dofs, the tangential jump P_j and the average co-normal traction
+    P_g (the single traction on a boundary edge): with W the edge weights
+    times lengths, -P_g' W P_j - (P_g' W P_j)' + (alpha mu / h) P_j' W P_j,
+    added as P_j' W ((alpha mu / h) P_j - 2 P_g) since A is symmetrized.
+
     alpha defaults to 4 (k+1)^2.
     """
     if mu <= 0:
@@ -318,43 +350,40 @@ def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
         raise NonpositiveParameter("penalty alpha must be positive")
     mesh = V.mesh
     k = V.degree
+    n_loc = V.ref.n_local
 
     rule = volume_rule(V)
-    _, _, grads = tabulate_vector(V, rule, grads=True)
-    eps = 0.5 * (grads + np.swapaxes(grads, 3, 4))
-    local = mu * np.einsum("tlqij,tmqij,q->tlm", eps, eps, rule.weights) * mesh.Jdet[:, None, None]
-    A = _scatter(local, V.dof_map, V.dof_signs, V.dof_map, V.dof_signs,
-                 (V.total_dofs, V.total_dofs))
+    X = V.ref.grad(rule.xy)  # (n_loc, n_q, 2, 2)
+    pairs = np.einsum("lqab,mqcd,q->abcdlm", X, X, rule.weights).reshape(16, -1)
+    trace = np.einsum("lqab,mqba,q->lm", X, X, rule.weights).ravel()
+    h = np.einsum("tia,tib->tab", mesh.G, mesh.G)  # g^-1
+    ggi = np.einsum("tac,tdb->tabcd", _metric(mesh), h).reshape(-1, 16)
+    local = (mu * 0.5 / mesh.Jdet)[:, None] * (ggi @ pairs + trace)
+    A = _scatter(local.reshape(-1, n_loc, n_loc), V.dof_map, V.dof_signs, V.dof_map,
+                 V.dof_signs, (V.total_dofs, V.total_dofs))
 
-    tq, tw = edge_rule(2 * k + 2)
-    n_loc = V.ref.n_local
     edges = np.flatnonzero(~mesh.boundary_edge_mask | dirichlet)
     if len(edges) == 0:
         return (A + A.T) * 0.5
+    tq, tw = edge_rule(2 * k + 2)
     n_e = len(edges)
     bnd = mesh.boundary_edge_mask[edges]
     tris = mesh.edge_tris[edges]
     # a boundary edge's second side repeats the first; its dofs are dropped below
     tris[bnd, 1] = tris[bnd, 0]
-    le, vals, grads = _edge_sides(V, edges, tris, tq, need_grads=True)
-    tau = mesh.edge_tangents[edges]
+    _, tr = _side_traces(V, edges, tris, tq)
+    cols = V.dof_map[tris].reshape(n_e, -1)
+    cols[bnd, n_loc:] = -1
+    signs = V.dof_signs[tris].reshape(n_e, -1)
+    # jump v0 - v1; average traction (t0 - t1) / 2, or t0 on a boundary edge
+    jump = _SIDES[..., None, None] * tr[1]
+    trac = (mu * np.where(bnd, 1.0, 0.5)[:, None]) * _SIDES[..., None, None] * tr[2]
     h_e = mesh.edge_lengths[edges]
-    eps = 0.5 * (grads + np.swapaxes(grads, 4, 5))
-    trac = mu * np.einsum("eslqij,esj,ei->eslq", eps, mesh.conormals[tris, le], tau)
-    vt = np.einsum("eslqi,ei->eslq", vals, tau)
-    # jump v1 - v2; average of co-normal tractions (sig1 nu1 - sig2 nu2)/2,
-    # or the single traction on a boundary edge
-    sides = np.array([1.0, -1.0])[None, :, None, None]
-    J = (sides * vt).reshape(n_e, 2 * n_loc, -1)
-    G = (sides * np.where(bnd, 1.0, 0.5)[:, None, None, None] * trac).reshape(n_e, 2 * n_loc, -1)
-    Jw = J * (tw[None, :] * h_e[:, None])[:, None, :]
-    GJ = G @ Jw.transpose(0, 2, 1)
-    block = -GJ - GJ.transpose(0, 2, 1) \
-        + (alpha * mu / h_e)[:, None, None] * (J @ Jw.transpose(0, 2, 1))
-    gd = V.dof_map[tris].reshape(n_e, -1)
-    gd[bnd, n_loc:] = -1
-    gs = V.dof_signs[tris].reshape(n_e, -1)
-    A = A + _scatter(block, gd, gs, gd, gs, (V.total_dofs, V.total_dofs))
+    w = (tw[:, None] * h_e)[None, :, :, None]
+    P_j, WQ = (_side_trace_operator(V.total_dofs, cols, signs,
+                                    t.transpose(1, 2, 0, 3).reshape(len(tq), n_e, -1))
+               for t in (jump, w * ((alpha * mu / h_e)[:, None] * jump - 2.0 * trac)))
+    A = A + P_j.T @ WQ
     return (A + A.T) * 0.5
 
 
@@ -396,9 +425,12 @@ def convection_tabulation(V: FeSpace) -> dict:
     (2 * n_q, n_loc) and the reference gradients of the test functions
     times -weights (n_loc, 4 * n_q), both shared by all triangles, and the
     metric g = F'F / J^2 of each triangle as (2, 2, 1, T).  "edge" holds
-    the side-trace operator Psi of the interior edges (see
-    _side_trace_operator), its transpose and the edge quadrature weights
-    times edge lengths (n_q_e * E,).  "div" holds the reference
+    the side-trace operator Psi of the interior edges, its transpose and the edge quadrature weights
+    times edge lengths (n_q_e * E,).  Row (c, s, q, e) of Psi is the
+    normal (c = 0, on the side's outward conormal) or tangential (c = 1,
+    on the edge tangent) trace of side s of edge e at point q, from
+    _side_traces; the edges vary fastest, so the upwind arithmetic runs
+    over long contiguous rows.  "div" holds the reference
     divergences of the divergence-free check.
 
     convection_action also records under "sup" the largest |w| it saw at
@@ -419,35 +451,16 @@ def convection_tabulation(V: FeSpace) -> dict:
     tq, tw = edge_rule(max(2 * k + 2, 3 * k))
     interior = np.flatnonzero(~mesh.boundary_edge_mask)
     t_sides = mesh.edge_tris[interior]  # (E, 2)
-    le, svals, _ = _edge_sides(V, interior, t_sides, tq, need_grads=False)
-    traces = np.stack([np.einsum("eslqi,esi->sqel", svals, mesh.conormals[t_sides, le]),
-                       np.einsum("eslqi,ei->sqel", svals, mesh.edge_tangents[interior])])
-    psi = _side_trace_operator(V, t_sides, traces)
+    le, tr = _side_traces(V, interior, t_sides, tq)
+    # A normal trace on an edge is fixed by that edge's k + 1 moments, so a
+    # normal row keeps only the side's own edge dofs, at local indices
+    # le (k + 1) .. le (k + 1) + k; the other dofs' traces vanish exactly.
+    dofs = V.dof_map[t_sides].transpose(1, 0, 2)[:, None]
+    own = np.arange(n_loc) // (k + 1) == le.T[:, None, :, None]
+    psi = _side_trace_operator(V.total_dofs, np.stack([np.where(own, dofs, -1), dofs]),
+                               V.dof_signs[t_sides].transpose(1, 0, 2)[:, None], tr[:2])
     cache["edge"] = (psi, psi.T, (tw[:, None] * mesh.edge_lengths[interior]).ravel())
     return cache
-
-
-def _side_trace_operator(V: FeSpace, t_sides: np.ndarray, traces: np.ndarray) -> sp.csr_matrix:
-    """Sparse map from global coefficients to the traces on edge sides.
-
-    traces (2, 2, n_q, E, n_loc) holds the normal (on the side's outward
-    conormal) and tangential (on the edge tangent) components of the local
-    basis of the triangles t_sides (E, 2).  Row (c, s, q, e) of the result
-    is component c of the trace of side s of edge e at point q; the edges
-    vary fastest, so the upwind arithmetic runs over long contiguous rows.
-    Each row holds the side triangle's dofs that no trace constraint
-    removed, so indptr and indices are written in row order and nothing is
-    sorted.
-    """
-    data = traces * V.dof_signs[t_sides].transpose(1, 0, 2)[:, None]
-    cols = np.broadcast_to(V.dof_map[t_sides].transpose(1, 0, 2)[:, None], data.shape)
-    keep = cols >= 0
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=-1).ravel())])
-    return sp.csr_matrix((data[keep], cols[keep], indptr),
-                         shape=(len(indptr) - 1, V.total_dofs))
-
-
-_SIDES = np.array([[1.0], [-1.0]])  # side 0 sees the flux w . nu_0, side 1 its negative
 
 
 def _upwind(x: np.ndarray, wn: np.ndarray):

@@ -58,13 +58,13 @@ def compile_expression(source: str):
             return ev(node.body, env)
         if isinstance(node, ast.Constant):
             if isinstance(node.value, (int, float)):
-                return float(node.value)
+                return np.float64(node.value)
             raise ParseError(f"non-numeric constant in {source!r}")
         if isinstance(node, ast.Name):
             if node.id in env:
                 return env[node.id]
             if node.id in _CONSTANTS:
-                return _CONSTANTS[node.id]
+                return np.float64(_CONSTANTS[node.id])
             raise ParseError(f"unknown name {node.id!r} in {source!r}")
         if isinstance(node, ast.BinOp) and type(node.op) in _BIN_OPS:
             return _BIN_OPS[type(node.op)](ev(node.left, env), ev(node.right, env))
@@ -74,11 +74,16 @@ def compile_expression(source: str):
             fn = _FUNCTIONS.get(node.func.id)
             if fn is None or node.keywords:
                 raise ParseError(f"unknown function {node.func.id!r} in {source!r}")
-            return fn(*(ev(a, env) for a in node.args))
+            if len(node.args) != 1:
+                raise ParseError(f"{node.func.id} takes one argument in {source!r}")
+            return fn(ev(node.args[0], env))
         raise ParseError(f"unsupported syntax in expression {source!r}")
 
-    # validate eagerly against a dummy environment
-    ev(tree, {v: 0.0 for v in _VARIABLES})
+    # Validate syntax and arity eagerly at the origin in float64, where a
+    # value outside a function's domain yields inf or nan instead of
+    # raising; non-finite forcing values are caught where the load is used.
+    with np.errstate(all="ignore"):
+        ev(tree, {v: np.float64(0.0) for v in _VARIABLES})
     return lambda env: ev(tree, env)
 
 
@@ -88,9 +93,10 @@ def expression_forcing(fx: str, fy: str, fz: str):
 
     def f(points, t=0.0):
         points = np.atleast_2d(points)
-        env = {"x": points[:, 0], "y": points[:, 1], "z": points[:, 2], "t": t}
-        cols = [np.broadcast_to(np.asarray(c(env), dtype=float), (len(points),))
-                for c in comps]
+        env = {"x": points[:, 0], "y": points[:, 1], "z": points[:, 2], "t": np.float64(t)}
+        with np.errstate(all="ignore"):  # non-finite values are reported by the caller
+            cols = [np.broadcast_to(np.asarray(c(env), dtype=float), (len(points),))
+                    for c in comps]
         return np.stack(cols, axis=1)
 
     return f

@@ -433,18 +433,12 @@ class FeField:
         Returns (n_tris, n_pts, 3) for vector spaces, (n_tris, n_pts) for
         scalar spaces; vector values are physical tangential vectors.
         """
-        xy = bary_to_ref(points_bary)
         tri_ids = np.asarray(tri_ids, dtype=int)
         loc = self.space.local_coefficients(self.coefficients)[tri_ids]
-        mesh = self.space.mesh
+        vals = self.space.ref.eval(bary_to_ref(points_bary))
         if self.space.value_shape == "scalar":
-            vals = self.space.ref.eval(xy)  # (n_loc, n_q)
             return np.einsum("tl,lq->tq", loc, vals)
-        vals = self.space.ref.eval(xy)  # (n_loc, n_q, 2)
-        phys = np.einsum(
-            "tic,lqc->tlqi", mesh.F[tri_ids] / mesh.Jdet[tri_ids, None, None], vals
-        )
-        return np.einsum("tl,tlqi->tqi", loc, phys)
+        return _piola(self.space.mesh, np.einsum("tl,lqc->tqc", loc, vals), tri_ids)
 
 
 def build_space(mesh: SurfaceMesh, kind: str, degree: int, constraint: str = "none") -> FeSpace:
@@ -629,18 +623,11 @@ def count_dofs(topology: TopologySummary, kind: str, degree: int, constraint: st
 
 
 # ----------------------------------------------------------- physical eval
-def piola_map(mesh: SurfaceMesh, tri: int, ref_values: np.ndarray) -> np.ndarray:
-    """Map reference vector values (n, 2) to tangential vectors (n, 3)."""
-    if not 0 <= tri < mesh.n_triangles:
-        raise IndexOutOfRange(f"triangle {tri} out of range")
-    return np.einsum("ic,qc->qi", mesh.F[tri] / mesh.Jdet[tri], np.atleast_2d(ref_values))
-
-
-def piola_div(mesh: SurfaceMesh, tri: int, ref_divs: np.ndarray) -> np.ndarray:
-    """Map reference divergences to physical: div v = J^-1 divhat vhat."""
-    if not 0 <= tri < mesh.n_triangles:
-        raise IndexOutOfRange(f"triangle {tri} out of range")
-    return np.asarray(ref_divs) / mesh.Jdet[tri]
+def _piola(mesh: SurfaceMesh, uhat: np.ndarray, tris=slice(None)) -> np.ndarray:
+    """Tangential vectors F uhat / J of reference vectors uhat (..., 2):
+    uhat (T', n, 2) on the triangles tris (T',), or any (..., 2) on one
+    triangle tris."""
+    return uhat @ (mesh.F[tris] / mesh.Jdet[tris, None, None]).swapaxes(-1, -2)
 
 
 class BasisValues:
@@ -655,11 +642,12 @@ class BasisValues:
 def eval_basis(space: FeSpace, triangle: int, points_bary) -> BasisValues:
     """Evaluate the local (reference-dual, Piola/composition mapped) basis.
 
-    Vector spaces return tangential values (n_loc, n_q, 3), ambient
-    gradients (n_loc, n_q, 3, 3) and divergences (n_loc, n_q); scalar
-    spaces return values (n_loc, n_q) and tangential gradients
-    (n_loc, n_q, 3).  Global basis functions are these local functions
-    multiplied by the dof_signs of the triangle.
+    Vector spaces return tangential values F vhat / J (n_loc, n_q, 3),
+    ambient gradients F grad(vhat) G' / J (n_loc, n_q, 3, 3) and
+    divergences divhat(vhat) / J (n_loc, n_q); scalar spaces return values
+    (n_loc, n_q) and tangential gradients (n_loc, n_q, 3).  Global basis
+    functions are these local functions multiplied by the dof_signs of the
+    triangle.
     """
     mesh = space.mesh
     if not 0 <= triangle < mesh.n_triangles:
@@ -668,18 +656,10 @@ def eval_basis(space: FeSpace, triangle: int, points_bary) -> BasisValues:
         raise UnsupportedCombination("facet_tangential has no volumetric basis")
     xy = bary_to_ref(points_bary)
     if space.value_shape == "scalar":
-        vals = space.ref.eval(xy)
-        g_ref = space.ref.grad(xy)
-        grads = np.einsum("id,lqd->lqi", mesh.G[triangle], g_ref)
-        return BasisValues(values=vals, gradients=grads)
-    vals_ref = space.ref.eval(xy)
-    vals = np.einsum("ic,lqc->lqi", mesh.F[triangle] / mesh.Jdet[triangle], vals_ref)
-    divs = space.ref.div(xy) / mesh.Jdet[triangle]
-    g_ref = space.ref.grad(xy)
-    grads = np.einsum(
-        "ia,lqab,jb->lqij",
-        mesh.F[triangle] / mesh.Jdet[triangle],
-        g_ref,
-        mesh.G[triangle],
-    )
-    return BasisValues(values=vals, gradients=grads, divergences=divs)
+        grads = space.ref.grad(xy) @ mesh.G[triangle].T
+        return BasisValues(values=space.ref.eval(xy), gradients=grads)
+    # rows of the mapped gradient: (F X / J) G' with X = grad(vhat)
+    mapped = _piola(mesh, space.ref.grad(xy).swapaxes(-1, -2), triangle)
+    return BasisValues(values=_piola(mesh, space.ref.eval(xy), triangle),
+                       gradients=mapped.swapaxes(-1, -2) @ mesh.G[triangle].T,
+                       divergences=space.ref.div(xy) / mesh.Jdet[triangle])

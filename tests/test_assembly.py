@@ -8,7 +8,7 @@ from surfhodge.errors import (
     NonpositiveParameter,
     NotDivergenceFree,
 )
-from surfhodge.fespace import FeField, build_space
+from surfhodge.fespace import FeField, build_space, edge_ref_points
 from surfhodge.mesh import SurfaceMesh
 from surfhodge.quadrature import edge_rule, triangle_rule
 
@@ -373,15 +373,151 @@ def test_convection_action_matches_assembled(request, rng, mesh_name, k):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+# ------------------------------------------------ ambient oracles (test-local)
+def _ambient_tabulation(V, rule):
+    """Physical values (T, n_loc, n_q, 3) and ambient gradients
+    (T, n_loc, n_q, 3, 3) of the Piola-mapped local basis, formed on every
+    triangle as (F / J) vhat and (F / J) grad(vhat) G'."""
+    mesh = V.mesh
+    piola = mesh.F / mesh.Jdet[:, None, None]
+    vals = np.einsum("tic,lqc->tlqi", piola, V.ref.eval(rule.xy))
+    grads = np.einsum("tia,lqab,tjb->tlqij", piola, V.ref.grad(rule.xy), mesh.G,
+                      optimize=True)
+    return vals, grads
+
+
+def _ambient_sides(V, edges, tris, tq):
+    """Local edge indices (E, S), physical values (E, S, n_loc, n_q, 3) and
+    ambient gradients (E, S, n_loc, n_q, 3, 3) of the element sides tris
+    (E, S) of edges, at the points tq ordered along each global tangent."""
+    mesh = V.mesh
+    le = np.argmax(mesh.tri_edges[tris] == edges[:, None, None], axis=2)
+    flip = (~mesh.tri_edge_along[tris, le]).astype(int)
+    xy = [[edge_ref_points(i, tq, f) for f in (False, True)] for i in range(3)]
+    piola = mesh.F[tris] / mesh.Jdet[tris][:, :, None, None]
+    ref_vals = np.array([[V.ref.eval(p) for p in row] for row in xy])[le, flip]
+    ref_grads = np.array([[V.ref.grad(p) for p in row] for row in xy])[le, flip]
+    vals = np.einsum("esic,eslqc->eslqi", piola, ref_vals)
+    grads = np.einsum("esia,eslqab,esjb->eslqij", piola, ref_grads, mesh.G[tris],
+                      optimize=True)
+    return le, vals, grads
+
+
+def _ambient_sip(V, mu, dirichlet):
+    """The SIP form with dense ambient element blocks and dense
+    (2 n_loc, 2 n_loc) facet blocks per edge."""
+    mesh, k, n_loc = V.mesh, V.degree, V.ref.n_local
+    alpha = 4.0 * (k + 1) ** 2
+    shape = (V.total_dofs, V.total_dofs)
+    rule = asm.volume_rule(V)
+    _, grads = _ambient_tabulation(V, rule)
+    eps = 0.5 * (grads + np.swapaxes(grads, 3, 4))
+    local = mu * np.einsum("tlqij,tmqij,q->tlm", eps, eps, rule.weights) * mesh.Jdet[:, None, None]
+    A = asm._scatter(local, V.dof_map, V.dof_signs, V.dof_map, V.dof_signs, shape)
+
+    tq, tw = edge_rule(2 * k + 2)
+    edges = np.flatnonzero(~mesh.boundary_edge_mask | dirichlet)
+    n_e = len(edges)
+    bnd = mesh.boundary_edge_mask[edges]
+    tris = mesh.edge_tris[edges]
+    tris[bnd, 1] = tris[bnd, 0]
+    le, vals, grads = _ambient_sides(V, edges, tris, tq)
+    tau = mesh.edge_tangents[edges]
+    h_e = mesh.edge_lengths[edges]
+    eps = 0.5 * (grads + np.swapaxes(grads, 4, 5))
+    trac = mu * np.einsum("eslqij,esj,ei->eslq", eps, mesh.conormals[tris, le], tau)
+    vt = np.einsum("eslqi,ei->eslq", vals, tau)
+    sides = np.array([1.0, -1.0])[None, :, None, None]
+    J = (sides * vt).reshape(n_e, 2 * n_loc, -1)
+    G = (sides * np.where(bnd, 1.0, 0.5)[:, None, None, None] * trac).reshape(n_e, 2 * n_loc, -1)
+    Jw = J * (tw[None, :] * h_e[:, None])[:, None, :]
+    GJ = G @ Jw.transpose(0, 2, 1)
+    block = -GJ - GJ.transpose(0, 2, 1) \
+        + (alpha * mu / h_e)[:, None, None] * (J @ Jw.transpose(0, 2, 1))
+    gd = V.dof_map[tris].reshape(n_e, -1)
+    gd[bnd, n_loc:] = -1
+    gs = V.dof_signs[tris].reshape(n_e, -1)
+    A = A + asm._scatter(block, gd, gs, gd, gs, shape)
+    return (A + A.T) * 0.5
+
+
+def _ambient_cross_mass(rows, cols, rule):
+    rv, _ = _ambient_tabulation(rows, rule)
+    cv, _ = _ambient_tabulation(cols, rule)
+    local = np.einsum("tlqi,tmqi,q->tlm", rv, cv, rule.weights) * rows.mesh.Jdet[:, None, None]
+    return asm._scatter(local, rows.dof_map, rows.dof_signs, cols.dof_map, cols.dof_signs,
+                        (rows.total_dofs, cols.total_dofs))
+
+
+def _ambient_load(V, f):
+    rule = asm.volume_rule(V, extra=2)
+    vals, _ = _ambient_tabulation(V, rule)
+    pts = asm.physical_points(V.mesh, rule)
+    fv = f(pts.reshape(-1, 3)).reshape(pts.shape)
+    local = np.einsum("tlqi,tqi,q,t->tl", vals, fv, rule.weights, V.mesh.Jdet)
+    return asm._scatter_vec(local, V.dof_map, V.dof_signs, V.total_dofs)
+
+
+def _smooth_forcing(x):
+    return np.stack([np.sin(x[:, 1]) + x[:, 2], np.cos(x[:, 2]) * x[:, 0],
+                     np.exp(0.3 * x[:, 0])], axis=1)
+
+
+def _assert_matches(got, want):
+    """Equal to the oracle within 1e-13 of its largest entry."""
+    assert got.shape == want.shape
+    diff = abs(got - want).max() if sp.issparse(got) else np.abs(got - want).max()
+    assert diff <= 1e-13 * abs(want).max()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("mesh_name", ["torus", "sphere4"])
+def test_sip_matches_ambient_oracle(request, mesh_name, k):
+    """Dirichlet (Nitsche) and free-slip SIP forms, with the boundary dofs
+    kept and removed."""
+    mesh = request.getfixturevalue(mesh_name)
+    for constraint in ("none", "zero_normal_trace"):
+        V = build_space(mesh, "bdm", k, constraint)
+        for dirichlet in (True, False):
+            _assert_matches(asm.assemble_sip(V, mu=0.7, dirichlet=dirichlet),
+                            _ambient_sip(V, 0.7, dirichlet))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("mesh_name", ["torus", "sphere4"])
+def test_vector_mass_and_load_match_ambient_oracle(request, mesh_name, k):
+    """Vector mass, cross mass of BDM against piecewise-constant vectors,
+    and the load of a smooth forcing with a normal component."""
+    mesh = request.getfixturevalue(mesh_name)
+    V = build_space(mesh, "bdm", k, "zero_normal_trace")
+    P0 = build_space(mesh, "dg_vector", 0)
+    M = _ambient_cross_mass(V, V, asm.volume_rule(V))
+    _assert_matches(asm.assemble_mass(V), (M + M.T) * 0.5)
+    _assert_matches(asm.assemble_cross_mass(V, P0),
+                    _ambient_cross_mass(V, P0, triangle_rule(k + 3)))
+    _assert_matches(asm.assemble_load(V, _smooth_forcing), _ambient_load(V, _smooth_forcing))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_side_trace_normal_rows_store_own_edge_dofs(sphere4, k):
+    """A normal trace on an edge is fixed by that edge's k + 1 moments, so
+    each normal row of Psi stores at most k + 1 entries."""
+    V = build_space(sphere4, "bdm", k, "zero_normal_trace")
+    psi = asm.convection_tabulation(V)["edge"][0]
+    row_nnz = np.diff(psi.indptr).reshape(2, -1)  # normal rows, then tangential
+    assert row_nnz[0].max() <= k + 1
+    assert row_nnz[1].max() == V.ref.n_local
+
+
 def _ambient_convection(V, w, u):
     """C(w) u from ambient tabulations, independent of the reference-frame
     tabulation: the volume term -(u, grad(v) w) from the physical values and
-    3x3 gradients of tabulate_vector, and the upwind facet term from the
+    3x3 gradients of _ambient_tabulation, and the upwind facet term from the
     physical side traces of the interior edges."""
     mesh, k = V.mesh, V.degree
     w_loc, u_loc = V.local_coefficients(w), V.local_coefficients(u)
     rule = triangle_rule(max(2 * k + 3, 3 * k))
-    vals, _, grads = asm.tabulate_vector(V, rule, grads=True)
+    vals, grads = _ambient_tabulation(V, rule)
     wv = np.einsum("tl,tlqi->tqi", w_loc, vals)
     uv = np.einsum("tl,tlqi->tqi", u_loc, vals)
     local = -np.einsum("taqij,tqi,tqj,q,t->ta", grads, uv, wv, rule.weights, mesh.Jdet)
@@ -389,7 +525,7 @@ def _ambient_convection(V, w, u):
     tq, tw = edge_rule(max(2 * k + 2, 3 * k))
     interior = np.flatnonzero(~mesh.boundary_edge_mask)
     sides = mesh.edge_tris[interior]
-    le, svals, _ = asm._edge_sides(V, interior, sides, tq, need_grads=False)
+    le, svals, _ = _ambient_sides(V, interior, sides, tq)
     nu = mesh.conormals[sides, le]  # (E, 2, 3)
     tau = mesh.edge_tangents[interior]
     bn = np.einsum("eslqi,esi->eslq", svals, nu)

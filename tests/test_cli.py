@@ -326,6 +326,33 @@ def test_config_bad_forcing_amplitude_exit_2(tmp_path, capsys):
     assert_input_error(capsys, ["stokes", "--config", cfg])
 
 
+def _expression_cfg(tmp_path, fx):
+    return write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\nforcing = expression\n"
+                               f"fx = {fx}\nfy = 0\nfz = 0\n")
+
+
+def test_forcing_singular_at_origin_runs(tmp_path, capsys):
+    """The eager check probes syntax and arity at the origin, not the
+    domain: 1/x is finite at every quadrature point of the torus."""
+    code, payload, _ = run_cli(capsys, "stokes", "--config", _expression_cfg(tmp_path, "1/x"))
+    assert code == 0 and np.isfinite(payload["kinetic_energy"])
+
+
+def test_forcing_wrong_arity_exit_2(tmp_path, capsys):
+    assert_input_error(capsys, ["stokes", "--config", _expression_cfg(tmp_path, "sin(1,2)")])
+
+
+@pytest.mark.parametrize("command", ["stokes", "decompose"])
+def test_forcing_non_finite_load_exit_3(tmp_path, capsys, command):
+    fx = "sqrt(-1-x*x)"
+    argv = (["stokes", "--config", _expression_cfg(tmp_path, fx)] if command == "stokes" else
+            ["decompose", "--mesh", "builtin:torus", "--k", "1", "--field-mode", "expression",
+             "--fx", fx, "--fy", "0", "--fz", "0"])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("algorithmic failure: non-finite load") and len(err.splitlines()) == 1
+
+
 def test_topology_missing_mesh_exit_2(tmp_path, capsys):
     assert_input_error(capsys, ["topology", "--mesh", str(tmp_path / "nope.off")])
 

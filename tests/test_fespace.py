@@ -10,8 +10,6 @@ from surfhodge.fespace import (
     count_dofs,
     edge_ref_points,
     eval_basis,
-    piola_div,
-    piola_map,
     shifted_legendre,
 )
 from surfhodge.mesh import SurfaceMesh, TopologySummary, analyze_topology
@@ -164,10 +162,13 @@ def test_bdm_zero_normal_trace_on_boundary(sphere4):
 # -------------------------------------------------------------------- Piola
 def test_piola_identity_embedding():
     mesh = meshes.single_triangle()  # reference triangle embedded at z = 0
+    space = build_space(mesh, "dg_vector", 0)  # local basis: constant (1, 0), (0, 1)
     ref_vals = np.array([[1.0, 0.0], [0.25, -0.5]])
-    out = piola_map(mesh, 0, ref_vals)
+    out = np.array([FeField(space, c).eval_cells([0], [[1 / 3] * 3])[0, 0] for c in ref_vals])
     assert np.allclose(out[:, :2], ref_vals, atol=1e-15)
     assert np.allclose(out[:, 2], 0.0)
+    bv = eval_basis(space, 0, [[1 / 3] * 3])
+    assert np.allclose(ref_vals @ bv.values[:, 0], out, atol=1e-15)
 
 
 def test_piola_scaling():
@@ -176,9 +177,12 @@ def test_piola_scaling():
     verts = 2.0 * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], float)
     mesh = SurfaceMesh(verts, np.array([[0, 1, 2]]))
     assert mesh.Jdet[0] == pytest.approx(4.0)
-    out = piola_map(mesh, 0, np.array([[1.0, 0.0]]))
-    assert np.allclose(out, [[0.5, 0.0, 0.0]])
-    assert piola_div(mesh, 0, np.array([2.0]))[0] == pytest.approx(0.5)
+    space = build_space(mesh, "dg_vector", 1)  # local basis: monomials times (1, 0), (0, 1)
+    out = FeField(space, np.eye(space.total_dofs)[0]).eval_cells([0], [[1 / 3] * 3])
+    assert np.allclose(out, [[[0.5, 0.0, 0.0]]])
+    # the reference field (x, y) = local functions 2 and 5 has divergence 2
+    bv = eval_basis(space, 0, np.random.default_rng(4).dirichlet([1, 1, 1], size=5))
+    assert np.allclose(bv.divergences[2] + bv.divergences[5], 0.5)
 
 
 def test_piola_div_identity(torus):

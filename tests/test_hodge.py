@@ -302,7 +302,9 @@ def test_p0_cr_hat_recovery(torus3, rng):
     _, crg = asm.tabulate_scalar(CR, rule)
     gv = np.einsum("tl,tlqi->tqi", CR.local_coefficients(hat), crg)
     Mp = asm.assemble_mass(P0)
-    vals, _, _ = asm.tabulate_vector(P0, rule)
+    # physical values F vhat / J of the P0 basis (T, n_loc, n_q, 3)
+    vals = np.einsum("tic,lqc->tlqi", torus3.F / torus3.Jdet[:, None, None],
+                     P0.ref.eval(rule.xy))
     b = np.zeros(P0.total_dofs)
     bloc = np.einsum("tlqi,tqi,q->tl", vals, gv, rule.weights) * torus3.Jdet[:, None]
     for t in range(torus3.n_triangles):

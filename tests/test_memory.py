@@ -2,9 +2,10 @@
 
 The pipeline runs in its own process, so the peak resident size it
 reports belongs to this rung alone and not to whatever the test session
-allocated before.  The bound is generous: it guards against per-step or
-per-form tabulations that grow past the mesh (such as dense ambient
-gradient tables), not against small drifts, and it checks memory, not time.
+allocated before.  The bound is about 1.25 times the measured peak: it
+guards against per-step or per-form tabulations that grow past the mesh
+(such as dense ambient gradient tables), not against small drifts, and it
+checks memory, not time.
 """
 
 import os
@@ -29,11 +30,15 @@ stepper = NavierStokesStepper(ops)
 for _ in range(5):
     state = stepper.step(state)
 assert np.isfinite(state.kinetic_energy)
-scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB elsewhere
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale / 2**20)
+try:  # VmHWM is this process's own peak; on Linux ru_maxrss keeps the parent's across exec
+    with open("/proc/self/status") as fh:
+        print(next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:")) / 1024)
+except OSError:
+    scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB elsewhere
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale / 2**20)
 """
 
-PEAK_MB_BOUND = 700  # measured peak about 330 MB on x86_64 Linux
+PEAK_MB_BOUND = 260  # measured peak about 208 MB on x86_64 Linux
 
 
 def test_pipeline_peak_memory_48x24_k2():
