@@ -1,20 +1,22 @@
 """Assembly of global sparse operators on surface triangulations.
 
-Every vector form is evaluated in the reference frame.  On an affine
-triangle the Piola map gives v = F vhat / J and grad v = F X G' / J with
-X = grad(vhat), g = F'F, G'G = g^-1 and G'F = I.  So each form reads the
-reference values and gradients, shared by all triangles, and a few numbers
-per triangle or edge side: (v . w) J = vhat' g what / J for the mass,
-(f . v) J = (F'f) . vhat for the load, eps(u):eps(v) J =
+Every form is evaluated in the reference frame.  On an affine triangle the
+Piola map gives v = F vhat / J and grad v = F X G' / J with X = grad(vhat),
+g = F'F, G'G = g^-1 and G'F = I, and a scalar gradient is G grad(phihat).
+So each form reads the reference values and gradients, shared by all
+triangles, and a few numbers per triangle or edge side: (v . w) J =
+vhat' g what / J for the vector mass, grad(phi) . grad(psi) J =
+grad(phihat)' J g^-1 grad(psihat) for the scalar stiffness (one 2x2-metric
+pairing serves both), (f . v) J = (F'f) . vhat for the load, (f .
+grad(phi)) J = fhat . grad(phihat) for a Piola-mapped f, eps(u):eps(v) J =
 (tr(X' g Y g^-1) + tr(X Y)) / 2J for the SIP volume term and g / J^2 for
 convection.  Edge terms read one side-trace tabulation (_side_traces),
 which one CSR builder (_side_trace_operator) turns into sparse operators:
 the SIP facet terms are products of a jump and a traction operator, and
-the convection form upwinds the traces of one operator Psi.
+the convection action upwinds the traces of one operator Psi.
 
-The convection form exists both assembled (assemble_convection, for energy
-and operator tests) and matrix-free (convection_action, which applies
-C(w) u from the same tabulation without forming C; time stepping uses it).
+Convection is stepped explicitly, so it exists only as the matrix-free
+action C(w) u (convection_action), never as an assembled matrix.
 
 Matrix convention: A[a, b] = form(trial phi_b, test phi_a), so A @ u gives
 the residual against the test basis.
@@ -40,15 +42,6 @@ def volume_rule(space: FeSpace, extra: int = 0):
     return triangle_rule(2 * space.degree + 3 + extra)
 
 
-def tabulate_scalar(space: FeSpace, rule):
-    """Reference values (n_loc, n_q) and physical tangential gradients
-    (T, n_loc, n_q, 3)."""
-    xy = rule.xy
-    vals = space.ref.eval(xy)
-    grads = np.einsum("tid,lqd->tlqi", space.mesh.G, space.ref.grad(xy))
-    return vals, grads
-
-
 def tabulate_field(field: FeField, rule) -> np.ndarray:
     """Field values at the rule's points on every triangle:
     (T, n_q, 3) for vector fields, (T, n_q) for scalar fields."""
@@ -57,9 +50,10 @@ def tabulate_field(field: FeField, rule) -> np.ndarray:
                             np.column_stack([1.0 - xy.sum(axis=1), xy]))
 
 
-def _metric(mesh) -> np.ndarray:
-    """g = F'F of every triangle as (T, 2, 2), exactly symmetric."""
-    return np.einsum("tia,tib->tab", mesh.F, mesh.F)
+def _gram(F: np.ndarray) -> np.ndarray:
+    """F'F of every triangle's (3, 2) matrix as (T, 2, 2), exactly
+    symmetric: the metric g from mesh.F, its inverse from mesh.G."""
+    return np.einsum("tia,tib->tab", F, F)
 
 
 def physical_points(mesh, rule) -> np.ndarray:
@@ -91,19 +85,24 @@ def _scatter_vec(local: np.ndarray, dof_map, signs, n):
 
 
 # ------------------------------------------------------------------ volume
+def _metric_pairing(metric: np.ndarray, a: np.ndarray, b: np.ndarray, rule) -> np.ndarray:
+    """Per-triangle pairings (T, n_a, n_b) sum_q weight_q a_l' metric b_m of
+    reference 2-vectors a (n_a, n_q, 2) and b (n_b, n_q, 2): the (T, 2, 2)
+    metric times one reference block of component pairs (4, n_a n_b)."""
+    block = np.einsum("lqa,mqb,q->ablm", a, b, rule.weights).reshape(4, -1)
+    return (metric.reshape(-1, 4) @ block).reshape(-1, len(a), len(b))
+
+
 def _local_mass(rows: FeSpace, cols: FeSpace, rule) -> np.ndarray:
     """Per-triangle L2 pairings (T, n_r, n_c) of two spaces' local bases:
     a reference Gram block times J for scalar spaces, and for Piola-mapped
-    vector spaces the reference block of vhat_a what_b contracted with
-    g / J."""
+    vector spaces the pairing of vhat_a and what_b under g / J."""
     mesh = rows.mesh
     rv, cv = rows.ref.eval(rule.xy), cols.ref.eval(rule.xy)
     if rows.value_shape == "scalar":
         block = np.einsum("lq,mq,q->lm", rv, cv, rule.weights)
         return block[None, :, :] * mesh.Jdet[:, None, None]
-    block = np.einsum("lqa,mqb,q->ablm", rv, cv, rule.weights).reshape(4, -1)
-    g = (_metric(mesh) / mesh.Jdet[:, None, None]).reshape(-1, 4)
-    return (g @ block).reshape(-1, len(rv), len(cv))
+    return _metric_pairing(_gram(mesh.F) / mesh.Jdet[:, None, None], rv, cv, rule)
 
 
 def assemble_mass(space: FeSpace) -> sp.csr_matrix:
@@ -127,11 +126,12 @@ def assemble_cross_mass(rows: FeSpace, cols: FeSpace) -> sp.csr_matrix:
 
 
 def assemble_broken_stiffness(space: FeSpace) -> sp.csr_matrix:
-    """Elementwise grad-grad matrix for scalar spaces (broken for CR/DG)."""
+    """Elementwise grad-grad matrix for scalar spaces (broken for CR/DG):
+    the pairing of the reference gradients under J g^-1."""
     rule = volume_rule(space)
     mesh = space.mesh
-    _, grads = tabulate_scalar(space, rule)
-    local = np.einsum("tlqi,tmqi,q->tlm", grads, grads, rule.weights) * mesh.Jdet[:, None, None]
+    X = space.ref.grad(rule.xy)  # (n_loc, n_q, 2)
+    local = _metric_pairing(_gram(mesh.G) * mesh.Jdet[:, None, None], X, X, rule)
     A = _scatter(local, space.dof_map, space.dof_signs, space.dof_map, space.dof_signs,
                  (space.total_dofs, space.total_dofs))
     return (A + A.T) * 0.5
@@ -163,8 +163,7 @@ def assemble_moment(space: FeSpace) -> np.ndarray:
     rule = volume_rule(space)
     if space.value_shape != "scalar":
         raise DegreeMismatch("moment vector requires a scalar space")
-    vals, _ = tabulate_scalar(space, rule)
-    block = vals @ rule.weights  # (n_loc,)
+    block = space.ref.eval(rule.xy) @ rule.weights  # (n_loc,)
     local = block[None, :] * space.mesh.Jdet[:, None]
     return _scatter_vec(local, space.dof_map, space.dof_signs, space.total_dofs)
 
@@ -203,12 +202,18 @@ def assemble_load(V: FeSpace, f, time: float | None = None, tab=None) -> np.ndar
 
 
 def assemble_gradient_load(scalar_space: FeSpace, field: FeField) -> np.ndarray:
-    """Load vector (field, grad phi_i) against broken gradients."""
-    rule = triangle_rule(scalar_space.degree + field.space.degree + 3)
-    mesh = scalar_space.mesh
-    fv = tabulate_field(field, rule)  # (T, n_q, 3)
-    _, grads = tabulate_scalar(scalar_space, rule)
-    local = np.einsum("tlqi,tqi,q->tl", grads, fv, rule.weights) * mesh.Jdet[:, None]
+    """Load vector (field, grad phi_i) of a Piola-mapped vector field
+    against broken gradients.
+
+    Since (f . grad(phi)) J = fhat . grad(phihat) (F'G = I), the load is
+    geometry-free: the field's local coefficients times one reference
+    block of value-gradient pairs.
+    """
+    fs = field.space
+    rule = triangle_rule(scalar_space.degree + fs.degree + 3)
+    block = np.einsum("lqa,mqa,q->lm", fs.ref.eval(rule.xy), scalar_space.ref.grad(rule.xy),
+                      rule.weights)
+    local = fs.local_coefficients(field.coefficients) @ block
     return _scatter_vec(local, scalar_space.dof_map, scalar_space.dof_signs,
                         scalar_space.total_dofs)
 
@@ -356,8 +361,7 @@ def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
     X = V.ref.grad(rule.xy)  # (n_loc, n_q, 2, 2)
     pairs = np.einsum("lqab,mqcd,q->abcdlm", X, X, rule.weights).reshape(16, -1)
     trace = np.einsum("lqab,mqba,q->lm", X, X, rule.weights).ravel()
-    h = np.einsum("tia,tib->tab", mesh.G, mesh.G)  # g^-1
-    ggi = np.einsum("tac,tdb->tabcd", _metric(mesh), h).reshape(-1, 16)
+    ggi = np.einsum("tac,tdb->tabcd", _gram(mesh.F), _gram(mesh.G)).reshape(-1, 16)
     local = (mu * 0.5 / mesh.Jdet)[:, None] * (ggi @ pairs + trace)
     A = _scatter(local.reshape(-1, n_loc, n_loc), V.dof_map, V.dof_signs, V.dof_map,
                  V.dof_signs, (V.total_dofs, V.total_dofs))
@@ -395,17 +399,15 @@ def _divergence_tabulation(V: FeSpace):
     return rule, V.ref.div(rule.xy)
 
 
-def divergence_norm(V: FeSpace, coefficients: np.ndarray, tab=None) -> float:
+def divergence_norm(V: FeSpace, coefficients: np.ndarray) -> float:
     """||div u||_{L2}, evaluated pointwise before squaring.
 
     Summing the pointwise divergences first keeps the cancellation error at
     eps * scale instead of the sqrt(eps) floor of the Gram quadratic form,
-    so machine-zero divergences measure as ~1e-15 relative.  tab, the
-    "div" entry of convection_tabulation(V), saves re-tabulating the basis
-    on repeated calls.
+    so machine-zero divergences measure as ~1e-15 relative.
     """
     loc = V.local_coefficients(np.asarray(coefficients, dtype=float))
-    return _divergence_norm(V, loc, _divergence_tabulation(V) if tab is None else tab)
+    return _divergence_norm(V, loc, _divergence_tabulation(V))
 
 
 def _divergence_norm(V: FeSpace, loc: np.ndarray, tab) -> float:
@@ -425,17 +427,13 @@ def convection_tabulation(V: FeSpace) -> dict:
     (2 * n_q, n_loc) and the reference gradients of the test functions
     times -weights (n_loc, 4 * n_q), both shared by all triangles, and the
     metric g = F'F / J^2 of each triangle as (2, 2, 1, T).  "edge" holds
-    the side-trace operator Psi of the interior edges, its transpose and the edge quadrature weights
-    times edge lengths (n_q_e * E,).  Row (c, s, q, e) of Psi is the
-    normal (c = 0, on the side's outward conormal) or tangential (c = 1,
-    on the edge tangent) trace of side s of edge e at point q, from
-    _side_traces; the edges vary fastest, so the upwind arithmetic runs
-    over long contiguous rows.  "div" holds the reference
-    divergences of the divergence-free check.
-
-    convection_action also records under "sup" the largest |w| it saw at
-    the volume points, with a copy of the coefficients of w, so that the
-    stepper's CFL check does not evaluate w again.
+    the side-trace operator Psi of the interior edges, its transpose and
+    the edge quadrature weights times edge lengths (n_q_e * E,).  Row
+    (c, s, q, e) of Psi is the normal (c = 0, on the side's outward
+    conormal) or tangential (c = 1, on the edge tangent) trace of side s
+    of edge e at point q, from _side_traces; the edges vary fastest, so the
+    upwind arithmetic runs over long contiguous rows.  "div" holds the
+    reference divergences of the divergence-free check.
     """
     mesh = V.mesh
     k = V.degree
@@ -444,9 +442,8 @@ def convection_tabulation(V: FeSpace) -> dict:
     rule = triangle_rule(max(2 * k + 3, 3 * k))
     vals = V.ref.eval(rule.xy).transpose(2, 1, 0)  # (2, n_q, n_loc)
     grads = np.moveaxis(V.ref.grad(rule.xy) * -rule.weights[:, None, None], 1, -1)
-    FtF = np.einsum("tia,tib->abt", mesh.F, mesh.F)  # exactly symmetric
-    cache["vol"] = (rule, vals.reshape(-1, n_loc), grads.reshape(n_loc, -1),
-                    (FtF / mesh.Jdet**2)[:, :, None, :])
+    g = _gram(mesh.F).transpose(1, 2, 0) / mesh.Jdet**2
+    cache["vol"] = (rule, vals.reshape(-1, n_loc), grads.reshape(n_loc, -1), g[:, :, None, :])
 
     tq, tw = edge_rule(max(2 * k + 2, 3 * k))
     interior = np.flatnonzero(~mesh.boundary_edge_mask)
@@ -463,20 +460,6 @@ def convection_tabulation(V: FeSpace) -> dict:
     return cache
 
 
-def _upwind(x: np.ndarray, wn: np.ndarray):
-    """Upwind selection on arrays x (2, 2, n) laid out like the rows of the
-    side-trace operator: (normal/tangential, side, point).
-
-    wn (n,) is the weighted flux w . nu_0 seen from side 0.  Normal entries
-    stay on their own side; the tangential entries of both sides take side
-    0's where wn > 0 (side 0 is upwind) and side 1's elsewhere.  Returns x,
-    overwritten, and the weights of the facet term, wn on side 0 and -wn on
-    side 1, broadcast to x's shape.
-    """
-    x[1] = np.where(wn > 0, x[1, 0], x[1, 1])
-    return x, np.broadcast_to(wn * _SIDES, x.shape)
-
-
 def _reference_values(cache: dict, loc: np.ndarray):
     """Reference values Uhat (2, n_q, T) at the convection rule's points of
     the field with local coefficients loc (T, n_loc), and g Uhat.  The
@@ -486,12 +469,41 @@ def _reference_values(cache: dict, loc: np.ndarray):
     return uh, (g * uh).sum(axis=1)
 
 
-def _convection_setup(V: FeSpace, w: FeField, check_divfree: bool, div_tol: float,
-                      cache: dict | None):
-    """Input checks shared by the assembled and matrix-free convection
-    forms; returns the tabulation, built here when cache is None, and the
-    local coefficients of w.  A cache tabulated for another space raises
-    DegreeMismatch."""
+def convection_action(V: FeSpace, w: FeField, u: np.ndarray,
+                      cache: dict | None = None) -> np.ndarray:
+    """C(w) u for the upwind DG convection form c_h(w; u, v), without
+    forming C.
+
+    Element term -(u, grad(v) w) plus facet upwind terms (w . nu)(u_up . v)
+    over element boundaries, with the tangential trace of u taken from the
+    upwind element and the (single-valued) normal trace from the element
+    itself.  Boundary edges carry no flux for fields with zero normal trace
+    and are skipped.  The quadrature is exact for the trilinear form, which
+    makes c_h(w; u, u) >= 0 hold to rounding error for divergence-free w.
+
+    w must live in V and be discretely divergence-free (|div w| <= 1e-8
+    |w|, else NotDivergenceFree).  A cache from convection_tabulation(V)
+    avoids re-tabulating the basis data; one built for another space
+    raises DegreeMismatch.
+    """
+    return _convection(V, w, u, cache)[0]
+
+
+def _convection(V: FeSpace, w: FeField, u: np.ndarray, cache: dict | None):
+    """convection_action's C(w) u and the largest |w| at the volume points
+    (the stepper's CFL bound reads it).
+
+    The fields are evaluated once, in reference coordinates: on an affine
+    triangle the ambient gradient of a Piola-mapped basis function is
+    (F / J) grad(vhat) G' with G' F = I, so the volume term is
+    sum_q weight_q grad(vhat_a) : (g Uhat) (x) What, one GEMM against the
+    shared reference gradients.  The facet term applies the side-trace
+    operator Psi, takes the tangential rows of both sides from side 0 where
+    the weighted flux w . nu_0 is positive (side 0 is upwind) and from side
+    1 elsewhere, weights side 0 by the flux and side 1 by its negative, and
+    applies Psi'.  When u is w's coefficient array, the evaluations of w
+    serve for u.
+    """
     ws = w.space
     if ws is not V and (ws.kind != V.kind or ws.degree != V.degree or ws.mesh is not V.mesh
                         or ws.total_dofs != V.total_dofs):
@@ -501,70 +513,23 @@ def _convection_setup(V: FeSpace, w: FeField, check_divfree: bool, div_tol: floa
     elif cache.get("space") is not V:
         raise DegreeMismatch("convection tabulation was built for another space")
     w_loc = V.local_coefficients(w.coefficients)
-    if check_divfree:
-        wm = float(np.linalg.norm(w.coefficients))
-        if wm > 0 and _divergence_norm(V, w_loc, cache["div"]) > div_tol * wm:
-            raise NotDivergenceFree("convecting field is not discretely divergence-free")
-    return cache, w_loc
+    wm = float(np.linalg.norm(w.coefficients))
+    if wm > 0 and _divergence_norm(V, w_loc, cache["div"]) > 1e-8 * wm:
+        raise NotDivergenceFree("convecting field is not discretely divergence-free")
 
-
-def assemble_convection(V: FeSpace, w: FeField, check_divfree: bool = True,
-                        div_tol: float = 1e-8, cache: dict | None = None) -> sp.csr_matrix:
-    """Upwind DG convection form c_h(w; u, v).
-
-    Element term -(u, grad(v) w) plus facet upwind terms (w . nu)(u_up . v)
-    over element boundaries, with the tangential trace of u taken from the
-    upwind element and the (single-valued) normal trace from the element
-    itself.  Boundary edges carry no flux for fields with zero normal trace
-    and are skipped.  The quadrature is exact for the trilinear form, which
-    makes c_h(w; u, u) >= 0 hold to rounding error for divergence-free w.
-
-    A cache from convection_tabulation(V) avoids re-tabulating the basis
-    data; one built for another space raises DegreeMismatch.  The form is
-    the one convection_action applies, from the same tabulation.
-    """
-    cache, w_loc = _convection_setup(V, w, check_divfree, div_tol, cache)
-    _, R, grads, g = cache["vol"]
-    n_loc = V.ref.n_local
-    wh, _ = _reference_values(cache, w_loc)
-    local = np.einsum("acdq,dqt,eqb,cet->tab", grads.reshape(n_loc, 2, 2, -1), wh,
-                      R.reshape(2, -1, n_loc), g[:, :, 0], optimize=True)
-    A = _scatter(local, V.dof_map, V.dof_signs, V.dof_map, V.dof_signs,
-                 (V.total_dofs, V.total_dofs))
-    psi, psi_t, wq = cache["edge"]
-    if psi.shape[0] == 0:
-        return A
-    wn = (psi @ w.coefficients)[:len(wq)] * wq
-    rows, c = _upwind(np.arange(psi.shape[0]).reshape(2, 2, -1), wn)
-    return (A + psi_t @ sp.diags(c.ravel()) @ psi[rows.ravel()]).tocsr()
-
-
-def convection_action(V: FeSpace, w: FeField, u: np.ndarray, div_tol: float = 1e-8,
-                      cache: dict | None = None) -> np.ndarray:
-    """C(w) u for the form of assemble_convection, without forming C.
-
-    Takes the same checks (w is always checked to be divergence-free) and
-    cache.  The fields are evaluated once, in reference coordinates: on an
-    affine triangle the ambient gradient of a Piola-mapped basis function
-    is (F / J) grad(vhat) G' with G' F = I, so the volume term is
-    sum_q weight_q grad(vhat_a) : (g Uhat) (x) What, one GEMM against the
-    shared reference gradients.  The facet term applies the side-trace
-    operator Psi, upwinds elementwise and applies Psi'.  When u is w's
-    coefficient array, the evaluations of w serve for u.
-    """
-    cache, w_loc = _convection_setup(V, w, True, div_tol, cache)
     grads = cache["vol"][2]
     same = u is w.coefficients
     wh, gw = _reference_values(cache, w_loc)
     gu = gw if same else _reference_values(cache, V.local_coefficients(u))[1]
-    cache["sup"] = (w.coefficients.copy(),
-                    float(np.sqrt(max(np.einsum("cqt,cqt->qt", wh, gw).max(), 0.0))))
+    wmax = float(np.sqrt(max((wh * gw).sum(axis=0).max(), 0.0)))
     local = grads @ (gu[:, None] * wh[None]).reshape(grads.shape[1], -1)
     out = _scatter_vec(local.T, V.dof_map, V.dof_signs, V.total_dofs)
 
     psi, psi_t, wq = cache["edge"]
     if psi.shape[0] == 0:
-        return out
+        return out, wmax
     tr_w = psi @ w.coefficients
-    tr, c = _upwind((tr_w if same else psi @ u).reshape(2, 2, -1), tr_w[:len(wq)] * wq)
-    return out + psi_t @ (tr * c).ravel()
+    tr = (tr_w if same else psi @ u).reshape(2, 2, -1)  # (normal/tangential, side, point)
+    wn = tr_w[:len(wq)] * wq
+    tr[1] = np.where(wn > 0, tr[1, 0], tr[1, 1])
+    return out + psi_t @ (tr * (wn * _SIDES)).ravel(), wmax

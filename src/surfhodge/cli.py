@@ -169,7 +169,7 @@ def _decompose_input(args, solver: HodgeSolver) -> FeField:
 
 def cmd_decompose(args) -> int:
     manifest = RunManifest("decompose", {
-        "mesh": args.mesh, "k": args.k, "seed": args.seed,
+        "mesh": args.mesh, "k": args.k, "seed": args.seed, "tol": args.tol,
         "field_mode": args.field_mode, "field_seed": args.field_seed})
     manifest.phase("load")
     mesh = _resolve_mesh(args.mesh)
@@ -180,7 +180,7 @@ def cmd_decompose(args) -> int:
         basis = HarmonicBasis.load_json(args.basis)
         solver.validate_basis(basis)
     else:
-        basis = solver.harmonic_basis(seed=args.seed)
+        basis = solver.harmonic_basis(seed=args.seed, tol=args.tol)
     manifest.phase("decompose")
     v = _decompose_input(args, solver)
     comp = solver.decompose(v, basis)

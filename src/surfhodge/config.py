@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ast
 import operator
+from dataclasses import fields
 
 import numpy as np
 
@@ -199,6 +200,7 @@ _FORCING_KEYS = {
     "constant_band": ("direction", "amplitude", "band_axis", "band_max", "band_min"),
     "rigid_rotation": ("center", "axis", "amplitude"),
     "zero": (),
+    "expression": ("fx", "fy", "fz"),
 }
 
 
@@ -223,15 +225,24 @@ def forcing_from_dict(values: dict):
         raise ParseError(f"bad parameters for forcing {name!r}: {exc}") from exc
 
 
-_CONFIG_KEYS = ("k", "mu", "alpha", "dt", "t_end", "output_every", "seed",
-                "initial", "bc", "allow_inviscid", "div_tol")
+# keys read by the command line driver, then those of SimulationConfig
+_RUN_KEYS = ("mesh", "basis", "forcing")
+_CONFIG_KEYS = tuple(f.name for f in fields(SimulationConfig) if f.name != "forcing")
 
 
 def simulation_config_from_dict(values: dict) -> SimulationConfig:
+    """SimulationConfig from config keys.  A key other than mesh, basis,
+    forcing, a SimulationConfig field or a parameter of the selected
+    forcing raises ParseError naming it."""
+    forcing = forcing_from_dict(values)
+    name = str(values.get("forcing", "zero"))
+    unknown = [k for k in values if k not in (*_RUN_KEYS, *_CONFIG_KEYS, *_FORCING_KEYS[name])]
+    if unknown:
+        raise ParseError(f"unknown config key(s) {', '.join(map(repr, unknown))} "
+                         f"(forcing = {name})")
     kwargs = {k: values[k] for k in _CONFIG_KEYS if k in values}
-    kwargs["forcing"] = forcing_from_dict(values)
     try:
-        return SimulationConfig(**kwargs)
+        return SimulationConfig(**kwargs, forcing=forcing)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad config: {exc}") from exc
 

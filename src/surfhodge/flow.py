@@ -236,7 +236,7 @@ class SimulationConfig:
 
     k: int = 1
     mu: float = 0.1
-    alpha: float | None = None  # penalty; defaults to 4 (k+1)^2
+    alpha: float | None = None  # penalty; None gives assemble_sip's default
     dt: float = 1e-3
     t_end: float = 0.1
     output_every: int = 10
@@ -245,7 +245,6 @@ class SimulationConfig:
     initial: str = "stokes"  # "stokes" | "zero"
     bc: str = "noslip"  # "noslip" | "freeslip"
     allow_inviscid: bool = False
-    div_tol: float = 1e-10
 
     def __post_init__(self):
         if self.mu < 0:
@@ -261,10 +260,6 @@ class SimulationConfig:
             raise ValueError(f"unknown boundary condition {self.bc!r}")
         if self.initial not in ("stokes", "zero"):
             raise ValueError(f"unknown initial condition {self.initial!r}")
-
-    @property
-    def alpha_value(self) -> float:
-        return self.alpha if self.alpha is not None else 4.0 * (self.k + 1) ** 2
 
 
 def _zero_forcing(x, t=0.0):
@@ -300,7 +295,7 @@ class FlowOperators:
             self.A_visc = sp.csr_matrix((self.V.total_dofs, self.V.total_dofs))
         else:
             self.A_visc = asm.assemble_sip(
-                self.V, mu=config.mu, alpha=config.alpha_value,
+                self.V, mu=config.mu, alpha=config.alpha,
                 dirichlet=(config.bc == "noslip"))
         self.A_red = self.emb.reduce_matrix(self.A_visc)
         self.forcing = config.forcing if config.forcing is not None else _zero_forcing
@@ -418,12 +413,8 @@ class NavierStokesStepper:
 
     def _sup_norm(self, u: FeField) -> float:
         """Largest |u| at the convection rule's volume points: those of
-        volume_rule(V) for k <= 3, 49 instead of 36 at k = 4.  Read from
-        the record convection_action left for these coefficients, and
-        evaluated only without one."""
-        seen, umax = self._conv_cache.get("sup", (None, 0.0))
-        if seen is not None and np.array_equal(seen, u.coefficients):
-            return umax
+        volume_rule(V) for k <= 3, 49 instead of 36 at k = 4.  step reads
+        the same value from its convection evaluation."""
         vals = asm.tabulate_field(u, self._conv_cache["vol"][0])
         return float(np.linalg.norm(vals, axis=-1).max())
 
@@ -436,10 +427,7 @@ class NavierStokesStepper:
             raise NaNDetected(f"non-finite state at t = {state.t:g}")
         # first, so that the convection form's space and divergence checks
         # see the state before anything else evaluates it
-        cu = asm.convection_action(ops.V, u, u.coefficients,
-                                   div_tol=max(cfg.div_tol * 1e2, 1e-8),
-                                   cache=self._conv_cache)
-        umax = self._sup_norm(u)
+        cu, umax = asm._convection(ops.V, u, u.coefficients, self._conv_cache)
         if umax > 0 and cfg.dt > 0.5 * ops.mesh.h_min / umax and not self._cfl_warned:
             warnings.warn(
                 f"time step {cfg.dt:g} exceeds the convective CFL bound "

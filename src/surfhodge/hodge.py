@@ -171,8 +171,11 @@ def verify_dimension(topology: TopologySummary, k: int) -> DimensionReport:
 class HodgeSolver:
     """Spaces, operators and cached factorizations for one (mesh, degree).
 
-    L = E' M E is the streamfunction form (rot psi, rot phi) and gauges its
-    zero-mean moment on closed surfaces; the flow solvers reuse both.  All
+    L is the streamfunction form (rot psi, rot phi) = (grad psi, grad phi):
+    rot = n x grad is an isometry and rot maps S exactly into V (E), so L =
+    E' M E, assembled as the Lagrange stiffness it equals, which stores
+    none of the rounding-level entries of E.  The gauges hold its zero-mean
+    moment on closed surfaces; the flow solvers reuse both.  All
     operations are pure given the immutable mesh; the random number
     generator of the harmonic search is an explicit seeded input, so runs
     are reproducible.
@@ -192,7 +195,7 @@ class HodgeSolver:
         self.M = asm.assemble_mass(self.V)
         self.B = asm.assemble_div(self.V, self.Q)
         self.E = asm.assemble_rot_embedding(self.S, self.V)
-        self.L = self.E.T @ self.M @ self.E
+        self.L = asm.assemble_broken_stiffness(self.S)
         self.gauges = [asm.assemble_moment(self.S)] if self.S.zero_mean else []
         self._pressure: FactorizedOperator | None = None
         self._laplace: FactorizedOperator | None = None
@@ -439,8 +442,9 @@ def decompose_p0_incomplete(v: FeField, basis: HarmonicBasis | None = None,
     if basis.dimension:
         recon = recon + asm.tabulate_field(
             FeField(solver.V, basis.vectors.T @ h), rule)
-    _, cr_grads = asm.tabulate_scalar(CR, rule)
-    recon = recon + np.einsum("tl,tlqi->tqi", CR.local_coefficients(phi), cr_grads)
+    # broken CR gradients G grad(phihat)
+    recon = recon + np.einsum("tl,lqd,tid->tqi", CR.local_coefficients(phi),
+                              CR.ref.grad(rule.xy), mesh.G)
     diff = asm.tabulate_field(v, rule) - recon
     resid = float(np.sqrt(np.einsum("tqi,tqi,q,t->", diff, diff, rule.weights, mesh.Jdet)))
     return P0Decomposition(

@@ -106,6 +106,14 @@ def test_harmonic_max_attempts_exit_3(capsys):
     assert code == 3
 
 
+def test_decompose_passes_tol_exit_3(capsys):
+    """decompose builds its basis with --tol, as harmonic does: no draw
+    reaches a norm of 1e300."""
+    assert main(["decompose", "--mesh", "builtin:torus", "--k", "1", "--tol", "1e300"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("algorithmic failure:") and len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------- decompose
 def test_decompose_rot_input(capsys, tmp_path):
     code, payload, _ = run_cli(
@@ -314,6 +322,18 @@ def test_config_bad_forcing_vector_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\n"
                               "forcing = rigid_rotation\ncenter = 0 0 0\n")
     assert_input_error(capsys, ["stokes", "--config", cfg])
+
+
+def test_config_unknown_key_exit_2(tmp_path, capsys):
+    """A misspelt key or a parameter of another forcing is refused by name
+    instead of running with the defaults."""
+    cfg = write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\nviscosity = 5.0\n"
+                              "forcing = constant_band\ncenter = 1,2,3\n")
+    assert_input_error(capsys, ["stokes", "--config", cfg])
+    cfg = write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\ndiv_tol = 1e-10\n")
+    assert main(["stokes", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "'div_tol'" in err and len(err.splitlines()) == 1
 
 
 def test_config_missing_file_exit_2(tmp_path, capsys):

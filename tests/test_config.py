@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,14 @@ def test_config_errors(tmp_path):
 def test_bad_preset_parameters_rejected_on_read(values):
     with pytest.raises(ParseError):
         forcing_from_dict(values)
+
+
+def test_shipped_configs_load():
+    """Every config under configs/ parses and builds its SimulationConfig
+    and forcing (no unknown key)."""
+    root = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    paths = sorted(root.glob("*.cfg"))
+    assert paths
+    for path in paths:
+        config, _ = load_simulation_config(path)
+        assert config.forcing(np.zeros((1, 3)), 0.0).shape == (1, 3)

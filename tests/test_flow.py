@@ -378,7 +378,8 @@ def test_step_reuses_divergence_tabulation(torus3, basis_cache, monkeypatch):
     state = stepper.initial_state()
     V = stepper.ops.V
     u = state.u.coefficients
-    assert asm.divergence_norm(V, u, tab=stepper._conv_cache["div"]) == asm.divergence_norm(V, u)
+    tab = stepper._conv_cache["div"]
+    assert asm._divergence_norm(V, V.local_coefficients(u), tab) == asm.divergence_norm(V, u)
     calls = []
     original = type(V.ref).div
     monkeypatch.setattr(type(V.ref), "div", lambda self, xy: calls.append(1) or original(self, xy))
@@ -388,27 +389,26 @@ def test_step_reuses_divergence_tabulation(torus3, basis_cache, monkeypatch):
 
 
 def test_step_reads_cfl_sup_norm_from_convection(torus3, basis_cache, monkeypatch):
-    """The CFL check reads max |u| from the values convection_action formed
-    during the step; it evaluates u itself only for coefficients no
-    convection_action call has seen.  Both agree with tabulate_field at the
-    convection rule."""
+    """The CFL check reads max |u| from the step's convection evaluation,
+    which evaluates u nowhere else; that value and _sup_norm's plain
+    evaluation agree with tabulate_field at the convection rule."""
     cfg = SimulationConfig(k=1, mu=0.1, dt=1e-2, t_end=1e-1, forcing=smooth_forcing(17))
     stepper = NavierStokesStepper(FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1)))
     state = stepper.initial_state()
     rule = stepper._conv_cache["vol"][0]
-    tabulate = asm.tabulate_field
+    tabulate, convection = asm.tabulate_field, asm._convection
 
     def sup(u):
         return np.linalg.norm(tabulate(u, rule), axis=-1).max()
 
     want = sup(state.u)
     assert stepper._sup_norm(state.u) == pytest.approx(want, rel=1e-13, abs=0.0)
-    calls = []
+    calls, seen = [], []
     monkeypatch.setattr(asm, "tabulate_field", lambda *a: calls.append(1) or tabulate(*a))
+    monkeypatch.setattr(asm, "_convection", lambda *a: seen.append(convection(*a)) or seen[-1])
     new = stepper.step(state)
-    assert calls == []
-    assert stepper._sup_norm(state.u) == pytest.approx(want, rel=1e-13, abs=0.0)
-    assert calls == []
+    assert calls == [] and len(seen) == 1
+    assert seen[0][1] == pytest.approx(want, rel=1e-13, abs=0.0)
     assert stepper._sup_norm(new.u) == pytest.approx(sup(new.u), rel=1e-13, abs=0.0)
     assert calls == [1]
 

@@ -96,6 +96,19 @@ def test_harmonic_members_divfree_and_rot_orthogonal(corpus, solver_cache, basis
                 assert np.abs(solver.E.T @ (solver.M @ h)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_streamfunction_form_is_stiffness(corpus, solver_cache, k):
+    """L, assembled as the Lagrange stiffness, equals E' M E (rot is an
+    isometry) and stores none of the rounding entries E carries into the
+    triple product."""
+    for mesh in corpus.values():
+        solver = solver_cache(mesh, k)
+        ELE = (solver.E.T @ solver.M @ solver.E).tocsr()
+        assert abs(solver.L - ELE).max() <= 1e-13 * abs(ELE).max()
+        if k > 0:  # at k = 0 both couple exactly the vertices of each triangle
+            assert solver.L.nnz < ELE.nnz
+
+
 def test_max_attempts_exceeded(torus3):
     solver = HodgeSolver(torus3, 0)
     with pytest.raises(MaxAttemptsExceeded):
@@ -290,6 +303,14 @@ def test_p0_flat_patch_larger(rng):
     assert decompose_p0_incomplete(v).residual_norm <= 1e-12
 
 
+def _broken_gradients(phi, rule):
+    """Ambient gradients (T, n_q, 3) of a scalar field at the rule's points,
+    formed on every triangle as G grad(phihat)."""
+    space = phi.space
+    grads = np.einsum("tid,lqd->tlqi", space.mesh.G, space.ref.grad(rule.xy))
+    return np.einsum("tl,tlqi->tqi", space.local_coefficients(phi.coefficients), grads)
+
+
 def test_p0_cr_hat_recovery(torus3, rng):
     CR = build_space(torus3, "crouzeix_raviart", 1, "zero_mean")
     P0 = build_space(torus3, "dg_vector", 0)
@@ -299,8 +320,7 @@ def test_p0_cr_hat_recovery(torus3, rng):
     from surfhodge.quadrature import triangle_rule
 
     rule = triangle_rule(3)
-    _, crg = asm.tabulate_scalar(CR, rule)
-    gv = np.einsum("tl,tlqi->tqi", CR.local_coefficients(hat), crg)
+    gv = _broken_gradients(FeField(CR, hat), rule)
     Mp = asm.assemble_mass(P0)
     # physical values F vhat / J of the P0 basis (T, n_loc, n_q, 3)
     vals = np.einsum("tic,lqc->tlqi", torus3.F / torus3.Jdet[:, None, None],
@@ -341,9 +361,7 @@ def test_p0_torus_dimensions_and_orthogonality(torus3, solver_cache, basis_cache
         FeField(solver.V, solver.E @ dec.psi.coefficients), rule)
     harm_vals = asm.tabulate_field(
         FeField(solver.V, basis_cache(torus3, 0).vectors.T @ dec.h_coeffs), rule)
-    CR = dec.phi.space
-    _, crg = asm.tabulate_scalar(CR, rule)
-    grad_vals = np.einsum("tl,tlqi->tqi", CR.local_coefficients(dec.phi.coefficients), crg)
+    grad_vals = _broken_gradients(dec.phi, rule)
 
     def ip(a, b):
         return float(np.einsum("tqi,tqi,q,t->", a, b, rule.weights, torus3.Jdet))
