@@ -545,23 +545,116 @@ def test_convection_action_matches_ambient_oracle(request, rng, mesh_name, k):
             assert abs(umax - wmax) <= 1e-13 * wmax
 
 
+def _probe_assembled(V, w, cache):
+    """C(w) assembled from the action by probing groups of columns.
+
+    P is the DG face-neighbour pattern: dof i couples to dof j when a
+    triangle carrying i is, or shares an edge with, one carrying j.  Columns
+    with no common row in P share a probe vector e_J, and the probe's output
+    on the rows of column j is C[:, j].  Also returns, per probe, the output
+    outside the rows its columns reach (zero for a local operator)."""
+    mesh, n = V.mesh, V.total_dofs
+    tris, loc = np.nonzero(V.dof_map >= 0)
+    D = sp.csr_matrix((np.ones(len(tris)), (V.dof_map[tris, loc], tris)),
+                      shape=(n, mesh.Jdet.shape[0]))
+    inner = mesh.edge_tris[~mesh.boundary_edge_mask]
+    A = sp.coo_matrix((np.ones(2 * len(inner)), (inner.ravel(), inner[:, ::-1].ravel())),
+                      shape=(D.shape[1],) * 2) + sp.identity(D.shape[1])
+    P = ((D @ A @ D.T) != 0).tocsc()
+    conflict = (P.T @ P).tocsr()
+    color = np.full(n, -1)
+    for j in range(n):
+        taken = color[conflict.indices[conflict.indptr[j]:conflict.indptr[j + 1]]]
+        color[j] = np.flatnonzero(~np.isin(np.arange(n + 1), taken))[0]
+    rows, cols, vals, leaks = [], [], [], []
+    for c in range(color.max() + 1):
+        group = np.flatnonzero(color == c)
+        probe = np.zeros(n)
+        probe[group] = 1.0
+        out = asm.convection_action(V, w, probe, cache=cache)
+        reached = np.zeros(n, bool)
+        for j in group:
+            r = P.indices[P.indptr[j]:P.indptr[j + 1]]
+            reached[r] = True
+            rows.append(r)
+            cols.append(np.full(len(r), j))
+            vals.append(out[r])
+        leaks.append(out[~reached])
+    C = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n))
+    return C, np.concatenate(leaks)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("mesh_name", ["torus", "sphere4"])
+def test_convection_action_matches_assembled(request, rng, mesh_name, k):
+    """The action is one local linear operator: the matrix C(w) assembled by
+    probing it reproduces it for a generic u and for u = w (the evaluation
+    that reuses w's values for u), and a probe changes no row outside the
+    DG face-neighbour pattern of its columns."""
+    # sphere4 is open (boundary edges); rotations of random streamfunctions
+    # are divergence-free and cross interior edges in both directions
+    mesh = request.getfixturevalue(mesh_name)
+    V = build_space(mesh, "bdm", k, "zero_normal_trace")
+    S = build_space(mesh, "lagrange", k + 1,
+                    "zero_mean" if mesh.is_closed else "zero_boundary_trace")
+    E = asm.assemble_rot_embedding(S, V)
+    cache = asm.convection_tabulation(V)
+    for _ in range(2):
+        w = FeField(V, E @ rng.standard_normal(S.total_dofs))
+        C, leak = _probe_assembled(V, w, cache)
+        assert not leak.any()
+        for u in (rng.standard_normal(V.total_dofs), w.coefficients):
+            want = C @ u
+            got = asm.convection_action(V, w, u, cache=cache)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_convection_action_upwinds_both_directions(rng):
+    """At k = 1 on a flat 2-triangle patch, constant w with flux out of t0
+    across the diagonal and then into it: the action equals the ambient
+    oracle, whose upwind side flips with the flux."""
+    mesh = meshes.square_two_triangles()
+    V = build_space(mesh, "bdm", 1)
+    diag = next(e for e in range(mesh.n_edges) if not mesh.boundary_edge_mask[e])
+    t0 = int(mesh.edge_tris[diag, 0])
+    nu0 = mesh.conormals[t0, mesh.local_edge_of(t0, diag)]
+    for sign in (1.0, -1.0):  # outflow from t0, then inflow into it
+        w = FeField(V, _interp_piecewise_constants(V, [sign * nu0, sign * nu0]))
+        for _ in range(3):
+            u = rng.standard_normal(V.total_dofs)
+            want = _ambient_convection(V, w.coefficients, u)
+            got = asm.convection_action(V, w, u)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _check_energy_stability(mesh, rng, k):
+    V = build_space(mesh, "bdm", k, "zero_normal_trace")
+    S = build_space(mesh, "lagrange", k + 1,
+                    "zero_mean" if mesh.is_closed else "zero_boundary_trace")
+    E = asm.assemble_rot_embedding(S, V)
+    M = asm.assemble_mass(V)
+    cache = asm.convection_tabulation(V)
+    for _ in range(4):
+        w = FeField(V, E @ rng.standard_normal(S.total_dofs))
+        for u in (E @ rng.standard_normal(S.total_dofs), w.coefficients):
+            cu = asm.convection_action(V, w, u, cache=cache)
+            tol = min(1e-12 * np.linalg.norm(u) * np.linalg.norm(cu), 1e-10 * (u @ (M @ u)))
+            assert u @ cu >= -tol
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
-def test_convection_action_energy_stability(torus, sphere4, rng, k):
-    """c_h(w; u, u) >= 0 to rounding for divergence-free w and u, on a
-    closed and an open surface."""
-    for mesh in (torus, sphere4):
-        V = build_space(mesh, "bdm", k, "zero_normal_trace")
-        S = build_space(mesh, "lagrange", k + 1,
-                        "zero_mean" if mesh.is_closed else "zero_boundary_trace")
-        E = asm.assemble_rot_embedding(S, V)
-        M = asm.assemble_mass(V)
-        cache = asm.convection_tabulation(V)
-        for _ in range(4):
-            w = FeField(V, E @ rng.standard_normal(S.total_dofs))
-            for u in (E @ rng.standard_normal(S.total_dofs), w.coefficients):
-                cu = asm.convection_action(V, w, u, cache=cache)
-                tol = min(1e-12 * np.linalg.norm(u) * np.linalg.norm(cu), 1e-10 * (u @ (M @ u)))
-                assert u @ cu >= -tol
+def test_convection_energy_stability(torus, rng, k):
+    """c_h(w; u, u) >= 0 to rounding for divergence-free w and u on a
+    closed surface."""
+    _check_energy_stability(torus, rng, k)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_convection_action_energy_stability(sphere4, rng, k):
+    """c_h(w; u, u) >= 0 to rounding for divergence-free w and u on an
+    open surface (boundary edges carry no flux)."""
+    _check_energy_stability(sphere4, rng, k)
 
 
 def test_convection_rejects_foreign_space():
