@@ -9,19 +9,12 @@ from .flow import (
     FlowState,
     NavierStokesStepper,
     SimulationConfig,
-    build_reduced_system,
     run_simulation,
-    schur_solve,
-    solve_stokes_reduced,
-    solve_stokes_saddle,
 )
 from .hodge import (
     HarmonicBasis,
     HodgeSolver,
-    decompose,
     decompose_p0_incomplete,
-    harmonic_basis,
-    helmholtz_project,
     verify_dimension,
 )
 from .mesh import SurfaceMesh, TopologySummary, analyze_topology, edge_frames, load_mesh
@@ -38,20 +31,13 @@ __all__ = [
     "SurfaceMesh",
     "TopologySummary",
     "analyze_topology",
-    "build_reduced_system",
     "build_space",
     "count_dofs",
-    "decompose",
     "decompose_p0_incomplete",
     "edge_frames",
     "eval_basis",
-    "harmonic_basis",
-    "helmholtz_project",
     "load_mesh",
     "run_simulation",
-    "schur_solve",
-    "solve_stokes_reduced",
-    "solve_stokes_saddle",
     "verify_dimension",
     "__version__",
 ]

@@ -504,9 +504,7 @@ def _convection(V: FeSpace, w: FeField, u: np.ndarray, cache: dict | None):
     applies Psi'.  When u is w's coefficient array, the evaluations of w
     serve for u.
     """
-    ws = w.space
-    if ws is not V and (ws.kind != V.kind or ws.degree != V.degree or ws.mesh is not V.mesh
-                        or ws.total_dofs != V.total_dofs):
+    if not V.same_as(w.space):
         raise DegreeMismatch("convecting field must live in the velocity space")
     if cache is None:
         cache = convection_tabulation(V)

@@ -401,6 +401,12 @@ class FeSpace:
         """Dimension after enforcing the zero-mean constraint (if any)."""
         return self.total_dofs - (1 if self.zero_mean else 0)
 
+    def same_as(self, other: "FeSpace") -> bool:
+        """other is this space or one built alike: same kind, degree, mesh
+        object and dof count."""
+        return other is self or (other.kind == self.kind and other.degree == self.degree
+                                 and other.mesh is self.mesh and other.total_dofs == self.total_dofs)
+
     def local_coefficients(self, coefficients: np.ndarray) -> np.ndarray:
         """Per-triangle signed local coefficient array (T, n_local)."""
         gd = self.dof_map

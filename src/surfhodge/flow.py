@@ -2,12 +2,11 @@
 
 Velocity is sought directly in the divergence-free H(div) subspace through
 its streamfunction + harmonic parametrization: operators are assembled in
-the parent H(div) space and restricted via the embedding whose columns are
-rotated Lagrange basis functions and the harmonic basis vectors.  The
-restricted operators are symmetric: the system couples a sparse
-streamfunction block with b1 dense harmonic columns and their transpose, and
-a Schur complement solves it with exactly (number of harmonic dofs + 1)
-sparse solves.
+the parent H(div) space and restricted once, by JEmbedding.reduce_matrix,
+to a BlockSystem: a sparse streamfunction block, b1 dense harmonic columns
+and their transpose, and the gauges.  ReducedSolver factorizes that
+operator and solves it for any load by a Schur complement, with exactly
+(number of harmonic dofs + 1) sparse solves for the first load.
 
 A velocity-pressure saddle-point solver on the full H(div) space serves as
 the cross-validation oracle; both formulations produce the same velocity up
@@ -20,7 +19,7 @@ Time stepping for Navier-Stokes is semi-implicit Euler: viscosity implicit
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as dla
@@ -62,20 +61,12 @@ class JEmbedding:
             raise DimensionMismatch("harmonic block shape does not match embedding")
 
     @property
-    def n_parent(self) -> int:
-        return self.E.shape[0]
-
-    @property
     def n_stream(self) -> int:
         return self.E.shape[1]
 
     @property
     def n_harmonic(self) -> int:
         return self.H.shape[0]
-
-    def matrix(self) -> sp.csr_matrix:
-        """The full embedding as one sparse matrix (parent x reduced)."""
-        return sp.hstack([self.E, sp.csr_matrix(self.H.T)]).tocsr()
 
     def apply(self, x_stream: np.ndarray, x_harmonic: np.ndarray) -> np.ndarray:
         out = self.E @ x_stream
@@ -86,24 +77,31 @@ class JEmbedding:
     def reduce_vector(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.ET @ b, self.H @ b
 
-    def reduce_matrix(self, A: sp.spmatrix):
-        """Blocks (A_ss, A_sh, A_hh) of T' A T in the (stream, harmonic)
-        partition for symmetric A; the lower-left block is A_sh'."""
+    def reduce_matrix(self, A: sp.spmatrix, gauges=()) -> BlockSystem:
+        """Restrict a symmetric parent-space operator to the divergence-free
+        subspace: the BlockSystem of T' A T in the (stream, harmonic)
+        partition, with the given gauges on its streamfunction block.
+        Raises DimensionMismatch unless A is square on the parent space and
+        NotSPD when |A - A'| > 1e-12 |A|."""
+        n = self.E.shape[0]
+        if A.shape != (n, n):
+            raise DimensionMismatch(f"operator shape {A.shape} != parent dim {n}")
+        check_symmetric(sp.csr_matrix(A), "operator to restrict")
         AH = A @ self.H.T  # (N, b1) dense
-        return (self.ET @ (A @ self.E)).tocsc(), self.ET @ AH, self.H @ AH
+        return BlockSystem((self.ET @ (A @ self.E)).tocsc(), self.ET @ AH, self.H @ AH,
+                           tuple(gauges))
 
 
 @dataclass
 class BlockSystem:
-    """Symmetric reduced system [[A_ss, A_sh], [A_sh', A_hh]]: sparse
+    """Symmetric reduced operator [[A_ss, A_sh], [A_sh', A_hh]]: sparse
     streamfunction block, dense harmonic columns and block, optional gauge
-    constraints on A_ss (the zero mean on closed surfaces)."""
+    constraints on A_ss (the zero mean on closed surfaces).  Loads are not
+    part of it; ReducedSolver.solve takes them."""
 
     A_ss: sp.spmatrix
     A_sh: np.ndarray
     A_hh: np.ndarray
-    b_s: np.ndarray
-    b_h: np.ndarray
     gauges: tuple = field(default_factory=tuple)
 
     @property
@@ -115,30 +113,16 @@ class BlockSystem:
         return self.A_hh.shape[0]
 
 
-def build_reduced_system(A: sp.spmatrix, b: np.ndarray, emb: JEmbedding,
-                         gauges=()) -> BlockSystem:
-    """Restrict a symmetric parent-space operator and load to the
-    divergence-free subspace; NotSPD when |A - A'| > 1e-12 |A|."""
-    n = emb.n_parent
-    if A.shape != (n, n):
-        raise DimensionMismatch(f"operator shape {A.shape} != parent dim {n}")
-    b = np.asarray(b, dtype=float)
-    if b.shape != (n,):
-        raise DimensionMismatch(f"load shape {b.shape} != parent dim {n}")
-    check_symmetric(sp.csr_matrix(A), "operator to restrict")
-    return BlockSystem(*emb.reduce_matrix(A), *emb.reduce_vector(b), tuple(gauges))
-
-
 class ReducedSolver:
     """Schur-complement solver for a BlockSystem with a reusable
     factorization; the Schur complement is A_hh - A_sh' A_ss^-1 A_sh.
 
-    Setup performs n_harmonic + 1 sparse solves on the first full solve
-    (the harmonic columns once, then one per right-hand side); subsequent
-    solves with new loads cost one sparse solve each.  A singular
-    streamfunction block (an un-gauged kernel, or a gauge that does not fix
-    it) is detected by FactorizedOperator's near-null-vector test and
-    raised as SingularOperator.
+    Setup solves for the n_harmonic columns, so the first solve(b_s, b_h)
+    brings the count of sparse solves to n_harmonic + 1; each further load
+    costs one sparse solve.  A singular streamfunction block (an un-gauged
+    kernel, or a gauge that does not fix it) is detected by
+    FactorizedOperator's near-null-vector test and raised as
+    SingularOperator.
     """
 
     def __init__(self, system: BlockSystem):
@@ -176,20 +160,9 @@ class ReducedSolver:
         return x_s, x_h
 
 
-def schur_solve(system: BlockSystem):
-    """Solve a BlockSystem; returns (x_stream, x_harmonic, info).
-
-    info['sparse_solves'] counts the solves with the sparse streamfunction
-    block: exactly n_harmonic + 1.
-    """
-    rs = ReducedSolver(system)
-    x_s, x_h = rs.solve(system.b_s, system.b_h)
-    return x_s, x_h, {"sparse_solves": rs.sparse_solves,
-                      "n_harmonic": system.n_harmonic}
-
-
-def monolithic_solve(system: BlockSystem):
-    """Dense solve of the full gauged block system (test oracle)."""
+def monolithic_solve(system: BlockSystem, b_s: np.ndarray, b_h: np.ndarray):
+    """Dense solve of the full gauged block system for one load (test
+    oracle)."""
     ns, nh, ng = system.n_stream, system.n_harmonic, len(system.gauges)
     n = ns + nh + ng
     K = np.zeros((n, n))
@@ -201,7 +174,7 @@ def monolithic_solve(system: BlockSystem):
     for i, g in enumerate(system.gauges):
         K[:ns, ns + nh + i] = g
         K[ns + nh + i, :ns] = g
-    rhs = np.concatenate([system.b_s, system.b_h, np.zeros(ng)])
+    rhs = np.concatenate([b_s, b_h, np.zeros(ng)])
     sol = np.linalg.solve(K, rhs)
     return sol[:ns], sol[ns:ns + nh]
 
@@ -269,7 +242,7 @@ def _zero_forcing(x, t=0.0):
 # ---------------------------------------------------------------- operators
 class FlowOperators:
     """Spaces, forms and the embedding for one (mesh, config) pair; A_red
-    holds the blocks (A_ss, A_sh, A_hh) of A_visc, restricted once.
+    is the BlockSystem of A_visc with the gauges, restricted once.
 
     A basis passed in is checked by HodgeSolver.validate_basis; without one
     the basis is drawn with config.seed.
@@ -297,7 +270,7 @@ class FlowOperators:
             self.A_visc = asm.assemble_sip(
                 self.V, mu=config.mu, alpha=config.alpha,
                 dirichlet=(config.bc == "noslip"))
-        self.A_red = self.emb.reduce_matrix(self.A_visc)
+        self.A_red = self.emb.reduce_matrix(self.A_visc, self.gauges)
         self.forcing = config.forcing if config.forcing is not None else _zero_forcing
         self._load_tab = asm.load_tabulation(self.V)
 
@@ -321,14 +294,16 @@ class FlowOperators:
 
     # ------------------------------------------------------------- Stokes
     def stokes_reduced(self, t: float = 0.0, load: np.ndarray | None = None):
-        """Solve the reduced viscous problem; returns (state, info).
+        """Solve the reduced viscous problem; returns (state, info), info
+        holding sparse_solves (n_harmonic + 1) and n_harmonic.
 
         Raises SingularOperator when the gauged streamfunction block is
         singular, e.g. for mu = 0, where no viscous form remains.
         """
         b = self.load_vector(t) if load is None else load
-        system = BlockSystem(*self.A_red, *self.emb.reduce_vector(b), tuple(self.gauges))
-        x_s, x_h, info = schur_solve(system)
+        solver = ReducedSolver(self.A_red)
+        x_s, x_h = solver.solve(*self.emb.reduce_vector(b))
+        info = {"sparse_solves": solver.sparse_solves, "n_harmonic": self.A_red.n_harmonic}
         return self.make_state(t, x_s, x_h), info
 
     def stokes_saddle(self, t: float = 0.0, load: np.ndarray | None = None):
@@ -346,8 +321,7 @@ class FlowOperators:
         return FeField(self.V, sol[nQ:]), FeField(self.Q, sol[:nQ])
 
     def reconstruct_pressure(self, state: FlowState, t: float | None = None,
-                             load: np.ndarray | None = None,
-                             extra_operator: sp.spmatrix | None = None) -> FeField:
+                             load: np.ndarray | None = None) -> FeField:
         """Recover the pressure from a reduced velocity solution.
 
         The force residual r = f(v) - a(u, v) vanishes on the
@@ -358,22 +332,7 @@ class FlowOperators:
         if load is None:
             load = self.load_vector(state.t if t is None else t)
         residual = load - self.A_visc @ state.u.coefficients
-        if extra_operator is not None:
-            residual = residual - extra_operator @ state.u.coefficients
         return FeField(self.Q, self.hodge.pressure_solve(residual))
-
-
-def solve_stokes_reduced(mesh: SurfaceMesh, config: SimulationConfig,
-                         basis: HarmonicBasis | None = None,
-                         forcing=None) -> FlowState:
-    cfg = config if forcing is None else replace(config, forcing=forcing)
-    return FlowOperators(mesh, cfg, basis).stokes_reduced(t=0.0)[0]
-
-
-def solve_stokes_saddle(mesh: SurfaceMesh, config: SimulationConfig,
-                        forcing=None):
-    cfg = config if forcing is None else replace(config, forcing=forcing)
-    return FlowOperators(mesh, cfg).stokes_saddle(t=0.0)
 
 
 # ----------------------------------------------------------- time stepping
@@ -389,12 +348,11 @@ class NavierStokesStepper:
     def __init__(self, ops: FlowOperators):
         self.ops = ops
         dt = ops.config.dt
-        A_ss, A_sh, A_hh = ops.A_red
+        red = ops.A_red
         # the harmonic columns M H' restricted like loads: E' M H', H M H'
         M_sh, M_hh = ops.emb.reduce_vector(ops.M @ ops.emb.H.T)
-        self.system = BlockSystem(
-            (ops.hodge.L / dt + A_ss).tocsc(), M_sh / dt + A_sh, M_hh / dt + A_hh,
-            np.zeros(ops.emb.n_stream), np.zeros(ops.emb.n_harmonic), tuple(ops.gauges))
+        self.system = BlockSystem((ops.hodge.L / dt + red.A_ss).tocsc(), M_sh / dt + red.A_sh,
+                                  M_hh / dt + red.A_hh, red.gauges)
         try:
             self.solver = ReducedSolver(self.system)
         except SingularOperator as exc:  # M/dt shift makes this unexpected

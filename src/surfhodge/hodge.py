@@ -246,8 +246,9 @@ class HodgeSolver:
     def helmholtz_project(self, r) -> tuple[FeField, FeField]:
         """L2 projection into the divergence-free subspace.
 
-        r may be an FeField in the solver's H(div) space or in a broken
-        vector space on the same mesh.  Returns (u, lam) where u is the
+        r may be an FeField in the solver's H(div) space (FeSpace.same_as)
+        or in a broken vector space on the same mesh object; any other
+        field raises BasisMismatch.  Returns (u, lam) where u is the
         projection and lam the mean-zero multiplier representing the
         discrete-gradient part: Pi_{H(div)} r = u + grad-part(lam).  The
         harmonic part uses a basis drawn once per solver (seed 0); the
@@ -260,9 +261,7 @@ class HodgeSolver:
 
     def _velocity_functional(self, r) -> np.ndarray:
         if isinstance(r, FeField):
-            if r.space is self.V or (
-                r.space.kind == "bdm" and r.space.total_dofs == self.V.total_dofs
-            ):
+            if self.V.same_as(r.space):
                 return self.M @ r.coefficients
             if r.space.value_shape == "vector" and r.space.mesh is self.mesh:
                 C = asm.assemble_cross_mass(self.V, r.space)
@@ -276,8 +275,7 @@ class HodgeSolver:
     def streamfunction_solve(self, rhs_s: np.ndarray) -> np.ndarray:
         return self.laplace_operator.solve(rhs_s)
 
-    def harmonic_basis(self, seed: int = 0, tol: float = 1e-8,
-                       max_attempts: int | None = None) -> HarmonicBasis:
+    def harmonic_basis(self, seed: int = 0, tol: float = 1e-8) -> HarmonicBasis:
         """Randomized construction of the orthonormal harmonic basis.
 
         Draw a random unit field, make it divergence-free by removing its
@@ -289,16 +287,15 @@ class HodgeSolver:
         20 b1 + 20 guards against inconsistent topology/assembly input.
         """
         b1 = self.topology.b1
-        if max_attempts is None:
-            max_attempts = 20 * b1 + 20
+        budget = 20 * b1 + 20
         n = self.V.total_dofs
         accepted: list[np.ndarray] = []
         rng = np.random.default_rng(seed)
         attempts = 0
         while len(accepted) < b1:
-            if attempts >= max_attempts:
+            if attempts >= budget:
                 raise MaxAttemptsExceeded(
-                    f"harmonic basis search exceeded {max_attempts} draws; "
+                    f"harmonic basis search exceeded {budget} draws; "
                     f"accepted {len(accepted)} of {b1}")
             attempts += 1
             r = rng.standard_normal(n)
@@ -365,7 +362,7 @@ class HodgeSolver:
         measures the whole split.
         """
         self.check_basis(basis)
-        if v.space.total_dofs != self.V.total_dofs:
+        if not self.V.same_as(v.space):
             raise BasisMismatch("field does not live in the solver's space")
         vc = v.coefficients
         psi, h, rot_part, harmonic_part, lam = self._project(self.M @ vc, basis.vectors)
@@ -381,20 +378,6 @@ class HodgeSolver:
             harmonic_part=harmonic_part,
             gradient_part=gradient_part,
         )
-
-
-# --------------------------------------------------- module-level wrappers
-def helmholtz_project(mesh: SurfaceMesh, k: int, r) -> tuple[FeField, FeField]:
-    return HodgeSolver(mesh, k).helmholtz_project(r)
-
-
-def harmonic_basis(mesh: SurfaceMesh, k: int, seed: int = 0, tol: float = 1e-8,
-                   max_attempts: int | None = None) -> HarmonicBasis:
-    return HodgeSolver(mesh, k).harmonic_basis(seed=seed, tol=tol, max_attempts=max_attempts)
-
-
-def decompose(mesh: SurfaceMesh, v: FeField, basis: HarmonicBasis) -> HodgeComponents:
-    return HodgeSolver(mesh, basis.k).decompose(v, basis)
 
 
 # ---------------------------------------------- lowest-order CR decomposition

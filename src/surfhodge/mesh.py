@@ -232,34 +232,15 @@ class SurfaceMesh:
             raise NonManifold(f"vertex {int(np.argmax(counts > 1))} has a non-manifold umbrella")
 
     def _build_boundary_loops(self):
-        self.boundary_loops: list[list[int]] = []
+        """Group the boundary edges into loops, numbered by their lowest
+        edge; each loop lists its edges in ascending order, not in walk
+        order, which no caller reads.  _check_umbrellas has left every
+        boundary vertex on exactly two boundary edges, whose two ends are
+        adjacent once the ends are sorted by vertex."""
         b_edges = np.flatnonzero(self.boundary_edge_mask)
-        if len(b_edges) == 0:
-            return
-        v2be: dict[int, list[int]] = {}
-        for e in b_edges:
-            for v in self.edges[e]:
-                v2be.setdefault(int(v), []).append(int(e))
-        for v, es in v2be.items():
-            if len(es) != 2:
-                raise NonManifold(f"boundary vertex {v} on {len(es)} boundary edges")
-        seen = set()
-        for start in b_edges:
-            if int(start) in seen:
-                continue
-            loop = [int(start)]
-            seen.add(int(start))
-            v_prev, v_cur = (int(x) for x in self.edges[start])
-            while True:
-                nxt = [e for e in v2be[v_cur] if e not in seen]
-                if not nxt:
-                    break
-                e = nxt[0]
-                loop.append(e)
-                seen.add(e)
-                a, b = (int(x) for x in self.edges[e])
-                v_cur = b if a == v_cur else a
-            self.boundary_loops.append(loop)
+        ends = np.argsort(self.edges[b_edges].ravel(), kind="stable") // 2
+        n_loops, labels = _components(len(b_edges), ends[0::2], ends[1::2])
+        self.boundary_loops = [b_edges[labels == c].tolist() for c in range(n_loops)]
 
     # -------------------------------------------------------------- geometry
     def _build_geometry(self):

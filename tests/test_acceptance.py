@@ -14,11 +14,10 @@ from surfhodge.fespace import FeField, build_space, count_dofs
 from surfhodge.flow import (
     FlowOperators,
     NavierStokesStepper,
+    ReducedSolver,
     SimulationConfig,
-    build_reduced_system,
     monolithic_solve,
     run_simulation,
-    schur_solve,
 )
 from surfhodge.hodge import HodgeSolver, decompose_p0_incomplete, verify_dimension
 from surfhodge.mesh import TopologySummary, analyze_topology
@@ -192,10 +191,12 @@ def test_criterion_6_schur_correctness(acc_corpus):
     mesh = acc_corpus["torus"]
     cfg = SimulationConfig(k=1, mu=0.5, forcing=smooth_random_forcing(7))
     ops = FlowOperators(mesh, cfg)
-    system = build_reduced_system(ops.A_visc, ops.load_vector(0.0), ops.emb,
-                                  ops.gauges)
-    xs, xh, info = schur_solve(system)
-    xs2, xh2 = monolithic_solve(system)
+    system = ops.emb.reduce_matrix(ops.A_visc, ops.gauges)
+    b_s, b_h = ops.emb.reduce_vector(ops.load_vector(0.0))
+    solver = ReducedSolver(system)
+    xs, xh = solver.solve(b_s, b_h)
+    info = {"sparse_solves": solver.sparse_solves}
+    xs2, xh2 = monolithic_solve(system, b_s, b_h)
     scale = max(np.abs(xs2).max(), np.abs(xh2).max())
     failures = []
     if np.abs(xs - xs2).max() > 1e-10 * scale or np.abs(xh - xh2).max() > 1e-10 * scale:

@@ -22,12 +22,8 @@ from surfhodge.flow import (
     NavierStokesStepper,
     ReducedSolver,
     SimulationConfig,
-    build_reduced_system,
     monolithic_solve,
     run_simulation,
-    schur_solve,
-    solve_stokes_reduced,
-    solve_stokes_saddle,
 )
 
 
@@ -57,7 +53,7 @@ def test_embedding_full_column_rank(torus3, basis_cache):
 
     solver = HodgeSolver(torus3, 1)
     emb = JEmbedding(solver.E, basis_cache(torus3, 1).vectors)
-    T = emb.matrix().toarray()
+    T = np.hstack([emb.E.toarray(), emb.H.T])
     sv = np.linalg.svd(T, compute_uv=False)
     # kernel of the rot block is exactly the constants (one dimension)
     assert (sv > 1e-10 * sv[0]).sum() == T.shape[1] - 1
@@ -77,8 +73,8 @@ def test_reduced_blocks_match_dense(torus3, basis_cache):
     emb = JEmbedding(solver.E, basis_cache(torus3, 1).vectors)
     rng = np.random.default_rng(4)
     b = rng.standard_normal(solver.V.total_dofs)
-    system = build_reduced_system(solver.M, b, emb)
-    T = emb.matrix().toarray()
+    system = emb.reduce_matrix(solver.M)
+    T = np.hstack([emb.E.toarray(), emb.H.T])
     A_full = T.T @ solver.M.toarray() @ T
     ns = emb.n_stream
     assert np.abs(system.A_ss.toarray() - A_full[:ns, :ns]).max() < 1e-12
@@ -96,7 +92,8 @@ def test_reduced_system_symmetry(torus_ops):
     formed directly, equals A_sh', which the block system uses in its
     place."""
     emb = torus_ops.emb
-    A_ss, A_sh, A_hh = torus_ops.A_red
+    red = torus_ops.A_red
+    A_ss, A_sh, A_hh = red.A_ss, red.A_sh, red.A_hh
     lower_left = (emb.H @ torus_ops.A_visc) @ emb.E
     assert np.abs(lower_left - A_sh.T).max() <= 1e-12 * max(1.0, np.abs(A_sh).max())
     assert np.abs(A_hh - A_hh.T).max() <= 1e-12 * np.abs(A_hh).max()
@@ -109,54 +106,50 @@ def test_reduced_system_rejects_nonsymmetric(torus_ops):
     A = torus_ops.A_visc.tolil()
     A[0, 1] += 1e-6 * abs(torus_ops.A_visc).max()
     with pytest.raises(NotSPD):
-        build_reduced_system(A.tocsr(), torus_ops.load_vector(0.0), torus_ops.emb,
-                             torus_ops.gauges)
+        torus_ops.emb.reduce_matrix(A.tocsr(), torus_ops.gauges)
 
 
 def test_dimension_mismatch(torus_ops):
     with pytest.raises(DimensionMismatch):
-        build_reduced_system(sp.identity(3, format="csr"), np.zeros(3),
-                             torus_ops.emb)
+        torus_ops.emb.reduce_matrix(sp.identity(3, format="csr"))
 
 
 # ------------------------------------------------------------------- Schur
 def test_schur_hand_example():
     system = BlockSystem(
         A_ss=sp.csr_matrix(np.array([[2.0]])),
-        A_sh=np.array([[1.0]]), A_hh=np.array([[1.0]]),
-        b_s=np.array([1.0]), b_h=np.array([1.0]))
-    xs, xh, info = schur_solve(system)
+        A_sh=np.array([[1.0]]), A_hh=np.array([[1.0]]))
+    solver = ReducedSolver(system)
+    xs, xh = solver.solve(np.array([1.0]), np.array([1.0]))
     # S = 1 - 1/2 = 1/2, rhs_h = 1 - 1/2 = 1/2 -> x_h = 1, x_s = 0
     assert xh[0] == pytest.approx(1.0, abs=1e-14)
     assert xs[0] == pytest.approx(0.0, abs=1e-14)
-    assert info["sparse_solves"] == 2
+    assert solver.sparse_solves == 2
 
 
 def test_schur_counts_exactly_nh_plus_one(torus_ops):
     b = torus_ops.load_vector(0.0)
-    system = build_reduced_system(torus_ops.A_visc, b, torus_ops.emb,
-                                  torus_ops.gauges)
-    _, _, info = schur_solve(system)
-    assert info["sparse_solves"] == torus_ops.emb.n_harmonic + 1 == 3
+    solver = ReducedSolver(torus_ops.A_red)
+    solver.solve(*torus_ops.emb.reduce_vector(b))
+    assert solver.sparse_solves == torus_ops.emb.n_harmonic + 1 == 3
 
 
 def test_schur_no_harmonic_single_solve(tetra):
     cfg = SimulationConfig(k=1, mu=1.0, forcing=smooth_forcing(1))
     ops = FlowOperators(tetra, cfg)
-    system = build_reduced_system(ops.A_visc, ops.load_vector(0.0), ops.emb,
-                                  ops.gauges)
+    system = ops.A_red
     assert system.n_harmonic == 0
-    xs, xh, info = schur_solve(system)
-    assert info["sparse_solves"] == 1
+    solver = ReducedSolver(system)
+    xs, xh = solver.solve(*ops.emb.reduce_vector(ops.load_vector(0.0)))
+    assert solver.sparse_solves == 1
     assert xh.size == 0
 
 
 def test_schur_vs_monolithic(torus_ops):
-    b = torus_ops.load_vector(0.0)
-    system = build_reduced_system(torus_ops.A_visc, b, torus_ops.emb,
-                                  torus_ops.gauges)
-    xs, xh, _ = schur_solve(system)
-    xs2, xh2 = monolithic_solve(system)
+    b_s, b_h = torus_ops.emb.reduce_vector(torus_ops.load_vector(0.0))
+    system = torus_ops.A_red
+    xs, xh = ReducedSolver(system).solve(b_s, b_h)
+    xs2, xh2 = monolithic_solve(system, b_s, b_h)
     scale = max(np.abs(xs2).max(), np.abs(xh2).max())
     assert np.abs(xs - xs2).max() <= 1e-10 * scale
     assert np.abs(xh - xh2).max() <= 1e-10 * scale
@@ -167,10 +160,11 @@ def test_pinned_stokes_block_matches_monolithic(torus3, basis_cache):
     solution and meets its zero-mean constraint."""
     cfg = SimulationConfig(k=1, mu=0.7, forcing=smooth_forcing(16))
     ops = FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1))
-    system = build_reduced_system(ops.A_visc, ops.load_vector(0.0), ops.emb, ops.gauges)
+    system = ops.A_red
     assert len(system.gauges) == 1
-    xs, xh, _ = schur_solve(system)
-    xs2, xh2 = monolithic_solve(system)
+    b_s, b_h = ops.emb.reduce_vector(ops.load_vector(0.0))
+    xs, xh = ReducedSolver(system).solve(b_s, b_h)
+    xs2, xh2 = monolithic_solve(system, b_s, b_h)
     scale = max(np.abs(xs2).max(), np.abs(xh2).max())
     assert np.abs(xs - xs2).max() <= 1e-10 * scale
     assert np.abs(xh - xh2).max() <= 1e-10 * scale
@@ -185,17 +179,17 @@ def test_singular_streamblock_detected(torus3):
     solver = HodgeSolver(torus3, 0)
     emb = JEmbedding(solver.E, np.zeros((0, solver.V.total_dofs)))
     # rot-Laplace without the zero-mean gauge: kernel = constants
-    system = build_reduced_system(solver.M, np.zeros(solver.V.total_dofs), emb)
+    system = emb.reduce_matrix(solver.M)
     with pytest.raises(SingularOperator):
         ReducedSolver(system)
 
 
 # ------------------------------------------------------------------ Stokes
 def test_stokes_zero_forcing_zero_solution(sphere4):
-    cfg = SimulationConfig(k=1, mu=1.0)
-    state = solve_stokes_reduced(sphere4, cfg)
+    ops = FlowOperators(sphere4, SimulationConfig(k=1, mu=1.0))
+    state, _ = ops.stokes_reduced()
     assert state.kinetic_energy <= 1e-24
-    u, p = solve_stokes_saddle(sphere4, cfg)
+    u, p = ops.stokes_saddle()
     assert np.abs(u.coefficients).max() <= 1e-12
     assert np.abs(p.coefficients).max() <= 1e-12
 
@@ -214,6 +208,23 @@ def test_stokes_reduced_matches_saddle(corpus, mesh_name, k):
     # exact incompressibility of both solutions
     assert asm.divergence_norm(ops.V, state.u.coefficients) <= 1e-10 * un
     assert asm.divergence_norm(ops.V, u_s.coefficients) <= 1e-10 * un
+
+
+def test_freeslip_stokes_matches_saddle(sphere4):
+    """bc = "freeslip" drops the boundary penalty: the reduced solve still
+    matches the saddle oracle with exact divergence, and the velocity
+    differs from the no-slip one on the pierced sphere."""
+    cfg = SimulationConfig(k=1, mu=0.5, bc="freeslip", forcing=smooth_forcing(3))
+    ops = FlowOperators(sphere4, cfg)
+    state, _ = ops.stokes_reduced()
+    u_s, _ = ops.stokes_saddle()
+    du = state.u.coefficients - u_s.coefficients
+    un = np.sqrt(u_s.coefficients @ (ops.M @ u_s.coefficients))
+    assert np.sqrt(du @ (ops.M @ du)) <= 1e-8 * un
+    assert asm.divergence_norm(ops.V, state.u.coefficients) <= 1e-10 * un
+    noslip, _ = FlowOperators(sphere4, replace(cfg, bc="noslip"), basis=ops.basis).stokes_reduced()
+    dn = state.u.coefficients - noslip.u.coefficients
+    assert np.sqrt(dn @ (ops.M @ dn)) > 1e-3 * un
 
 
 def test_pressure_reconstruction_matches_saddle(torus_ops):
@@ -423,8 +434,7 @@ def test_step_blocks_match_restricted_parent(mesh_name, basis_cache, request):
     cfg = SimulationConfig(k=1, mu=0.3, dt=1e-2, t_end=0.0)
     ops = FlowOperators(mesh, cfg, basis=basis_cache(mesh, 1))
     got = NavierStokesStepper(ops).system
-    want = build_reduced_system(ops.M / cfg.dt + ops.A_visc, np.zeros(ops.V.total_dofs),
-                                ops.emb, ops.gauges)
+    want = ops.emb.reduce_matrix(ops.M / cfg.dt + ops.A_visc, ops.gauges)
     assert got.n_harmonic == {"torus3": 2, "sphere4": 3}[mesh_name]
     assert len(got.gauges) == len(want.gauges) == (mesh_name == "torus3")
     assert abs(got.A_ss - want.A_ss).max() <= 1e-12 * abs(want.A_ss).max()
@@ -439,7 +449,7 @@ def test_run_restricts_the_viscous_form_once(torus3, basis_cache, monkeypatch):
     calls = []
     original = JEmbedding.reduce_matrix
     monkeypatch.setattr(JEmbedding, "reduce_matrix",
-                        lambda self, A: calls.append(1) or original(self, A))
+                        lambda self, *a: calls.append(1) or original(self, *a))
     cfg = SimulationConfig(k=1, mu=0.2, dt=1e-2, t_end=3e-2, forcing=smooth_forcing(18))
     res = run_simulation(torus3, cfg, basis=basis_cache(torus3, 1))
     assert res.final_state.step == 3
@@ -492,6 +502,20 @@ def test_nse_divergence_free_every_step(torus3, basis_cache):
         state = stepper.step(state)
         un = np.sqrt(state.u.coefficients @ (ops.M @ state.u.coefficients))
         assert asm.divergence_norm(ops.V, state.u.coefficients) <= 1e-10 * un
+
+
+def test_zero_initial_condition(torus3, basis_cache):
+    """initial = "zero" starts from rest: the run equals one handed the
+    zero state, bit for bit, and the forcing sets the flow going."""
+    cfg = SimulationConfig(k=1, mu=0.2, dt=1e-2, t_end=3e-2, initial="zero",
+                           forcing=smooth_forcing(19))
+    basis = basis_cache(torus3, 1)
+    res = run_simulation(torus3, cfg, basis=basis)
+    assert res.kinetic_energy[0] == 0.0 and res.kinetic_energy[-1] > 0.0
+    ops = FlowOperators(torus3, cfg, basis=basis)
+    zero = ops.make_state(0.0, np.zeros(ops.emb.n_stream), np.zeros(ops.emb.n_harmonic))
+    ref = run_simulation(torus3, cfg, basis=basis, initial_state=zero)
+    np.testing.assert_array_equal(res.records, ref.records)
 
 
 def test_simulation_times_do_not_drift(torus3, basis_cache):
@@ -549,14 +573,14 @@ def test_stokes_ungauged_block_raises(torus3, basis_cache, monkeypatch):
     monkeypatch.setattr(flow, "FactorizedOperator", Recording)
     cfg = SimulationConfig(k=0, mu=1.0, forcing=smooth_forcing(12))
     ops = FlowOperators(torus3, cfg, basis=basis_cache(torus3, 0))
-    ops.A_red = ops.emb.reduce_matrix(ops.M)  # E' M E is singular on the constants
-    gauges, ops.gauges = ops.gauges, []  # drop the explicit zero-mean gauge
+    # E' M E is singular on the constants; leave out the zero-mean gauge
+    ops.A_red = ops.emb.reduce_matrix(ops.M)
     with pytest.raises(SingularOperator):
         ops.stokes_reduced()
-    assert factored[-1] is ops.A_red[0]
-    ops.gauges = gauges
+    assert factored[-1] is ops.A_red.A_ss
+    ops.A_red = ops.emb.reduce_matrix(ops.M, ops.gauges)
     ops.stokes_reduced()
-    assert factored[-1] is ops.A_red[0]
+    assert factored[-1] is ops.A_red.A_ss
 
 
 def test_stokes_empty_streamblock():

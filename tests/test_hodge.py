@@ -10,7 +10,7 @@ from surfhodge.hodge import (
     decompose_p0_incomplete,
     verify_dimension,
 )
-from surfhodge.mesh import TopologySummary, analyze_topology
+from surfhodge.mesh import SurfaceMesh, TopologySummary, analyze_topology
 
 
 # --------------------------------------------------------------- dimensions
@@ -113,8 +113,8 @@ def test_max_attempts_exceeded(torus3):
     solver = HodgeSolver(torus3, 0)
     with pytest.raises(MaxAttemptsExceeded):
         # candidates are unit fields; an impossible drop tolerance forces
-        # every draw to be discarded
-        solver.harmonic_basis(seed=0, tol=10.0, max_attempts=5)
+        # every draw of the 20 b1 + 20 budget to be discarded
+        solver.harmonic_basis(seed=0, tol=10.0)
 
 
 def test_basis_json_round_trip(tmp_path, torus3, basis_cache):
@@ -135,6 +135,24 @@ def test_basis_mismatch(torus3, torus, basis_cache):
     wrong_k = HodgeSolver(torus3, 0)
     with pytest.raises(BasisMismatch):
         wrong_k.check_basis(basis)
+
+
+def test_field_from_another_mesh_rejected(torus, solver_cache, basis_cache):
+    """A BDM field with the solver's dof count on another mesh (the torus
+    stretched along y and z) is refused by decompose and helmholtz_project;
+    a space rebuilt on the solver's own mesh object is accepted."""
+    solver = solver_cache(torus, 1)
+    basis = basis_cache(torus, 1)
+    stretched = SurfaceMesh(torus.vertices * [1.0, 1.3, 0.7], torus.triangles)
+    coeffs = np.random.default_rng(2).standard_normal(solver.V.total_dofs)
+    foreign = FeField(build_space(stretched, "bdm", 1, "zero_normal_trace"), coeffs)
+    with pytest.raises(BasisMismatch):
+        solver.decompose(foreign, basis)
+    with pytest.raises(BasisMismatch):
+        solver.helmholtz_project(foreign)
+    rebuilt = FeField(build_space(torus, "bdm", 1, "zero_normal_trace"), coeffs)
+    want = solver.decompose(FeField(solver.V, coeffs), basis)
+    assert solver.decompose(rebuilt, basis).residual_norm == want.residual_norm
 
 
 def test_validate_basis_numeric_checks(torus3, solver_cache, basis_cache, rng):

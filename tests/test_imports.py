@@ -1,5 +1,6 @@
-"""Static check in place of a linter: every name a module of surfhodge
-imports is used in that module or re-exported through its __all__."""
+"""Static checks in place of a linter: every name a module of surfhodge
+imports is used in that module or re-exported through its __all__, and
+every name in surfhodge.__all__ resolves."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,13 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_exports_resolve():
+    """A stale __all__ entry breaks `from surfhodge import *`."""
+    assert len(surfhodge.__all__) == len(set(surfhodge.__all__))
+    missing = [name for name in surfhodge.__all__ if not hasattr(surfhodge, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from surfhodge import *", namespace)
+    assert set(surfhodge.__all__) <= set(namespace)

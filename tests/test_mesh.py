@@ -139,6 +139,14 @@ def test_pinched_tetrahedra_rejected():
         SurfaceMesh(verts, np.vstack([tet.triangles, other]))
 
 
+def test_bowtie_rejected():
+    # two triangles sharing only vertex 0, which ends four boundary edges:
+    # the umbrella check rejects it before the boundary loops are built
+    verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [-1, 0, 0], [-1, -1, 0]], float)
+    with pytest.raises(NonManifold, match="vertex 0"):
+        SurfaceMesh(verts, np.array([[0, 1, 2], [0, 3, 4]]))
+
+
 def test_degenerate_triangle_rejected():
     verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]], float)
     tris = np.array([[0, 1, 2], [0, 1, 3]])
@@ -289,10 +297,19 @@ def test_topology_invariant_under_vertex_permutation(seed):
 
 
 def test_boundary_loops_partition(corpus):
+    """The loops partition the boundary edges; every vertex of a loop ends
+    two of its edges, each loop lists its edges in ascending order, and the
+    loops go by their lowest edge."""
     for mesh in corpus.values():
-        loop_edges = [e for loop in mesh.boundary_loops for e in loop]
+        loops = mesh.boundary_loops
+        loop_edges = [e for loop in loops for e in loop]
         assert len(loop_edges) == len(set(loop_edges))
         assert len(loop_edges) == int(mesh.boundary_edge_mask.sum())
+        assert [loop[0] for loop in loops] == sorted(loop[0] for loop in loops)
+        for loop in loops:
+            assert loop == sorted(loop)
+            counts = np.bincount(mesh.edges[loop].ravel())
+            assert set(counts[counts > 0].tolist()) == {2}
 
 
 # ------------------------------------------------------------------- frames
