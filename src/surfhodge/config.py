@@ -7,7 +7,9 @@ parsed as int, float, comma-separated float vectors, booleans or strings
 Forcings are either named presets (constant_band: a constant tangential
 push inside a coordinate slab; rigid_rotation: a rotation field around an
 axis, tangentially projected) or three arithmetic expressions in
-(x, y, z, t) compiled through a restricted AST evaluator.
+(x, y, z, t) compiled through a restricted AST evaluator.  Every preset,
+and expressions none of which reads t, are marked steady (f.steady = True),
+so a run assembles their load once.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ _VARIABLES = ("x", "y", "z", "t")
 def compile_expression(source: str):
     """Compile an arithmetic expression over (x, y, z, t) into a vectorized
     evaluator env -> array.  Only arithmetic, the functions sin, cos, tan,
-    exp, log, sqrt, abs, step and the constants pi, e are allowed."""
+    exp, log, sqrt, abs, step and the constants pi, e are allowed.  The
+    evaluator's attribute `names` holds the variables the expression
+    reads."""
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
@@ -85,11 +89,18 @@ def compile_expression(source: str):
     # raising; non-finite forcing values are caught where the load is used.
     with np.errstate(all="ignore"):
         ev(tree, {v: np.float64(0.0) for v in _VARIABLES})
-    return lambda env: ev(tree, env)
+
+    def evaluate(env):
+        return ev(tree, env)
+
+    evaluate.names = frozenset(node.id for node in ast.walk(tree)
+                               if isinstance(node, ast.Name) and node.id in _VARIABLES)
+    return evaluate
 
 
 def expression_forcing(fx: str, fy: str, fz: str):
-    """Forcing f(points, t) from three component expressions."""
+    """Forcing f(points, t) from three component expressions; steady when
+    no component reads t."""
     comps = [compile_expression(s) for s in (fx, fy, fz)]
 
     def f(points, t=0.0):
@@ -100,10 +111,17 @@ def expression_forcing(fx: str, fy: str, fz: str):
                     for c in comps]
         return np.stack(cols, axis=1)
 
+    f.steady = not any("t" in c.names for c in comps)
     return f
 
 
 # ----------------------------------------------------------------- presets
+def _steady(f):
+    """Mark a forcing as independent of t: its load is assembled once."""
+    f.steady = True
+    return f
+
+
 def _vector3(name, value) -> np.ndarray:
     vec = np.asarray(value, dtype=float)
     if vec.shape != (3,):
@@ -128,7 +146,7 @@ def constant_band_forcing(direction=(0.0, 1.0, 0.0), amplitude=1.0,
         mask = (points[:, axis] >= lo) & (points[:, axis] < hi)
         return amplitude * mask[:, None] * direction[None, :]
 
-    return f
+    return _steady(f)
 
 
 def rigid_rotation_forcing(center=(0.0, 0.0, 0.0), axis=(0.0, 0.0, 1.0),
@@ -145,11 +163,11 @@ def rigid_rotation_forcing(center=(0.0, 0.0, 0.0), axis=(0.0, 0.0, 1.0),
         nrm = np.where(nrm > 0, nrm, 1.0)
         return amplitude * np.cross(r / nrm[:, None], axis[None, :])
 
-    return f
+    return _steady(f)
 
 
 FORCING_PRESETS = {
-    "zero": lambda **kw: (lambda points, t=0.0: np.zeros_like(np.atleast_2d(points))),
+    "zero": lambda **kw: _steady(lambda points, t=0.0: np.zeros_like(np.atleast_2d(points))),
     "constant_band": constant_band_forcing,
     "rigid_rotation": rigid_rotation_forcing,
 }

@@ -14,6 +14,9 @@ to solver precision.
 
 Time stepping for Navier-Stokes is semi-implicit Euler: viscosity implicit
 (the reduced operator is factorized once and reused), convection explicit.
+Each step costs one convection action and one sparse solve, plus one load
+assembly only when the forcing is time-dependent: the load of a steady
+forcing is assembled once, when FlowOperators is built.
 """
 
 from __future__ import annotations
@@ -214,7 +217,7 @@ class SimulationConfig:
     t_end: float = 0.1
     output_every: int = 10
     seed: int = 0
-    forcing: object | None = None  # callable f(points (n,3), t) -> (n,3)
+    forcing: object | None = None  # f(points (n,3), t) -> (n,3); .steady = True: ignores t
     initial: str = "stokes"  # "stokes" | "zero"
     bc: str = "noslip"  # "noslip" | "freeslip"
     allow_inviscid: bool = False
@@ -239,10 +242,15 @@ def _zero_forcing(x, t=0.0):
     return np.zeros_like(x)
 
 
+_zero_forcing.steady = True
+
+
 # ---------------------------------------------------------------- operators
 class FlowOperators:
     """Spaces, forms and the embedding for one (mesh, config) pair; A_red
-    is the BlockSystem of A_visc with the gauges, restricted once.
+    is the BlockSystem of A_visc with the gauges, restricted once.  The
+    load of a steady forcing is assembled here too, so a forcing that is
+    not finite fails at construction with NaNDetected.
 
     A basis passed in is checked by HodgeSolver.validate_basis; without one
     the basis is drawn with config.seed.
@@ -273,9 +281,19 @@ class FlowOperators:
         self.A_red = self.emb.reduce_matrix(self.A_visc, self.gauges)
         self.forcing = config.forcing if config.forcing is not None else _zero_forcing
         self._load_tab = asm.load_tabulation(self.V)
+        self._steady_load = None
+        if getattr(self.forcing, "steady", False):
+            b = asm.assemble_load(self.V, self.forcing, time=0.0, tab=self._load_tab)
+            b.flags.writeable = False
+            self._steady_load = b
 
     # ------------------------------------------------------------- loads
     def load_vector(self, t: float) -> np.ndarray:
+        """Load of the forcing at time t.  A forcing marked steady (an
+        attribute steady = True: it ignores t) is assembled once, when the
+        operators are built, and every call returns that read-only array."""
+        if self._steady_load is not None:
+            return self._steady_load
         return asm.assemble_load(self.V, self.forcing, time=t, tab=self._load_tab)
 
     def make_state(self, t: float, x_s: np.ndarray, x_h: np.ndarray,
@@ -342,7 +360,8 @@ class NavierStokesStepper:
     The reduced operator of M/dt + A_visc is summed from existing blocks,
     L/dt + A_ss, M_sh/dt + A_sh and M_hh/dt + A_hh, and factorized once
     (costing n_harmonic + 1 sparse solves) and reused; each step costs one
-    matrix-free convection action and one sparse solve.
+    matrix-free convection action and one sparse solve, plus one load
+    assembly only when the forcing is time-dependent.
     """
 
     def __init__(self, ops: FlowOperators):

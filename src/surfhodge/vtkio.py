@@ -36,43 +36,42 @@ def lagrange_vertex_values(field: FeField) -> np.ndarray:
     return out
 
 
+def _block(row_format: str, values) -> str:
+    """One line per row of values, formatted by a single % operation."""
+    values = np.asarray(values)
+    return (row_format * len(values)) % tuple(values.ravel().tolist())
+
+
 def write_vtk(path, mesh, cell_vector_fields=None, point_scalar_fields=None,
               title="surfhodge output") -> str:
     """Write a VTK legacy ASCII polydata file.
 
     cell_vector_fields: dict name -> (T, 3) arrays written as CELL_DATA
     VECTORS; point_scalar_fields: dict name -> (V,) arrays written as
-    POINT_DATA SCALARS.
+    POINT_DATA SCALARS.  Floats are written with 17 significant digits.
     """
     path = str(path)
     cell_vector_fields = cell_vector_fields or {}
     point_scalar_fields = point_scalar_fields or {}
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET POLYDATA",
-        f"POINTS {mesh.n_vertices} double",
+    parts = [
+        f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET POLYDATA\n",
+        f"POINTS {mesh.n_vertices} double\n",
+        _block("%.17g %.17g %.17g\n", mesh.vertices),
+        f"POLYGONS {mesh.n_triangles} {4 * mesh.n_triangles}\n",
+        _block("3 %d %d %d\n", mesh.triangles),
     ]
-    for v in mesh.vertices:
-        lines.append(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}")
-    lines.append(f"POLYGONS {mesh.n_triangles} {4 * mesh.n_triangles}")
-    for t in mesh.triangles:
-        lines.append(f"3 {t[0]} {t[1]} {t[2]}")
     if point_scalar_fields:
-        lines.append(f"POINT_DATA {mesh.n_vertices}")
+        parts.append(f"POINT_DATA {mesh.n_vertices}\n")
         for name, vals in point_scalar_fields.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.17g}" for v in np.asarray(vals))
+            parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            parts.append(_block("%.17g\n", vals))
     if cell_vector_fields:
-        lines.append(f"CELL_DATA {mesh.n_triangles}")
+        parts.append(f"CELL_DATA {mesh.n_triangles}\n")
         for name, vals in cell_vector_fields.items():
-            lines.append(f"VECTORS {name} double")
-            lines.extend(
-                f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}" for v in np.asarray(vals))
+            parts.append(f"VECTORS {name} double\n")
+            parts.append(_block("%.17g %.17g %.17g\n", vals))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(parts))
     return path
 
 
@@ -105,10 +104,10 @@ def write_timeseries_csv(out_dir, records: np.ndarray, n_harmonic: int) -> str:
     path = os.path.join(str(out_dir), "timeseries.csv")
     header = ["t", "kinetic_energy", "harmonic_norm", "rot_norm"]
     header += [f"h_{i + 1}" for i in range(n_harmonic)]
+    records = np.asarray(records)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in records:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write(_block(",".join(["%.17g"] * records.shape[1]) + "\n", records))
     return path
 
 

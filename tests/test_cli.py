@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from surfhodge import meshes
+from surfhodge import config, meshes
 from surfhodge.cli import main
 from surfhodge.mesh import save_obj, save_off
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -245,6 +246,39 @@ def test_outputs_bitwise_reproducible(tmp_path, capsys):
         a = (outs[0] / name).read_bytes()
         b = (outs[1] / name).read_bytes()
         assert a == b, name
+
+
+def test_nse_steady_load_writes_per_step_bytes(tmp_path, capsys, monkeypatch):
+    """The trefoil run assembles its constant band load once; the same
+    preset wrapped in a plain lambda carries no steady mark and is
+    assembled every step.  Both write the same bytes."""
+    argv = ["nse", "--config", os.path.join(ROOT, "configs", "nse_trefoil.cfg"), "--out-dir"]
+    assert main(argv + [str(tmp_path / "steady")]) == 0
+    band = config.FORCING_PRESETS["constant_band"]
+
+    def plain(**kw):
+        f = band(**kw)
+        return lambda x, t=0.0: f(x, t)
+
+    monkeypatch.setitem(config.FORCING_PRESETS, "constant_band", plain)
+    assert main(argv + [str(tmp_path / "plain")]) == 0
+    capsys.readouterr()
+    names = sorted(os.listdir(tmp_path / "steady"))
+    assert names == sorted(os.listdir(tmp_path / "plain")) and len(names) == 13
+    for name in names:
+        if name != "manifest.json":  # contains wall-clock timings
+            assert (tmp_path / "steady" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes(), name
+
+
+def test_nse_non_finite_steady_forcing_exit_3_at_setup(tmp_path, capsys):
+    """A forcing that does not read t is assembled while the run is set up,
+    so it fails there, before the first step, even from rest."""
+    cfg = write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\ninitial = zero\nt_end = 0\n"
+                              "forcing = expression\nfx = sqrt(-1-x*x)\nfy = 0\nfz = 0\n")
+    assert main(["nse", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("algorithmic failure: non-finite load") and len(err.splitlines()) == 1
 
 
 # ------------------------------------------------------------------- verify

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from surfhodge.config import (
+    FORCING_PRESETS,
     compile_expression,
     constant_band_forcing,
     expression_forcing,
@@ -27,6 +28,17 @@ def test_expression_step_and_constants():
     f = compile_expression("step(1 - x) * pi")
     env = {"x": np.array([0.0, 2.0]), "y": 0.0, "z": 0.0, "t": 0.0}
     assert np.allclose(f(env), [np.pi, 0.0])
+
+
+def test_expression_reports_variables_read():
+    assert compile_expression("sin(x) * pi + t").names == {"x", "t"}
+    assert compile_expression("2*e").names == set()
+
+
+def test_forcings_steady_unless_an_expression_reads_t():
+    assert all(preset().steady for preset in FORCING_PRESETS.values())
+    assert expression_forcing("sin(y)", "cos(z)", "0.2*x").steady
+    assert not expression_forcing("y", "0", "step(0.0025 - t)").steady
 
 
 def test_expression_rejects_unsafe():

@@ -1,3 +1,4 @@
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from surfhodge import assembly as asm
+from surfhodge.config import FORCING_PRESETS, load_simulation_config
 from surfhodge.errors import (
     DegreeMismatch,
     DimensionMismatch,
@@ -480,6 +482,64 @@ def test_cached_load_matches_assembly_in_time(torus3, basis_cache):
         assert np.abs(b - want).max() <= 1e-14 * np.abs(want).max()
         loads.append(b)
     assert np.abs(loads[0] - loads[1]).max() > 1e-3 * np.abs(loads[0]).max()
+
+
+def _counted(f):
+    """f with its calls' times recorded; keeps f's steady mark."""
+    times = []
+
+    def g(x, t=0.0):
+        times.append(t)
+        return f(x, t)
+
+    if hasattr(f, "steady"):
+        g.steady = f.steady
+    return g, times
+
+
+@pytest.mark.parametrize("initial", ["stokes", "zero"])
+@pytest.mark.parametrize("preset", sorted(FORCING_PRESETS))
+def test_steady_forcing_evaluated_once_per_run(torus3, basis_cache, preset, initial):
+    f, times = _counted(FORCING_PRESETS[preset]())
+    cfg = SimulationConfig(k=1, mu=0.2, dt=1e-2, t_end=5e-2, initial=initial, forcing=f)
+    run_simulation(torus3, cfg, basis=basis_cache(torus3, 1))
+    assert len(times) == 1
+
+
+def test_time_dependent_expression_evaluated_every_step(torus3, basis_cache):
+    """nse_torus_decay's forcing reads t: the initial Stokes state and each
+    step assemble its load at their own time."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "nse_torus_decay.cfg"
+    cfg, _ = load_simulation_config(path)
+    f, times = _counted(cfg.forcing)
+    cfg = replace(cfg, forcing=f, t_end=10 * cfg.dt)
+    res = run_simulation(torus3, cfg, basis=basis_cache(torus3, 1))
+    assert len(times) == 10 + 1
+    np.testing.assert_array_equal(times, res.times)
+
+
+def test_steady_load_assembled_once_and_read_only(torus3, basis_cache):
+    f = FORCING_PRESETS["rigid_rotation"](axis=(1.0, 0.5, 0.2))
+    ops = FlowOperators(torus3, SimulationConfig(k=1, forcing=f), basis=basis_cache(torus3, 1))
+    b = ops.load_vector(0.0)
+    assert ops.load_vector(2.5) is b
+    np.testing.assert_array_equal(b, asm.assemble_load(ops.V, f, time=2.5))
+    with pytest.raises(ValueError):
+        b[0] = 1.0
+    # no forcing is the zero forcing, steady as well
+    zero = FlowOperators(torus3, SimulationConfig(k=1), basis=basis_cache(torus3, 1))
+    assert zero.load_vector(1.0) is zero.load_vector(0.0)
+    assert not zero.load_vector(0.0).any()
+
+
+def test_non_finite_steady_forcing_fails_at_setup(torus3, basis_cache):
+    def f(x, t=0.0):
+        return np.sqrt(-1.0 - x)
+
+    f.steady = True
+    cfg = SimulationConfig(k=1, initial="zero", t_end=0.0, forcing=f)
+    with np.errstate(invalid="ignore"), pytest.raises(NaNDetected, match="non-finite load"):
+        FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1))
 
 
 def test_nse_cfl_warning(torus3, basis_cache):
