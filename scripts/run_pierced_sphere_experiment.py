@@ -6,33 +6,33 @@ conditions on the four rims; the rotation axis is tilted relative to the
 hole arrangement so that the net circulations through the holes (the three
 harmonic coefficients) are nonzero.
 
+The run is configs/nse_pierced_sphere.cfg with t_end = n_steps * dt and a snapshot
+every n_steps // 10 steps (at least every step).
+
 Usage: python scripts/run_pierced_sphere_experiment.py [out_dir] [n_steps]
 """
 
+import dataclasses
+import os
 import sys
 
 import numpy as np
 
 from surfhodge import meshes
-from surfhodge.config import rigid_rotation_forcing
-from surfhodge.flow import SimulationConfig, run_simulation
+from surfhodge.config import load_simulation_config
+from surfhodge.flow import run_simulation
+
+CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs",
+                      "nse_pierced_sphere.cfg")
 
 
 def main() -> int:
     out_dir = sys.argv[1] if len(sys.argv) > 1 else "out/pierced_sphere"
     n_steps = int(sys.argv[2]) if len(sys.argv) > 2 else 200
-    mesh = meshes.sphere_with_holes(2, 4)
-    dt = 5e-3
-    config = SimulationConfig(
-        k=1,
-        mu=1e-2,
-        dt=dt,
-        t_end=n_steps * dt,
-        output_every=max(n_steps // 10, 1),
-        bc="noslip",
-        forcing=rigid_rotation_forcing(center=(0, 0, 0), axis=(1.0, 0.5, 0.2),
-                                       amplitude=0.1),
-    )
+    config, values = load_simulation_config(CONFIG)
+    mesh = meshes.resolve(values["mesh"])
+    config = dataclasses.replace(config, t_end=n_steps * config.dt,
+                                 output_every=max(n_steps // 10, 1))
     result = run_simulation(mesh, config, out_dir=out_dir)
     rec = result.records
     print(f"harmonic space dimension: {result.basis.dimension}")

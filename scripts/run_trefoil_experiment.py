@@ -8,32 +8,33 @@ while the streamfunction part carries the local vortical motion.  The run
 writes VTK snapshots of the velocity and its two parts plus a CSV time
 series, and prints the energy split at a few times.
 
+The run is configs/nse_trefoil.cfg with t_end = n_steps * dt and a snapshot
+every n_steps // 10 steps (at least every step).
+
 Usage: python scripts/run_trefoil_experiment.py [out_dir] [n_steps]
 """
 
+import dataclasses
+import os
 import sys
 
 import numpy as np
 
 from surfhodge import meshes
-from surfhodge.config import constant_band_forcing
-from surfhodge.flow import SimulationConfig, run_simulation
+from surfhodge.config import load_simulation_config
+from surfhodge.flow import run_simulation
+
+CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs",
+                      "nse_trefoil.cfg")
 
 
 def main() -> int:
     out_dir = sys.argv[1] if len(sys.argv) > 1 else "out/trefoil"
     n_steps = int(sys.argv[2]) if len(sys.argv) > 2 else 500
-    mesh = meshes.trefoil_tube(24, 8)
-    dt = 2e-2
-    config = SimulationConfig(
-        k=1,
-        mu=0.1,
-        dt=dt,
-        t_end=n_steps * dt,
-        output_every=max(n_steps // 10, 1),
-        forcing=constant_band_forcing(
-            direction=(0.0, 1.0, 0.0), amplitude=0.02, band_axis=0, band_max=0.0),
-    )
+    config, values = load_simulation_config(CONFIG)
+    mesh = meshes.resolve(values["mesh"])
+    config = dataclasses.replace(config, t_end=n_steps * config.dt,
+                                 output_every=max(n_steps // 10, 1))
     result = run_simulation(mesh, config, out_dir=out_dir)
     rec = result.records
     print(f"harmonic space dimension: {result.basis.dimension}")

@@ -19,36 +19,28 @@ import time
 import numpy as np
 
 from . import __version__, assembly as asm, meshes, vtkio
-from .config import (
-    expression_forcing,
-    parse_config_file,
-    simulation_config_from_dict,
-)
+from .config import expression_forcing, parse_config_file, simulation_config_from_dict
 from .errors import AlgorithmError, MeshInputError, SolverError, SurfHodgeError
 from .fespace import FeField, build_space, count_dofs
 from .flow import FlowOperators, run_simulation
 from .hodge import HarmonicBasis, HodgeSolver, verify_dimension
-from .mesh import analyze_topology, load_mesh
-
-MESH_BUILDERS = dict(meshes.CORPUS_BUILDERS)
-MESH_BUILDERS.update({
-    "genus2_chain": lambda: meshes.genus_g_torus_chain(2),
-    "flat_patch": lambda: meshes.flat_patch(4),
-    "square": meshes.square_two_triangles,
-})
+from .mesh import analyze_topology
 
 
 class RunManifest:
-    """Phase timings and output records of one CLI invocation."""
+    """One CLI invocation: its phase timings, mesh checksum and output
+    files.  `finish` is the run tail every command shares."""
 
-    def __init__(self, command: str, args_snapshot: dict):
+    def __init__(self, args):
+        self.out_dir = args.out_dir
         self.data = {
             "tool": "surfhodge",
             "version": __version__,
-            "command": command,
-            "config": args_snapshot,
+            "command": args.command,
+            "config": {k: v for k, v in vars(args).items()
+                       if isinstance(v, (str, int, float, bool, type(None)))},
             "mesh_checksum": None,
-            "seed": args_snapshot.get("seed"),
+            "seed": getattr(args, "seed", None),
             "timings_s": {},
             "outputs": [],
         }
@@ -61,46 +53,47 @@ class RunManifest:
             self.data["timings_s"][self._phase] = round(now - self._t0, 6)
         self._phase, self._t0 = name, now
 
-    def add_output(self, path) -> str:
-        self.data["outputs"].append(str(path))
-        return str(path)
+    def mesh(self, spec: str):
+        """The mesh of a spec (meshes.resolve), its checksum recorded."""
+        mesh = meshes.resolve(spec)
+        self.data["mesh_checksum"] = mesh.checksum()
+        return mesh
 
-    def write(self, out_dir) -> str:
-        self.phase("done")
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(str(out_dir), "manifest.json")
+    def finish(self, lines, payload: dict, *writers) -> int:
+        """With --out-dir, call each writer with the directory (it returns
+        the path or the list of paths it wrote), list those paths under
+        outputs and write manifest.json.  Then print the summary lines and
+        the payload as the last stdout line."""
+        if self.out_dir:
+            self.phase("write")
+            os.makedirs(self.out_dir, exist_ok=True)
+            for write in writers:
+                written = write(self.out_dir)
+                self.data["outputs"] += [written] if isinstance(written, str) else written
+            self.phase("done")
+            with open(os.path.join(self.out_dir, "manifest.json"), "w") as fh:
+                json.dump(self.data, fh, indent=2)
+        for line in lines:
+            print(line)
+        print(json.dumps(payload))
+        return 0
+
+
+def _json_file(name: str, data):
+    """A writer of `data` as the JSON file `name`."""
+    def write(out_dir):
+        path = os.path.join(out_dir, name)
         with open(path, "w") as fh:
-            json.dump(self.data, fh, indent=2)
+            json.dump(data, fh, indent=2)
         return path
-
-
-def _args_snapshot(args) -> dict:
-    return {k: v for k, v in vars(args).items()
-            if isinstance(v, (str, int, float, bool, type(None)))}
-
-
-def _resolve_mesh(spec: str):
-    if spec.startswith("builtin:"):
-        name = spec.split(":", 1)[1]
-        if name not in MESH_BUILDERS:
-            raise MeshInputError(
-                f"unknown builtin mesh {name!r}; available: {sorted(MESH_BUILDERS)}")
-        return MESH_BUILDERS[name]()
-    return load_mesh(spec)
-
-
-def _emit(summary_lines, payload: dict):
-    for line in summary_lines:
-        print(line)
-    print(json.dumps(payload))
+    return write
 
 
 # ----------------------------------------------------------------- commands
 def cmd_topology(args) -> int:
-    manifest = RunManifest("topology", {"mesh": args.mesh})
+    manifest = RunManifest(args)
     manifest.phase("load")
-    mesh = _resolve_mesh(args.mesh)
-    manifest.data["mesh_checksum"] = mesh.checksum()
+    mesh = manifest.mesh(args.mesh)
     manifest.phase("analyze")
     topo = analyze_topology(mesh)
     payload = topo.to_dict()
@@ -112,24 +105,13 @@ def cmd_topology(args) -> int:
         f"betti numbers b0={topo.b0} b1={topo.b1} b2={topo.b2}  "
         f"closed={topo.closed}  boundary loops={len(mesh.boundary_loops)}",
     ]
-    if args.out_dir:
-        manifest.phase("write")
-        os.makedirs(args.out_dir, exist_ok=True)
-        path = os.path.join(args.out_dir, "topology.json")
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        manifest.add_output(path)
-        manifest.write(args.out_dir)
-    _emit(lines, payload)
-    return 0
+    return manifest.finish(lines, payload, _json_file("topology.json", payload))
 
 
 def cmd_harmonic(args) -> int:
-    manifest = RunManifest("harmonic", {
-        "mesh": args.mesh, "k": args.k, "seed": args.seed, "tol": args.tol})
+    manifest = RunManifest(args)
     manifest.phase("load")
-    mesh = _resolve_mesh(args.mesh)
-    manifest.data["mesh_checksum"] = mesh.checksum()
+    mesh = manifest.mesh(args.mesh)
     manifest.phase("basis")
     solver = HodgeSolver(mesh, args.k)
     basis = solver.harmonic_basis(seed=args.seed, tol=args.tol)
@@ -144,15 +126,13 @@ def cmd_harmonic(args) -> int:
         f"harmonic space dimension b1 = {basis.dimension} (degree {args.k})",
         f"accepted after {basis.n_attempts} draws; Gram residual {basis.gram_residual:.2e}",
     ]
-    if args.out_dir:
-        manifest.phase("write")
-        os.makedirs(args.out_dir, exist_ok=True)
-        path = os.path.join(args.out_dir, "harmonic_basis.json")
-        basis.save_json(path)
-        payload["basis_file"] = manifest.add_output(path)
-        manifest.write(args.out_dir)
-    _emit(lines, payload)
-    return 0
+
+    def save_basis(out_dir):
+        payload["basis_file"] = os.path.join(out_dir, "harmonic_basis.json")
+        basis.save_json(payload["basis_file"])
+        return payload["basis_file"]
+
+    return manifest.finish(lines, payload, save_basis)
 
 
 def _decompose_input(args, solver: HodgeSolver) -> FeField:
@@ -168,12 +148,9 @@ def _decompose_input(args, solver: HodgeSolver) -> FeField:
 
 
 def cmd_decompose(args) -> int:
-    manifest = RunManifest("decompose", {
-        "mesh": args.mesh, "k": args.k, "seed": args.seed, "tol": args.tol,
-        "field_mode": args.field_mode, "field_seed": args.field_seed})
+    manifest = RunManifest(args)
     manifest.phase("load")
-    mesh = _resolve_mesh(args.mesh)
-    manifest.data["mesh_checksum"] = mesh.checksum()
+    mesh = manifest.mesh(args.mesh)
     manifest.phase("basis")
     solver = HodgeSolver(mesh, args.k)
     if args.basis:
@@ -207,46 +184,35 @@ def cmd_decompose(args) -> int:
         f"  |gradient| = {norms['gradient_norm']:.6g}",
         f"  reconstruction residual = {norms['residual']:.3e}",
     ]
-    if args.out_dir:
-        manifest.phase("write")
-        os.makedirs(args.out_dir, exist_ok=True)
-        vtk_path = os.path.join(args.out_dir, "decomposition.vtk")
-        vtkio.write_decomposition_vtk(vtk_path, mesh, solver.V, v, comp, basis)
-        manifest.add_output(vtk_path)
-        json_path = os.path.join(args.out_dir, "decomposition.json")
-        with open(json_path, "w") as fh:
-            json.dump(norms, fh, indent=2)
-        manifest.add_output(json_path)
-        manifest.write(args.out_dir)
-    _emit(lines, norms)
-    return 0
+    return manifest.finish(
+        lines, norms,
+        lambda out_dir: vtkio.write_decomposition_vtk(
+            os.path.join(out_dir, "decomposition.vtk"), mesh, solver.V, v, comp, basis),
+        _json_file("decomposition.json", norms))
 
 
-def _load_flow_setup(args):
-    values = parse_config_file(args.config) if args.config else {}
-    if args.k is not None:
-        values["k"] = args.k
-    if args.seed is not None:
-        values["seed"] = args.seed
+def _flow_setup(args, manifest: RunManifest):
+    """Mesh, SimulationConfig and optional basis of a stokes or nse run:
+    the config file with --k, --seed, --mesh and --basis overriding it."""
+    values = parse_config_file(args.config)
+    values.update({key: getattr(args, key) for key in ("k", "seed")
+                   if getattr(args, key) is not None})
     config = simulation_config_from_dict(values)
+    manifest.data["config"] = {**values, "command_line": manifest.data["config"]}
+    manifest.data["seed"] = config.seed
     mesh_spec = args.mesh or values.get("mesh")
     if not mesh_spec:
         raise MeshInputError("no mesh given (config key 'mesh' or --mesh)")
-    mesh = _resolve_mesh(str(mesh_spec))
-    basis = None
-    basis_path = getattr(args, "basis", None) or values.get("basis")
-    if basis_path:
-        basis = HarmonicBasis.load_json(str(basis_path))
-    return mesh, config, values, basis
+    mesh = manifest.mesh(str(mesh_spec))
+    basis_path = args.basis or values.get("basis")
+    basis = HarmonicBasis.load_json(str(basis_path)) if basis_path else None
+    return mesh, config, basis
 
 
 def cmd_stokes(args) -> int:
-    manifest = RunManifest("stokes", {
-        "config": args.config, "mesh": args.mesh, "k": args.k, "seed": args.seed})
+    manifest = RunManifest(args)
     manifest.phase("setup")
-    mesh, config, values, basis = _load_flow_setup(args)
-    manifest.data["mesh_checksum"] = mesh.checksum()
-    manifest.data["config"] = {**values, "command_line": _args_snapshot(args)}
+    mesh, config, basis = _flow_setup(args, manifest)
     ops = FlowOperators(mesh, config, basis=basis)
     manifest.phase("solve")
     state, info = ops.stokes_reduced(t=0.0)
@@ -274,17 +240,10 @@ def cmd_stokes(args) -> int:
         payload["saddle_pressure_discrepancy"] = rel_p
         lines.append(f"saddle-point cross-check: velocity discrepancy {rel:.3e}, "
                      f"pressure discrepancy {rel_p:.3e}")
-    if args.out_dir:
-        manifest.phase("write")
-        os.makedirs(args.out_dir, exist_ok=True)
-        manifest.add_output(vtkio.write_flow_snapshot(args.out_dir, 0, ops, state))
-        json_path = os.path.join(args.out_dir, "stokes.json")
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        manifest.add_output(json_path)
-        manifest.write(args.out_dir)
-    _emit(lines, payload)
-    return 0
+    return manifest.finish(
+        lines, payload,
+        lambda out_dir: vtkio.write_flow_snapshot(out_dir, 0, ops, state),
+        _json_file("stokes.json", payload))
 
 
 def _relative_gap(x, ref, M) -> float:
@@ -294,12 +253,9 @@ def _relative_gap(x, ref, M) -> float:
 
 
 def cmd_nse(args) -> int:
-    manifest = RunManifest("nse", {
-        "config": args.config, "mesh": args.mesh, "k": args.k, "seed": args.seed})
+    manifest = RunManifest(args)
     manifest.phase("setup")
-    mesh, config, values, basis = _load_flow_setup(args)
-    manifest.data["mesh_checksum"] = mesh.checksum()
-    manifest.data["config"] = {**values, "command_line": _args_snapshot(args)}
+    mesh, config, basis = _flow_setup(args, manifest)
     manifest.phase("run")
     result = run_simulation(mesh, config, basis=basis, out_dir=args.out_dir)
     ke = result.kinetic_energy
@@ -317,21 +273,17 @@ def cmd_nse(args) -> int:
         f"kinetic energy {ke[0]:.6g} -> {ke[-1]:.6g}; "
         f"final harmonic norm {payload['harmonic_norm_final']:.6g} (b1 = {payload['b1']})",
     ]
-    if args.out_dir:
-        manifest.phase("write")
-        for p in result.output_files:
-            manifest.add_output(p)
-        manifest.write(args.out_dir)
-    _emit(lines, payload)
-    return 0
+    # run_simulation has written the files already; the tail only lists them
+    return manifest.finish(lines, payload, lambda out_dir: payload["outputs"])
 
 
 def cmd_verify(args) -> int:
-    manifest = RunManifest("verify", {"mesh": args.mesh, "k_max": args.k_max})
+    manifest = RunManifest(args)
+    manifest.phase("checks")
     if args.mesh:
-        corpus = {"input": _resolve_mesh(args.mesh)}
+        corpus = {"input": manifest.mesh(args.mesh)}
     else:
-        corpus = {name: MESH_BUILDERS[name]()
+        corpus = {name: meshes.BUILTIN[name]()
                   for name in ("tetrahedron", "torus", "genus2", "sphere_4holes")}
     checks = []
 
@@ -372,34 +324,36 @@ def cmd_verify(args) -> int:
             resid = abs(BE).max() if BE.nnz else 0.0
             check(f"{name}: div o rot = 0 (k={k})", resid <= 1e-12 * max(scale, 1e-300),
                   f"residual {resid:.2e}")
-            basis = solver.harmonic_basis(seed=args.seed or 0, tol=args.tol)
+            basis = solver.harmonic_basis(seed=args.seed, tol=args.tol)
             ok = basis.dimension == topo.b1 and basis.gram_residual <= 1e-10
             detail = f"b1 {basis.dimension} vs {topo.b1}, gram {basis.gram_residual:.1e}"
-            if ok and basis.dimension:
-                div_ok = all(
-                    asm.divergence_norm(solver.V, h) <= 1e-10
-                    for h in basis.vectors)
-                rot_ok = all(
-                    np.abs(solver.E.T @ (solver.M @ h)).max() <= 1e-10
-                    for h in basis.vectors)
-                ok = div_ok and rot_ok
+            if ok and basis.dimension:  # each field divergence-free and orthogonal to rot
+                ok = all(asm.divergence_norm(solver.V, h) <= 1e-10
+                         and np.abs(solver.E.T @ (solver.M @ h)).max() <= 1e-10
+                         for h in basis.vectors)
             check(f"{name}: harmonic basis k={k}", ok, detail)
     n_fail = sum(not c["pass"] for c in checks)
-    payload = {"checks": checks, "failures": n_fail}
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        path = os.path.join(args.out_dir, "verify.json")
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        manifest.add_output(path)
-        manifest.write(args.out_dir)
-    print(json.dumps({"failures": n_fail, "checks": len(checks)}))
+    manifest.finish([], {"failures": n_fail, "checks": len(checks)},
+                    _json_file("verify.json", {"checks": checks, "failures": n_fail}))
     if n_fail:
         raise AlgorithmError(f"{n_fail} verification checks failed")
     return 0
 
 
 # -------------------------------------------------------------------- main
+# Options that several verbs share, each declared once; build_parser
+# names the verbs that take each of them.
+_SHARED_OPTIONS = {
+    "--mesh": dict(help="mesh file (.off/.obj) or builtin:<name>; for stokes and nse "
+                        "it overrides the config's mesh, for verify it replaces the corpus"),
+    "--k": dict(type=int, default=0),
+    "--seed": dict(type=int, default=0),
+    "--tol": dict(type=float, default=1e-8),
+    "--basis": dict(default=None, help="harmonic basis JSON to reuse"),
+    "--out-dir": dict(default=None),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="surfhodge",
@@ -408,56 +362,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"surfhodge {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, mesh_required=True):
-        sp.add_argument("--mesh", required=mesh_required,
-                        help="mesh file (.off/.obj) or builtin:<name>")
-        sp.add_argument("--out-dir", default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=1e-8)
+    def verb(name, fn, hlp, shared, required=()):
+        sp = sub.add_parser(name, help=hlp)
+        for flag in shared:
+            sp.add_argument(flag, required=flag in required, **_SHARED_OPTIONS[flag])
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("topology", help="entity counts, Euler characteristic, Betti numbers")
-    add_common(sp)
-    sp.set_defaults(fn=cmd_topology)
-
-    sp = sub.add_parser("harmonic", help="construct the orthonormal harmonic basis")
-    add_common(sp)
-    sp.add_argument("--k", type=int, default=0)
-    sp.set_defaults(fn=cmd_harmonic)
-
-    sp = sub.add_parser("decompose", help="three-way decomposition of a vector field")
-    add_common(sp)
-    sp.add_argument("--k", type=int, default=0)
-    sp.add_argument("--basis", default=None, help="harmonic basis JSON to reuse")
+    verb("topology", cmd_topology, "entity counts, Euler characteristic, Betti numbers",
+         ("--mesh", "--out-dir"), required=("--mesh",))
+    verb("harmonic", cmd_harmonic, "construct the orthonormal harmonic basis",
+         ("--mesh", "--k", "--seed", "--tol", "--out-dir"), required=("--mesh",))
+    sp = verb("decompose", cmd_decompose, "three-way decomposition of a vector field",
+              ("--mesh", "--k", "--seed", "--tol", "--basis", "--out-dir"),
+              required=("--mesh",))
     sp.add_argument("--field-mode", choices=("random", "rot", "expression"),
                     default="random")
     sp.add_argument("--field-seed", type=int, default=0)
     sp.add_argument("--fx", default="0")
     sp.add_argument("--fy", default="0")
     sp.add_argument("--fz", default="0")
-    sp.set_defaults(fn=cmd_decompose)
 
-    for verb, fn, hlp in (("stokes", cmd_stokes, "steady Stokes solve"),
+    for name, fn, hlp in (("stokes", cmd_stokes, "steady Stokes solve"),
                           ("nse", cmd_nse, "unsteady Navier-Stokes run")):
-        sp = sub.add_parser(verb, help=hlp)
+        sp = verb(name, fn, hlp, ("--mesh", "--k", "--seed", "--basis", "--out-dir"))
         sp.add_argument("--config", required=True, help="key = value config file")
-        sp.add_argument("--mesh", default=None, help="override config mesh")
-        sp.add_argument("--k", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out-dir", default=None)
-        sp.add_argument("--basis", default=None,
-                        help="harmonic basis JSON to reuse (or config key 'basis')")
-        if verb == "stokes":
+        sp.set_defaults(k=None, seed=None)  # unset: the config's value
+        if name == "stokes":
             sp.add_argument("--compare-saddle", action="store_true")
-        sp.set_defaults(fn=fn)
 
-    sp = sub.add_parser("verify", help="dimension and invariant suites")
-    sp.add_argument("--mesh", default=None,
-                    help="single mesh instead of the built-in corpus")
+    sp = verb("verify", cmd_verify, "dimension and invariant suites",
+              ("--mesh", "--seed", "--tol", "--out-dir"))
     sp.add_argument("--k-max", type=int, default=2)
-    sp.add_argument("--out-dir", default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.set_defaults(fn=cmd_verify)
     return p
 
 
@@ -465,16 +401,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except MeshInputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except AlgorithmError as exc:
         print(f"algorithmic failure: {exc}", file=sys.stderr)
         return 3
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4
-    except SurfHodgeError as exc:
+    except SurfHodgeError as exc:  # MeshInputError and every other input error
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

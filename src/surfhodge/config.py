@@ -21,7 +21,7 @@ from dataclasses import fields
 import numpy as np
 
 from .errors import ParseError
-from .flow import SimulationConfig
+from .flow import SimulationConfig, _zero_forcing
 
 # ------------------------------------------------------ expression language
 _BIN_OPS = {
@@ -167,7 +167,7 @@ def rigid_rotation_forcing(center=(0.0, 0.0, 0.0), axis=(0.0, 0.0, 1.0),
 
 
 FORCING_PRESETS = {
-    "zero": lambda **kw: _steady(lambda points, t=0.0: np.zeros_like(np.atleast_2d(points))),
+    "zero": lambda: _zero_forcing,
     "constant_band": constant_band_forcing,
     "rigid_rotation": rigid_rotation_forcing,
 }

@@ -447,13 +447,10 @@ class FeField:
         return _piola(self.space.mesh, np.einsum("tl,lqc->tqc", loc, vals), tri_ids)
 
 
-def build_space(mesh: SurfaceMesh, kind: str, degree: int, constraint: str = "none") -> FeSpace:
-    """Construct a discrete space with its global dof map.
-
-    Raises UnsupportedCombination for invalid kind/degree/constraint
-    combinations and DisconnectedMesh when zero_mean is requested on a
-    disconnected mesh.
-    """
+def _check_space(kind: str, degree: int, constraint: str, n_components: int):
+    """(kind, degree) normalized, for a supported combination on a mesh of
+    n_components components; raises UnsupportedCombination or, for
+    zero_mean on a disconnected mesh, DisconnectedMesh."""
     kind = kind.lower()
     if kind not in VALID_CONSTRAINTS:
         raise UnsupportedCombination(f"unknown space kind {kind!r}")
@@ -462,15 +459,23 @@ def build_space(mesh: SurfaceMesh, kind: str, degree: int, constraint: str = "no
     degree = int(degree)
     if kind == "lagrange" and not 1 <= degree <= MAX_LAGRANGE_DEGREE:
         raise UnsupportedCombination(f"lagrange degree {degree} unsupported")
-    if kind == "bdm" and not 0 <= degree <= MAX_BDM_DEGREE:
-        raise UnsupportedCombination(f"bdm degree {degree} unsupported")
-    if kind in ("dg_pressure", "dg_vector", "facet_tangential") and not 0 <= degree <= MAX_BDM_DEGREE:
-        raise UnsupportedCombination(f"{kind} degree {degree} unsupported")
     if kind == "crouzeix_raviart" and degree != 1:
         raise UnsupportedCombination("crouzeix_raviart requires degree 1")
-    if constraint == "zero_mean" and mesh.n_components != 1:
+    if kind not in ("lagrange", "crouzeix_raviart") and not 0 <= degree <= MAX_BDM_DEGREE:
+        raise UnsupportedCombination(f"{kind} degree {degree} unsupported")
+    if constraint == "zero_mean" and n_components != 1:
         raise DisconnectedMesh("zero_mean requires a connected mesh")
+    return kind, degree
 
+
+def build_space(mesh: SurfaceMesh, kind: str, degree: int, constraint: str = "none") -> FeSpace:
+    """Construct a discrete space with its global dof map.
+
+    Raises UnsupportedCombination for invalid kind/degree/constraint
+    combinations and DisconnectedMesh when zero_mean is requested on a
+    disconnected mesh.
+    """
+    kind, degree = _check_space(kind, degree, constraint, mesh.n_components)
     builder = {
         "lagrange": _build_lagrange,
         "bdm": _build_bdm,
@@ -589,28 +594,20 @@ def _build_facet(mesh, k, constraint):
 def count_dofs(topology: TopologySummary, kind: str, degree: int, constraint: str = "none") -> int:
     """Closed-form dof count from entity counts alone.
 
-    Must match build_space's total_dofs on every mesh.  The zero_mean
-    constraint does not change the count (it is a solve-time multiplier);
-    use FeSpace.constrained_dim for the reduced dimension.
+    Must match build_space's total_dofs on every mesh, and raises what
+    build_space raises for the same arguments.  The zero_mean constraint
+    does not change the count (it is a solve-time multiplier); use
+    FeSpace.constrained_dim for the reduced dimension.
     """
-    kind = kind.lower()
-    if kind not in VALID_CONSTRAINTS:
-        raise UnsupportedCombination(f"unknown space kind {kind!r}")
-    if constraint not in VALID_CONSTRAINTS[kind]:
-        raise UnsupportedCombination(f"{kind} does not support constraint {constraint!r}")
-    k = int(degree)
+    kind, k = _check_space(kind, degree, constraint, topology.n_components)
     t = topology
     if kind == "lagrange":
-        if not 1 <= k <= MAX_LAGRANGE_DEGREE:
-            raise UnsupportedCombination(f"lagrange degree {k} unsupported")
         if constraint == "zero_boundary_trace":
             n_v, n_e = t.n_interior_vertices, t.n_interior_edges
         else:
             n_v, n_e = t.n_vertices, t.n_edges
         return n_v + (k - 1) * n_e + (k - 1) * (k - 2) // 2 * t.n_triangles
     if kind == "bdm":
-        if not 0 <= k <= MAX_BDM_DEGREE:
-            raise UnsupportedCombination(f"bdm degree {k} unsupported")
         n_e = t.n_interior_edges if constraint == "zero_normal_trace" else t.n_edges
         if k == 0:
             return n_e
@@ -620,12 +617,8 @@ def count_dofs(topology: TopologySummary, kind: str, degree: int, constraint: st
     if kind == "dg_vector":
         return (k + 1) * (k + 2) * t.n_triangles
     if kind == "crouzeix_raviart":
-        if k != 1:
-            raise UnsupportedCombination("crouzeix_raviart requires degree 1")
         return t.n_edges
-    if kind == "facet_tangential":
-        return (k + 1) * t.n_edges
-    raise UnsupportedCombination(kind)
+    return (k + 1) * t.n_edges  # facet_tangential
 
 
 # ----------------------------------------------------------- physical eval

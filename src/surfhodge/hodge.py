@@ -134,16 +134,6 @@ class DimensionReport:
     def consistent(self) -> bool:
         return self.difference == self.b1
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "dim_divfree": self.dim_divfree,
-            "dim_rot": self.dim_rot,
-            "difference": self.difference,
-            "b1": self.b1,
-            "consistent": self.consistent,
-        }
-
 
 def verify_dimension(topology: TopologySummary, k: int) -> DimensionReport:
     """Executable dimension count for the harmonic space.
@@ -178,7 +168,8 @@ class HodgeSolver:
     moment on closed surfaces; the flow solvers reuse both.  All
     operations are pure given the immutable mesh; the random number
     generator of the harmonic search is an explicit seeded input, so runs
-    are reproducible.
+    are reproducible.  The factorizations are built on first use, so the
+    solver is not immutable after construction.
     """
 
     def __init__(self, mesh: SurfaceMesh, k: int):

@@ -32,7 +32,7 @@ Edge conventions
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -104,22 +104,8 @@ class TopologySummary:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "n_vertices": self.n_vertices,
-            "n_edges": self.n_edges,
-            "n_triangles": self.n_triangles,
-            "n_interior_edges": self.n_interior_edges,
-            "n_boundary_edges": self.n_boundary_edges,
-            "n_interior_vertices": self.n_interior_vertices,
-            "n_boundary_vertices": self.n_boundary_vertices,
-            "euler_characteristic": self.euler_characteristic,
-            "n_components": self.n_components,
-            "b0": self.b0,
-            "b1": self.b1,
-            "b2": self.b2,
-            "closed": self.closed,
-            "component_betti": [list(c) for c in self.component_betti],
-        }
+        """The fields as a JSON-ready dict (component_betti as lists)."""
+        return {**asdict(self), "component_betti": [list(c) for c in self.component_betti]}
 
 
 class SurfaceMesh:
@@ -262,7 +248,6 @@ class SurfaceMesh:
         self.edge_lengths = np.linalg.norm(vec, axis=1)
         self.edge_tangents = vec / self.edge_lengths[:, None]
         self.h_min = float(self.edge_lengths.min())
-        self.bbox_diagonal = float(np.linalg.norm(P.max(0) - P.min(0)))
 
         # Outward conormal of triangle t on its local edge le.
         self.conormals = np.zeros((self.n_triangles, 3, 3))

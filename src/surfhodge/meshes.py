@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import SurfaceMesh
+from .errors import MeshInputError
+from .mesh import SurfaceMesh, load_mesh
 
 
 def tetrahedron() -> SurfaceMesh:
@@ -285,3 +286,24 @@ CORPUS_BUILDERS = {
 def corpus() -> dict[str, SurfaceMesh]:
     """The standard verification corpus keyed by mesh name."""
     return {name: build() for name, build in CORPUS_BUILDERS.items()}
+
+
+# the meshes a `builtin:<name>` spec can name
+BUILTIN = {
+    **CORPUS_BUILDERS,
+    "genus2_chain": lambda: genus_g_torus_chain(2),
+    "flat_patch": lambda: flat_patch(4),
+    "square": square_two_triangles,
+}
+
+
+def resolve(spec: str) -> SurfaceMesh:
+    """The mesh of a spec: `builtin:<name>` with a name of BUILTIN, or an
+    OFF/OBJ path read by load_mesh."""
+    if spec.startswith("builtin:"):
+        name = spec.split(":", 1)[1]
+        if name not in BUILTIN:
+            raise MeshInputError(
+                f"unknown builtin mesh {name!r}; available: {sorted(BUILTIN)}")
+        return BUILTIN[name]()
+    return load_mesh(spec)

@@ -1,11 +1,12 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from surfhodge import config, meshes
-from surfhodge.cli import main
+from surfhodge.cli import build_parser, main
 from surfhodge.mesh import save_obj, save_off
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -443,3 +444,72 @@ def test_damaged_basis_file_exit_2(tmp_path, capsys, damage, command):
         cfg = write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\nmu = 0.5\n")
         argv = ["stokes", "--config", cfg, "--basis", str(path)]
     assert_input_error(capsys, argv)
+
+
+# --------------------------------------------------------- out-dir contract
+MANIFEST_KEYS = {"tool", "version", "command", "config", "mesh_checksum", "seed",
+                 "timings_s", "outputs"}
+NSE_CFG = ("mesh = builtin:torus\nk = 0\nmu = 0.1\ndt = 1e-2\nt_end = 2e-2\n"
+           "output_every = 1\nforcing = rigid_rotation\n")
+# each verb's argv and the files it writes, in write order
+OUT_DIR_RUNS = {
+    "topology": (["--mesh", "builtin:tetrahedron"], ["topology.json"]),
+    "harmonic": (["--mesh", "builtin:torus", "--k", "0"], ["harmonic_basis.json"]),
+    "decompose": (["--mesh", "builtin:torus", "--k", "0"],
+                  ["decomposition.vtk", "decomposition.json"]),
+    "stokes": (["--config", "CFG", "--compare-saddle"], ["flow_000000.vtk", "stokes.json"]),
+    "nse": (["--config", "CFG"],
+            ["flow_000000.vtk", "flow_000001.vtk", "flow_000002.vtk", "timeseries.csv"]),
+    "verify": (["--mesh", "builtin:tetrahedron", "--k-max", "0"], ["verify.json"]),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(OUT_DIR_RUNS))
+def test_out_dir_contract(tmp_path, capsys, verb):
+    """With --out-dir every verb writes its files and a manifest listing
+    exactly them, in write order; JSON outputs agree with the printed line."""
+    args, files = OUT_DIR_RUNS[verb]
+    args = [write_cfg(tmp_path, NSE_CFG) if a == "CFG" else a for a in args]
+    out = tmp_path / "out"
+    code, payload, _ = run_cli(capsys, verb, *args, "--out-dir", str(out))
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == verb
+    assert manifest["outputs"] == [os.path.join(str(out), f) for f in files]
+    assert sorted(os.listdir(out)) == sorted(files + ["manifest.json"])
+    if verb in ("topology", "stokes", "decompose"):
+        name = "decomposition.json" if verb == "decompose" else f"{verb}.json"
+        assert json.loads((out / name).read_text()) == payload
+    if verb == "verify":
+        written = json.loads((out / "verify.json").read_text())
+        assert written["failures"] == payload["failures"] == 0
+        assert len(written["checks"]) == payload["checks"] > 0
+    if verb == "harmonic":
+        assert payload["basis_file"] == manifest["outputs"][0]
+    if verb == "nse":
+        assert payload["outputs"] == manifest["outputs"]
+
+
+def _readme_synopsis() -> dict:
+    """verb -> flags of README's "Command line" block."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    flags, verb = {}, None
+    for line in block.splitlines():
+        if line.startswith("surfhodge "):
+            verb = line.split()[1]
+        if verb:
+            flags.setdefault(verb, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    return flags
+
+
+def test_readme_synopsis_lists_every_flag():
+    parser = build_parser()
+    verbs = next(a for a in parser._actions if a.dest == "command").choices
+    synopsis = _readme_synopsis()
+    assert set(synopsis) == set(verbs)
+    for verb, sp in verbs.items():
+        options = {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+        assert synopsis[verb] == options, verb

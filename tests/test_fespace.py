@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from surfhodge import meshes
 from surfhodge.errors import DisconnectedMesh, IndexOutOfRange, UnsupportedCombination
 from surfhodge.fespace import (
+    VALID_CONSTRAINTS,
     FeField,
     build_space,
     count_dofs,
@@ -73,6 +74,35 @@ def test_zero_mean_needs_connected_mesh(tetra):
     mesh = SurfaceMesh(verts, tris)
     with pytest.raises(DisconnectedMesh):
         build_space(mesh, "lagrange", 1, "zero_mean")
+
+
+def _outcome(fn, *args):
+    """("ok", value) or (error type, message) of fn(*args)."""
+    try:
+        return "ok", fn(*args)
+    except (UnsupportedCombination, DisconnectedMesh) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("disconnected", [False, True])
+def test_count_dofs_validates_as_build_space(tetra, disconnected):
+    """Every kind x degree -1..6 x constraint: both functions raise the
+    same error, or both succeed with the same count."""
+    mesh = meshes.torus_structured(4, 4)
+    if disconnected:
+        mesh = SurfaceMesh(np.vstack([mesh.vertices, tetra.vertices + 10.0]),
+                           np.vstack([mesh.triangles, tetra.triangles + mesh.n_vertices]))
+    topo = analyze_topology(mesh)
+    assert topo.n_components == (2 if disconnected else 1)
+    constraints = sorted(set().union(*VALID_CONSTRAINTS.values()))
+    for kind in VALID_CONSTRAINTS:
+        for degree in range(-1, 7):
+            for constraint in constraints:
+                built = _outcome(build_space, mesh, kind, degree, constraint)
+                counted = _outcome(count_dofs, topo, kind, degree, constraint)
+                if built[0] == "ok":
+                    built = ("ok", built[1].total_dofs)
+                assert built == counted, (kind, degree, constraint)
 
 
 # ------------------------------------------------------------------- bases

@@ -1,6 +1,6 @@
-"""Static checks in place of a linter: every name a module of surfhodge
-imports is used in that module or re-exported through its __all__, and
-every name in surfhodge.__all__ resolves."""
+"""Static checks in place of a linter: every name a module of surfhodge or
+a script in scripts/ imports is used in that file or re-exported through
+its __all__, and every name in surfhodge.__all__ resolves."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,7 @@ import surfhodge
 
 PACKAGE = Path(surfhodge.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,7 +38,8 @@ def test_checker_flags_an_unused_import():
     assert unused_imports("from a import b as c\n__all__ = ['c']\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + SCRIPTS,
+                         ids=[p.name for p in MODULES] + [f"scripts/{p.name}" for p in SCRIPTS])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
