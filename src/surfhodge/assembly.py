@@ -330,7 +330,11 @@ def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
                  dirichlet: bool = True) -> sp.csr_matrix:
     """Symmetric interior penalty form for the surface viscous operator.
 
-    Element term mu eps(u):eps(v), consistency terms pairing the average
+    Element term mu eps(u):eps(v), with eps(u) = (grad u + grad u')/2 the
+    tangential symmetric gradient: the weak form of -div(mu eps(u)) in the
+    momentum equation u_t + (u . grad) u - div(mu eps(u)) + grad p = f,
+    which for div u = 0 on a flat domain is -(mu/2) Lap u, so mu is twice
+    the nu of -nu Lap u.  Consistency terms pair the average
     co-normal traction with tangential jumps, and the penalty
     (alpha mu / h_E) <[u]_tau, [v]_tau>.  With dirichlet=True the same terms
     are added on boundary edges (Nitsche enforcement of homogeneous

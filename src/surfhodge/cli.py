@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__, assembly as asm, meshes, vtkio
 from .config import expression_forcing, parse_config_file, simulation_config_from_dict
-from .errors import AlgorithmError, MeshInputError, SolverError, SurfHodgeError
+from .errors import (AlgorithmError, MeshInputError, NonpositiveParameter, SolverError,
+                     SurfHodgeError)
 from .fespace import FeField, build_space, count_dofs
 from .flow import FlowOperators, run_simulation
 from .hodge import HarmonicBasis, HodgeSolver, verify_dimension
@@ -136,6 +137,8 @@ def cmd_harmonic(args) -> int:
 
 
 def _decompose_input(args, solver: HodgeSolver) -> FeField:
+    if args.field_seed < 0:
+        raise NonpositiveParameter(f"--field-seed must be nonnegative, got {args.field_seed}")
     rng = np.random.default_rng(args.field_seed)
     if args.field_mode == "random":
         return FeField(solver.V, rng.standard_normal(solver.V.total_dofs))
@@ -216,7 +219,7 @@ def cmd_stokes(args) -> int:
     ops = FlowOperators(mesh, config, basis=basis)
     manifest.phase("solve")
     state, info = ops.stokes_reduced(t=0.0)
-    un = np.sqrt(max(state.u.coefficients @ (ops.M @ state.u.coefficients), 0.0))
+    un = np.sqrt(max(state.u.coefficients @ state.Mu, 0.0))
     payload = {
         "kinetic_energy": state.kinetic_energy,
         "velocity_norm": float(un),

@@ -29,6 +29,7 @@ tangent (lower -> higher vertex index).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,10 +47,6 @@ REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 REF_EDGE_NORMALS = np.array([[0.0, -1.0], [1.0, 1.0] / np.sqrt(2.0), [-1.0, 0.0]])
 REF_EDGE_LENGTHS = np.array([1.0, np.sqrt(2.0), 1.0])
-
-MAX_LAGRANGE_DEGREE = 5
-MAX_BDM_DEGREE = 4
-
 
 def bary_to_ref(points) -> np.ndarray:
     """Barycentric (l0, l1, l2) -> reference coordinates (x, y)."""
@@ -295,34 +292,13 @@ class BdmRef(VectorPolyRef):
                 gq = eval_monomial_grads([gexp], xy)[0]  # (n_q, 2)
                 rows.append(np.einsum("gqc,qc,q->g", gvals, gq, w))
             for a, b in scalar_monomials(k - 2):
-                # J grad(bubble * x^a y^b) with J(u, v) = (-v, u)
-                prod = _poly_multiply({(a, b): 1.0}, _BUBBLE)
-                gp = _poly_grad_eval(prod, xy)  # (n_q, 2)
+                # J grad(bubble * x^a y^b) with J(u, v) = (-v, u) and
+                # bubble = x y (1 - x - y)
+                g = eval_monomial_grads([(a + 1, b + 1), (a + 2, b + 1), (a + 1, b + 2)], xy)
+                gp = g[0] - g[1] - g[2]  # (n_q, 2)
                 jgp = np.stack([-gp[:, 1], gp[:, 0]], axis=1)
                 rows.append(np.einsum("gqc,qc,q->g", gvals, jgp, w))
         return np.array(rows)
-
-
-_BUBBLE = {(1, 1): 1.0, (2, 1): -1.0, (1, 2): -1.0}  # x y (1 - x - y)
-
-
-def _poly_multiply(p1: dict, p2: dict) -> dict:
-    out: dict[tuple[int, int], float] = {}
-    for (a1, b1), c1 in p1.items():
-        for (a2, b2), c2 in p2.items():
-            key = (a1 + a2, b1 + b2)
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return out
-
-
-def _poly_grad_eval(poly: dict, xy: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(xy), 2))
-    for (a, b), c in poly.items():
-        if a > 0:
-            out[:, 0] += c * a * xy[:, 0] ** (a - 1) * xy[:, 1] ** b
-        if b > 0:
-            out[:, 1] += c * b * xy[:, 0] ** a * xy[:, 1] ** (b - 1)
-    return out
 
 
 class VectorDGRef(VectorPolyRef):
@@ -339,34 +315,7 @@ class VectorDGRef(VectorPolyRef):
         self.n_local = 2 * n_mono
 
 
-@lru_cache(maxsize=None)
-def _reference(kind: str, degree: int):
-    if kind == "lagrange":
-        return LagrangeRef(degree)
-    if kind == "bdm":
-        return BdmRef(degree)
-    if kind == "dg_pressure":
-        return DGScalarRef(degree)
-    if kind == "dg_vector":
-        return VectorDGRef(degree)
-    if kind == "crouzeix_raviart":
-        return CrouzeixRaviartRef()
-    if kind == "facet_tangential":
-        return None
-    raise UnsupportedCombination(f"unknown space kind {kind!r}")
-
-
 # ------------------------------------------------------------------- spaces
-VALID_CONSTRAINTS = {
-    "lagrange": {"none", "zero_boundary_trace", "zero_mean"},
-    "bdm": {"none", "zero_normal_trace"},
-    "dg_pressure": {"none", "zero_mean"},
-    "dg_vector": {"none"},
-    "crouzeix_raviart": {"none", "zero_mean"},
-    "facet_tangential": {"none"},
-}
-
-
 @dataclass
 class FeSpace:
     """A discrete function space: reference element plus global dof map.
@@ -447,21 +396,77 @@ class FeField:
         return _piola(self.space.mesh, np.einsum("tl,lqc->tqc", loc, vals), tri_ids)
 
 
+# ------------------------------------------------------------- space kinds
+@dataclass(frozen=True)
+class _Kind:
+    """What build_space and count_dofs know of one space kind: the
+    reference element of a degree, the constraints and degrees it admits,
+    its value shape and its dofs per vertex, per edge and per triangle.
+    Every local layout is entity-major (the three vertices, the three local
+    edges, the interior), and so is the global numbering.  flip_edges
+    reverses an edge's dofs on a triangle that runs against the global
+    tangent; signs(mesh, degree) gives the factors c_loc = signs * c_glob
+    (ones when None)."""
+
+    ref: Callable[[int], object]
+    constraints: set
+    degrees: range
+    value_shape: str
+    per_entity: Callable[[int], tuple[int, int, int]]
+    flip_edges: bool = False
+    signs: Callable | None = None
+
+
+def _bdm_signs(mesh: SurfaceMesh, k: int) -> np.ndarray:
+    """BDM factors: an edge dof's combines the orientation sign (from the
+    edge traversal direction and the Legendre parity) with the edge length,
+    which makes global basis traces O(1) independently of the mesh size;
+    interior dofs carry sqrt(triangle area) for the same reason."""
+    e = mesh.tri_edges
+    m = np.arange(k + 1)
+    sign = np.where(mesh.tri_edge_along[:, :, None],
+                    np.where(mesh.boundary_edge_mask[e], 1.0, -1.0)[:, :, None],
+                    np.where(m % 2, -1.0, 1.0))
+    T = mesh.n_triangles
+    n_int = _KINDS["bdm"].per_entity(k)[2]
+    return np.concatenate([(sign * mesh.edge_lengths[e][:, :, None]).reshape(T, -1),
+                           np.repeat(np.sqrt(mesh.Jdet)[:, None], n_int, axis=1)], axis=1)
+
+
+_KINDS = {
+    "lagrange": _Kind(LagrangeRef, {"none", "zero_boundary_trace", "zero_mean"}, range(1, 6),
+                      "scalar", lambda p: (1, p - 1, (p - 1) * (p - 2) // 2), flip_edges=True),
+    "bdm": _Kind(BdmRef, {"none", "zero_normal_trace"}, range(5), "vector",
+                 lambda k: (0, k + 1, (k + 1) * (k - 1) if k else 0), signs=_bdm_signs),
+    "dg_pressure": _Kind(DGScalarRef, {"none", "zero_mean"}, range(5), "scalar",
+                         lambda p: (0, 0, (p + 1) * (p + 2) // 2)),
+    "dg_vector": _Kind(VectorDGRef, {"none"}, range(5), "vector",
+                       lambda k: (0, 0, (k + 1) * (k + 2))),
+    "crouzeix_raviart": _Kind(lambda p: CrouzeixRaviartRef(), {"none", "zero_mean"},
+                              range(1, 2), "scalar", lambda p: (0, 1, 0)),
+    "facet_tangential": _Kind(lambda k: None, {"none"}, range(5), "scalar",
+                              lambda k: (0, k + 1, 0)),
+}
+_TRACE_CONSTRAINTS = ("zero_boundary_trace", "zero_normal_trace")  # drop boundary entities
+VALID_CONSTRAINTS = {kind: spec.constraints for kind, spec in _KINDS.items()}
+
+
+@lru_cache(maxsize=None)
+def _reference(kind: str, degree: int):
+    return _KINDS[kind].ref(degree)
+
+
 def _check_space(kind: str, degree: int, constraint: str, n_components: int):
     """(kind, degree) normalized, for a supported combination on a mesh of
     n_components components; raises UnsupportedCombination or, for
     zero_mean on a disconnected mesh, DisconnectedMesh."""
     kind = kind.lower()
-    if kind not in VALID_CONSTRAINTS:
+    if kind not in _KINDS:
         raise UnsupportedCombination(f"unknown space kind {kind!r}")
-    if constraint not in VALID_CONSTRAINTS[kind]:
+    if constraint not in _KINDS[kind].constraints:
         raise UnsupportedCombination(f"{kind} does not support constraint {constraint!r}")
     degree = int(degree)
-    if kind == "lagrange" and not 1 <= degree <= MAX_LAGRANGE_DEGREE:
-        raise UnsupportedCombination(f"lagrange degree {degree} unsupported")
-    if kind == "crouzeix_raviart" and degree != 1:
-        raise UnsupportedCombination("crouzeix_raviart requires degree 1")
-    if kind not in ("lagrange", "crouzeix_raviart") and not 0 <= degree <= MAX_BDM_DEGREE:
+    if degree not in _KINDS[kind].degrees:
         raise UnsupportedCombination(f"{kind} degree {degree} unsupported")
     if constraint == "zero_mean" and n_components != 1:
         raise DisconnectedMesh("zero_mean requires a connected mesh")
@@ -476,15 +481,9 @@ def build_space(mesh: SurfaceMesh, kind: str, degree: int, constraint: str = "no
     disconnected mesh.
     """
     kind, degree = _check_space(kind, degree, constraint, mesh.n_components)
-    builder = {
-        "lagrange": _build_lagrange,
-        "bdm": _build_bdm,
-        "dg_pressure": _build_dg_scalar,
-        "dg_vector": _build_dg_vector,
-        "crouzeix_raviart": _build_cr,
-        "facet_tangential": _build_facet,
-    }[kind]
-    dof_map, signs, total = builder(mesh, degree, constraint)
+    spec = _KINDS[kind]
+    dof_map, total = _number(mesh, spec.per_entity(degree),
+                             constraint in _TRACE_CONSTRAINTS, spec.flip_edges)
     return FeSpace(
         kind=kind,
         degree=degree,
@@ -492,134 +491,55 @@ def build_space(mesh: SurfaceMesh, kind: str, degree: int, constraint: str = "no
         mesh=mesh,
         ref=_reference(kind, degree),
         dof_map=dof_map,
-        dof_signs=signs,
+        dof_signs=np.ones(dof_map.shape) if spec.signs is None else spec.signs(mesh, degree),
         total_dofs=total,
-        value_shape="vector" if kind in ("bdm", "dg_vector") else "scalar",
+        value_shape=spec.value_shape,
     )
 
 
-def _build_lagrange(mesh, p, constraint):
-    ref = _reference("lagrange", p)
-    zero_trace = constraint == "zero_boundary_trace"
-    v_keep = ~mesh.boundary_vertex_mask if zero_trace else np.ones(mesh.n_vertices, bool)
-    e_keep = ~mesh.boundary_edge_mask if zero_trace else np.ones(mesh.n_edges, bool)
-    v_ids = -np.ones(mesh.n_vertices, dtype=np.int64)
-    v_ids[v_keep] = np.arange(v_keep.sum())
-    nxt = int(v_keep.sum())
-    e_base = -np.ones(mesh.n_edges, dtype=np.int64)
-    per_edge = p - 1
-    if per_edge:
-        e_base[e_keep] = nxt + per_edge * np.arange(e_keep.sum())
-        nxt += per_edge * int(e_keep.sum())
-    n_int = len(ref.interior_nodes)
-    dof_map = -np.ones((mesh.n_triangles, ref.n_local), dtype=np.int64)
-    dof_map[:, ref.vertex_nodes] = v_ids[mesh.triangles]
-    # Edge node i (1..p-1) along the local direction sits in slot i of the
-    # edge, or in slot p - i when the triangle runs against the edge.
-    i = np.arange(1, p)
-    slot = np.where(mesh.tri_edge_along[:, :, None], i, p - i)
-    base = e_base[mesh.tri_edges][:, :, None]
-    edge_nodes = np.array(ref.edge_nodes, dtype=np.int64).reshape(3, per_edge)
-    dof_map[:, edge_nodes] = np.where(base >= 0, base + slot - 1, -1)
-    dof_map[:, ref.interior_nodes] = nxt + _interior_dofs(mesh.n_triangles, n_int)
-    total = nxt + mesh.n_triangles * n_int
-    return dof_map, np.ones_like(dof_map, dtype=float), total
-
-
-def _build_bdm(mesh, k, constraint):
-    """BDM dof map with orientation/scaling factors.
-
-    Local coefficients relate to global ones by c_loc = S * c_glob where S
-    combines the orientation sign (derived from the edge traversal
-    direction and the Legendre parity) with an edge-length normalization
-    that makes global basis traces O(1) independently of the mesh size;
-    interior dofs are normalized by sqrt(triangle area) for the same
-    reason.
-    """
-    ref = _reference("bdm", k)
-    zero_normal = constraint == "zero_normal_trace"
-    e_keep = ~mesh.boundary_edge_mask if zero_normal else np.ones(mesh.n_edges, bool)
-    per_edge = k + 1
-    e_base = -np.ones(mesh.n_edges, dtype=np.int64)
-    e_base[e_keep] = per_edge * np.arange(e_keep.sum())
-    nxt = per_edge * int(e_keep.sum())
-    n_int = ref.n_local - ref.n_edge_dofs
-    e = mesh.tri_edges
-    m = np.arange(per_edge)
-    # Edge dof (le, m) sits at local index le * (k + 1) + m.
-    sign = np.where(mesh.tri_edge_along[:, :, None],
-                    np.where(mesh.boundary_edge_mask[e], 1.0, -1.0)[:, :, None],
-                    np.where(m % 2, -1.0, 1.0))
-    base = e_base[e][:, :, None]
-    edge_map = np.where(base >= 0, base + m, -1)
-    edge_signs = sign * mesh.edge_lengths[e][:, :, None]
+def _number(mesh: SurfaceMesh, per_entity, trace: bool, flip_edges: bool):
+    """Entity-major dof numbering: the kept vertices, then the kept edges,
+    then the triangles, each in index order and each entity's dofs in a
+    row.  A trace constraint keeps only the interior vertices and edges;
+    a dropped entity's dofs are -1.  Returns the (T, n_local) dof map and
+    the dof count."""
+    nv, ne, nt = per_entity
     T = mesh.n_triangles
-    dof_map = np.concatenate([edge_map.reshape(T, -1), nxt + _interior_dofs(T, n_int)], axis=1)
-    signs = np.concatenate([edge_signs.reshape(T, -1),
-                            np.repeat(np.sqrt(mesh.Jdet)[:, None], n_int, axis=1)], axis=1)
-    total = nxt + T * n_int
-    return dof_map, signs, total
-
-
-def _interior_dofs(n_triangles, n_int):
-    """Element-private dof numbers t * n_int + j, as (T, n_int)."""
-    return np.arange(n_triangles * n_int, dtype=np.int64).reshape(n_triangles, n_int)
-
-
-def _build_dg_scalar(mesh, p, constraint):
-    n = _reference("dg_pressure", p).n_local
-    dof_map = _interior_dofs(mesh.n_triangles, n)
-    return dof_map, np.ones_like(dof_map, dtype=float), mesh.n_triangles * n
-
-
-def _build_dg_vector(mesh, k, constraint):
-    n = _reference("dg_vector", k).n_local
-    dof_map = _interior_dofs(mesh.n_triangles, n)
-    return dof_map, np.ones_like(dof_map, dtype=float), mesh.n_triangles * n
-
-
-def _build_cr(mesh, p, constraint):
-    dof_map = mesh.tri_edges.astype(np.int64).copy()
-    return dof_map, np.ones_like(dof_map, dtype=float), mesh.n_edges
-
-
-def _build_facet(mesh, k, constraint):
-    per_edge = k + 1
-    dof_map = (per_edge * mesh.tri_edges[:, :, None] + np.arange(per_edge)).reshape(
-        mesh.n_triangles, 3 * per_edge)
-    return dof_map, np.ones_like(dof_map, dtype=float), per_edge * mesh.n_edges
+    edge_slot = np.arange(ne)
+    if flip_edges:
+        edge_slot = np.where(mesh.tri_edge_along[:, :, None], edge_slot, ne - 1 - edge_slot)
+    keep_v = ~mesh.boundary_vertex_mask if trace else np.ones(mesh.n_vertices, bool)
+    keep_e = ~mesh.boundary_edge_mask if trace else np.ones(mesh.n_edges, bool)
+    blocks, total = [], 0
+    for ids, keep, n, slot in ((mesh.triangles, keep_v, nv, np.arange(nv)),
+                               (mesh.tri_edges, keep_e, ne, edge_slot),
+                               (np.arange(T)[:, None], np.ones(T, bool), nt, np.arange(nt))):
+        base = np.full(len(keep), -1, dtype=np.int64)
+        base[keep] = total + n * np.arange(keep.sum())
+        total += n * int(keep.sum())
+        b = base[ids][:, :, None]
+        blocks.append(np.where(b >= 0, b + slot, -1).reshape(T, -1))
+    return np.concatenate(blocks, axis=1), total
 
 
 # --------------------------------------------------------------- dof counts
 def count_dofs(topology: TopologySummary, kind: str, degree: int, constraint: str = "none") -> int:
-    """Closed-form dof count from entity counts alone.
+    """Dof count from entity counts alone: the kind's dofs per vertex, edge
+    and triangle times the numbers of vertices, edges and triangles (of
+    interior vertices and edges under a trace constraint).
 
-    Must match build_space's total_dofs on every mesh, and raises what
-    build_space raises for the same arguments.  The zero_mean constraint
-    does not change the count (it is a solve-time multiplier); use
-    FeSpace.constrained_dim for the reduced dimension.
+    This counts what build_space numbers, so it matches build_space's
+    total_dofs on every mesh, and raises what build_space raises for the
+    same arguments.  The zero_mean constraint does not change the count
+    (it is a solve-time multiplier); use FeSpace.constrained_dim for the
+    reduced dimension.
     """
     kind, k = _check_space(kind, degree, constraint, topology.n_components)
+    nv, ne, nt = _KINDS[kind].per_entity(k)
     t = topology
-    if kind == "lagrange":
-        if constraint == "zero_boundary_trace":
-            n_v, n_e = t.n_interior_vertices, t.n_interior_edges
-        else:
-            n_v, n_e = t.n_vertices, t.n_edges
-        return n_v + (k - 1) * n_e + (k - 1) * (k - 2) // 2 * t.n_triangles
-    if kind == "bdm":
-        n_e = t.n_interior_edges if constraint == "zero_normal_trace" else t.n_edges
-        if k == 0:
-            return n_e
-        return (k + 1) * n_e + (k + 1) * (k - 1) * t.n_triangles
-    if kind == "dg_pressure":
-        return (k + 1) * (k + 2) // 2 * t.n_triangles
-    if kind == "dg_vector":
-        return (k + 1) * (k + 2) * t.n_triangles
-    if kind == "crouzeix_raviart":
-        return t.n_edges
-    return (k + 1) * t.n_edges  # facet_tangential
-
+    if constraint in _TRACE_CONSTRAINTS:
+        return nv * t.n_interior_vertices + ne * t.n_interior_edges + nt * t.n_triangles
+    return nv * t.n_vertices + ne * t.n_edges + nt * t.n_triangles
 
 # ----------------------------------------------------------- physical eval
 def _piola(mesh: SurfaceMesh, uhat: np.ndarray, tris=slice(None)) -> np.ndarray:

@@ -21,6 +21,7 @@ forcing is assembled once, when FlowOperators is built.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -163,30 +164,12 @@ class ReducedSolver:
         return x_s, x_h
 
 
-def monolithic_solve(system: BlockSystem, b_s: np.ndarray, b_h: np.ndarray):
-    """Dense solve of the full gauged block system for one load (test
-    oracle)."""
-    ns, nh, ng = system.n_stream, system.n_harmonic, len(system.gauges)
-    n = ns + nh + ng
-    K = np.zeros((n, n))
-    K[:ns, :ns] = system.A_ss.toarray()
-    if nh:
-        K[:ns, ns:ns + nh] = system.A_sh
-        K[ns:ns + nh, :ns] = system.A_sh.T
-        K[ns:ns + nh, ns:ns + nh] = system.A_hh
-    for i, g in enumerate(system.gauges):
-        K[:ns, ns + nh + i] = g
-        K[ns + nh + i, :ns] = g
-    rhs = np.concatenate([b_s, b_h, np.zeros(ng)])
-    sol = np.linalg.solve(K, rhs)
-    return sol[:ns], sol[ns:ns + nh]
-
-
 # -------------------------------------------------------------------- state
 @dataclass
 class FlowState:
     """Velocity state of a flow computation: time, streamfunction and
-    harmonic coefficients, the cached velocity field and its energy.
+    harmonic coefficients, the cached velocity field, its mass product
+    Mu = M u (the next step's right-hand side reads it) and its energy.
 
     A time-stepped state also records its step index and the time t0 its
     run started from, so that t = t0 + step * dt holds without the rounding
@@ -197,6 +180,7 @@ class FlowState:
     psi: FeField
     h_coeffs: np.ndarray
     u: FeField
+    Mu: np.ndarray
     kinetic_energy: float
     step: int = 0
     t0: float | None = None
@@ -208,7 +192,15 @@ class FlowState:
 
 @dataclass
 class SimulationConfig:
-    """Parameters of a Stokes solve or Navier-Stokes run."""
+    """Parameters of a Stokes solve or Navier-Stokes run.
+
+    The momentum equation is u_t + (u . grad) u - div(mu eps(u)) + grad p
+    = f with div u = 0 (Stokes: without u_t and convection), eps(u) the
+    tangential symmetric gradient; the viscous element term is mu
+    eps(u):eps(v), so mu is twice the nu of -nu Lap u.  k, output_every and
+    seed are integers, the last two nonnegative; mu, dt, t_end and alpha
+    are finite, dt and alpha positive, mu and t_end nonnegative.
+    """
 
     k: int = 1
     mu: float = 0.1
@@ -223,15 +215,23 @@ class SimulationConfig:
     allow_inviscid: bool = False
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise NonpositiveParameter("viscosity must be nonnegative")
+        for name in ("k", "output_every", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name != "k" and value < 0:
+                raise NonpositiveParameter(f"{name} must be nonnegative, got {value}")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise NonpositiveParameter(f"viscosity must be finite and nonnegative, got {self.mu}")
         if self.mu == 0 and not self.allow_inviscid:
             raise NonpositiveParameter(
                 "mu = 0 (Euler limit) is disabled by default; set allow_inviscid")
-        if self.dt <= 0:
-            raise NonpositiveParameter("time step must be positive")
-        if self.alpha is not None and self.alpha <= 0:
-            raise NonpositiveParameter("penalty must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise NonpositiveParameter(f"time step must be finite and positive, got {self.dt}")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise NonpositiveParameter(f"t_end must be finite and nonnegative, got {self.t_end}")
+        if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise NonpositiveParameter(f"penalty must be finite and positive, got {self.alpha}")
         if self.bc not in ("noslip", "freeslip"):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
         if self.initial not in ("stokes", "zero"):
@@ -299,13 +299,14 @@ class FlowOperators:
     def make_state(self, t: float, x_s: np.ndarray, x_h: np.ndarray,
                    step: int = 0, t0: float | None = None) -> FlowState:
         u = self.emb.apply(x_s, x_h)
-        ke = 0.5 * float(u @ (self.M @ u))
+        Mu = self.M @ u
         return FlowState(
             t=t,
             psi=FeField(self.S, x_s),
             h_coeffs=np.asarray(x_h, dtype=float),
             u=FeField(self.V, u),
-            kinetic_energy=ke,
+            Mu=Mu,
+            kinetic_energy=0.5 * float(u @ Mu),
             step=step,
             t0=t0,
         )
@@ -388,13 +389,6 @@ class NavierStokesStepper:
         state, _ = self.ops.stokes_reduced(t=0.0)
         return state
 
-    def _sup_norm(self, u: FeField) -> float:
-        """Largest |u| at the convection rule's volume points: those of
-        volume_rule(V) for k <= 3, 49 instead of 36 at k = 4.  step reads
-        the same value from its convection evaluation."""
-        vals = asm.tabulate_field(u, self._conv_cache["vol"][0])
-        return float(np.linalg.norm(vals, axis=-1).max())
-
     def step(self, state: FlowState) -> FlowState:
         """Advance one IMEX Euler step."""
         ops = self.ops
@@ -412,7 +406,7 @@ class NavierStokesStepper:
             self._cfl_warned = True
         n = state.step + 1
         t_next = state.t0 + n * cfg.dt
-        b = (ops.M @ u.coefficients) / cfg.dt - cu + ops.load_vector(t_next)
+        b = state.Mu / cfg.dt - cu + ops.load_vector(t_next)
         if not np.isfinite(b).all():
             raise NaNDetected(f"non-finite right-hand side at t = {t_next:g}")
         b_s, b_h = ops.emb.reduce_vector(b)

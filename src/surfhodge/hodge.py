@@ -27,10 +27,11 @@ from .errors import (
     BasisMismatch,
     DisconnectedMesh,
     MaxAttemptsExceeded,
+    NonpositiveParameter,
     ParseError,
     WrongDegree,
 )
-from .fespace import FeField, build_space
+from .fespace import FeField, build_space, count_dofs
 from .linalg import FactorizedOperator
 from .mesh import SurfaceMesh, TopologySummary, analyze_topology
 from .quadrature import triangle_rule
@@ -136,19 +137,23 @@ class DimensionReport:
 
 
 def verify_dimension(topology: TopologySummary, k: int) -> DimensionReport:
-    """Executable dimension count for the harmonic space.
+    """Executable dimension count for the harmonic space, from count_dofs.
 
-    dim(J) = (k+1)|E_I| + k(k-1)/2 |T| - (|T| - n_components) and
-    dim(rot S) = |V_I| + k|E_I| + k(k-1)/2 |T| - n_closed_components; their
-    difference must equal b1 by the Euler-Poincare formula.
+    dim(J) = dim(V_0) - (dim(Q) - n_components), with V_0 the degree-k
+    H(div) space with zero normal trace and Q the degree max(k-1, 0)
+    discontinuous pressures (B maps V_0 onto the zero-mean pressures of
+    each component), and dim(rot S) = dim(S_0) - n_closed_components, with
+    S_0 the degree-(k+1) Lagrange space with zero boundary trace (rot
+    annihilates the constants on closed components); their difference must
+    equal b1 by the Euler-Poincare formula.  Raises
+    UnsupportedCombination outside k = 0..4.
     """
     t = topology
     n_closed = sum(c[2] for c in t.component_betti) if t.component_betti else (
         t.n_components if t.closed else 0)
-    dim_j = (k + 1) * t.n_interior_edges + k * (k - 1) // 2 * t.n_triangles - (
-        t.n_triangles - t.n_components)
-    dim_rot = (t.n_interior_vertices + k * t.n_interior_edges
-               + k * (k - 1) // 2 * t.n_triangles - n_closed)
+    dim_j = count_dofs(t, "bdm", k, "zero_normal_trace") - (
+        count_dofs(t, "dg_pressure", max(k - 1, 0)) - t.n_components)
+    dim_rot = count_dofs(t, "lagrange", k + 1, "zero_boundary_trace") - n_closed
     return DimensionReport(
         k=k,
         dim_divfree=dim_j,
@@ -276,7 +281,10 @@ class HodgeSolver:
         and keep the remainder unless its norm falls below tol.  Terminates
         with probability one after b1 accepted fields; a draw budget of
         20 b1 + 20 guards against inconsistent topology/assembly input.
+        Raises NonpositiveParameter unless seed is a nonnegative integer.
         """
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise NonpositiveParameter(f"seed must be a nonnegative integer, got {seed!r}")
         b1 = self.topology.b1
         budget = 20 * b1 + 20
         n = self.V.total_dofs

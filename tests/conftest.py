@@ -70,3 +70,27 @@ def basis_cache(solver_cache):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="session")
+def monolithic_solve():
+    """Dense solve of the full gauged block system of a BlockSystem for one
+    load, the oracle of the Schur solver; solve(system, b_s, b_h) returns
+    (x_s, x_h)."""
+
+    def solve(system, b_s, b_h):
+        ns, nh, ng = system.n_stream, system.n_harmonic, len(system.gauges)
+        n = ns + nh + ng
+        K = np.zeros((n, n))
+        K[:ns, :ns] = system.A_ss.toarray()
+        if nh:
+            K[:ns, ns:ns + nh] = system.A_sh
+            K[ns:ns + nh, :ns] = system.A_sh.T
+            K[ns:ns + nh, ns:ns + nh] = system.A_hh
+        for i, g in enumerate(system.gauges):
+            K[:ns, ns + nh + i] = g
+            K[ns + nh + i, :ns] = g
+        sol = np.linalg.solve(K, np.concatenate([b_s, b_h, np.zeros(ng)]))
+        return sol[:ns], sol[ns:ns + nh]
+
+    return solve

@@ -353,6 +353,19 @@ def test_config_unknown_bc_exit_2(tmp_path, capsys):
     assert_input_error(capsys, ["stokes", "--config", cfg])
 
 
+@pytest.mark.parametrize("bad", ["dt = nan", "mu = nan", "mu = inf", "alpha = nan",
+                                 "t_end = inf", "t_end = nan", "seed = 1.5", "seed = -1",
+                                 "k = 1.5", "harmonic --seed -1"])
+def test_bad_parameter_value_exit_2(tmp_path, capsys, bad):
+    """A config value (nse) or seed flag (harmonic) out of its domain is an
+    input error: no solver failure, traceback or silent acceptance."""
+    if bad.startswith("harmonic"):
+        argv = [*bad.split(), "--mesh", "builtin:torus"]
+    else:
+        argv = ["nse", "--config", write_cfg(tmp_path, f"mesh = builtin:torus\n{bad}\n")]
+    assert_input_error(capsys, argv)
+
+
 def test_config_bad_forcing_vector_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\n"
                               "forcing = rigid_rotation\ncenter = 0 0 0\n")

@@ -105,6 +105,82 @@ def test_count_dofs_validates_as_build_space(tetra, disconnected):
                 assert built == counted, (kind, degree, constraint)
 
 
+def _local_entities(space):
+    """(kind, position) of each local dof, read from the reference element:
+    kind 0 vertex, 1 edge, 2 interior; position is the local vertex or
+    edge."""
+    ref, n = space.ref, space.n_local
+    kind, pos = np.full(n, 2), np.zeros(n, dtype=int)
+    if space.kind == "lagrange":
+        kind[ref.vertex_nodes], pos[ref.vertex_nodes] = 0, range(3)
+        for le, nodes in enumerate(ref.edge_nodes):
+            kind[nodes], pos[nodes] = 1, le
+    elif space.kind == "bdm":
+        kind[:ref.n_edge_dofs] = 1
+        pos[:ref.n_edge_dofs] = [le for le, _ in ref.edge_dofs]
+    elif space.kind in ("crouzeix_raviart", "facet_tangential"):
+        kind[:], pos[:] = 1, np.repeat(range(3), n // 3)
+    return kind, pos
+
+
+def test_dof_maps_number_their_entities(corpus):
+    """Every space on the corpus, checked against the mesh and the
+    reference element only: the kept dofs are 0..total_dofs-1; each dof
+    sits on one vertex, edge or triangle and appears on every triangle
+    around it (and only there), with the same dofs on each; only a trace
+    constraint drops dofs, and only on the boundary; on the two sides of
+    an edge, each Lagrange edge node of degree 3 and 4 sits at one
+    physical point."""
+    constraints = sorted(set().union(*VALID_CONSTRAINTS.values()))
+    checked = 0
+    for name, mesh in corpus.items():
+        T = mesh.n_triangles
+        for kind in VALID_CONSTRAINTS:
+            for degree in range(-1, 7):
+                for constraint in constraints:
+                    try:
+                        space = build_space(mesh, kind, degree, constraint)
+                    except (UnsupportedCombination, DisconnectedMesh):
+                        continue
+                    checked += 1
+                    where = (name, kind, degree, constraint)
+                    gd = space.dof_map
+                    assert gd.shape == (T, space.n_local), where
+                    if space.ref is not None:
+                        assert space.n_local == space.ref.n_local, where
+                    kept = gd >= 0
+                    assert np.array_equal(np.unique(gd[kept]), np.arange(space.total_dofs)), where
+                    ek, pos = _local_entities(space)
+                    ent = np.where(ek == 0, mesh.triangles[:, pos],
+                                   np.where(ek == 1, mesh.tri_edges[:, pos], np.arange(T)[:, None]))
+                    boundary = np.zeros(gd.shape, bool)
+                    boundary[:, ek == 0] = mesh.boundary_vertex_mask[ent[:, ek == 0]]
+                    boundary[:, ek == 1] = mesh.boundary_edge_mask[ent[:, ek == 1]]
+                    if constraint in ("zero_boundary_trace", "zero_normal_trace"):
+                        assert np.array_equal(~kept, boundary), where
+                    else:
+                        assert kept.all(), where
+                    key = ek * (mesh.n_vertices + mesh.n_edges + T) + ent
+                    dof, key_k = gd[kept], key[kept]
+                    tri = np.broadcast_to(np.arange(T)[:, None], gd.shape)[kept]
+                    pairs = np.unique(np.stack([dof, key_k]), axis=1)
+                    assert len(np.unique(pairs[0])) == pairs.shape[1], where  # one entity each
+                    # each triangle around an entity holds all of its dofs, once
+                    n_dofs = np.bincount(pairs[1])
+                    n_tris = np.bincount(np.unique(np.stack([key_k, tri]), axis=1)[0])
+                    n_seen = np.bincount(key_k)
+                    assert np.array_equal(n_seen, n_dofs * n_tris), where
+                    if kind == "lagrange" and degree in (3, 4):
+                        lam = np.column_stack([1.0 - space.ref.nodes.sum(axis=1), space.ref.nodes])
+                        xyz = np.einsum("lv,tvc->tlc", lam, mesh.vertices[mesh.triangles])
+                        first = np.zeros((space.total_dofs, 3))
+                        first[gd[kept]] = xyz[kept]
+                        assert np.abs(xyz[kept] - first[gd[kept]]).max() <= 1e-13, where
+    # per mesh: lagrange 5 x 3, bdm 5 x 2, dg_pressure 5 x 2, dg_vector 5,
+    # crouzeix_raviart 2, facet_tangential 5
+    assert checked == len(corpus) * 47
+
+
 # ------------------------------------------------------------------- bases
 def test_lagrange_vertex_pattern(tetra):
     space = build_space(tetra, "lagrange", 1)

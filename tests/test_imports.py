@@ -1,6 +1,8 @@
 """Static checks in place of a linter: every name a module of surfhodge or
 a script in scripts/ imports is used in that file or re-exported through
-its __all__, and every name in surfhodge.__all__ resolves."""
+its __all__, every name in surfhodge.__all__ resolves, and every top-level
+function, class and constant of surfhodge is referenced somewhere in the
+package, scripts/ or tests/."""
 
 import ast
 from pathlib import Path
@@ -12,6 +14,7 @@ import surfhodge
 PACKAGE = Path(surfhodge.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,3 +55,47 @@ def test_package_exports_resolve():
     namespace: dict = {}
     exec("from surfhodge import *", namespace)
     assert set(surfhodge.__all__) <= set(namespace)
+
+
+def top_level_names(source: str) -> list[str]:
+    """Functions, classes and assigned names defined at module level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def references(source: str) -> set[str]:
+    """Names a file reads: loaded names, attributes, imported names and
+    identifier strings (__all__ entries, monkeypatched attributes)."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def test_checker_flags_a_dead_helper():
+    source = "X = 1\n_Y = 2\ndef f():\n    return X\nclass C:\n    pass\n"
+    assert top_level_names(source) == ["X", "_Y", "f", "C"]
+    assert references(source) == {"X"}
+
+
+def test_every_top_level_name_is_referenced():
+    """A helper that nothing reads any more (a leftover after a refactor)
+    fails here; a name counts as read when any package module, script or
+    test loads it, imports it by name or names it in a string."""
+    refs = set().union(*(references(p.read_text()) for p in MODULES + SCRIPTS + TESTS))
+    dead = [f"{path.name}:{name}" for path in MODULES
+            for name in top_level_names(path.read_text()) if name not in refs]
+    assert dead == []
