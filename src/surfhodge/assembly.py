@@ -179,11 +179,11 @@ def load_tabulation(V: FeSpace):
     return physical_points(V.mesh, rule), weighted.reshape(V.ref.n_local, -1)
 
 
-def assemble_load(V: FeSpace, f, time: float | None = None, tab=None) -> np.ndarray:
-    """Load vector (f, v_i) of the tangential part of f.
+def assemble_load(V: FeSpace, f, time: float = 0.0, tab=None) -> np.ndarray:
+    """Load vector (f, v_i) of the tangential part of f at the given time.
 
-    f is a vectorized callable mapping positions (n, 3) -> (n, 3) (an
-    optional time argument is passed through when given).  The
+    f is a vectorized callable f(points, t) mapping positions (n, 3) and
+    the time to (n, 3); it is always called with the time.  The
     Piola-mapped basis values F vhat / J lie in each triangle's plane, so
     a normal component of f pairs to zero with them (F'n = 0) and needs no
     projection.  tab, from load_tabulation(V), saves re-tabulating the
@@ -192,12 +192,11 @@ def assemble_load(V: FeSpace, f, time: float | None = None, tab=None) -> np.ndar
     """
     pts, weighted = load_tabulation(V) if tab is None else tab
     flat = pts.reshape(-1, 3)
-    fv = f(flat, time) if time is not None else f(flat)
-    fv = np.asarray(fv, dtype=float).reshape(pts.shape)
+    fv = np.asarray(f(flat, time), dtype=float).reshape(pts.shape)
     local = np.matmul(fv, V.mesh.F).reshape(len(fv), -1) @ weighted.T
     b = _scatter_vec(local, V.dof_map, V.dof_signs, V.total_dofs)
     if not np.isfinite(b).all():
-        raise NaNDetected("non-finite load" if time is None else f"non-finite load at t = {time:g}")
+        raise NaNDetected(f"non-finite load at t = {time:g}")
     return b
 
 
@@ -473,10 +472,10 @@ def _reference_values(cache: dict, loc: np.ndarray):
     return uh, (g * uh).sum(axis=1)
 
 
-def convection_action(V: FeSpace, w: FeField, u: np.ndarray,
-                      cache: dict | None = None) -> np.ndarray:
-    """C(w) u for the upwind DG convection form c_h(w; u, v), without
-    forming C.
+def convection_action(V: FeSpace, w: FeField, u: np.ndarray, cache: dict | None = None):
+    """(C(w) u, max |w|) for the upwind DG convection form c_h(w; u, v),
+    without forming C; max |w| is taken over the volume quadrature points
+    (the stepper's CFL bound reads it).
 
     Element term -(u, grad(v) w) plus facet upwind terms (w . nu)(u_up . v)
     over element boundaries, with the tangential trace of u taken from the
@@ -489,13 +488,6 @@ def convection_action(V: FeSpace, w: FeField, u: np.ndarray,
     |w|, else NotDivergenceFree).  A cache from convection_tabulation(V)
     avoids re-tabulating the basis data; one built for another space
     raises DegreeMismatch.
-    """
-    return _convection(V, w, u, cache)[0]
-
-
-def _convection(V: FeSpace, w: FeField, u: np.ndarray, cache: dict | None):
-    """convection_action's C(w) u and the largest |w| at the volume points
-    (the stepper's CFL bound reads it).
 
     The fields are evaluated once, in reference coordinates: on an affine
     triangle the ambient gradient of a Piola-mapped basis function is

@@ -146,7 +146,7 @@ def _decompose_input(args, solver: HodgeSolver) -> FeField:
         psi = rng.standard_normal(solver.S.total_dofs)
         return FeField(solver.V, solver.E @ psi)
     f = expression_forcing(args.fx, args.fy, args.fz)
-    load = asm.assemble_load(solver.V, f, time=0.0)
+    load = asm.assemble_load(solver.V, f)
     return FeField(solver.V, solver.mass_operator.solve(load))
 
 
@@ -218,7 +218,7 @@ def cmd_stokes(args) -> int:
     mesh, config, basis = _flow_setup(args, manifest)
     ops = FlowOperators(mesh, config, basis=basis)
     manifest.phase("solve")
-    state, info = ops.stokes_reduced(t=0.0)
+    state, info = ops.stokes_reduced()
     un = np.sqrt(max(state.u.coefficients @ state.Mu, 0.0))
     payload = {
         "kinetic_energy": state.kinetic_energy,
@@ -235,7 +235,7 @@ def cmd_stokes(args) -> int:
     ]
     if args.compare_saddle:
         manifest.phase("saddle")
-        u_s, p_s = ops.stokes_saddle(t=0.0)
+        u_s, p_s = ops.stokes_saddle()
         rel = _relative_gap(state.u, u_s, ops.M)
         # both pressures are zero-mean already: compare them directly
         rel_p = _relative_gap(ops.reconstruct_pressure(state), p_s, asm.assemble_mass(ops.Q))
@@ -281,6 +281,8 @@ def cmd_nse(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.k_max < 0:
+        raise NonpositiveParameter(f"--k-max must be nonnegative, got {args.k_max}")
     manifest = RunManifest(args)
     manifest.phase("checks")
     if args.mesh:

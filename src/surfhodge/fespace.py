@@ -378,10 +378,6 @@ class FeField:
                 f"total_dofs {self.space.total_dofs}"
             )
 
-    @classmethod
-    def zeros(cls, space: FeSpace) -> "FeField":
-        return cls(space, np.zeros(space.total_dofs))
-
     def eval_cells(self, tri_ids, points_bary) -> np.ndarray:
         """Evaluate on the given triangles at shared barycentric points.
 

@@ -4,7 +4,7 @@ Velocity is sought directly in the divergence-free H(div) subspace through
 its streamfunction + harmonic parametrization: operators are assembled in
 the parent H(div) space and restricted once, by JEmbedding.reduce_matrix,
 to a BlockSystem: a sparse streamfunction block, b1 dense harmonic columns
-and their transpose, and the gauges.  ReducedSolver factorizes that
+and their transpose, and the gauge.  ReducedSolver factorizes that
 operator and solves it for any load by a Schur complement, with exactly
 (number of harmonic dofs + 1) sparse solves for the first load.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as dla
@@ -81,10 +81,10 @@ class JEmbedding:
     def reduce_vector(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.ET @ b, self.H @ b
 
-    def reduce_matrix(self, A: sp.spmatrix, gauges=()) -> BlockSystem:
+    def reduce_matrix(self, A: sp.spmatrix, gauge: np.ndarray | None = None) -> BlockSystem:
         """Restrict a symmetric parent-space operator to the divergence-free
         subspace: the BlockSystem of T' A T in the (stream, harmonic)
-        partition, with the given gauges on its streamfunction block.
+        partition, with the given gauge on its streamfunction block.
         Raises DimensionMismatch unless A is square on the parent space and
         NotSPD when |A - A'| > 1e-12 |A|."""
         n = self.E.shape[0]
@@ -92,21 +92,21 @@ class JEmbedding:
             raise DimensionMismatch(f"operator shape {A.shape} != parent dim {n}")
         check_symmetric(sp.csr_matrix(A), "operator to restrict")
         AH = A @ self.H.T  # (N, b1) dense
-        return BlockSystem((self.ET @ (A @ self.E)).tocsc(), self.ET @ AH, self.H @ AH,
-                           tuple(gauges))
+        return BlockSystem((self.ET @ (A @ self.E)).tocsc(), self.ET @ AH, self.H @ AH, gauge)
 
 
 @dataclass
 class BlockSystem:
     """Symmetric reduced operator [[A_ss, A_sh], [A_sh', A_hh]]: sparse
-    streamfunction block, dense harmonic columns and block, optional gauge
-    constraints on A_ss (the zero mean on closed surfaces).  Loads are not
-    part of it; ReducedSolver.solve takes them."""
+    streamfunction block, dense harmonic columns and block, and the gauge
+    of A_ss, the moment vector of its zero-mean constraint on closed
+    surfaces (None on surfaces with boundary).  Loads are not part of it;
+    ReducedSolver.solve takes them."""
 
     A_ss: sp.spmatrix
     A_sh: np.ndarray
     A_hh: np.ndarray
-    gauges: tuple = field(default_factory=tuple)
+    gauge: np.ndarray | None = None
 
     @property
     def n_stream(self) -> int:
@@ -132,7 +132,7 @@ class ReducedSolver:
     def __init__(self, system: BlockSystem):
         self.system = system
         try:
-            self.op = FactorizedOperator(system.A_ss, system.gauges, kind="SPD")
+            self.op = FactorizedOperator(system.A_ss, system.gauge, kind="SPD")
         except (SingularMatrix, NotSPD) as exc:
             raise SingularOperator(
                 "streamfunction block is singular; an un-gauged kernel remains"
@@ -199,7 +199,8 @@ class SimulationConfig:
     tangential symmetric gradient; the viscous element term is mu
     eps(u):eps(v), so mu is twice the nu of -nu Lap u.  k, output_every and
     seed are integers, the last two nonnegative; mu, dt, t_end and alpha
-    are finite, dt and alpha positive, mu and t_end nonnegative.
+    are finite, dt and alpha positive, mu and t_end nonnegative;
+    allow_inviscid is a bool.
     """
 
     k: int = 1
@@ -221,6 +222,8 @@ class SimulationConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if name != "k" and value < 0:
                 raise NonpositiveParameter(f"{name} must be nonnegative, got {value}")
+        if not isinstance(self.allow_inviscid, bool):
+            raise ValueError(f"allow_inviscid must be true or false, got {self.allow_inviscid!r}")
         if not (math.isfinite(self.mu) and self.mu >= 0):
             raise NonpositiveParameter(f"viscosity must be finite and nonnegative, got {self.mu}")
         if self.mu == 0 and not self.allow_inviscid:
@@ -248,7 +251,7 @@ _zero_forcing.steady = True
 # ---------------------------------------------------------------- operators
 class FlowOperators:
     """Spaces, forms and the embedding for one (mesh, config) pair; A_red
-    is the BlockSystem of A_visc with the gauges, restricted once.  The
+    is the BlockSystem of A_visc with the gauge, restricted once.  The
     load of a steady forcing is assembled here too, so a forcing that is
     not finite fails at construction with NaNDetected.
 
@@ -271,14 +274,14 @@ class FlowOperators:
         self.Q = self.hodge.Q
         self.M = self.hodge.M
         self.emb = JEmbedding(self.hodge.E, basis.vectors)
-        self.gauges = self.hodge.gauges
+        self.gauge = self.hodge.gauge
         if config.mu == 0:
             self.A_visc = sp.csr_matrix((self.V.total_dofs, self.V.total_dofs))
         else:
             self.A_visc = asm.assemble_sip(
                 self.V, mu=config.mu, alpha=config.alpha,
                 dirichlet=(config.bc == "noslip"))
-        self.A_red = self.emb.reduce_matrix(self.A_visc, self.gauges)
+        self.A_red = self.emb.reduce_matrix(self.A_visc, self.gauge)
         self.forcing = config.forcing if config.forcing is not None else _zero_forcing
         self._load_tab = asm.load_tabulation(self.V)
         self._steady_load = None
@@ -312,44 +315,45 @@ class FlowOperators:
         )
 
     # ------------------------------------------------------------- Stokes
-    def stokes_reduced(self, t: float = 0.0, load: np.ndarray | None = None):
-        """Solve the reduced viscous problem; returns (state, info), info
-        holding sparse_solves (n_harmonic + 1) and n_harmonic.
+    def stokes_reduced(self, load: np.ndarray | None = None):
+        """Solve the reduced viscous problem for load (default: the
+        forcing's load at t = 0); returns (state, info), the state at t = 0
+        and info holding sparse_solves (n_harmonic + 1) and n_harmonic.
 
         Raises SingularOperator when the gauged streamfunction block is
         singular, e.g. for mu = 0, where no viscous form remains.
         """
-        b = self.load_vector(t) if load is None else load
+        b = self.load_vector(0.0) if load is None else load
         solver = ReducedSolver(self.A_red)
         x_s, x_h = solver.solve(*self.emb.reduce_vector(b))
         info = {"sparse_solves": solver.sparse_solves, "n_harmonic": self.A_red.n_harmonic}
-        return self.make_state(t, x_s, x_h), info
+        return self.make_state(0.0, x_s, x_h), info
 
-    def stokes_saddle(self, t: float = 0.0, load: np.ndarray | None = None):
+    def stokes_saddle(self, load: np.ndarray | None = None):
         """Velocity-pressure saddle-point oracle [[0, B], [B', A]] [p; u] =
         [0; f] on the parent space, pressure first and gauged to zero mean by
-        FactorizedOperator's constraint [m; 0], m its moment; returns (u, p)."""
-        b = self.load_vector(t) if load is None else load
+        FactorizedOperator's gauge [m; 0], m its moment; f defaults to the
+        forcing's load at t = 0.  Returns (u, p)."""
+        b = self.load_vector(0.0) if load is None else load
         nQ = self.Q.total_dofs
         K = sp.bmat([[None, self.hodge.B], [self.hodge.B.T, self.A_visc]], format="csc")
         gauge = np.concatenate([asm.assemble_moment(self.Q), np.zeros(self.V.total_dofs)])
         try:
-            sol = FactorizedOperator(K, [gauge]).solve(np.concatenate([np.zeros(nQ), b]))
+            sol = FactorizedOperator(K, gauge).solve(np.concatenate([np.zeros(nQ), b]))
         except SingularMatrix as exc:
             raise SolverFailure(f"saddle-point solve failed: {exc}") from exc
         return FeField(self.V, sol[nQ:]), FeField(self.Q, sol[:nQ])
 
-    def reconstruct_pressure(self, state: FlowState, t: float | None = None,
-                             load: np.ndarray | None = None) -> FeField:
+    def reconstruct_pressure(self, state: FlowState, load: np.ndarray | None = None) -> FeField:
         """Recover the pressure from a reduced velocity solution.
 
         The force residual r = f(v) - a(u, v) vanishes on the
         divergence-free subspace, so r = B' p for the saddle-point pressure
         p; the discrete pressure Poisson equation B B' p = B r returns it
-        with zero mean.
+        with zero mean.  load defaults to the forcing's load at state.t.
         """
         if load is None:
-            load = self.load_vector(state.t if t is None else t)
+            load = self.load_vector(state.t)
         residual = load - self.A_visc @ state.u.coefficients
         return FeField(self.Q, self.hodge.pressure_solve(residual))
 
@@ -372,7 +376,7 @@ class NavierStokesStepper:
         # the harmonic columns M H' restricted like loads: E' M H', H M H'
         M_sh, M_hh = ops.emb.reduce_vector(ops.M @ ops.emb.H.T)
         self.system = BlockSystem((ops.hodge.L / dt + red.A_ss).tocsc(), M_sh / dt + red.A_sh,
-                                  M_hh / dt + red.A_hh, red.gauges)
+                                  M_hh / dt + red.A_hh, red.gauge)
         try:
             self.solver = ReducedSolver(self.system)
         except SingularOperator as exc:  # M/dt shift makes this unexpected
@@ -386,7 +390,7 @@ class NavierStokesStepper:
             return self.ops.make_state(
                 0.0, np.zeros(self.ops.emb.n_stream),
                 np.zeros(self.ops.emb.n_harmonic))
-        state, _ = self.ops.stokes_reduced(t=0.0)
+        state, _ = self.ops.stokes_reduced()
         return state
 
     def step(self, state: FlowState) -> FlowState:
@@ -398,7 +402,7 @@ class NavierStokesStepper:
             raise NaNDetected(f"non-finite state at t = {state.t:g}")
         # first, so that the convection form's space and divergence checks
         # see the state before anything else evaluates it
-        cu, umax = asm._convection(ops.V, u, u.coefficients, self._conv_cache)
+        cu, umax = asm.convection_action(ops.V, u, u.coefficients, self._conv_cache)
         if umax > 0 and cfg.dt > 0.5 * ops.mesh.h_min / umax and not self._cfl_warned:
             warnings.warn(
                 f"time step {cfg.dt:g} exceeds the convective CFL bound "

@@ -18,6 +18,7 @@ space of discrete harmonic fields.  This module computes that splitting:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,8 +150,7 @@ def verify_dimension(topology: TopologySummary, k: int) -> DimensionReport:
     UnsupportedCombination outside k = 0..4.
     """
     t = topology
-    n_closed = sum(c[2] for c in t.component_betti) if t.component_betti else (
-        t.n_components if t.closed else 0)
+    n_closed = sum(c[2] for c in t.component_betti)
     dim_j = count_dofs(t, "bdm", k, "zero_normal_trace") - (
         count_dofs(t, "dg_pressure", max(k - 1, 0)) - t.n_components)
     dim_rot = count_dofs(t, "lagrange", k + 1, "zero_boundary_trace") - n_closed
@@ -169,11 +169,11 @@ class HodgeSolver:
     L is the streamfunction form (rot psi, rot phi) = (grad psi, grad phi):
     rot = n x grad is an isometry and rot maps S exactly into V (E), so L =
     E' M E, assembled as the Lagrange stiffness it equals, which stores
-    none of the rounding-level entries of E.  The gauges hold its zero-mean
-    moment on closed surfaces; the flow solvers reuse both.  All
-    operations are pure given the immutable mesh; the random number
-    generator of the harmonic search is an explicit seeded input, so runs
-    are reproducible.  The factorizations are built on first use, so the
+    none of the rounding-level entries of E.  The gauge is its zero-mean
+    moment on closed surfaces (None otherwise); the flow solvers reuse
+    both.  All operations are pure given the immutable mesh; the random
+    number generator of the harmonic search is an explicit seeded input, so
+    runs are reproducible.  The factorizations are built on first use, so the
     solver is not immutable after construction.
     """
 
@@ -192,11 +192,10 @@ class HodgeSolver:
         self.B = asm.assemble_div(self.V, self.Q)
         self.E = asm.assemble_rot_embedding(self.S, self.V)
         self.L = asm.assemble_broken_stiffness(self.S)
-        self.gauges = [asm.assemble_moment(self.S)] if self.S.zero_mean else []
+        self.gauge = asm.assemble_moment(self.S) if self.S.zero_mean else None
         self._pressure: FactorizedOperator | None = None
         self._laplace: FactorizedOperator | None = None
         self._mass_op: FactorizedOperator | None = None
-        self._basis: HarmonicBasis | None = None
         self._checksum = mesh.checksum()
 
     # ------------------------------------------------------------ operators
@@ -206,7 +205,7 @@ class HodgeSolver:
         multipliers."""
         if self._pressure is None:
             self._pressure = FactorizedOperator(
-                self.B @ self.B.T, [asm.assemble_moment(self.Q)], kind="SPD")
+                self.B @ self.B.T, asm.assemble_moment(self.Q), kind="SPD")
         return self._pressure
 
     @property
@@ -214,7 +213,7 @@ class HodgeSolver:
         """Factorized streamfunction form L, gauged by the zero-mean
         constraint on closed surfaces."""
         if self._laplace is None:
-            self._laplace = FactorizedOperator(self.L, self.gauges, kind="SPD")
+            self._laplace = FactorizedOperator(self.L, self.gauge, kind="SPD")
         return self._laplace
 
     @property
@@ -233,44 +232,12 @@ class HodgeSolver:
         """Split the velocity functional f: its divergence-free projection
         rot + harm = E psi + H'h, and the multiplier lam of the rest,
         B' lam = f - M (rot + harm).  Returns (psi, h, rot, harm, lam)."""
-        psi = self.streamfunction_solve(self.E.T @ f)
+        psi = self.laplace_operator.solve(self.E.T @ f)
         h = H @ f
         rot, harm = self.E @ psi, H.T @ h
         return psi, h, rot, harm, self.pressure_solve(f - self.M @ (rot + harm))
 
     # ----------------------------------------------------------- operations
-    def helmholtz_project(self, r) -> tuple[FeField, FeField]:
-        """L2 projection into the divergence-free subspace.
-
-        r may be an FeField in the solver's H(div) space (FeSpace.same_as)
-        or in a broken vector space on the same mesh object; any other
-        field raises BasisMismatch.  Returns (u, lam) where u is the
-        projection and lam the mean-zero multiplier representing the
-        discrete-gradient part: Pi_{H(div)} r = u + grad-part(lam).  The
-        harmonic part uses a basis drawn once per solver (seed 0); the
-        projection does not depend on the draw.
-        """
-        if self._basis is None:
-            self._basis = self.harmonic_basis(seed=0)
-        _, _, rot, harm, lam = self._project(self._velocity_functional(r), self._basis.vectors)
-        return FeField(self.V, rot + harm), FeField(self.Q, lam)
-
-    def _velocity_functional(self, r) -> np.ndarray:
-        if isinstance(r, FeField):
-            if self.V.same_as(r.space):
-                return self.M @ r.coefficients
-            if r.space.value_shape == "vector" and r.space.mesh is self.mesh:
-                C = asm.assemble_cross_mass(self.V, r.space)
-                return C @ r.coefficients
-            raise BasisMismatch("field lives on an incompatible space")
-        r = np.asarray(r, dtype=float)
-        if r.shape != (self.V.total_dofs,):
-            raise BasisMismatch("coefficient vector length mismatch")
-        return self.M @ r
-
-    def streamfunction_solve(self, rhs_s: np.ndarray) -> np.ndarray:
-        return self.laplace_operator.solve(rhs_s)
-
     def harmonic_basis(self, seed: int = 0, tol: float = 1e-8) -> HarmonicBasis:
         """Randomized construction of the orthonormal harmonic basis.
 
@@ -281,10 +248,13 @@ class HodgeSolver:
         and keep the remainder unless its norm falls below tol.  Terminates
         with probability one after b1 accepted fields; a draw budget of
         20 b1 + 20 guards against inconsistent topology/assembly input.
-        Raises NonpositiveParameter unless seed is a nonnegative integer.
+        Raises NonpositiveParameter unless seed is a nonnegative integer and
+        tol is finite and positive.
         """
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise NonpositiveParameter(f"seed must be a nonnegative integer, got {seed!r}")
+        if not (math.isfinite(tol) and tol > 0):
+            raise NonpositiveParameter(f"tol must be finite and positive, got {tol!r}")
         b1 = self.topology.b1
         budget = 20 * b1 + 20
         n = self.V.total_dofs
@@ -300,7 +270,7 @@ class HodgeSolver:
             r = rng.standard_normal(n)
             r /= np.sqrt(r @ (self.M @ r))
             u = r - self.B.T @ self.pressure_solve(r)
-            psi = self.streamfunction_solve(self.E.T @ (self.M @ u))
+            psi = self.laplace_operator.solve(self.E.T @ (self.M @ u))
             w = u - self.E @ psi
             for _ in range(2):  # twice-applied MGS for conditioning
                 for q in accepted:
@@ -388,8 +358,7 @@ class P0Decomposition:
     residual_norm: float
 
 
-def decompose_p0_incomplete(v: FeField, basis: HarmonicBasis | None = None,
-                            seed: int = 0) -> P0Decomposition:
+def decompose_p0_incomplete(v: FeField, basis: HarmonicBasis | None = None) -> P0Decomposition:
     """L2-orthogonal split of a piecewise-constant tangential field into
     rotated P1 gradients, harmonic fields and broken Crouzeix-Raviart
     gradients.
@@ -404,18 +373,18 @@ def decompose_p0_incomplete(v: FeField, basis: HarmonicBasis | None = None,
     mesh = space.mesh
     solver = HodgeSolver(mesh, 0)
     if basis is None:
-        basis = solver.harmonic_basis(seed=seed)
+        basis = solver.harmonic_basis()
     else:
         solver.check_basis(basis)
 
     C = asm.assemble_cross_mass(solver.V, space)  # (nV0, nP0)
     Cv = C @ v.coefficients
-    psi = solver.streamfunction_solve(solver.E.T @ Cv)
+    psi = solver.laplace_operator.solve(solver.E.T @ Cv)
     h = basis.vectors @ Cv
 
     CR = build_space(mesh, "crouzeix_raviart", 1, "zero_mean")
     K = asm.assemble_broken_stiffness(CR)
-    cr_gauge = FactorizedOperator(K, [asm.assemble_moment(CR)], kind="SPD")
+    cr_gauge = FactorizedOperator(K, asm.assemble_moment(CR), kind="SPD")
     phi = cr_gauge.solve(asm.assemble_gradient_load(CR, v))
 
     # pointwise residual: v - rot(psi) - harmonic - grad_h(phi)

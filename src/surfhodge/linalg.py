@@ -58,21 +58,21 @@ _KERNEL_TOL = 1e-10
 
 class FactorizedOperator:
     """Reusable LU factorization of a sparse symmetric matrix A, optionally
-    gauged by one linear constraint c' x = 0.
+    gauged by one linear constraint c' x = 0 (gauge = c, a vector).
 
-    kind describes A itself: "SPD" (with a constraint: positive definite on
-    its null space) checks that A is symmetric with a positive diagonal.
+    kind describes A itself: "SPD" (with a gauge: positive definite on the
+    gauge's null space) checks that A is symmetric with a positive diagonal.
     "symmetric-indefinite" factorizes A with its zero diagonal shifted (see
     _SPLU_OPTIONS); each solve is refined against A and raises SingularMatrix
     unless it converges, also where A is too ill-conditioned (~1e9) for the
     shift to be refined away, so no unconverged vector is returned.
 
-    With a constraint, A must have a one-dimensional kernel z with z_0 != 0.
+    With a gauge, A must have a one-dimensional kernel z with z_0 != 0.
     A is factorized without its first row and column, z is computed once
     from that factor (z_0 = 1), and solve(b) returns the solution of the
     bordered system [[A, c], [c', 0]] [x; l] = [b; 0]: it removes the
     component of b outside the range of A, solves with x_0 = 0 and adds the
-    multiple of z that makes c' x = 0.  Without a constraint, z = A^-1 r
+    multiple of z that makes c' x = 0.  Without a gauge, z = A^-1 r
     must not be near-null.  SingularMatrix is raised when the test fails and
     for non-finite entries of A.
 
@@ -81,7 +81,7 @@ class FactorizedOperator:
     several threads are allowed.
     """
 
-    def __init__(self, A: sp.spmatrix, constraints=(),
+    def __init__(self, A: sp.spmatrix, gauge: np.ndarray | None = None,
                  kind: str = "symmetric-indefinite"):
         A = sp.csc_matrix(A)
         n, m = A.shape
@@ -89,13 +89,11 @@ class FactorizedOperator:
             raise SingularMatrix("factorization requires a square matrix")
         if kind not in ("SPD", "symmetric-indefinite"):
             raise ValueError(f"unknown factorization kind {kind!r}")
-        if len(constraints) > 1:
-            raise ValueError("at most one gauge constraint is supported")
         if not np.isfinite(A.data).all():
             raise SingularMatrix("matrix has non-finite entries")
         self.kind = kind
         self.n = n
-        self.n_constraints = len(constraints)
+        self.gauge = None if gauge is None else np.asarray(gauge, dtype=float)
         self.solve_count = 0
         self._count_lock = threading.Lock()
         if n == 0:  # empty systems occur e.g. for trace-constrained spaces
@@ -106,7 +104,7 @@ class FactorizedOperator:
             if (d <= 0).any():
                 raise NotSPD("nonpositive diagonal entry under SPD kind")
             check_symmetric(A, "matrix declared SPD")
-        pinned = A[1:, 1:] if self.n_constraints else A
+        pinned = A if self.gauge is None else A[1:, 1:]
         if kind != "SPD":  # refinement needs A and d, not a scaled copy of A
             self._A, (self._d, self._A_norm) = pinned, _equilibrate(pinned)
             shift = sp.diags(np.where(pinned.diagonal() == 0, _SHIFT / self._d**2, 0))
@@ -117,7 +115,7 @@ class FactorizedOperator:
             raise SingularMatrix(str(exc)) from exc
         self._solve = self._lu.solve if kind == "SPD" else self._refined_solve
         # the factor's own near-null vector z (its solve is not counted)
-        if not self.n_constraints:
+        if self.gauge is None:
             z = self._solve(np.random.default_rng(0).standard_normal(n))
             if _is_near_null(A, z):
                 raise SingularMatrix("matrix is numerically singular")
@@ -128,13 +126,13 @@ class FactorizedOperator:
         if not _is_near_null(A, z):
             raise SingularMatrix("gauge constraint given for an operator "
                                  "without a kernel")
-        c = np.asarray(constraints[0], dtype=float)
+        c = self.gauge
         cz = float(c @ z)
         # a non-finite z (pinned block singular: the kernel is larger or
         # z_0 = 0) fails this comparison too
         if not abs(cz) > _KERNEL_TOL * np.abs(c).sum() * np.abs(z).max():
             raise SingularMatrix("gauge constraint does not fix the kernel")
-        self._z, self._c, self._cz = z, c, cz
+        self._z, self._cz = z, cz
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -142,9 +140,9 @@ class FactorizedOperator:
             self.solve_count += 1 if b.ndim == 1 else b.shape[1]
         if self.n == 0:
             return np.zeros_like(b)
-        if not self.n_constraints:
+        if self.gauge is None:
             return self._solve(b)
-        z, c = self._z, self._c
+        z, c = self._z, self.gauge
         # A is symmetric, so z spans its left kernel: drop c's share of b
         # along it, which is what the bordered system's multiplier absorbs
         b = b - np.multiply.outer(c, (z @ b) / self._cz)

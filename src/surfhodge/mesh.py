@@ -2,8 +2,8 @@
 
 A SurfaceMesh owns all combinatorial and geometric data needed by the
 finite element layers: edge adjacency, globally consistent orientation,
-per-triangle frames for the Piola map, and per-edge tangent/conormal frames
-for inter-element (DG) terms.
+per-triangle frames for the Piola map, and edge tangents and per-triangle
+edge conormals for inter-element (DG) terms.
 
 Topology is array code: one half-edge table pairs the 3T local edges
 (tri[le], tri[le+1]) by their sorted vertex pairs (np.unique), and
@@ -24,7 +24,7 @@ Edge conventions
 * For an interior edge, edge_tris[e, 0] is the adjacent triangle that
   traverses the edge against tau and edge_tris[e, 1] the one along tau.
   With this labelling nu1 = n|_T1 x tau and nu2 = -n|_T2 x tau are both
-  outward-pointing in-plane conormals.
+  outward-pointing in-plane conormals (edge_frames returns them).
 * For a boundary edge, edge_tris[e, 0] is the only adjacent triangle and
   nu1 is its outward conormal regardless of traversal direction.
 """
@@ -32,7 +32,7 @@ Edge conventions
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,7 +71,7 @@ class TopologySummary:
     b1: int
     b2: int
     closed: bool
-    component_betti: tuple = field(default_factory=tuple)
+    component_betti: tuple
 
     @classmethod
     def closed_surface(cls, n_triangles: int, genus: int) -> "TopologySummary":
@@ -259,11 +259,6 @@ class SurfaceMesh:
             nu = np.cross(d, self.tri_normals)  # = -n x d
             self.conormals[:, le, :] = nu
 
-        # Per-edge frames nu1 (side of edge_tris[:,0]) and nu2.
-        nu = self.conormals.reshape(-1, 3)[self._edge_halves]
-        nu[self.boundary_edge_mask, 1] = np.nan
-        self.nu1, self.nu2 = nu[:, 0].copy(), nu[:, 1].copy()
-
     def _build_components(self):
         t1, t2 = self.edge_tris[~self.boundary_edge_mask].T
         self.n_components, self.tri_component = _components(self.n_triangles, t1, t2)
@@ -330,14 +325,14 @@ def edge_frames(mesh: SurfaceMesh, edge: int):
     """Return (tau, nu1, nu2) for an edge; nu2 is None on boundary edges.
 
     tau points from the lower to the higher vertex index; nu1/nu2 are the
-    outward in-plane conormals of the first/second adjacent triangle.
+    outward in-plane conormals of the first/second adjacent triangle, read
+    from mesh.conormals at the edge's two half-edges.
     """
     if not 0 <= edge < mesh.n_edges:
         raise IndexOutOfRange(f"edge index {edge} out of range")
-    tau = mesh.edge_tangents[edge]
-    nu1 = mesh.nu1[edge]
-    nu2 = None if mesh.boundary_edge_mask[edge] else mesh.nu2[edge]
-    return tau, nu1, nu2
+    h1, h2 = mesh._edge_halves[edge]
+    nu = mesh.conormals.reshape(-1, 3)
+    return mesh.edge_tangents[edge], nu[h1], None if h2 < 0 else nu[h2]
 
 
 def analyze_topology(mesh: SurfaceMesh) -> TopologySummary:
@@ -383,32 +378,20 @@ def analyze_topology(mesh: SurfaceMesh) -> TopologySummary:
 
 
 # ---------------------------------------------------------------------- I/O
-def load_mesh(path, fmt: str | None = None) -> SurfaceMesh:
-    """Load an OFF or OBJ triangle mesh; the format defaults to the file
+def load_mesh(path) -> SurfaceMesh:
+    """Load an OFF or OBJ triangle mesh, the format given by the file
     extension.  Non-manifold or non-orientable input is rejected;
     inconsistent windings of orientable meshes are repaired."""
     path = str(path)
-    if fmt is None:
-        lower = path.lower()
-        if lower.endswith(".off"):
-            fmt = "OFF"
-        elif lower.endswith(".obj"):
-            fmt = "OBJ"
-        else:
-            raise ParseError(f"cannot infer mesh format from path {path!r}")
-    fmt = fmt.upper()
+    parse = {".off": _parse_off, ".obj": _parse_obj}.get(path.lower()[-4:])
+    if parse is None:
+        raise ParseError(f"cannot infer mesh format from path {path!r}")
     try:
         with open(path, "r") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read mesh file {path!r}: {exc}") from exc
-    if fmt == "OFF":
-        verts, tris = _parse_off(text)
-    elif fmt == "OBJ":
-        verts, tris = _parse_obj(text)
-    else:
-        raise ParseError(f"unsupported mesh format {fmt!r}")
-    return SurfaceMesh(verts, tris)
+    return SurfaceMesh(*parse(text))
 
 
 def _significant_lines(text: str):

@@ -67,8 +67,8 @@ def flat_patch(n: int = 4) -> SurfaceMesh:
     return SurfaceMesh(verts, np.array(tris))
 
 
-def icosphere(subdivisions: int = 1, radius: float = 1.0) -> SurfaceMesh:
-    """Subdivided icosahedron projected to the sphere (b1 = 0)."""
+def icosphere(subdivisions: int = 1) -> SurfaceMesh:
+    """Subdivided icosahedron projected to the unit sphere (b1 = 0)."""
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array(
         [
@@ -88,7 +88,7 @@ def icosphere(subdivisions: int = 1, radius: float = 1.0) -> SurfaceMesh:
     )
     for _ in range(subdivisions):
         verts, tris = _subdivide(verts, tris)
-    verts = radius * verts / np.linalg.norm(verts, axis=1)[:, None]
+    verts = verts / np.linalg.norm(verts, axis=1)[:, None]
     return SurfaceMesh(verts, tris)
 
 
@@ -257,7 +257,7 @@ def trefoil_tube(n_along: int = 24, n_around: int = 8, radius: float = 0.35) -> 
     return SurfaceMesh(np.array(verts), np.array(tris))
 
 
-def genus_g_torus_chain(genus: int, n_major: int = 10, n_minor: int = 6):
+def genus_g_torus_chain(genus: int):
     """Closed orientable surface of arbitrary genus, built as a voxel frame.
 
     genus 1 gives a square annulus frame, higher genus chains g holes in a

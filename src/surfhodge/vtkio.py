@@ -42,8 +42,8 @@ def _block(row_format: str, values) -> str:
     return (row_format * len(values)) % tuple(values.ravel().tolist())
 
 
-def write_vtk(path, mesh, cell_vector_fields=None, point_scalar_fields=None,
-              title="surfhodge output") -> str:
+def write_vtk(path, mesh, cell_vector_fields: dict, point_scalar_fields: dict,
+              title: str) -> str:
     """Write a VTK legacy ASCII polydata file.
 
     cell_vector_fields: dict name -> (T, 3) arrays written as CELL_DATA
@@ -51,8 +51,6 @@ def write_vtk(path, mesh, cell_vector_fields=None, point_scalar_fields=None,
     POINT_DATA SCALARS.  Floats are written with 17 significant digits.
     """
     path = str(path)
-    cell_vector_fields = cell_vector_fields or {}
-    point_scalar_fields = point_scalar_fields or {}
     parts = [
         f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET POLYDATA\n",
         f"POINTS {mesh.n_vertices} double\n",
@@ -80,10 +78,7 @@ def write_flow_snapshot(out_dir, index: int, ops, state) -> str:
     os.makedirs(out_dir, exist_ok=True)
     mesh = ops.mesh
     u_rot = FeField(ops.V, ops.emb.E @ state.psi.coefficients)
-    if ops.emb.n_harmonic:
-        u_harm = FeField(ops.V, ops.emb.H.T @ state.h_coeffs)
-    else:
-        u_harm = FeField.zeros(ops.V)
+    u_harm = FeField(ops.V, ops.emb.H.T @ state.h_coeffs)  # zero when b1 = 0
     path = os.path.join(str(out_dir), f"flow_{index:06d}.vtk")
     return write_vtk(
         path,

@@ -79,7 +79,8 @@ def monolithic_solve():
     (x_s, x_h)."""
 
     def solve(system, b_s, b_h):
-        ns, nh, ng = system.n_stream, system.n_harmonic, len(system.gauges)
+        gauges = [] if system.gauge is None else [system.gauge]
+        ns, nh, ng = system.n_stream, system.n_harmonic, len(gauges)
         n = ns + nh + ng
         K = np.zeros((n, n))
         K[:ns, :ns] = system.A_ss.toarray()
@@ -87,7 +88,7 @@ def monolithic_solve():
             K[:ns, ns:ns + nh] = system.A_sh
             K[ns:ns + nh, :ns] = system.A_sh.T
             K[ns:ns + nh, ns:ns + nh] = system.A_hh
-        for i, g in enumerate(system.gauges):
+        for i, g in enumerate(gauges):
             K[:ns, ns + nh + i] = g
             K[ns + nh + i, :ns] = g
         sol = np.linalg.solve(K, np.concatenate([b_s, b_h, np.zeros(ng)]))

@@ -190,7 +190,7 @@ def test_criterion_6_schur_correctness(acc_corpus, monolithic_solve):
     mesh = acc_corpus["torus"]
     cfg = SimulationConfig(k=1, mu=0.5, forcing=smooth_random_forcing(7))
     ops = FlowOperators(mesh, cfg)
-    system = ops.emb.reduce_matrix(ops.A_visc, ops.gauges)
+    system = ops.emb.reduce_matrix(ops.A_visc, ops.gauge)
     b_s, b_h = ops.emb.reduce_vector(ops.load_vector(0.0))
     solver = ReducedSolver(system)
     xs, xh = solver.solve(b_s, b_h)

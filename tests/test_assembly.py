@@ -272,7 +272,8 @@ def test_sip_parameter_validation(torus3):
 # --------------------------------------------------------------- convection
 def test_convection_zero_field(torus3, rng):
     V = build_space(torus3, "bdm", 1, "zero_normal_trace")
-    cu = asm.convection_action(V, FeField.zeros(V), rng.standard_normal(V.total_dofs))
+    w = FeField(V, np.zeros(V.total_dofs))
+    cu = asm.convection_action(V, w, rng.standard_normal(V.total_dofs))[0]
     assert not cu.any()
 
 
@@ -342,7 +343,7 @@ def test_convection_hand_assembled_upwind():
             up = u0 if sign > 0 else u1
             hand = h_e * sign * ((u0 @ nu0) * (v0 @ nu0) + (up @ tau) * (v0 @ tau))
             hand -= h_e * sign * ((u1 @ nu1) * (v1 @ nu1) + (up @ tau) * (v1 @ tau))
-            got = v_c @ asm.convection_action(V, w, u_c)
+            got = v_c @ asm.convection_action(V, w, u_c)[0]
             assert got == pytest.approx(hand, rel=1e-12, abs=1e-13)
 
 
@@ -426,12 +427,12 @@ def _ambient_load(V, f):
     rule = asm.volume_rule(V, extra=2)
     vals, _ = _ambient_tabulation(V, rule)
     pts = asm.physical_points(V.mesh, rule)
-    fv = f(pts.reshape(-1, 3)).reshape(pts.shape)
+    fv = f(pts.reshape(-1, 3), 0.0).reshape(pts.shape)
     local = np.einsum("tlqi,tqi,q,t->tl", vals, fv, rule.weights, V.mesh.Jdet)
     return asm._scatter_vec(local, V.dof_map, V.dof_signs, V.total_dofs)
 
 
-def _smooth_forcing(x):
+def _smooth_forcing(x, t):
     return np.stack([np.sin(x[:, 1]) + x[:, 2], np.cos(x[:, 2]) * x[:, 0],
                      np.exp(0.3 * x[:, 0])], axis=1)
 
@@ -539,9 +540,8 @@ def test_convection_action_matches_ambient_oracle(request, rng, mesh_name, k):
         wmax = np.linalg.norm(asm.tabulate_field(w, cache["vol"][0]), axis=-1).max()
         for u in (rng.standard_normal(V.total_dofs), w.coefficients):
             want = _ambient_convection(V, w.coefficients, u)
-            got = asm.convection_action(V, w, u, cache=cache)
+            got, umax = asm.convection_action(V, w, u, cache=cache)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-            umax = asm._convection(V, w, u, cache)[1]
             assert abs(umax - wmax) <= 1e-13 * wmax
 
 
@@ -571,7 +571,7 @@ def _probe_assembled(V, w, cache):
         group = np.flatnonzero(color == c)
         probe = np.zeros(n)
         probe[group] = 1.0
-        out = asm.convection_action(V, w, probe, cache=cache)
+        out = asm.convection_action(V, w, probe, cache=cache)[0]
         reached = np.zeros(n, bool)
         for j in group:
             r = P.indices[P.indptr[j]:P.indptr[j + 1]]
@@ -606,7 +606,7 @@ def test_convection_action_matches_assembled(request, rng, mesh_name, k):
         assert not leak.any()
         for u in (rng.standard_normal(V.total_dofs), w.coefficients):
             want = C @ u
-            got = asm.convection_action(V, w, u, cache=cache)
+            got = asm.convection_action(V, w, u, cache=cache)[0]
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -624,7 +624,7 @@ def test_convection_action_upwinds_both_directions(rng):
         for _ in range(3):
             u = rng.standard_normal(V.total_dofs)
             want = _ambient_convection(V, w.coefficients, u)
-            got = asm.convection_action(V, w, u)
+            got = asm.convection_action(V, w, u)[0]
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -638,7 +638,7 @@ def _check_energy_stability(mesh, rng, k):
     for _ in range(4):
         w = FeField(V, E @ rng.standard_normal(S.total_dofs))
         for u in (E @ rng.standard_normal(S.total_dofs), w.coefficients):
-            cu = asm.convection_action(V, w, u, cache=cache)
+            cu = asm.convection_action(V, w, u, cache=cache)[0]
             tol = min(1e-12 * np.linalg.norm(u) * np.linalg.norm(cu), 1e-10 * (u @ (M @ u)))
             assert u @ cu >= -tol
 
@@ -687,7 +687,7 @@ def _per_triangle_forcing(V, values):
     load_tabulation(V), in the order assemble_load passes them."""
     pts = asm.load_tabulation(V)[0].reshape(-1, 3)
 
-    def f(x):
+    def f(x, t):
         assert np.array_equal(x, pts)
         return values.reshape(-1, 3)
 
@@ -697,7 +697,7 @@ def _per_triangle_forcing(V, values):
 def test_load_zero_and_normal(corpus):
     mesh = corpus["icosphere"]
     V = build_space(mesh, "bdm", 1, "zero_normal_trace")
-    b0 = asm.assemble_load(V, lambda x: np.zeros_like(x))
+    b0 = asm.assemble_load(V, lambda x, t: np.zeros_like(x))
     assert np.abs(b0).max() == 0.0
     # the radial field is normal to the sphere but not to the facets: it
     # loads exactly what its tangential part per triangle loads
@@ -731,7 +731,7 @@ def test_load_of_facet_normal_forcing_is_rounding(request, mesh_name, k):
 def test_load_exactly_normal_forcing_vanishes():
     mesh = meshes.single_triangle()  # normal = +z
     V = build_space(mesh, "bdm", 2)
-    b = asm.assemble_load(V, lambda x: np.tile([0.0, 0.0, 3.7], (len(x), 1)))
+    b = asm.assemble_load(V, lambda x, t: np.tile([0.0, 0.0, 3.7], (len(x), 1)))
     assert np.abs(b).max() < 1e-14
 
 
@@ -741,7 +741,7 @@ def test_load_constant_tangential_single_triangle():
     mesh = meshes.single_triangle()
     V = build_space(mesh, "bdm", 1)
     f_vec = np.array([0.25, -1.5, 0.0])
-    b = asm.assemble_load(V, lambda x: np.tile(f_vec, (len(x), 1)))
+    b = asm.assemble_load(V, lambda x, t: np.tile(f_vec, (len(x), 1)))
     mids = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
     from surfhodge.fespace import eval_basis
 
@@ -776,7 +776,7 @@ def test_sip_consistency_continuous_field_flat():
     mesh = meshes.flat_patch(3)
     V = build_space(mesh, "bdm", 2)
     # smooth global field (degree 2 polynomial in x, y)
-    def field(x):
+    def field(x, t):
         return np.stack([x[:, 0] ** 2 + x[:, 1], x[:, 0] * x[:, 1] - 3 * x[:, 1] ** 2,
                          np.zeros(len(x))], axis=1)
 

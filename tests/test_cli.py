@@ -355,11 +355,15 @@ def test_config_unknown_bc_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", ["dt = nan", "mu = nan", "mu = inf", "alpha = nan",
                                  "t_end = inf", "t_end = nan", "seed = 1.5", "seed = -1",
-                                 "k = 1.5", "harmonic --seed -1"])
+                                 "k = 1.5", "allow_inviscid = maybe", "allow_inviscid = 1",
+                                 "harmonic --seed -1", "harmonic --tol nan",
+                                 "harmonic --tol -1", "harmonic --tol 0", "harmonic --tol inf",
+                                 "verify --k-max -1"])
 def test_bad_parameter_value_exit_2(tmp_path, capsys, bad):
-    """A config value (nse) or seed flag (harmonic) out of its domain is an
-    input error: no solver failure, traceback or silent acceptance."""
-    if bad.startswith("harmonic"):
+    """A config value (nse), a seed or tol flag (harmonic) or a degree bound
+    (verify) out of its domain is an input error: no solver failure,
+    traceback or silent acceptance."""
+    if bad.startswith(("harmonic", "verify")):
         argv = [*bad.split(), "--mesh", "builtin:torus"]
     else:
         argv = ["nse", "--config", write_cfg(tmp_path, f"mesh = builtin:torus\n{bad}\n")]

@@ -139,8 +139,8 @@ def test_basis_mismatch(torus3, torus, basis_cache):
 
 def test_field_from_another_mesh_rejected(torus, solver_cache, basis_cache):
     """A BDM field with the solver's dof count on another mesh (the torus
-    stretched along y and z) is refused by decompose and helmholtz_project;
-    a space rebuilt on the solver's own mesh object is accepted."""
+    stretched along y and z) is refused by decompose; a space rebuilt on
+    the solver's own mesh object is accepted."""
     solver = solver_cache(torus, 1)
     basis = basis_cache(torus, 1)
     stretched = SurfaceMesh(torus.vertices * [1.0, 1.3, 0.7], torus.triangles)
@@ -148,8 +148,6 @@ def test_field_from_another_mesh_rejected(torus, solver_cache, basis_cache):
     foreign = FeField(build_space(stretched, "bdm", 1, "zero_normal_trace"), coeffs)
     with pytest.raises(BasisMismatch):
         solver.decompose(foreign, basis)
-    with pytest.raises(BasisMismatch):
-        solver.helmholtz_project(foreign)
     rebuilt = FeField(build_space(torus, "bdm", 1, "zero_normal_trace"), coeffs)
     want = solver.decompose(FeField(solver.V, coeffs), basis)
     assert solver.decompose(rebuilt, basis).residual_norm == want.residual_norm
@@ -177,37 +175,44 @@ def test_validate_basis_numeric_checks(torus3, solver_cache, basis_cache, rng):
 
 
 # -------------------------------------------------------------- projection
-def test_helmholtz_rot_field_fixed(torus3, solver_cache, rng):
+def _project(solver, basis, v):
+    """The L2 projection of v into the divergence-free subspace, rot_part +
+    harmonic_part of decompose, and the multiplier lam of the rest."""
+    comp = solver.decompose(v, basis)
+    return comp.rot_part + comp.harmonic_part, comp.lam.coefficients
+
+
+def test_helmholtz_rot_field_fixed(torus3, solver_cache, basis_cache, rng):
     solver = solver_cache(torus3, 1)
     r = FeField(solver.V, solver.E @ rng.standard_normal(solver.S.total_dofs))
-    u, lam = solver.helmholtz_project(r)
+    u, lam = _project(solver, basis_cache(torus3, 1), r)
     nr = np.sqrt(r.coefficients @ (solver.M @ r.coefficients))
-    d = u.coefficients - r.coefficients
+    d = u - r.coefficients
     assert np.sqrt(d @ (solver.M @ d)) <= 1e-10 * nr
-    assert np.abs(lam.coefficients).max() <= 1e-10 * nr
+    assert np.abs(lam).max() <= 1e-10 * nr
 
 
 def test_helmholtz_harmonic_member_fixed(torus3, solver_cache, basis_cache):
     solver = solver_cache(torus3, 1)
     basis = basis_cache(torus3, 1)
     h = FeField(solver.V, basis.vectors[0])
-    u, lam = solver.helmholtz_project(h)
-    assert np.abs(u.coefficients - h.coefficients).max() < 1e-10
-    assert np.abs(lam.coefficients).max() < 1e-10
+    u, lam = _project(solver, basis, h)
+    assert np.abs(u - h.coefficients).max() < 1e-10
+    assert np.abs(lam).max() < 1e-10
 
 
-def test_helmholtz_random_properties(torus3, solver_cache, rng):
+def test_helmholtz_random_properties(torus3, solver_cache, basis_cache, rng):
     solver = solver_cache(torus3, 1)
+    basis = basis_cache(torus3, 1)
     r = FeField(solver.V, rng.standard_normal(solver.V.total_dofs))
-    u, lam = solver.helmholtz_project(r)
-    nrm = np.sqrt(u.coefficients @ (solver.M @ u.coefficients))
-    assert asm.divergence_norm(solver.V, u.coefficients) <= 1e-10 * nrm
+    u, _ = _project(solver, basis, r)
+    nrm = np.sqrt(u @ (solver.M @ u))
+    assert asm.divergence_norm(solver.V, u) <= 1e-10 * nrm
     # (u, grad-part q) = 0 for all q: divergence pairing vanishes
-    assert np.abs(solver.B @ u.coefficients).max() <= 1e-10 * nrm
+    assert np.abs(solver.B @ u).max() <= 1e-10 * nrm
     # idempotent
-    u2, _ = solver.helmholtz_project(u)
-    assert np.abs(u2.coefficients - u.coefficients).max() <= 1e-12 * max(
-        1.0, np.abs(u.coefficients).max())
+    u2, _ = _project(solver, basis, FeField(solver.V, u))
+    assert np.abs(u2 - u).max() <= 1e-12 * max(1.0, np.abs(u).max())
 
 
 # -------------------------------------------------------------- decompose
@@ -288,7 +293,7 @@ def test_hierarchy_lowest_order_harmonics_span(torus, solver_cache, basis_cache)
         W = []
         for h0 in basis0.vectors:
             u = mass_inv.solve(C @ h0)  # L2 projection (exact: V0 within Vk)
-            psi = solver.streamfunction_solve(solver.E.T @ (solver.M @ u))
+            psi = solver.laplace_operator.solve(solver.E.T @ (solver.M @ u))
             W.append(u - solver.E @ psi)
         W = np.array(W)
         G = W @ (solver.M @ W.T)

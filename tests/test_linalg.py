@@ -81,7 +81,7 @@ def test_gauged_operator_zero_mean(rng):
     L[-1, 0] -= 1
     L[0, 0] -= 0.0  # periodic Laplacian, kernel = constants
     ones = np.ones(n)
-    op = FactorizedOperator(sp.csc_matrix(L), [ones])
+    op = FactorizedOperator(sp.csc_matrix(L), ones)
     b = rng.standard_normal(n)
     b -= b.mean()
     x = op.solve(b)
@@ -112,7 +112,7 @@ def test_concurrent_solves_match_serial(torus):
     from surfhodge.hodge import HodgeSolver
 
     op = HodgeSolver(torus, 1).laplace_operator
-    assert op.n_constraints == 1
+    assert op.gauge is not None
     rhs = np.random.default_rng(5).standard_normal((300, op.n))
     serial = [op.solve(b) for b in rhs]
     with ThreadPoolExecutor(max_workers=3) as pool:
@@ -134,7 +134,7 @@ def test_gauged_solve_matches_bordered_system(rng):
     n = 12
     L = _periodic_laplacian(n)
     c = 1.0 + rng.random(n)
-    op = FactorizedOperator(sp.csc_matrix(L), [c], kind="SPD")
+    op = FactorizedOperator(sp.csc_matrix(L), c, kind="SPD")
     K = np.block([[L, c[:, None]], [c[None, :], np.zeros((1, 1))]])
     B = rng.standard_normal((n, 3))
     ref = np.linalg.solve(K, np.vstack([B, np.zeros((1, 3))]))[:n]
@@ -150,10 +150,10 @@ def test_gauge_on_nonsingular_operator_raises(rng):
     R = rng.standard_normal((n, n))
     A = sp.csc_matrix(R.T @ R + n * np.eye(n))
     with pytest.raises(SingularMatrix):
-        FactorizedOperator(A, [np.ones(n)], kind="SPD")
+        FactorizedOperator(A, np.ones(n), kind="SPD")
     with pytest.raises(SingularMatrix):
         FactorizedOperator(sp.csc_matrix(_periodic_laplacian(n) + 1e-3 * np.eye(n)),
-                           [np.ones(n)], kind="SPD")
+                           np.ones(n), kind="SPD")
 
 
 def test_gauge_orthogonal_to_kernel_raises():
@@ -161,14 +161,7 @@ def test_gauge_orthogonal_to_kernel_raises():
     c = np.zeros(n)
     c[0], c[1] = 1.0, -1.0  # c' 1 = 0: does not fix the constant kernel
     with pytest.raises(SingularMatrix):
-        FactorizedOperator(sp.csc_matrix(_periodic_laplacian(n)), [c], kind="SPD")
-
-
-def test_more_than_one_constraint_raises():
-    n = 6
-    with pytest.raises(ValueError):
-        FactorizedOperator(sp.csc_matrix(_periodic_laplacian(n)),
-                           [np.ones(n), np.arange(n, dtype=float)], kind="SPD")
+        FactorizedOperator(sp.csc_matrix(_periodic_laplacian(n)), c, kind="SPD")
 
 
 def test_streamfunction_factor_fill():
@@ -202,7 +195,7 @@ def test_saddle_oracle_factor_fill(monkeypatch):
     made.clear()
     ops.stokes_saddle()
     (op,) = made
-    assert op.kind == "symmetric-indefinite" and op.n_constraints == 1
+    assert op.kind == "symmetric-indefinite" and op.gauge is not None
     assert op._lu.nnz < 800_000
 
 
@@ -267,7 +260,7 @@ def test_ungauged_singular_spd_raises(name, scale, rng):
     with pytest.raises(SingularMatrix):
         FactorizedOperator(A, kind="SPD")
     n = A.shape[0]
-    op = FactorizedOperator(A, [np.ones(n)], kind="SPD")
+    op = FactorizedOperator(A, np.ones(n), kind="SPD")
     b = rng.standard_normal(n)
     b -= b.mean()
     x = op.solve(b)
