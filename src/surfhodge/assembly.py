@@ -520,8 +520,6 @@ def convection_action(V: FeSpace, w: FeField, u: np.ndarray, cache: dict | None 
     out = _scatter_vec(local.T, V.dof_map, V.dof_signs, V.total_dofs)
 
     psi, psi_t, wq = cache["edge"]
-    if psi.shape[0] == 0:
-        return out, wmax
     tr_w = psi @ w.coefficients
     tr = (tr_w if same else psi @ u).reshape(2, 2, -1)  # (normal/tangential, side, point)
     wn = tr_w[:len(wq)] * wq

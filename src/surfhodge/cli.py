@@ -298,8 +298,10 @@ def cmd_verify(args) -> int:
 
     for name, mesh in corpus.items():
         topo = analyze_topology(mesh)
+        # Euler-Poincare: the per-component Betti numbers against V - E + T
         check(f"{name}: euler identity",
-              topo.euler_characteristic == topo.n_vertices - topo.n_edges + topo.n_triangles)
+              sum(b0 - b1 + b2 for b0, b1, b2 in topo.component_betti)
+              == topo.n_vertices - topo.n_edges + topo.n_triangles)
         check(f"{name}: boundary edge/vertex balance",
               topo.n_boundary_edges == topo.n_boundary_vertices)
         loop_edges = sum(len(loop) for loop in mesh.boundary_loops)
@@ -332,7 +334,7 @@ def cmd_verify(args) -> int:
             basis = solver.harmonic_basis(seed=args.seed, tol=args.tol)
             ok = basis.dimension == topo.b1 and basis.gram_residual <= 1e-10
             detail = f"b1 {basis.dimension} vs {topo.b1}, gram {basis.gram_residual:.1e}"
-            if ok and basis.dimension:  # each field divergence-free and orthogonal to rot
+            if ok:  # each field divergence-free and orthogonal to rot
                 ok = all(asm.divergence_norm(solver.V, h) <= 1e-10
                          and np.abs(solver.E.T @ (solver.M @ h)).max() <= 1e-10
                          for h in basis.vectors)

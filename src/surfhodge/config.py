@@ -103,7 +103,7 @@ def expression_forcing(fx: str, fy: str, fz: str):
     no component reads t."""
     comps = [compile_expression(s) for s in (fx, fy, fz)]
 
-    def f(points, t=0.0):
+    def f(points, t):
         points = np.atleast_2d(points)
         env = {"x": points[:, 0], "y": points[:, 1], "z": points[:, 2], "t": np.float64(t)}
         with np.errstate(all="ignore"):  # non-finite values are reported by the caller
@@ -141,7 +141,7 @@ def constant_band_forcing(direction=(0.0, 1.0, 0.0), amplitude=1.0,
     if axis not in (0, 1, 2):
         raise ValueError(f"band_axis must be 0, 1 or 2, got {band_axis!r}")
 
-    def f(points, t=0.0):
+    def f(points, t):
         points = np.atleast_2d(points)
         mask = (points[:, axis] >= lo) & (points[:, axis] < hi)
         return amplitude * mask[:, None] * direction[None, :]
@@ -156,7 +156,7 @@ def rigid_rotation_forcing(center=(0.0, 0.0, 0.0), axis=(0.0, 0.0, 1.0),
     axis = _vector3("axis", axis)
     amplitude = float(amplitude)
 
-    def f(points, t=0.0):
+    def f(points, t):
         points = np.atleast_2d(points)
         r = points - center[None, :]
         nrm = np.linalg.norm(r, axis=1)

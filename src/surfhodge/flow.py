@@ -73,10 +73,7 @@ class JEmbedding:
         return self.H.shape[0]
 
     def apply(self, x_stream: np.ndarray, x_harmonic: np.ndarray) -> np.ndarray:
-        out = self.E @ x_stream
-        if self.n_harmonic:
-            out = out + self.H.T @ x_harmonic
-        return out
+        return self.E @ x_stream + self.H.T @ x_harmonic
 
     def reduce_vector(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.ET @ b, self.H @ b
@@ -123,8 +120,10 @@ class ReducedSolver:
 
     Setup solves for the n_harmonic columns, so the first solve(b_s, b_h)
     brings the count of sparse solves to n_harmonic + 1; each further load
-    costs one sparse solve.  A singular streamfunction block (an un-gauged
-    kernel, or a gauge that does not fix it) is detected by
+    costs one sparse solve.  n_harmonic = 0 takes the same path: the
+    (n, 0) columns cost no solve and the 0 x 0 Schur complement leaves the
+    streamfunction solve as it is.  A singular streamfunction block (an
+    un-gauged kernel, or a gauge that does not fix it) is detected by
     FactorizedOperator's near-null-vector test and raised as
     SingularOperator.
     """
@@ -137,19 +136,14 @@ class ReducedSolver:
             raise SingularOperator(
                 "streamfunction block is singular; an un-gauged kernel remains"
             ) from exc
-        nh = system.n_harmonic
-        if nh:
-            self.Z = self.op.solve(np.asarray(system.A_sh, dtype=float))
-            S = system.A_hh - system.A_sh.T @ self.Z
-            try:
-                self._schur_lu = dla.lu_factor(S)
-            except (ValueError, dla.LinAlgError) as exc:
-                raise SingularSchur(str(exc)) from exc
-            if not np.isfinite(S).all() or abs(np.diag(self._schur_lu[0])).min() == 0.0:
-                raise SingularSchur("harmonic Schur complement is singular")
-        else:
-            self.Z = np.zeros((system.n_stream, 0))
-            self._schur_lu = None
+        self.Z = self.op.solve(np.asarray(system.A_sh, dtype=float))
+        S = system.A_hh - system.A_sh.T @ self.Z
+        try:
+            self._schur_lu = dla.lu_factor(S)
+        except (ValueError, dla.LinAlgError) as exc:
+            raise SingularSchur(str(exc)) from exc
+        if not np.isfinite(S).all() or (np.diag(self._schur_lu[0]) == 0).any():
+            raise SingularSchur("harmonic Schur complement is singular")
 
     @property
     def sparse_solves(self) -> int:
@@ -157,8 +151,6 @@ class ReducedSolver:
 
     def solve(self, b_s: np.ndarray, b_h: np.ndarray):
         z0 = self.op.solve(b_s)
-        if self.system.n_harmonic == 0:
-            return z0, np.zeros(0)
         x_h = dla.lu_solve(self._schur_lu, b_h - self.system.A_sh.T @ z0)
         x_s = z0 - self.Z @ x_h
         return x_s, x_h
@@ -241,7 +233,7 @@ class SimulationConfig:
             raise ValueError(f"unknown initial condition {self.initial!r}")
 
 
-def _zero_forcing(x, t=0.0):
+def _zero_forcing(x, t):
     return np.zeros_like(x)
 
 

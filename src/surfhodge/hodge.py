@@ -228,15 +228,6 @@ class HodgeSolver:
         on the divergence-free subspace."""
         return self.pressure_operator.solve(self.B @ r)
 
-    def _project(self, f: np.ndarray, H: np.ndarray):
-        """Split the velocity functional f: its divergence-free projection
-        rot + harm = E psi + H'h, and the multiplier lam of the rest,
-        B' lam = f - M (rot + harm).  Returns (psi, h, rot, harm, lam)."""
-        psi = self.laplace_operator.solve(self.E.T @ f)
-        h = H @ f
-        rot, harm = self.E @ psi, H.T @ h
-        return psi, h, rot, harm, self.pressure_solve(f - self.M @ (rot + harm))
-
     # ----------------------------------------------------------- operations
     def harmonic_basis(self, seed: int = 0, tol: float = 1e-8) -> HarmonicBasis:
         """Randomized construction of the orthonormal harmonic basis.
@@ -280,8 +271,7 @@ class HodgeSolver:
                 continue
             accepted.append(w / nrm)
         H = np.array(accepted).reshape(len(accepted), n)
-        gram = H @ (self.M @ H.T) if len(accepted) else np.zeros((0, 0))
-        gram_residual = float(abs(gram - np.eye(len(accepted))).max()) if len(accepted) else 0.0
+        gram_residual = float(abs(H @ (self.M @ H.T) - np.eye(b1)).max(initial=0.0))
         return HarmonicBasis(
             k=self.k,
             vectors=H,
@@ -334,7 +324,11 @@ class HodgeSolver:
         if not self.V.same_as(v.space):
             raise BasisMismatch("field does not live in the solver's space")
         vc = v.coefficients
-        psi, h, rot_part, harmonic_part, lam = self._project(self.M @ vc, basis.vectors)
+        f = self.M @ vc
+        psi = self.laplace_operator.solve(self.E.T @ f)
+        h = basis.vectors @ f
+        rot_part, harmonic_part = self.E @ psi, basis.vectors.T @ h
+        lam = self.pressure_solve(f - self.M @ (rot_part + harmonic_part))
         gradient_part = self.mass_operator.solve(self.B.T @ lam)
         diff = vc - rot_part - harmonic_part - gradient_part
         residual = float(np.sqrt(max(diff @ (self.M @ diff), 0.0)))
@@ -390,9 +384,7 @@ def decompose_p0_incomplete(v: FeField, basis: HarmonicBasis | None = None) -> P
     # pointwise residual: v - rot(psi) - harmonic - grad_h(phi)
     rule = triangle_rule(4)
     recon = asm.tabulate_field(FeField(solver.V, solver.E @ psi), rule)
-    if basis.dimension:
-        recon = recon + asm.tabulate_field(
-            FeField(solver.V, basis.vectors.T @ h), rule)
+    recon = recon + asm.tabulate_field(FeField(solver.V, basis.vectors.T @ h), rule)
     # broken CR gradients G grad(phihat)
     recon = recon + np.einsum("tl,lqd,tid->tqi", CR.local_coefficients(phi),
                               CR.ref.grad(rule.xy), mesh.G)

@@ -54,17 +54,26 @@ def folded_square(angle_deg: float = 90.0) -> SurfaceMesh:
 def flat_patch(n: int = 4) -> SurfaceMesh:
     """Structured n x n triangulation of the unit square (simply connected)."""
     xs = np.linspace(0.0, 1.0, n + 1)
-    verts = np.array([[x, y, 0.0] for y in xs for x in xs])
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00 = j * (n + 1) + i
-            v10 = v00 + 1
-            v01 = v00 + (n + 1)
-            v11 = v01 + 1
-            tris.append([v00, v10, v11])
-            tris.append([v00, v11, v01])
-    return SurfaceMesh(verts, np.array(tris))
+    x, y = np.meshgrid(xs, xs)
+    verts = np.stack([x.ravel(), y.ravel(), np.zeros(x.size)], axis=1)
+    grid = np.arange(x.size).reshape(n + 1, n + 1)
+    tris = _split_quads(grid[:-1, :-1], grid[:-1, 1:], grid[1:, 1:], grid[1:, :-1])
+    return SurfaceMesh(verts, tris)
+
+
+def _split_quads(p00, p10, p11, p01):
+    """Triangles (p00, p10, p11) and (p00, p11, p01) of each quad, quads in
+    the C order of the corner-index arrays."""
+    quads = np.stack([np.ravel(p) for p in (p00, p10, p11, p01)], axis=1)
+    return quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+
+
+def _periodic_grid(n_i: int, n_j: int):
+    """Triangles of an n_i x n_j vertex grid with vertex i * n_j + j,
+    periodic in both directions (a torus grid)."""
+    p00 = np.arange(n_i * n_j).reshape(n_i, n_j)
+    p10 = np.roll(p00, -1, axis=0)
+    return _split_quads(p00, p10, np.roll(p10, -1, axis=1), np.roll(p00, -1, axis=1))
 
 
 def icosphere(subdivisions: int = 1) -> SurfaceMesh:
@@ -115,23 +124,12 @@ def torus_structured(
     n_major: int = 8, n_minor: int = 8, major_radius: float = 2.0, minor_radius: float = 1.0
 ) -> SurfaceMesh:
     """Structured torus grid with n_major x n_minor vertices (b1 = 2)."""
-    verts = []
-    for i in range(n_major):
-        u = 2.0 * np.pi * i / n_major
-        for j in range(n_minor):
-            v = 2.0 * np.pi * j / n_minor
-            w = major_radius + minor_radius * np.cos(v)
-            verts.append([w * np.cos(u), w * np.sin(u), minor_radius * np.sin(v)])
-    tris = []
-    for i in range(n_major):
-        for j in range(n_minor):
-            v00 = i * n_minor + j
-            v10 = ((i + 1) % n_major) * n_minor + j
-            v01 = i * n_minor + (j + 1) % n_minor
-            v11 = ((i + 1) % n_major) * n_minor + (j + 1) % n_minor
-            tris.append([v00, v10, v11])
-            tris.append([v00, v11, v01])
-    return SurfaceMesh(np.array(verts), np.array(tris))
+    u = 2.0 * np.pi * np.arange(n_major) / n_major
+    v = 2.0 * np.pi * np.arange(n_minor) / n_minor
+    w = major_radius + minor_radius * np.cos(v)
+    verts = np.stack(np.broadcast_arrays(
+        w * np.cos(u)[:, None], w * np.sin(u)[:, None], minor_radius * np.sin(v)), axis=-1)
+    return SurfaceMesh(verts.reshape(-1, 3), _periodic_grid(n_major, n_minor))
 
 
 def genus2_block() -> SurfaceMesh:
@@ -145,7 +143,7 @@ def genus2_block() -> SurfaceMesh:
 def voxel_surface(solid: set[tuple[int, int, int]]) -> SurfaceMesh:
     """Triangulated boundary of a union of unit voxels, oriented outward."""
     verts: dict[tuple[int, int, int], int] = {}
-    tris: list[list[int]] = []
+    quads: list[list[int]] = []
 
     def vid(p):
         if p not in verts:
@@ -166,14 +164,10 @@ def voxel_surface(solid: set[tuple[int, int, int]]) -> SurfaceMesh:
             nbr = (cell[0] + normal[0], cell[1] + normal[1], cell[2] + normal[2])
             if nbr in solid:
                 continue
-            quad = [vid((cell[0] + c[0], cell[1] + c[1], cell[2] + c[2])) for c in corners]
-            tris.append([quad[0], quad[1], quad[2]])
-            tris.append([quad[0], quad[2], quad[3]])
-
-    coords = np.zeros((len(verts), 3))
-    for p, i in verts.items():
-        coords[i] = p
-    return SurfaceMesh(coords, np.array(tris))
+            quads.append(
+                [vid((cell[0] + c[0], cell[1] + c[1], cell[2] + c[2])) for c in corners])
+    # vid numbers the corners in insertion order
+    return SurfaceMesh(np.array(list(verts), dtype=float), _split_quads(*np.array(quads).T))
 
 
 def sphere_with_holes(subdivisions: int = 2, n_holes: int = 4) -> SurfaceMesh:
@@ -197,9 +191,9 @@ def sphere_with_holes(subdivisions: int = 2, n_holes: int = 4) -> SurfaceMesh:
 def trefoil_tube(n_along: int = 24, n_around: int = 8, radius: float = 0.35) -> SurfaceMesh:
     """Coarse tube around a trefoil knot centreline (genus 1, b1 = 2).
 
-    Frames along the centreline are parallel-transported and the closure
-    angle defect is distributed uniformly so the tube closes like a torus
-    grid.
+    A normal is parallel-transported once around the centreline; the
+    transported frames are rotated back by a uniform share of the closure
+    angle defect, so the tube closes like a torus grid.
     """
     ts = 2.0 * np.pi * np.arange(n_along) / n_along
 
@@ -220,41 +214,20 @@ def trefoil_tube(n_along: int = 24, n_around: int = 8, radius: float = 0.35) -> 
         n = n_prev - np.dot(n_prev, t_next) * t_next
         return n / np.linalg.norm(n)
 
-    # First pass to measure the closure defect.
-    n0 = np.array([0.0, 0.0, 1.0])
-    n0 = transport(n0, tang[0])
-    n_cur = n0
+    frames = np.zeros((n_along, 3))
+    frames[0] = transport(np.array([0.0, 0.0, 1.0]), tang[0])
     for i in range(1, n_along):
-        n_cur = transport(n_cur, tang[i])
-    n_back = transport(n_cur, tang[0])
-    b0 = np.cross(tang[0], n0)
-    defect = np.arctan2(np.dot(n_back, b0), np.dot(n_back, n0))
+        frames[i] = transport(frames[i - 1], tang[i])
+    n_back = transport(frames[-1], tang[0])
+    b0 = np.cross(tang[0], frames[0])
+    defect = np.arctan2(np.dot(n_back, b0), np.dot(n_back, frames[0]))
+    theta = (-defect * np.arange(n_along) / n_along)[:, None]
+    normals = np.cos(theta) * frames + np.sin(theta) * np.cross(tang, frames)
 
-    normals = np.zeros((n_along, 3))
-    n_cur = n0
-    for i in range(n_along):
-        if i > 0:
-            n_cur = transport(n_cur, tang[i])
-        theta = -defect * i / n_along
-        b = np.cross(tang[i], n_cur)
-        normals[i] = np.cos(theta) * n_cur + np.sin(theta) * b
-
-    verts = []
-    for i in range(n_along):
-        b = np.cross(tang[i], normals[i])
-        for j in range(n_around):
-            th = 2.0 * np.pi * j / n_around
-            verts.append(c[i] + radius * (np.cos(th) * normals[i] + np.sin(th) * b))
-    tris = []
-    for i in range(n_along):
-        for j in range(n_around):
-            v00 = i * n_around + j
-            v10 = ((i + 1) % n_along) * n_around + j
-            v01 = i * n_around + (j + 1) % n_around
-            v11 = ((i + 1) % n_along) * n_around + (j + 1) % n_around
-            tris.append([v00, v10, v11])
-            tris.append([v00, v11, v01])
-    return SurfaceMesh(np.array(verts), np.array(tris))
+    th = (2.0 * np.pi * np.arange(n_around) / n_around)[None, :, None]
+    b = np.cross(tang, normals)[:, None]
+    verts = c[:, None] + radius * (np.cos(th) * normals[:, None] + np.sin(th) * b)
+    return SurfaceMesh(verts.reshape(-1, 3), _periodic_grid(n_along, n_around))
 
 
 def genus_g_torus_chain(genus: int):

@@ -1,13 +1,14 @@
 import json
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from surfhodge import config, meshes
+from surfhodge import cli, config, meshes
 from surfhodge.cli import build_parser, main
-from surfhodge.mesh import save_obj, save_off
+from surfhodge.mesh import analyze_topology, save_obj, save_off
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -299,6 +300,22 @@ def test_verify_flipped_triangles_repaired(tmp_path, capsys):
     code, payload, _ = run_cli(capsys, "verify", "--mesh", str(path), "--k-max", "1")
     assert code == 0
     assert payload["failures"] == 0
+
+
+def test_verify_euler_identity_checks_component_betti(monkeypatch, capsys):
+    """The Euler identity compares the per-component Betti numbers with
+    V - E + T, so a component count that is off fails it."""
+    def off_by_one(mesh):
+        topo = analyze_topology(mesh)
+        (b0, b1, b2), = topo.component_betti
+        return replace(topo, component_betti=((b0, b1 + 1, b2),))
+
+    monkeypatch.setattr(cli, "analyze_topology", off_by_one)
+    assert main(["verify", "--mesh", "builtin:tetrahedron", "--k-max", "0"]) == 3
+    captured = capsys.readouterr()
+    assert "FAIL  input: euler identity" in captured.out
+    assert "PASS  input: boundary edge/vertex balance" in captured.out
+    assert captured.err == "algorithmic failure: 1 verification checks failed\n"
 
 
 def test_verify_nonmanifold_exit_2(tmp_path):

@@ -59,14 +59,14 @@ def test_constant_band_forcing():
     f = constant_band_forcing(direction=(0, 1, 0), amplitude=2.0,
                               band_axis=0, band_max=1.0)
     pts = np.array([[0.5, 0, 0], [1.5, 0, 0]])
-    assert np.allclose(f(pts), [[0, 2.0, 0], [0, 0, 0]])
+    assert np.allclose(f(pts, 0.0), [[0, 2.0, 0], [0, 0, 0]])
 
 
 def test_rigid_rotation_forcing():
     f = rigid_rotation_forcing(center=(0, 0, 0), axis=(0, 0, 1), amplitude=3.0)
     pts = np.array([[2.0, 0.0, 0.0]])
     # (x/|x|) x e_z = (1,0,0) x (0,0,1) = (0,-1,0)
-    assert np.allclose(f(pts), [[0.0, -3.0, 0.0]])
+    assert np.allclose(f(pts, 0.0), [[0.0, -3.0, 0.0]])
 
 
 def test_config_file_round_trip(tmp_path):

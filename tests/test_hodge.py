@@ -11,6 +11,7 @@ from surfhodge.hodge import (
     verify_dimension,
 )
 from surfhodge.mesh import SurfaceMesh, TopologySummary, analyze_topology
+from surfhodge.quadrature import triangle_rule
 
 
 # --------------------------------------------------------------- dimensions
@@ -279,6 +280,49 @@ def test_decompose_multiplier_matches_mixed_saddle(mesh_name, k, request,
     nv = np.sqrt(v @ (M @ v))
     assert np.sqrt(d @ (M @ d)) <= 1e-10 * nv
     assert comp.residual_norm <= 1e-10 * nv
+
+
+def _patch_parts(x):
+    """rot psi = (-psi_y, psi_x, 0) for psi = sin^2(pi x) sin^2(pi y) and
+    grad phi for phi = cos(pi x) cos(pi y); both have zero normal trace on
+    the unit square's boundary."""
+    X, Y, zero, pi = x[:, 0], x[:, 1], np.zeros(len(x)), np.pi
+    sx2, sy2 = np.sin(pi * X) ** 2, np.sin(pi * Y) ** 2
+    rot = np.stack([-pi * sx2 * np.sin(2 * pi * Y), pi * np.sin(2 * pi * X) * sy2, zero], 1)
+    grad = np.stack([-pi * np.sin(pi * X) * np.cos(pi * Y),
+                     -pi * np.cos(pi * X) * np.sin(pi * Y), zero], 1)
+    return rot, grad
+
+
+@pytest.mark.parametrize("k, min_rate", [(1, 1.8), (2, 2.8)], ids=["k1", "k2"])
+def test_decompose_converges_to_exact_parts(k, min_rate):
+    """decompose of the L2 projection of v = rot psi + grad phi on
+    flat_patch(n) (b1 = 0: the empty harmonic block): the relative L2
+    errors of rot_part and gradient_part, by a degree-10 rule, fall at rate
+    k + 1 (measured at n = 16 -> 32: k = 1 rot 1.99, gradient 1.98; k = 2
+    rot 3.00, gradient 3.03)."""
+    rule = triangle_rule(10)
+    errors = []
+    for n in (4, 8, 16, 32):
+        mesh = meshes.flat_patch(n)
+        solver = HodgeSolver(mesh, k)
+        basis = solver.harmonic_basis()
+        assert basis.dimension == 0
+        v = solver.mass_operator.solve(
+            asm.assemble_load(solver.V, lambda x, t: sum(_patch_parts(x))))
+        comp = solver.decompose(FeField(solver.V, v), basis)
+        assert comp.residual_norm <= 1e-10 * np.sqrt(v @ (solver.M @ v))
+        w = np.outer(mesh.Jdet, rule.weights)[..., None]
+        pts = asm.physical_points(mesh, rule).reshape(-1, 3)
+        row = []
+        for part, want in zip((comp.rot_part, comp.gradient_part), _patch_parts(pts)):
+            want = want.reshape(mesh.n_triangles, -1, 3)
+            diff = asm.tabulate_field(FeField(solver.V, part), rule) - want
+            row.append(np.sqrt((w * diff**2).sum() / (w * want**2).sum()))
+        errors.append(row)
+    errors = np.array(errors)
+    rates = np.log2(errors[:-1] / errors[1:])
+    assert (rates[-1] >= min_rate).all(), rates
 
 
 def test_hierarchy_lowest_order_harmonics_span(torus, solver_cache, basis_cache):

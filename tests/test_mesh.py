@@ -368,3 +368,38 @@ def test_edge_frames_index_error(tetra):
 
     with pytest.raises(IndexOutOfRange):
         edge_frames(tetra, 99)
+
+
+# sha256 of vertex and triangle bytes (SurfaceMesh.checksum) of the built-in
+# generators; a saved harmonic basis is accepted only for its mesh's
+# checksum, so a generator that reorders vertices or triangles breaks it.
+GENERATOR_CHECKSUMS = {
+    "builtin:tetrahedron": "6f74051e9577caf0279bc8c4e3e27b18315374d561aef632fd19756bda47893e",
+    "builtin:icosphere": "754cc9b408e4e60b3a4813db5c8694c48c1fe9deacc36080e61976985e9cf5bd",
+    "builtin:torus": "f9b4d1b0e7ad17e58d6329d11b48b72a41a9b58445124a6fb32515aa67bf6a66",
+    "builtin:genus2": "b97401ef37294f99a254c232ae51e9f684f7a281637b52fd43b2e6a7d3504f6e",
+    "builtin:sphere_4holes": "ab1cb0354c458fc5cf3b886c7a236766dac8188171bf4d4f62ff849c4f3074d9",
+    "builtin:trefoil": "5bf6332a91475c0bd633e9391e6a562429a144a8500550bcd8de709a96350bf5",
+    "builtin:genus2_chain": "8e2628ca8a71dd4fcf6dcfa8aea3a574ffc279a033a79694d57f3402d9d85c0c",
+    "builtin:flat_patch": "bbdb8dba22eef42367b1ee3eacb880d5251ca4bb74fc398d79c19f5954d3bb5e",
+    "builtin:square": "e4dbb4808c542239291069ed202b381ad569987b907995593d928d869712163d",
+    "torus_structured(32, 16)": "a74a480b41889f423516052d6ea6f7f0bd9ce4c603b3e7dc2c04bf25260276aa",
+    "torus_structured(8, 6)": "af71e7441e3eeb69894276fe109e4f047643f72f535acca7008c35d097cd71d4",
+    "trefoil_tube(12, 6)": "35525d57c1afa7fa3e92a824b2816336935291698fbc48b2e76e60b588cdac75",
+    "sphere_with_holes(3, 4)": "8bd137b902ddb1618d633861421daebfcc0f98b7bfe4dce4789970208c189a74",
+    "flat_patch(1)": "9153838acea99ecb73afaeb6dd512a13dee74eb64faa364cbbfbb791ed292982",
+    "flat_patch(32)": "fd28de67ce0ccd9b7bd57d063cc18a57267037146ca7505c7579a2d0d9d6a8ca",
+    "genus_g_torus_chain(3)": "5cc8207af64d383842c776e1931cfeaee7dd73fbb64fe62ca402aa7cb6a00094",
+    "icosphere(3)": "3f0562ff80fd084abc445ec346b5ff882ef00e3810e40aff93bd66fc6fef5280",
+}
+
+
+def test_generator_checksums_are_pinned():
+    assert {f"builtin:{name}" for name in meshes.BUILTIN} <= set(GENERATOR_CHECKSUMS)
+    for spec, expected in GENERATOR_CHECKSUMS.items():
+        if spec.startswith("builtin:"):
+            mesh = meshes.resolve(spec)
+        else:
+            name, args = spec.rstrip(")").split("(")
+            mesh = getattr(meshes, name)(*(int(a) for a in args.split(",")))
+        assert mesh.checksum() == expected, spec
