@@ -205,7 +205,7 @@ class HodgeSolver:
         multipliers."""
         if self._pressure is None:
             self._pressure = FactorizedOperator(
-                self.B @ self.B.T, asm.assemble_moment(self.Q), kind="SPD")
+                self.B @ self.B.T, asm.assemble_moment(self.Q))
         return self._pressure
 
     @property
@@ -213,13 +213,13 @@ class HodgeSolver:
         """Factorized streamfunction form L, gauged by the zero-mean
         constraint on closed surfaces."""
         if self._laplace is None:
-            self._laplace = FactorizedOperator(self.L, self.gauge, kind="SPD")
+            self._laplace = FactorizedOperator(self.L, self.gauge)
         return self._laplace
 
     @property
     def mass_operator(self) -> FactorizedOperator:
         if self._mass_op is None:
-            self._mass_op = FactorizedOperator(self.M, kind="SPD")
+            self._mass_op = FactorizedOperator(self.M)
         return self._mass_op
 
     def pressure_solve(self, r: np.ndarray) -> np.ndarray:
@@ -378,7 +378,7 @@ def decompose_p0_incomplete(v: FeField, basis: HarmonicBasis | None = None) -> P
 
     CR = build_space(mesh, "crouzeix_raviart", 1, "zero_mean")
     K = asm.assemble_broken_stiffness(CR)
-    cr_gauge = FactorizedOperator(K, asm.assemble_moment(CR), kind="SPD")
+    cr_gauge = FactorizedOperator(K, asm.assemble_moment(CR))
     phi = cr_gauge.solve(asm.assemble_gradient_load(CR, v))
 
     # pointwise residual: v - rot(psi) - harmonic - grad_h(phi)

@@ -102,22 +102,20 @@ def icosphere(subdivisions: int = 1) -> SurfaceMesh:
 
 
 def _subdivide(verts, tris):
-    verts = list(map(np.asarray, verts))
-    cache: dict[tuple[int, int], int] = {}
-
-    def midpoint(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in cache:
-            cache[key] = len(verts)
-            verts.append(0.5 * (verts[a] + verts[b]))
-        return cache[key]
-
-    out = []
-    for t in tris:
-        a, b, c = (int(x) for x in t)
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        out.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
-    return np.array(verts), np.array(out)
+    """Split each triangle into four at its edge midpoints.  The midpoints
+    follow the vertices, numbered by the first appearance of their edge in
+    the triangles' (ab, bc, ca) order."""
+    ends = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)  # ab, bc, ca of each triangle
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    _, first, inverse = np.unique(lo * len(verts) + hi, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    ab, bc, ca = (len(verts) + rank[inverse]).reshape(-1, 3).T
+    a, b, c = tris.T
+    out = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    new = np.sort(first)
+    return np.concatenate([verts, 0.5 * (verts[lo[new]] + verts[hi[new]])]), out
 
 
 def torus_structured(

@@ -72,6 +72,23 @@ def rng():
     return np.random.default_rng(0)
 
 
+@pytest.fixture
+def flow_factors(monkeypatch):
+    """The FactorizedOperators that surfhodge.flow builds during the test,
+    in order of construction."""
+    from surfhodge import flow
+
+    made = []
+
+    class Recording(flow.FactorizedOperator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(flow, "FactorizedOperator", Recording)
+    return made
+
+
 @pytest.fixture(scope="session")
 def monolithic_solve():
     """Dense solve of the full gauged block system of a BlockSystem for one
@@ -80,7 +97,7 @@ def monolithic_solve():
 
     def solve(system, b_s, b_h):
         gauges = [] if system.gauge is None else [system.gauge]
-        ns, nh, ng = system.n_stream, system.n_harmonic, len(gauges)
+        ns, nh, ng = system.A_ss.shape[0], system.n_harmonic, len(gauges)
         n = ns + nh + ng
         K = np.zeros((n, n))
         K[:ns, :ns] = system.A_ss.toarray()

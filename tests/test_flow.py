@@ -15,6 +15,7 @@ from surfhodge.errors import (
     NotDivergenceFree,
     NotSPD,
     SingularOperator,
+    SolverFailure,
 )
 from surfhodge.fespace import FeField
 from surfhodge.flow import (
@@ -257,20 +258,63 @@ def test_saddle_and_reconstructed_pressures_are_zero_mean(torus_ops):
 
 @pytest.mark.parametrize("n_major,n_minor,k,mu", [
     (8, 6, 1, 1e-3), (8, 6, 1, 1.0), (8, 6, 1, 1e6), (16, 8, 2, 1e3)])
-def test_saddle_oracle_across_viscosity_scales(n_major, n_minor, k, mu):
+def test_saddle_oracle_across_viscosity_scales(n_major, n_minor, k, mu, flow_factors):
     """The saddle-point oracle matches the reduced solve whatever the scale
-    of the viscous block against the divergence block; a partial-pivot LU
-    of the unscaled saddle matrix reported the last two cases singular."""
+    of the viscous block against the divergence block, in at most 20 solves
+    of its one factor; a partial-pivot LU of the unscaled saddle matrix
+    reported the last two cases singular."""
     from surfhodge import meshes
 
     cfg = SimulationConfig(k=k, mu=mu, forcing=smooth_forcing(21))
     ops = FlowOperators(meshes.torus_structured(n_major, n_minor), cfg)
     state, info = ops.stokes_reduced()
+    flow_factors.clear()
     u_s, _ = ops.stokes_saddle()
     du = state.u.coefficients - u_s.coefficients
     un = np.sqrt(u_s.coefficients @ (ops.M @ u_s.coefficients))
     assert np.sqrt(du @ (ops.M @ du)) <= 1e-8 * un
     assert info["sparse_solves"] == ops.emb.n_harmonic + 1
+    (op,) = flow_factors
+    assert op.solve_count <= 20
+
+
+def test_saddle_oracle_solves_its_own_system():
+    """The oracle's (u, p) solves [[A, B'], [B, 0]] [u; p] = [f; 0] by
+    itself, not only up to the reduced solve: measured relative momentum
+    residual <= 3.0e-12 and relative divergence <= 7.1e-14 (16x8 torus,
+    k = 2); the bounds are 100x that.  The pressure has zero moment (the
+    iteration's rounding drift, 3.9e-12 here, is removed)."""
+    cfg = SimulationConfig(k=2, forcing=smooth_forcing(21))
+    ops = FlowOperators(meshes.torus_structured(16, 8), cfg)
+    u, p = ops.stokes_saddle()
+    f = ops.load_vector(0.0)
+    r = ops.A_visc @ u.coefficients + ops.hodge.B.T @ p.coefficients - f
+    un = np.sqrt(u.coefficients @ (ops.M @ u.coefficients))
+    assert np.linalg.norm(r) <= 3e-10 * np.linalg.norm(f)
+    assert asm.divergence_norm(ops.V, u.coefficients) <= 7.1e-12 * un
+    mq = asm.assemble_moment(ops.Q)
+    assert abs(mq @ p.coefficients) <= 1e-12 * np.abs(mq).sum() * np.abs(p.coefficients).max()
+
+
+def test_saddle_oracle_matches_reduced_at_k3(genus2):
+    """At k = 3 on the genus-2 block the oracle's velocity and pressure
+    agree with the reduced solve and the reconstructed pressure to 6.2e-12
+    and 4.4e-12; iterating u = K^-1 (f - B'p) without correcting by the
+    momentum residual measured 3.0e-11 and 1.6e-11."""
+    ops = FlowOperators(genus2, SimulationConfig(k=3, mu=0.4, forcing=smooth_forcing(13)))
+    state, _ = ops.stokes_reduced()
+    u_s, p_s = ops.stokes_saddle()
+    Mq = asm.assemble_mass(ops.Q)
+    for x, ref, M in ((state.u, u_s, ops.M), (ops.reconstruct_pressure(state), p_s, Mq)):
+        d, r = x.coefficients - ref.coefficients, ref.coefficients
+        assert np.sqrt(d @ (M @ d)) <= 1.5e-11 * np.sqrt(r @ (M @ r))
+
+
+def test_saddle_oracle_inviscid_raises(torus):
+    """With mu = 0 the saddle matrix is singular; the oracle reports it."""
+    cfg = SimulationConfig(k=1, mu=0.0, allow_inviscid=True, forcing=smooth_forcing(15))
+    with pytest.raises(SolverFailure):
+        FlowOperators(torus, cfg).stokes_saddle()
 
 
 def test_pressure_robustness_gradient_forcing(torus_ops, rng):

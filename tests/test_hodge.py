@@ -398,7 +398,7 @@ def test_p0_cr_hat_recovery(torus3, rng):
         b[P0.dof_map[t]] = bloc[t]
     from surfhodge.linalg import FactorizedOperator
 
-    v = FeField(P0, FactorizedOperator(Mp, kind="SPD").solve(b))
+    v = FeField(P0, FactorizedOperator(Mp).solve(b))
     dec = decompose_p0_incomplete(v)
     psz = np.abs(dec.psi.coefficients).max() if dec.psi.coefficients.size else 0.0
     assert psz <= 1e-10

@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from surfhodge.errors import NotSPD, SingularMatrix
-from surfhodge.linalg import FactorizedOperator
+from surfhodge.errors import NotSPD, SingularMatrix, SolverError
+from surfhodge.linalg import FactorizedOperator, check_symmetric
 
 
 def test_identity_solve():
-    op = FactorizedOperator(sp.identity(5, format="csc"), kind="SPD")
+    op = FactorizedOperator(sp.identity(5, format="csc"))
     b = np.arange(5.0)
     assert np.allclose(op.solve(b), b)
 
 
 def test_two_by_two():
     A = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    op = FactorizedOperator(A, kind="SPD")
+    op = FactorizedOperator(A)
     x = op.solve(np.array([3.0, 3.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
@@ -23,7 +23,7 @@ def test_random_spd_residual(rng):
     n = 200
     R = rng.standard_normal((n, n))
     A = sp.csc_matrix(R.T @ R + n * np.eye(n))
-    op = FactorizedOperator(A, kind="SPD")
+    op = FactorizedOperator(A)
     for _ in range(3):
         b = rng.standard_normal(n)
         x = op.solve(b)
@@ -35,28 +35,39 @@ def test_random_spd_residual(rng):
 def test_not_spd_detection():
     A = sp.csc_matrix(np.diag([1.0, -2.0, 3.0]))
     with pytest.raises(NotSPD):
-        FactorizedOperator(A, kind="SPD")
+        FactorizedOperator(A)
     B = sp.csc_matrix(np.array([[1.0, 5.0], [0.0, 1.0]]))
     with pytest.raises(NotSPD):
-        FactorizedOperator(B, kind="SPD")
-    # the same matrices factorize fine as symmetric-indefinite / general
-    FactorizedOperator(A, kind="symmetric-indefinite")
+        FactorizedOperator(B)
+    # a symmetric pattern with asymmetric values, in both sparse formats;
+    # asymmetry within 1e-12 of the largest entry is accepted
+    for fmt in (sp.csc_matrix, sp.csr_matrix):
+        with pytest.raises(NotSPD):
+            check_symmetric(fmt(np.array([[2.0, 1.0], [1.0 + 1e-11, 2.0]])), "matrix")
+        check_symmetric(fmt(np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])), "matrix")
+    # every factor is SPD: a symmetric-indefinite saddle-point matrix, with
+    # its zero diagonal, is rejected too
+    K = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(NotSPD):
+        FactorizedOperator(K)
 
 
 def test_singular_matrix():
+    # the zero matrix fails the positive-diagonal check (NotSPD); either way
+    # a SolverError, so the CLI exit code is 4
     A = sp.csc_matrix((3, 3))
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(SolverError):
         FactorizedOperator(A)
     with pytest.raises(SingularMatrix):
         FactorizedOperator(sp.csc_matrix(np.ones((2, 3))))
     for bad in (np.nan, np.inf):  # non-finite entries, rejected before SuperLU
         with pytest.raises(SingularMatrix):
-            FactorizedOperator(sp.csc_matrix(np.diag([1.0, bad, 3.0])), kind="SPD")
+            FactorizedOperator(sp.csc_matrix(np.diag([1.0, bad, 3.0])))
 
 
 def test_solve_counting(rng):
     A = sp.csc_matrix(np.diag([1.0, 2.0, 3.0]))
-    op = FactorizedOperator(A, kind="SPD")
+    op = FactorizedOperator(A)
     op.solve(np.ones(3))
     op.solve(rng.standard_normal((3, 4)))
     assert op.solve_count == 5
@@ -67,8 +78,8 @@ def test_deterministic_solves(rng):
     R = rng.standard_normal((n, n))
     A = sp.csc_matrix(R.T @ R + n * np.eye(n))
     b = rng.standard_normal(n)
-    x1 = FactorizedOperator(A, kind="SPD").solve(b)
-    x2 = FactorizedOperator(A, kind="SPD").solve(b)
+    x1 = FactorizedOperator(A).solve(b)
+    x2 = FactorizedOperator(A).solve(b)
     assert (x1 == x2).all()  # bitwise
 
 
@@ -134,7 +145,7 @@ def test_gauged_solve_matches_bordered_system(rng):
     n = 12
     L = _periodic_laplacian(n)
     c = 1.0 + rng.random(n)
-    op = FactorizedOperator(sp.csc_matrix(L), c, kind="SPD")
+    op = FactorizedOperator(sp.csc_matrix(L), c)
     K = np.block([[L, c[:, None]], [c[None, :], np.zeros((1, 1))]])
     B = rng.standard_normal((n, 3))
     ref = np.linalg.solve(K, np.vstack([B, np.zeros((1, 3))]))[:n]
@@ -150,10 +161,10 @@ def test_gauge_on_nonsingular_operator_raises(rng):
     R = rng.standard_normal((n, n))
     A = sp.csc_matrix(R.T @ R + n * np.eye(n))
     with pytest.raises(SingularMatrix):
-        FactorizedOperator(A, np.ones(n), kind="SPD")
+        FactorizedOperator(A, np.ones(n))
     with pytest.raises(SingularMatrix):
         FactorizedOperator(sp.csc_matrix(_periodic_laplacian(n) + 1e-3 * np.eye(n)),
-                           np.ones(n), kind="SPD")
+                           np.ones(n))
 
 
 def test_gauge_orthogonal_to_kernel_raises():
@@ -161,7 +172,7 @@ def test_gauge_orthogonal_to_kernel_raises():
     c = np.zeros(n)
     c[0], c[1] = 1.0, -1.0  # c' 1 = 0: does not fix the constant kernel
     with pytest.raises(SingularMatrix):
-        FactorizedOperator(sp.csc_matrix(_periodic_laplacian(n)), c, kind="SPD")
+        FactorizedOperator(sp.csc_matrix(_periodic_laplacian(n)), c)
 
 
 def test_streamfunction_factor_fill():
@@ -176,65 +187,18 @@ def test_streamfunction_factor_fill():
     assert op._lu.nnz < 600_000
 
 
-def test_saddle_oracle_factor_fill(monkeypatch):
-    """The saddle-point oracle of the 16x8 torus at k = 2 is factorized
-    symmetrically after its quasi-definite shift: about 0.53M LU entries,
-    against 2.16M with COLAMD and partial pivoting; a deterministic guard
-    for the ordering."""
+def test_saddle_oracle_factor_fill(flow_factors):
+    """The saddle-point oracle of the 16x8 torus at k = 2 builds one SPD
+    factor, of the penalized velocity block A + gamma B'WB, without a gauge:
+    about 0.51M LU entries; a deterministic guard for the ordering."""
     from surfhodge import flow, meshes
 
-    made = []
-
-    class Recording(flow.FactorizedOperator):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(flow, "FactorizedOperator", Recording)
     ops = flow.FlowOperators(meshes.torus_structured(16, 8), flow.SimulationConfig(k=2))
-    made.clear()
+    flow_factors.clear()
     ops.stokes_saddle()
-    (op,) = made
-    assert op.kind == "symmetric-indefinite" and op.gauge is not None
-    assert op._lu.nnz < 800_000
-
-
-def _two_constraint_saddle(eta):
-    """[[I, B'], [B, 0]] with constraint rows (1, 0) and (1, eta); its
-    Schur complement -B B' has an eigenvalue of about eta^2 / 2."""
-    B = np.array([[1.0, 0.0], [1.0, eta]])
-    return sp.csc_matrix(np.block([[np.eye(2), B.T], [B, np.zeros((2, 2))]]))
-
-
-def test_indefinite_refinement_failure_raises():
-    """A symmetric-indefinite matrix whose refinement cannot converge raises
-    SingularMatrix and returns no vector: exactly singular (eta = 0), and
-    so ill-conditioned that the shift is not refined away (eta = 3e-5,
-    condition number 4e9, although its exact solve passes the near-null
-    test).  The same structure with eta = 1e-2 solves to rounding."""
-    for eta in (0.0, 3e-5):
-        x = None
-        with pytest.raises(SingularMatrix, match="refinement"):
-            x = FactorizedOperator(_two_constraint_saddle(eta)).solve(np.ones(4))
-        assert x is None
-    A = _two_constraint_saddle(1e-2)
-    x = FactorizedOperator(A).solve(np.ones(4))
-    assert np.abs(A @ x - 1.0).max() <= 1e-14 * np.abs(x).max()
-
-
-def test_refinement_steps_are_not_counted(rng):
-    """Refined solves of a quasi-definite saddle matrix reach rounding and
-    count one solve per right-hand side, however many refinement steps
-    they take."""
-    n, m = 30, 10
-    R = rng.standard_normal((n, n))
-    B = rng.standard_normal((m, n))
-    A = sp.csc_matrix(np.block([[R.T @ R + np.eye(n), B.T], [B, np.zeros((m, m))]]))
-    op = FactorizedOperator(A)
-    b = rng.standard_normal((n + m, 3))
-    X = np.column_stack([op.solve(b[:, 0]), op.solve(b[:, 1:])])
-    assert op.solve_count == 3
-    assert np.abs(A @ X - b).max() <= 1e-14 * abs(A).sum(axis=1).max() * np.abs(X).max()
+    (op,) = flow_factors
+    assert op.n == ops.V.total_dofs and op.gauge is None
+    assert op._lu.nnz < 600_000
 
 
 def _neumann_grid_laplacian(m):
@@ -258,9 +222,9 @@ def test_ungauged_singular_spd_raises(name, scale, rng):
     and scale; with the ones gauge the same matrix solves."""
     A = sp.csc_matrix(scale * SINGULAR_SPD[name]())
     with pytest.raises(SingularMatrix):
-        FactorizedOperator(A, kind="SPD")
+        FactorizedOperator(A)
     n = A.shape[0]
-    op = FactorizedOperator(A, np.ones(n), kind="SPD")
+    op = FactorizedOperator(A, np.ones(n))
     b = rng.standard_normal(n)
     b -= b.mean()
     x = op.solve(b)
@@ -269,20 +233,20 @@ def test_ungauged_singular_spd_raises(name, scale, rng):
 
 
 def test_saddle_factor_peak_memory():
-    """Building the saddle-point oracle's factor allocates far less than
-    its LU (12 bytes per entry) under tracemalloc: no copy of U is made.
-    SuperLU's own allocations are not traced; the guard is on the Python-
-    side arrays around it."""
+    """Building the saddle-point oracle's factor, of A + gamma B'WB,
+    allocates far less than its LU (12 bytes per entry) under tracemalloc:
+    no copy of U is made.  SuperLU's own allocations are not traced; the
+    guard is on the Python-side arrays around it."""
     import tracemalloc
 
     from surfhodge import assembly as asm
-    from surfhodge import meshes
-    from surfhodge.flow import FlowOperators, SimulationConfig
+    from surfhodge import flow, meshes
 
-    ops = FlowOperators(meshes.torus_structured(16, 8), SimulationConfig(k=2))
-    B, mq = ops.hodge.B, sp.csc_matrix(asm.assemble_moment(ops.Q)).T
-    K = sp.bmat([[ops.A_visc, B.T, None], [B, None, mq], [None, mq.T, None]],
-                format="csc")
+    ops = flow.FlowOperators(meshes.torus_structured(16, 8), flow.SimulationConfig(k=2))
+    B = ops.hodge.B
+    BWB = B.T @ sp.diags(1.0 / asm.assemble_mass(ops.Q).diagonal()) @ B
+    gamma = flow._AL_PENALTY * abs(ops.A_visc).max() / abs(BWB).max()
+    K = (ops.A_visc + gamma * BWB).tocsc()
     tracemalloc.start()
     try:
         op = FactorizedOperator(K)
