@@ -149,13 +149,17 @@ def assemble_div(V: FeSpace, Q: FeSpace) -> sp.csr_matrix:
     expected = max(V.degree - 1, 0)
     if Q.degree != expected:
         raise DegreeMismatch(f"pressure degree {Q.degree} does not match BDM degree {V.degree}")
-    rule = triangle_rule(2 * V.degree + 2)
-    divs = V.ref.div(rule.xy)  # (n_v, n_q), reference
-    qv = Q.ref.eval(rule.xy)  # (n_q_loc, n_q)
-    block = np.einsum("mq,lq,q->ml", qv, divs, rule.weights)
+    block = reference_div_block(V, Q)
     local = np.broadcast_to(block, (V.mesh.n_triangles, *block.shape))
     return _scatter(local, Q.dof_map, Q.dof_signs, V.dof_map, V.dof_signs,
                     (Q.total_dofs, V.total_dofs))
+
+
+def reference_div_block(V: FeSpace, Q: FeSpace) -> np.ndarray:
+    """(div vhat_l, qhat_m) on the reference triangle, (Q.n_local,
+    V.n_local): each triangle's block of B before its dof signs."""
+    rule = triangle_rule(2 * V.degree + 2)
+    return np.einsum("mq,lq,q->ml", Q.ref.eval(rule.xy), V.ref.div(rule.xy), rule.weights)
 
 
 def assemble_moment(space: FeSpace) -> np.ndarray:

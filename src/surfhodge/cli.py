@@ -238,7 +238,7 @@ def cmd_stokes(args) -> int:
         u_s, p_s = ops.stokes_saddle()
         rel = _relative_gap(state.u, u_s, ops.M)
         # both pressures are zero-mean already: compare them directly
-        rel_p = _relative_gap(ops.reconstruct_pressure(state), p_s, asm.assemble_mass(ops.Q))
+        rel_p = _relative_gap(ops.reconstruct_pressure(state), p_s, ops.pressure_mass)
         payload["saddle_velocity_discrepancy"] = rel
         payload["saddle_pressure_discrepancy"] = rel_p
         lines.append(f"saddle-point cross-check: velocity discrepancy {rel:.3e}, "

@@ -270,6 +270,7 @@ class FlowOperators:
         self.S = self.hodge.S
         self.Q = self.hodge.Q
         self.M = self.hodge.M
+        self.pressure_mass = asm.assemble_mass(self.Q)  # diagonal: orthonormal DG basis
         self.emb = JEmbedding(self.hodge.E, basis.vectors)
         self.gauge = self.hodge.gauge
         if config.mu == 0:
@@ -343,7 +344,7 @@ class FlowOperators:
         """
         b = self.load_vector(0.0) if load is None else load
         B = self.hodge.B
-        w = 1.0 / asm.assemble_mass(self.Q).diagonal()
+        w = 1.0 / self.pressure_mass.diagonal()
         BWB = B.T @ sp.diags(w) @ B
         gamma = _AL_PENALTY * abs(self.A_visc).max() / abs(BWB).max()
         try:
@@ -372,8 +373,8 @@ class FlowOperators:
 
         The force residual r = f(v) - a(u, v) vanishes on the
         divergence-free subspace, so r = B' p for the saddle-point pressure
-        p; the discrete pressure Poisson equation B B' p = B r returns it
-        with zero mean.  load defaults to the forcing's load at state.t.
+        p, and HodgeSolver.pressure_solve returns it with zero mean.  load
+        defaults to the forcing's load at state.t.
         """
         if load is None:
             load = self.load_vector(state.t)

@@ -7,7 +7,8 @@ space of discrete harmonic fields.  This module computes that splitting:
 * projection onto the divergence-free subspace through the streamfunction
   Laplacian and the harmonic basis, with the discrete-gradient complement
   from a pressure Poisson multiplier (every factorization is SPD; there is
-  no saddle-point system),
+  no saddle-point system), through a right inverse of B that factors only
+  a Laplacian over the triangles' mean pressure modes,
 * randomized construction of an orthonormal harmonic basis,
 * three-way decomposition of arbitrary H(div) fields,
 * the lowest-order incomplete decomposition with the Crouzeix-Raviart
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import assembly as asm
 from .errors import (
@@ -108,8 +110,8 @@ class HodgeComponents:
 
     The reconstruction rot(psi) + sum_i h_i H_i + gradient_part reproduces
     the input up to residual_norm; lam is the zero-mean discrete-gradient
-    potential, gradient_part = M^-1 B' lam, from the pressure Poisson
-    equation B B' lam = B M (v - rot(psi) - harmonic part).
+    potential, gradient_part = M^-1 B' lam, from
+    HodgeSolver.pressure_solve(M (v - rot(psi) - harmonic part)).
     """
 
     psi: FeField
@@ -193,6 +195,22 @@ class HodgeSolver:
         self.E = asm.assemble_rot_embedding(self.S, self.V)
         self.L = asm.assemble_broken_stiffness(self.S)
         self.gauge = asm.assemble_moment(self.S) if self.S.zero_mean else None
+        # Right inverse of B (pressure_solve).  A triangle's mean mode q0
+        # pairs only with the lowest edge-flux moments e0: B0 = B[q0, e0].
+        # Its bubbles' divergences span its other modes qp through one
+        # reference block times their dof signs s, so B PK is the identity on
+        # qp; G = (I[:, e0] - PK B[:, e0]) B0' has B G = [B0 B0'; 0].
+        ne = 3 * (self.k + 1)
+        e0 = np.unique(self.V.dof_map[:, :ne:self.k + 1])
+        e0 = e0[e0 >= 0]
+        self._q0, qp = self.Q.dof_map[:, 0], self.Q.dof_map[:, 1:]
+        vi, s = self.V.dof_map[:, ne:], self.V.dof_signs[:, ne:]
+        K = np.linalg.pinv(asm.reference_div_block(self.V, self.Q)[1:, ne:])
+        self._PK = asm._scatter(np.broadcast_to(K, (mesh.n_triangles, *K.shape)), vi, 1 / s,
+                                qp, self.Q.dof_signs[:, 1:], self.B.T.shape)
+        B_e0 = self.B[:, e0]
+        self._B0 = B_e0[self._q0]
+        self._G = (sp.eye(self.V.total_dofs, format="csr")[:, e0] - self._PK @ B_e0) @ self._B0.T
         self._pressure: FactorizedOperator | None = None
         self._laplace: FactorizedOperator | None = None
         self._mass_op: FactorizedOperator | None = None
@@ -201,11 +219,12 @@ class HodgeSolver:
     # ------------------------------------------------------------ operators
     @property
     def pressure_operator(self) -> FactorizedOperator:
-        """Factorized pressure Poisson operator B B' on zero-mean
-        multipliers."""
+        """Factorized mean-mode Laplacian L0 = B0 B0', a dual-graph
+        Laplacian with one unknown per triangle, on zero-mean multipliers:
+        the one pressure factor."""
         if self._pressure is None:
             self._pressure = FactorizedOperator(
-                self.B @ self.B.T, asm.assemble_moment(self.Q))
+                self._B0 @ self._B0.T, asm.assemble_moment(self.Q)[self._q0])
         return self._pressure
 
     @property
@@ -223,17 +242,24 @@ class HodgeSolver:
         return self._mass_op
 
     def pressure_solve(self, r: np.ndarray) -> np.ndarray:
-        """Zero-mean multiplier lam of B B' lam = B r: the least-squares
-        solution of B' lam = r, exact when the velocity functional r vanishes
-        on the divergence-free subspace."""
-        return self.pressure_operator.solve(self.B @ r)
+        """Zero-mean multiplier lam = R' r, R b = G L0^-1 b[q0] + PK b the
+        right inverse of B on zero-mean pressures: lam[q0] = L0^-1 G' r and
+        lam[qp] = (PK' r)[qp].  It solves B' lam = r exactly when the
+        velocity functional r vanishes on the divergence-free subspace."""
+        lam = self._PK.T @ r
+        lam[self._q0] = self.pressure_operator.solve(self._G.T @ r)
+        return lam
+
+    def _right_inverse(self, b: np.ndarray) -> np.ndarray:
+        """R b, so that B R b = b for every zero-mean pressure load b."""
+        return self._G @ self.pressure_operator.solve(b[self._q0]) + self._PK @ b
 
     # ----------------------------------------------------------- operations
     def harmonic_basis(self, seed: int = 0, tol: float = 1e-8) -> HarmonicBasis:
         """Randomized construction of the orthonormal harmonic basis.
 
-        Draw a random unit field, make it divergence-free by removing its
-        Euclidean projection onto the range of B' (any divergence-free
+        Draw a random unit field r, make it divergence-free as r - R B r
+        with the right inverse R of B of pressure_solve (any divergence-free
         field will do, since its rot part goes next), remove its
         streamfunction part, orthogonalize against the accepted members,
         and keep the remainder unless its norm falls below tol.  Terminates
@@ -260,7 +286,7 @@ class HodgeSolver:
             attempts += 1
             r = rng.standard_normal(n)
             r /= np.sqrt(r @ (self.M @ r))
-            u = r - self.B.T @ self.pressure_solve(r)
+            u = r - self._right_inverse(self.B @ r)
             psi = self.laplace_operator.solve(self.E.T @ (self.M @ u))
             w = u - self.E @ psi
             for _ in range(2):  # twice-applied MGS for conditioning

@@ -2,8 +2,9 @@
 
 Desk-scale problems (<= ~1e5 dofs) are handled by scipy's SuperLU
 factorization; no iterative solvers.  Every factored operator is SPD
-(streamfunction forms, mass matrices, the pressure Poisson operator B B',
-the augmented viscous block of the saddle-point oracle), and
+(streamfunction forms, mass matrices, the mean-mode Laplacian of the
+pressure Poisson solve, the augmented viscous block of the saddle-point
+oracle), and
 FactorizedOperator is the one factorization class, with one ordering and
 pivoting policy for every factor.  A zero-mean (or other) gauge constraint
 on an operator with a one-dimensional kernel is imposed by pinning the
@@ -57,7 +58,8 @@ class FactorizedOperator:
 
     solve() accepts a vector or a matrix of right-hand-side columns and
     increments solve_count by the number of columns; concurrent solves from
-    several threads are allowed.
+    several threads are allowed.  n is the order of A and lu_nnz the number
+    of entries stored in its L and U factors (0 for an empty A).
     """
 
     def __init__(self, A: sp.spmatrix, gauge: np.ndarray | None = None):
@@ -71,6 +73,7 @@ class FactorizedOperator:
         self.gauge = None if gauge is None else np.asarray(gauge, dtype=float)
         self.solve_count = 0
         self._count_lock = threading.Lock()
+        self.lu_nnz = 0
         if n == 0:  # empty systems occur e.g. for trace-constrained spaces
             self._lu = None
             return
@@ -81,6 +84,7 @@ class FactorizedOperator:
             self._lu = spla.splu(A if self.gauge is None else A[1:, 1:], **_SPLU_OPTIONS)
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise SingularMatrix(str(exc)) from exc
+        self.lu_nnz = self._lu.nnz
         # the factor's own near-null vector z (its solve is not counted)
         if self.gauge is None:
             z = self._lu.solve(np.random.default_rng(0).standard_normal(n))

@@ -337,7 +337,9 @@ def test_pressure_robustness_gradient_forcing(torus_ops, rng):
 
 def test_one_pressure_factor_serves_draws_decompose_and_pressure(torus3, monkeypatch, rng):
     """The basis draws, decompose and reconstruct_pressure share one
-    factorization of B B'; the Schur solve still costs b1 + 1 solves."""
+    pressure factor, built once on first use: the mean-mode Laplacian with
+    one unknown per triangle, not an operator on all DG pressure dofs (3 per
+    triangle at k = 2).  The Schur solve still costs b1 + 1 solves."""
     from surfhodge import hodge, linalg
 
     built = []
@@ -348,9 +350,11 @@ def test_one_pressure_factor_serves_draws_decompose_and_pressure(torus3, monkeyp
             built.append(A.shape)
 
     monkeypatch.setattr(hodge, "FactorizedOperator", Counting)
-    ops = FlowOperators(torus3, SimulationConfig(k=1, mu=0.5, forcing=smooth_forcing(5)))
+    ops = FlowOperators(torus3, SimulationConfig(k=2, mu=0.5, forcing=smooth_forcing(5)))
     solver = ops.hodge
     op = solver.pressure_operator
+    n_t, n_q = torus3.n_triangles, solver.Q.total_dofs
+    assert op.n == n_t == n_q // 3
     assert op.solve_count == ops.basis.n_attempts == 2
     state, info = ops.stokes_reduced()
     assert info["sparse_solves"] == ops.emb.n_harmonic + 1 == 3
@@ -358,8 +362,8 @@ def test_one_pressure_factor_serves_draws_decompose_and_pressure(torus3, monkeyp
     solver.decompose(FeField(solver.V, rng.standard_normal(solver.V.total_dofs)), ops.basis)
     assert solver.pressure_operator is op
     assert op.solve_count == ops.basis.n_attempts + 2
-    n_q = solver.Q.total_dofs
-    assert built.count((n_q, n_q)) == 1
+    assert built.count((n_t, n_t)) == 1
+    assert (n_q, n_q) not in built
 
 
 def test_gradient_only_forcing_gives_zero_velocity(torus_ops, rng):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from surfhodge import assembly as asm, meshes
 from surfhodge.errors import BasisMismatch, MaxAttemptsExceeded, WrongDegree
@@ -52,11 +53,14 @@ def test_harmonic_counts(corpus, basis_cache):
 
 
 def test_sphere_needs_zero_solves(tetra):
-    solver = HodgeSolver(tetra, 1)
+    solver = HodgeSolver(tetra, 2)
     basis = solver.harmonic_basis(seed=0)
     assert basis.dimension == 0
     assert basis.n_attempts == 0
     assert solver._pressure is None  # no factorization triggered
+    solver.decompose(FeField(solver.V, np.ones(solver.V.total_dofs)), basis)
+    assert solver._pressure.n == tetra.n_triangles  # one unknown per triangle
+    assert solver._pressure.solve_count == 1
 
 
 def test_torus3_k0_orthogonality(torus3, solver_cache):
@@ -280,6 +284,89 @@ def test_decompose_multiplier_matches_mixed_saddle(mesh_name, k, request,
     nv = np.sqrt(v @ (M @ v))
     assert np.sqrt(d @ (M @ d)) <= 1e-10 * nv
     assert comp.residual_norm <= 1e-10 * nv
+
+
+# ------------------------------------------------- pressure Poisson solve
+CORPUS = ("tetrahedron", "icosphere", "torus", "genus2", "sphere_4holes", "trefoil")
+
+
+def _pressure_dofs(solver):
+    """Mean modes q0 and other modes qp of each triangle; the higher
+    edge-flux moments and the interior bubbles of the velocity space."""
+    k, V, Q = solver.k, solver.V, solver.Q
+    ne = 3 * (k + 1)
+    higher = V.dof_map[:, :ne].reshape(-1, 3, k + 1)[:, :, 1:]
+    return Q.dof_map[:, 0], Q.dof_map[:, 1:], np.unique(higher[higher >= 0]), V.dof_map[:, ne:]
+
+
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("name", CORPUS)
+def test_divergence_blocks_behind_the_right_inverse(name, k, corpus, solver_cache):
+    """A triangle's mean mode pairs only with the lowest edge-flux moments,
+    and its interior bubbles' divergences are one reference block of full
+    row rank on its other modes, times sqrt(J) (the bubbles' dof signs)."""
+    mesh = corpus[name]
+    solver = solver_cache(mesh, k)
+    B = solver.B.tocsr()
+    q0, qp, higher, bubbles = _pressure_dofs(solver)
+    tol = 1e-13 * np.abs(B.data).max()
+    for cols in (higher, bubbles.ravel()):
+        assert np.abs(B[q0][:, cols].data).max(initial=0.0) <= tol
+    ref = asm.reference_div_block(solver.V, solver.Q)[1:, 3 * (k + 1):]
+    assert np.linalg.matrix_rank(ref) == qp.shape[1] == max(k * (k + 1) // 2 - 1, 0)
+    assert np.allclose(solver.V.dof_signs[:, 3 * (k + 1):], np.sqrt(mesh.Jdet)[:, None])
+    expected = sp.kron(sp.diags(np.sqrt(mesh.Jdet)), ref)
+    assert np.abs((B[qp.ravel()][:, bubbles.ravel()] - expected).data).max(initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("name", CORPUS)
+def test_pressure_solve_inverts_b_transpose_on_one_small_factor(name, k, corpus, monkeypatch):
+    """pressure_solve(B' lam) returns the zero-mean lam, a draw r - R B r
+    is divergence-free to rounding, and both use one factor with one
+    unknown per triangle, whatever the degree."""
+    from surfhodge import hodge, linalg
+
+    built = []
+
+    class Recording(linalg.FactorizedOperator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(hodge, "FactorizedOperator", Recording)
+    mesh = corpus[name]
+    solver = HodgeSolver(mesh, k)
+    B, q0 = solver.B, solver.Q.dof_map[:, 0]
+    rng = np.random.default_rng(k)
+    lam = rng.standard_normal(B.shape[0])
+    m = asm.assemble_moment(solver.Q)
+    lam[q0] -= (m @ lam) / m[q0].sum()  # ones on q0: the constant function
+    got = solver.pressure_solve(B.T @ lam)
+    assert np.abs(got - lam).max() <= 1e-12 * np.abs(lam).max()
+    r = rng.standard_normal(B.shape[1])
+    b = B @ r
+    assert np.abs(B @ (r - solver._right_inverse(b))).max() <= 1e-13 * np.abs(b).max()
+    assert [op.n for op in built] == [mesh.n_triangles]
+    assert built[0].solve_count == 2
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_harmonic_span_matches_dense_euclidean_projection(torus3, solver_cache, k):
+    """The draws made divergence-free by R B span the harmonic space of
+    the dense reference that uses the Euclidean projection onto the kernel
+    of B: every principal cosine between the two is 1."""
+    solver = solver_cache(torus3, k)
+    H = solver.harmonic_basis(seed=4).vectors
+    M, B, E = solver.M.toarray(), solver.B.toarray(), solver.E.toarray()
+    rows = np.linalg.svd(B)[2][:len(B) - 1]  # B maps onto the zero-mean pressures
+    r = np.random.default_rng(11).standard_normal((len(M), 2))
+    u = r - rows.T @ (rows @ r)
+    w = u - E @ np.linalg.lstsq(E.T @ M @ E, E.T @ M @ u, rcond=None)[0]
+    ref = np.linalg.solve(np.linalg.cholesky(w.T @ M @ w), w.T)  # M-orthonormal rows
+    cosines = np.linalg.svd(H @ M @ ref.T, compute_uv=False)
+    assert len(cosines) == 2 == solver.topology.b1
+    assert np.abs(cosines - 1.0).max() <= 1e-12
 
 
 def _patch_parts(x):

@@ -68,6 +68,7 @@ def test_singular_matrix():
 def test_solve_counting(rng):
     A = sp.csc_matrix(np.diag([1.0, 2.0, 3.0]))
     op = FactorizedOperator(A)
+    assert (op.n, op.lu_nnz) == (3, 6)  # L's unit diagonal is stored too
     op.solve(np.ones(3))
     op.solve(rng.standard_normal((3, 4)))
     assert op.solve_count == 5
@@ -112,6 +113,7 @@ def test_gauged_operator_zero_mean(rng):
 def test_empty_system():
     op = FactorizedOperator(sp.csc_matrix((0, 0)))
     assert op.solve(np.zeros(0)).shape == (0,)
+    assert (op.n, op.lu_nnz) == (0, 0)
 
 
 def test_concurrent_solves_match_serial(torus):
@@ -184,7 +186,7 @@ def test_streamfunction_factor_fill():
     from surfhodge.hodge import HodgeSolver
 
     op = HodgeSolver(meshes.torus_structured(32, 16), 2).laplace_operator
-    assert op._lu.nnz < 600_000
+    assert op.lu_nnz < 600_000
 
 
 def test_saddle_oracle_factor_fill(flow_factors):
@@ -198,7 +200,7 @@ def test_saddle_oracle_factor_fill(flow_factors):
     ops.stokes_saddle()
     (op,) = flow_factors
     assert op.n == ops.V.total_dofs and op.gauge is None
-    assert op._lu.nnz < 600_000
+    assert op.lu_nnz < 600_000
 
 
 def _neumann_grid_laplacian(m):
@@ -253,4 +255,4 @@ def test_saddle_factor_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * op._lu.nnz / 4
+    assert peak < 12 * op.lu_nnz / 4
