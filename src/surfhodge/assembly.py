@@ -261,12 +261,9 @@ def assemble_rot_embedding(S: FeSpace, V: FeSpace) -> sp.csr_matrix:
     own = np.ones((T, V.ref.n_local), dtype=bool)
     dof_edges = mesh.tri_edges[:, [le for le, _ in V.ref.edge_dofs]]
     own[:, :V.ref.n_edge_dofs] = mesh.edge_tris[dof_edges, 0] == np.arange(T)[:, None]
-    rows = np.broadcast_to(V.dof_map[:, :, None], (T, V.ref.n_local, n_lag))
-    cols = np.broadcast_to(S.dof_map[:, None, :], rows.shape)
-    keep = (own & (V.dof_map >= 0))[:, :, None] & (cols >= 0)
-    vals = block[None, :, :] / V.dof_signs[:, :, None]
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                         shape=(V.total_dofs, S.total_dofs))
+    local = block[None, :, :] / V.dof_signs[:, :, None]
+    return _scatter(local, np.where(own, V.dof_map, -1), np.ones(V.dof_map.shape),
+                    S.dof_map, np.ones(S.dof_map.shape), (V.total_dofs, S.total_dofs))
 
 
 # ------------------------------------------------------------- edge traces

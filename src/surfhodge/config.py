@@ -4,17 +4,19 @@ Config format: flat ``key = value`` lines, ``#`` comments.  Values are
 parsed as int, float, comma-separated float vectors, booleans or strings
 (tried in that order).  See the README for the full key schema.
 
-Forcings are either named presets (constant_band: a constant tangential
-push inside a coordinate slab; rigid_rotation: a rotation field around an
-axis, tangentially projected) or three arithmetic expressions in
-(x, y, z, t) compiled through a restricted AST evaluator.  Every preset,
-and expressions none of which reads t, are marked steady (f.steady = True),
-so a run assembles their load once.
+Forcings are named presets whose parameters are config keys (zero;
+constant_band: a constant tangential push inside a coordinate slab;
+rigid_rotation: a rotation field around an axis, tangentially projected;
+expression: three arithmetic expressions fx, fy, fz in (x, y, z, t)
+compiled through a restricted AST evaluator).  Every preset except an
+expression that reads t is marked steady (f.steady = True), so a run
+assembles its load once.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import operator
 from dataclasses import fields
 
@@ -98,10 +100,11 @@ def compile_expression(source: str):
     return evaluate
 
 
-def expression_forcing(fx: str, fy: str, fz: str):
+def expression_forcing(fx="0", fy="0", fz="0"):
     """Forcing f(points, t) from three component expressions; steady when
-    no component reads t."""
-    comps = [compile_expression(s) for s in (fx, fy, fz)]
+    no component reads t.  A component is compiled from its text, so a
+    number (the config parser reads fx = 0 as an int) is an expression."""
+    comps = [compile_expression(str(s)) for s in (fx, fy, fz)]
 
     def f(points, t):
         points = np.atleast_2d(points)
@@ -170,6 +173,7 @@ FORCING_PRESETS = {
     "zero": lambda: _zero_forcing,
     "constant_band": constant_band_forcing,
     "rigid_rotation": rigid_rotation_forcing,
+    "expression": expression_forcing,
 }
 
 
@@ -214,29 +218,15 @@ def parse_config_file(path) -> dict:
     return values
 
 
-_FORCING_KEYS = {
-    "constant_band": ("direction", "amplitude", "band_axis", "band_max", "band_min"),
-    "rigid_rotation": ("center", "axis", "amplitude"),
-    "zero": (),
-    "expression": ("fx", "fy", "fz"),
-}
-
-
 def forcing_from_dict(values: dict):
-    """Build the forcing callable from config keys.
-
-    forcing = <preset name> selects a preset with its parameter keys;
-    forcing = expression uses the fx, fy, fz component expressions.
-    """
+    """Build the forcing callable from config keys: forcing = <preset name>
+    (default zero) selects a preset, called with the config keys named
+    like its parameters."""
     name = str(values.get("forcing", "zero"))
-    if name == "expression":
-        return expression_forcing(
-            str(values.get("fx", "0")), str(values.get("fy", "0")),
-            str(values.get("fz", "0")))
     preset = FORCING_PRESETS.get(name)
     if preset is None:
         raise ParseError(f"unknown forcing {name!r}")
-    kwargs = {k: values[k] for k in _FORCING_KEYS[name] if k in values}
+    kwargs = {k: values[k] for k in inspect.signature(preset).parameters if k in values}
     try:
         return preset(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -254,7 +244,8 @@ def simulation_config_from_dict(values: dict) -> SimulationConfig:
     forcing raises ParseError naming it."""
     forcing = forcing_from_dict(values)
     name = str(values.get("forcing", "zero"))
-    unknown = [k for k in values if k not in (*_RUN_KEYS, *_CONFIG_KEYS, *_FORCING_KEYS[name])]
+    params = inspect.signature(FORCING_PRESETS[name]).parameters
+    unknown = [k for k in values if k not in (*_RUN_KEYS, *_CONFIG_KEYS, *params)]
     if unknown:
         raise ParseError(f"unknown config key(s) {', '.join(map(repr, unknown))} "
                          f"(forcing = {name})")

@@ -85,7 +85,8 @@ class NotSPD(SolverError):
 
 
 class SingularSchur(SolverError):
-    """Dense Schur complement for the harmonic unknowns is singular."""
+    """Dense Schur complement for the harmonic unknowns is not positive
+    definite: indefinite, singular or not finite."""
 
 
 class SingularOperator(SolverError):

@@ -122,7 +122,8 @@ class ReducedSolver:
     streamfunction solve as it is.  A singular streamfunction block (an
     un-gauged kernel, or a gauge that does not fix it) is detected by
     FactorizedOperator's near-null-vector test and raised as
-    SingularOperator.
+    SingularOperator; a Schur complement that Cholesky rejects (indefinite,
+    singular or not finite) raises SingularSchur.
     """
 
     def __init__(self, system: BlockSystem):
@@ -134,13 +135,10 @@ class ReducedSolver:
                 "streamfunction block is singular; an un-gauged kernel remains"
             ) from exc
         self.Z = self.op.solve(np.asarray(system.A_sh, dtype=float))
-        S = system.A_hh - system.A_sh.T @ self.Z
-        try:
-            self._schur_lu = dla.lu_factor(S)
+        try:  # SPD whenever the block system is; ValueError: non-finite entries
+            self._schur_cho = dla.cho_factor(system.A_hh - system.A_sh.T @ self.Z)
         except (ValueError, dla.LinAlgError) as exc:
-            raise SingularSchur(str(exc)) from exc
-        if not np.isfinite(S).all() or (np.diag(self._schur_lu[0]) == 0).any():
-            raise SingularSchur("harmonic Schur complement is singular")
+            raise SingularSchur(f"harmonic Schur complement is not SPD: {exc}") from exc
 
     @property
     def sparse_solves(self) -> int:
@@ -148,7 +146,7 @@ class ReducedSolver:
 
     def solve(self, b_s: np.ndarray, b_h: np.ndarray):
         z0 = self.op.solve(b_s)
-        x_h = dla.lu_solve(self._schur_lu, b_h - self.system.A_sh.T @ z0)
+        x_h = dla.cho_solve(self._schur_cho, b_h - self.system.A_sh.T @ z0)
         x_s = z0 - self.Z @ x_h
         return x_s, x_h
 
@@ -253,7 +251,9 @@ class FlowOperators:
     not finite fails at construction with NaNDetected.
 
     A basis passed in is checked by HodgeSolver.validate_basis; without one
-    the basis is drawn with config.seed.
+    the basis is drawn with config.seed, and the streamfunction factor L
+    the draws used is released: no flow solve uses it.  The pressure
+    factor stays for reconstruct_pressure.
     """
 
     def __init__(self, mesh: SurfaceMesh, config: SimulationConfig,
@@ -263,6 +263,7 @@ class FlowOperators:
         self.hodge = HodgeSolver(mesh, config.k)
         if basis is None:
             basis = self.hodge.harmonic_basis(seed=config.seed)
+            vars(self.hodge).pop("laplace_operator", None)  # b1 = 0 draws build none
         else:
             self.hodge.validate_basis(basis)
         self.basis = basis
@@ -311,6 +312,14 @@ class FlowOperators:
             step=step,
             t0=t0,
         )
+
+    def initial_state(self) -> FlowState:
+        """The state at t = 0 that config.initial names: zero, or the
+        Stokes solution for the forcing's load (stokes_reduced), whose
+        factor is released when this returns."""
+        if self.config.initial == "zero":
+            return self.make_state(0.0, np.zeros(self.emb.n_stream), np.zeros(self.emb.n_harmonic))
+        return self.stokes_reduced()[0]
 
     # ------------------------------------------------------------- Stokes
     def stokes_reduced(self, load: np.ndarray | None = None):
@@ -408,15 +417,6 @@ class NavierStokesStepper:
         self._cfl_warned = False
         self._conv_cache = asm.convection_tabulation(ops.V)
 
-    def initial_state(self) -> FlowState:
-        cfg = self.ops.config
-        if cfg.initial == "zero":
-            return self.ops.make_state(
-                0.0, np.zeros(self.ops.emb.n_stream),
-                np.zeros(self.ops.emb.n_harmonic))
-        state, _ = self.ops.stokes_reduced()
-        return state
-
     def step(self, state: FlowState) -> FlowState:
         """Advance one IMEX Euler step."""
         ops = self.ops
@@ -484,8 +484,9 @@ def run_simulation(mesh: SurfaceMesh, config: SimulationConfig,
     from . import vtkio
 
     ops = FlowOperators(mesh, config, basis)
+    # the start first: its Stokes factor is freed before the step factor exists
+    state = ops.initial_state() if initial_state is None else initial_state
     stepper = NavierStokesStepper(ops)
-    state = stepper.initial_state() if initial_state is None else initial_state
     n_steps = int(round(config.t_end / config.dt))
     outputs = []
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -175,8 +176,10 @@ class HodgeSolver:
     moment on closed surfaces (None otherwise); the flow solvers reuse
     both.  All operations are pure given the immutable mesh; the random
     number generator of the harmonic search is an explicit seeded input, so
-    runs are reproducible.  The factorizations are built on first use, so the
-    solver is not immutable after construction.
+    runs are reproducible.  The factorizations are built on first use and
+    cached on the instance (functools.cached_property), so the solver is not
+    immutable after construction; removing a factor from vars(solver)
+    releases it, and its next use builds it again.
     """
 
     def __init__(self, mesh: SurfaceMesh, k: int):
@@ -211,35 +214,25 @@ class HodgeSolver:
         B_e0 = self.B[:, e0]
         self._B0 = B_e0[self._q0]
         self._G = (sp.eye(self.V.total_dofs, format="csr")[:, e0] - self._PK @ B_e0) @ self._B0.T
-        self._pressure: FactorizedOperator | None = None
-        self._laplace: FactorizedOperator | None = None
-        self._mass_op: FactorizedOperator | None = None
         self._checksum = mesh.checksum()
 
     # ------------------------------------------------------------ operators
-    @property
+    @cached_property
     def pressure_operator(self) -> FactorizedOperator:
         """Factorized mean-mode Laplacian L0 = B0 B0', a dual-graph
         Laplacian with one unknown per triangle, on zero-mean multipliers:
         the one pressure factor."""
-        if self._pressure is None:
-            self._pressure = FactorizedOperator(
-                self._B0 @ self._B0.T, asm.assemble_moment(self.Q)[self._q0])
-        return self._pressure
+        return FactorizedOperator(self._B0 @ self._B0.T, asm.assemble_moment(self.Q)[self._q0])
 
-    @property
+    @cached_property
     def laplace_operator(self) -> FactorizedOperator:
         """Factorized streamfunction form L, gauged by the zero-mean
         constraint on closed surfaces."""
-        if self._laplace is None:
-            self._laplace = FactorizedOperator(self.L, self.gauge)
-        return self._laplace
+        return FactorizedOperator(self.L, self.gauge)
 
-    @property
+    @cached_property
     def mass_operator(self) -> FactorizedOperator:
-        if self._mass_op is None:
-            self._mass_op = FactorizedOperator(self.M)
-        return self._mass_op
+        return FactorizedOperator(self.M)
 
     def pressure_solve(self, r: np.ndarray) -> np.ndarray:
         """Zero-mean multiplier lam = R' r, R b = G L0^-1 b[q0] + PK b the

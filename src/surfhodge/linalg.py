@@ -45,7 +45,8 @@ class FactorizedOperator:
     """Reusable LU factorization of a sparse SPD matrix A, optionally gauged
     by one linear constraint c' x = 0 (gauge = c, a vector); with a gauge, A
     is positive definite on the gauge's null space.  NotSPD is raised unless
-    A is symmetric with a positive diagonal.
+    A is symmetric with a positive diagonal; that is necessary for SPD, not
+    sufficient: an indefinite [[1, 2], [2, 1]] factors without NotSPD.
 
     With a gauge, A must have a one-dimensional kernel z with z_0 != 0.
     A is factorized without its first row and column, z is computed once

@@ -4,6 +4,8 @@ Meshes and Hodge solvers are expensive enough to share session-wide; all
 randomness in tests is seeded, so sharing is safe.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,29 @@ def flow_factors(monkeypatch):
 
     monkeypatch.setattr(flow, "FactorizedOperator", Recording)
     return made
+
+
+@pytest.fixture
+def track_factors(monkeypatch):
+    """track_factors(module) makes module build FactorizedOperators that
+    are recorded, in order of construction, as (matrix, weak reference,
+    the weak references of earlier ones alive when it was built), so that
+    a test sees which factors were freed and when."""
+    from surfhodge import linalg
+
+    built = []
+
+    class Tracked(linalg.FactorizedOperator):
+        def __init__(self, A, *args, **kwargs):
+            alive = [r for _, r, _ in built if r() is not None]
+            super().__init__(A, *args, **kwargs)
+            built.append((A, weakref.ref(self), alive))
+
+    def track(module):
+        monkeypatch.setattr(module, "FactorizedOperator", Tracked)
+        return built
+
+    return track
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import re
@@ -258,6 +259,7 @@ def test_nse_steady_load_writes_per_step_bytes(tmp_path, capsys, monkeypatch):
     assert main(argv + [str(tmp_path / "steady")]) == 0
     band = config.FORCING_PRESETS["constant_band"]
 
+    @functools.wraps(band)  # keeps band's signature, which names the config keys
     def plain(**kw):
         f = band(**kw)
         return lambda x, t=0.0: f(x, t)

@@ -15,6 +15,7 @@ from surfhodge.errors import (
     NotDivergenceFree,
     NotSPD,
     SingularOperator,
+    SingularSchur,
     SolverFailure,
 )
 from surfhodge.fespace import FeField
@@ -128,6 +129,16 @@ def test_schur_hand_example():
     assert xh[0] == pytest.approx(1.0, abs=1e-14)
     assert xs[0] == pytest.approx(0.0, abs=1e-14)
     assert solver.sparse_solves == 2
+
+
+@pytest.mark.parametrize("A_hh", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]],
+                         ids=["indefinite", "singular"])
+def test_schur_not_spd_raises(A_hh):
+    """With A_sh = 0 the Schur complement is A_hh: an indefinite or a
+    singular one raises SingularSchur, not a solve or a warning."""
+    system = BlockSystem(sp.identity(3, format="csc"), np.zeros((3, 2)), np.array(A_hh))
+    with pytest.raises(SingularSchur):
+        ReducedSolver(system)
 
 
 def test_schur_counts_exactly_nh_plus_one(torus_ops):
@@ -366,6 +377,32 @@ def test_one_pressure_factor_serves_draws_decompose_and_pressure(torus3, monkeyp
     assert (n_q, n_q) not in built
 
 
+def test_stokes_start_factor_freed_before_step_factor(torus3, basis_cache, track_factors):
+    """run_simulation solves the Stokes start before it builds the stepper:
+    no A_ss factor is alive when the step factor is built."""
+    from surfhodge import flow
+
+    built = track_factors(flow)
+    cfg = SimulationConfig(k=1, mu=0.2, dt=1e-2, t_end=2e-2, forcing=smooth_forcing(3))
+    run_simulation(torus3, cfg, basis=basis_cache(torus3, 1))
+    assert len(built) == 2  # the start's A_ss, then the step's L/dt + A_ss
+    assert built[1][2] == []
+
+
+def test_draw_factor_released_pressure_factor_kept(torus3, track_factors):
+    """After FlowOperators draws its basis, the streamfunction factor L the
+    draws used is unreachable; the pressure factor they used stays."""
+    from surfhodge import hodge
+
+    built = track_factors(hodge)
+    ops = FlowOperators(torus3, SimulationConfig(k=1, mu=0.5))
+    (laplace,) = [ref for A, ref, _ in built if A is ops.hodge.L]
+    (pressure,) = [ref for A, ref, _ in built if A is not ops.hodge.L]
+    assert laplace() is None
+    assert ops.hodge.pressure_operator is pressure()
+    assert pressure().solve_count == ops.basis.n_attempts == 2
+
+
 def test_gradient_only_forcing_gives_zero_velocity(torus_ops, rng):
     """A pure discrete-gradient load is invisible to the velocity."""
     ops = torus_ops
@@ -488,7 +525,7 @@ def test_nse_rejects_nondivfree_state(torus3, basis_cache, rng):
     cfg = SimulationConfig(k=1, mu=0.1, dt=1e-2, t_end=1e-1)
     ops = FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1))
     stepper = NavierStokesStepper(ops)
-    state = stepper.initial_state()
+    state = ops.initial_state()
     bad = replace(state, u=FeField(ops.V, rng.standard_normal(ops.V.total_dofs)))
     with pytest.raises(NotDivergenceFree):
         stepper.step(bad)
@@ -499,7 +536,7 @@ def test_step_reuses_divergence_tabulation(torus3, basis_cache, monkeypatch):
     the stepper's tabulation and measures what a fresh evaluation does."""
     cfg = SimulationConfig(k=1, mu=0.1, dt=1e-2, t_end=1e-1, forcing=smooth_forcing(17))
     stepper = NavierStokesStepper(FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1)))
-    state = stepper.initial_state()
+    state = stepper.ops.initial_state()
     V = stepper.ops.V
     u = state.u.coefficients
     tab = stepper._conv_cache["div"]
@@ -517,7 +554,7 @@ def test_state_carries_its_mass_product(torus3, basis_cache):
     reads it: a step from a state whose Mu was altered moves with it."""
     cfg = SimulationConfig(k=1, mu=0.1, dt=1e-2, t_end=1e-1, forcing=smooth_forcing(17))
     stepper = NavierStokesStepper(FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1)))
-    state = stepper.initial_state()
+    state = stepper.ops.initial_state()
     assert np.array_equal(state.Mu, stepper.ops.M @ state.u.coefficients)
     plain = stepper.step(state)
     shifted = stepper.step(replace(state, Mu=2.0 * state.Mu))
@@ -530,7 +567,7 @@ def test_step_reads_cfl_sup_norm_from_convection(torus3, basis_cache, monkeypatc
     at the convection rule."""
     cfg = SimulationConfig(k=1, mu=0.1, dt=1e-2, t_end=1e-1, forcing=smooth_forcing(17))
     stepper = NavierStokesStepper(FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1)))
-    state = stepper.initial_state()
+    state = stepper.ops.initial_state()
     rule = stepper._conv_cache["vol"][0]
     tabulate, convection = asm.tabulate_field, asm.convection_action
 
@@ -679,7 +716,7 @@ def test_nse_divergence_free_every_step(torus3, basis_cache):
                            forcing=smooth_forcing(8))
     ops = FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1))
     stepper = NavierStokesStepper(ops)
-    state = stepper.initial_state()
+    state = ops.initial_state()
     for _ in range(10):
         state = stepper.step(state)
         un = np.sqrt(state.u.coefficients @ (ops.M @ state.u.coefficients))

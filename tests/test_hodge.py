@@ -57,10 +57,26 @@ def test_sphere_needs_zero_solves(tetra):
     basis = solver.harmonic_basis(seed=0)
     assert basis.dimension == 0
     assert basis.n_attempts == 0
-    assert solver._pressure is None  # no factorization triggered
+    assert "pressure_operator" not in vars(solver)  # no factorization triggered
     solver.decompose(FeField(solver.V, np.ones(solver.V.total_dofs)), basis)
-    assert solver._pressure.n == tetra.n_triangles  # one unknown per triangle
-    assert solver._pressure.solve_count == 1
+    assert "pressure_operator" in vars(solver)
+    assert solver.pressure_operator.n == tetra.n_triangles  # one unknown per triangle
+    assert solver.pressure_operator.solve_count == 1
+
+
+def test_decompose_builds_each_factor_once(torus3, track_factors, rng):
+    """A HodgeSolver reused for many decompositions builds L, L0 and M
+    once each, on first use, and keeps them."""
+    from surfhodge import hodge
+
+    built = track_factors(hodge)
+    solver = HodgeSolver(torus3, 1)
+    basis = solver.harmonic_basis(seed=0)
+    for _ in range(3):
+        solver.decompose(FeField(solver.V, rng.standard_normal(solver.V.total_dofs)), basis)
+    kept = (solver.laplace_operator, solver.pressure_operator, solver.mass_operator)
+    assert sorted(map(id, kept)) == sorted(id(ref()) for _, ref, _ in built)
+    assert solver.mass_operator.solve_count == 3
 
 
 def test_torus3_k0_orthogonality(torus3, solver_cache):
