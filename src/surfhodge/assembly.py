@@ -442,12 +442,12 @@ def convection_tabulation(V: FeSpace) -> dict:
     mesh = V.mesh
     k = V.degree
     n_loc = V.ref.n_local
-    cache: dict = {"space": V, "div": _divergence_tabulation(V)}
+    tab: dict = {"space": V, "div": _divergence_tabulation(V)}
     rule = triangle_rule(max(2 * k + 3, 3 * k))
     vals = V.ref.eval(rule.xy).transpose(2, 1, 0)  # (2, n_q, n_loc)
     grads = np.moveaxis(V.ref.grad(rule.xy) * -rule.weights[:, None, None], 1, -1)
     g = _gram(mesh.F).transpose(1, 2, 0) / mesh.Jdet**2
-    cache["vol"] = (rule, vals.reshape(-1, n_loc), grads.reshape(n_loc, -1), g[:, :, None, :])
+    tab["vol"] = (rule, vals.reshape(-1, n_loc), grads.reshape(n_loc, -1), g[:, :, None, :])
 
     tq, tw = edge_rule(max(2 * k + 2, 3 * k))
     interior = np.flatnonzero(~mesh.boundary_edge_mask)
@@ -460,23 +460,24 @@ def convection_tabulation(V: FeSpace) -> dict:
     own = np.arange(n_loc) // (k + 1) == le.T[:, None, :, None]
     psi = _side_trace_operator(V.total_dofs, np.stack([np.where(own, dofs, -1), dofs]),
                                V.dof_signs[t_sides].transpose(1, 0, 2)[:, None], tr[:2])
-    cache["edge"] = (psi, psi.T, (tw[:, None] * mesh.edge_lengths[interior]).ravel())
-    return cache
+    tab["edge"] = (psi, psi.T, (tw[:, None] * mesh.edge_lengths[interior]).ravel())
+    return tab
 
 
-def _reference_values(cache: dict, loc: np.ndarray):
+def _reference_values(tab: dict, loc: np.ndarray):
     """Reference values Uhat (2, n_q, T) at the convection rule's points of
     the field with local coefficients loc (T, n_loc), and g Uhat.  The
     physical value is F Uhat / J, so |u|^2 = Uhat . g Uhat."""
-    _, R, _, g = cache["vol"]
+    _, R, _, g = tab["vol"]
     uh = (R @ loc.T).reshape(2, -1, len(loc))
     return uh, (g * uh).sum(axis=1)
 
 
-def convection_action(V: FeSpace, w: FeField, u: np.ndarray, cache: dict | None = None):
+def convection_action(tab: dict, w: FeField, u: np.ndarray):
     """(C(w) u, max |w|) for the upwind DG convection form c_h(w; u, v),
     without forming C; max |w| is taken over the volume quadrature points
-    (the stepper's CFL bound reads it).
+    (the stepper's CFL bound reads it).  tab is convection_tabulation(V) of
+    the velocity space V, built once and reused by every call.
 
     Element term -(u, grad(v) w) plus facet upwind terms (w . nu)(u_up . v)
     over element boundaries, with the tangential trace of u taken from the
@@ -485,10 +486,8 @@ def convection_action(V: FeSpace, w: FeField, u: np.ndarray, cache: dict | None 
     and are skipped.  The quadrature is exact for the trilinear form, which
     makes c_h(w; u, u) >= 0 hold to rounding error for divergence-free w.
 
-    w must live in V and be discretely divergence-free (|div w| <= 1e-8
-    |w|, else NotDivergenceFree).  A cache from convection_tabulation(V)
-    avoids re-tabulating the basis data; one built for another space
-    raises DegreeMismatch.
+    w must live in V (else DegreeMismatch) and be discretely
+    divergence-free (|div w| <= 1e-8 |w|, else NotDivergenceFree).
 
     The fields are evaluated once, in reference coordinates: on an affine
     triangle the ambient gradient of a Piola-mapped basis function is
@@ -501,26 +500,23 @@ def convection_action(V: FeSpace, w: FeField, u: np.ndarray, cache: dict | None 
     applies Psi'.  When u is w's coefficient array, the evaluations of w
     serve for u.
     """
+    V = tab["space"]
     if not V.same_as(w.space):
         raise DegreeMismatch("convecting field must live in the velocity space")
-    if cache is None:
-        cache = convection_tabulation(V)
-    elif cache.get("space") is not V:
-        raise DegreeMismatch("convection tabulation was built for another space")
     w_loc = V.local_coefficients(w.coefficients)
     wm = float(np.linalg.norm(w.coefficients))
-    if wm > 0 and _divergence_norm(V, w_loc, cache["div"]) > 1e-8 * wm:
+    if wm > 0 and _divergence_norm(V, w_loc, tab["div"]) > 1e-8 * wm:
         raise NotDivergenceFree("convecting field is not discretely divergence-free")
 
-    grads = cache["vol"][2]
+    grads = tab["vol"][2]
     same = u is w.coefficients
-    wh, gw = _reference_values(cache, w_loc)
-    gu = gw if same else _reference_values(cache, V.local_coefficients(u))[1]
+    wh, gw = _reference_values(tab, w_loc)
+    gu = gw if same else _reference_values(tab, V.local_coefficients(u))[1]
     wmax = float(np.sqrt(max((wh * gw).sum(axis=0).max(), 0.0)))
     local = grads @ (gu[:, None] * wh[None]).reshape(grads.shape[1], -1)
     out = _scatter_vec(local.T, V.dof_map, V.dof_signs, V.total_dofs)
 
-    psi, psi_t, wq = cache["edge"]
+    psi, psi_t, wq = tab["edge"]
     tr_w = psi @ w.coefficients
     tr = (tr_w if same else psi @ u).reshape(2, 2, -1)  # (normal/tangential, side, point)
     wn = tr_w[:len(wq)] * wq

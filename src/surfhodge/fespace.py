@@ -231,11 +231,7 @@ class BdmRef(VectorPolyRef):
             gens[2, self.exps.index((0, 1)), 1] = 1.0
         else:
             self.exps = scalar_monomials(k)
-            n_mono = len(self.exps)
-            gens = np.zeros((2 * n_mono, n_mono, 2))
-            for m in range(n_mono):
-                gens[2 * m, m, 0] = 1.0
-                gens[2 * m + 1, m, 1] = 1.0
+            gens = _monomial_components(len(self.exps))
         n_gen = len(gens)
         self._dof_scales = np.ones(n_gen)
         L = self._apply_raw_dofs(gens, self.exps)
@@ -307,12 +303,14 @@ class VectorDGRef(VectorPolyRef):
     def __init__(self, k: int):
         self.k = k
         self.exps = scalar_monomials(k)
-        n_mono = len(self.exps)
-        self.coeffs = np.zeros((2 * n_mono, n_mono, 2))
-        for m in range(n_mono):
-            self.coeffs[2 * m, m, 0] = 1.0
-            self.coeffs[2 * m + 1, m, 1] = 1.0
-        self.n_local = 2 * n_mono
+        self.coeffs = _monomial_components(len(self.exps))
+        self.n_local = len(self.coeffs)
+
+
+def _monomial_components(n_mono: int) -> np.ndarray:
+    """The 2 n_mono fields m e_c (monomial m times unit vector c), in the
+    order (m, c), as (2 n_mono, n_mono, 2) coefficient arrays."""
+    return np.eye(2 * n_mono).reshape(2 * n_mono, n_mono, 2)
 
 
 # ------------------------------------------------------------------- spaces

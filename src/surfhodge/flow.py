@@ -426,7 +426,7 @@ class NavierStokesStepper:
             raise NaNDetected(f"non-finite state at t = {state.t:g}")
         # first, so that the convection form's space and divergence checks
         # see the state before anything else evaluates it
-        cu, umax = asm.convection_action(ops.V, u, u.coefficients, self._conv_cache)
+        cu, umax = asm.convection_action(self._conv_cache, u, u.coefficients)
         if umax > 0 and cfg.dt > 0.5 * ops.mesh.h_min / umax and not self._cfl_warned:
             warnings.warn(
                 f"time step {cfg.dt:g} exceeds the convective CFL bound "

@@ -73,36 +73,6 @@ class TopologySummary:
     closed: bool
     component_betti: tuple
 
-    @classmethod
-    def closed_surface(cls, n_triangles: int, genus: int) -> "TopologySummary":
-        """Synthetic summary of a closed connected surface of given genus.
-
-        Only the combinatorics implied by closedness are filled in
-        (3T = 2E, chi = V - E + T = 2 - 2g); no mesh is required.
-        """
-        if n_triangles % 2:
-            raise ValueError("a closed surface has an even number of triangles")
-        n_edges = 3 * n_triangles // 2
-        chi = 2 - 2 * genus
-        n_vertices = chi + n_edges - n_triangles
-        b1 = 2 * genus
-        return cls(
-            n_vertices=n_vertices,
-            n_edges=n_edges,
-            n_triangles=n_triangles,
-            n_interior_edges=n_edges,
-            n_boundary_edges=0,
-            n_interior_vertices=n_vertices,
-            n_boundary_vertices=0,
-            euler_characteristic=chi,
-            n_components=1,
-            b0=1,
-            b1=b1,
-            b2=1,
-            closed=True,
-            component_betti=((1, b1, 1),),
-        )
-
     def to_dict(self) -> dict:
         """The fields as a JSON-ready dict (component_betti as lists)."""
         return {**asdict(self), "component_betti": [list(c) for c in self.component_betti]}
@@ -394,81 +364,64 @@ def load_mesh(path) -> SurfaceMesh:
     return SurfaceMesh(*parse(text))
 
 
-def _significant_lines(text: str):
+def _token_lines(text: str):
+    """The whitespace-separated tokens of each line that is not blank or a
+    comment."""
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield tokens
+
+
+def _records(rows, width: int, dtype, what: str) -> np.ndarray:
+    """The first `width` tokens of each row as one (len(rows), width)
+    array, converted as int() or float() would; a short or non-numeric row
+    raises ParseError."""
+    if min(map(len, rows), default=width) < width:
+        raise ParseError(f"{what} record with fewer than {width} fields")
+    try:
+        return np.array([r[:width] for r in rows], dtype=dtype).reshape(len(rows), width)
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"bad {what} record: {exc}") from exc
 
 
 def _parse_off(text: str):
-    lines = list(_significant_lines(text))
-    if not lines:
-        raise ParseError("empty OFF file")
-    header = lines[0]
-    body = lines[1:]
-    if header.split()[0] != "OFF":
+    lines = list(_token_lines(text))
+    if not lines or lines[0][0] != "OFF":
         raise ParseError("missing OFF header")
-    if len(header.split()) == 4:  # counts on the header line
-        counts = header.split()[1:]
-    else:
+    counts, body = lines[0][1:], lines[1:]
+    if len(counts) != 3:  # the counts are not on the header line
         if not body:
             raise ParseError("missing OFF counts line")
-        counts, body = body[0].split(), body[1:]
-    try:
-        n_v, n_f = int(counts[0]), int(counts[1])
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"bad OFF counts line: {counts}") from exc
-    if len(body) < n_v + n_f:
-        raise ParseError("truncated OFF file")
-    try:
-        verts = np.array(
-            [[float(x) for x in body[i].split()[:3]] for i in range(n_v)]
-        ).reshape(n_v, 3)
-    except ValueError as exc:
-        raise ParseError("bad OFF vertex line") from exc
-    tris = []
-    for i in range(n_f):
-        parts = body[n_v + i].split()
-        try:
-            cnt = int(parts[0])
-        except ValueError as exc:
-            raise ParseError("bad OFF face line") from exc
-        if cnt != 3:
-            raise NonTriangle(f"OFF face with {cnt} vertices")
-        tris.append([int(parts[1]), int(parts[2]), int(parts[3])])
-    return verts, np.array(tris, dtype=np.int64)
+        counts, body = body[0], body[1:]
+    n_v, n_f = _records([counts], 2, np.int64, "OFF counts")[0].tolist()
+    if min(n_v, n_f) < 0 or len(body) < n_v + n_f:
+        raise ParseError(f"OFF counts {n_v} {n_f} do not match the records that follow")
+    verts = _records(body[:n_v], 3, float, "OFF vertex")
+    faces = body[n_v:n_v + n_f]
+    sizes = _records(faces, 1, np.int64, "OFF face")[:, 0]
+    if (sizes != 3).any():
+        raise NonTriangle(f"OFF face with {sizes[sizes != 3][0]} vertices")
+    return verts, _records([f[1:] for f in faces], 3, np.int64, "OFF face index")
 
 
 def _parse_obj(text: str):
-    verts: list[list[float]] = []
-    tris: list[list[int]] = []
-    for line in _significant_lines(text):
-        parts = line.split()
-        tag = parts[0]
+    verts, faces, n_before = [], [], []
+    for tag, *fields in _token_lines(text):
         if tag == "v":
-            try:
-                verts.append([float(x) for x in parts[1:4]])
-            except ValueError as exc:
-                raise ParseError(f"bad OBJ vertex line: {line!r}") from exc
+            verts.append(fields)
         elif tag == "f":
-            refs = parts[1:]
-            if len(refs) != 3:
-                raise NonTriangle(f"OBJ face with {len(refs)} vertices")
-            idx = []
-            for r in refs:
-                try:
-                    i = int(r.split("/")[0])
-                except ValueError as exc:
-                    raise ParseError(f"bad OBJ face line: {line!r}") from exc
-                if i < 0:
-                    i = len(verts) + 1 + i  # relative indexing
-                idx.append(i - 1)
-            tris.append(idx)
+            if len(fields) != 3:
+                raise NonTriangle(f"OBJ face with {len(fields)} vertices")
+            faces.append([r.split("/")[0] for r in fields])
+            n_before.append(len(verts))
         # all other record types (vn, vt, usemtl, ...) are ignored
-    if not verts or not tris:
+    if not verts or not faces:
         raise ParseError("OBJ file without vertices or faces")
-    return np.array(verts), np.array(tris, dtype=np.int64)
+    tris = _records(faces, 3, np.int64, "OBJ face")
+    # a negative index counts back from the vertices defined so far
+    tris = np.where(tris < 0, np.array(n_before)[:, None] + 1 + tris, tris) - 1
+    return _records(verts, 3, float, "OBJ vertex"), tris
 
 
 def save_off(mesh_or_arrays, path):

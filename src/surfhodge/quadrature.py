@@ -41,9 +41,7 @@ def triangle_rule(degree: int) -> QuadratureRule:
     degree = max(int(degree), 0)
     n = degree // 2 + 1
     # Gauss-Legendre in the collapsed direction s on [0, 1].
-    xs, ws = roots_legendre(n)
-    s = 0.5 * (xs + 1.0)
-    ws = 0.5 * ws
+    s, ws = edge_rule(degree)
     # Gauss-Jacobi with weight (1 - t) on [0, 1]; absorbs the Duffy Jacobian.
     xj, wj = roots_jacobi(n, 1.0, 0.0)
     t = 0.5 * (xj + 1.0)

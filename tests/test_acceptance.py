@@ -19,7 +19,7 @@ from surfhodge.flow import (
     run_simulation,
 )
 from surfhodge.hodge import HodgeSolver, decompose_p0_incomplete, verify_dimension
-from surfhodge.mesh import TopologySummary, analyze_topology
+from surfhodge.mesh import analyze_topology
 
 
 def report(num: int, name: str, passed: bool, detail: str = ""):
@@ -67,9 +67,10 @@ def test_criterion_1_harmonic_dimensions(acc_corpus):
 
 
 def test_criterion_2_dof_table_counts():
-    """Closed genus-1 surface with 3490 triangles: closed-form dof counts
-    for the coupled spaces at degree 3 come out exactly."""
-    topo = TopologySummary.closed_surface(3490, genus=1)
+    """Closed genus-1 surface with 3490 triangles (the 349 x 5 structured
+    torus): closed-form dof counts for the coupled spaces at degree 3 come
+    out exactly."""
+    topo = analyze_topology(meshes.torus_structured(349, 5))
     checks = {
         "lagrange deg 4": (count_dofs(topo, "lagrange", 4, "zero_mean"), 27920),
         "bdm deg 3": (count_dofs(topo, "bdm", 3), 48860),

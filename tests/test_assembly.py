@@ -273,7 +273,8 @@ def test_sip_parameter_validation(torus3):
 def test_convection_zero_field(torus3, rng):
     V = build_space(torus3, "bdm", 1, "zero_normal_trace")
     w = FeField(V, np.zeros(V.total_dofs))
-    cu = asm.convection_action(V, w, rng.standard_normal(V.total_dofs))[0]
+    cu = asm.convection_action(asm.convection_tabulation(V), w,
+                               rng.standard_normal(V.total_dofs))[0]
     assert not cu.any()
 
 
@@ -284,10 +285,11 @@ def test_convection_rejects_nondivfree(torus3, rng):
     S = build_space(torus3, "lagrange", 2, "zero_mean")
     rot = asm.assemble_rot_embedding(S, V) @ rng.standard_normal(S.total_dofs)
     r = rng.standard_normal(V.total_dofs)
-    asm.convection_action(V, FeField(V, rot), rot)
+    tab = asm.convection_tabulation(V)
+    asm.convection_action(tab, FeField(V, rot), rot)
     for w in (FeField(V, r), FeField(V, rot + 1e-6 * np.linalg.norm(rot) / np.linalg.norm(r) * r)):
         with pytest.raises(NotDivergenceFree):
-            asm.convection_action(V, w, w.coefficients)
+            asm.convection_action(tab, w, w.coefficients)
 
 
 def _interp_piecewise_constants(V, vec_by_tri):
@@ -317,6 +319,7 @@ def test_convection_hand_assembled_upwind():
     nu1 = mesh.conormals[t1, mesh.local_edge_of(t1, diag)]
     tau = mesh.edge_tangents[diag]
     h_e = mesh.edge_lengths[diag]
+    tab = asm.convection_tabulation(V)
 
     rng = np.random.default_rng(11)
     for sign in (1.0, -1.0):
@@ -343,7 +346,7 @@ def test_convection_hand_assembled_upwind():
             up = u0 if sign > 0 else u1
             hand = h_e * sign * ((u0 @ nu0) * (v0 @ nu0) + (up @ tau) * (v0 @ tau))
             hand -= h_e * sign * ((u1 @ nu1) * (v1 @ nu1) + (up @ tau) * (v1 @ tau))
-            got = v_c @ asm.convection_action(V, w, u_c)[0]
+            got = v_c @ asm.convection_action(tab, w, u_c)[0]
             assert got == pytest.approx(hand, rel=1e-12, abs=1e-13)
 
 
@@ -544,7 +547,7 @@ def test_convection_action_matches_ambient_oracle(request, rng, mesh_name, k):
         wmax = np.linalg.norm(asm.tabulate_field(w, cache["vol"][0]), axis=-1).max()
         for u in (rng.standard_normal(V.total_dofs), w.coefficients):
             want = _ambient_convection(V, w.coefficients, u)
-            got, umax = asm.convection_action(V, w, u, cache=cache)
+            got, umax = asm.convection_action(cache, w, u)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
             assert abs(umax - wmax) <= 1e-13 * wmax
 
@@ -575,7 +578,7 @@ def _probe_assembled(V, w, cache):
         group = np.flatnonzero(color == c)
         probe = np.zeros(n)
         probe[group] = 1.0
-        out = asm.convection_action(V, w, probe, cache=cache)[0]
+        out = asm.convection_action(cache, w, probe)[0]
         reached = np.zeros(n, bool)
         for j in group:
             r = P.indices[P.indptr[j]:P.indptr[j + 1]]
@@ -610,7 +613,7 @@ def test_convection_action_matches_assembled(request, rng, mesh_name, k):
         assert not leak.any()
         for u in (rng.standard_normal(V.total_dofs), w.coefficients):
             want = C @ u
-            got = asm.convection_action(V, w, u, cache=cache)[0]
+            got = asm.convection_action(cache, w, u)[0]
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -623,12 +626,13 @@ def test_convection_action_upwinds_both_directions(rng):
     diag = next(e for e in range(mesh.n_edges) if not mesh.boundary_edge_mask[e])
     t0 = int(mesh.edge_tris[diag, 0])
     nu0 = mesh.conormals[t0, mesh.local_edge_of(t0, diag)]
+    tab = asm.convection_tabulation(V)
     for sign in (1.0, -1.0):  # outflow from t0, then inflow into it
         w = FeField(V, _interp_piecewise_constants(V, [sign * nu0, sign * nu0]))
         for _ in range(3):
             u = rng.standard_normal(V.total_dofs)
             want = _ambient_convection(V, w.coefficients, u)
-            got = asm.convection_action(V, w, u)[0]
+            got = asm.convection_action(tab, w, u)[0]
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -642,7 +646,7 @@ def _check_energy_stability(mesh, rng, k):
     for _ in range(4):
         w = FeField(V, E @ rng.standard_normal(S.total_dofs))
         for u in (E @ rng.standard_normal(S.total_dofs), w.coefficients):
-            cu = asm.convection_action(V, w, u, cache=cache)[0]
+            cu = asm.convection_action(cache, w, u)[0]
             tol = min(1e-12 * np.linalg.norm(u) * np.linalg.norm(cu), 1e-10 * (u @ (M @ u)))
             assert u @ cu >= -tol
 
@@ -669,19 +673,20 @@ def test_convection_rejects_foreign_space():
     assert W.total_dofs == V.total_dofs
     w = FeField(W, np.zeros(W.total_dofs))
     with pytest.raises(DegreeMismatch):
-        asm.convection_action(V, w, np.zeros(V.total_dofs))
+        asm.convection_action(asm.convection_tabulation(V), w, np.zeros(V.total_dofs))
 
 
 def test_convection_rejects_foreign_tabulation():
-    """A tabulation built for another space is refused, not silently
-    rebuilt in place."""
+    """A field outside the space of the tabulation it is given (here one
+    degree lower, on the same mesh) is refused, and the tabulation is left
+    as it was."""
     mesh = meshes.torus_structured(3, 3)
     V = build_space(mesh, "bdm", 1, "zero_normal_trace")
     W = build_space(mesh, "bdm", 2, "zero_normal_trace")
     cache = asm.convection_tabulation(W)
     w = FeField(V, np.zeros(V.total_dofs))
     with pytest.raises(DegreeMismatch):
-        asm.convection_action(V, w, np.zeros(V.total_dofs), cache=cache)
+        asm.convection_action(cache, w, np.zeros(V.total_dofs))
     assert cache["space"] is W
 
 

@@ -68,6 +68,24 @@ def test_topology_nonmanifold_exit_2(tmp_path, capsys):
     assert main(["topology", "--mesh", str(path)]) == 2
 
 
+_TRIANGLE_VERTICES = "0 0 0\n1 0 0\n0 1 0\n"
+MALFORMED_MESHES = {
+    "short_face.off": f"OFF\n3 1 0\n{_TRIANGLE_VERTICES}3 0 1\n",
+    "word_index.off": f"OFF\n3 1 0\n{_TRIANGLE_VERTICES}3 0 1 x\n",
+    "fractional_index.off": f"OFF\n3 1 0\n{_TRIANGLE_VERTICES}3 0 1 2.5\n",
+    "two_coordinates.obj": "v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n",
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_MESHES)
+def test_topology_malformed_record_exit_2(tmp_path, capsys, name):
+    """A short or non-numeric record in a mesh file is an input error with
+    one stderr line, not a traceback."""
+    path = tmp_path / name
+    path.write_text(MALFORMED_MESHES[name])
+    assert_input_error(capsys, ["topology", "--mesh", str(path)])
+
+
 # ----------------------------------------------------------------- harmonic
 def test_harmonic_sphere_empty_basis(tmp_path, capsys):
     code, payload, _ = run_cli(capsys, "harmonic", "--mesh", "builtin:tetrahedron",

@@ -1,0 +1,133 @@
+"""README's "Removed API" table names what left the library on purpose.
+Each entry of its first column must stay gone: a module-level name or class
+attribute that resolves again, or a `f(param=)` whose `param` is back in
+`inspect.signature(f)`, fails the test, so the table and the code cannot
+drift apart."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+import re
+from pathlib import Path
+
+import surfhodge
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = {m.name: importlib.import_module(f"surfhodge.{m.name}")
+           for m in pkgutil.iter_modules(surfhodge.__path__)}
+CLASSES = {obj.__name__: obj for mod in MODULES.values() for obj in vars(mod).values()
+           if inspect.isclass(obj) and obj.__module__.startswith("surfhodge.")}
+
+# first-column entries that name no Python object, so nothing is resolved
+NOT_CHECKED = {
+    "surfhodge topology --seed": "a CLI flag; topology's parser is tested in test_cli",
+    "--tol": "a CLI flag of the same row",
+    '"SPD"': "a value of the removed kind= argument",
+    '"symmetric-indefinite"': "a value of the removed kind= argument",
+    "f(x)": "prose: how assemble_load used to call a forcing",
+}
+ENTRY = re.compile(r"(?:(\w+)\.|(\.))?(\w+)(?:\((.*)\))?")
+
+
+def removed_rows(text: str) -> list[list[str]]:
+    """The backquoted entries of the first column, one list per row."""
+    lines = text.split("### Removed API", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| --- |"))
+    rows = []
+    for line in lines[start + 1:]:
+        if not line.startswith("|"):
+            break
+        rows.append(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    return rows
+
+
+def _has(owner, name: str) -> bool:
+    if inspect.isclass(owner):
+        return hasattr(owner, name) or name in getattr(owner, "__dataclass_fields__", {})
+    return hasattr(owner, name)
+
+
+def _find(name: str) -> list:
+    """Every distinct module-level object or class attribute called name."""
+    found = {}
+    for owner in (*MODULES.values(), *CLASSES.values()):
+        if _has(owner, name):
+            found[id(inspect.getattr_static(owner, name, owner))] = owner
+    return [getattr(owner, name, None) for owner in found.values()]
+
+
+def problems(rows: list[list[str]]) -> list[str]:
+    """Entries that resolve again, and entries that cannot be resolved.  An
+    entry `.name` is an attribute of the row's previous callable."""
+    out = []
+    for row in rows:
+        previous = None
+        for entry in row:
+            if entry in NOT_CHECKED:
+                continue
+            m = ENTRY.fullmatch(entry)
+            if m is None:
+                out.append(f"{entry}: cannot parse")
+                continue
+            qual, dot, name, args = m.groups()
+            owner = previous if dot else MODULES.get(qual) or CLASSES.get(qual)
+            if (qual or dot) and owner is None:
+                out.append(f"{entry}: cannot resolve its owner")
+                continue
+            if owner is not None:
+                found = [getattr(owner, name, None)] if _has(owner, name) else []
+            else:
+                found = _find(name)
+            keywords = [a.split("=", 1) for a in (args or "").split(", ") if "=" in a]
+            if not keywords:  # the name itself was removed
+                if found:
+                    out.append(f"{entry}: still resolves")
+                continue
+            if len(found) != 1:
+                out.append(f"{entry}: {len(found)} objects to check, not one")
+                continue
+            previous = found[0]
+            params = inspect.signature(previous).parameters
+            for key, value in keywords:
+                if key not in params:
+                    continue
+                try:
+                    old = ast.literal_eval(value)
+                except (ValueError, SyntaxError):  # `key=` or `key=[c]`: the parameter went
+                    out.append(f"{entry}: {key} is still a parameter")
+                    continue
+                default = params[key].default
+                if default is not inspect.Parameter.empty and default == old:
+                    out.append(f"{entry}: {key} still defaults to {value}")
+    return out
+
+
+def test_removed_api_stays_removed():
+    rows = removed_rows(README.read_text())
+    assert len(rows) >= 40
+    entries = {e for row in rows for e in row}
+    assert set(NOT_CHECKED) <= entries, "an unchecked entry left the table"
+    assert problems(rows) == []
+
+
+def test_checker_flags_names_that_are_back():
+    assert problems([
+        ["HodgeSolver.decompose"],            # a class attribute
+        ["hodge.HodgeSolver"],                # a module-level name
+        ["load_mesh"],                        # found without a qualifier
+        ["assemble_load(time=0.0)"],          # a default that is still there
+        ["FactorizedOperator(A, gauge=)", ".solve"],
+        ["Nowhere.name"], ["nowhere(x=)"],    # nothing to check
+        ["a b"],
+    ]) == [
+        "HodgeSolver.decompose: still resolves",
+        "hodge.HodgeSolver: still resolves",
+        "load_mesh: still resolves",
+        "assemble_load(time=0.0): time still defaults to 0.0",
+        "FactorizedOperator(A, gauge=): gauge is still a parameter",
+        ".solve: still resolves",
+        "Nowhere.name: cannot resolve its owner",
+        "nowhere(x=): 0 objects to check, not one",
+        "a b: cannot parse",
+    ]

@@ -11,7 +11,7 @@ from surfhodge.hodge import (
     decompose_p0_incomplete,
     verify_dimension,
 )
-from surfhodge.mesh import SurfaceMesh, TopologySummary, analyze_topology
+from surfhodge.mesh import SurfaceMesh, analyze_topology
 from surfhodge.quadrature import triangle_rule
 
 
@@ -30,7 +30,7 @@ def test_verify_dimension_torus3(torus3):
 
 
 def test_verify_dimension_large_genus1():
-    rep = verify_dimension(TopologySummary.closed_surface(3490, 1), 3)
+    rep = verify_dimension(analyze_topology(meshes.torus_structured(349, 5)), 3)
     assert rep.difference == 2
     assert rep.consistent
 
@@ -426,6 +426,49 @@ def test_decompose_converges_to_exact_parts(k, min_rate):
     errors = np.array(errors)
     rates = np.log2(errors[:-1] / errors[1:])
     assert (rates[-1] >= min_rate).all(), rates
+
+
+def _prism(n_z, n_theta):
+    """A polygonal cylinder: n_theta flat faces around the unit circle,
+    n_z rows between z = 0 and z = 1, open at both ends (b1 = 1); its grid
+    is rolled in theta only."""
+    theta = 2 * np.pi * np.arange(n_theta) / n_theta
+    ring = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    verts = np.column_stack([np.tile(ring, (n_z + 1, 1)),
+                             np.repeat(np.linspace(0.0, 1.0, n_z + 1), n_theta)])
+    p00 = np.arange(n_z * n_theta).reshape(n_z, n_theta)
+    p10 = np.roll(p00, -1, axis=1)
+    return SurfaceMesh(verts, meshes._split_quads(p00, p10, p10 + n_theta, p00 + n_theta))
+
+
+def _circumferential(n_theta):
+    """The unit horizontal tangent of each face of _prism(., n_theta)."""
+    def field(x, t):
+        face = np.floor(np.mod(np.arctan2(x[..., 1], x[..., 0]), 2 * np.pi) * n_theta / (2 * np.pi))
+        mid = (face + 0.5) * 2 * np.pi / n_theta
+        return np.stack([-np.sin(mid), np.cos(mid), np.zeros_like(mid)], axis=-1)
+    return field
+
+
+@pytest.mark.parametrize("n_theta", [6, 12])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_decompose_prism_circumferential_field_is_harmonic(k, n_theta):
+    """The face-wise unit circumferential field of a prism is constant on
+    each triangle, so it lies in RT0, inside BDM_k; its flux is continuous
+    and zero on both rims, so it is divergence-free, and it is L2-orthogonal
+    to every rotated streamfunction.  decompose returns its L2 projection
+    as purely harmonic (measured: at most 2e-12 relative)."""
+    solver = HodgeSolver(_prism(3, n_theta), k)
+    basis = solver.harmonic_basis()
+    assert basis.dimension == 1
+    v = solver.mass_operator.solve(asm.assemble_load(solver.V, _circumferential(n_theta)))
+    comp = solver.decompose(FeField(solver.V, v), basis)
+
+    def norm(a):
+        return np.sqrt(a @ (solver.M @ a))
+
+    for rest in (v - comp.harmonic_part, comp.rot_part, comp.gradient_part):
+        assert norm(rest) <= 1e-10 * norm(v)
 
 
 def test_hierarchy_lowest_order_harmonics_span(torus, solver_cache, basis_cache):

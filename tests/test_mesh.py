@@ -73,14 +73,15 @@ def test_load_obj_structured_torus(tmp_path):
 
 
 def test_off_obj_round_trip(tmp_path, corpus):
-    mesh = corpus["sphere_4holes"]
-    for ext, save in (("off", save_off), ("obj", save_obj)):
-        path = tmp_path / f"m.{ext}"
-        save(mesh, path)
-        back = load_mesh(path)
-        assert back.n_triangles == mesh.n_triangles
-        assert back.n_edges == mesh.n_edges
-        assert np.allclose(back.vertices, mesh.vertices)
+    """Every corpus mesh written by save_off (the format the CLI reads in
+    the flow runs) or save_obj reads back as the same bytes."""
+    for name, mesh in corpus.items():
+        for ext, save in (("off", save_off), ("obj", save_obj)):
+            path = tmp_path / f"{name}.{ext}"
+            save(mesh, path)
+            back = load_mesh(path)
+            for got, want in ((back.vertices, mesh.vertices), (back.triangles, mesh.triangles)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, ext)
 
 
 def test_obj_ignores_other_records(tmp_path):
@@ -89,6 +90,33 @@ def test_obj_ignores_other_records(tmp_path):
         "vn 0 0 1\nv 0 0 0\nv 1 0 0\nv 0 1 0\nusemtl foo\nf 1//1 2//1 3//1\n")
     mesh = load_mesh(path)
     assert mesh.n_triangles == 1
+
+
+def test_off_header_counts_comments_and_colours(tmp_path):
+    """Counts on the header line, comment lines, trailing comments, blank
+    lines and colour columns after the coordinates and the indices."""
+    path = tmp_path / "quad.off"
+    path.write_text("# two triangles\nOFF 4 2 0  # counts here\n\n"
+                    "0 0 0 0.5 0.5 0.5\n1 1e-3 0\n1.5 1 0.1 # a comment\n-2.5E-1 1 0\n"
+                    "3 0 1 2 255 0 0\n\n3 0 2 3 0 255 0 # another\n")
+    mesh = load_mesh(path)
+    want_v = np.array([[0.0, 0.0, 0.0], [1.0, 1e-3, 0.0], [1.5, 1.0, 0.1], [-0.25, 1.0, 0.0]])
+    assert mesh.vertices.dtype == np.float64 and mesh.vertices.tobytes() == want_v.tobytes()
+    assert mesh.triangles.dtype == np.int64
+    assert mesh.triangles.tolist() == [[0, 1, 2], [0, 2, 3]]
+
+
+def test_obj_slash_forms_and_negative_indices(tmp_path):
+    """a//n, a/t/n and a/t references; a negative index counts back from
+    the vertices defined before its face (the trailing vertex is unused
+    and dropped)."""
+    path = tmp_path / "quad.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nvn 0 0 1\nv 1 1 0\nvt 0 0\nf 1//1 2//1 -1//1\n"
+                    "v 0 1 0\nf -4/1/1 -2/1 -1\nv 5 5 5\n")
+    mesh = load_mesh(path)
+    want_v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    assert mesh.vertices.tobytes() == want_v.tobytes()
+    assert mesh.triangles.tolist() == [[0, 1, 2], [0, 2, 3]]
 
 
 def test_parse_errors(tmp_path):
@@ -102,6 +130,11 @@ def test_parse_errors(tmp_path):
         load_mesh(quad)
     with pytest.raises(ParseError):
         load_mesh(tmp_path / "missing.xyz")
+    # one 2-coordinate vertex among 3-coordinate ones: not a numpy error
+    short = tmp_path / "short.obj"
+    short.write_text("v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n")
+    with pytest.raises(ParseError, match="fewer than 3"):
+        load_mesh(short)
 
 
 def test_nonmanifold_rejected():
