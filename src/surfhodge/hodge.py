@@ -6,9 +6,9 @@ space of discrete harmonic fields.  This module computes that splitting:
 
 * projection onto the divergence-free subspace through the streamfunction
   Laplacian and the harmonic basis, with the discrete-gradient complement
-  from a pressure Poisson multiplier (every factorization is SPD; there is
-  no saddle-point system), through a right inverse of B that factors only
-  a Laplacian over the triangles' mean pressure modes,
+  and its pressure Poisson multiplier from a right inverse of B that
+  factors only a Laplacian over the triangles' mean pressure modes (every
+  factorization is SPD; there is no saddle-point system),
 * randomized construction of an orthonormal harmonic basis,
 * three-way decomposition of arbitrary H(div) fields,
 * the lowest-order incomplete decomposition with the Crouzeix-Raviart
@@ -110,8 +110,10 @@ class HodgeComponents:
     """Three-way split of an H(div) field.
 
     The reconstruction rot(psi) + sum_i h_i H_i + gradient_part reproduces
-    the input up to residual_norm; lam is the zero-mean discrete-gradient
-    potential, gradient_part = M^-1 B' lam, from
+    the input up to residual_norm.  gradient_part is R B v minus its
+    projection onto rot S + H (R the right inverse of B), which equals
+    M^-1 B' lam up to solver precision; lam is the zero-mean
+    discrete-gradient potential from
     HodgeSolver.pressure_solve(M (v - rot(psi) - harmonic part)).
     """
 
@@ -334,21 +336,26 @@ class HodgeSolver:
         """Split an H(div) field into rot(psi) + harmonic + gradient parts.
 
         psi solves the streamfunction problem tested against rotated
-        gradients, the harmonic coefficients are plain L2 inner products
-        with the basis, and the gradient part M^-1 B' lam comes from the
-        pressure Poisson multiplier of what the two leave, so the residual
-        measures the whole split.
+        gradients and the harmonic coefficients are plain L2 inner products
+        with the basis.  The gradient part is g0 = R B v, which has v's
+        divergence, minus its own projection onto J = rot S + H: it equals
+        M^-1 B' lam up to solver precision, with no mass factor.  One
+        two-column L solve gives psi and g0's streamfunction.  lam is the
+        pressure Poisson multiplier of what the rot and harmonic parts
+        leave, and the residual measures the whole split: an incomplete
+        basis or an inaccurate L solve leaves it nonzero.
         """
         self.check_basis(basis)
         if not self.V.same_as(v.space):
             raise BasisMismatch("field does not live in the solver's space")
-        vc = v.coefficients
-        f = self.M @ vc
-        psi = self.laplace_operator.solve(self.E.T @ f)
-        h = basis.vectors @ f
-        rot_part, harmonic_part = self.E @ psi, basis.vectors.T @ h
+        vc, H = v.coefficients, basis.vectors
+        g0 = self._right_inverse(self.B @ vc)
+        f, fg = self.M @ vc, self.M @ g0  # two products beat one (n, 2) product
+        psi, psi_g = self.laplace_operator.solve(self.E.T @ np.column_stack([f, fg])).T
+        h = H @ f
+        rot_part, harmonic_part = self.E @ psi, H.T @ h
+        gradient_part = g0 - self.E @ psi_g - H.T @ (H @ fg)
         lam = self.pressure_solve(f - self.M @ (rot_part + harmonic_part))
-        gradient_part = self.mass_operator.solve(self.B.T @ lam)
         diff = vc - rot_part - harmonic_part - gradient_part
         residual = float(np.sqrt(max(diff @ (self.M @ diff), 0.0)))
         return HodgeComponents(

@@ -81,11 +81,11 @@ class TopologySummary:
 class SurfaceMesh:
     """Oriented manifold-with-boundary triangle mesh embedded in R^3.
 
-    The constructor validates the input (triangle-only, manifold edges,
-    manifold vertex umbrellas, non-degenerate triangles), repairs
-    inconsistent triangle windings when the mesh is orientable, and derives
-    all edge-level structures.  Instances are immutable after construction
-    and safe to share across threads.
+    The constructor validates the input (finite coordinates, triangle-only,
+    manifold edges, manifold vertex umbrellas, non-degenerate triangles),
+    repairs inconsistent triangle windings when the mesh is orientable, and
+    derives all edge-level structures.  Instances are immutable after
+    construction and safe to share across threads.
     """
 
     def __init__(self, vertices, triangles):
@@ -93,6 +93,8 @@ class SurfaceMesh:
         triangles = np.asarray(triangles, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise ParseError("vertices must be an (n, 3) array")
+        if not np.isfinite(vertices).all():
+            raise ParseError("vertex coordinates must be finite")
         if triangles.size == 0:
             raise ParseError("mesh contains no triangles")
         if triangles.ndim != 2 or triangles.shape[1] != 3:

@@ -86,6 +86,16 @@ def test_topology_malformed_record_exit_2(tmp_path, capsys, name):
     assert_input_error(capsys, ["topology", "--mesh", str(path)])
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", [["topology"], ["decompose", "--k", "1"]])
+def test_non_finite_vertex_exit_2(tmp_path, capsys, command, value):
+    """A mesh file with a non-finite vertex coordinate is an input error,
+    before any topology or assembly runs."""
+    path = tmp_path / "tetra.off"
+    path.write_text(TETRA_OFF.replace("\n1 1 1\n", f"\n{value} 1 0\n", 1))
+    assert_input_error(capsys, [command[0], "--mesh", str(path), *command[1:]])
+
+
 # ----------------------------------------------------------------- harmonic
 def test_harmonic_sphere_empty_basis(tmp_path, capsys):
     code, payload, _ = run_cli(capsys, "harmonic", "--mesh", "builtin:tetrahedron",

@@ -61,22 +61,26 @@ def test_sphere_needs_zero_solves(tetra):
     solver.decompose(FeField(solver.V, np.ones(solver.V.total_dofs)), basis)
     assert "pressure_operator" in vars(solver)
     assert solver.pressure_operator.n == tetra.n_triangles  # one unknown per triangle
-    assert solver.pressure_operator.solve_count == 1
+    assert solver.pressure_operator.solve_count == 2  # R B v and the multiplier
 
 
 def test_decompose_builds_each_factor_once(torus3, track_factors, rng):
-    """A HodgeSolver reused for many decompositions builds L, L0 and M
-    once each, on first use, and keeps them."""
+    """A HodgeSolver reused for many decompositions builds L and L0 once
+    each, on first use, and keeps them; decompose builds no mass factor
+    and makes one two-column L solve per call."""
     from surfhodge import hodge
 
     built = track_factors(hodge)
     solver = HodgeSolver(torus3, 1)
     basis = solver.harmonic_basis(seed=0)
+    draws = solver.laplace_operator.solve_count, solver.pressure_operator.solve_count
     for _ in range(3):
         solver.decompose(FeField(solver.V, rng.standard_normal(solver.V.total_dofs)), basis)
-    kept = (solver.laplace_operator, solver.pressure_operator, solver.mass_operator)
+    kept = (solver.laplace_operator, solver.pressure_operator)
     assert sorted(map(id, kept)) == sorted(id(ref()) for _, ref, _ in built)
-    assert solver.mass_operator.solve_count == 3
+    assert "mass_operator" not in vars(solver)
+    assert solver.laplace_operator.solve_count == draws[0] + 2 * 3
+    assert solver.pressure_operator.solve_count == draws[1] + 2 * 3
 
 
 def test_torus3_k0_orthogonality(torus3, solver_cache):
@@ -383,6 +387,49 @@ def test_harmonic_span_matches_dense_euclidean_projection(torus3, solver_cache, 
     cosines = np.linalg.svd(H @ M @ ref.T, compute_uv=False)
     assert len(cosines) == 2 == solver.topology.b1
     assert np.abs(cosines - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_decompose_gradient_part_is_mass_inverse_of_multiplier(corpus, solver_cache,
+                                                               basis_cache, rng, k):
+    """decompose takes the gradient part from R B v minus its J-projection,
+    without a mass factor; it equals M^-1 B' lam of the returned multiplier
+    up to solver precision (measured: at most 1.3e-12 of |v|_M)."""
+    from surfhodge.linalg import FactorizedOperator
+
+    for name, mesh in corpus.items():
+        solver = solver_cache(mesh, k)
+        v = rng.standard_normal(solver.V.total_dofs)
+        comp = solver.decompose(FeField(solver.V, v), basis_cache(mesh, k))
+        d = comp.gradient_part - FactorizedOperator(solver.M).solve(
+            solver.B.T @ comp.lam.coefficients)
+        assert np.sqrt(d @ (solver.M @ d)) <= 1e-11 * np.sqrt(v @ (solver.M @ v)), name
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_decompose_pure_gradient_input(corpus, solver_cache, basis_cache, rng, k):
+    """A discrete gradient v = M^-1 B' lam* (lam* random, zero-mean) comes
+    back as the gradient part, with no rot or harmonic part (measured: at
+    most 1.4e-14 of |v|_M for rot and harmonic parts, 2.0e-12 for the
+    gradient error and the residual)."""
+    from surfhodge.linalg import FactorizedOperator
+
+    for name, mesh in corpus.items():
+        solver = solver_cache(mesh, k)
+        mq = asm.assemble_moment(solver.Q)
+        lam = rng.standard_normal(solver.Q.total_dofs)
+        lam -= (mq @ lam) / (mq @ mq) * mq
+        v = FactorizedOperator(solver.M).solve(solver.B.T @ lam)
+        comp = solver.decompose(FeField(solver.V, v), basis_cache(mesh, k))
+
+        def norm(a):
+            return np.sqrt(a @ (solver.M @ a))
+
+        nv = norm(v)
+        assert norm(comp.gradient_part - v) <= 1e-10 * nv, name
+        assert norm(comp.rot_part) <= 1e-10 * nv, name
+        assert norm(comp.harmonic_part) <= 1e-10 * nv, name
+        assert comp.residual_norm <= 1e-11 * nv, name
 
 
 def _patch_parts(x):

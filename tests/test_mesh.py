@@ -137,6 +137,15 @@ def test_parse_errors(tmp_path):
         load_mesh(short)
 
 
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_rejected(value):
+    """Every vertex must be finite, an unreferenced one included."""
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [value, 1.0, 0.0]])
+    for tris in ([[0, 1, 3]], [[0, 1, 2]]):
+        with pytest.raises(ParseError, match="finite"):
+            SurfaceMesh(verts, tris)
+
 def test_nonmanifold_rejected():
     # three triangles sharing one edge
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]], float)
