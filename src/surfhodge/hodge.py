@@ -216,6 +216,8 @@ class HodgeSolver:
         B_e0 = self.B[:, e0]
         self._B0 = B_e0[self._q0]
         self._G = (sp.eye(self.V.total_dofs, format="csr")[:, e0] - self._PK @ B_e0) @ self._B0.T
+        # the transposes that every decomposition applies, as csc views
+        self._ET, self._PKT, self._GT = self.E.T, self._PK.T, self._G.T
         self._checksum = mesh.checksum()
 
     # ------------------------------------------------------------ operators
@@ -241,8 +243,8 @@ class HodgeSolver:
         right inverse of B on zero-mean pressures: lam[q0] = L0^-1 G' r and
         lam[qp] = (PK' r)[qp].  It solves B' lam = r exactly when the
         velocity functional r vanishes on the divergence-free subspace."""
-        lam = self._PK.T @ r
-        lam[self._q0] = self.pressure_operator.solve(self._G.T @ r)
+        lam = self._PKT @ r
+        lam[self._q0] = self.pressure_operator.solve(self._GT @ r)
         return lam
 
     def _right_inverse(self, b: np.ndarray) -> np.ndarray:
@@ -282,7 +284,7 @@ class HodgeSolver:
             r = rng.standard_normal(n)
             r /= np.sqrt(r @ (self.M @ r))
             u = r - self._right_inverse(self.B @ r)
-            psi = self.laplace_operator.solve(self.E.T @ (self.M @ u))
+            psi = self.laplace_operator.solve(self._ET @ (self.M @ u))
             w = u - self.E @ psi
             for _ in range(2):  # twice-applied MGS for conditioning
                 for q in accepted:
@@ -327,7 +329,7 @@ class HodgeSolver:
         div = max((asm.divergence_norm(self.V, h) for h in H), default=0.0)
         if div > 1e-6:
             raise BasisMismatch(f"harmonic basis is not divergence-free (|div h| {div:.1e})")
-        rot = float(abs(self.E.T @ MH).max(initial=0.0))
+        rot = float(abs(self._ET @ MH).max(initial=0.0))
         if rot > 1e-8:
             raise BasisMismatch(
                 f"harmonic basis is not orthogonal to the rotated gradients ({rot:.1e})")
@@ -351,7 +353,7 @@ class HodgeSolver:
         vc, H = v.coefficients, basis.vectors
         g0 = self._right_inverse(self.B @ vc)
         f, fg = self.M @ vc, self.M @ g0  # two products beat one (n, 2) product
-        psi, psi_g = self.laplace_operator.solve(self.E.T @ np.column_stack([f, fg])).T
+        psi, psi_g = self.laplace_operator.solve(self._ET @ np.column_stack([f, fg])).T
         h = H @ f
         rot_part, harmonic_part = self.E @ psi, H.T @ h
         gradient_part = g0 - self.E @ psi_g - H.T @ (H @ fg)
@@ -399,7 +401,7 @@ def decompose_p0_incomplete(v: FeField, basis: HarmonicBasis | None = None) -> P
 
     C = asm.assemble_cross_mass(solver.V, space)  # (nV0, nP0)
     Cv = C @ v.coefficients
-    psi = solver.laplace_operator.solve(solver.E.T @ Cv)
+    psi = solver.laplace_operator.solve(solver._ET @ Cv)
     h = basis.vectors @ Cv
 
     CR = build_space(mesh, "crouzeix_raviart", 1, "zero_mean")

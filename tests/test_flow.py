@@ -604,6 +604,19 @@ def test_step_blocks_match_restricted_parent(mesh_name, basis_cache, request):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
 
+def test_step_factor_fill_on_trefoil(flow_factors):
+    """The time-step block of the unstructured trefoil tube at the
+    nse_trefoil.cfg settings holds about 113k LU entries with unrelaxed
+    supernodes, against 138k with SuperLU's default relax = 10."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "nse_trefoil.cfg"
+    cfg, _ = load_simulation_config(path)
+    ops = FlowOperators(meshes.trefoil_tube(24, 8), cfg)
+    flow_factors.clear()
+    stepper = NavierStokesStepper(ops)
+    assert flow_factors == [stepper.solver.op]
+    assert stepper.solver.op.lu_nnz < 125_000
+
+
 def test_run_restricts_the_viscous_form_once(torus3, basis_cache, monkeypatch):
     """A run restricts each parent operator once: the Stokes start and the
     stepper reuse the viscous blocks of FlowOperators."""
