@@ -226,6 +226,7 @@ def cmd_stokes(args) -> int:
         "harmonic_coeffs": state.h_coeffs.tolist(),
         "div_norm": asm.divergence_norm(ops.V, state.u.coefficients),
         "sparse_solves": info["sparse_solves"],
+        "refinement_solves": info["refinement_solves"],
     }
     lines = [
         f"stokes solve: |u| = {un:.6g}, kinetic energy = {state.kinetic_energy:.6g}",

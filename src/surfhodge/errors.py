@@ -90,7 +90,7 @@ class SingularSchur(SolverError):
 
 
 class SingularOperator(SolverError):
-    """Reduced operator is singular (un-gauged kernel)."""
+    """Reduced operator is singular beyond the constants (e.g. mu = 0)."""
 
 
 class SolverFailure(SolverError):

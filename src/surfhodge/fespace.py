@@ -320,9 +320,9 @@ class FeSpace:
 
     dof_map[t, i] is the global index of local dof i on triangle t (-1 when
     the dof was removed by a trace constraint); dof_signs carries the
-    orientation factors relating local to global coefficients.  zero_mean is
-    never realized by removing a dof; it is enforced at solve time through a
-    scalar multiplier, and total_dofs reports the unconstrained count.
+    orientation factors relating local to global coefficients.  zero_mean
+    removes no dof: a reported field is shifted to zero mean
+    (linalg.zero_mean), and total_dofs reports the unconstrained count.
     """
 
     kind: str
@@ -525,8 +525,8 @@ def count_dofs(topology: TopologySummary, kind: str, degree: int, constraint: st
     This counts what build_space numbers, so it matches build_space's
     total_dofs on every mesh, and raises what build_space raises for the
     same arguments.  The zero_mean constraint does not change the count
-    (it is a solve-time multiplier); use FeSpace.constrained_dim for the
-    reduced dimension.
+    (it removes no dof); use FeSpace.constrained_dim for the reduced
+    dimension.
     """
     kind, k = _check_space(kind, degree, constraint, topology.n_components)
     nv, ne, nt = _KINDS[kind].per_entity(k)

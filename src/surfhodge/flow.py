@@ -4,9 +4,9 @@ Velocity is sought directly in the divergence-free H(div) subspace through
 its streamfunction + harmonic parametrization: operators are assembled in
 the parent H(div) space and restricted once, by JEmbedding.reduce_matrix,
 to a BlockSystem: a sparse streamfunction block, b1 dense harmonic columns
-and their transpose, and the gauge.  ReducedSolver factorizes that
-operator and solves it for any load by a Schur complement, with exactly
-(number of harmonic dofs + 1) sparse solves for the first load.
+and their transpose.  ReducedSolver factorizes that operator and solves it
+for any load by a Schur complement, with exactly (number of harmonic dofs
++ 1) sparse solves for the first load.
 
 A velocity-pressure saddle-point solver on the full H(div) space serves as
 the cross-validation oracle, an augmented-Lagrangian iteration on one SPD
@@ -79,32 +79,28 @@ class JEmbedding:
     def reduce_vector(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.ET @ b, self.H @ b
 
-    def reduce_matrix(self, A: sp.spmatrix, gauge: np.ndarray | None = None) -> BlockSystem:
+    def reduce_matrix(self, A: sp.spmatrix) -> BlockSystem:
         """Restrict a symmetric parent-space operator to the divergence-free
         subspace: the BlockSystem of T' A T in the (stream, harmonic)
-        partition, with the given gauge on its streamfunction block.
-        Raises DimensionMismatch unless A is square on the parent space and
-        NotSPD when |A - A'| > 1e-12 |A|."""
+        partition.  Raises DimensionMismatch unless A is square on the
+        parent space and NotSPD when |A - A'| > 1e-12 |A|."""
         n = self.E.shape[0]
         if A.shape != (n, n):
             raise DimensionMismatch(f"operator shape {A.shape} != parent dim {n}")
         check_symmetric(sp.csr_matrix(A), "operator to restrict")
         AH = A @ self.H.T  # (N, b1) dense
-        return BlockSystem((self.ET @ (A @ self.E)).tocsc(), self.ET @ AH, self.H @ AH, gauge)
+        return BlockSystem((self.ET @ (A @ self.E)).tocsc(), self.ET @ AH, self.H @ AH)
 
 
 @dataclass
 class BlockSystem:
     """Symmetric reduced operator [[A_ss, A_sh], [A_sh', A_hh]]: sparse
-    streamfunction block, dense harmonic columns and block, and the gauge
-    of A_ss, the moment vector of its zero-mean constraint on closed
-    surfaces (None on surfaces with boundary).  Loads are not part of it;
-    ReducedSolver.solve takes them."""
+    streamfunction block, dense harmonic columns and block.  Loads are not
+    part of it; ReducedSolver.solve takes them."""
 
     A_ss: sp.spmatrix
     A_sh: np.ndarray
     A_hh: np.ndarray
-    gauge: np.ndarray | None = None
 
     @property
     def n_harmonic(self) -> int:
@@ -119,21 +115,20 @@ class ReducedSolver:
     brings the count of sparse solves to n_harmonic + 1; each further load
     costs one sparse solve.  n_harmonic = 0 takes the same path: the
     (n, 0) columns cost no solve and the 0 x 0 Schur complement leaves the
-    streamfunction solve as it is.  A singular streamfunction block (an
-    un-gauged kernel, or a gauge that does not fix it) is detected by
-    FactorizedOperator's near-null-vector test and raised as
-    SingularOperator; a Schur complement that Cholesky rejects (indefinite,
-    singular or not finite) raises SingularSchur.
+    streamfunction solve as it is.  A streamfunction block whose kernel is
+    the constants (a closed surface) is solved with its first dof pinned; a
+    block singular beyond the constants fails FactorizedOperator's
+    near-null-vector test and raises SingularOperator; a Schur complement
+    that Cholesky rejects (indefinite, singular or not finite) raises
+    SingularSchur.
     """
 
     def __init__(self, system: BlockSystem):
         self.system = system
         try:
-            self.op = FactorizedOperator(system.A_ss, system.gauge)
+            self.op = FactorizedOperator(system.A_ss)
         except (SingularMatrix, NotSPD) as exc:
-            raise SingularOperator(
-                "streamfunction block is singular; an un-gauged kernel remains"
-            ) from exc
+            raise SingularOperator("streamfunction block is singular") from exc
         self.Z = self.op.solve(np.asarray(system.A_sh, dtype=float))
         try:  # SPD whenever the block system is; ValueError: non-finite entries
             self._schur_cho = dla.cho_factor(system.A_hh - system.A_sh.T @ self.Z)
@@ -246,9 +241,9 @@ _AL_PENALTY = 10.0
 
 class FlowOperators:
     """Spaces, forms and the embedding for one (mesh, config) pair; A_red
-    is the BlockSystem of A_visc with the gauge, restricted once.  The
-    load of a steady forcing is assembled here too, so a forcing that is
-    not finite fails at construction with NaNDetected.
+    is the BlockSystem of A_visc, restricted once.  The load of a steady
+    forcing is assembled here too, so a forcing that is not finite fails at
+    construction with NaNDetected.
 
     A basis passed in is checked by HodgeSolver.validate_basis; without one
     the basis is drawn with config.seed, and the streamfunction factor L
@@ -273,14 +268,13 @@ class FlowOperators:
         self.M = self.hodge.M
         self.pressure_mass = asm.assemble_mass(self.Q)  # diagonal: orthonormal DG basis
         self.emb = JEmbedding(self.hodge.E, basis.vectors)
-        self.gauge = self.hodge.gauge
         if config.mu == 0:
             self.A_visc = sp.csr_matrix((self.V.total_dofs, self.V.total_dofs))
         else:
             self.A_visc = asm.assemble_sip(
                 self.V, mu=config.mu, alpha=config.alpha,
                 dirichlet=(config.bc == "noslip"))
-        self.A_red = self.emb.reduce_matrix(self.A_visc, self.gauge)
+        self.A_red = self.emb.reduce_matrix(self.A_visc)
         self.forcing = config.forcing if config.forcing is not None else _zero_forcing
         self._load_tab = asm.load_tabulation(self.V)
         self._steady_load = None
@@ -304,7 +298,7 @@ class FlowOperators:
         Mu = self.M @ u
         return FlowState(
             t=t,
-            psi=FeField(self.S, x_s),
+            psi=self.hodge.stream_field(x_s),
             h_coeffs=np.asarray(x_h, dtype=float),
             u=FeField(self.V, u),
             Mu=Mu,
@@ -325,16 +319,23 @@ class FlowOperators:
     def stokes_reduced(self, load: np.ndarray | None = None):
         """Solve the reduced viscous problem for load (default: the
         forcing's load at t = 0); returns (state, info), the state at t = 0
-        and info holding sparse_solves (n_harmonic + 1) and n_harmonic.
+        and info holding sparse_solves (n_harmonic + 1, the Schur solve),
+        refinement_solves (1) and n_harmonic.  The solve is refined once
+        against the parent-space residual b - A u: A_ss = E' A E is
+        conditioned like a fourth-order operator (48x24 torus, k = 2: a
+        velocity gap to stokes_saddle of 4.6e-9, and 8e-13 refined).
 
-        Raises SingularOperator when the gauged streamfunction block is
-        singular, e.g. for mu = 0, where no viscous form remains.
+        Raises SingularOperator when the streamfunction block is singular
+        beyond the constants, e.g. for mu = 0, where no viscous form remains.
         """
         b = self.load_vector(0.0) if load is None else load
         solver = ReducedSolver(self.A_red)
         x_s, x_h = solver.solve(*self.emb.reduce_vector(b))
-        info = {"sparse_solves": solver.sparse_solves, "n_harmonic": self.A_red.n_harmonic}
-        return self.make_state(0.0, x_s, x_h), info
+        info = {"sparse_solves": solver.sparse_solves, "refinement_solves": 1,
+                "n_harmonic": self.A_red.n_harmonic}
+        r = b - self.A_visc @ self.emb.apply(x_s, x_h)
+        d_s, d_h = solver.solve(*self.emb.reduce_vector(r))
+        return self.make_state(0.0, x_s + d_s, x_h + d_h), info
 
     def stokes_saddle(self, load: np.ndarray | None = None):
         """Velocity-pressure saddle-point oracle [[A, B'], [B, 0]] [u; p] =
@@ -409,7 +410,7 @@ class NavierStokesStepper:
         # the harmonic columns M H' restricted like loads: E' M H', H M H'
         M_sh, M_hh = ops.emb.reduce_vector(ops.M @ ops.emb.H.T)
         self.system = BlockSystem((ops.hodge.L / dt + red.A_ss).tocsc(), M_sh / dt + red.A_sh,
-                                  M_hh / dt + red.A_hh, red.gauge)
+                                  M_hh / dt + red.A_hh)
         try:
             self.solver = ReducedSolver(self.system)
         except SingularOperator as exc:  # M/dt shift makes this unexpected

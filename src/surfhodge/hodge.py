@@ -36,7 +36,7 @@ from .errors import (
     WrongDegree,
 )
 from .fespace import FeField, build_space, count_dofs
-from .linalg import FactorizedOperator
+from .linalg import FactorizedOperator, zero_mean
 from .mesh import SurfaceMesh, TopologySummary, analyze_topology
 from .quadrature import triangle_rule
 
@@ -174,11 +174,12 @@ class HodgeSolver:
     L is the streamfunction form (rot psi, rot phi) = (grad psi, grad phi):
     rot = n x grad is an isometry and rot maps S exactly into V (E), so L =
     E' M E, assembled as the Lagrange stiffness it equals, which stores
-    none of the rounding-level entries of E.  The gauge is its zero-mean
-    moment on closed surfaces (None otherwise); the flow solvers reuse
-    both.  All operations are pure given the immutable mesh; the random
-    number generator of the harmonic search is an explicit seeded input, so
-    runs are reproducible.  The factorizations are built on first use and
+    none of the rounding-level entries of E; the flow solvers reuse it.  The
+    factors of L0 and, on a closed surface, L pin a dof (their kernel is the
+    constants); pressure_solve and stream_field report zero-mean fields.
+    All operations are pure given the immutable mesh; the random number
+    generator of the harmonic search is an explicit seeded input, so runs
+    are reproducible.  The factorizations are built on first use and
     cached on the instance (functools.cached_property), so the solver is not
     immutable after construction; removing a factor from vars(solver)
     releases it, and its next use builds it again.
@@ -199,7 +200,7 @@ class HodgeSolver:
         self.B = asm.assemble_div(self.V, self.Q)
         self.E = asm.assemble_rot_embedding(self.S, self.V)
         self.L = asm.assemble_broken_stiffness(self.S)
-        self.gauge = asm.assemble_moment(self.S) if self.S.zero_mean else None
+        self._psi_moment = asm.assemble_moment(self.S) if self.S.zero_mean else None
         # Right inverse of B (pressure_solve).  A triangle's mean mode q0
         # pairs only with the lowest edge-flux moments e0: B0 = B[q0, e0].
         # Its bubbles' divergences span its other modes qp through one
@@ -209,6 +210,7 @@ class HodgeSolver:
         e0 = np.unique(self.V.dof_map[:, :ne:self.k + 1])
         e0 = e0[e0 >= 0]
         self._q0, qp = self.Q.dof_map[:, 0], self.Q.dof_map[:, 1:]
+        self._q0_moment = asm.assemble_moment(self.Q)[self._q0]
         vi, s = self.V.dof_map[:, ne:], self.V.dof_signs[:, ne:]
         K = np.linalg.pinv(asm.reference_div_block(self.V, self.Q)[1:, ne:])
         self._PK = asm._scatter(np.broadcast_to(K, (mesh.n_triangles, *K.shape)), vi, 1 / s,
@@ -224,15 +226,13 @@ class HodgeSolver:
     @cached_property
     def pressure_operator(self) -> FactorizedOperator:
         """Factorized mean-mode Laplacian L0 = B0 B0', a dual-graph
-        Laplacian with one unknown per triangle, on zero-mean multipliers:
-        the one pressure factor."""
-        return FactorizedOperator(self._B0 @ self._B0.T, asm.assemble_moment(self.Q)[self._q0])
+        Laplacian with one unknown per triangle: the one pressure factor."""
+        return FactorizedOperator(self._B0 @ self._B0.T)
 
     @cached_property
     def laplace_operator(self) -> FactorizedOperator:
-        """Factorized streamfunction form L, gauged by the zero-mean
-        constraint on closed surfaces."""
-        return FactorizedOperator(self.L, self.gauge)
+        """Factorized streamfunction form L."""
+        return FactorizedOperator(self.L)
 
     @cached_property
     def mass_operator(self) -> FactorizedOperator:
@@ -244,8 +244,12 @@ class HodgeSolver:
         lam[qp] = (PK' r)[qp].  It solves B' lam = r exactly when the
         velocity functional r vanishes on the divergence-free subspace."""
         lam = self._PKT @ r
-        lam[self._q0] = self.pressure_operator.solve(self._GT @ r)
+        lam[self._q0] = zero_mean(self.pressure_operator.solve(self._GT @ r), self._q0_moment)
         return lam
+
+    def stream_field(self, x: np.ndarray) -> FeField:
+        """The streamfunction x, shifted to zero mean on a closed surface."""
+        return FeField(self.S, zero_mean(x, self._psi_moment))
 
     def _right_inverse(self, b: np.ndarray) -> np.ndarray:
         """R b, so that B R b = b for every zero-mean pressure load b."""
@@ -361,7 +365,7 @@ class HodgeSolver:
         diff = vc - rot_part - harmonic_part - gradient_part
         residual = float(np.sqrt(max(diff @ (self.M @ diff), 0.0)))
         return HodgeComponents(
-            psi=FeField(self.S, psi),
+            psi=self.stream_field(psi),
             h_coeffs=h,
             lam=FeField(self.Q, lam),
             residual_norm=residual,
@@ -406,8 +410,8 @@ def decompose_p0_incomplete(v: FeField, basis: HarmonicBasis | None = None) -> P
 
     CR = build_space(mesh, "crouzeix_raviart", 1, "zero_mean")
     K = asm.assemble_broken_stiffness(CR)
-    cr_gauge = FactorizedOperator(K, asm.assemble_moment(CR))
-    phi = cr_gauge.solve(asm.assemble_gradient_load(CR, v))
+    phi = zero_mean(FactorizedOperator(K).solve(asm.assemble_gradient_load(CR, v)),
+                    asm.assemble_moment(CR))
 
     # pointwise residual: v - rot(psi) - harmonic - grad_h(phi)
     rule = triangle_rule(4)
@@ -419,7 +423,7 @@ def decompose_p0_incomplete(v: FeField, basis: HarmonicBasis | None = None) -> P
     diff = asm.tabulate_field(v, rule) - recon
     resid = float(np.sqrt(np.einsum("tqi,tqi,q,t->", diff, diff, rule.weights, mesh.Jdet)))
     return P0Decomposition(
-        psi=FeField(solver.S, psi),
+        psi=solver.stream_field(psi),
         h_coeffs=h,
         phi=FeField(CR, phi),
         residual_norm=resid,

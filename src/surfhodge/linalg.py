@@ -1,19 +1,16 @@
-"""Sparse direct factorization of SPD matrices with an optional pinned gauge.
+"""Sparse direct factorization of SPD matrices, or of SPD matrices up to
+a kernel of constants.
 
 Desk-scale problems (<= ~1e5 dofs) are handled by scipy's SuperLU
-factorization; no iterative solvers.  Every factored operator is SPD
-(streamfunction forms, mass matrices, the mean-mode Laplacian of the
-pressure Poisson solve, the augmented viscous block of the saddle-point
-oracle), and
+factorization; no iterative solvers.  Every factored operator is SPD (mass
+matrices, the saddle-point oracle's augmented block) or has the constants
+as its kernel (the streamfunction forms and step block on a closed
+surface, the mean-mode and Crouzeix-Raviart Laplacians).
 FactorizedOperator is the one factorization class, with one ordering and
-pivoting policy for every factor.  A zero-mean (or other) gauge constraint
-on an operator with a one-dimensional kernel is imposed by pinning the
-first dof and projecting along the kernel, so a gauged block keeps a
-symmetric factorization.  FactorizedOperator is also the one place that
-decides singularity, by one test on every factor: the factor yields a
-near-null vector z of A (the kernel vector under a gauge, A^-1 r for a fixed
-random r otherwise), and A counts as singular when |A z| <= 1e-10 |A| |z|
-(infinity norms).  Every FactorizedOperator counts its solves (one per
+pivoting policy for every factor; it finds a constants kernel itself and
+pins the first dof, and zero_mean shifts a pinned solution to zero mean.
+It is also the one place that decides singularity, by one near-null test
+on every factor.  Every FactorizedOperator counts its solves (one per
 right-hand side), which the Schur-complement instrumentation relies on.
 """
 
@@ -39,29 +36,28 @@ from .errors import NotSPD, SingularMatrix
 _SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "relax": 1,
                  "options": {"SymmetricMode": True}}
 
-# Singularity test: z is a near-null vector of A when |A z| <= tol |A| |z|,
-# and c fixes a kernel z when |c' z| > tol |c|_1 |z| (other norms: infinity
-# norms).  Measured |A z| / (|A| |z|): ungauged singular blocks <= 5e-15 and
-# gauged kernels <= 7e-14 (tori up to 96x48, k <= 2), accepted ungauged
-# factors >= 1e-5 (all factors of the test suite).
+# Kernel tests, in infinity norms: A has the constants as a kernel when
+# |A 1| <= tol |A|, and a factor F of A is singular when z = F^-1 r is
+# near-null, |F z| <= tol |A| |z|.  Measured over every factor of the test
+# suite: |A 1| / |A| <= 4.8e-15 for the constants-kernel blocks and >= 0.033
+# for the others; |F z| / (|A| |z|) <= 6e-15 for singular blocks and
+# >= 3e-8 for accepted ones.  The pinned Stokes block's ratio falls with
+# the mesh (k = 2 torus: 1.2e-7 at 32x16, 1.3e-8 at 64x32).
 _KERNEL_TOL = 1e-10
 
 
 class FactorizedOperator:
-    """Reusable LU factorization of a sparse SPD matrix A, optionally gauged
-    by one linear constraint c' x = 0 (gauge = c, a vector); with a gauge, A
-    is positive definite on the gauge's null space.  NotSPD is raised unless
-    A is symmetric with a positive diagonal; that is necessary for SPD, not
-    sufficient: an indefinite [[1, 2], [2, 1]] factors without NotSPD.
+    """Reusable LU factorization of a sparse SPD matrix A, or of one that is
+    SPD up to a kernel of constants.  NotSPD is raised unless A is symmetric
+    with a positive diagonal; that is necessary for SPD, not sufficient: an
+    indefinite [[1, 2], [2, 1]] factors without NotSPD.
 
-    With a gauge, A must have a one-dimensional kernel z with z_0 != 0.
-    A is factorized without its first row and column, z is computed once
-    from that factor (z_0 = 1), and solve(b) returns the solution of the
-    bordered system [[A, c], [c', 0]] [x; l] = [b; 0]: it removes the
-    component of b outside the range of A, solves with x_0 = 0 and adds the
-    multiple of z that makes c' x = 0.  Without a gauge, z = A^-1 r
-    must not be near-null.  SingularMatrix is raised when the test fails and
-    for non-finite entries of A.
+    When |A 1| <= 1e-10 |A| (infinity norms) A is factorized without its
+    first row and column, pinned is True, and solve(b) returns the solution
+    with x_0 = 0 of A x = b for 1'b = 0.  SingularMatrix is raised when
+    z = F^-1 r, F the matrix factored and r a fixed random vector, is
+    near-null, |F z| <= 1e-10 |A| |z| (so a kernel larger than the
+    constants is rejected), and for non-finite entries of A.
 
     solve() accepts a vector or a matrix of right-hand-side columns and
     increments solve_count by the number of columns; concurrent solves from
@@ -69,7 +65,7 @@ class FactorizedOperator:
     of entries stored in its L and U factors (0 for an empty A).
     """
 
-    def __init__(self, A: sp.spmatrix, gauge: np.ndarray | None = None):
+    def __init__(self, A: sp.spmatrix):
         A = sp.csc_matrix(A)
         n, m = A.shape
         if n != m:
@@ -77,7 +73,7 @@ class FactorizedOperator:
         if not np.isfinite(A.data).all():
             raise SingularMatrix("matrix has non-finite entries")
         self.n = n
-        self.gauge = None if gauge is None else np.asarray(gauge, dtype=float)
+        self._pinned = False
         self.solve_count = 0
         self._count_lock = threading.Lock()
         self.lu_nnz = 0
@@ -87,30 +83,23 @@ class FactorizedOperator:
         if (A.diagonal() <= 0).any():
             raise NotSPD("nonpositive diagonal entry in a matrix declared SPD")
         check_symmetric(A, "matrix declared SPD")
+        A_norm = (_abs(A) @ np.ones(n)).max()  # |A|'s largest row sum
+        self._pinned = _is_near_null(A, np.ones(n), A_norm)
+        F = A[1:, 1:] if self._pinned else A
         try:
-            self._lu = spla.splu(A if self.gauge is None else A[1:, 1:], **_SPLU_OPTIONS)
+            self._lu = spla.splu(F, **_SPLU_OPTIONS)
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise SingularMatrix(str(exc)) from exc
         self.lu_nnz = self._lu.nnz
-        # the factor's own near-null vector z (its solve is not counted)
-        if self.gauge is None:
-            z = self._lu.solve(np.random.default_rng(0).standard_normal(n))
-            if _is_near_null(A, z):
-                raise SingularMatrix("matrix is numerically singular")
-            return
-        z = np.empty(n)
-        z[0] = 1.0
-        z[1:] = -self._lu.solve(A[1:, 0].toarray().ravel())
-        if not _is_near_null(A, z):
-            raise SingularMatrix("gauge constraint given for an operator "
-                                 "without a kernel")
-        c = self.gauge
-        cz = float(c @ z)
-        # a non-finite z (pinned block singular: the kernel is larger or
-        # z_0 = 0) fails this comparison too
-        if not abs(cz) > _KERNEL_TOL * np.abs(c).sum() * np.abs(z).max():
-            raise SingularMatrix("gauge constraint does not fix the kernel")
-        self._z, self._cz = z, cz
+        # the factor's own near-null vector (its solve is not counted)
+        if _is_near_null(F, self._lu.solve(np.random.default_rng(0).standard_normal(F.shape[0])),
+                         A_norm):
+            raise SingularMatrix("matrix is numerically singular")
+
+    @property
+    def pinned(self) -> bool:
+        """True when A's kernel is the constants and its first dof is pinned."""
+        return self._pinned
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -118,25 +107,18 @@ class FactorizedOperator:
             self.solve_count += 1 if b.ndim == 1 else b.shape[1]
         if self.n == 0:
             return np.zeros_like(b)
-        if self.gauge is None:
+        if not self._pinned:
             return self._lu.solve(b)
-        z, c = self._z, self.gauge
-        # A is symmetric, so z spans its left kernel: drop c's share of b
-        # along it, which is what the bordered system's multiplier absorbs
-        b = b - np.multiply.outer(c, _dots(z, b) / self._cz)
         x = np.zeros_like(b)
         x[1:] = self._lu.solve(b[1:])
-        return x - np.multiply.outer(z, _dots(c, x) / self._cz)
+        return x
 
 
-def _dots(v: np.ndarray, X: np.ndarray):
-    """v' X by one 1-D dot product per column of X, each on a contiguous
-    copy, so that a column's result does not depend on the columns solved
-    with it (SuperLU's solve is column-independent, a matrix-vector product
-    is not)."""
-    if X.ndim == 1:
-        return v @ np.ascontiguousarray(X)
-    return np.array([v @ np.ascontiguousarray(x) for x in X.T])
+def zero_mean(x: np.ndarray, moment: np.ndarray | None) -> np.ndarray:
+    """x minus the multiple of the ones vector, a pinned factor's kernel,
+    that makes moment' x vanish, for a vector or each column of a matrix;
+    x itself for moment None."""
+    return x if moment is None else x - (moment @ x) / moment.sum()
 
 
 def check_symmetric(A: sp.spmatrix, what: str) -> None:
@@ -158,10 +140,9 @@ def _abs(A: sp.csc_matrix) -> sp.csc_matrix:  # |A|, sharing A's index arrays
     return sp.csc_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
 
 
-def _is_near_null(A: sp.csc_matrix, z: np.ndarray) -> bool:
-    """|A z| <= _KERNEL_TOL |A| |z| in infinity norms; a non-finite z, which
-    only a singular factor produces, counts as null."""
+def _is_near_null(F: sp.csc_matrix, z: np.ndarray, A_norm: float) -> bool:
+    """|F z| <= _KERNEL_TOL A_norm |z| in infinity norms; a non-finite z,
+    which only a singular factor produces, counts as null."""
     if not np.isfinite(z).all():
         return True
-    A_norm = (_abs(A) @ np.ones(A.shape[1])).max()
-    return bool(np.abs(A @ z).max() <= _KERNEL_TOL * A_norm * np.abs(z).max())
+    return bool(np.abs(F @ z).max() <= _KERNEL_TOL * A_norm * np.abs(z).max())

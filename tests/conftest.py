@@ -116,13 +116,14 @@ def track_factors(monkeypatch):
 
 @pytest.fixture(scope="session")
 def monolithic_solve():
-    """Dense solve of the full gauged block system of a BlockSystem for one
-    load, the oracle of the Schur solver; solve(system, b_s, b_h) returns
-    (x_s, x_h)."""
+    """Dense solve of the full block system of a BlockSystem for one load,
+    bordered by the zero-mean constraint moment' x_s = 0 unless moment is
+    None: the oracle of the Schur solver; solve(system, b_s, b_h, moment)
+    returns (x_s, x_h)."""
 
-    def solve(system, b_s, b_h):
-        gauges = [] if system.gauge is None else [system.gauge]
-        ns, nh, ng = system.A_ss.shape[0], system.n_harmonic, len(gauges)
+    def solve(system, b_s, b_h, moment):
+        rows = [] if moment is None else [moment]
+        ns, nh, ng = system.A_ss.shape[0], system.n_harmonic, len(rows)
         n = ns + nh + ng
         K = np.zeros((n, n))
         K[:ns, :ns] = system.A_ss.toarray()
@@ -130,7 +131,7 @@ def monolithic_solve():
             K[:ns, ns:ns + nh] = system.A_sh
             K[ns:ns + nh, :ns] = system.A_sh.T
             K[ns:ns + nh, ns:ns + nh] = system.A_hh
-        for i, g in enumerate(gauges):
+        for i, g in enumerate(rows):
             K[:ns, ns + nh + i] = g
             K[ns + nh + i, :ns] = g
         sol = np.linalg.solve(K, np.concatenate([b_s, b_h, np.zeros(ng)]))

@@ -117,7 +117,7 @@ def test_checker_flags_names_that_are_back():
         ["hodge.HodgeSolver"],                # a module-level name
         ["load_mesh"],                        # found without a qualifier
         ["assemble_load(time=0.0)"],          # a default that is still there
-        ["FactorizedOperator(A, gauge=)", ".solve"],
+        ["FactorizedOperator(A=)", ".solve"],
         ["Nowhere.name"], ["nowhere(x=)"],    # nothing to check
         ["a b"],
     ]) == [
@@ -125,7 +125,7 @@ def test_checker_flags_names_that_are_back():
         "hodge.HodgeSolver: still resolves",
         "load_mesh: still resolves",
         "assemble_load(time=0.0): time still defaults to 0.0",
-        "FactorizedOperator(A, gauge=): gauge is still a parameter",
+        "FactorizedOperator(A=): A is still a parameter",
         ".solve: still resolves",
         "Nowhere.name: cannot resolve its owner",
         "nowhere(x=): 0 objects to check, not one",

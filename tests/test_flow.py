@@ -28,6 +28,7 @@ from surfhodge.flow import (
     SimulationConfig,
     run_simulation,
 )
+from surfhodge.linalg import zero_mean
 from surfhodge.quadrature import triangle_rule
 
 
@@ -110,7 +111,7 @@ def test_reduced_system_rejects_nonsymmetric(torus_ops):
     A = torus_ops.A_visc.tolil()
     A[0, 1] += 1e-6 * abs(torus_ops.A_visc).max()
     with pytest.raises(NotSPD):
-        torus_ops.emb.reduce_matrix(A.tocsr(), torus_ops.gauge)
+        torus_ops.emb.reduce_matrix(A.tocsr())
 
 
 def test_dimension_mismatch(torus_ops):
@@ -162,40 +163,51 @@ def test_schur_no_harmonic_single_solve(tetra):
 def test_schur_vs_monolithic(torus_ops, monolithic_solve):
     b_s, b_h = torus_ops.emb.reduce_vector(torus_ops.load_vector(0.0))
     system = torus_ops.A_red
+    moment = asm.assemble_moment(torus_ops.S)
     xs, xh = ReducedSolver(system).solve(b_s, b_h)
-    xs2, xh2 = monolithic_solve(system, b_s, b_h)
+    xs = zero_mean(xs, moment)
+    xs2, xh2 = monolithic_solve(system, b_s, b_h, moment)
     scale = max(np.abs(xs2).max(), np.abs(xh2).max())
     assert np.abs(xs - xs2).max() <= 1e-10 * scale
     assert np.abs(xh - xh2).max() <= 1e-10 * scale
 
 
 def test_pinned_stokes_block_matches_monolithic(torus3, basis_cache, monolithic_solve):
-    """The Stokes block, gauged by pinning a dof, gives the dense bordered
-    solution and meets its zero-mean constraint."""
+    """The Stokes block of a closed torus, factored with a pinned dof, gives
+    the solution with x_s[0] = 0; shifted to zero mean it is the dense
+    solution bordered by the zero-mean constraint, and meets it."""
     cfg = SimulationConfig(k=1, mu=0.7, forcing=smooth_forcing(16))
     ops = FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1))
     system = ops.A_red
-    assert system.gauge is not None
+    solver = ReducedSolver(system)
+    assert solver.op.pinned
     b_s, b_h = ops.emb.reduce_vector(ops.load_vector(0.0))
-    xs, xh = ReducedSolver(system).solve(b_s, b_h)
-    xs2, xh2 = monolithic_solve(system, b_s, b_h)
+    xs, xh = solver.solve(b_s, b_h)
+    assert xs[0] == 0.0
+    g = asm.assemble_moment(ops.S)
+    xs = zero_mean(xs, g)
+    xs2, xh2 = monolithic_solve(system, b_s, b_h, g)
     scale = max(np.abs(xs2).max(), np.abs(xh2).max())
     assert np.abs(xs - xs2).max() <= 1e-10 * scale
     assert np.abs(xh - xh2).max() <= 1e-10 * scale
-    g = system.gauge
     assert abs(g @ xs) <= 1e-12 * np.abs(g).sum() * np.abs(xs).max()
 
 
 def test_singular_streamblock_detected(torus3):
-    """An un-gauged singular streamfunction block raises SingularOperator."""
+    """The rot-Laplace block E'ME of a closed torus has the constants as its
+    kernel: its factor pins a dof and solves.  Scaled to D A D, whose kernel
+    is not constant, or doubled into two disconnected blocks, whose kernel
+    is larger, it raises SingularOperator."""
     from surfhodge.hodge import HodgeSolver
 
     solver = HodgeSolver(torus3, 0)
     emb = JEmbedding(solver.E, np.zeros((0, solver.V.total_dofs)))
-    # rot-Laplace without the zero-mean gauge: kernel = constants
-    system = emb.reduce_matrix(solver.M)
-    with pytest.raises(SingularOperator):
-        ReducedSolver(system)
+    A = emb.reduce_matrix(solver.M).A_ss
+    assert ReducedSolver(BlockSystem(A, np.zeros((A.shape[0], 0)), np.zeros((0, 0)))).op.pinned
+    D = sp.diags(1.0 + np.random.default_rng(0).random(A.shape[0]))
+    for bad in (D @ A @ D, sp.block_diag([A, A])):
+        with pytest.raises(SingularOperator):
+            ReducedSolver(BlockSystem(bad.tocsc(), np.zeros((bad.shape[0], 0)), np.zeros((0, 0))))
 
 
 # ------------------------------------------------------------------ Stokes
@@ -588,16 +600,16 @@ def test_step_reads_cfl_sup_norm_from_convection(torus3, basis_cache, monkeypatc
 def test_step_blocks_match_restricted_parent(mesh_name, basis_cache, request):
     """The time-step blocks, summed from L, the restricted viscous form and
     the harmonic blocks of M, are the restriction of M/dt + A_visc: on a
-    closed gauged surface (torus, b1 = 2) and an open one (pierced sphere,
-    b1 = 3)."""
+    closed surface (torus, b1 = 2), whose step factor pins a dof, and an
+    open one (pierced sphere, b1 = 3)."""
     mesh = request.getfixturevalue(mesh_name)
     cfg = SimulationConfig(k=1, mu=0.3, dt=1e-2, t_end=0.0)
     ops = FlowOperators(mesh, cfg, basis=basis_cache(mesh, 1))
-    got = NavierStokesStepper(ops).system
-    want = ops.emb.reduce_matrix(ops.M / cfg.dt + ops.A_visc, ops.gauge)
+    stepper = NavierStokesStepper(ops)
+    got = stepper.system
+    want = ops.emb.reduce_matrix(ops.M / cfg.dt + ops.A_visc)
     assert got.n_harmonic == {"torus3": 2, "sphere4": 3}[mesh_name]
-    assert (got.gauge is want.gauge is ops.hodge.gauge
-            and (got.gauge is not None) == (mesh_name == "torus3"))
+    assert stepper.solver.op.pinned == (mesh_name == "torus3")
     assert abs(got.A_ss - want.A_ss).max() <= 1e-12 * abs(want.A_ss).max()
     for name in ("A_sh", "A_hh"):
         a, b = getattr(got, name), getattr(want, name)
@@ -615,6 +627,46 @@ def test_step_factor_fill_on_trefoil(flow_factors):
     stepper = NavierStokesStepper(ops)
     assert flow_factors == [stepper.solver.op]
     assert stepper.solver.op.lu_nnz < 125_000
+
+
+@pytest.mark.parametrize("name", ["nse_trefoil", "nse_torus_decay", "nse_pierced_sphere"])
+def test_step_energy_identity(name):
+    """The step is tested with u1, which lies in J, so each step satisfies
+    E1 - E0 + |u1 - u0|_M^2 / 2 + dt a(u1, u1) - dt (f(t1), u1)
+    + dt c(u0; u0, u1) = 0 exactly.  Over 30 steps of each shipped nse
+    config the residual stays within 1e-10 of the largest term (measured:
+    2.1e-12 or less on the trefoil and the torus, 1.3e-11 on the pierced
+    sphere).  nse_torus_decay's forcing is switched off after
+    t = 0, so a load taken at t_n instead of t_(n+1) breaks the first step."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg"
+    cfg, raw = load_simulation_config(path)
+    ops = FlowOperators(meshes.resolve(raw["mesh"]), cfg)
+    state = ops.initial_state()
+    stepper = NavierStokesStepper(ops)
+    dt = cfg.dt
+    for _ in range(30):
+        new = stepper.step(state)
+        u0, u1 = state.u.coefficients, new.u.coefficients
+        du = u1 - u0
+        cu, _ = asm.convection_action(stepper._conv_cache, state.u, u0)
+        terms = [new.kinetic_energy - state.kinetic_energy, 0.5 * du @ (ops.M @ du),
+                 dt * u1 @ (ops.A_visc @ u1), -dt * ops.load_vector(new.t) @ u1, dt * cu @ u1]
+        assert abs(sum(terms)) <= 1e-10 * max(map(abs, terms)), (new.step, terms)
+        state = new
+
+
+def test_refined_stokes_matches_saddle_on_48x24_torus():
+    """One refinement brings the reduced Stokes velocity on the 48x24 rung
+    of the desk ladder (torus, k = 2, mu = 1) to the saddle oracle's: a gap
+    of 4.6e-9 unrefined, 8e-13 refined.  The Schur solve still counts
+    b1 + 1 sparse solves; the refinement is counted on its own."""
+    cfg = SimulationConfig(k=2, mu=1.0, forcing=smooth_forcing(21))
+    ops = FlowOperators(meshes.torus_structured(48, 24), cfg)
+    state, info = ops.stokes_reduced()
+    assert info["sparse_solves"] == ops.emb.n_harmonic + 1 and info["refinement_solves"] == 1
+    u = ops.stokes_saddle()[0].coefficients
+    d = state.u.coefficients - u
+    assert np.sqrt(d @ (ops.M @ d)) <= 1e-11 * np.sqrt(u @ (ops.M @ u))
 
 
 def test_run_restricts_the_viscous_form_once(torus3, basis_cache, monkeypatch):
@@ -791,29 +843,31 @@ def test_run_simulation_outputs(tmp_path, torus3, basis_cache):
 
 
 def test_stokes_ungauged_block_raises(torus3, basis_cache, monkeypatch):
-    """A singular viscous block (here: the mass form without its zero-mean
-    gauge) makes the Stokes solve raise SingularOperator.  The block
-    factored is the replaced one, and with the gauge kept it solves."""
+    """A viscous block singular beyond the constants makes the Stokes solve
+    raise SingularOperator: mu = 0, where no viscous form remains.  A block
+    whose kernel is the constants (here: the mass form) solves, with the
+    replaced block factored and pinned."""
     import surfhodge.flow as flow
 
     factored = []
 
     class Recording(flow.FactorizedOperator):
-        def __init__(self, A, *args, **kwargs):
-            factored.append(A)
-            super().__init__(A, *args, **kwargs)
+        def __init__(self, A):
+            factored.append((A, self))
+            super().__init__(A)
 
     monkeypatch.setattr(flow, "FactorizedOperator", Recording)
     cfg = SimulationConfig(k=0, mu=1.0, forcing=smooth_forcing(12))
     ops = FlowOperators(torus3, cfg, basis=basis_cache(torus3, 0))
-    # E' M E is singular on the constants; leave out the zero-mean gauge
+    # E' M E is singular on the constants only
     ops.A_red = ops.emb.reduce_matrix(ops.M)
-    with pytest.raises(SingularOperator):
-        ops.stokes_reduced()
-    assert factored[-1] is ops.A_red.A_ss
-    ops.A_red = ops.emb.reduce_matrix(ops.M, ops.gauge)
     ops.stokes_reduced()
-    assert factored[-1] is ops.A_red.A_ss
+    assert factored[-1][0] is ops.A_red.A_ss and factored[-1][1].pinned
+    inviscid = FlowOperators(torus3, replace(cfg, mu=0.0, allow_inviscid=True),
+                             basis=basis_cache(torus3, 0))
+    with pytest.raises(SingularOperator):
+        inviscid.stokes_reduced()
+    assert factored[-1][0] is inviscid.A_red.A_ss
 
 
 def test_stokes_empty_streamblock():

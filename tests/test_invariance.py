@@ -22,18 +22,15 @@ BASES = {
 
 def _invariants(mesh):
     """Topology, total_dofs of every space kind and constraint, and whether
-    the Stokes streamfunction block solves with and without its gauge."""
+    the Stokes streamfunction block solves, with its factor pinned or not."""
     dofs = {(kind, c): build_space(mesh, kind, 1, c).total_dofs
             for kind, cons in VALID_CONSTRAINTS.items() for c in sorted(cons)}
     ops = FlowOperators(mesh, SimulationConfig(k=1))
-    verdicts = []
-    for gauge in (ops.gauge, None):
-        try:
-            ReducedSolver(ops.emb.reduce_matrix(ops.A_visc, gauge))
-            verdicts.append("solved")
-        except SingularOperator:
-            verdicts.append("singular")
-    return analyze_topology(mesh).to_dict(), dofs, verdicts
+    try:
+        verdict = "pinned" if ReducedSolver(ops.A_red).op.pinned else "solved"
+    except SingularOperator:
+        verdict = "singular"
+    return analyze_topology(mesh).to_dict(), dofs, verdict
 
 
 @lru_cache(maxsize=None)
@@ -42,10 +39,10 @@ def _reference(name):
 
 
 def test_reference_verdicts():
-    """The closed torus needs its zero-mean gauge; the pierced sphere's
-    block is nonsingular without one."""
-    assert _reference("torus")[2] == ["solved", "singular"]
-    assert _reference("pierced_sphere")[2] == ["solved", "solved"]
+    """The closed torus's block has the constants as its kernel, so its
+    factor pins a dof; the pierced sphere's block is nonsingular."""
+    assert _reference("torus")[2] == "pinned"
+    assert _reference("pierced_sphere")[2] == "solved"
 
 
 def _spectrum(mesh):
@@ -55,7 +52,7 @@ def _spectrum(mesh):
     complement of the constants."""
     ops = FlowOperators(mesh, SimulationConfig(k=1))
     A, L = ops.A_red.A_ss.toarray(), ops.hodge.L.toarray()
-    keep = slice(None) if ops.gauge is None else slice(1, None)
+    keep = slice(1, None) if ops.S.zero_mean else slice(None)
     return dla.eigh(A[keep, keep], L[keep, keep], eigvals_only=True)
 
 

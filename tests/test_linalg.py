@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from surfhodge.errors import NotSPD, SingularMatrix, SolverError
-from surfhodge.linalg import FactorizedOperator, check_symmetric
+from surfhodge.linalg import FactorizedOperator, check_symmetric, zero_mean
 
 
 def test_identity_solve():
@@ -85,22 +85,25 @@ def test_deterministic_solves(rng):
 
 
 def test_gauged_operator_zero_mean(rng):
-    # singular SPD system (graph Laplacian): gauge picks the mean-free
-    # representative and the result solves the projected problem
+    # singular SPD system (graph Laplacian, kernel = constants): the factor
+    # pins the first dof, and zero_mean picks the mean-free representative
+    # of a solution of the consistent problem
     n = 10
     L = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     L[0, -1] -= 1
     L[-1, 0] -= 1
-    L[0, 0] -= 0.0  # periodic Laplacian, kernel = constants
     ones = np.ones(n)
-    op = FactorizedOperator(sp.csc_matrix(L), ones)
+    op = FactorizedOperator(sp.csc_matrix(L))
+    assert op.pinned
     b = rng.standard_normal(n)
     b -= b.mean()
     x = op.solve(b)
+    assert x[0] == 0.0
+    x = zero_mean(x, ones)
     assert abs(x.sum()) < 1e-10
     assert np.linalg.norm(L @ x - b) < 1e-10
-    # a matrix of right-hand sides gives the column-wise solves, without
-    # the multipliers, and counts one solve per column
+    # a matrix of right-hand sides gives the column-wise solves and counts
+    # one solve per column
     B = rng.standard_normal((n, 4))
     B -= B.mean(axis=0)
     X = op.solve(B)
@@ -117,15 +120,15 @@ def test_empty_system():
 
 
 def test_concurrent_solves_match_serial(torus):
-    """Solves from several threads on one gauged factorization (the
-    zero-mean streamfunction operator of a closed torus) give the serial
-    results bitwise and an exact solve count."""
+    """Solves from several threads on one pinned factorization (the
+    streamfunction operator of a closed torus) give the serial results
+    bitwise and an exact solve count."""
     from concurrent.futures import ThreadPoolExecutor
 
     from surfhodge.hodge import HodgeSolver
 
     op = HodgeSolver(torus, 1).laplace_operator
-    assert op.gauge is not None
+    assert op.pinned
     rhs = np.random.default_rng(5).standard_normal((300, op.n))
     serial = [op.solve(b) for b in rhs]
     with ThreadPoolExecutor(max_workers=3) as pool:
@@ -135,13 +138,13 @@ def test_concurrent_solves_match_serial(torus):
 
 
 def test_gauged_batched_solve_matches_single_columns(torus):
-    """A gauged solve of several columns gives each column bitwise the
+    """A pinned solve of several columns gives each column bitwise the
     result of solving it alone, so a result does not depend on how a caller
     batches its right-hand sides."""
     from surfhodge.hodge import HodgeSolver
 
     op = HodgeSolver(torus, 2).laplace_operator
-    assert op.gauge is not None
+    assert op.pinned
     B = np.random.default_rng(3).standard_normal((op.n, 5))
     X = op.solve(B)
     for j in range(B.shape[1]):
@@ -156,45 +159,25 @@ def _periodic_laplacian(n):
 
 
 def test_gauged_solve_matches_bordered_system(rng):
-    """The pinned solve returns the primal part of the bordered system
-    [[A, c], [c', 0]], also for a weighted constraint and a right-hand side
-    with a component outside the range of A."""
+    """The pinned solve, shifted by zero_mean to c' x = 0, is the primal part
+    of the bordered system [[A, c], [c', 0]], also for a weighted
+    constraint, for right-hand sides in the range of A."""
     n = 12
     L = _periodic_laplacian(n)
     c = 1.0 + rng.random(n)
-    op = FactorizedOperator(sp.csc_matrix(L), c)
+    op = FactorizedOperator(sp.csc_matrix(L))
     K = np.block([[L, c[:, None]], [c[None, :], np.zeros((1, 1))]])
     B = rng.standard_normal((n, 3))
+    B -= B.mean(axis=0)
     ref = np.linalg.solve(K, np.vstack([B, np.zeros((1, 3))]))[:n]
-    X = op.solve(B)
+    X = zero_mean(op.solve(B), c)
     assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(c @ X).max() <= 1e-12 * np.abs(c).sum() * np.abs(X).max()
 
 
-def test_gauge_on_nonsingular_operator_raises(rng):
-    """A gauge given for an operator without a kernel is an error, not a
-    silently perturbed solve."""
-    n = 20
-    R = rng.standard_normal((n, n))
-    A = sp.csc_matrix(R.T @ R + n * np.eye(n))
-    with pytest.raises(SingularMatrix):
-        FactorizedOperator(A, np.ones(n))
-    with pytest.raises(SingularMatrix):
-        FactorizedOperator(sp.csc_matrix(_periodic_laplacian(n) + 1e-3 * np.eye(n)),
-                           np.ones(n))
-
-
-def test_gauge_orthogonal_to_kernel_raises():
-    n = 10
-    c = np.zeros(n)
-    c[0], c[1] = 1.0, -1.0  # c' 1 = 0: does not fix the constant kernel
-    with pytest.raises(SingularMatrix):
-        FactorizedOperator(sp.csc_matrix(_periodic_laplacian(n)), c)
-
-
 def test_streamfunction_factor_fill():
-    """The gauged SPD streamfunction Laplacian of the 32x16 torus at k = 2
-    is factorized symmetrically: about 0.33M LU entries, against 1.75M with
+    """The pinned streamfunction Laplacian of the 32x16 torus at k = 2 is
+    factorized symmetrically: about 0.33M LU entries, against 1.75M with
     the zero-mean constraint bordered and COLAMD; a deterministic guard for
     the ordering."""
     from surfhodge import meshes
@@ -217,7 +200,7 @@ def test_streamfunction_factor_fill_unstructured():
 
 def test_saddle_oracle_factor_fill(flow_factors):
     """The saddle-point oracle of the 16x8 torus at k = 2 builds one SPD
-    factor, of the penalized velocity block A + gamma B'WB, without a gauge:
+    factor, of the penalized velocity block A + gamma B'WB, not pinned:
     about 0.51M LU entries; a deterministic guard for the ordering."""
     from surfhodge import flow, meshes
 
@@ -225,7 +208,7 @@ def test_saddle_oracle_factor_fill(flow_factors):
     flow_factors.clear()
     ops.stokes_saddle()
     (op,) = flow_factors
-    assert op.n == ops.V.total_dofs and op.gauge is None
+    assert op.n == ops.V.total_dofs and not op.pinned
     assert op.lu_nnz < 600_000
 
 
@@ -259,18 +242,25 @@ SINGULAR_SPD = {
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
 @pytest.mark.parametrize("name", sorted(SINGULAR_SPD))
 def test_ungauged_singular_spd_raises(name, scale, rng):
-    """A singular SPD matrix without a gauge is rejected whatever its size
-    and scale; with the ones gauge the same matrix solves."""
+    """A Laplacian whose kernel is the constants, whatever its size and
+    scale, is factored with its first dof pinned and solves with x_0 = 0.
+    Scaled to D A D, whose kernel is not constant, or doubled into two
+    disconnected blocks, whose kernel is larger, it is rejected."""
     A = sp.csc_matrix(scale * SINGULAR_SPD[name]())
-    with pytest.raises(SingularMatrix):
-        FactorizedOperator(A)
     n = A.shape[0]
-    op = FactorizedOperator(A, np.ones(n))
+    op = FactorizedOperator(A)
+    assert op.pinned
     b = rng.standard_normal(n)
     b -= b.mean()
     x = op.solve(b)
-    assert abs(x.sum()) <= 1e-10 * np.abs(x).max() * n
+    assert x[0] == 0.0
     assert np.abs(A @ x - b).max() <= 1e-10 * np.abs(b).max()
+    x = zero_mean(x, np.ones(n))
+    assert abs(x.sum()) <= 1e-10 * np.abs(x).max() * n
+    D = sp.diags(1.0 + rng.random(n))
+    for bad in (D @ A @ D, sp.block_diag([A, A])):
+        with pytest.raises(SingularMatrix):
+            FactorizedOperator(bad)
 
 
 def test_saddle_factor_peak_memory():
