@@ -63,19 +63,21 @@ def physical_points(mesh, rule) -> np.ndarray:
 
 
 def _scatter(local: np.ndarray, rows_map, rows_signs, cols_map, cols_signs, shape):
-    """Accumulate per-element dense blocks into a CSR matrix.
-
-    local is (T, n_rows_loc, n_cols_loc); entries with a constrained-out
-    (-1) dof are dropped; duplicates are summed.
-    """
+    """Accumulate per-element dense blocks local (T, n_rows_loc,
+    n_cols_loc) into a CSR matrix with _scatter_entries."""
     T, nr, nc = local.shape
     vals = local * rows_signs[:, :, None] * cols_signs[:, None, :]
-    rows = np.broadcast_to(rows_map[:, :, None], (T, nr, nc)).ravel()
-    cols = np.broadcast_to(cols_map[:, None, :], (T, nr, nc)).ravel()
-    data = vals.ravel()
+    rows = np.broadcast_to(rows_map[:, :, None], (T, nr, nc))
+    cols = np.broadcast_to(cols_map[:, None, :], (T, nr, nc))
+    return _scatter_entries(vals, rows, cols, shape)
+
+
+def _scatter_entries(vals, rows, cols, shape):
+    """CSR matrix of the per-triangle entries vals at (rows, cols), all of
+    one shape; entries with a constrained-out (-1) dof are dropped and
+    duplicates are summed."""
     keep = (rows >= 0) & (cols >= 0)
-    A = sp.coo_matrix((data[keep], (rows[keep], cols[keep])), shape=shape)
-    return A.tocsr()
+    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
 
 
 def _scatter_vec(local: np.ndarray, dof_map, signs, n):
@@ -150,16 +152,32 @@ def assemble_div(V: FeSpace, Q: FeSpace) -> sp.csr_matrix:
     if Q.degree != expected:
         raise DegreeMismatch(f"pressure degree {Q.degree} does not match BDM degree {V.degree}")
     block = reference_div_block(V, Q)
-    local = np.broadcast_to(block, (V.mesh.n_triangles, *block.shape))
-    return _scatter(local, Q.dof_map, Q.dof_signs, V.dof_map, V.dof_signs,
-                    (Q.total_dofs, V.total_dofs))
+    a, b = np.nonzero(block)  # B stores only the block's nonzero entries
+    return _scatter_entries(block[a, b] * Q.dof_signs[:, a] * V.dof_signs[:, b],
+                            Q.dof_map[:, a], V.dof_map[:, b], (Q.total_dofs, V.total_dofs))
 
 
 def reference_div_block(V: FeSpace, Q: FeSpace) -> np.ndarray:
     """(div vhat_l, qhat_m) on the reference triangle, (Q.n_local,
-    V.n_local): each triangle's block of B before its dof signs."""
+    V.n_local): each triangle's block of B before its dof signs, with its
+    quadrature rounding snapped to 0 (snap_rounding)."""
     rule = triangle_rule(2 * V.degree + 2)
-    return np.einsum("mq,lq,q->ml", Q.ref.eval(rule.xy), V.ref.div(rule.xy), rule.weights)
+    return snap_rounding(
+        np.einsum("mq,lq,q->ml", Q.ref.eval(rule.xy), V.ref.div(rule.xy), rule.weights))
+
+
+_SNAP_RTOL = 1e-10
+
+
+def snap_rounding(block: np.ndarray) -> np.ndarray:
+    """block with its entries of magnitude <= 1e-10 of its largest set to 0.
+
+    A reference block computed by quadrature stores the entries that vanish
+    in exact arithmetic as rounding: on the div and rot blocks at k = 0..4
+    these are <= 4e-13 of the block's largest entry, and every other entry
+    is >= 2e-5 of it.
+    """
+    return np.where(abs(block) > _SNAP_RTOL * abs(block).max(initial=0.0), block, 0.0)
 
 
 def assemble_moment(space: FeSpace) -> np.ndarray:
@@ -229,8 +247,25 @@ def assemble_rot_embedding(S: FeSpace, V: FeSpace) -> sp.csr_matrix:
     the vector space, so the interpolation is exact: each column represents
     the pointwise-divergence-free, normal-continuous field rot(phi_j).
     Computed from a single reference block (interpolation, not integration:
-    shared edge dofs are written once, by the edge-owning triangle).
+    shared edge dofs are written once, by the edge-owning triangle), with
+    the block's exact zeros left out.
     """
+    block = reference_rot_block(S, V)
+    mesh = V.mesh
+    # Triangle t writes its edge dofs only on edges it owns (edge_tris[e, 0]).
+    T = mesh.n_triangles
+    own = np.ones((T, V.ref.n_local), dtype=bool)
+    dof_edges = mesh.tri_edges[:, [le for le, _ in V.ref.edge_dofs]]
+    own[:, :V.ref.n_edge_dofs] = mesh.edge_tris[dof_edges, 0] == np.arange(T)[:, None]
+    a, b = np.nonzero(block)
+    return _scatter_entries(block[a, b] / V.dof_signs[:, a], np.where(own, V.dof_map, -1)[:, a],
+                            S.dof_map[:, b], (V.total_dofs, S.total_dofs))
+
+
+def reference_rot_block(S: FeSpace, V: FeSpace) -> np.ndarray:
+    """(V.n_local, S.n_local): the BDM reference dofs of rot-hat of each
+    Lagrange reference basis function, as interpolated, so its exact zeros
+    carry the interpolation's rounding."""
     if S.value_shape != "scalar" or V.value_shape != "vector":
         raise DegreeMismatch("rot embedding expects (scalar, vector) spaces")
     if S.degree != V.degree + 1:
@@ -238,8 +273,6 @@ def assemble_rot_embedding(S: FeSpace, V: FeSpace) -> sp.csr_matrix:
             f"rot embedding needs Lagrange degree {V.degree + 1}, got {S.degree}")
     if S.mesh is not V.mesh:
         raise DegreeMismatch("rot embedding requires a common mesh")
-    mesh = V.mesh
-
     # rot-hat of the Lagrange reference basis as vector polynomials of
     # degree k: rot = (d/dy, -d/dx).
     exps_S = S.ref.exps
@@ -254,16 +287,23 @@ def assemble_rot_embedding(S: FeSpace, V: FeSpace) -> sp.csr_matrix:
                 rot_coeffs[j, idx[(a, b - 1)], 0] += c * b
             if a > 0:  # -d/dx -> -a x^(a-1) y^b, second component
                 rot_coeffs[j, idx[(a - 1, b)], 1] -= c * a
-    block = V.ref.apply_dofs(rot_coeffs, exps_k)  # (n_bdm_loc, n_lag)
+    return V.ref.apply_dofs(rot_coeffs, exps_k)
 
-    # Triangle t writes its edge dofs only on edges it owns (edge_tris[e, 0]).
-    T = mesh.n_triangles
-    own = np.ones((T, V.ref.n_local), dtype=bool)
-    dof_edges = mesh.tri_edges[:, [le for le, _ in V.ref.edge_dofs]]
-    own[:, :V.ref.n_edge_dofs] = mesh.edge_tris[dof_edges, 0] == np.arange(T)[:, None]
-    local = block[None, :, :] / V.dof_signs[:, :, None]
-    return _scatter(local, np.where(own, V.dof_map, -1), np.ones(V.dof_map.shape),
-                    S.dof_map, np.ones(S.dof_map.shape), (V.total_dofs, S.total_dofs))
+
+def structural_rot_embedding(E: sp.csr_matrix, S: FeSpace, V: FeSpace) -> sp.csr_matrix:
+    """E = assemble_rot_embedding(S, V) without the entries that are
+    rounding of its reference block.  Row i of E is one row of the block
+    over dof i's factor, whose magnitude (an edge length or sqrt(J)) both
+    sides of an edge share, so E's entries times those magnitudes are the
+    block's and are snapped as snap_rounding snaps the block."""
+    dofs = V.dof_map >= 0
+    factor = np.zeros(V.total_dofs)
+    factor[V.dof_map[dofs]] = abs(V.dof_signs[dofs])
+    block_values = abs(E.data) * np.repeat(factor, np.diff(E.indptr))
+    Es = E.copy()
+    Es.data[block_values <= _SNAP_RTOL * abs(reference_rot_block(S, V)).max()] = 0.0
+    Es.eliminate_zeros()
+    return Es
 
 
 # ------------------------------------------------------------- edge traces

@@ -218,8 +218,13 @@ class HodgeSolver:
         B_e0 = self.B[:, e0]
         self._B0 = B_e0[self._q0]
         self._G = (sp.eye(self.V.total_dofs, format="csr")[:, e0] - self._PK @ B_e0) @ self._B0.T
+        # E without its interpolation rounding, for decompose's products.
+        # E itself stays as assembled: it forms the flow solvers' A_ss, whose
+        # ordering its rounding entries shape, and u - E psi in the harmonic
+        # draws, whose divergence it lowers.
+        self._Es = asm.structural_rot_embedding(self.E, self.S, self.V)
         # the transposes that every decomposition applies, as csc views
-        self._ET, self._PKT, self._GT = self.E.T, self._PK.T, self._G.T
+        self._ET, self._EsT, self._PKT, self._GT = self.E.T, self._Es.T, self._PK.T, self._G.T
         self._checksum = mesh.checksum()
 
     # ------------------------------------------------------------ operators
@@ -357,10 +362,10 @@ class HodgeSolver:
         vc, H = v.coefficients, basis.vectors
         g0 = self._right_inverse(self.B @ vc)
         f, fg = self.M @ vc, self.M @ g0  # two products beat one (n, 2) product
-        psi, psi_g = self.laplace_operator.solve(self._ET @ np.column_stack([f, fg])).T
+        psi, psi_g = self.laplace_operator.solve(self._EsT @ np.column_stack([f, fg])).T
         h = H @ f
-        rot_part, harmonic_part = self.E @ psi, H.T @ h
-        gradient_part = g0 - self.E @ psi_g - H.T @ (H @ fg)
+        rot_part, harmonic_part = self._Es @ psi, H.T @ h
+        gradient_part = g0 - self._Es @ psi_g - H.T @ (H @ fg)
         lam = self.pressure_solve(f - self.M @ (rot_part + harmonic_part))
         diff = vc - rot_part - harmonic_part - gradient_part
         residual = float(np.sqrt(max(diff @ (self.M @ diff), 0.0)))

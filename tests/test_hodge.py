@@ -341,6 +341,29 @@ def test_divergence_blocks_behind_the_right_inverse(name, k, corpus, solver_cach
 
 @pytest.mark.parametrize("k", range(5))
 @pytest.mark.parametrize("name", CORPUS)
+def test_b_and_e_store_only_structural_entries(name, k, corpus, solver_cache):
+    """An entry of B or E over its velocity dof's factor (an edge length or
+    sqrt(J)) is an entry of its reference block.  B stores none at or below
+    1e-10 of its block's largest entry, E stores no zeros, and the copy of E
+    that decompose applies is E without the entries at or below that
+    threshold of E's block."""
+    solver = solver_cache(corpus[name], k)
+    V = solver.V
+    factor = np.zeros(V.total_dofs)
+    factor[V.dof_map[V.dof_map >= 0]] = abs(V.dof_signs[V.dof_map >= 0])
+    B = solver.B.tocoo()
+    block = abs(asm.reference_div_block(V, solver.Q)).max()
+    assert (abs(B.data) / factor[B.col] > 1e-10 * block).all()
+    E = solver.E.tocoo()
+    assert (E.data != 0).all()
+    structural = abs(E.data) * factor[E.row] > 1e-10 * abs(asm.reference_rot_block(
+        solver.S, V)).max()
+    Es = sp.coo_matrix((E.data[structural], (E.row[structural], E.col[structural])), E.shape)
+    assert (solver._Es != Es).nnz == 0 and solver._Es.nnz == structural.sum()
+
+
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("name", CORPUS)
 def test_pressure_solve_inverts_b_transpose_on_one_small_factor(name, k, corpus, monkeypatch):
     """pressure_solve(B' lam) returns the zero-mean lam, a draw r - R B r
     is divergence-free to rounding, and both use one factor with one

@@ -198,6 +198,17 @@ def test_streamfunction_factor_fill_unstructured():
     assert op.lu_nnz < 900_000
 
 
+def test_stokes_block_factor_fill():
+    """The pinned Stokes streamfunction block A_ss of the 32x16 torus at
+    k = 2 holds about 1.57M LU entries.  It is formed from E as assembled:
+    without E's rounding-level entries its minimum-degree ordering fills
+    1.76M, so this guards the rounding entries where A_ss is formed."""
+    from surfhodge import flow, meshes
+
+    ops = flow.FlowOperators(meshes.torus_structured(32, 16), flow.SimulationConfig(k=2))
+    assert FactorizedOperator(ops.A_red.A_ss).lu_nnz < 1_650_000
+
+
 def test_saddle_oracle_factor_fill(flow_factors):
     """The saddle-point oracle of the 16x8 torus at k = 2 builds one SPD
     factor, of the penalized velocity block A + gamma B'WB, not pinned:

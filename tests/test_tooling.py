@@ -32,3 +32,14 @@ def test_failing_property_test_does_not_abort_the_run(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def test_relabelling_property_tests_are_derandomized():
+    """tests/test_invariance.py's property tests build meshes and factors
+    from their examples.  Derandomized, every run draws the same examples,
+    so two runs build the same factors and a failure there reproduces."""
+    import test_invariance
+
+    tests = [f for f in vars(test_invariance).values() if hasattr(f, "hypothesis")]
+    assert len(tests) == 2
+    assert all(f._hypothesis_internal_use_settings.derandomize for f in tests)
