@@ -215,7 +215,8 @@ def assemble_load(V: FeSpace, f, time: float = 0.0, tab=None) -> np.ndarray:
     pts, weighted = load_tabulation(V) if tab is None else tab
     flat = pts.reshape(-1, 3)
     fv = np.asarray(f(flat, time), dtype=float).reshape(pts.shape)
-    local = np.matmul(fv, V.mesh.F).reshape(len(fv), -1) @ weighted.T
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        local = np.matmul(fv, V.mesh.F).reshape(len(fv), -1) @ weighted.T
     b = _scatter_vec(local, V.dof_map, V.dof_signs, V.total_dofs)
     if not np.isfinite(b).all():
         raise NaNDetected(f"non-finite load at t = {time:g}")

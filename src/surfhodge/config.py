@@ -47,32 +47,51 @@ _FUNCTIONS = {
 }
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 _VARIABLES = ("x", "y", "z", "t")
+# Nesting levels of a syntax tree: the evaluator recurses once per level, so
+# this bound keeps an evaluation far inside the interpreter's recursion limit
+# (1000) wherever a load is assembled.  A 150-term sum is 152 levels deep.
+_MAX_DEPTH = 200
+
+
+def _depth(tree: ast.AST) -> int:
+    """Number of levels of a syntax tree, counted without recursion."""
+    depth, level = 0, [tree]
+    while level:
+        depth += 1
+        level = [child for node in level for child in ast.iter_child_nodes(node)]
+    return depth
 
 
 def compile_expression(source: str):
     """Compile an arithmetic expression over (x, y, z, t) into a vectorized
     evaluator env -> array.  Only arithmetic, the functions sin, cos, tan,
-    exp, log, sqrt, abs, step and the constants pi, e are allowed.  The
-    evaluator's attribute `names` holds the variables the expression
-    reads."""
+    exp, log, sqrt, abs, step and the constants pi, e are allowed, nested at
+    most _MAX_DEPTH levels deep.  The evaluator's attribute `names` holds
+    the variables the expression reads."""
+    shown = repr(source if len(source) <= 60 else source[:57] + "...")  # for messages
     try:
         tree = ast.parse(source, mode="eval")
-    except SyntaxError as exc:
-        raise ParseError(f"bad expression {source!r}: {exc}") from exc
+    except (SyntaxError, RecursionError) as exc:  # RecursionError: nested too deep to parse
+        raise ParseError(f"bad expression {shown}: {exc}") from exc
+    if _depth(tree) > _MAX_DEPTH:
+        raise ParseError(f"expression {shown} is nested more than {_MAX_DEPTH} levels deep")
 
     def ev(node, env):
         if isinstance(node, ast.Expression):
             return ev(node.body, env)
         if isinstance(node, ast.Constant):
             if isinstance(node.value, (int, float)):
-                return np.float64(node.value)
-            raise ParseError(f"non-numeric constant in {source!r}")
+                try:
+                    return np.float64(node.value)
+                except OverflowError:  # an integer beyond the float range
+                    raise ParseError(f"constant out of range in {shown}") from None
+            raise ParseError(f"non-numeric constant in {shown}")
         if isinstance(node, ast.Name):
             if node.id in env:
                 return env[node.id]
             if node.id in _CONSTANTS:
                 return np.float64(_CONSTANTS[node.id])
-            raise ParseError(f"unknown name {node.id!r} in {source!r}")
+            raise ParseError(f"unknown name {node.id!r} in {shown}")
         if isinstance(node, ast.BinOp) and type(node.op) in _BIN_OPS:
             return _BIN_OPS[type(node.op)](ev(node.left, env), ev(node.right, env))
         if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
@@ -80,11 +99,11 @@ def compile_expression(source: str):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             fn = _FUNCTIONS.get(node.func.id)
             if fn is None or node.keywords:
-                raise ParseError(f"unknown function {node.func.id!r} in {source!r}")
+                raise ParseError(f"unknown function {node.func.id!r} in {shown}")
             if len(node.args) != 1:
-                raise ParseError(f"{node.func.id} takes one argument in {source!r}")
+                raise ParseError(f"{node.func.id} takes one argument in {shown}")
             return fn(ev(node.args[0], env))
-        raise ParseError(f"unsupported syntax in expression {source!r}")
+        raise ParseError(f"unsupported syntax in expression {shown}")
 
     # Validate syntax and arity eagerly at the origin in float64, where a
     # value outside a function's domain yields inf or nan instead of

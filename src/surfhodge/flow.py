@@ -11,7 +11,9 @@ for any load by a Schur complement, with exactly (number of harmonic dofs
 A velocity-pressure saddle-point solver on the full H(div) space serves as
 the cross-validation oracle, an augmented-Lagrangian iteration on one SPD
 factor of the penalized viscous block; both formulations produce the same
-velocity up to solver precision.
+velocity up to solver precision.  The iteration may start from any
+pressure, such as the one reconstruct_pressure recovers from the reduced
+velocity, and its answer does not depend on the start.
 
 Time stepping for Navier-Stokes is semi-implicit Euler: viscosity implicit
 (the reduced operator is factorized once and reused), convection explicit.
@@ -181,8 +183,8 @@ class SimulationConfig:
     tangential symmetric gradient; the viscous element term is mu
     eps(u):eps(v), so mu is twice the nu of -nu Lap u.  k, output_every and
     seed are integers, the last two nonnegative; mu, dt, t_end and alpha
-    are finite, dt and alpha positive, mu and t_end nonnegative;
-    allow_inviscid is a bool.
+    are finite, dt and alpha positive, mu and t_end nonnegative, and so is
+    the step count t_end / dt; allow_inviscid is a bool.
     """
 
     k: int = 1
@@ -215,6 +217,8 @@ class SimulationConfig:
             raise NonpositiveParameter(f"time step must be finite and positive, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise NonpositiveParameter(f"t_end must be finite and nonnegative, got {self.t_end}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"step count t_end / dt = {self.t_end:g} / {self.dt:g} is not finite")
         if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha > 0):
             raise NonpositiveParameter(f"penalty must be finite and positive, got {self.alpha}")
         if self.bc not in ("noslip", "freeslip"):
@@ -243,7 +247,8 @@ class FlowOperators:
     """Spaces, forms and the embedding for one (mesh, config) pair; A_red
     is the BlockSystem of A_visc, restricted once.  The load of a steady
     forcing is assembled here too, so a forcing that is not finite fails at
-    construction with NaNDetected.
+    construction with NaNDetected; a viscous form that is not finite (mu =
+    1e308 overflows it) raises SolverFailure.
 
     A basis passed in is checked by HodgeSolver.validate_basis; without one
     the basis is drawn with config.seed, and the streamfunction factor L
@@ -271,9 +276,13 @@ class FlowOperators:
         if config.mu == 0:
             self.A_visc = sp.csr_matrix((self.V.total_dofs, self.V.total_dofs))
         else:
-            self.A_visc = asm.assemble_sip(
-                self.V, mu=config.mu, alpha=config.alpha,
-                dirichlet=(config.bc == "noslip"))
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                self.A_visc = asm.assemble_sip(
+                    self.V, mu=config.mu, alpha=config.alpha,
+                    dirichlet=(config.bc == "noslip"))
+            if not np.isfinite(self.A_visc.data).all():
+                alpha = "" if config.alpha is None else f", alpha = {config.alpha:g}"
+                raise SolverFailure(f"viscous form is not finite at mu = {config.mu:g}{alpha}")
         self.A_red = self.emb.reduce_matrix(self.A_visc)
         self.forcing = config.forcing if config.forcing is not None else _zero_forcing
         self._load_tab = asm.load_tabulation(self.V)
@@ -326,7 +335,8 @@ class FlowOperators:
         velocity gap to stokes_saddle of 4.6e-9, and 8e-13 refined).
 
         Raises SingularOperator when the streamfunction block is singular
-        beyond the constants, e.g. for mu = 0, where no viscous form remains.
+        beyond the constants, e.g. for mu = 0, where no viscous form remains,
+        and NaNDetected when the state or its kinetic energy is not finite.
         """
         b = self.load_vector(0.0) if load is None else load
         solver = ReducedSolver(self.A_red)
@@ -335,9 +345,14 @@ class FlowOperators:
                 "n_harmonic": self.A_red.n_harmonic}
         r = b - self.A_visc @ self.emb.apply(x_s, x_h)
         d_s, d_h = solver.solve(*self.emb.reduce_vector(r))
-        return self.make_state(0.0, x_s + d_s, x_h + d_h), info
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            state = self.make_state(0.0, x_s + d_s, x_h + d_h)
+        if not math.isfinite(state.kinetic_energy):  # e.g. mu = 1e-300: |u| ~ 1e300
+            raise NaNDetected("non-finite Stokes state")
+        return state, info
 
-    def stokes_saddle(self, load: np.ndarray | None = None):
+    def stokes_saddle(self, load: np.ndarray | None = None,
+                      pressure: FeField | np.ndarray | None = None):
         """Velocity-pressure saddle-point oracle [[A, B'], [B, 0]] [u; p] =
         [f; 0] on the parent space, A = A_visc, with a zero-mean pressure; f
         defaults to the forcing's load at t = 0.  Returns (u, p).
@@ -346,14 +361,27 @@ class FlowOperators:
         each step solves (A + gamma B'WB) u = f - B'p and sets p += gamma W
         B u, W = M_Q^-1 the inverse pressure mass (diagonal: the DG basis is
         orthonormal).  Every iterate satisfies the momentum equation, so the
-        loop runs from p = 0 until |B u|_W <= 1e-13 |u|_M.  Each solve is
-        written as a correction of u by the momentum residual, which the
-        next step then removes, as in iterative refinement.  The factor is
-        nonsingular exactly when the saddle matrix is; SolverFailure is
-        raised when it is not (e.g. mu = 0) and after 100 steps.
+        loop may start from any multiplier: pressure, a field on Q or its
+        coefficients (default zero).  It stops at the first step after the
+        first with |B u|_W <= 1e-13 |u|_M, so the result does not depend on
+        the start beyond that tolerance.  From reconstruct_pressure's
+        pressure it stops after 2 solves, against 9-15 from zero.  Each
+        solve is written as a correction of u by the momentum residual,
+        which the next step then removes, as in iterative refinement; a
+        warm start's one step alone left twice the momentum residual of a
+        cold start, hence the second step.  The factor is nonsingular
+        exactly when the saddle matrix is; SolverFailure is raised when it
+        is not (e.g. mu = 0) and after 100 steps.  A start of the wrong
+        shape raises DimensionMismatch, one that is not finite NaNDetected.
         """
         b = self.load_vector(0.0) if load is None else load
         B = self.hodge.B
+        p = np.zeros(B.shape[0]) if pressure is None else np.array(  # a copy: p is updated
+            getattr(pressure, "coefficients", pressure), dtype=float)
+        if p.shape != (B.shape[0],):
+            raise DimensionMismatch(f"starting pressure shape {p.shape} != ({B.shape[0]},)")
+        if not np.isfinite(p).all():
+            raise NaNDetected("non-finite starting pressure")
         w = 1.0 / self.pressure_mass.diagonal()
         BWB = B.T @ sp.diags(w) @ B
         gamma = _AL_PENALTY * abs(self.A_visc).max() / abs(BWB).max()
@@ -362,12 +390,13 @@ class FlowOperators:
         except (SingularMatrix, NotSPD) as exc:
             raise SolverFailure(f"saddle-point solve failed: {exc}") from exc
         gw = gamma * w
-        u, p, div = np.zeros(B.shape[1]), np.zeros(B.shape[0]), np.zeros(B.shape[0])
-        for _ in range(100):
+        u, div = np.zeros(B.shape[1]), np.zeros(B.shape[0])
+        for step in range(100):
             u += op.solve(b - self.A_visc @ u - B.T @ (p + gw * div))
             div = B @ u
             p += gw * div
-            if math.sqrt(div @ (w * div)) <= 1e-13 * math.sqrt(max(u @ (self.M @ u), 0.0)):
+            if step and (math.sqrt(div @ (w * div))
+                         <= 1e-13 * math.sqrt(max(u @ (self.M @ u), 0.0))):
                 break
         else:
             raise SolverFailure("saddle-point solve did not converge in 100 steps")

@@ -377,10 +377,18 @@ def test_stokes_inviscid_exit_4(tmp_path, capsys):
 
 
 # ------------------------------------------------------ other input errors
+def assert_one_line_failure(capsys, argv, code, prefix):
+    """argv exits with code, one stderr line starting with prefix and no
+    traceback, and prints no NaN or Infinity."""
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix) and len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+    assert "NaN" not in captured.out and "Infinity" not in captured.out
+
+
 def assert_input_error(capsys, argv):
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("input error:") and len(err.splitlines()) == 1
+    assert_one_line_failure(capsys, argv, 2, "input error:")
 
 
 def test_harmonic_unsupported_degree_exit_2(capsys):
@@ -470,6 +478,94 @@ def test_forcing_non_finite_load_exit_3(tmp_path, capsys, command):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("algorithmic failure: non-finite load") and len(err.splitlines()) == 1
+
+
+DEEP_EXPRESSIONS = {
+    "3000_minus_signs": "-" * 3000 + "x",
+    "20000_term_sum": "+".join(["x"] * 20000),
+    "990_term_sum": "+".join(["x"] * 990),  # parses, but overflowed the stack in a load
+}
+
+
+@pytest.mark.parametrize("name", DEEP_EXPRESSIONS)
+@pytest.mark.parametrize("command", ["stokes", "decompose"])
+def test_deep_forcing_expression_exit_2(tmp_path, capsys, command, name):
+    """An expression nested deeper than the evaluator allows is an input
+    error, whether the parser or the evaluation would run out of stack."""
+    fx = DEEP_EXPRESSIONS[name]
+    argv = (["stokes", "--config", _expression_cfg(tmp_path, fx)] if command == "stokes" else
+            ["decompose", "--mesh", "builtin:torus", "--k", "1", "--field-mode", "expression",
+             f"--fx={fx}"])  # '=': a value starting with '-' is not an option
+    assert_input_error(capsys, argv)
+
+
+_LOAD = "forcing = expression\nfx = sin(y)\nfy = cos(z)\nfz = 0.2*x\n"
+EXTREME_RUNS = {
+    # a velocity too large for its energy to be a float, with or without the oracle
+    "mu_1e-300": (f"mu = 1e-300\n{_LOAD}", [], 3, "algorithmic failure: non-finite"),
+    "mu_1e-300_saddle": (f"mu = 1e-300\n{_LOAD}", ["--compare-saddle"], 3,
+                         "algorithmic failure: non-finite"),
+    # a viscous form that overflows
+    "mu_1e308": (f"mu = 1e308\n{_LOAD}", [], 4, "solver failure: viscous form is not finite"),
+    "mu_1e308_saddle": (f"mu = 1e308\n{_LOAD}", ["--compare-saddle"], 4,
+                        "solver failure: viscous form is not finite"),
+    # a forcing constant that is infinite, or an integer beyond the float range
+    "fx_1e400": ("forcing = expression\nfx = 1e400*x\n", [], 3,
+                 "algorithmic failure: non-finite load"),
+    "fx_400_digits": (f"forcing = expression\nfx = 1{'0' * 400}*x\n", [], 2, "input error:"),
+}
+
+
+@pytest.mark.parametrize("name", EXTREME_RUNS)
+def test_extreme_numbers_one_line_failure(tmp_path, capsys, name):
+    """Parameters and forcings at the ends of the float range exit with
+    their documented code and one stderr line, not a numpy warning, a
+    traceback or a NaN in the JSON line."""
+    text, flags, code, prefix = EXTREME_RUNS[name]
+    cfg = write_cfg(tmp_path, f"mesh = builtin:torus\nk = 1\n{text}")
+    assert_one_line_failure(capsys, ["stokes", "--config", cfg, *flags], code, prefix)
+
+
+def test_decompose_infinite_forcing_constant_exit_3(capsys):
+    assert_one_line_failure(
+        capsys, ["decompose", "--mesh", "builtin:torus", "--k", "1", "--field-mode",
+                 "expression", "--fx", "1e400*x"], 3, "algorithmic failure: non-finite load")
+
+
+def test_nse_step_count_overflow_exit_2(tmp_path, capsys):
+    """t_end / dt beyond the float range is refused with the config, not
+    when the run converts it to a step count."""
+    cfg = write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\ndt = 1e-300\nt_end = 1e10\n")
+    assert_input_error(capsys, ["nse", "--config", cfg])
+
+
+def test_non_finite_payload_exit_3(tmp_path, capsys, monkeypatch):
+    """A result number that is not finite fails the run before anything is
+    written, so an exit of 0 prints only finite numbers."""
+    monkeypatch.setattr(cli.asm, "divergence_norm", lambda V, u: float("inf"))
+    cfg = write_cfg(tmp_path, f"mesh = builtin:torus\nk = 1\n{_LOAD}")
+    out = tmp_path / "out"
+    assert_one_line_failure(capsys, ["stokes", "--config", cfg, "--out-dir", str(out)], 3,
+                            "algorithmic failure: non-finite number in the stokes result")
+    assert not out.exists()
+
+
+def test_stokes_compare_saddle_starts_oracle_from_reconstructed_pressure(
+        tmp_path, capsys, flow_factors):
+    """On the benchmark's 32x16 torus at k = 2 the oracle, started from the
+    reconstructed pressure, makes at most 3 solves (2 measured; 9 from
+    zero) and still agrees with the reduced solve."""
+    mesh_path = tmp_path / "torus32x16.off"
+    save_off(meshes.torus_structured(32, 16), mesh_path)
+    code, payload, _ = run_cli(capsys, "stokes", "--config",
+                               os.path.join(ROOT, "configs", "stokes_torus.cfg"),
+                               "--mesh", str(mesh_path), "--k", "2", "--compare-saddle")
+    assert code == 0
+    reduced, oracle = flow_factors
+    assert reduced.solve_count == payload["sparse_solves"] + payload["refinement_solves"]
+    assert oracle.solve_count <= 3
+    assert payload["saddle_velocity_discrepancy"] <= 1e-11
+    assert payload["saddle_pressure_discrepancy"] <= 1e-10
 
 
 def test_topology_missing_mesh_exit_2(tmp_path, capsys):

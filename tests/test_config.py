@@ -48,6 +48,18 @@ def test_expression_rejects_unsafe():
             compile_expression(bad)
 
 
+def test_expression_nesting_bound():
+    """A 150-term sum (152 levels) compiles and evaluates; 200 terms, 200
+    nested calls or an integer beyond the float range raise ParseError,
+    with the source cut to a short excerpt in the message."""
+    env = {"x": np.array([1.0, 2.0]), "y": 0.0, "z": 0.0, "t": 0.0}
+    assert np.array_equal(compile_expression("+".join(["x"] * 150))(env), [150.0, 300.0])
+    for bad in ("+".join(["x"] * 200), "abs(" * 200 + "x" + ")" * 200, "1" + "0" * 400):
+        with pytest.raises(ParseError) as info:
+            compile_expression(bad)
+        assert len(str(info.value)) < 200
+
+
 def test_expression_forcing_vectorized():
     f = expression_forcing("y", "-x", "0")
     pts = np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 0.5]])

@@ -319,6 +319,59 @@ def test_saddle_oracle_solves_its_own_system():
     assert abs(mq @ p.coefficients) <= 1e-12 * np.abs(mq).sum() * np.abs(p.coefficients).max()
 
 
+@pytest.mark.parametrize("mesh_name", ["torus16x8", "pierced"])
+def test_saddle_oracle_does_not_depend_on_its_start(mesh_name, flow_factors):
+    """The oracle started from zero, from the reconstructed pressure and
+    from a random pressure of the same M_Q-norm returns the same (u, p):
+    measured at most 9.5e-14 apart in velocity and 1.7e-12 in pressure on
+    the torus, 7.4e-14 and 4.3e-13 on the pierced sphere; the bounds are
+    10x those.  From the reconstructed pressure it stops after 2 solves
+    (9-10 from the other starts) and still solves its own system within
+    test_saddle_oracle_solves_its_own_system's bounds."""
+    mesh = (meshes.torus_structured(16, 8) if mesh_name == "torus16x8"
+            else meshes.sphere_with_holes(2, 4))
+    bound_u, bound_p = {"torus16x8": (9.5e-13, 1.7e-11), "pierced": (7.4e-13, 4.3e-12)}[mesh_name]
+    ops = FlowOperators(mesh, SimulationConfig(k=2, mu=0.7, forcing=smooth_forcing(21)))
+    state, _ = ops.stokes_reduced()
+    Mq = ops.pressure_mass
+    p_rec = ops.reconstruct_pressure(state)
+    p_rand = np.random.default_rng(0).standard_normal(ops.Q.total_dofs)
+    p_rand *= np.sqrt(p_rec.coefficients @ (Mq @ p_rec.coefficients) / (p_rand @ (Mq @ p_rand)))
+    results, solves = {}, {}
+    for name, start in (("zero", None), ("reconstructed", p_rec), ("random", p_rand)):
+        flow_factors.clear()
+        results[name] = ops.stokes_saddle(pressure=start)
+        (op,) = flow_factors
+        solves[name] = op.solve_count
+    assert solves["reconstructed"] == 2 and min(solves["zero"], solves["random"]) >= 9
+
+    def gap(x, ref, M):
+        d = x.coefficients - ref.coefficients
+        return np.sqrt(d @ (M @ d)) / np.sqrt(ref.coefficients @ (M @ ref.coefficients))
+
+    (u0, p0), (u1, p1), (u2, p2) = results.values()
+    for (ua, pa), (ub, pb) in (((u1, p1), (u0, p0)), ((u2, p2), (u0, p0)), ((u1, p1), (u2, p2))):
+        assert gap(ua, ub, ops.M) <= bound_u
+        assert gap(pa, pb, Mq) <= bound_p
+    f = ops.load_vector(0.0)
+    r = ops.A_visc @ u1.coefficients + ops.hodge.B.T @ p1.coefficients - f
+    assert np.linalg.norm(r) <= 3e-10 * np.linalg.norm(f)
+    un = np.sqrt(u1.coefficients @ (ops.M @ u1.coefficients))
+    assert asm.divergence_norm(ops.V, u1.coefficients) <= 7.1e-12 * un
+
+
+def test_saddle_oracle_rejects_a_bad_start(torus_ops):
+    """A starting pressure of the wrong shape or with a value that is not
+    finite is refused before anything is factored."""
+    n_q = torus_ops.Q.total_dofs
+    with pytest.raises(DimensionMismatch):
+        torus_ops.stokes_saddle(pressure=np.zeros(n_q - 1))
+    with pytest.raises(DimensionMismatch):
+        torus_ops.stokes_saddle(pressure=np.zeros((n_q, 1)))
+    with pytest.raises(NaNDetected):
+        torus_ops.stokes_saddle(pressure=np.full(n_q, np.nan))
+
+
 def test_saddle_oracle_matches_reduced_at_k3(genus2):
     """At k = 3 on the genus-2 block the oracle's velocity and pressure
     agree with the reduced solve and the reconstructed pressure to 6.2e-12
