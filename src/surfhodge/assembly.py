@@ -64,7 +64,13 @@ def physical_points(mesh, rule) -> np.ndarray:
 
 def _scatter(local: np.ndarray, rows_map, rows_signs, cols_map, cols_signs, shape):
     """Accumulate per-element dense blocks local (T, n_rows_loc,
-    n_cols_loc) into a CSR matrix with _scatter_entries."""
+    n_cols_loc) into a CSR matrix with _scatter_entries.  A single block
+    (n_rows_loc, n_cols_loc) is shared by every triangle, and only its
+    nonzero entries are scattered."""
+    if local.ndim == 2:
+        a, b = np.nonzero(local)
+        return _scatter_entries(local[a, b] * rows_signs[:, a] * cols_signs[:, b],
+                                rows_map[:, a], cols_map[:, b], shape)
     T, nr, nc = local.shape
     vals = local * rows_signs[:, :, None] * cols_signs[:, None, :]
     rows = np.broadcast_to(rows_map[:, :, None], (T, nr, nc))
@@ -144,17 +150,15 @@ def assemble_div(V: FeSpace, Q: FeSpace) -> sp.csr_matrix:
 
     On affine triangles (div v, q) pulls back to a geometry-free reference
     integral, so a single reference block is scattered with the orientation
-    factors.
+    factors; B stores only the block's nonzero entries.
     """
     if V.value_shape != "vector" or Q.value_shape != "scalar":
         raise DegreeMismatch("assemble_div expects (vector, scalar) spaces")
     expected = max(V.degree - 1, 0)
     if Q.degree != expected:
         raise DegreeMismatch(f"pressure degree {Q.degree} does not match BDM degree {V.degree}")
-    block = reference_div_block(V, Q)
-    a, b = np.nonzero(block)  # B stores only the block's nonzero entries
-    return _scatter_entries(block[a, b] * Q.dof_signs[:, a] * V.dof_signs[:, b],
-                            Q.dof_map[:, a], V.dof_map[:, b], (Q.total_dofs, V.total_dofs))
+    return _scatter(reference_div_block(V, Q), Q.dof_map, Q.dof_signs, V.dof_map, V.dof_signs,
+                    (Q.total_dofs, V.total_dofs))
 
 
 def reference_div_block(V: FeSpace, Q: FeSpace) -> np.ndarray:
@@ -241,7 +245,8 @@ def assemble_gradient_load(scalar_space: FeSpace, field: FeField) -> np.ndarray:
 
 
 # -------------------------------------------------------------- embeddings
-def assemble_rot_embedding(S: FeSpace, V: FeSpace) -> sp.csr_matrix:
+def assemble_rot_embedding(S: FeSpace, V: FeSpace, block: np.ndarray | None = None
+                           ) -> sp.csr_matrix:
     """Matrix whose column j holds the BDM coefficients of rot(phi_j).
 
     rot of a mapped scalar polynomial transforms with the same Piola map as
@@ -249,9 +254,12 @@ def assemble_rot_embedding(S: FeSpace, V: FeSpace) -> sp.csr_matrix:
     the pointwise-divergence-free, normal-continuous field rot(phi_j).
     Computed from a single reference block (interpolation, not integration:
     shared edge dofs are written once, by the edge-owning triangle), with
-    the block's exact zeros left out.
+    the block's exact zeros left out.  block defaults to
+    reference_rot_block(S, V); its snap_rounding gives E without the
+    interpolation's rounding entries.
     """
-    block = reference_rot_block(S, V)
+    if block is None:
+        block = reference_rot_block(S, V)
     mesh = V.mesh
     # Triangle t writes its edge dofs only on edges it owns (edge_tris[e, 0]).
     T = mesh.n_triangles
@@ -289,22 +297,6 @@ def reference_rot_block(S: FeSpace, V: FeSpace) -> np.ndarray:
             if a > 0:  # -d/dx -> -a x^(a-1) y^b, second component
                 rot_coeffs[j, idx[(a - 1, b)], 1] -= c * a
     return V.ref.apply_dofs(rot_coeffs, exps_k)
-
-
-def structural_rot_embedding(E: sp.csr_matrix, S: FeSpace, V: FeSpace) -> sp.csr_matrix:
-    """E = assemble_rot_embedding(S, V) without the entries that are
-    rounding of its reference block.  Row i of E is one row of the block
-    over dof i's factor, whose magnitude (an edge length or sqrt(J)) both
-    sides of an edge share, so E's entries times those magnitudes are the
-    block's and are snapped as snap_rounding snaps the block."""
-    dofs = V.dof_map >= 0
-    factor = np.zeros(V.total_dofs)
-    factor[V.dof_map[dofs]] = abs(V.dof_signs[dofs])
-    block_values = abs(E.data) * np.repeat(factor, np.diff(E.indptr))
-    Es = E.copy()
-    Es.data[block_values <= _SNAP_RTOL * abs(reference_rot_block(S, V)).max()] = 0.0
-    Es.eliminate_zeros()
-    return Es
 
 
 # ------------------------------------------------------------- edge traces

@@ -448,30 +448,34 @@ class NavierStokesStepper:
         self._conv_cache = asm.convection_tabulation(ops.V)
 
     def step(self, state: FlowState) -> FlowState:
-        """Advance one IMEX Euler step."""
+        """Advance one IMEX Euler step.  Raises NaNDetected, with no numpy
+        warning before it, at a right-hand side, state or kinetic energy
+        that is not finite: a run that diverges stops at its first step
+        that overflows."""
         ops = self.ops
         cfg = ops.config
         u = state.u
         if not np.isfinite(u.coefficients).all():
             raise NaNDetected(f"non-finite state at t = {state.t:g}")
-        # first, so that the convection form's space and divergence checks
-        # see the state before anything else evaluates it
-        cu, umax = asm.convection_action(self._conv_cache, u, u.coefficients)
-        if umax > 0 and cfg.dt > 0.5 * ops.mesh.h_min / umax and not self._cfl_warned:
-            warnings.warn(
-                f"time step {cfg.dt:g} exceeds the convective CFL bound "
-                f"{0.5 * ops.mesh.h_min / umax:g}", RuntimeWarning)
-            self._cfl_warned = True
         n = state.step + 1
         t_next = state.t0 + n * cfg.dt
-        b = state.Mu / cfg.dt - cu + ops.load_vector(t_next)
-        if not np.isfinite(b).all():
-            raise NaNDetected(f"non-finite right-hand side at t = {t_next:g}")
-        b_s, b_h = ops.emb.reduce_vector(b)
-        x_s, x_h = self.solver.solve(b_s, b_h)
-        if not (np.isfinite(x_s).all() and np.isfinite(x_h).all()):
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            # first, so that the convection form's space and divergence checks
+            # see the state before anything else evaluates it
+            cu, umax = asm.convection_action(self._conv_cache, u, u.coefficients)
+            if umax > 0 and cfg.dt > 0.5 * ops.mesh.h_min / umax and not self._cfl_warned:
+                warnings.warn(
+                    f"time step {cfg.dt:g} exceeds the convective CFL bound "
+                    f"{0.5 * ops.mesh.h_min / umax:g}", RuntimeWarning)
+                self._cfl_warned = True
+            b = state.Mu / cfg.dt - cu + ops.load_vector(t_next)
+            if not np.isfinite(b).all():
+                raise NaNDetected(f"non-finite right-hand side at t = {t_next:g}")
+            x_s, x_h = self.solver.solve(*ops.emb.reduce_vector(b))
+            new = ops.make_state(t_next, x_s, x_h, step=n, t0=state.t0)
+        if not math.isfinite(new.kinetic_energy):
             raise NaNDetected(f"non-finite state at t = {t_next:g}")
-        return ops.make_state(t_next, x_s, x_h, step=n, t0=state.t0)
+        return new
 
 
 @dataclass

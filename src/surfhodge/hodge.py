@@ -198,31 +198,28 @@ class HodgeSolver:
         self.Q = build_space(mesh, "dg_pressure", max(k - 1, 0), "zero_mean")
         self.M = asm.assemble_mass(self.V)
         self.B = asm.assemble_div(self.V, self.Q)
-        self.E = asm.assemble_rot_embedding(self.S, self.V)
-        self.L = asm.assemble_broken_stiffness(self.S)
-        self._psi_moment = asm.assemble_moment(self.S) if self.S.zero_mean else None
-        # Right inverse of B (pressure_solve).  A triangle's mean mode q0
-        # pairs only with the lowest edge-flux moments e0: B0 = B[q0, e0].
-        # Its bubbles' divergences span its other modes qp through one
-        # reference block times their dof signs s, so B PK is the identity on
-        # qp; G = (I[:, e0] - PK B[:, e0]) B0' has B G = [B0 B0'; 0].
-        ne = 3 * (self.k + 1)
-        e0 = np.unique(self.V.dof_map[:, :ne:self.k + 1])
-        e0 = e0[e0 >= 0]
-        self._q0, qp = self.Q.dof_map[:, 0], self.Q.dof_map[:, 1:]
-        self._q0_moment = asm.assemble_moment(self.Q)[self._q0]
-        vi, s = self.V.dof_map[:, ne:], self.V.dof_signs[:, ne:]
-        K = np.linalg.pinv(asm.reference_div_block(self.V, self.Q)[1:, ne:])
-        self._PK = asm._scatter(np.broadcast_to(K, (mesh.n_triangles, *K.shape)), vi, 1 / s,
-                                qp, self.Q.dof_signs[:, 1:], self.B.T.shape)
-        B_e0 = self.B[:, e0]
-        self._B0 = B_e0[self._q0]
-        self._G = (sp.eye(self.V.total_dofs, format="csr")[:, e0] - self._PK @ B_e0) @ self._B0.T
         # E without its interpolation rounding, for decompose's products.
         # E itself stays as assembled: it forms the flow solvers' A_ss, whose
         # ordering its rounding entries shape, and u - E psi in the harmonic
         # draws, whose divergence it lowers.
-        self._Es = asm.structural_rot_embedding(self.E, self.S, self.V)
+        rot = asm.reference_rot_block(self.S, self.V)
+        self.E = asm.assemble_rot_embedding(self.S, self.V, rot)
+        self._Es = asm.assemble_rot_embedding(self.S, self.V, asm.snap_rounding(rot))
+        self.L = asm.assemble_broken_stiffness(self.S)
+        self._psi_moment = asm.assemble_moment(self.S) if self.S.zero_mean else None
+        # Right inverse of B (pressure_solve).  A triangle's mean mode q0
+        # pairs only with its lowest edge-flux moments: B0 = B[q0].  Its
+        # bubbles' divergences span its other modes qp through one reference
+        # block times their dof signs s, so B PK is the identity on qp;
+        # G = (I - PK B) B0' has B G = [B0 B0'; 0].
+        ne = self.V.ref.n_edge_dofs
+        self._q0, qp = self.Q.dof_map[:, 0], self.Q.dof_map[:, 1:]
+        self._q0_moment = asm.assemble_moment(self.Q)[self._q0]
+        K = np.linalg.pinv(asm.reference_div_block(self.V, self.Q)[1:, ne:])
+        self._PK = asm._scatter(K, self.V.dof_map[:, ne:], 1 / self.V.dof_signs[:, ne:],
+                                qp, self.Q.dof_signs[:, 1:], self.B.T.shape)
+        self._B0 = self.B[self._q0]
+        self._G = (sp.eye(self.V.total_dofs, format="csr") - self._PK @ self.B) @ self._B0.T
         # the transposes that every decomposition applies, as csc views
         self._ET, self._EsT, self._PKT, self._GT = self.E.T, self._Es.T, self._PK.T, self._G.T
         self._checksum = mesh.checksum()
@@ -238,10 +235,6 @@ class HodgeSolver:
     def laplace_operator(self) -> FactorizedOperator:
         """Factorized streamfunction form L."""
         return FactorizedOperator(self.L)
-
-    @cached_property
-    def mass_operator(self) -> FactorizedOperator:
-        return FactorizedOperator(self.M)
 
     def pressure_solve(self, r: np.ndarray) -> np.ndarray:
         """Zero-mean multiplier lam = R' r, R b = G L0^-1 b[q0] + PK b the
@@ -368,7 +361,8 @@ class HodgeSolver:
         gradient_part = g0 - self._Es @ psi_g - H.T @ (H @ fg)
         lam = self.pressure_solve(f - self.M @ (rot_part + harmonic_part))
         diff = vc - rot_part - harmonic_part - gradient_part
-        residual = float(np.sqrt(max(diff @ (self.M @ diff), 0.0)))
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller sees inf or nan
+            residual = float(np.sqrt(max(diff @ (self.M @ diff), 0.0)))
         return HodgeComponents(
             psi=self.stream_field(psi),
             h_coeffs=h,

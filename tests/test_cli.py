@@ -2,6 +2,8 @@ import functools
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -530,6 +532,34 @@ def test_decompose_infinite_forcing_constant_exit_3(capsys):
     assert_one_line_failure(
         capsys, ["decompose", "--mesh", "builtin:torus", "--k", "1", "--field-mode",
                  "expression", "--fx", "1e400*x"], 3, "algorithmic failure: non-finite load")
+
+
+def test_decompose_overflowing_norms_exit_3(capsys):
+    """A field whose M-norms overflow fails the non-finite JSON check with
+    one stderr line; its residual and norms raise no numpy warning first
+    (tier-1 turns a warning into an error)."""
+    assert_one_line_failure(
+        capsys, ["decompose", "--mesh", "builtin:torus", "--k", "1", "--field-mode",
+                 "expression", "--fx", "1e300*x"], 3,
+        "algorithmic failure: non-finite number in the decompose result")
+
+
+def test_nse_diverging_run_stops_at_first_overflow(tmp_path):
+    """A run far beyond its CFL bound overflows within two steps.  It exits
+    3 at the first step whose state is not finite, and its stderr holds the
+    CFL warning and the failure line, with no numpy overflow warning."""
+    cfg = write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\nmu = 1e-3\ndt = 1\nt_end = 20\n"
+                              "forcing = expression\nfx = 1e50*sin(y)\nfy = 1e50*cos(z)\n"
+                              "fz = 0\n")
+    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    proc = subprocess.run([sys.executable, "-m", "surfhodge.cli", "nse", "--config", cfg],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    err = proc.stderr.splitlines()
+    assert err[-1] == "algorithmic failure: non-finite state at t = 2"
+    assert "exceeds the convective CFL bound" in err[0] and len(err) == 3
+    assert not any("overflow" in line or "invalid value" in line for line in err)
 
 
 def test_nse_step_count_overflow_exit_2(tmp_path, capsys):

@@ -2,7 +2,9 @@
 Each entry of its first column must stay gone: a module-level name or class
 attribute that resolves again, or a `f(param=)` whose `param` is back in
 `inspect.signature(f)`, fails the test, so the table and the code cannot
-drift apart."""
+drift apart.  The module table ("Library layout") names only live API:
+each of its backquoted names must resolve, with its `f(param=...)`
+keywords in f's signature."""
 
 import ast
 import importlib
@@ -19,13 +21,20 @@ MODULES = {m.name: importlib.import_module(f"surfhodge.{m.name}")
 CLASSES = {obj.__name__: obj for mod in MODULES.values() for obj in vars(mod).values()
            if inspect.isclass(obj) and obj.__module__.startswith("surfhodge.")}
 
-# first-column entries that name no Python object, so nothing is resolved
+# table entries that name no module-level object or class attribute, so
+# nothing is resolved
 NOT_CHECKED = {
     "surfhodge topology --seed": "a CLI flag; topology's parser is tested in test_cli",
     "--tol": "a CLI flag of the same row",
     '"SPD"': "a value of the removed kind= argument",
     '"symmetric-indefinite"': "a value of the removed kind= argument",
     "f(x)": "prose: how assemble_load used to call a forcing",
+    "SurfaceMesh.conormals": "an instance attribute, set by SurfaceMesh.__init__",
+    "n": "an instance attribute of FactorizedOperator",
+    "lu_nnz": "an instance attribute of FactorizedOperator",
+    "E": "an instance attribute of HodgeSolver",
+    "pressure": "a parameter of stokes_saddle, named in the same cell",
+    "manifest.json": "a file the CLI writes",
 }
 ENTRY = re.compile(r"(?:(\w+)\.|(\.))?(\w+)(?:\((.*)\))?")
 
@@ -40,6 +49,13 @@ def removed_rows(text: str) -> list[list[str]]:
             break
         rows.append(re.findall(r"`([^`]+)`", line.split("|")[1]))
     return rows
+
+
+def module_table_entries(text: str) -> list[str]:
+    """The backquoted entries of the module table's second column."""
+    lines = text.split("## Library layout and dof conventions", 1)[1].splitlines()
+    return [entry for line in lines if line.startswith("| `surfhodge.")
+            for entry in re.findall(r"`([^`]+)`", line.split("|", 2)[2])]
 
 
 def _has(owner, name: str) -> bool:
@@ -103,12 +119,59 @@ def problems(rows: list[list[str]]) -> list[str]:
     return out
 
 
+def unresolved(entries: list[str]) -> list[str]:
+    """Names among entries that do not resolve, and f(param=...) keywords
+    that are not parameters of f.  Entries that are not a name or
+    Class.attr, such as formulas, are skipped."""
+    out = []
+    for entry in entries:
+        m = ENTRY.fullmatch(entry)
+        if m is None or m.group(2) or entry in NOT_CHECKED:
+            continue
+        qual, _, name, args = m.groups()
+        if qual:
+            owner = MODULES.get(qual) or CLASSES.get(qual)
+            found = [getattr(owner, name, None)] if owner and _has(owner, name) else []
+        else:
+            found = _find(name)
+        if not found:
+            out.append(f"{entry}: does not resolve")
+            continue
+        for key in (a.split("=", 1)[0] for a in (args or "").split(", ") if "=" in a):
+            if not any(key in inspect.signature(f).parameters for f in found if callable(f)):
+                out.append(f"{entry}: {key} is not a parameter")
+    return out
+
+
 def test_removed_api_stays_removed():
-    rows = removed_rows(README.read_text())
+    text = README.read_text()
+    rows = removed_rows(text)
     assert len(rows) >= 40
-    entries = {e for row in rows for e in row}
-    assert set(NOT_CHECKED) <= entries, "an unchecked entry left the table"
+    entries = {e for row in rows for e in row} | set(module_table_entries(text))
+    assert set(NOT_CHECKED) <= entries, "an unchecked entry left the tables"
     assert problems(rows) == []
+
+
+def test_module_table_names_live_api():
+    entries = module_table_entries(README.read_text())
+    assert len(entries) >= 30
+    assert unresolved(entries) == []
+
+
+def test_checker_flags_names_that_are_gone():
+    assert unresolved([
+        "structural_rot_embedding",             # removed from assembly
+        "HodgeSolver.mass_operator",            # a class attribute that went
+        "stokes_saddle(load=None, t=None)",     # a keyword that is not a parameter
+        "nowhere.name",                         # an owner that does not exist
+        "HodgeSolver.decompose", "pinned",      # these resolve
+        "scipy.sparse.csgraph", "A + B",        # not a name: skipped
+    ]) == [
+        "structural_rot_embedding: does not resolve",
+        "HodgeSolver.mass_operator: does not resolve",
+        "stokes_saddle(load=None, t=None): t is not a parameter",
+        "nowhere.name: does not resolve",
+    ]
 
 
 def test_checker_flags_names_that_are_back():

@@ -11,6 +11,7 @@ from surfhodge.hodge import (
     decompose_p0_incomplete,
     verify_dimension,
 )
+from surfhodge.linalg import FactorizedOperator
 from surfhodge.mesh import SurfaceMesh, analyze_topology
 from surfhodge.quadrature import triangle_rule
 
@@ -78,7 +79,6 @@ def test_decompose_builds_each_factor_once(torus3, track_factors, rng):
         solver.decompose(FeField(solver.V, rng.standard_normal(solver.V.total_dofs)), basis)
     kept = (solver.laplace_operator, solver.pressure_operator)
     assert sorted(map(id, kept)) == sorted(id(ref()) for _, ref, _ in built)
-    assert "mass_operator" not in vars(solver)
     assert solver.laplace_operator.solve_count == draws[0] + 2 * 3
     assert solver.pressure_operator.solve_count == draws[1] + 2 * 3
 
@@ -364,6 +364,21 @@ def test_b_and_e_store_only_structural_entries(name, k, corpus, solver_cache):
 
 @pytest.mark.parametrize("k", range(5))
 @pytest.mark.parametrize("name", CORPUS)
+def test_right_inverse_reads_its_blocks_off_b(name, k, corpus, track_factors):
+    """PK stores only the nonzero entries of its reference block, and the
+    mean-mode factor L0 is built from B's own mean-mode rows B[q0]."""
+    from surfhodge import hodge
+
+    built = track_factors(hodge)
+    solver = HodgeSolver(corpus[name], k)
+    assert (solver._PK.data != 0).all()
+    solver.pressure_operator
+    B0 = solver.B[solver.Q.dof_map[:, 0]]
+    assert len(built) == 1 and (built[0][0] != B0 @ B0.T).nnz == 0
+
+
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("name", CORPUS)
 def test_pressure_solve_inverts_b_transpose_on_one_small_factor(name, k, corpus, monkeypatch):
     """pressure_solve(B' lam) returns the zero-mean lam, a draw r - R B r
     is divergence-free to rounding, and both use one factor with one
@@ -481,7 +496,7 @@ def test_decompose_converges_to_exact_parts(k, min_rate):
         solver = HodgeSolver(mesh, k)
         basis = solver.harmonic_basis()
         assert basis.dimension == 0
-        v = solver.mass_operator.solve(
+        v = FactorizedOperator(solver.M).solve(
             asm.assemble_load(solver.V, lambda x, t: sum(_patch_parts(x))))
         comp = solver.decompose(FeField(solver.V, v), basis)
         assert comp.residual_norm <= 1e-10 * np.sqrt(v @ (solver.M @ v))
@@ -531,7 +546,7 @@ def test_decompose_prism_circumferential_field_is_harmonic(k, n_theta):
     solver = HodgeSolver(_prism(3, n_theta), k)
     basis = solver.harmonic_basis()
     assert basis.dimension == 1
-    v = solver.mass_operator.solve(asm.assemble_load(solver.V, _circumferential(n_theta)))
+    v = FactorizedOperator(solver.M).solve(asm.assemble_load(solver.V, _circumferential(n_theta)))
     comp = solver.decompose(FeField(solver.V, v), basis)
 
     def norm(a):
@@ -549,7 +564,7 @@ def test_hierarchy_lowest_order_harmonics_span(torus, solver_cache, basis_cache)
     for k in [1, 2]:
         solver = solver_cache(torus, k)
         C = asm.assemble_cross_mass(solver.V, V0)
-        mass_inv = solver.mass_operator
+        mass_inv = FactorizedOperator(solver.M)
         W = []
         for h0 in basis0.vectors:
             u = mass_inv.solve(C @ h0)  # L2 projection (exact: V0 within Vk)
