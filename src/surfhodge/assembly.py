@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegreeMismatch, NaNDetected, NonpositiveParameter, NotDivergenceFree
-from .fespace import FeField, FeSpace, edge_ref_points, scalar_monomials
+from .fespace import FeField, FeSpace, edge_ref_points
 from .quadrature import edge_rule, triangle_rule
 
 
@@ -285,7 +285,7 @@ def reference_rot_block(S: FeSpace, V: FeSpace) -> np.ndarray:
     # rot-hat of the Lagrange reference basis as vector polynomials of
     # degree k: rot = (d/dy, -d/dx).
     exps_S = S.ref.exps
-    exps_k = scalar_monomials(V.degree) if V.degree >= 1 else scalar_monomials(1)
+    exps_k = V.ref.exps
     idx = {e: i for i, e in enumerate(exps_k)}
     n_lag = S.ref.n_local
     rot_coeffs = np.zeros((n_lag, len(exps_k), 2))
@@ -404,8 +404,6 @@ def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
                  V.dof_signs, (V.total_dofs, V.total_dofs))
 
     edges = np.flatnonzero(~mesh.boundary_edge_mask | dirichlet)
-    if len(edges) == 0:
-        return (A + A.T) * 0.5
     tq, tw = edge_rule(2 * k + 2)
     n_e = len(edges)
     bnd = mesh.boundary_edge_mask[edges]
@@ -413,16 +411,16 @@ def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
     # a boundary edge's second side repeats the first; its dofs are dropped below
     tris[bnd, 1] = tris[bnd, 0]
     _, tr = _side_traces(V, edges, tris, tq)
-    cols = V.dof_map[tris].reshape(n_e, -1)
+    cols = V.dof_map[tris].reshape(n_e, 2 * n_loc)
     cols[bnd, n_loc:] = -1
-    signs = V.dof_signs[tris].reshape(n_e, -1)
+    signs = V.dof_signs[tris].reshape(n_e, 2 * n_loc)
     # jump v0 - v1; average traction (t0 - t1) / 2, or t0 on a boundary edge
     jump = _SIDES[..., None, None] * tr[1]
     trac = (mu * np.where(bnd, 1.0, 0.5)[:, None]) * _SIDES[..., None, None] * tr[2]
     h_e = mesh.edge_lengths[edges]
     w = (tw[:, None] * h_e)[None, :, :, None]
     P_j, WQ = (_side_trace_operator(V.total_dofs, cols, signs,
-                                    t.transpose(1, 2, 0, 3).reshape(len(tq), n_e, -1))
+                                    t.transpose(1, 2, 0, 3).reshape(len(tq), n_e, 2 * n_loc))
                for t in (jump, w * ((alpha * mu / h_e)[:, None] * jump - 2.0 * trac)))
     A = A + P_j.T @ WQ
     return (A + A.T) * 0.5

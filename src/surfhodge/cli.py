@@ -197,7 +197,7 @@ def cmd_decompose(args) -> int:
     return manifest.finish(
         lines, norms,
         lambda out_dir: vtkio.write_decomposition_vtk(
-            os.path.join(out_dir, "decomposition.vtk"), mesh, solver.V, v, comp, basis),
+            os.path.join(out_dir, "decomposition.vtk"), solver.V, v, comp),
         _json_file("decomposition.json", norms))
 
 

@@ -303,15 +303,20 @@ class FlowOperators:
 
     def make_state(self, t: float, x_s: np.ndarray, x_h: np.ndarray,
                    step: int = 0, t0: float | None = None) -> FlowState:
-        u = self.emb.apply(x_s, x_h)
-        Mu = self.M @ u
+        """The state (x_s, x_h) at t; NaNDetected if its energy is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            u = self.emb.apply(x_s, x_h)
+            Mu = self.M @ u
+            energy = 0.5 * float(u @ Mu)
+        if not math.isfinite(energy):
+            raise NaNDetected(f"non-finite state at t = {t:g}")
         return FlowState(
             t=t,
             psi=self.hodge.stream_field(x_s),
             h_coeffs=np.asarray(x_h, dtype=float),
             u=FeField(self.V, u),
             Mu=Mu,
-            kinetic_energy=0.5 * float(u @ Mu),
+            kinetic_energy=energy,
             step=step,
             t0=t0,
         )
@@ -336,7 +341,7 @@ class FlowOperators:
 
         Raises SingularOperator when the streamfunction block is singular
         beyond the constants, e.g. for mu = 0, where no viscous form remains,
-        and NaNDetected when the state or its kinetic energy is not finite.
+        and make_state's NaNDetected when the state is not finite.
         """
         b = self.load_vector(0.0) if load is None else load
         solver = ReducedSolver(self.A_red)
@@ -345,11 +350,7 @@ class FlowOperators:
                 "n_harmonic": self.A_red.n_harmonic}
         r = b - self.A_visc @ self.emb.apply(x_s, x_h)
         d_s, d_h = solver.solve(*self.emb.reduce_vector(r))
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            state = self.make_state(0.0, x_s + d_s, x_h + d_h)
-        if not math.isfinite(state.kinetic_energy):  # e.g. mu = 1e-300: |u| ~ 1e300
-            raise NaNDetected("non-finite Stokes state")
-        return state, info
+        return self.make_state(0.0, x_s + d_s, x_h + d_h), info
 
     def stokes_saddle(self, load: np.ndarray | None = None,
                       pressure: FeField | np.ndarray | None = None):
@@ -400,12 +401,7 @@ class FlowOperators:
                 break
         else:
             raise SolverFailure("saddle-point solve did not converge in 100 steps")
-        # drop the rounding drift of p's moment m'p along the constant
-        # function, whose coefficients are W m (not the all-ones vector)
-        m = asm.assemble_moment(self.Q)
-        one = w * m
-        p -= (m @ p) / (m @ one) * one
-        return FeField(self.V, u), FeField(self.Q, p)
+        return FeField(self.V, u), self.hodge.pressure_field(p)
 
     def reconstruct_pressure(self, state: FlowState, load: np.ndarray | None = None) -> FeField:
         """Recover the pressure from a reduced velocity solution.
@@ -472,10 +468,7 @@ class NavierStokesStepper:
             if not np.isfinite(b).all():
                 raise NaNDetected(f"non-finite right-hand side at t = {t_next:g}")
             x_s, x_h = self.solver.solve(*ops.emb.reduce_vector(b))
-            new = ops.make_state(t_next, x_s, x_h, step=n, t0=state.t0)
-        if not math.isfinite(new.kinetic_energy):
-            raise NaNDetected(f"non-finite state at t = {t_next:g}")
-        return new
+            return ops.make_state(t_next, x_s, x_h, step=n, t0=state.t0)
 
 
 @dataclass

@@ -176,7 +176,7 @@ class HodgeSolver:
     E' M E, assembled as the Lagrange stiffness it equals, which stores
     none of the rounding-level entries of E; the flow solvers reuse it.  The
     factors of L0 and, on a closed surface, L pin a dof (their kernel is the
-    constants); pressure_solve and stream_field report zero-mean fields.
+    constants); pressure_field and stream_field report zero-mean fields.
     All operations are pure given the immutable mesh; the random number
     generator of the harmonic search is an explicit seeded input, so runs
     are reproducible.  The factorizations are built on first use and
@@ -242,8 +242,14 @@ class HodgeSolver:
         lam[qp] = (PK' r)[qp].  It solves B' lam = r exactly when the
         velocity functional r vanishes on the divergence-free subspace."""
         lam = self._PKT @ r
-        lam[self._q0] = zero_mean(self.pressure_operator.solve(self._GT @ r), self._q0_moment)
-        return lam
+        lam[self._q0] = self.pressure_operator.solve(self._GT @ r)
+        return self.pressure_field(lam).coefficients
+
+    def pressure_field(self, p: np.ndarray) -> FeField:
+        """A copy of the pressure p whose mean modes are shifted to zero mean."""
+        p = np.array(p, dtype=float)
+        p[self._q0] = zero_mean(p[self._q0], self._q0_moment)
+        return FeField(self.Q, p)
 
     def stream_field(self, x: np.ndarray) -> FeField:
         """The streamfunction x, shifted to zero mean on a closed surface."""

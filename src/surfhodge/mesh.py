@@ -198,7 +198,9 @@ class SurfaceMesh:
         b_edges = np.flatnonzero(self.boundary_edge_mask)
         ends = np.argsort(self.edges[b_edges].ravel(), kind="stable") // 2
         n_loops, labels = _components(len(b_edges), ends[0::2], ends[1::2])
-        self.boundary_loops = [b_edges[labels == c].tolist() for c in range(n_loops)]
+        grouped = b_edges[np.argsort(labels, kind="stable")].tolist()  # each loop ascending
+        stops = np.cumsum(np.bincount(labels, minlength=n_loops)).tolist()
+        self.boundary_loops = [grouped[a:b] for a, b in zip([0, *stops], stops)]
 
     # -------------------------------------------------------------- geometry
     def _build_geometry(self):

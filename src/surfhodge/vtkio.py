@@ -106,8 +106,8 @@ def write_timeseries_csv(out_dir, records: np.ndarray, n_harmonic: int) -> str:
     return path
 
 
-def write_decomposition_vtk(path, mesh, V, v_field, components, basis) -> str:
-    """Snapshot of a three-way decomposition: input and its parts."""
+def write_decomposition_vtk(path, V, v_field, components) -> str:
+    """Snapshot of a three-way decomposition in V: input and its parts."""
     fields = {
         "v": cell_vectors(v_field),
         "v_rot": cell_vectors(FeField(V, components.rot_part)),
@@ -115,4 +115,4 @@ def write_decomposition_vtk(path, mesh, V, v_field, components, basis) -> str:
         "v_grad": cell_vectors(FeField(V, components.gradient_part)),
     }
     scalars = {"psi": lagrange_vertex_values(components.psi)}
-    return write_vtk(path, mesh, fields, scalars, title="hodge decomposition")
+    return write_vtk(path, V.mesh, fields, scalars, title="hodge decomposition")

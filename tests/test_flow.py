@@ -580,10 +580,22 @@ def test_nse_nan_guard(torus3, basis_cache):
     cfg = SimulationConfig(k=1, mu=0.1, dt=1e-2, t_end=1e-1)
     ops = FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1))
     stepper = NavierStokesStepper(ops)
-    bad = ops.make_state(0.0, np.full(ops.emb.n_stream, np.nan),
-                         np.zeros(ops.emb.n_harmonic))
+    # make_state refuses a non-finite state, so the NaN comes from outside
+    good = ops.make_state(0.0, np.zeros(ops.emb.n_stream), np.zeros(ops.emb.n_harmonic))
+    bad = replace(good, u=FeField(ops.V, np.full(ops.V.total_dofs, np.nan)))
     with pytest.raises(NaNDetected):
         stepper.step(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e300])
+def test_make_state_refuses_a_non_finite_state(value, torus3, basis_cache):
+    """make_state is where every flow state is checked: a velocity that is
+    not finite, or whose kinetic energy overflows, raises NaNDetected with
+    no numpy warning before it (warnings are errors under pytest)."""
+    cfg = SimulationConfig(k=1, mu=0.1, dt=1e-2, t_end=1e-1)
+    ops = FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1))
+    with pytest.raises(NaNDetected, match="non-finite state at t = 0.25"):
+        ops.make_state(0.25, np.full(ops.emb.n_stream, value), np.zeros(ops.emb.n_harmonic))
 
 
 def test_nse_rejects_nondivfree_state(torus3, basis_cache, rng):

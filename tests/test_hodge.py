@@ -409,6 +409,23 @@ def test_pressure_solve_inverts_b_transpose_on_one_small_factor(name, k, corpus,
     assert built[0].solve_count == 2
 
 
+@pytest.mark.parametrize("k", [0, 2])
+def test_pressure_field_shifts_only_the_mean_modes(k, torus, solver_cache):
+    """pressure_field returns a zero-mean copy that differs from its input
+    by one constant on the mean modes q0 and not at all elsewhere."""
+    solver = solver_cache(torus, k)
+    p = np.random.default_rng(k).standard_normal(solver.Q.total_dofs) + 3.0
+    before = p.copy()
+    got = solver.pressure_field(p)
+    assert got.space is solver.Q and np.array_equal(p, before)
+    q0 = solver.Q.dof_map[:, 0]
+    shift = got.coefficients - p
+    assert not np.delete(shift, q0).any()
+    assert np.ptp(shift[q0]) <= 1e-14 and abs(shift[q0][0]) > 1.0
+    m = asm.assemble_moment(solver.Q)
+    assert abs(m @ got.coefficients) <= 1e-14 * (np.abs(m) @ np.abs(p))
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_harmonic_span_matches_dense_euclidean_projection(torus3, solver_cache, k):
     """The draws made divergence-free by R B span the harmonic space of

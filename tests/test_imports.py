@@ -1,6 +1,7 @@
 """Static checks in place of a linter: every name a module of surfhodge or
 a script in scripts/ imports is used in that file or re-exported through
-its __all__, every name in surfhodge.__all__ resolves, and every top-level
+its __all__, every parameter of a function of surfhodge is read in its
+body, every name in surfhodge.__all__ resolves, and every top-level
 function, class and constant of surfhodge is referenced somewhere in the
 package, scripts/ or tests/."""
 
@@ -45,6 +46,49 @@ def test_checker_flags_an_unused_import():
                          ids=[p.name for p in MODULES] + [f"scripts/{p.name}" for p in SCRIPTS])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of each def (named by its dotted path through classes
+    and enclosing defs) that its body, nested scopes included, never reads."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+                params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found.extend(f"{prefix}{child.name}({p})" for p in params if p not in read)
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+# The forcing protocol f(points, t): a steady forcing ignores t.
+UNREAD_BY_PROTOCOL = {
+    "flow.py": ["_zero_forcing(t)"],
+    "config.py": ["constant_band_forcing.f(t)", "rigid_rotation_forcing.f(t)"],
+}
+
+
+def test_checker_flags_an_unused_parameter():
+    source = ("def f(a, b, *c, d=1, **e):\n    return a + d\n"
+              "class C:\n    def m(self, x):\n        def g(y):\n            return x\n"
+              "        return self, g\n")
+    assert unused_parameters(source) == ["f(b)", "f(c)", "f(e)", "C.m.g(y)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_parameter_is_read(path):
+    assert unused_parameters(path.read_text()) == UNREAD_BY_PROTOCOL.get(path.name, [])
 
 
 def test_package_exports_resolve():

@@ -354,6 +354,26 @@ def test_boundary_loops_partition(corpus):
             assert set(counts[counts > 0].tolist()) == {2}
 
 
+def test_boundary_loops_of_a_perforated_patch():
+    """Hundreds of loops keep the order contract: a 60 x 60 patch with the
+    first triangle of each 3 x 3 block's middle quad removed, so that no
+    two holes share a vertex, has one 3-edge loop per hole plus its rim."""
+    n = 60
+    base = meshes.flat_patch(n)
+    mid = np.arange(1, n, 3)
+    holes = 2 * (mid[:, None] * n + mid[None, :]).ravel()
+    mesh = SurfaceMesh(base.vertices, np.delete(base.triangles, holes, axis=0))
+    loops = mesh.boundary_loops
+    assert len(loops) == len(holes) + 1
+    assert sorted(len(loop) for loop in loops) == [3] * len(holes) + [4 * n]
+    assert all(loop == sorted(loop) for loop in loops)
+    firsts = [loop[0] for loop in loops]
+    assert firsts == sorted(firsts)
+    loop_edges = sorted(e for loop in loops for e in loop)
+    assert loop_edges == np.flatnonzero(mesh.boundary_edge_mask).tolist()
+    assert meshes.tetrahedron().boundary_loops == []
+
+
 # ------------------------------------------------------------------- frames
 def test_frames_coplanar():
     mesh = meshes.square_two_triangles()
