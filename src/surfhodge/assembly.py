@@ -29,6 +29,8 @@ discrete energy identity holds to rounding error.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -84,12 +86,6 @@ def _scatter_entries(vals, rows, cols, shape):
     duplicates are summed."""
     keep = (rows >= 0) & (cols >= 0)
     return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
-
-
-def _scatter_vec(local: np.ndarray, dof_map, signs, n):
-    rows = dof_map.ravel()
-    keep = rows >= 0
-    return np.bincount(rows[keep], weights=(local * signs).ravel()[keep], minlength=n)
 
 
 # ------------------------------------------------------------------ volume
@@ -191,7 +187,7 @@ def assemble_moment(space: FeSpace) -> np.ndarray:
         raise DegreeMismatch("moment vector requires a scalar space")
     block = space.ref.eval(rule.xy) @ rule.weights  # (n_loc,)
     local = block[None, :] * space.mesh.Jdet[:, None]
-    return _scatter_vec(local, space.dof_map, space.dof_signs, space.total_dofs)
+    return space.scatter @ local.ravel()
 
 
 def load_tabulation(V: FeSpace):
@@ -221,7 +217,7 @@ def assemble_load(V: FeSpace, f, time: float = 0.0, tab=None) -> np.ndarray:
     fv = np.asarray(f(flat, time), dtype=float).reshape(pts.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         local = np.matmul(fv, V.mesh.F).reshape(len(fv), -1) @ weighted.T
-    b = _scatter_vec(local, V.dof_map, V.dof_signs, V.total_dofs)
+    b = V.scatter @ local.ravel()
     if not np.isfinite(b).all():
         raise NaNDetected(f"non-finite load at t = {time:g}")
     return b
@@ -240,8 +236,7 @@ def assemble_gradient_load(scalar_space: FeSpace, field: FeField) -> np.ndarray:
     block = np.einsum("lqa,mqa,q->lm", fs.ref.eval(rule.xy), scalar_space.ref.grad(rule.xy),
                       rule.weights)
     local = fs.local_coefficients(field.coefficients) @ block
-    return _scatter_vec(local, scalar_space.dof_map, scalar_space.dof_signs,
-                        scalar_space.total_dofs)
+    return scalar_space.scatter @ local.ravel()
 
 
 # -------------------------------------------------------------- embeddings
@@ -428,10 +423,10 @@ def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
 
 # -------------------------------------------------------------- convection
 def _divergence_tabulation(V: FeSpace):
-    """Quadrature rule of divergence_norm and the reference divergences
-    (n_loc, n_q) of V's basis at its points."""
+    """The reference divergences (n_loc, n_q) of V's basis at the points
+    of divergence_norm's rule, the rule's weights and 1 / J per triangle."""
     rule = triangle_rule(2 * V.degree + 2)
-    return rule, V.ref.div(rule.xy)
+    return V.ref.div(rule.xy), rule.weights, 1.0 / V.mesh.Jdet
 
 
 def divergence_norm(V: FeSpace, coefficients: np.ndarray) -> float:
@@ -441,14 +436,14 @@ def divergence_norm(V: FeSpace, coefficients: np.ndarray) -> float:
     eps * scale instead of the sqrt(eps) floor of the Gram quadratic form,
     so machine-zero divergences measure as ~1e-15 relative.
     """
-    loc = V.local_coefficients(np.asarray(coefficients, dtype=float))
-    return _divergence_norm(V, loc, _divergence_tabulation(V))
+    loc = V.local_coefficients(coefficients)
+    return _divergence_norm(loc, _divergence_tabulation(V))
 
 
-def _divergence_norm(V: FeSpace, loc: np.ndarray, tab) -> float:
-    rule, ref_div = tab
+def _divergence_norm(loc: np.ndarray, tab) -> float:
+    ref_div, weights, inv_j = tab
     # (div u)^2 J = (divhat uhat)^2 / J at each point
-    sq = ((loc @ ref_div) ** 2 @ rule.weights) @ (1.0 / V.mesh.Jdet)
+    sq = ((loc @ ref_div) ** 2 @ weights) @ inv_j
     return float(np.sqrt(max(sq, 0.0)))
 
 
@@ -461,24 +456,25 @@ def convection_tabulation(V: FeSpace) -> dict:
     per-point array: the rule, the reference basis values R
     (2 * n_q, n_loc) and the reference gradients of the test functions
     times -weights (n_loc, 4 * n_q), both shared by all triangles, and the
-    metric g = F'F / J^2 of each triangle as (2, 2, 1, T).  "edge" holds
-    the side-trace operator Psi of the interior edges, its transpose and
-    the edge quadrature weights times edge lengths (n_q_e * E,).  Row
+    metric g = F'F / J^2 of each triangle as (2, 2, T).  "edge" holds
+    the side-trace operator Psi of the interior edges, its transpose (CSR
+    too) and the edge quadrature weights times edge lengths (n_q_e * E,).  Row
     (c, s, q, e) of Psi is the normal (c = 0, on the side's outward
     conormal) or tangential (c = 1, on the edge tangent) trace of side s
     of edge e at point q, from _side_traces; the edges vary fastest, so the
     upwind arithmetic runs over long contiguous rows.  "div" holds the
-    reference divergences of the divergence-free check.
+    reference divergences, weights and 1 / J of the divergence-free check.
     """
     mesh = V.mesh
     k = V.degree
     n_loc = V.ref.n_local
     tab: dict = {"space": V, "div": _divergence_tabulation(V)}
+    V.scatter  # builds V's gather operators now, not in the first step
     rule = triangle_rule(max(2 * k + 3, 3 * k))
     vals = V.ref.eval(rule.xy).transpose(2, 1, 0)  # (2, n_q, n_loc)
     grads = np.moveaxis(V.ref.grad(rule.xy) * -rule.weights[:, None, None], 1, -1)
-    g = _gram(mesh.F).transpose(1, 2, 0) / mesh.Jdet**2
-    tab["vol"] = (rule, vals.reshape(-1, n_loc), grads.reshape(n_loc, -1), g[:, :, None, :])
+    g = np.ascontiguousarray(_gram(mesh.F).transpose(1, 2, 0)) / mesh.Jdet**2
+    tab["vol"] = (rule, vals.reshape(-1, n_loc), grads.reshape(n_loc, -1), g)
 
     tq, tw = edge_rule(max(2 * k + 2, 3 * k))
     interior = np.flatnonzero(~mesh.boundary_edge_mask)
@@ -491,7 +487,7 @@ def convection_tabulation(V: FeSpace) -> dict:
     own = np.arange(n_loc) // (k + 1) == le.T[:, None, :, None]
     psi = _side_trace_operator(V.total_dofs, np.stack([np.where(own, dofs, -1), dofs]),
                                V.dof_signs[t_sides].transpose(1, 0, 2)[:, None], tr[:2])
-    tab["edge"] = (psi, psi.T, (tw[:, None] * mesh.edge_lengths[interior]).ravel())
+    tab["edge"] = (psi, psi.T.tocsr(), (tw[:, None] * mesh.edge_lengths[interior]).ravel())
     return tab
 
 
@@ -501,7 +497,7 @@ def _reference_values(tab: dict, loc: np.ndarray):
     physical value is F Uhat / J, so |u|^2 = Uhat . g Uhat."""
     _, R, _, g = tab["vol"]
     uh = (R @ loc.T).reshape(2, -1, len(loc))
-    return uh, (g * uh).sum(axis=1)
+    return uh, np.einsum("cdt,dqt->cqt", g, uh)
 
 
 def convection_action(tab: dict, w: FeField, u: np.ndarray):
@@ -535,21 +531,23 @@ def convection_action(tab: dict, w: FeField, u: np.ndarray):
     if not V.same_as(w.space):
         raise DegreeMismatch("convecting field must live in the velocity space")
     w_loc = V.local_coefficients(w.coefficients)
-    wm = float(np.linalg.norm(w.coefficients))
-    if wm > 0 and _divergence_norm(V, w_loc, tab["div"]) > 1e-8 * wm:
+    wm = math.sqrt(w.coefficients @ w.coefficients)
+    if wm > 0 and _divergence_norm(w_loc, tab["div"]) > 1e-8 * wm:
         raise NotDivergenceFree("convecting field is not discretely divergence-free")
 
     grads = tab["vol"][2]
     same = u is w.coefficients
     wh, gw = _reference_values(tab, w_loc)
     gu = gw if same else _reference_values(tab, V.local_coefficients(u))[1]
-    wmax = float(np.sqrt(max((wh * gw).sum(axis=0).max(), 0.0)))
+    wmax = math.sqrt(max(np.einsum("cqt,cqt->qt", wh, gw).max(), 0.0))
     local = grads @ (gu[:, None] * wh[None]).reshape(grads.shape[1], -1)
-    out = _scatter_vec(local.T, V.dof_map, V.dof_signs, V.total_dofs)
+    out = V.scatter @ local.T.ravel()
 
     psi, psi_t, wq = tab["edge"]
     tr_w = psi @ w.coefficients
     tr = (tr_w if same else psi @ u).reshape(2, 2, -1)  # (normal/tangential, side, point)
     wn = tr_w[:len(wq)] * wq
     tr[1] = np.where(wn > 0, tr[1, 0], tr[1, 1])
-    return out + psi_t @ (tr * (wn * _SIDES)).ravel(), wmax
+    tr *= wn * _SIDES
+    out += psi_t @ tr.ravel()
+    return out, wmax

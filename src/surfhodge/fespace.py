@@ -31,9 +31,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     DisconnectedMesh,
@@ -354,11 +355,26 @@ class FeSpace:
         return other is self or (other.kind == self.kind and other.degree == self.degree
                                  and other.mesh is self.mesh and other.total_dofs == self.total_dofs)
 
+    @cached_property
+    def gather(self) -> sp.csr_matrix:
+        """The signed gather P (T n_local, n), a CSR built on first use: row
+        t n_local + i holds dof_signs[t, i] in column dof_map[t, i] (no
+        entry for a dropped dof), so P c is local_coefficients(c)."""
+        rows, signs = self.dof_map.ravel(), self.dof_signs.ravel()
+        keep = rows >= 0
+        indptr = np.concatenate([[0], np.cumsum(keep)])
+        return sp.csr_matrix((signs[keep], rows[keep], indptr),
+                             shape=(rows.size, self.total_dofs))
+
+    @cached_property
+    def scatter(self) -> sp.csr_matrix:
+        """P' as CSR: P' l sums signed local contributions l (T n_local,)
+        into the global dofs, each dof's in (T, n_local) order."""
+        return self.gather.T.tocsr()
+
     def local_coefficients(self, coefficients: np.ndarray) -> np.ndarray:
         """Per-triangle signed local coefficient array (T, n_local)."""
-        gd = self.dof_map
-        padded = np.concatenate([np.asarray(coefficients, dtype=float), [0.0]])
-        return self.dof_signs * padded[np.where(gd >= 0, gd, len(padded) - 1)]
+        return (self.gather @ coefficients).reshape(self.dof_map.shape)
 
 
 @dataclass

@@ -19,7 +19,9 @@ Time stepping for Navier-Stokes is semi-implicit Euler: viscosity implicit
 (the reduced operator is factorized once and reused), convection explicit.
 Each step costs one convection action and one sparse solve, plus one load
 assembly only when the forcing is time-dependent: the load of a steady
-forcing is assembled once, when FlowOperators is built.
+forcing is assembled once, when FlowOperators is built.  The rest of a
+step is fixed small work (NavierStokesStepper lists it) on operators built
+before the first step, so a step constructs no sparse matrix.
 """
 
 from __future__ import annotations
@@ -133,9 +135,11 @@ class ReducedSolver:
             raise SingularOperator("streamfunction block is singular") from exc
         self.Z = self.op.solve(np.asarray(system.A_sh, dtype=float))
         try:  # SPD whenever the block system is; ValueError: non-finite entries
-            self._schur_cho = dla.cho_factor(system.A_hh - system.A_sh.T @ self.Z)
+            self._schur, self._lower = dla.cho_factor(system.A_hh - system.A_sh.T @ self.Z)
         except (ValueError, dla.LinAlgError) as exc:
             raise SingularSchur(f"harmonic Schur complement is not SPD: {exc}") from exc
+        # cho_solve's LAPACK routine, called without its per-call checks
+        self._potrs, = dla.get_lapack_funcs(("potrs",), (self._schur,))
 
     @property
     def sparse_solves(self) -> int:
@@ -143,9 +147,11 @@ class ReducedSolver:
 
     def solve(self, b_s: np.ndarray, b_h: np.ndarray):
         z0 = self.op.solve(b_s)
-        x_h = dla.cho_solve(self._schur_cho, b_h - self.system.A_sh.T @ z0)
-        x_s = z0 - self.Z @ x_h
-        return x_s, x_h
+        x_h = b_h - self.system.A_sh.T @ z0
+        if x_h.size:  # potrs rejects an empty right-hand side
+            x_h = self._potrs(self._schur, x_h, lower=self._lower, overwrite_b=True)[0]
+        z0 -= self.Z @ x_h
+        return z0, x_h
 
 
 # -------------------------------------------------------------------- state
@@ -174,6 +180,11 @@ class FlowState:
             self.t0 = self.t
 
 
+# The largest step count, t_end / dt rounded, that a run accepts (ten
+# million trefoil steps take about 1.5 hours on a 2-core x86_64 VM).
+MAX_STEPS = 10_000_000
+
+
 @dataclass
 class SimulationConfig:
     """Parameters of a Stokes solve or Navier-Stokes run.
@@ -183,8 +194,9 @@ class SimulationConfig:
     tangential symmetric gradient; the viscous element term is mu
     eps(u):eps(v), so mu is twice the nu of -nu Lap u.  k, output_every and
     seed are integers, the last two nonnegative; mu, dt, t_end and alpha
-    are finite, dt and alpha positive, mu and t_end nonnegative, and so is
-    the step count t_end / dt; allow_inviscid is a bool.
+    are finite, dt and alpha positive, mu and t_end nonnegative, and the
+    step count, t_end / dt rounded, is at most MAX_STEPS; allow_inviscid
+    is a bool.
     """
 
     k: int = 1
@@ -217,8 +229,9 @@ class SimulationConfig:
             raise NonpositiveParameter(f"time step must be finite and positive, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise NonpositiveParameter(f"t_end must be finite and nonnegative, got {self.t_end}")
-        if not math.isfinite(self.t_end / self.dt):
-            raise ValueError(f"step count t_end / dt = {self.t_end:g} / {self.dt:g} is not finite")
+        if not self.t_end / self.dt < MAX_STEPS + 0.5:  # NaN and inf fail the comparison
+            raise ValueError(f"step count t_end / dt = {self.t_end:g} / {self.dt:g} "
+                             f"is above MAX_STEPS = {MAX_STEPS} or not finite")
         if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha > 0):
             raise NonpositiveParameter(f"penalty must be finite and positive, got {self.alpha}")
         if self.bc not in ("noslip", "freeslip"):
@@ -425,7 +438,12 @@ class NavierStokesStepper:
     L/dt + A_ss, M_sh/dt + A_sh and M_hh/dt + A_hh, and factorized once
     (costing n_harmonic + 1 sparse solves) and reused; each step costs one
     matrix-free convection action and one sparse solve, plus one load
-    assembly only when the forcing is time-dependent.
+    assembly only when the forcing is time-dependent.  Its other fixed
+    work: the finiteness checks of u and of the right-hand side M u / dt -
+    C(u) u + f (formed in place), the restriction E'b, H b, the b1 x b1
+    Cholesky solve by LAPACK's potrs and make_state.  The convection
+    tabulation, V's gather operators and every transpose a step applies
+    are built here.
     """
 
     def __init__(self, ops: FlowOperators):
@@ -464,7 +482,9 @@ class NavierStokesStepper:
                     f"time step {cfg.dt:g} exceeds the convective CFL bound "
                     f"{0.5 * ops.mesh.h_min / umax:g}", RuntimeWarning)
                 self._cfl_warned = True
-            b = state.Mu / cfg.dt - cu + ops.load_vector(t_next)
+            b = state.Mu / cfg.dt
+            b -= cu
+            b += ops.load_vector(t_next)
             if not np.isfinite(b).all():
                 raise NaNDetected(f"non-finite right-hand side at t = {t_next:g}")
             x_s, x_h = self.solver.solve(*ops.emb.reduce_vector(b))

@@ -109,7 +109,8 @@ class FactorizedOperator:
             return np.zeros_like(b)
         if not self._pinned:
             return self._lu.solve(b)
-        x = np.zeros_like(b)
+        x = np.empty_like(b)
+        x[0] = 0.0
         x[1:] = self._lu.solve(b[1:])
         return x
 

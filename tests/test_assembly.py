@@ -432,7 +432,23 @@ def _ambient_load(V, f):
     pts = asm.physical_points(V.mesh, rule)
     fv = f(pts.reshape(-1, 3), 0.0).reshape(pts.shape)
     local = np.einsum("tlqi,tqi,q,t->tl", vals, fv, rule.weights, V.mesh.Jdet)
-    return asm._scatter_vec(local, V.dof_map, V.dof_signs, V.total_dofs)
+    return _bincount_scatter(V, local)
+
+
+def _padded_gather(space, c):
+    """signs * c[dof_map] per triangle, with 0 appended to c for the
+    dropped (-1) dofs to read."""
+    gd = space.dof_map
+    return space.dof_signs * np.append(c, 0.0)[np.where(gd >= 0, gd, -1)]
+
+
+def _bincount_scatter(space, local):
+    """Signed local contributions (T, n_local) summed into the global dofs
+    by np.bincount, each dof's in (T, n_local) order; dropped dofs skipped."""
+    rows = space.dof_map.ravel()
+    keep = rows >= 0
+    return np.bincount(rows[keep], weights=(local * space.dof_signs).ravel()[keep],
+                       minlength=space.total_dofs)
 
 
 def _smooth_forcing(x, t):
@@ -473,6 +489,41 @@ def test_vector_mass_and_load_match_ambient_oracle(request, mesh_name, k):
     _assert_matches(asm.assemble_cross_mass(V, P0),
                     _ambient_cross_mass(V, P0, triangle_rule(k + 3)))
     _assert_matches(asm.assemble_load(V, _smooth_forcing), _ambient_load(V, _smooth_forcing))
+
+
+@pytest.mark.parametrize("kind, degree, constraint",
+                         [("bdm", 2, "zero_normal_trace"), ("lagrange", 2, "none")])
+def test_gather_and_scatter_match_padded_formulas(sphere4, rng, kind, degree, constraint):
+    """local_coefficients, assemble_moment, assemble_load and
+    assemble_gradient_load equal what the padded gather signs * c[dof_map]
+    (a dropped dof reads 0) and np.bincount give, to the last bit
+    (np.array_equal: a zero may change sign): on a trace-constrained BDM
+    space, which drops dofs, and on a Lagrange space, whose vertex dofs
+    sum the contributions of about 6 triangles each."""
+    space = build_space(sphere4, kind, degree, constraint)
+    c = rng.standard_normal(space.total_dofs)
+    gd = space.dof_map
+    assert np.array_equal(space.local_coefficients(c), _padded_gather(space, c))
+    if kind == "bdm":
+        assert (gd < 0).any()
+        pts, weighted = asm.load_tabulation(space)
+        fv = _smooth_forcing(pts.reshape(-1, 3), 0.0).reshape(pts.shape)
+        local = np.matmul(fv, sphere4.F).reshape(len(fv), -1) @ weighted.T
+        assert np.array_equal(asm.assemble_load(space, _smooth_forcing),
+                              _bincount_scatter(space, local))
+        return
+    assert np.bincount(gd[:, :3].ravel()).mean() > 5.5
+    rule = asm.volume_rule(space)
+    local = (space.ref.eval(rule.xy) @ rule.weights)[None, :] * sphere4.Jdet[:, None]
+    assert np.array_equal(asm.assemble_moment(space), _bincount_scatter(space, local))
+    V = build_space(sphere4, "bdm", 1)
+    field = FeField(V, rng.standard_normal(V.total_dofs))
+    rule = triangle_rule(degree + 4)
+    block = np.einsum("lqa,mqa,q->lm", V.ref.eval(rule.xy), space.ref.grad(rule.xy),
+                      rule.weights)
+    local = _padded_gather(V, field.coefficients) @ block
+    assert np.array_equal(asm.assemble_gradient_load(space, field),
+                          _bincount_scatter(space, local))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])

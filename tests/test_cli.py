@@ -570,6 +570,16 @@ def test_nse_step_count_overflow_exit_2(tmp_path, capsys):
     assert_input_error(capsys, ["nse", "--config", cfg])
 
 
+def test_nse_step_count_above_bound_exit_2(tmp_path, capsys):
+    """A finite step count above MAX_STEPS is refused with the config:
+    t_end = 2**63 asks for 4.6e20 steps, and exits 2 at once instead of
+    running until killed."""
+    cfg = write_cfg(tmp_path, "mesh = builtin:tetrahedron\nt_end = 9223372036854775808\n")
+    assert_one_line_failure(capsys, ["nse", "--config", cfg], 2,
+                            "input error: bad config: step count t_end / dt = "
+                            "9.22337e+18 / 0.001 is above MAX_STEPS = 10000000")
+
+
 def test_non_finite_payload_exit_3(tmp_path, capsys, monkeypatch):
     """A result number that is not finite fails the run before anything is
     written, so an exit of 0 prints only finite numbers."""

@@ -22,11 +22,10 @@ from surfhodge.cli import main
 from surfhodge.mesh import save_obj, save_off
 
 ROOT = Path(__file__).resolve().parents[1]
-# values put in place of a token; the last but one is not UTF-8.  A mesh
-# file also gets 2**63 in digits; a config does not, since t_end = 2**63
-# is a valid run of 4.6e20 steps.
-SPECIALS = [b"nan", b"inf", b"1e400", b"-1", b"2**63", b"\xff\xfe\x80", b""]
-MESH_SPECIALS = SPECIALS + [str(2**63).encode()]
+# values put in place of a token, among them bytes that are not UTF-8 and
+# 2**63 in digits (a config's t_end = 2**63 is above flow.MAX_STEPS)
+SPECIALS = [b"nan", b"inf", b"1e400", b"-1", b"2**63", b"\xff\xfe\x80", b"",
+            str(2**63).encode()]
 OPS = ["drop line", "duplicate line", "swap lines", "drop token", "duplicate token",
        "swap tokens", "special token", "unknown key"]
 FUZZ = settings(deadline=None, derandomize=True, database=None,
@@ -101,7 +100,7 @@ def check_run(argv):
 
 
 @settings(FUZZ, max_examples=300)
-@given(mutated(MESH_SOURCES, MESH_SPECIALS))
+@given(mutated(MESH_SOURCES, SPECIALS))
 def test_fuzz_mesh_files(case):
     ext, data = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse._base import _spbase
 
 from surfhodge import assembly as asm, meshes
 from surfhodge.config import FORCING_PRESETS, load_simulation_config
@@ -610,20 +611,28 @@ def test_nse_rejects_nondivfree_state(torus3, basis_cache, rng):
 
 def test_step_reuses_divergence_tabulation(torus3, basis_cache, monkeypatch):
     """The per-step divergence check takes the reference divergences from
-    the stepper's tabulation and measures what a fresh evaluation does."""
+    the stepper's tabulation and measures what a fresh evaluation does.
+    A step builds no sparse matrix either: the gather operators, the
+    transposes and the tabulations are all made before the first step
+    (a transpose taken per call, A.T, would construct one)."""
     cfg = SimulationConfig(k=1, mu=0.1, dt=1e-2, t_end=1e-1, forcing=smooth_forcing(17))
     stepper = NavierStokesStepper(FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1)))
     state = stepper.ops.initial_state()
     V = stepper.ops.V
     u = state.u.coefficients
     tab = stepper._conv_cache["div"]
-    assert asm._divergence_norm(V, V.local_coefficients(u), tab) == asm.divergence_norm(V, u)
-    calls = []
+    assert asm._divergence_norm(V.local_coefficients(u), tab) == asm.divergence_norm(V, u)
+    calls, built = [], []
     original = type(V.ref).div
     monkeypatch.setattr(type(V.ref), "div", lambda self, xy: calls.append(1) or original(self, xy))
+    init = _spbase.__init__
+    monkeypatch.setattr(_spbase, "__init__",
+                        lambda self, *a, **kw: built.append(type(self)) or init(self, *a, **kw))
+    assert V.gather.T is not None and len(built) == 1  # the count sees a transpose
+    built.clear()
     for _ in range(3):
         state = stepper.step(state)
-    assert calls == []
+    assert calls == [] and built == []
 
 
 def test_state_carries_its_mass_product(torus3, basis_cache):
