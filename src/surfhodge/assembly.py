@@ -64,11 +64,19 @@ def physical_points(mesh, rule) -> np.ndarray:
     return p0[:, None, :] + np.einsum("tid,qd->tqi", mesh.F, rule.xy)
 
 
+def _index_type(n: int) -> type:
+    """scipy's index type for n rows or columns: dofs cast to it before they
+    are broadcast are not cast again, entry by entry, by the sparse matrix."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
 def _scatter(local: np.ndarray, rows_map, rows_signs, cols_map, cols_signs, shape):
     """Accumulate per-element dense blocks local (T, n_rows_loc,
     n_cols_loc) into a CSR matrix with _scatter_entries.  A single block
     (n_rows_loc, n_cols_loc) is shared by every triangle, and only its
     nonzero entries are scattered."""
+    idx = _index_type(max(shape))
+    rows_map, cols_map = rows_map.astype(idx), cols_map.astype(idx)
     if local.ndim == 2:
         a, b = np.nonzero(local)
         return _scatter_entries(local[a, b] * rows_signs[:, a] * cols_signs[:, b],
@@ -86,6 +94,20 @@ def _scatter_entries(vals, rows, cols, shape):
     duplicates are summed."""
     keep = (rows >= 0) & (cols >= 0)
     return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+
+
+def _symmetrize(A: sp.spmatrix) -> sp.csr_matrix:
+    """(A + A') / 2 of a canonical csr or csc A, as csr: the bits of (A +
+    A.T) * 0.5, summed on A's one transpose copy.  The result is exactly
+    symmetric, so its arrays read the same in either format."""
+    T = A.T.asformat(A.format)
+    if np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices):
+        T.data += A.data
+        T.eliminate_zeros()  # as the sum does
+    else:  # a sparse product drops exact zeros, so A's pattern need not be symmetric
+        T = A + T
+    T.data *= 0.5
+    return sp.csr_matrix((T.data, T.indices, T.indptr), shape=T.shape)
 
 
 # ------------------------------------------------------------------ volume
@@ -113,9 +135,8 @@ def assemble_mass(space: FeSpace) -> sp.csr_matrix:
     """L2 Gram matrix of the space's global basis (SPD), from the reference
     blocks of _local_mass."""
     local = _local_mass(space, space, volume_rule(space))
-    A = _scatter(local, space.dof_map, space.dof_signs, space.dof_map, space.dof_signs,
-                 (space.total_dofs, space.total_dofs))
-    return (A + A.T) * 0.5
+    return _symmetrize(_scatter(local, space.dof_map, space.dof_signs, space.dof_map,
+                                space.dof_signs, (space.total_dofs, space.total_dofs)))
 
 
 def assemble_cross_mass(rows: FeSpace, cols: FeSpace) -> sp.csr_matrix:
@@ -136,9 +157,8 @@ def assemble_broken_stiffness(space: FeSpace) -> sp.csr_matrix:
     mesh = space.mesh
     X = space.ref.grad(rule.xy)  # (n_loc, n_q, 2)
     local = _metric_pairing(_gram(mesh.G) * mesh.Jdet[:, None, None], X, X, rule)
-    A = _scatter(local, space.dof_map, space.dof_signs, space.dof_map, space.dof_signs,
-                 (space.total_dofs, space.total_dofs))
-    return (A + A.T) * 0.5
+    return _symmetrize(_scatter(local, space.dof_map, space.dof_signs, space.dof_map,
+                                space.dof_signs, (space.total_dofs, space.total_dofs)))
 
 
 def assemble_div(V: FeSpace, Q: FeSpace) -> sp.csr_matrix:
@@ -344,7 +364,7 @@ def _side_trace_operator(n_cols: int, cols: np.ndarray, signs: np.ndarray,
     row order, so indptr and indices need no sorting.
     """
     data = traces * signs
-    cols = np.broadcast_to(cols, data.shape)
+    cols = np.broadcast_to(cols.astype(_index_type(n_cols)), data.shape)
     keep = cols >= 0
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=-1).ravel())])
     return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(len(indptr) - 1, n_cols))
@@ -386,7 +406,6 @@ def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
     if alpha <= 0:
         raise NonpositiveParameter("penalty alpha must be positive")
     mesh = V.mesh
-    k = V.degree
     n_loc = V.ref.n_local
 
     rule = volume_rule(V)
@@ -397,9 +416,18 @@ def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
     local = (mu * 0.5 / mesh.Jdet)[:, None] * (ggi @ pairs + trace)
     A = _scatter(local.reshape(-1, n_loc, n_loc), V.dof_map, V.dof_signs, V.dof_map,
                  V.dof_signs, (V.total_dofs, V.total_dofs))
+    del ggi, local
+    # the facet term's traces and operators are released when it returns
+    return _symmetrize(_sip_facet_term(V, mu, alpha, dirichlet) + A)
 
+
+def _sip_facet_term(V: FeSpace, mu: float, alpha: float, dirichlet: bool) -> sp.csc_matrix:
+    """P_j' W ((alpha mu / h) P_j - 2 P_g) of assemble_sip, with its
+    coefficients formed in place on the side traces."""
+    mesh = V.mesh
+    n_loc = V.ref.n_local
     edges = np.flatnonzero(~mesh.boundary_edge_mask | dirichlet)
-    tq, tw = edge_rule(2 * k + 2)
+    tq, tw = edge_rule(2 * V.degree + 2)
     n_e = len(edges)
     bnd = mesh.boundary_edge_mask[edges]
     tris = mesh.edge_tris[edges]
@@ -410,15 +438,21 @@ def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
     cols[bnd, n_loc:] = -1
     signs = V.dof_signs[tris].reshape(n_e, 2 * n_loc)
     # jump v0 - v1; average traction (t0 - t1) / 2, or t0 on a boundary edge
-    jump = _SIDES[..., None, None] * tr[1]
-    trac = (mu * np.where(bnd, 1.0, 0.5)[:, None]) * _SIDES[..., None, None] * tr[2]
+    jump, trac = tr[1], tr[2]
+    jump *= _SIDES[..., None, None]
+    trac *= (mu * np.where(bnd, 1.0, 0.5)[:, None]) * _SIDES[..., None, None]
+    trac *= 2.0
     h_e = mesh.edge_lengths[edges]
-    w = (tw[:, None] * h_e)[None, :, :, None]
+    coef = (alpha * mu / h_e)[:, None] * jump
+    coef -= trac
+    coef *= (tw[:, None] * h_e)[None, :, :, None]
     P_j, WQ = (_side_trace_operator(V.total_dofs, cols, signs,
                                     t.transpose(1, 2, 0, 3).reshape(len(tq), n_e, 2 * n_loc))
-               for t in (jump, w * ((alpha * mu / h_e)[:, None] * jump - 2.0 * trac)))
-    A = A + P_j.T @ WQ
-    return (A + A.T) * 0.5
+               for t in (jump, coef))
+    del tr, jump, trac, coef
+    F = P_j.T @ WQ
+    F.sort_indices()  # a product's order; sums with a sorted matrix are sorted
+    return F
 
 
 # -------------------------------------------------------------- convection

@@ -24,7 +24,7 @@ from .errors import (AlgorithmError, MeshInputError, NaNDetected, NonpositivePar
                      SolverError, SurfHodgeError)
 from .fespace import FeField, build_space, count_dofs
 from .flow import FlowOperators, run_simulation
-from .linalg import FactorizedOperator
+from .linalg import FactorizedOperator, mnorm
 from .hodge import HarmonicBasis, HodgeSolver, verify_dimension
 from .mesh import analyze_topology
 
@@ -171,22 +171,19 @@ def cmd_decompose(args) -> int:
     v = _decompose_input(args, solver)
     comp = solver.decompose(v, basis)
     M = solver.M
-
-    def mnorm(c):
-        return float(np.sqrt(max(c @ (M @ c), 0.0)))
-
     with np.errstate(over="ignore", invalid="ignore"):  # finish reports a non-finite norm
         norms = {
-            "input_norm": mnorm(v.coefficients),
-            "rot_norm": mnorm(comp.rot_part),
-            "harmonic_norm": float(np.linalg.norm(comp.h_coeffs)),
-            "gradient_norm": mnorm(comp.gradient_part),
+            "input_norm": mnorm(v.coefficients, M),
+            "rot_norm": mnorm(comp.rot_part, M),
+            "harmonic_norm": mnorm(comp.h_coeffs),
+            "gradient_norm": mnorm(comp.gradient_part, M),
             "residual": comp.residual_norm,
         }
-    norms["pythagoras_gap"] = abs(
-        norms["input_norm"] ** 2
-        - (norms["rot_norm"] ** 2 + norms["harmonic_norm"] ** 2
-           + norms["gradient_norm"] ** 2 + norms["residual"] ** 2))
+        # squares of the norms scaled by the power of 2 of the largest, an
+        # exact scaling: the gap overflows only when it is itself too large
+        _, e = np.frexp(max(norms.values()))
+        v_sq, *parts_sq = (y * y for y in np.ldexp(list(norms.values()), -e))
+        norms["pythagoras_gap"] = float(np.ldexp(abs(v_sq - sum(parts_sq)), 2 * e))
     lines = [
         f"decomposed field (degree {args.k}, b1 = {basis.dimension})",
         f"  |v| = {norms['input_norm']:.6g}",

@@ -240,6 +240,11 @@ class SimulationConfig:
             raise ValueError(f"unknown initial condition {self.initial!r}")
 
 
+def _max_abs(A: sp.spmatrix) -> float:
+    """The largest |entry| of A, 0 for an empty A, without a copy of A."""
+    return float(max(A.data.max(initial=0.0), -A.data.min(initial=0.0)))
+
+
 def _zero_forcing(x, t):
     return np.zeros_like(x)
 
@@ -397,10 +402,12 @@ class FlowOperators:
         if not np.isfinite(p).all():
             raise NaNDetected("non-finite starting pressure")
         w = 1.0 / self.pressure_mass.diagonal()
-        BWB = B.T @ sp.diags(w) @ B
-        gamma = _AL_PENALTY * abs(self.A_visc).max() / abs(BWB).max()
-        try:
-            op = FactorizedOperator(self.A_visc + gamma * BWB)
+        BWB = B.T @ sp.diags(w) @ B  # csc
+        gamma = _AL_PENALTY * _max_abs(self.A_visc) / _max_abs(BWB)
+        BWB.data *= gamma
+        BWB.sort_indices()  # a product's order; the sum below is then sorted
+        try:  # A_visc' = A_visc (assemble_sip symmetrizes exactly), a csc view
+            op = FactorizedOperator(BWB + self.A_visc.T)
         except (SingularMatrix, NotSPD) as exc:
             raise SolverFailure(f"saddle-point solve failed: {exc}") from exc
         gw = gamma * w
@@ -452,7 +459,8 @@ class NavierStokesStepper:
         red = ops.A_red
         # the harmonic columns M H' restricted like loads: E' M H', H M H'
         M_sh, M_hh = ops.emb.reduce_vector(ops.M @ ops.emb.H.T)
-        self.system = BlockSystem((ops.hodge.L / dt + red.A_ss).tocsc(), M_sh / dt + red.A_sh,
+        # L' = L (exactly symmetric) as a csc view, so the sum is csc at once
+        self.system = BlockSystem(red.A_ss + ops.hodge.L.T / dt, M_sh / dt + red.A_sh,
                                   M_hh / dt + red.A_hh)
         try:
             self.solver = ReducedSolver(self.system)

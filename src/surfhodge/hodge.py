@@ -36,7 +36,7 @@ from .errors import (
     WrongDegree,
 )
 from .fespace import FeField, build_space, count_dofs
-from .linalg import FactorizedOperator, zero_mean
+from .linalg import FactorizedOperator, mnorm, zero_mean
 from .mesh import SurfaceMesh, TopologySummary, analyze_topology
 from .quadrature import triangle_rule
 
@@ -228,8 +228,12 @@ class HodgeSolver:
     @cached_property
     def pressure_operator(self) -> FactorizedOperator:
         """Factorized mean-mode Laplacian L0 = B0 B0', a dual-graph
-        Laplacian with one unknown per triangle: the one pressure factor."""
-        return FactorizedOperator(self._B0 @ self._B0.T)
+        Laplacian with one unknown per triangle: the one pressure factor.
+        Each column of B0 has at most two entries, so the product is exactly
+        symmetric; sorted, it is factored from its own arrays."""
+        L0 = self._B0 @ self._B0.T
+        L0.sum_duplicates()
+        return FactorizedOperator(L0)
 
     @cached_property
     def laplace_operator(self) -> FactorizedOperator:
@@ -331,8 +335,9 @@ class HodgeSolver:
         if not np.isfinite(H).all():
             raise BasisMismatch("harmonic basis has non-finite entries")
         MH = self.M @ H.T
-        gram = float(abs(H @ MH - np.eye(basis.dimension)).max(initial=0.0))
-        if gram > 1e-10:
+        with np.errstate(over="ignore", invalid="ignore"):  # entries near 1e308 overflow here
+            gram = float(abs(H @ MH - np.eye(basis.dimension)).max(initial=0.0))
+        if not gram <= 1e-10:  # an overflow's NaN fails too
             raise BasisMismatch(f"harmonic basis is not orthonormal (Gram residual {gram:.1e})")
         div = max((asm.divergence_norm(self.V, h) for h in H), default=0.0)
         if div > 1e-6:
@@ -366,9 +371,8 @@ class HodgeSolver:
         rot_part, harmonic_part = self._Es @ psi, H.T @ h
         gradient_part = g0 - self._Es @ psi_g - H.T @ (H @ fg)
         lam = self.pressure_solve(f - self.M @ (rot_part + harmonic_part))
-        diff = vc - rot_part - harmonic_part - gradient_part
         with np.errstate(over="ignore", invalid="ignore"):  # the caller sees inf or nan
-            residual = float(np.sqrt(max(diff @ (self.M @ diff), 0.0)))
+            residual = mnorm(vc - rot_part - harmonic_part - gradient_part, self.M)
         return HodgeComponents(
             psi=self.stream_field(psi),
             h_coeffs=h,

@@ -59,6 +59,12 @@ class FactorizedOperator:
     near-null, |F z| <= 1e-10 |A| |z| (so a kernel larger than the
     constants is rejected), and for non-finite entries of A.
 
+    A csc A, and a csr A that is exactly symmetric (its arrays read as csc
+    are A' = A), is factored from its own arrays, or when pinned from one
+    copy without its first row and column; another csr A is converted once,
+    and any other input is converted to csc.  The symmetry check's copy,
+    A', is released before SuperLU runs.
+
     solve() accepts a vector or a matrix of right-hand-side columns and
     increments solve_count by the number of columns; concurrent solves from
     several threads are allowed.  n is the order of A and lu_nnz the number
@@ -66,7 +72,8 @@ class FactorizedOperator:
     """
 
     def __init__(self, A: sp.spmatrix):
-        A = sp.csc_matrix(A)
+        if not (sp.issparse(A) and A.format in ("csr", "csc")):
+            A = sp.csc_matrix(A)
         n, m = A.shape
         if n != m:
             raise SingularMatrix("factorization requires a square matrix")
@@ -82,10 +89,13 @@ class FactorizedOperator:
             return
         if (A.diagonal() <= 0).any():
             raise NotSPD("nonpositive diagonal entry in a matrix declared SPD")
-        check_symmetric(A, "matrix declared SPD")
+        exact = check_symmetric(A, "matrix declared SPD")
+        if A.format == "csr":  # A' = A: A's arrays read as csc are A itself
+            A = sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape) if exact else A.tocsc()
         A_norm = (_abs(A) @ np.ones(n)).max()  # |A|'s largest row sum
         self._pinned = _is_near_null(A, np.ones(n), A_norm)
         F = A[1:, 1:] if self._pinned else A
+        del A  # a csc copy of A is not kept beside a pinned factor's copy
         try:
             self._lu = spla.splu(F, **_SPLU_OPTIONS)
         except RuntimeError as exc:  # "Factor is exactly singular"
@@ -122,19 +132,32 @@ def zero_mean(x: np.ndarray, moment: np.ndarray | None) -> np.ndarray:
     return x if moment is None else x - (moment @ x) / moment.sum()
 
 
-def check_symmetric(A: sp.spmatrix, what: str) -> None:
-    """Raise NotSPD unless |A - A'| <= 1e-12 |A| (largest entries).  For a
-    canonical csr or csc A with a symmetric pattern this costs one copy, A'
-    in A's format, whose data becomes the difference."""
+def mnorm(x: np.ndarray, M: sp.spmatrix | None = None) -> float:
+    """sqrt(x' M x), or |x| for M None, formed on x scaled by the power of 2
+    of its largest entry.  That scaling is exact, so the bits are those of
+    the unscaled form wherever it is finite, and the norm overflows only
+    when it is itself beyond the float range."""
+    _, e = np.frexp(np.abs(x).max(initial=0.0))
+    y = np.ldexp(x, -e)
+    return float(np.ldexp(np.sqrt(max(y @ (y if M is None else M @ y), 0.0)), e))
+
+
+def check_symmetric(A: sp.spmatrix, what: str) -> bool:
+    """Raise NotSPD unless |A - A'| <= 1e-12 |A| (largest entries); True
+    when A is canonical csr or csc and exactly symmetric, A' = A.  A
+    canonical A with a symmetric pattern costs one copy, A' in A's format,
+    whose data becomes the difference."""
     T = A.T.asformat(A.format)
-    if (A.format in ("csr", "csc") and A.has_canonical_format
-            and np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices)):
+    same = (A.format in ("csr", "csc") and A.has_canonical_format
+            and np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices))
+    if same:
         T.data -= A.data
         D = T.data
     else:
         D = (A - T).data
     if D.size and np.abs(D, out=D).max() > 1e-12 * max(A.data.max(), -A.data.min()):
         raise NotSPD(f"{what} is not symmetric")
+    return same and not D.any()
 
 
 def _abs(A: sp.csc_matrix) -> sp.csc_matrix:  # |A|, sharing A's index arrays

@@ -428,26 +428,27 @@ def _parse_obj(text: str):
     return _records(verts, 3, float, "OBJ vertex"), tris
 
 
+def _block(row_format: str, values) -> str:
+    """One line per row of values, formatted by a single % operation."""
+    values = np.asarray(values)
+    return (row_format * len(values)) % tuple(values.ravel().tolist())
+
+
 def save_off(mesh_or_arrays, path):
     """Write an ASCII OFF file."""
     verts, tris = _as_arrays(mesh_or_arrays)
     with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{len(verts)} {len(tris)} 0\n")
-        for v in verts:
-            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for t in tris:
-            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+        fh.write(f"OFF\n{len(verts)} {len(tris)} 0\n")
+        fh.write(_block("%.17g %.17g %.17g\n", verts))
+        fh.write(_block("3 %d %d %d\n", tris))
 
 
 def save_obj(mesh_or_arrays, path):
     """Write an ASCII OBJ file (1-based indices)."""
     verts, tris = _as_arrays(mesh_or_arrays)
     with open(path, "w") as fh:
-        for v in verts:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for t in tris:
-            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+        fh.write(_block("v %.17g %.17g %.17g\n", verts))
+        fh.write(_block("f %d %d %d\n", tris + 1))
 
 
 def _as_arrays(mesh_or_arrays):

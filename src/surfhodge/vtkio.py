@@ -13,6 +13,7 @@ import os
 import numpy as np
 
 from .fespace import FeField
+from .mesh import _block
 
 _CENTROID = np.array([[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]])
 
@@ -34,12 +35,6 @@ def lagrange_vertex_values(field: FeField) -> np.ndarray:
         ok = dofs >= 0
         out[mesh.triangles[ok, lv]] = field.coefficients[dofs[ok]]
     return out
-
-
-def _block(row_format: str, values) -> str:
-    """One line per row of values, formatted by a single % operation."""
-    values = np.asarray(values)
-    return (row_format * len(values)) % tuple(values.ravel().tolist())
 
 
 def write_vtk(path, mesh, cell_vector_fields: dict, point_scalar_fields: dict,

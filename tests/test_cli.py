@@ -535,10 +535,25 @@ def test_decompose_infinite_forcing_constant_exit_3(capsys):
                  "expression", "--fx", "1e400*x"], 3, "algorithmic failure: non-finite load")
 
 
+def test_decompose_large_field_exit_0(capsys):
+    """The norms and the Pythagoras gap are formed on the field scaled by a
+    power of 2, so a field with |v|_M near 1.9e154, whose squared norm is
+    beyond the float range, decomposes with exit 0, its norms 2e153 times
+    those of the field x."""
+    argv = ["decompose", "--mesh", "builtin:torus", "--k", "1", "--field-mode", "expression"]
+    code, big, _ = run_cli(capsys, *argv, "--fx", "2e153*x")
+    assert code == 0
+    code, unit, _ = run_cli(capsys, *argv, "--fx", "x")
+    for key in ("input_norm", "rot_norm", "harmonic_norm", "gradient_norm"):
+        assert abs(big[key] - 2e153 * unit[key]) <= 1e-12 * big["input_norm"], key
+    assert big["pythagoras_gap"] / big["input_norm"] / big["input_norm"] <= 1e-10
+
+
 def test_decompose_overflowing_norms_exit_3(capsys):
-    """A field whose M-norms overflow fails the non-finite JSON check with
-    one stderr line; its residual and norms raise no numpy warning first
-    (tier-1 turns a warning into an error)."""
+    """A field whose Pythagoras gap (about 1e-14 |v|_M^2 here) overflows
+    fails the non-finite JSON check with one stderr line; its residual and
+    norms raise no numpy warning first (tier-1 turns a warning into an
+    error)."""
     assert_one_line_failure(
         capsys, ["decompose", "--mesh", "builtin:torus", "--k", "1", "--field-mode",
                  "expression", "--fx", "1e300*x"], 3,
@@ -627,17 +642,19 @@ def test_decompose_basis_without_vectors_exit_2(tmp_path, capsys):
                                 "--basis", str(path)])
 
 
-@pytest.mark.parametrize("damage", ["tampered", "nan"])
+@pytest.mark.parametrize("damage", ["tampered", "nan", "huge"])
 @pytest.mark.parametrize("command", ["decompose", "stokes"])
 def test_damaged_basis_file_exit_2(tmp_path, capsys, damage, command):
     """Numeric checks on a basis read from a file: one changed entry breaks
-    orthonormality and harmonicity, a NaN is not finite."""
+    orthonormality and harmonicity, a NaN is not finite, and an entry of
+    1e308 overflows the Gram check, which fails without a numpy warning."""
     d = tmp_path / "basis"
     run_cli(capsys, "harmonic", "--mesh", "builtin:torus", "--k", "1",
             "--out-dir", str(d))
     path = d / "harmonic_basis.json"
     payload = json.loads(path.read_text())
-    payload["vectors"][1][7] = float("nan") if damage == "nan" else payload["vectors"][1][7] + 1e-3
+    payload["vectors"][1][7] = {"nan": float("nan"), "huge": 1e308}.get(
+        damage, payload["vectors"][1][7] + 1e-3)
     path.write_text(json.dumps(payload))
     if command == "decompose":
         argv = ["decompose", "--mesh", "builtin:torus", "--k", "1", "--basis", str(path)]

@@ -3,14 +3,18 @@
 Mesh files (the OFF and OBJ text of three corpus meshes, through
 `topology`) and config files (configs/stokes_torus.cfg and
 configs/nse_trefoil.cfg on the tetrahedron, through `stokes` and `nse`)
-are mutated line by line, token by token and byte by byte, and cli.main
+are mutated line by line, token by token and byte by byte, and a harmonic
+basis file (written by `harmonic --out-dir` on the built-in torus at k = 0,
+read by `stokes --basis`) in its values, shapes, keys and types; cli.main
 runs in process on each.  It must exit 0, 2, 3 or 4; a failure writes
 exactly one stderr line and no traceback, and a success writes no NaN or
 Infinity.  Seeds are derandomized, so a run is reproducible.
 """
 
 import contextlib
+import copy
 import io
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -47,6 +51,60 @@ def _mesh_sources() -> list[tuple[str, bytes]]:
 MESH_SOURCES = _mesh_sources()
 CONFIG_SOURCES = [(".cfg", (ROOT / "configs" / name).read_bytes())
                   for name in ("stokes_torus.cfg", "nse_trefoil.cfg")]
+
+
+def _basis_payload() -> dict:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        assert main(["harmonic", "--mesh", "builtin:torus", "--k", "0", "--out-dir", tmp]) == 0
+        return json.loads((Path(tmp) / "harmonic_basis.json").read_text())
+
+
+BASIS = _basis_payload()
+# values put in place of a key's value or of one basis entry
+BASIS_SPECIALS = [float("nan"), float("inf"), -float("inf"), 1e308, 0, -1, 1.5, 2**63, True,
+                  None, "x", [], [[1.0]], {}]
+BASIS_OPS = ["value", "entry", "drop row", "duplicate row", "drop column", "resize",
+             "drop key", "unknown key"]
+
+
+@st.composite
+def mutated_basis(draw):
+    """The JSON text of BASIS after one to three mutations, truncated at a
+    random byte a quarter of the time."""
+    payload = copy.deepcopy(BASIS)
+    for op in draw(st.lists(st.sampled_from(BASIS_OPS), min_size=1, max_size=3)):
+        rows = payload.get("vectors")
+        matrix = isinstance(rows, list) and rows and all(isinstance(r, list) and r for r in rows)
+        if op == "unknown key":
+            payload["no_such_key"] = 1
+        elif not payload:
+            continue
+        elif op in ("value", "drop key"):
+            key = draw(st.sampled_from(sorted(payload)))
+            if op == "drop key":
+                del payload[key]
+            else:
+                payload[key] = draw(st.sampled_from(BASIS_SPECIALS))
+        elif op == "resize":  # b1 or n_dofs off the vectors' shape
+            key = draw(st.sampled_from(["b1", "n_dofs"]))
+            payload[key] = draw(st.sampled_from([0, 1, 3, 191, 193, 384, -1]))
+        elif matrix:
+            i = draw(st.integers(0, len(rows) - 1))
+            if op == "entry":
+                rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(
+                    st.sampled_from(BASIS_SPECIALS))
+            elif op == "drop row":
+                del rows[i]
+            elif op == "duplicate row":
+                rows.insert(i, list(rows[i]))
+            else:  # one entry of every row, so the shape stays rectangular
+                j = draw(st.integers(0, min(len(r) for r in rows) - 1))
+                for r in rows:
+                    del r[j]
+    data = json.dumps(payload).encode()
+    if draw(st.integers(0, 3)) == 0:
+        data = data[:draw(st.integers(0, len(data)))]
+    return data
 
 
 @st.composite
@@ -117,3 +175,13 @@ def test_fuzz_config_files(case, verb):
         path = Path(tmp) / "run.cfg"
         path.write_bytes(data)
         check_run([verb, "--config", str(path), "--mesh", "builtin:tetrahedron"])
+
+
+@settings(FUZZ, max_examples=100)
+@given(mutated_basis())
+def test_fuzz_basis_files(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "harmonic_basis.json"
+        path.write_bytes(data)
+        check_run(["stokes", "--config", str(ROOT / "configs" / "stokes_torus.cfg"),
+                   "--k", "0", "--basis", str(path)])

@@ -44,7 +44,8 @@ def test_not_spd_detection():
     for fmt in (sp.csc_matrix, sp.csr_matrix):
         with pytest.raises(NotSPD):
             check_symmetric(fmt(np.array([[2.0, 1.0], [1.0 + 1e-11, 2.0]])), "matrix")
-        check_symmetric(fmt(np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])), "matrix")
+        assert not check_symmetric(fmt(np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])), "matrix")
+        assert check_symmetric(fmt(np.array([[2.0, 1.0], [1.0, 2.0]])), "matrix")  # exactly
     # every factor is SPD: a symmetric-indefinite saddle-point matrix, with
     # its zero diagonal, is rejected too
     K = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 0.0]]))
@@ -63,6 +64,32 @@ def test_singular_matrix():
     for bad in (np.nan, np.inf):  # non-finite entries, rejected before SuperLU
         with pytest.raises(SingularMatrix):
             FactorizedOperator(sp.csc_matrix(np.diag([1.0, bad, 3.0])))
+
+
+@pytest.mark.parametrize("form", ["mass", "stiffness"])
+def test_exactly_symmetric_csr_factored_from_its_arrays(form, monkeypatch, rng):
+    """An exactly symmetric canonical csr matrix is its own csc: the
+    unpinned mass matrix is factored from its own arrays, with no copy,
+    and both it and the pinned stiffness solve bitwise as the factor of
+    their csc copy."""
+    from surfhodge import assembly as asm, linalg, meshes
+    from surfhodge.fespace import build_space
+
+    mesh = meshes.torus_structured(8, 8)
+    A = (asm.assemble_mass(build_space(mesh, "bdm", 1, "zero_normal_trace")) if form == "mass"
+         else asm.assemble_broken_stiffness(build_space(mesh, "lagrange", 2)))
+    factored = []
+    splu = linalg.spla.splu
+    monkeypatch.setattr(linalg.spla, "splu", lambda F, **kw: factored.append(F) or splu(F, **kw))
+    op = FactorizedOperator(A)
+    (F,) = factored
+    assert op.pinned == (form == "stiffness")
+    shared = [np.shares_memory(getattr(F, name), getattr(A, name))
+              for name in ("data", "indices", "indptr")]
+    assert shared == [not op.pinned] * 3
+    b = rng.standard_normal(A.shape[0])
+    b -= b.mean()
+    assert np.array_equal(op.solve(b), FactorizedOperator(A.tocsc()).solve(b))
 
 
 def test_solve_counting(rng):

@@ -1,13 +1,15 @@
-"""Peak memory of the whole flow pipeline on one desk-scale mesh.
+"""Peak memory of whole runs on desk-scale meshes.
 
-The pipeline is run_simulation, the path the nse command takes, so the
-bound also sees which factors it keeps alive at once.  It runs in its own
-process, so the peak resident size it
-reports belongs to this rung alone and not to whatever the test session
-allocated before.  The bound is about 1.25 times the measured peak: it
-guards against per-step or per-form tabulations that grow past the mesh
-(such as dense ambient gradient tables), not against small drifts, and it
-checks memory, not time.
+One rung is run_simulation, the path the nse command takes, on the 64x32
+torus, so the bound also sees which factors it keeps alive at once; the
+other is `stokes --compare-saddle` on the 32x16 torus, whose saddle-point
+factor lands on whatever set-up left resident.  Each runs in its own
+process, so the peak resident size it reports belongs to that rung alone
+and not to whatever the test run allocated before.  A bound is about
+1.25 times the measured peak: it guards against per-step or per-form
+tabulations that grow past the mesh (such as dense ambient gradient
+tables) and against set-up copies that outlive their use, not against
+small drifts, and it checks memory, not time.
 """
 
 import os
@@ -28,6 +30,24 @@ def forcing(x, t=0.0):
 res = run_simulation(meshes.torus_structured(64, 32),
                      SimulationConfig(k=2, mu=0.1, dt=1e-3, t_end=5e-3, forcing=forcing))
 assert len(res.records) == 6 and np.isfinite(res.kinetic_energy).all()
+"""
+
+SADDLE = """
+import contextlib, io, os, resource, sys, tempfile
+from surfhodge import meshes
+from surfhodge.cli import main
+from surfhodge.mesh import save_off
+
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "torus.off")
+    save_off(meshes.torus_structured(32, 16), path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["stokes", "--config", sys.argv[1], "--mesh", path, "--k", "2",
+                     "--compare-saddle"])
+assert code == 0
+"""
+
+PEAK = """
 try:  # VmHWM is this process's own peak; on Linux ru_maxrss keeps the parent's across exec
     with open("/proc/self/status") as fh:
         print(next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:")) / 1024)
@@ -36,19 +56,33 @@ except OSError:
     print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale / 2**20)
 """
 
-# measured peak about 295 MB on x86_64 Linux; 396 MB when the step factor
+# measured peak about 279 MB on x86_64 Linux; 396 MB when the step factor
 # was built before the Stokes start's factor was freed
-PEAK_MB_BOUND = 370
+PEAK_MB_BOUND = 350
+# measured peak about 130 MB on x86_64 Linux
+SADDLE_PEAK_MB_BOUND = 162
+
+
+def _peak_mb(script: str, *args: str) -> float:
+    """The peak resident size of script, run in its own process."""
+    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p),
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", script + PEAK, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout.split()[-1])
 
 
 def test_pipeline_peak_memory_64x32_k2():
     """run_simulation with the Stokes start and 5 steps on the 64x32 torus
     at k = 2 (30,720 H(div) dofs)."""
-    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p),
-           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", PIPELINE], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    peak_mb = float(proc.stdout.split()[-1])
+    peak_mb = _peak_mb(PIPELINE)
     assert peak_mb <= PEAK_MB_BOUND, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_compare_saddle_peak_memory_32x16_k2():
+    """stokes --compare-saddle on the 32x16 torus at k = 2 (7,680 H(div)
+    dofs), the oracle's factor (about 3.0M LU entries) built last."""
+    peak_mb = _peak_mb(SADDLE, os.path.join(ROOT, "configs", "stokes_torus.cfg"))
+    assert peak_mb <= SADDLE_PEAK_MB_BOUND, f"peak RSS {peak_mb:.0f} MB"

@@ -84,6 +84,25 @@ def test_off_obj_round_trip(tmp_path, corpus):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, ext)
 
 
+def test_save_matches_per_line_format(tmp_path):
+    """save_off and save_obj write each block with one % operation; the
+    bytes are those of one formatted write per vertex and face, here on a
+    mesh with negative coordinates that need all 17 digits."""
+    mesh = meshes.torus_structured(5, 3)
+    verts = mesh.vertices * -np.pi + 1 / 3
+    tris = mesh.triangles
+    assert (verts < 0).any() and any(float(f"{x:.16g}") != x for x in verts.ravel())
+    off = "OFF\n" + f"{len(verts)} {len(tris)} 0\n" + "".join(
+        f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n" for v in verts) + "".join(
+        f"3 {t[0]} {t[1]} {t[2]}\n" for t in tris)
+    obj = "".join(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n" for v in verts) + "".join(
+        f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n" for t in tris)
+    for save, want in ((save_off, off), (save_obj, obj)):
+        path = tmp_path / "mesh.txt"
+        save((verts, tris), path)
+        assert path.read_text() == want
+
+
 def test_obj_ignores_other_records(tmp_path):
     path = tmp_path / "t.obj"
     path.write_text(
