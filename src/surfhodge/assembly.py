@@ -315,7 +315,7 @@ def reference_rot_block(S: FeSpace, V: FeSpace) -> np.ndarray:
 
 
 # ------------------------------------------------------------- edge traces
-def _side_traces(V: FeSpace, edges: np.ndarray, tris: np.ndarray, tq):
+def _side_traces(V: FeSpace, edges: np.ndarray, tris: np.ndarray, tq, rows: slice):
     """Traces of V's local basis on the element sides tris (E, S) of
     edges (E,), at the points tq ordered along each global edge tangent.
 
@@ -324,9 +324,10 @@ def _side_traces(V: FeSpace, edges: np.ndarray, tris: np.ndarray, tq):
     per-side 2-vectors: the normal value vhat . F'nu / J, the tangential
     value vhat . F'tau / J and the co-normal traction tau . eps(v) nu =
     X : (F'tau (x) G'nu + F'nu (x) G'tau) / 2J.  The reference data are
-    tabulated once per local edge and orientation.  Returns the local edge
-    indices (E, S) and the traces (3, S, n_q, E, n_loc): normal,
-    tangential, traction.
+    tabulated once per local edge and orientation.  rows selects the
+    caller's traces from (normal, tangential, traction); only those are
+    tabulated.  Returns the local edge indices (E, S) and the traces
+    (R, S, n_q, E, n_loc) of the R selected rows.
     """
     mesh = V.mesh
     le = np.argmax(mesh.tri_edges[tris] == edges[:, None, None], axis=2)
@@ -341,15 +342,16 @@ def _side_traces(V: FeSpace, edges: np.ndarray, tris: np.ndarray, tq):
     (Fn, Ft), (Gn, Gt) = Fd.transpose(2, 0, 1, 3), Gd.transpose(2, 0, 1, 3)
     traction = Ft[..., :, None] * Gn[..., None, :] + Fn[..., :, None] * Gt[..., None, :]
     coef[:, :, 2, 2:] = 0.5 * traction.reshape(tris.shape + (4,))
+    coef = coef[:, :, rows]
     n_loc, n_q = V.ref.n_local, len(tq)
-    out = np.empty(tris.shape + (3, n_q * n_loc))
+    out = np.empty(coef.shape[:3] + (n_q * n_loc,))
     for i in range(3):
         for f in (False, True):
             xy = edge_ref_points(i, tq, f)
             ref = np.concatenate([V.ref.eval(xy), V.ref.grad(xy).reshape(n_loc, n_q, 4)], axis=2)
             sel = (le == i) & (flip == f)
             out[sel] = coef[sel] @ ref.transpose(2, 1, 0).reshape(6, -1)
-    return le, out.reshape(tris.shape + (3, n_q, n_loc)).transpose(2, 1, 3, 0, 4)
+    return le, out.reshape(coef.shape[:3] + (n_q, n_loc)).transpose(2, 1, 3, 0, 4)
 
 
 def _side_trace_operator(n_cols: int, cols: np.ndarray, signs: np.ndarray,
@@ -433,12 +435,11 @@ def _sip_facet_term(V: FeSpace, mu: float, alpha: float, dirichlet: bool) -> sp.
     tris = mesh.edge_tris[edges]
     # a boundary edge's second side repeats the first; its dofs are dropped below
     tris[bnd, 1] = tris[bnd, 0]
-    _, tr = _side_traces(V, edges, tris, tq)
+    _, (jump, trac) = _side_traces(V, edges, tris, tq, slice(1, 3))
     cols = V.dof_map[tris].reshape(n_e, 2 * n_loc)
     cols[bnd, n_loc:] = -1
     signs = V.dof_signs[tris].reshape(n_e, 2 * n_loc)
     # jump v0 - v1; average traction (t0 - t1) / 2, or t0 on a boundary edge
-    jump, trac = tr[1], tr[2]
     jump *= _SIDES[..., None, None]
     trac *= (mu * np.where(bnd, 1.0, 0.5)[:, None]) * _SIDES[..., None, None]
     trac *= 2.0
@@ -449,7 +450,7 @@ def _sip_facet_term(V: FeSpace, mu: float, alpha: float, dirichlet: bool) -> sp.
     P_j, WQ = (_side_trace_operator(V.total_dofs, cols, signs,
                                     t.transpose(1, 2, 0, 3).reshape(len(tq), n_e, 2 * n_loc))
                for t in (jump, coef))
-    del tr, jump, trac, coef
+    del jump, trac, coef
     F = P_j.T @ WQ
     F.sort_indices()  # a product's order; sums with a sorted matrix are sorted
     return F
@@ -513,14 +514,14 @@ def convection_tabulation(V: FeSpace) -> dict:
     tq, tw = edge_rule(max(2 * k + 2, 3 * k))
     interior = np.flatnonzero(~mesh.boundary_edge_mask)
     t_sides = mesh.edge_tris[interior]  # (E, 2)
-    le, tr = _side_traces(V, interior, t_sides, tq)
+    le, tr = _side_traces(V, interior, t_sides, tq, slice(0, 2))
     # A normal trace on an edge is fixed by that edge's k + 1 moments, so a
     # normal row keeps only the side's own edge dofs, at local indices
     # le (k + 1) .. le (k + 1) + k; the other dofs' traces vanish exactly.
     dofs = V.dof_map[t_sides].transpose(1, 0, 2)[:, None]
     own = np.arange(n_loc) // (k + 1) == le.T[:, None, :, None]
     psi = _side_trace_operator(V.total_dofs, np.stack([np.where(own, dofs, -1), dofs]),
-                               V.dof_signs[t_sides].transpose(1, 0, 2)[:, None], tr[:2])
+                               V.dof_signs[t_sides].transpose(1, 0, 2)[:, None], tr)
     tab["edge"] = (psi, psi.T.tocsr(), (tw[:, None] * mesh.edge_lengths[interior]).ravel())
     return tab
 

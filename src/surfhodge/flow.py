@@ -384,7 +384,12 @@ class FlowOperators:
         coefficients (default zero).  It stops at the first step after the
         first with |B u|_W <= 1e-13 |u|_M, so the result does not depend on
         the start beyond that tolerance.  From reconstruct_pressure's
-        pressure it stops after 2 solves, against 9-15 from zero.  Each
+        pressure it stops after 2 solves, against 9-15 from zero.  Where
+        rounding keeps the relative divergence above 1e-13 (k = 4: it levels
+        off at 1e-13 to 1e-12), the loop stops at its plateau instead: at
+        the first step from the third on whose relative divergence is at
+        most 1e-10 and not below the step before's.  A converging loop
+        lowers it at every step, also at a slow rate such as 1/2.  Each
         solve is written as a correction of u by the momentum residual,
         which the next step then removes, as in iterative refinement; a
         warm start's one step alone left twice the momentum residual of a
@@ -412,13 +417,18 @@ class FlowOperators:
             raise SolverFailure(f"saddle-point solve failed: {exc}") from exc
         gw = gamma * w
         u, div = np.zeros(B.shape[1]), np.zeros(B.shape[0])
+        last = math.inf
         for step in range(100):
             u += op.solve(b - self.A_visc @ u - B.T @ (p + gw * div))
             div = B @ u
             p += gw * div
-            if step and (math.sqrt(div @ (w * div))
-                         <= 1e-13 * math.sqrt(max(u @ (self.M @ u), 0.0))):
+            div_norm, u_norm = math.sqrt(div @ (w * div)), math.sqrt(max(u @ (self.M @ u), 0.0))
+            if step and div_norm <= 1e-13 * u_norm:
                 break
+            rel = div_norm / u_norm if u_norm else math.inf
+            if step >= 2 and last <= rel <= 1e-10:  # rounding level: no step lowers it
+                break
+            last = rel
         else:
             raise SolverFailure("saddle-point solve did not converge in 100 steps")
         return FeField(self.V, u), self.hodge.pressure_field(p)

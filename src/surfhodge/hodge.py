@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -112,18 +112,27 @@ class HodgeComponents:
     The reconstruction rot(psi) + sum_i h_i H_i + gradient_part reproduces
     the input up to residual_norm.  gradient_part is R B v minus its
     projection onto rot S + H (R the right inverse of B), which equals
-    M^-1 B' lam up to solver precision; lam is the zero-mean
-    discrete-gradient potential from
-    HodgeSolver.pressure_solve(M (v - rot(psi) - harmonic part)).
+    M^-1 B' lam up to solver precision.  lam, the zero-mean
+    discrete-gradient potential
+    HodgeSolver.pressure_solve(M v - M (rot_part + harmonic_part)), costs
+    one L0 solve and is computed on first read, then cached.  Until then
+    the split keeps M v and its solver in _lam_source, which repr and ==
+    leave out.
     """
 
     psi: FeField
     h_coeffs: np.ndarray
-    lam: FeField
     residual_norm: float
     rot_part: np.ndarray
     harmonic_part: np.ndarray
     gradient_part: np.ndarray
+    _lam_source: tuple[np.ndarray, HodgeSolver] = field(repr=False, compare=False)
+
+    @cached_property
+    def lam(self) -> FeField:
+        f, solver = self._lam_source
+        return FeField(solver.Q, solver.pressure_solve(
+            f - solver.M @ (self.rot_part + self.harmonic_part)))
 
 
 @dataclass
@@ -355,32 +364,39 @@ class HodgeSolver:
         with the basis.  The gradient part is g0 = R B v, which has v's
         divergence, minus its own projection onto J = rot S + H: it equals
         M^-1 B' lam up to solver precision, with no mass factor.  One
-        two-column L solve gives psi and g0's streamfunction.  lam is the
-        pressure Poisson multiplier of what the rot and harmonic parts
-        leave, and the residual measures the whole split: an incomplete
-        basis or an inaccurate L solve leaves it nonzero.
+        two-column L solve gives psi and g0's streamfunction, and the L0
+        solve of R gives g0.  The residual measures the whole split: an
+        incomplete basis or an inaccurate L solve leaves it nonzero.  The
+        pressure Poisson multiplier lam of what the rot and harmonic parts
+        leave is not computed here but on its first read, with one more L0
+        solve (HodgeComponents.lam).
         """
         self.check_basis(basis)
         if not self.V.same_as(v.space):
             raise BasisMismatch("field does not live in the solver's space")
         vc, H = v.coefficients, basis.vectors
         g0 = self._right_inverse(self.B @ vc)
-        f, fg = self.M @ vc, self.M @ g0  # two products beat one (n, 2) product
-        psi, psi_g = self.laplace_operator.solve(self._EsT @ np.column_stack([f, fg])).T
+        f, fg = self.M @ vc, self.M @ g0  # two products beat one (n, 2) product, here
+        psi, psi_g = self.laplace_operator.solve(  # and for Es'
+            np.column_stack([self._EsT @ f, self._EsT @ fg])).T
         h = H @ f
         rot_part, harmonic_part = self._Es @ psi, H.T @ h
-        gradient_part = g0 - self._Es @ psi_g - H.T @ (H @ fg)
-        lam = self.pressure_solve(f - self.M @ (rot_part + harmonic_part))
+        gradient_part = g0  # g0 - Es psi_g - H' H fg, formed on g0
+        gradient_part -= self._Es @ psi_g
+        gradient_part -= H.T @ (H @ fg)
         with np.errstate(over="ignore", invalid="ignore"):  # the caller sees inf or nan
-            residual = mnorm(vc - rot_part - harmonic_part - gradient_part, self.M)
+            d = vc - rot_part
+            d -= harmonic_part
+            d -= gradient_part
+            residual = mnorm(d, self.M)
         return HodgeComponents(
             psi=self.stream_field(psi),
             h_coeffs=h,
-            lam=FeField(self.Q, lam),
             residual_norm=residual,
             rot_part=rot_part,
             harmonic_part=harmonic_part,
             gradient_part=gradient_part,
+            _lam_source=(f, self),
         )
 
 

@@ -243,6 +243,19 @@ def test_stokes_compare_saddle_high_viscosity(tmp_path, capsys):
     assert payload["saddle_pressure_discrepancy"] <= 1e-8
 
 
+@pytest.mark.parametrize("mesh", ["flat_patch", "sphere_4holes"])
+def test_stokes_compare_saddle_k4(mesh, capsys):
+    """At k = 4 the oracle's relative divergence levels off at 4e-13 to
+    9e-13, above its 1e-13 stop; the loop stops at that plateau (it exited
+    4, "did not converge in 100 steps") and agrees with the reduced solve."""
+    code, payload, _ = run_cli(capsys, "stokes", "--config",
+                               os.path.join(ROOT, "configs", "stokes_torus.cfg"),
+                               "--mesh", f"builtin:{mesh}", "--k", "4", "--compare-saddle")
+    assert code == 0
+    assert payload["saddle_velocity_discrepancy"] <= 1e-8
+    assert payload["saddle_pressure_discrepancy"] <= 1e-8
+
+
 def test_nse_switched_off_forcing_monotone(tmp_path, capsys):
     # forcing active at t = 0 (sets the initial Stokes state), switched off
     # for t > 0: the CSV energy decays monotonically

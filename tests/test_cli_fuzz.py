@@ -1,14 +1,18 @@
-"""Fuzzing of the command line's file inputs.
+"""Fuzzing of the command line's inputs.
 
 Mesh files (the OFF and OBJ text of three corpus meshes, through
 `topology`) and config files (configs/stokes_torus.cfg and
 configs/nse_trefoil.cfg on the tetrahedron, through `stokes` and `nse`)
 are mutated line by line, token by token and byte by byte, and a harmonic
 basis file (written by `harmonic --out-dir` on the built-in torus at k = 0,
-read by `stokes --basis`) in its values, shapes, keys and types; cli.main
-runs in process on each.  It must exit 0, 2, 3 or 4; a failure writes
-exactly one stderr line and no traceback, and a success writes no NaN or
-Infinity.  Seeds are derandomized, so a run is reproducible.
+read by `stokes --basis`) in its values, shapes, keys and types.  The
+numeric flags of README's synopsis get any value argparse accepts: ints of
+any sign and size for --k, --seed, --field-seed and --k-max, any float
+and nan, inf, 0, negatives, 1e-320 and 1e308 for --tol, each run through
+every verb that takes the flag.  cli.main runs in process on each.  It
+must exit 0, 2, 3 or 4; a failure writes exactly one stderr line and no
+traceback, and a success writes no NaN or Infinity.  Seeds are
+derandomized, so a run is reproducible.
 """
 
 import contextlib
@@ -19,6 +23,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from surfhodge import meshes
@@ -185,3 +190,46 @@ def test_fuzz_basis_files(data):
         path.write_bytes(data)
         check_run(["stokes", "--config", str(ROOT / "configs" / "stokes_torus.cfg"),
                    "--k", "0", "--basis", str(path)])
+
+
+# the verbs of README's synopsis that take each numeric flag
+FLAG_VERBS = {
+    "--k": ("harmonic", "decompose", "stokes", "nse"),
+    "--seed": ("harmonic", "decompose", "stokes", "nse", "verify"),
+    "--field-seed": ("decompose",),
+    "--k-max": ("verify",),
+    "--tol": ("harmonic", "decompose", "verify"),
+}
+# ints of any sign and size, with the 64-bit edges always among the draws
+FLAG_INTS = st.one_of(st.sampled_from([2**31, 2**63, -2**63, 2**64 + 1, 10**30]), st.integers())
+FLAG_VALUES = {
+    "--tol": st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e-320",
+                                        "1e308"]), st.floats().map(repr)),
+    **{flag: FLAG_INTS.map(str) for flag in ("--k", "--seed", "--field-seed", "--k-max")},
+}
+
+
+def _flag_run(verb: str, flag: str, value: str) -> list[str]:
+    """argv of one run on the tetrahedron (stokes and nse with the shipped
+    Stokes config), or for --tol on the torus at k = 0, whose b1 = 2 draws
+    the tolerance decides.  --flag=value is accepted for values that start
+    with -."""
+    if verb in ("stokes", "nse"):
+        base = ["--config", str(ROOT / "configs" / "stokes_torus.cfg"),
+                "--mesh", "builtin:tetrahedron"]
+    elif flag == "--tol":
+        base = ["--mesh", "builtin:torus", *(["--k-max", "0"] if verb == "verify" else [])]
+    else:
+        base = ["--mesh", "builtin:tetrahedron"]
+    return [verb, *base, f"{flag}={value}"]
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VERBS))
+def test_fuzz_flag_values(flag):
+    @settings(FUZZ, max_examples=8)
+    @given(FLAG_VALUES[flag])
+    def run(value):
+        for verb in FLAG_VERBS[flag]:
+            check_run(_flag_run(verb, flag, value))
+
+    run()

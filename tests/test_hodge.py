@@ -59,16 +59,18 @@ def test_sphere_needs_zero_solves(tetra):
     assert basis.dimension == 0
     assert basis.n_attempts == 0
     assert "pressure_operator" not in vars(solver)  # no factorization triggered
-    solver.decompose(FeField(solver.V, np.ones(solver.V.total_dofs)), basis)
+    comp = solver.decompose(FeField(solver.V, np.ones(solver.V.total_dofs)), basis)
     assert "pressure_operator" in vars(solver)
     assert solver.pressure_operator.n == tetra.n_triangles  # one unknown per triangle
-    assert solver.pressure_operator.solve_count == 2  # R B v and the multiplier
+    assert solver.pressure_operator.solve_count == 1  # R B v; the multiplier waits
+    assert comp.lam.space is solver.Q
+    assert solver.pressure_operator.solve_count == 2  # and now the multiplier
 
 
 def test_decompose_builds_each_factor_once(torus3, track_factors, rng):
     """A HodgeSolver reused for many decompositions builds L and L0 once
     each, on first use, and keeps them; decompose builds no mass factor
-    and makes one two-column L solve per call."""
+    and makes one two-column L solve and one L0 solve per call."""
     from surfhodge import hodge
 
     built = track_factors(hodge)
@@ -80,7 +82,29 @@ def test_decompose_builds_each_factor_once(torus3, track_factors, rng):
     kept = (solver.laplace_operator, solver.pressure_operator)
     assert sorted(map(id, kept)) == sorted(id(ref()) for _, ref, _ in built)
     assert solver.laplace_operator.solve_count == draws[0] + 2 * 3
-    assert solver.pressure_operator.solve_count == draws[1] + 2 * 3
+    assert solver.pressure_operator.solve_count == draws[1] + 3
+
+
+@pytest.mark.parametrize("name, k", [("torus", 2), ("sphere_4holes", 1), ("genus2", 0)])
+def test_lam_on_first_read_is_the_eager_multiplier(name, k, corpus, rng):
+    """decompose makes one two-column L solve and one L0 solve; the first
+    read of lam adds one L0 solve and no L solve, a second read none, and
+    lam is bit for bit pressure_solve(M v - M (rot_part + harmonic_part))."""
+    solver = HodgeSolver(corpus[name], k)
+    basis = solver.harmonic_basis(seed=0)
+    L, L0 = solver.laplace_operator, solver.pressure_operator
+    v = rng.standard_normal(solver.V.total_dofs)
+    before = L.solve_count, L0.solve_count
+    comp = solver.decompose(FeField(solver.V, v), basis)
+    assert (L.solve_count, L0.solve_count) == (before[0] + 2, before[1] + 1)
+    assert "lam" not in vars(comp) and "_lam_source" not in repr(comp)
+    lam = comp.lam
+    assert (L.solve_count, L0.solve_count) == (before[0] + 2, before[1] + 2)
+    assert comp.lam is lam
+    assert (L.solve_count, L0.solve_count) == (before[0] + 2, before[1] + 2)
+    eager = solver.pressure_solve(solver.M @ v - solver.M @ (comp.rot_part + comp.harmonic_part))
+    assert lam.space is solver.Q
+    assert lam.coefficients.tobytes() == eager.tobytes()
 
 
 def test_torus3_k0_orthogonality(torus3, solver_cache):
