@@ -369,8 +369,16 @@ _SHARED_OPTIONS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are input errors, which main
+    reports in one line with exit 2; --help and --version exit as usual."""
+
+    def error(self, message):
+        raise SurfHodgeError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="surfhodge",
         description="Helmholtz-Hodge decompositions and pressure-free "
                     "Stokes/Navier-Stokes solvers on triangulated surfaces.")
@@ -413,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except AlgorithmError as exc:
         print(f"algorithmic failure: {exc}", file=sys.stderr)

@@ -114,10 +114,10 @@ class HodgeComponents:
     projection onto rot S + H (R the right inverse of B), which equals
     M^-1 B' lam up to solver precision.  lam, the zero-mean
     discrete-gradient potential
-    HodgeSolver.pressure_solve(M v - M (rot_part + harmonic_part)), costs
-    one L0 solve and is computed on first read, then cached.  Until then
-    the split keeps M v and its solver in _lam_source, which repr and ==
-    leave out.
+    HodgeSolver.pressure_solve(M (v - rot_part - harmonic_part)), costs one
+    mass product and one L0 solve and is computed on first read, then
+    cached.  Until then the split keeps v - rot_part - harmonic_part and
+    its solver in _lam_source, which repr and == leave out.
     """
 
     psi: FeField
@@ -130,9 +130,8 @@ class HodgeComponents:
 
     @cached_property
     def lam(self) -> FeField:
-        f, solver = self._lam_source
-        return FeField(solver.Q, solver.pressure_solve(
-            f - solver.M @ (self.rot_part + self.harmonic_part)))
+        r, solver = self._lam_source
+        return FeField(solver.Q, solver.pressure_solve(solver.M @ r))
 
 
 @dataclass
@@ -188,10 +187,14 @@ class HodgeSolver:
     constants); pressure_field and stream_field report zero-mean fields.
     All operations are pure given the immutable mesh; the random number
     generator of the harmonic search is an explicit seeded input, so runs
-    are reproducible.  The factorizations are built on first use and
-    cached on the instance (functools.cached_property), so the solver is not
-    immutable after construction; removing a factor from vars(solver)
-    releases it, and its next use builds it again.
+    are reproducible.  The factorizations and Es' M, decompose's
+    streamfunction load in one product, are built on first use and cached
+    on the instance (functools.cached_property), so the solver is not
+    immutable after construction; removing one from vars(solver) releases
+    it, and its next use builds it again.  decompose also keeps the mass
+    image H M of the last basis it was given, keyed by the basis.vectors
+    array object: a basis with other vectors gets its own image, while a
+    vectors array changed in place keeps the stale one.
     """
 
     def __init__(self, mesh: SurfaceMesh, k: int):
@@ -230,7 +233,8 @@ class HodgeSolver:
         self._B0 = self.B[self._q0]
         self._G = (sp.eye(self.V.total_dofs, format="csr") - self._PK @ self.B) @ self._B0.T
         # the transposes that every decomposition applies, as csc views
-        self._ET, self._EsT, self._PKT, self._GT = self.E.T, self._Es.T, self._PK.T, self._G.T
+        self._ET, self._PKT, self._GT = self.E.T, self._PK.T, self._G.T
+        self._basis_image = (None, None)  # (H, H M) of the last basis decompose read
         self._checksum = mesh.checksum()
 
     # ------------------------------------------------------------ operators
@@ -248,6 +252,12 @@ class HodgeSolver:
     def laplace_operator(self) -> FactorizedOperator:
         """Factorized streamfunction form L."""
         return FactorizedOperator(self.L)
+
+    @cached_property
+    def _EsTM(self) -> sp.csr_matrix:
+        """Es' M, formed as (M' Es)', the transpose of a csc product, so
+        that it is csr."""
+        return (self.M.T @ self._Es).T
 
     def pressure_solve(self, r: np.ndarray) -> np.ndarray:
         """Zero-mean multiplier lam = R' r, R b = G L0^-1 b[q0] + PK b the
@@ -365,30 +375,35 @@ class HodgeSolver:
         divergence, minus its own projection onto J = rot S + H: it equals
         M^-1 B' lam up to solver precision, with no mass factor.  One
         two-column L solve gives psi and g0's streamfunction, and the L0
-        solve of R gives g0.  The residual measures the whole split: an
-        incomplete basis or an inaccurate L solve leaves it nonzero.  The
-        pressure Poisson multiplier lam of what the rot and harmonic parts
-        leave is not computed here but on its first read, with one more L0
-        solve (HodgeComponents.lam).
+        solve of R gives g0.  Their loads are products with Es' M and the
+        harmonic coefficients of v and g0 products with the basis's mass
+        image H M, so the residual's is the call's one product with M.  The
+        residual measures the whole split: an incomplete basis or an
+        inaccurate L solve leaves it nonzero.  The pressure Poisson
+        multiplier lam of what the rot and harmonic parts leave is not
+        computed here but on its first read, with one more mass product and
+        L0 solve (HodgeComponents.lam).
         """
         self.check_basis(basis)
         if not self.V.same_as(v.space):
             raise BasisMismatch("field does not live in the solver's space")
         vc, H = v.coefficients, basis.vectors
+        key, HM = self._basis_image
+        if key is not H:
+            HM = H @ self.M
+            self._basis_image = (H, HM)
         g0 = self._right_inverse(self.B @ vc)
-        f, fg = self.M @ vc, self.M @ g0  # two products beat one (n, 2) product, here
-        psi, psi_g = self.laplace_operator.solve(  # and for Es'
-            np.column_stack([self._EsT @ f, self._EsT @ fg])).T
-        h = H @ f
+        psi, psi_g = self.laplace_operator.solve(  # two products beat one (n, 2) product
+            np.column_stack([self._EsTM @ vc, self._EsTM @ g0])).T
+        h = HM @ vc
         rot_part, harmonic_part = self._Es @ psi, H.T @ h
-        gradient_part = g0  # g0 - Es psi_g - H' H fg, formed on g0
+        gradient_part = g0  # g0 - Es psi_g - H' H M g0, formed on g0
         gradient_part -= self._Es @ psi_g
-        gradient_part -= H.T @ (H @ fg)
+        gradient_part -= H.T @ (HM @ g0)
         with np.errstate(over="ignore", invalid="ignore"):  # the caller sees inf or nan
-            d = vc - rot_part
-            d -= harmonic_part
-            d -= gradient_part
-            residual = mnorm(d, self.M)
+            r = vc - rot_part  # kept for lam
+            r -= harmonic_part
+            residual = mnorm(r - gradient_part, self.M)
         return HodgeComponents(
             psi=self.stream_field(psi),
             h_coeffs=h,
@@ -396,7 +411,7 @@ class HodgeSolver:
             rot_part=rot_part,
             harmonic_part=harmonic_part,
             gradient_part=gradient_part,
-            _lam_source=(f, self),
+            _lam_source=(r, self),
         )
 
 

@@ -10,8 +10,10 @@ FactorizedOperator is the one factorization class, with one ordering and
 pivoting policy for every factor; it finds a constants kernel itself and
 pins the first dof, and zero_mean shifts a pinned solution to zero mean.
 It is also the one place that decides singularity, by one near-null test
-on every factor.  Every FactorizedOperator counts its solves (one per
-right-hand side), which the Schur-complement instrumentation relies on.
+on every factor, and that picks SuperLU's sweeps: the transposed ones for
+an exactly symmetric matrix, the plain ones otherwise.  Every
+FactorizedOperator counts its solves (one per right-hand side), which the
+Schur-complement instrumentation relies on.
 """
 
 from __future__ import annotations
@@ -63,7 +65,12 @@ class FactorizedOperator:
     are A' = A), is factored from its own arrays, or when pinned from one
     copy without its first row and column; another csr A is converted once,
     and any other input is converted to csc.  The symmetry check's copy,
-    A', is released before SuperLU runs.
+    A', is released before SuperLU runs.  An exactly symmetric A (mass
+    matrices, the streamfunction and mean-mode Laplacians) is solved with
+    SuperLU's transposed sweeps, A' x = b, which are the same system and
+    faster; a matrix symmetric only to rounding (the Stokes and step blocks,
+    the saddle oracle's block) keeps the plain sweeps, since A' x = b would
+    move its solution by A's asymmetry.
 
     solve() accepts a vector or a matrix of right-hand-side columns and
     increments solve_count by the number of columns; concurrent solves from
@@ -90,6 +97,7 @@ class FactorizedOperator:
         if (A.diagonal() <= 0).any():
             raise NotSPD("nonpositive diagonal entry in a matrix declared SPD")
         exact = check_symmetric(A, "matrix declared SPD")
+        self._trans = "T" if exact else "N"  # A' x = b is A x = b
         if A.format == "csr":  # A' = A: A's arrays read as csc are A itself
             A = sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape) if exact else A.tocsc()
         A_norm = (_abs(A) @ np.ones(n)).max()  # |A|'s largest row sum
@@ -102,8 +110,8 @@ class FactorizedOperator:
             raise SingularMatrix(str(exc)) from exc
         self.lu_nnz = self._lu.nnz
         # the factor's own near-null vector (its solve is not counted)
-        if _is_near_null(F, self._lu.solve(np.random.default_rng(0).standard_normal(F.shape[0])),
-                         A_norm):
+        if _is_near_null(F, self._lu.solve(np.random.default_rng(0).standard_normal(F.shape[0]),
+                                           self._trans), A_norm):
             raise SingularMatrix("matrix is numerically singular")
 
     @property
@@ -118,10 +126,10 @@ class FactorizedOperator:
         if self.n == 0:
             return np.zeros_like(b)
         if not self._pinned:
-            return self._lu.solve(b)
+            return self._lu.solve(b, self._trans)
         x = np.empty_like(b)
         x[0] = 0.0
-        x[1:] = self._lu.solve(b[1:])
+        x[1:] = self._lu.solve(b[1:], self._trans)
         return x
 
 

@@ -641,6 +641,24 @@ def test_topology_missing_mesh_exit_2(tmp_path, capsys):
     assert_input_error(capsys, ["topology", "--mesh", str(tmp_path / "nope.off")])
 
 
+@pytest.mark.parametrize("argv", [
+    ["harmonic", "--mesh", "builtin:torus", "--tol", "-inf"],  # -inf is read as a flag
+    ["harmonic", "--mesh", "builtin:torus", "--no-such-flag"],
+    ["topology"],
+])
+def test_usage_error_exit_2(capsys, argv):
+    """Usage errors that argparse finds are input errors of one line too."""
+    assert_input_error(capsys, argv)
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith(
+        "usage:" if flag == "--help" else "surfhodge ")
+
+
 def test_decompose_non_json_basis_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("this is not json\n")

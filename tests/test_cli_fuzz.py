@@ -9,7 +9,9 @@ read by `stokes --basis`) in its values, shapes, keys and types.  The
 numeric flags of README's synopsis get any value argparse accepts: ints of
 any sign and size for --k, --seed, --field-seed and --k-max, any float
 and nan, inf, 0, negatives, 1e-320 and 1e308 for --tol, each run through
-every verb that takes the flag.  cli.main runs in process on each.  It
+every verb that takes the flag, as --flag=value or as --flag value (a
+value that starts with - and is not a number is then argparse's usage
+error).  cli.main runs in process on each.  It
 must exit 0, 2, 3 or 4; a failure writes exactly one stderr line and no
 traceback, and a success writes no NaN or Infinity.  Seeds are
 derandomized, so a run is reproducible.
@@ -209,11 +211,11 @@ FLAG_VALUES = {
 }
 
 
-def _flag_run(verb: str, flag: str, value: str) -> list[str]:
+def _flag_run(verb: str, flag: str, value: str, joined: bool) -> list[str]:
     """argv of one run on the tetrahedron (stokes and nse with the shipped
     Stokes config), or for --tol on the torus at k = 0, whose b1 = 2 draws
-    the tolerance decides.  --flag=value is accepted for values that start
-    with -."""
+    the tolerance decides, with the flag and its value as one argument
+    --flag=value when joined, else as two."""
     if verb in ("stokes", "nse"):
         base = ["--config", str(ROOT / "configs" / "stokes_torus.cfg"),
                 "--mesh", "builtin:tetrahedron"]
@@ -221,15 +223,15 @@ def _flag_run(verb: str, flag: str, value: str) -> list[str]:
         base = ["--mesh", "builtin:torus", *(["--k-max", "0"] if verb == "verify" else [])]
     else:
         base = ["--mesh", "builtin:tetrahedron"]
-    return [verb, *base, f"{flag}={value}"]
+    return [verb, *base, *([f"{flag}={value}"] if joined else [flag, value])]
 
 
 @pytest.mark.parametrize("flag", sorted(FLAG_VERBS))
 def test_fuzz_flag_values(flag):
     @settings(FUZZ, max_examples=8)
-    @given(FLAG_VALUES[flag])
-    def run(value):
+    @given(FLAG_VALUES[flag], st.booleans())
+    def run(value, joined):
         for verb in FLAG_VERBS[flag]:
-            check_run(_flag_run(verb, flag, value))
+            check_run(_flag_run(verb, flag, value, joined))
 
     run()

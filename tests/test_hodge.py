@@ -89,7 +89,8 @@ def test_decompose_builds_each_factor_once(torus3, track_factors, rng):
 def test_lam_on_first_read_is_the_eager_multiplier(name, k, corpus, rng):
     """decompose makes one two-column L solve and one L0 solve; the first
     read of lam adds one L0 solve and no L solve, a second read none, and
-    lam is bit for bit pressure_solve(M v - M (rot_part + harmonic_part))."""
+    lam is bit for bit pressure_solve(M (v - rot_part - harmonic_part)),
+    and to rounding the multiplier of M v - M (rot_part + harmonic_part)."""
     solver = HodgeSolver(corpus[name], k)
     basis = solver.harmonic_basis(seed=0)
     L, L0 = solver.laplace_operator, solver.pressure_operator
@@ -102,9 +103,57 @@ def test_lam_on_first_read_is_the_eager_multiplier(name, k, corpus, rng):
     assert (L.solve_count, L0.solve_count) == (before[0] + 2, before[1] + 2)
     assert comp.lam is lam
     assert (L.solve_count, L0.solve_count) == (before[0] + 2, before[1] + 2)
-    eager = solver.pressure_solve(solver.M @ v - solver.M @ (comp.rot_part + comp.harmonic_part))
+    eager = solver.pressure_solve(solver.M @ (v - comp.rot_part - comp.harmonic_part))
     assert lam.space is solver.Q
     assert lam.coefficients.tobytes() == eager.tobytes()
+    split = solver.pressure_solve(solver.M @ v - solver.M @ (comp.rot_part + comp.harmonic_part))
+    assert np.abs(lam.coefficients - split).max() <= 1e-12 * np.abs(split).max()
+
+
+class _CountingMass(sp.csr_matrix):
+    """A mass matrix that counts its products (M @ x)."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+
+def test_decompose_makes_one_mass_product(torus, rng):
+    """Once its first call has built Es' M and the basis's mass image H M,
+    decompose makes one product with M (the residual's), two L solve
+    columns and one L0 solve; the first read of lam adds one M product and
+    one L0 solve."""
+    solver = HodgeSolver(torus, 1)
+    solver.M = M = _CountingMass(solver.M)
+    basis = solver.harmonic_basis(seed=0)
+    L, L0 = solver.laplace_operator, solver.pressure_operator
+    v = FeField(solver.V, rng.standard_normal(solver.V.total_dofs))
+    solver.decompose(v, basis)
+    counts = lambda: (M.products, L.solve_count, L0.solve_count)  # noqa: E731
+    before = counts()
+    comp = solver.decompose(v, basis)
+    assert counts() == (before[0] + 1, before[1] + 2, before[2] + 1)
+    comp.lam
+    assert counts() == (before[0] + 2, before[1] + 2, before[2] + 2)
+
+
+def test_decompose_uses_the_mass_image_of_its_basis(torus, solver_cache, basis_cache, rng):
+    """A basis with other vectors, here the harmonic basis rotated in its
+    plane, gets its own mass image: decompose returns the rotated
+    coefficients, and with the first basis again its first bits."""
+    from dataclasses import replace
+
+    solver, basis = solver_cache(torus, 1), basis_cache(torus, 1)
+    assert basis.dimension == 2
+    c, s = np.cos(0.3), np.sin(0.3)
+    R = np.array([[c, -s], [s, c]])
+    v = FeField(solver.V, rng.standard_normal(solver.V.total_dofs))
+    h = solver.decompose(v, basis).h_coeffs
+    rotated = solver.decompose(v, replace(basis, vectors=R @ basis.vectors)).h_coeffs
+    assert np.abs(rotated - R @ h).max() <= 1e-12 * np.abs(h).max()
+    assert solver.decompose(v, basis).h_coeffs.tobytes() == h.tobytes()
 
 
 def test_torus3_k0_orthogonality(torus3, solver_cache):

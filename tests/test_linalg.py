@@ -92,6 +92,68 @@ def test_exactly_symmetric_csr_factored_from_its_arrays(form, monkeypatch, rng):
     assert np.array_equal(op.solve(b), FactorizedOperator(A.tocsc()).solve(b))
 
 
+def _record_sweeps(monkeypatch):
+    """The trans argument of every SuperLU solve from here on."""
+    from surfhodge import linalg
+
+    sweeps = []
+
+    class Recorded:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+
+        def solve(self, b, trans="N"):
+            sweeps.append(trans)
+            return self.lu.solve(b, trans)
+
+    splu = linalg.spla.splu
+    monkeypatch.setattr(linalg.spla, "splu", lambda F, **kw: Recorded(splu(F, **kw)))
+    return sweeps
+
+
+@pytest.mark.parametrize("form", ["mass", "stiffness"])
+def test_exactly_symmetric_csr_solves_with_transposed_sweeps(form, monkeypatch, rng):
+    """An exactly symmetric csr matrix, unpinned (mass) or pinned (the
+    closed-surface stiffness), is solved with SuperLU's transposed sweeps,
+    to within 1e-13 of a dense solve."""
+    from surfhodge import assembly as asm, meshes
+    from surfhodge.fespace import build_space
+
+    mesh = meshes.torus_structured(8, 8)
+    A = (asm.assemble_mass(build_space(mesh, "bdm", 1, "zero_normal_trace")) if form == "mass"
+         else asm.assemble_broken_stiffness(build_space(mesh, "lagrange", 2)))
+    sweeps = _record_sweeps(monkeypatch)
+    op = FactorizedOperator(A)
+    assert A.format == "csr" and op.pinned == (form == "stiffness")
+    b = rng.standard_normal(A.shape[0])
+    b -= b.mean()
+    x = op.solve(b)
+    assert set(sweeps) == {"T"}
+    D, i = A.toarray(), int(op.pinned)  # a pinned solve has x_0 = 0
+    want = np.concatenate([np.zeros(i), np.linalg.solve(D[i:, i:], b[i:])])
+    assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_rounding_symmetric_matrix_solves_a_x_equals_b(monkeypatch):
+    """A csc matrix symmetric only to rounding passes check_symmetric and is
+    solved as A x = b.  Its symmetric part has the eigenvalue 1e-7 twice,
+    and its antisymmetric part of size 1e-13 couples the two eigenvectors,
+    so A' x = b would miss the dense solution by far more than the bound."""
+    n, u, w = np.ones(3) / np.sqrt(3), np.array([1, -1, 0]) / np.sqrt(2), np.array([1, 1, -2])
+    w = w / np.sqrt(6)
+    A = sp.csc_matrix(1e-7 * np.eye(3) + (1 - 1e-7) * np.outer(n, n)
+                      + 1e-13 * (np.outer(u, w) - np.outer(w, u)))
+    assert not check_symmetric(A, "A")
+    b = np.array([1.0, -0.5, 0.25])
+    want, transposed = np.linalg.solve(A.toarray(), b), np.linalg.solve(A.toarray().T, b)
+    bound = 1e-8 * np.abs(want).max()
+    assert np.abs(transposed - want).max() > 100 * bound
+    sweeps = _record_sweeps(monkeypatch)
+    x = FactorizedOperator(A).solve(b)
+    assert set(sweeps) == {"N"}
+    assert np.abs(x - want).max() <= bound
+
+
 def test_solve_counting(rng):
     A = sp.csc_matrix(np.diag([1.0, 2.0, 3.0]))
     op = FactorizedOperator(A)
