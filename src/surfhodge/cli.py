@@ -131,7 +131,7 @@ def cmd_harmonic(args) -> int:
     }
     lines = [
         f"harmonic space dimension b1 = {basis.dimension} (degree {args.k})",
-        f"accepted after {basis.n_attempts} draws; Gram residual {basis.gram_residual:.2e}",
+        f"drawn as a block of {basis.n_attempts} fields; Gram residual {basis.gram_residual:.2e}",
     ]
 
     def save_basis(out_dir):

@@ -141,8 +141,8 @@ def test_harmonic_max_attempts_exit_3(capsys):
 
 
 def test_decompose_passes_tol_exit_3(capsys):
-    """decompose builds its basis with --tol, as harmonic does: no draw
-    reaches a norm of 1e300."""
+    """decompose builds its basis with --tol, as harmonic does: no Gram
+    eigenvalue of the drawn block exceeds 1e300 times the largest."""
     assert main(["decompose", "--mesh", "builtin:torus", "--k", "1", "--tol", "1e300"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("algorithmic failure:") and len(err.splitlines()) == 1

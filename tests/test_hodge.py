@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,6 +8,7 @@ from surfhodge import assembly as asm, meshes
 from surfhodge.errors import BasisMismatch, MaxAttemptsExceeded, WrongDegree
 from surfhodge.fespace import FeField, build_space
 from surfhodge.hodge import (
+    OVERSAMPLING,
     HarmonicBasis,
     HodgeSolver,
     decompose_p0_incomplete,
@@ -210,9 +213,36 @@ def test_streamfunction_form_is_stiffness(corpus, solver_cache, k):
 def test_max_attempts_exceeded(torus3):
     solver = HodgeSolver(torus3, 0)
     with pytest.raises(MaxAttemptsExceeded):
-        # candidates are unit fields; an impossible drop tolerance forces
-        # every draw of the 20 b1 + 20 budget to be discarded
+        # tol is relative to the Gram matrix's largest eigenvalue, so a
+        # tolerance above 1 counts no eigenvalue of the drawn block
         solver.harmonic_basis(seed=0, tol=10.0)
+
+
+def test_block_draw_is_divergence_free_at_seed_900():
+    """On the pierced sphere at k = 3, seed 900 drew a near-dependent
+    third field when the fields were drawn one at a time (|div h| 7.0e-7,
+    |E' M H| 1.8e-9); the oversampled block keeps every member at solver
+    precision (measured 6.0e-11 and 1.7e-13)."""
+    solver = HodgeSolver(meshes.sphere_with_holes(3, 4), 3)
+    basis = solver.harmonic_basis(seed=900)
+    H = basis.vectors
+    assert basis.dimension == 3 and basis.n_attempts == 3 + OVERSAMPLING
+    assert max(asm.divergence_norm(solver.V, h) for h in H) <= 1e-10
+    assert np.abs(solver._ET @ (solver.M @ H.T)).max() <= 1e-11
+    assert basis.gram_residual <= 1e-13
+
+
+@pytest.mark.parametrize("name, k, shift", [("torus", 1, -1), ("torus", 1, 1),
+                                             ("sphere_4holes", 2, -1), ("sphere_4holes", 2, 1),
+                                             ("icosphere", 1, 1)])
+def test_topology_mismatch_raises(corpus, name, k, shift):
+    """The rank read off the Gram spectrum checks the topology's b1 both
+    ways: a harmonic space larger or smaller than b1, or none at all (a
+    sphere told b1 = 1), raises instead of returning a wrong basis."""
+    solver = HodgeSolver(corpus[name], k)
+    solver.topology = dataclasses.replace(solver.topology, b1=solver.topology.b1 + shift)
+    with pytest.raises(MaxAttemptsExceeded):
+        solver.harmonic_basis(seed=0)
 
 
 def test_basis_json_round_trip(tmp_path, torus3, basis_cache):

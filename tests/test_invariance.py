@@ -1,17 +1,21 @@
 """Invariance of topology, dof counts, the Stokes-block verdict and the
 streamfunction spectrum under vertex/triangle relabelling, re-winding and
-uniform scaling of a mesh."""
+uniform scaling of a mesh, and the exact covariance of the harmonic basis
+and decompose under scaling by a power of 2."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
+import pytest
 import scipy.linalg as dla
 from hypothesis import given, settings, strategies as st
 
 from surfhodge import meshes
 from surfhodge.errors import SingularOperator
-from surfhodge.fespace import VALID_CONSTRAINTS, build_space
+from surfhodge.fespace import VALID_CONSTRAINTS, FeField, build_space
 from surfhodge.flow import FlowOperators, ReducedSolver, SimulationConfig
+from surfhodge.hodge import HodgeSolver
 from surfhodge.mesh import SurfaceMesh, analyze_topology
 
 BASES = {
@@ -99,3 +103,31 @@ def test_spectrum_invariant_under_relabel_rewind_scale(name, seed, log_scale):
     want = _reference_spectrum(name)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+def _basis_and_split(mesh, k):
+    solver = HodgeSolver(mesh, k)
+    basis = solver.harmonic_basis(seed=0)
+    v = np.random.default_rng(1).standard_normal(solver.V.total_dofs)
+    return basis.vectors, solver.decompose(FeField(solver.V, v), basis)
+
+
+@pytest.mark.parametrize("mesh, k", [(lambda: meshes.torus_structured(8, 6), 1),
+                                     (lambda: meshes.sphere_with_holes(2, 4), 2)],
+                         ids=["torus8x6", "pierced_sphere"])
+@pytest.mark.parametrize("j", [-60, 60])
+def test_basis_and_decompose_scale_exactly_with_power_of_2(mesh, k, j):
+    """Scaling the vertices by 2**j is exact in floating point, and so is
+    everything downstream: the drawn basis scales by exactly 2**-j, the rot
+    and gradient parts of the same coefficient vector are bitwise equal,
+    and h_coeffs, psi, residual_norm and lam scale by exactly 2**j."""
+    base = mesh()
+    H0, c0 = _basis_and_split(base, k)
+    H1, c1 = _basis_and_split(SurfaceMesh(np.ldexp(base.vertices, j), base.triangles), k)
+    assert np.array_equal(H1, np.ldexp(H0, -j))
+    assert np.array_equal(c1.rot_part, c0.rot_part)
+    assert np.array_equal(c1.gradient_part, c0.gradient_part)
+    for a, b in [(c0.h_coeffs, c1.h_coeffs), (c0.psi.coefficients, c1.psi.coefficients),
+                 (c0.lam.coefficients, c1.lam.coefficients)]:
+        assert np.array_equal(b, np.ldexp(a, j))
+    assert c1.residual_norm == math.ldexp(c0.residual_norm, j)
