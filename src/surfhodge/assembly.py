@@ -373,7 +373,7 @@ def _side_trace_operator(n_cols: int, cols: np.ndarray, signs: np.ndarray,
 
 
 # ---------------------------------------------------------------- SIP form
-_SIDES = np.array([[1.0], [-1.0]])  # side 0 counts +, side 1 - (jumps, fluxes w . nu_0)
+_SIDES = np.array([[1.0], [-1.0]])  # side 0 counts +, side 1 - (jumps)
 
 
 def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
@@ -492,13 +492,13 @@ def convection_tabulation(V: FeSpace) -> dict:
     (2 * n_q, n_loc) and the reference gradients of the test functions
     times -weights (n_loc, 4 * n_q), both shared by all triangles, and the
     metric g = F'F / J^2 of each triangle as (2, 2, T).  "edge" holds
-    the side-trace operator Psi of the interior edges, its transpose (CSR
-    too) and the edge quadrature weights times edge lengths (n_q_e * E,).  Row
-    (c, s, q, e) of Psi is the normal (c = 0, on the side's outward
-    conormal) or tangential (c = 1, on the edge tangent) trace of side s
-    of edge e at point q, from _side_traces; the edges vary fastest, so the
-    upwind arithmetic runs over long contiguous rows.  "div" holds the
-    reference divergences, weights and 1 / J of the divergence-free check.
+    the side-trace operator Psi of the interior edges, the tangential jump
+    J' = (Psi_tau0 - Psi_tau1)' (CSR too) and the edge quadrature weights
+    times edge lengths (n_q_e * E,).  Row (r, q, e) of Psi is side 0's
+    normal trace on nu_0 (r = 0) or side r - 1's tangential trace at point
+    q of edge e, from _side_traces; the edges vary fastest, so the upwind
+    arithmetic runs over long contiguous rows.  "div" holds the reference
+    divergences, weights and 1 / J of the divergence-free check.
     """
     mesh = V.mesh
     k = V.degree
@@ -515,14 +515,15 @@ def convection_tabulation(V: FeSpace) -> dict:
     interior = np.flatnonzero(~mesh.boundary_edge_mask)
     t_sides = mesh.edge_tris[interior]  # (E, 2)
     le, tr = _side_traces(V, interior, t_sides, tq, slice(0, 2))
-    # A normal trace on an edge is fixed by that edge's k + 1 moments, so a
-    # normal row keeps only the side's own edge dofs, at local indices
-    # le (k + 1) .. le (k + 1) + k; the other dofs' traces vanish exactly.
-    dofs = V.dof_map[t_sides].transpose(1, 0, 2)[:, None]
-    own = np.arange(n_loc) // (k + 1) == le.T[:, None, :, None]
-    psi = _side_trace_operator(V.total_dofs, np.stack([np.where(own, dofs, -1), dofs]),
-                               V.dof_signs[t_sides].transpose(1, 0, 2)[:, None], tr)
-    tab["edge"] = (psi, psi.T.tocsr(), (tw[:, None] * mesh.edge_lengths[interior]).ravel())
+    sides = t_sides.T[[0, 0, 1], None]  # the triangle of each row block (3, 1, E)
+    dofs = V.dof_map[sides]
+    # a normal trace is fixed by its edge's k + 1 moments: the flux rows keep
+    # the dofs le (k + 1) .. le (k + 1) + k; the others' traces vanish exactly
+    dofs[0, 0, np.arange(n_loc) // (k + 1) != le[:, :1]] = -1
+    psi = _side_trace_operator(V.total_dofs, dofs, V.dof_signs[sides], tr[[0, 1, 1], [0, 0, 1]])
+    wq = (tw[:, None] * mesh.edge_lengths[interior]).ravel()
+    n = len(wq)
+    tab["edge"] = (psi, (psi[n:2 * n] - psi[2 * n:]).T.tocsr(), wq)
     return tab
 
 
@@ -544,9 +545,12 @@ def convection_action(tab: dict, w: FeField, u: np.ndarray):
     Element term -(u, grad(v) w) plus facet upwind terms (w . nu)(u_up . v)
     over element boundaries, with the tangential trace of u taken from the
     upwind element and the (single-valued) normal trace from the element
-    itself.  Boundary edges carry no flux for fields with zero normal trace
-    and are skipped.  The quadrature is exact for the trilinear form, which
-    makes c_h(w; u, u) >= 0 hold to rounding error for divergence-free w.
+    itself.  V is H(div) conforming, so the two sides' normal products
+    (w . nu_0)(u . nu_0)(v . nu_0) on an interior edge cancel exactly and
+    leave the H(div) DG upwind term (w . nu_0) u_tau^up [v_tau].  Boundary
+    edges carry no flux for fields with zero normal trace and are skipped.
+    The quadrature is exact for the trilinear form, which makes
+    c_h(w; u, u) >= 0 hold to rounding error for divergence-free w.
 
     w must live in V (else DegreeMismatch) and be discretely
     divergence-free (|div w| <= 1e-8 |w|, else NotDivergenceFree).
@@ -556,11 +560,10 @@ def convection_action(tab: dict, w: FeField, u: np.ndarray):
     (F / J) grad(vhat) G' with G' F = I, so the volume term is
     sum_q weight_q grad(vhat_a) : (g Uhat) (x) What, one GEMM against the
     shared reference gradients.  The facet term applies the side-trace
-    operator Psi, takes the tangential rows of both sides from side 0 where
-    the weighted flux w . nu_0 is positive (side 0 is upwind) and from side
-    1 elsewhere, weights side 0 by the flux and side 1 by its negative, and
-    applies Psi'.  When u is w's coefficient array, the evaluations of w
-    serve for u.
+    operator Psi, takes u's tangential trace from side 0 where the weighted
+    flux w . nu_0 is positive (side 0 is upwind) and from side 1
+    elsewhere, weights it by the flux and applies the tangential jump J'.
+    When u is w's coefficient array, the evaluations of w serve for u.
     """
     V = tab["space"]
     if not V.same_as(w.space):
@@ -578,11 +581,9 @@ def convection_action(tab: dict, w: FeField, u: np.ndarray):
     local = grads @ (gu[:, None] * wh[None]).reshape(grads.shape[1], -1)
     out = V.scatter @ local.T.ravel()
 
-    psi, psi_t, wq = tab["edge"]
+    psi, jump_t, wq = tab["edge"]
     tr_w = psi @ w.coefficients
-    tr = (tr_w if same else psi @ u).reshape(2, 2, -1)  # (normal/tangential, side, point)
+    tr = (tr_w if same else psi @ u).reshape(3, -1)  # (normal 0, tangential 0, tangential 1)
     wn = tr_w[:len(wq)] * wq
-    tr[1] = np.where(wn > 0, tr[1, 0], tr[1, 1])
-    tr *= wn * _SIDES
-    out += psi_t @ tr.ravel()
+    out += jump_t @ (np.where(wn > 0, tr[1], tr[2]) * wn)
     return out, wmax

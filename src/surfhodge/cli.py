@@ -259,8 +259,7 @@ def cmd_stokes(args) -> int:
 
 def _relative_gap(x, ref, M) -> float:
     """|x - ref|_M / |ref|_M for two fields."""
-    d, r = x.coefficients - ref.coefficients, ref.coefficients
-    return float(np.sqrt(max(d @ (M @ d), 0.0)) / max(np.sqrt(max(r @ (M @ r), 0.0)), 1e-300))
+    return mnorm(x.coefficients - ref.coefficients, M) / max(mnorm(ref.coefficients, M), 1e-300)
 
 
 def cmd_nse(args) -> int:

@@ -1,8 +1,8 @@
 """Config files and forcing definitions for the command line driver.
 
 Config format: flat ``key = value`` lines, ``#`` comments.  Values are
-parsed as int, float, comma-separated float vectors, booleans or strings
-(tried in that order).  See the README for the full key schema.
+parsed as int, float, comma-separated float vectors, booleans (only
+allow_inviscid's) or strings, tried in that order; see the README.
 
 Forcings are named presets whose parameters are config keys (zero;
 constant_band: a constant tangential push inside a coordinate slab;
@@ -159,13 +159,12 @@ def constant_band_forcing(direction=(0.0, 1.0, 0.0), amplitude=1.0,
     amplitude = float(amplitude)
     lo = -np.inf if band_min is None else float(band_min)
     hi = float(band_max)
-    axis = int(band_axis)
-    if axis not in (0, 1, 2):
+    if isinstance(band_axis, float) or band_axis not in (0, 1, 2):
         raise ValueError(f"band_axis must be 0, 1 or 2, got {band_axis!r}")
 
     def f(points, t):
         points = np.atleast_2d(points)
-        mask = (points[:, axis] >= lo) & (points[:, axis] < hi)
+        mask = (points[:, band_axis] >= lo) & (points[:, band_axis] < hi)
         return amplitude * mask[:, None] * direction[None, :]
 
     return _steady(f)
@@ -202,17 +201,10 @@ def _parse_value(text: str):
     low = text.lower()
     if low in ("true", "false"):
         return low == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if "," in text:
+    # a text without a comma that float rejects fails the vector parse too
+    for parse in (int, float, lambda s: tuple(float(p) for p in s.split(","))):
         try:
-            return tuple(float(p) for p in text.split(","))
+            return parse(text)
         except ValueError:
             pass
     return text
@@ -260,7 +252,10 @@ _CONFIG_KEYS = tuple(f.name for f in fields(SimulationConfig) if f.name != "forc
 def simulation_config_from_dict(values: dict) -> SimulationConfig:
     """SimulationConfig from config keys.  A key other than mesh, basis,
     forcing, a SimulationConfig field or a parameter of the selected
-    forcing raises ParseError naming it."""
+    forcing raises ParseError naming it, and so does true or false as the
+    value of a key other than allow_inviscid."""
+    if flags := [k for k, v in values.items() if isinstance(v, bool) and k != "allow_inviscid"]:
+        raise ParseError(f"config key {flags[0]!r} takes no true/false (only allow_inviscid does)")
     forcing = forcing_from_dict(values)
     name = str(values.get("forcing", "zero"))
     params = inspect.signature(FORCING_PRESETS[name]).parameters

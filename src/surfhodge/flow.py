@@ -47,7 +47,7 @@ from .errors import (
 )
 from .fespace import FeField
 from .hodge import HarmonicBasis, HodgeSolver
-from .linalg import FactorizedOperator, check_symmetric
+from .linalg import FactorizedOperator, check_symmetric, mnorm
 from .mesh import SurfaceMesh
 
 
@@ -422,7 +422,7 @@ class FlowOperators:
             u += op.solve(b - self.A_visc @ u - B.T @ (p + gw * div))
             div = B @ u
             p += gw * div
-            div_norm, u_norm = math.sqrt(div @ (w * div)), math.sqrt(max(u @ (self.M @ u), 0.0))
+            div_norm, u_norm = math.sqrt(div @ (w * div)), mnorm(u, self.M)
             if step and div_norm <= 1e-13 * u_norm:
                 break
             rel = div_norm / u_norm if u_norm else math.inf
@@ -556,8 +556,7 @@ def run_simulation(mesh: SurfaceMesh, config: SimulationConfig,
     outputs = []
 
     def record(st: FlowState):
-        rot = ops.emb.E @ st.psi.coefficients
-        rot_norm = float(np.sqrt(max(rot @ (ops.M @ rot), 0.0)))
+        rot_norm = mnorm(ops.emb.E @ st.psi.coefficients, ops.M)
         h_norm = float(np.linalg.norm(st.h_coeffs))
         return [st.t, st.kinetic_energy, h_norm, rot_norm, *st.h_coeffs.tolist()]
 

@@ -584,13 +584,28 @@ def test_gather_and_scatter_match_padded_formulas(sphere4, rng, kind, degree, co
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_side_trace_normal_rows_store_own_edge_dofs(sphere4, k):
-    """A normal trace on an edge is fixed by that edge's k + 1 moments, so
-    each normal row of Psi stores at most k + 1 entries."""
+    """Psi's flux rows are side 0's normal traces only, one per edge
+    quadrature point, followed by both sides' tangential traces.  A normal
+    trace on an edge is fixed by that edge's k + 1 moments, so each flux
+    row stores at most k + 1 entries."""
     V = build_space(sphere4, "bdm", k, "zero_normal_trace")
-    psi = asm.convection_tabulation(V)["edge"][0]
-    row_nnz = np.diff(psi.indptr).reshape(2, -1)  # normal rows, then tangential
+    psi, jump_t, wq = asm.convection_tabulation(V)["edge"]
+    assert psi.shape == (3 * len(wq), V.total_dofs)
+    assert jump_t.shape == (V.total_dofs, len(wq))
+    row_nnz = np.diff(psi.indptr).reshape(3, -1)  # flux rows, then tangential 0 and 1
     assert row_nnz[0].max() <= k + 1
-    assert row_nnz[1].max() == V.ref.n_local
+    assert row_nnz[1:].max() == V.ref.n_local
+
+
+def test_convection_facet_operators_store_no_cancelling_rows():
+    """On trefoil_tube(24, 8) at k = 1 (576 interior edges, 3 points each)
+    Psi stores 2 flux and 2 x 6 tangential entries per point, 3456 fewer
+    than with side 1's normal rows, and the tangential jump
+    J' = (Psi_tau0 - Psi_tau1)' stores 6 + 6 - 2, the two sides sharing the
+    edge's 2 dofs."""
+    V = build_space(meshes.trefoil_tube(24, 8), "bdm", 1)
+    psi, jump_t, _ = asm.convection_tabulation(V)["edge"]
+    assert (psi.nnz, jump_t.nnz) == (24192, 17280)
 
 
 def _ambient_convection(V, w, u):

@@ -440,6 +440,23 @@ def test_bad_parameter_value_exit_2(tmp_path, capsys, bad):
     assert_input_error(capsys, argv)
 
 
+@pytest.mark.parametrize("forcing, bad", [
+    ("zero", "mu = true"), ("zero", "alpha = true"), ("zero", "dt = true"),
+    ("zero", "t_end = true"), ("constant_band", "amplitude = true"),
+    ("constant_band", "band_axis = 0.0"), ("constant_band", "band_axis = 1.5"),
+    ("constant_band", "band_axis = true"), ("constant_band", "band_max = true"),
+    ("constant_band", "band_min = false"), ("rigid_rotation", "amplitude = true"),
+    ("expression", "fx = true"), ("expression", "fy = false"), ("expression", "fz = true"),
+])
+@pytest.mark.parametrize("verb", ["stokes", "nse"])
+def test_wrong_typed_config_value_exit_2(tmp_path, capsys, verb, forcing, bad):
+    """A bool for a key other than allow_inviscid, and a float for
+    band_axis, are input errors.  Both ran before: true read as 1, and
+    band_axis = 1.5 as axis 1 (tests/test_cli_fuzz.py's value types)."""
+    cfg = write_cfg(tmp_path, f"mesh = builtin:tetrahedron\nforcing = {forcing}\n{bad}\n")
+    assert_input_error(capsys, [verb, "--config", cfg])
+
+
 def test_config_bad_forcing_vector_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\n"
                               "forcing = rigid_rotation\ncenter = 0 0 0\n")

@@ -2,7 +2,8 @@
 
 Mesh files (the OFF and OBJ text of three corpus meshes, through
 `topology`) and config files (configs/stokes_torus.cfg and
-configs/nse_trefoil.cfg on the tetrahedron, through `stokes` and `nse`)
+configs/nse_trefoil.cfg, its 500 steps cut to 10, on the tetrahedron,
+through `stokes` and `nse`)
 are mutated line by line, token by token and byte by byte, and a harmonic
 basis file (written by `harmonic --out-dir` on the built-in torus at k = 0,
 read by `stokes --basis`) in its values, shapes, keys and types.  The
@@ -13,23 +14,32 @@ every verb that takes the flag, as --flag=value or as --flag value (a
 value that starts with - and is not a number is then argparse's usage
 error).  cli.main runs in process on each.  It
 must exit 0, 2, 3 or 4; a failure writes exactly one stderr line and no
-traceback, and a success writes no NaN or Infinity.  Seeds are
+traceback, and a success writes no NaN or Infinity.  Every known config
+key (each SimulationConfig field and each forcing preset's parameter)
+gets values of the wrong type through `stokes` and `nse`: a string, a
+vector for a scalar, a float for an integer key and a bool; each is an
+input error, exit 2 with one `input error:` line.  Seeds are
 derandomized, so a run is reproducible.
 """
 
 import contextlib
 import copy
+import inspect
 import io
 import json
 import re
+import string
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from surfhodge import meshes
+from surfhodge import cli, meshes
 from surfhodge.cli import main
+from surfhodge.config import FORCING_PRESETS, _parse_value
+from surfhodge.flow import SimulationConfig
 from surfhodge.mesh import save_obj, save_off
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,6 +51,16 @@ OPS = ["drop line", "duplicate line", "swap lines", "drop token", "duplicate tok
        "swap tokens", "special token", "unknown key"]
 FUZZ = settings(deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
+
+PARSER = cli.build_parser()
+
+
+@pytest.fixture(autouse=True)
+def one_parser(monkeypatch):
+    """Every run parses its argv with PARSER: building the parser takes
+    about 2 ms, most of a run that ends in an input error, and argparse
+    keeps no state between parses."""
+    monkeypatch.setattr(cli, "build_parser", lambda: PARSER)
 
 
 def _mesh_sources() -> list[tuple[str, bytes]]:
@@ -56,8 +76,12 @@ def _mesh_sources() -> list[tuple[str, bytes]]:
 
 
 MESH_SOURCES = _mesh_sources()
-CONFIG_SOURCES = [(".cfg", (ROOT / "configs" / name).read_bytes())
-                  for name in ("stokes_torus.cfg", "nse_trefoil.cfg")]
+# the shipped configs, nse_trefoil.cfg with t_end = 0.2, so that an nse
+# example of it steps 10 times, not 500
+TREFOIL_CFG = (ROOT / "configs" / "nse_trefoil.cfg").read_bytes()
+assert b"\nt_end = 10.0\n" in TREFOIL_CFG
+CONFIG_SOURCES = [(".cfg", (ROOT / "configs" / "stokes_torus.cfg").read_bytes()),
+                  (".cfg", TREFOIL_CFG.replace(b"\nt_end = 10.0\n", b"\nt_end = 0.2\n"))]
 
 
 def _basis_payload() -> dict:
@@ -233,5 +257,59 @@ def test_fuzz_flag_values(flag):
     def run(value, joined):
         for verb in FLAG_VERBS[flag]:
             check_run(_flag_run(verb, flag, value, joined))
+
+    run()
+
+
+# every known config key with the type of its values
+KEY_TYPES = {
+    **dict.fromkeys(("k", "output_every", "seed", "band_axis"), int),
+    **dict.fromkeys(("mu", "alpha", "dt", "t_end", "amplitude", "band_max", "band_min"), float),
+    **dict.fromkeys(("direction", "center", "axis"), tuple),
+    **dict.fromkeys(("forcing", "initial", "bc", "fx", "fy", "fz"), str),
+    "allow_inviscid": bool,
+}
+# (the forcing a run selects, a key it reads): the SimulationConfig fields
+# under the zero forcing, then each preset's parameters under that preset
+CONFIG_KEYS = [("zero", f.name) for f in fields(SimulationConfig)] + [
+    (name, key) for name, preset in FORCING_PRESETS.items()
+    for key in inspect.signature(preset).parameters]
+# values of each type as a config file spells them
+TYPED_VALUES = {
+    "string": st.text(string.ascii_letters + "_", min_size=1, max_size=8).filter(
+        lambda s: isinstance(_parse_value(s), str)),
+    "vector": st.lists(st.floats(), min_size=2, max_size=4).map(lambda v: ",".join(map(repr, v))),
+    "float": st.floats().map(repr),
+    "bool": st.sampled_from(["true", "false", "True", "FALSE"]),
+}
+
+
+def _wrong_types(kind: type) -> list[str]:
+    """The value types wrong for a key of type kind: a string, a vector for
+    a scalar, a float for an integer and a bool."""
+    wrong = {"string": kind is not str, "vector": kind is not tuple, "float": kind is int,
+             "bool": kind is not bool}
+    return [name for name, is_wrong in wrong.items() if is_wrong]
+
+
+def test_every_config_key_has_a_type():
+    assert sorted({key for _, key in CONFIG_KEYS}) == sorted(KEY_TYPES)
+
+
+@pytest.mark.parametrize("forcing, key", CONFIG_KEYS, ids=[f"{f}-{k}" for f, k in CONFIG_KEYS])
+def test_fuzz_config_value_types(tmp_path, forcing, key):
+    path = tmp_path / "run.cfg"
+
+    @settings(FUZZ, max_examples=4)
+    @given(st.tuples(*(TYPED_VALUES[name] for name in _wrong_types(KEY_TYPES[key]))))
+    def run(values):
+        for value in values:
+            path.write_text(f"forcing = {forcing}\n{key} = {value}\n")
+            for verb in ("stokes", "nse"):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main([verb, "--config", str(path), "--mesh", "builtin:tetrahedron"])
+                assert (code, len(err.getvalue().splitlines())) == (2, 1), (value, err.getvalue())
+                assert err.getvalue().startswith("input error:")
 
     run()

@@ -188,7 +188,7 @@ def test_lagrange_vertex_pattern(tetra):
     assert np.allclose(bv.values, np.eye(3), atol=1e-13)
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12, deadline=None, derandomize=True)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=999))
 def test_partition_of_unity(degree, seed):
     mesh = meshes.torus_structured(3, 3)

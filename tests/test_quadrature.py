@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from surfhodge.quadrature import edge_rule, monomial_integral, triangle_rule
 
@@ -30,6 +30,7 @@ def test_edge_rule_exactness(degree):
         assert float((t**d) @ w) == pytest.approx(1.0 / (d + 1), rel=1e-13)
 
 
+@settings(max_examples=100, derandomize=True)
 @given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=9))
 def test_monomials_random_pairs(a, b):
     rule = triangle_rule(a + b)

@@ -1,5 +1,6 @@
 """The test run's own configuration (pyproject.toml's pytest section)."""
 
+import ast
 import pathlib
 import subprocess
 import sys
@@ -34,12 +35,27 @@ def test_failing_property_test_does_not_abort_the_run(tmp_path):
     assert "1 failed, 1 passed" in proc.stdout
 
 
-def test_relabelling_property_tests_are_derandomized():
-    """tests/test_invariance.py's property tests build meshes and factors
-    from their examples.  Derandomized, every run draws the same examples,
-    so two runs build the same factors and a failure there reproduces."""
-    import test_invariance
-
-    tests = [f for f in vars(test_invariance).values() if hasattr(f, "hypothesis")]
-    assert len(tests) == 2
-    assert all(f._hypothesis_internal_use_settings.derandomize for f in tests)
+def test_property_tests_are_derandomized():
+    """Every @given test, also one defined inside another test, carries
+    settings with derandomize=True, directly or from a module-level
+    settings object.  Every run then draws the same examples, so two runs
+    build the same meshes and factors and a failure reproduces."""
+    found = 0
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        tree = ast.parse(path.read_text())
+        named = {node.targets[0].id: node.value for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+        for node in ast.walk(tree):
+            calls = {d.func.id: d for d in getattr(node, "decorator_list", [])
+                     if isinstance(d, ast.Call) and isinstance(d.func, ast.Name)}
+            if "given" not in calls:
+                continue
+            found += 1
+            where = f"{path.name}::{node.name}"
+            assert "settings" in calls, where
+            own = calls["settings"]
+            keys = {kw.arg: kw.value for kw in own.keywords}
+            if "derandomize" not in keys and own.args:  # settings(PARENT, ...) inherits it
+                keys = {kw.arg: kw.value for kw in named[own.args[0].id].keywords}
+            assert "derandomize" in keys and ast.literal_eval(keys["derandomize"]) is True, where
+    assert found >= 10
