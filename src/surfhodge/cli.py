@@ -223,10 +223,10 @@ def cmd_stokes(args) -> int:
     ops = FlowOperators(mesh, config, basis=basis)
     manifest.phase("solve")
     state, info = ops.stokes_reduced()
-    un = np.sqrt(max(state.u.coefficients @ state.Mu, 0.0))
+    un = mnorm(state.u.coefficients, ops.M)
     payload = {
         "kinetic_energy": state.kinetic_energy,
-        "velocity_norm": float(un),
+        "velocity_norm": un,
         "harmonic_coeffs": state.h_coeffs.tolist(),
         "div_norm": asm.divergence_norm(ops.V, state.u.coefficients),
         "sparse_solves": info["sparse_solves"],

@@ -154,11 +154,14 @@ def _vector3(name, value) -> np.ndarray:
 def constant_band_forcing(direction=(0.0, 1.0, 0.0), amplitude=1.0,
                           band_axis=0, band_max=0.0, band_min=None):
     """Constant force `amplitude * direction` where band_min <= x_axis <
-    band_max (band_min defaults to -inf), zero elsewhere."""
+    band_max (band_min defaults to -inf), zero elsewhere.  A NaN bound is
+    refused: every comparison with it is false, so it would force nothing."""
     direction = _vector3("direction", direction)
     amplitude = float(amplitude)
     lo = -np.inf if band_min is None else float(band_min)
     hi = float(band_max)
+    if np.isnan(lo) or np.isnan(hi):
+        raise ValueError(f"band bounds must not be NaN, got [{lo}, {hi})")
     if isinstance(band_axis, float) or band_axis not in (0, 1, 2):
         raise ValueError(f"band_axis must be 0, 1 or 2, got {band_axis!r}")
 

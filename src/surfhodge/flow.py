@@ -15,13 +15,14 @@ velocity up to solver precision.  The iteration may start from any
 pressure, such as the one reconstruct_pressure recovers from the reduced
 velocity, and its answer does not depend on the start.
 
-Time stepping for Navier-Stokes is semi-implicit Euler: viscosity implicit
-(the reduced operator is factorized once and reused), convection explicit.
-Each step costs one convection action and one sparse solve, plus one load
-assembly only when the forcing is time-dependent: the load of a steady
-forcing is assembled once, when FlowOperators is built.  The rest of a
-step is fixed small work (NavierStokesStepper lists it) on operators built
-before the first step, so a step constructs no sparse matrix.
+Time stepping for Navier-Stokes is semi-implicit Euler in the (psi, h)
+unknowns, viscosity implicit and convection explicit.  The split is
+L2-orthogonal and the harmonic basis orthonormal, so the reduced mass is
+diag(L, I): a step makes no product with the parent mass M.  Each step
+costs one convection action and one sparse solve, plus one load assembly
+only when the forcing is time-dependent (a steady forcing's load is
+assembled once, with FlowOperators); the rest is fixed small work on
+operators built before the first step, and no sparse matrix is built.
 """
 
 from __future__ import annotations
@@ -158,8 +159,8 @@ class ReducedSolver:
 @dataclass
 class FlowState:
     """Velocity state of a flow computation: time, streamfunction and
-    harmonic coefficients, the cached velocity field, its mass product
-    Mu = M u (the next step's right-hand side reads it) and its energy.
+    harmonic coefficients, the velocity field u = E psi + H' h (convection
+    and the outputs read it) and its energy 1/2 (psi' L psi + |h|^2).
 
     A time-stepped state also records its step index and the time t0 its
     run started from, so that t = t0 + step * dt holds without the rounding
@@ -170,7 +171,6 @@ class FlowState:
     psi: FeField
     h_coeffs: np.ndarray
     u: FeField
-    Mu: np.ndarray
     kinetic_energy: float
     step: int = 0
     t0: float | None = None
@@ -321,20 +321,20 @@ class FlowOperators:
 
     def make_state(self, t: float, x_s: np.ndarray, x_h: np.ndarray,
                    step: int = 0, t0: float | None = None) -> FlowState:
-        """The state (x_s, x_h) at t; NaNDetected if its energy is not finite."""
+        """The state (x_s, x_h) at t, with energy 1/2 (psi' L psi + |x_h|^2)
+        in the reduced mass diag(L, I); NaNDetected if it is not finite."""
+        h = np.asarray(x_h, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            u = self.emb.apply(x_s, x_h)
-            Mu = self.M @ u
-            energy = 0.5 * float(u @ Mu)
+            u, psi = self.emb.apply(x_s, h), self.hodge.stream_field(x_s)
+            energy = 0.5 * (psi.coefficients @ (self.hodge.L @ psi.coefficients) + h @ h)
         if not math.isfinite(energy):
             raise NaNDetected(f"non-finite state at t = {t:g}")
         return FlowState(
             t=t,
-            psi=self.hodge.stream_field(x_s),
-            h_coeffs=np.asarray(x_h, dtype=float),
+            psi=psi,
+            h_coeffs=h,
             u=FeField(self.V, u),
-            Mu=Mu,
-            kinetic_energy=energy,
+            kinetic_energy=float(energy),
             step=step,
             t0=t0,
         )
@@ -451,30 +451,27 @@ class FlowOperators:
 class NavierStokesStepper:
     """Semi-implicit Euler: viscosity implicit, convection explicit.
 
-    The reduced operator of M/dt + A_visc is summed from existing blocks,
-    L/dt + A_ss, M_sh/dt + A_sh and M_hh/dt + A_hh, and factorized once
-    (costing n_harmonic + 1 sparse solves) and reused; each step costs one
-    matrix-free convection action and one sparse solve, plus one load
-    assembly only when the forcing is time-dependent.  Its other fixed
-    work: the finiteness checks of u and of the right-hand side M u / dt -
-    C(u) u + f (formed in place), the restriction E'b, H b, the b1 x b1
-    Cholesky solve by LAPACK's potrs and make_state.  The convection
-    tabulation, V's gather operators and every transpose a step applies
-    are built here.
+    The step operator is A_red plus the reduced mass diag(L, I) over dt,
+    factorized once (costing n_harmonic + 1 sparse solves) and reused.
+    Each step costs one matrix-free convection action and one sparse solve,
+    plus one load assembly only when the forcing is time-dependent.  Its
+    other fixed work: the finiteness checks of u and of b = f - C(u) u,
+    the restriction E'b, H b plus the mass terms L psi / dt, h / dt, the
+    b1 x b1 Cholesky solve by LAPACK's potrs and make_state.  The
+    convection tabulation, V's gather operators and every transpose a step
+    applies are built here.
     """
 
     def __init__(self, ops: FlowOperators):
         self.ops = ops
         dt = ops.config.dt
         red = ops.A_red
-        # the harmonic columns M H' restricted like loads: E' M H', H M H'
-        M_sh, M_hh = ops.emb.reduce_vector(ops.M @ ops.emb.H.T)
         # L' = L (exactly symmetric) as a csc view, so the sum is csc at once
-        self.system = BlockSystem(red.A_ss + ops.hodge.L.T / dt, M_sh / dt + red.A_sh,
-                                  M_hh / dt + red.A_hh)
+        self.system = BlockSystem(red.A_ss + ops.hodge.L.T / dt, red.A_sh,
+                                  red.A_hh + np.eye(red.n_harmonic) / dt)
         try:
             self.solver = ReducedSolver(self.system)
-        except SingularOperator as exc:  # M/dt shift makes this unexpected
+        except SingularOperator as exc:  # the mass shift makes this unexpected
             raise SolverFailure(f"time-step operator singular: {exc}") from exc
         self._cfl_warned = False
         self._conv_cache = asm.convection_tabulation(ops.V)
@@ -500,12 +497,12 @@ class NavierStokesStepper:
                     f"time step {cfg.dt:g} exceeds the convective CFL bound "
                     f"{0.5 * ops.mesh.h_min / umax:g}", RuntimeWarning)
                 self._cfl_warned = True
-            b = state.Mu / cfg.dt
-            b -= cu
-            b += ops.load_vector(t_next)
+            b = ops.load_vector(t_next) - cu
             if not np.isfinite(b).all():
                 raise NaNDetected(f"non-finite right-hand side at t = {t_next:g}")
-            x_s, x_h = self.solver.solve(*ops.emb.reduce_vector(b))
+            b_s, b_h = ops.emb.reduce_vector(b)
+            x_s, x_h = self.solver.solve(b_s + ops.hodge.L @ state.psi.coefficients / cfg.dt,
+                                         b_h + state.h_coeffs / cfg.dt)
             return ops.make_state(t_next, x_s, x_h, step=n, t0=state.t0)
 
 
@@ -556,7 +553,7 @@ def run_simulation(mesh: SurfaceMesh, config: SimulationConfig,
     outputs = []
 
     def record(st: FlowState):
-        rot_norm = mnorm(ops.emb.E @ st.psi.coefficients, ops.M)
+        rot_norm = mnorm(st.psi.coefficients, ops.hodge.L)
         h_norm = float(np.linalg.norm(st.h_coeffs))
         return [st.t, st.kinetic_energy, h_norm, rot_norm, *st.h_coeffs.tolist()]
 

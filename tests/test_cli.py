@@ -457,6 +457,24 @@ def test_wrong_typed_config_value_exit_2(tmp_path, capsys, verb, forcing, bad):
     assert_input_error(capsys, [verb, "--config", cfg])
 
 
+@pytest.mark.parametrize("bad", ["band_max = nan", "band_min = nan"])
+@pytest.mark.parametrize("verb", ["stokes", "nse"])
+def test_nan_band_bound_exit_2(tmp_path, capsys, verb, bad):
+    """A NaN band bound is an input error: every comparison with NaN is
+    false, so the band would hold no point and the run would go unforced
+    (both exited 0 before)."""
+    cfg = write_cfg(tmp_path, f"mesh = builtin:tetrahedron\nforcing = constant_band\n{bad}\n")
+    assert_input_error(capsys, [verb, "--config", cfg])
+
+
+def test_infinite_band_bounds_stay_valid(tmp_path, capsys):
+    """band_min = -inf and band_max = inf still name the whole surface."""
+    cfg = write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\nforcing = constant_band\n"
+                              "band_min = -inf\nband_max = inf\n")
+    code, payload, _ = run_cli(capsys, "stokes", "--config", cfg)
+    assert code == 0 and payload["kinetic_energy"] > 0
+
+
 def test_config_bad_forcing_vector_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\n"
                               "forcing = rigid_rotation\ncenter = 0 0 0\n")
