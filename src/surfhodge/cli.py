@@ -5,7 +5,8 @@ Exit codes: 0 success, 3 algorithmic failure, 4 solver failure, 2 input
 error (every other package error).  Every command prints a human-readable
 summary; the last stdout line is a JSON object for machine consumption.
 With --out-dir, output files plus a run manifest (config snapshot, mesh
-checksum, seed, phase timings, output list) are written there.
+checksum, seed, phase timings, peak resident size, output list) are
+written there.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .mesh import analyze_topology
 
 
 class RunManifest:
-    """One CLI invocation: its phase timings, mesh checksum and output
-    files.  `finish` is the run tail every command shares."""
+    """One CLI invocation: its phase timings, mesh checksum, peak resident
+    size and output files.  `finish` is the run tail every command shares."""
 
     def __init__(self, args):
         self.out_dir = args.out_dir
@@ -44,6 +45,7 @@ class RunManifest:
             "mesh_checksum": None,
             "seed": getattr(args, "seed", None),
             "timings_s": {},
+            "peak_rss_mb": None,
             "outputs": [],
         }
         self._t0 = time.perf_counter()
@@ -78,12 +80,26 @@ class RunManifest:
                 written = write(self.out_dir)
                 self.data["outputs"] += [written] if isinstance(written, str) else written
             self.phase("done")
+            self.data["peak_rss_mb"] = round(_peak_rss_mb(), 1)
             with open(os.path.join(self.out_dir, "manifest.json"), "w") as fh:
                 json.dump(self.data, fh, indent=2)
         for line in lines:
             print(line)
         print(json.dumps(payload))
         return 0
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident size in MiB: VmHWM where /proc has it
+    (on Linux ru_maxrss keeps a parent's peak across exec), else ru_maxrss."""
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+    except (OSError, StopIteration):
+        import resource  # POSIX only
+
+        scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB elsewhere
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale / 2**20
 
 
 def _json_file(name: str, data):
@@ -223,6 +239,7 @@ def cmd_stokes(args) -> int:
     ops = FlowOperators(mesh, config, basis=basis)
     manifest.phase("solve")
     state, info = ops.stokes_reduced()
+    vars(ops).pop("A_red")  # read last by the reduced solve; the oracle's factor lands without it
     un = mnorm(state.u.coefficients, ops.M)
     payload = {
         "kinetic_energy": state.kinetic_energy,

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as dla
@@ -125,11 +126,13 @@ class ReducedSolver:
     block singular beyond the constants fails FactorizedOperator's
     near-null-vector test and raises SingularOperator; a Schur complement
     that Cholesky rejects (indefinite, singular or not finite) raises
-    SingularSchur.
+    SingularSchur.  The solver keeps the factor, Z, the Schur factor and
+    A_sh, which is all a solve reads; the caller owns the BlockSystem and
+    may release its sparse A_ss once the solver exists.
     """
 
     def __init__(self, system: BlockSystem):
-        self.system = system
+        self._A_sh = system.A_sh
         try:
             self.op = FactorizedOperator(system.A_ss)
         except (SingularMatrix, NotSPD) as exc:
@@ -148,7 +151,7 @@ class ReducedSolver:
 
     def solve(self, b_s: np.ndarray, b_h: np.ndarray):
         z0 = self.op.solve(b_s)
-        x_h = b_h - self.system.A_sh.T @ z0
+        x_h = b_h - self._A_sh.T @ z0
         if x_h.size:  # potrs rejects an empty right-hand side
             x_h = self._potrs(self._schur, x_h, lower=self._lower, overwrite_b=True)[0]
         z0 -= self.Z @ x_h
@@ -271,7 +274,13 @@ class FlowOperators:
     A basis passed in is checked by HodgeSolver.validate_basis; without one
     the basis is drawn with config.seed, and the streamfunction factor L
     the draws used is released: no flow solve uses it.  The pressure
-    factor stays for reconstruct_pressure.
+    factor L0 the draws used stays, for reconstruct_pressure.
+
+    A_visc and A_red are built in the constructor and cached on the
+    instance (functools.cached_property), like HodgeSolver's factors:
+    removing one from vars(ops) releases it, and its next read builds it
+    again.  run_simulation and the stokes command release what their run
+    no longer reads.
     """
 
     def __init__(self, mesh: SurfaceMesh, config: SimulationConfig,
@@ -291,17 +300,7 @@ class FlowOperators:
         self.M = self.hodge.M
         self.pressure_mass = asm.assemble_mass(self.Q)  # diagonal: orthonormal DG basis
         self.emb = JEmbedding(self.hodge.E, basis.vectors)
-        if config.mu == 0:
-            self.A_visc = sp.csr_matrix((self.V.total_dofs, self.V.total_dofs))
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                self.A_visc = asm.assemble_sip(
-                    self.V, mu=config.mu, alpha=config.alpha,
-                    dirichlet=(config.bc == "noslip"))
-            if not np.isfinite(self.A_visc.data).all():
-                alpha = "" if config.alpha is None else f", alpha = {config.alpha:g}"
-                raise SolverFailure(f"viscous form is not finite at mu = {config.mu:g}{alpha}")
-        self.A_red = self.emb.reduce_matrix(self.A_visc)
+        self.A_red  # built here, and A_visc with it, so both are set-up work
         self.forcing = config.forcing if config.forcing is not None else _zero_forcing
         self._load_tab = asm.load_tabulation(self.V)
         self._steady_load = None
@@ -309,6 +308,27 @@ class FlowOperators:
             b = asm.assemble_load(self.V, self.forcing, time=0.0, tab=self._load_tab)
             b.flags.writeable = False
             self._steady_load = b
+
+    # --------------------------------------------------------- operators
+    @cached_property
+    def A_visc(self) -> sp.csr_matrix:
+        """The viscous form on the parent space (an empty matrix at mu = 0);
+        SolverFailure when it is not finite."""
+        config, n = self.config, self.V.total_dofs
+        if config.mu == 0:
+            return sp.csr_matrix((n, n))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            A = asm.assemble_sip(self.V, mu=config.mu, alpha=config.alpha,
+                                 dirichlet=(config.bc == "noslip"))
+        if not np.isfinite(A.data).all():
+            alpha = "" if config.alpha is None else f", alpha = {config.alpha:g}"
+            raise SolverFailure(f"viscous form is not finite at mu = {config.mu:g}{alpha}")
+        return A
+
+    @cached_property
+    def A_red(self) -> BlockSystem:
+        """A_visc restricted to the divergence-free subspace."""
+        return self.emb.reduce_matrix(self.A_visc)
 
     # ------------------------------------------------------------- loads
     def load_vector(self, t: float) -> np.ndarray:
@@ -411,8 +431,10 @@ class FlowOperators:
         gamma = _AL_PENALTY * _max_abs(self.A_visc) / _max_abs(BWB)
         BWB.data *= gamma
         BWB.sort_indices()  # a product's order; the sum below is then sorted
-        try:  # A_visc' = A_visc (assemble_sip symmetrizes exactly), a csc view
-            op = FactorizedOperator(BWB + self.A_visc.T)
+        K = BWB + self.A_visc.T  # A_visc' = A_visc (assemble_sip symmetrizes exactly), a csc view
+        del BWB  # SuperLU's fill lands without it
+        try:
+            op = FactorizedOperator(K)
         except (SingularMatrix, NotSPD) as exc:
             raise SolverFailure(f"saddle-point solve failed: {exc}") from exc
         gw = gamma * w
@@ -464,17 +486,22 @@ class NavierStokesStepper:
 
     def __init__(self, ops: FlowOperators):
         self.ops = ops
-        dt = ops.config.dt
-        red = ops.A_red
-        # L' = L (exactly symmetric) as a csc view, so the sum is csc at once
-        self.system = BlockSystem(red.A_ss + ops.hodge.L.T / dt, red.A_sh,
-                                  red.A_hh + np.eye(red.n_harmonic) / dt)
         try:
             self.solver = ReducedSolver(self.system)
         except SingularOperator as exc:  # the mass shift makes this unexpected
             raise SolverFailure(f"time-step operator singular: {exc}") from exc
         self._cfl_warned = False
         self._conv_cache = asm.convection_tabulation(ops.V)
+
+    @cached_property
+    def system(self) -> BlockSystem:
+        """The step block, ops.A_red plus diag(L, I) / dt; the solver
+        reads only its factor and A_sh, so removing it from vars(stepper)
+        releases the sparse block, and its next read builds it again."""
+        dt, red = self.ops.config.dt, self.ops.A_red
+        # L' = L (exactly symmetric) as a csc view, so the sum is csc at once
+        return BlockSystem(red.A_ss + self.ops.hodge.L.T / dt, red.A_sh,
+                           red.A_hh + np.eye(red.n_harmonic) / dt)
 
     def step(self, state: FlowState) -> FlowState:
         """Advance one IMEX Euler step.  Raises NaNDetected, with no numpy
@@ -538,7 +565,12 @@ def run_simulation(mesh: SurfaceMesh, config: SimulationConfig,
     """Advance the unsteady problem to t_end.
 
     The initial condition is the Stokes solution for the configured forcing
-    (or zero, or an explicitly supplied state).  Snapshots (velocity, its
+    (or zero, or an explicitly supplied state).  The run releases each
+    operator once it stops reading it, so every later factor lands on less
+    resident memory: the pressure factor L0 before the start (a run
+    reconstructs no pressure), A_visc once the start is solved, and A_red
+    and the stepper's sparse step block once the step factor exists.
+    Reading a released attribute builds it again.  Snapshots (velocity, its
     rotational and harmonic parts, the streamfunction) are emitted every
     output_every steps through the vtk module when out_dir is given; a CSV
     time series is always accumulated and written to out_dir when given.
@@ -546,9 +578,14 @@ def run_simulation(mesh: SurfaceMesh, config: SimulationConfig,
     from . import vtkio
 
     ops = FlowOperators(mesh, config, basis)
+    vars(ops.hodge).pop("pressure_operator", None)  # a run reconstructs no pressure
     # the start first: its Stokes factor is freed before the step factor exists
     state = ops.initial_state() if initial_state is None else initial_state
+    vars(ops).pop("A_visc")  # read last by the start's refinement
     stepper = NavierStokesStepper(ops)
+    # the step factor exists: the steps read neither block again
+    vars(ops).pop("A_red")
+    vars(stepper).pop("system")
     n_steps = int(round(config.t_end / config.dt))
     outputs = []
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -672,6 +673,32 @@ def test_stokes_compare_saddle_starts_oracle_from_reconstructed_pressure(
     assert payload["saddle_pressure_discrepancy"] <= 1e-10
 
 
+def test_compare_saddle_factors_its_oracle_without_reduced_operator(capsys, monkeypatch):
+    """stokes --compare-saddle releases A_red after the reduced solve: the
+    saddle oracle's factor, the run's largest, is built with no A_red alive."""
+    from surfhodge import flow
+
+    reduced, alive = [], []
+
+    class Operators(flow.FlowOperators):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            reduced.append(weakref.ref(self.A_red))
+
+    class Recording(flow.FactorizedOperator):
+        def __init__(self, A, *args, **kwargs):
+            alive.append([ref() is not None for ref in reduced])
+            super().__init__(A, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "FlowOperators", Operators)
+    monkeypatch.setattr(flow, "FactorizedOperator", Recording)
+    code, payload, _ = run_cli(capsys, "stokes", "--config",
+                               os.path.join(ROOT, "configs", "stokes_torus.cfg"),
+                               "--mesh", "builtin:torus", "--k", "1", "--compare-saddle")
+    assert code == 0 and payload["saddle_velocity_discrepancy"] <= 1e-11
+    assert alive == [[True], [False]]  # the reduced solve's factor, then the oracle's
+
+
 def test_topology_missing_mesh_exit_2(tmp_path, capsys):
     assert_input_error(capsys, ["topology", "--mesh", str(tmp_path / "nope.off")])
 
@@ -732,7 +759,7 @@ def test_damaged_basis_file_exit_2(tmp_path, capsys, damage, command):
 
 # --------------------------------------------------------- out-dir contract
 MANIFEST_KEYS = {"tool", "version", "command", "config", "mesh_checksum", "seed",
-                 "timings_s", "outputs"}
+                 "timings_s", "peak_rss_mb", "outputs"}
 NSE_CFG = ("mesh = builtin:torus\nk = 0\nmu = 0.1\ndt = 1e-2\nt_end = 2e-2\n"
            "output_every = 1\nforcing = rigid_rotation\n")
 # each verb's argv and the files it writes, in write order
@@ -760,6 +787,7 @@ def test_out_dir_contract(tmp_path, capsys, verb):
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == MANIFEST_KEYS
     assert manifest["command"] == verb
+    assert 0 < manifest["peak_rss_mb"] < 4096  # MiB: a desk-scale run's resident peak
     assert manifest["outputs"] == [os.path.join(str(out), f) for f in files]
     assert sorted(os.listdir(out)) == sorted(files + ["manifest.json"])
     if verb in ("topology", "stokes", "decompose"):

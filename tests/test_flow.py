@@ -1,4 +1,5 @@
 import pathlib
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -453,6 +454,59 @@ def test_stokes_start_factor_freed_before_step_factor(torus3, basis_cache, track
     run_simulation(torus3, cfg, basis=basis_cache(torus3, 1))
     assert len(built) == 2  # the start's A_ss, then the step's L/dt + A_ss
     assert built[1][2] == []
+
+
+def test_run_steps_without_what_they_do_not_read(torus3, monkeypatch):
+    """Once run_simulation has built its stepper, A_visc, A_red, the step
+    block's sparse A_ss and the pressure factor L0 that the basis draws
+    built are unreachable: every step runs with none of them alive."""
+    from surfhodge import flow
+
+    refs, alive = {}, []
+
+    class Operators(FlowOperators):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refs.update(A_visc=weakref.ref(self.A_visc), A_red=weakref.ref(self.A_red),
+                        L0=weakref.ref(vars(self.hodge)["pressure_operator"]))
+
+    class Stepper(NavierStokesStepper):
+        def __init__(self, ops):
+            super().__init__(ops)
+            refs["step A_ss"] = weakref.ref(self.system.A_ss)
+
+        def step(self, state):
+            alive.append(sorted(name for name, ref in refs.items() if ref() is not None))
+            return super().step(state)
+
+    monkeypatch.setattr(flow, "FlowOperators", Operators)
+    monkeypatch.setattr(flow, "NavierStokesStepper", Stepper)
+    cfg = SimulationConfig(k=1, mu=0.2, dt=1e-2, t_end=2e-2, forcing=smooth_forcing(3))
+    run_simulation(torus3, cfg)
+    assert len(refs) == 4
+    assert alive == [[], []]
+
+
+def test_released_operators_are_built_again_on_read(torus3, basis_cache):
+    """Removing A_visc, A_red or the step block from vars() releases it; the
+    next read builds the same bits again, and the stepper steps as before."""
+    cfg = SimulationConfig(k=1, mu=0.2, dt=1e-2, forcing=smooth_forcing(3))
+    ops = FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1))
+    stepper = NavierStokesStepper(ops)
+    state = ops.initial_state()
+    before = stepper.step(state).u.coefficients
+    kept = {"A_visc": ops.A_visc, "A_red": ops.A_red, "system": stepper.system}
+    for obj, name in ((ops, "A_visc"), (ops, "A_red"), (stepper, "system")):
+        vars(obj).pop(name)
+    assert np.array_equal(stepper.step(state).u.coefficients, before)
+    assert "A_red" not in vars(ops) and "system" not in vars(stepper)
+    again = {"A_visc": ops.A_visc, "A_red": ops.A_red, "system": stepper.system}
+    assert again["A_visc"] is not kept["A_visc"]
+    assert (again["A_visc"] != kept["A_visc"]).nnz == 0
+    for name in ("A_red", "system"):
+        new, old = again[name], kept[name]
+        assert new is not old and (new.A_ss != old.A_ss).nnz == 0
+        assert np.array_equal(new.A_sh, old.A_sh) and np.array_equal(new.A_hh, old.A_hh)
 
 
 def test_draw_factor_released_pressure_factor_kept(torus3, track_factors):

@@ -1,9 +1,11 @@
 """Peak memory of whole runs on desk-scale meshes.
 
 One rung is run_simulation, the path the nse command takes, on the 64x32
-torus, so the bound also sees which factors it keeps alive at once; the
-other is `stokes --compare-saddle` on the 32x16 torus, whose saddle-point
-factor lands on whatever set-up left resident.  Each runs in its own
+torus, so the bound also sees which factors and operators it keeps alive
+at once (it releases A_visc, A_red, the sparse step block and the pressure
+factor once it stops reading them); the other is `stokes --compare-saddle`
+on the 32x16 torus, whose saddle-point factor lands on whatever set-up
+left resident (A_red is released before it).  Each runs in its own
 process, so the peak resident size it reports belongs to that rung alone
 and not to whatever the test run allocated before.  A bound is about
 1.25 times the measured peak: it guards against per-step or per-form
@@ -19,7 +21,6 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 PIPELINE = """
-import resource, sys
 import numpy as np
 from surfhodge import meshes
 from surfhodge.flow import SimulationConfig, run_simulation
@@ -33,7 +34,7 @@ assert len(res.records) == 6 and np.isfinite(res.kinetic_energy).all()
 """
 
 SADDLE = """
-import contextlib, io, os, resource, sys, tempfile
+import contextlib, io, os, sys, tempfile
 from surfhodge import meshes
 from surfhodge.cli import main
 from surfhodge.mesh import save_off
@@ -47,20 +48,20 @@ with tempfile.TemporaryDirectory() as tmp:
 assert code == 0
 """
 
+# the reading the CLI's manifest records as peak_rss_mb
 PEAK = """
-try:  # VmHWM is this process's own peak; on Linux ru_maxrss keeps the parent's across exec
-    with open("/proc/self/status") as fh:
-        print(next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:")) / 1024)
-except OSError:
-    scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB elsewhere
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale / 2**20)
+from surfhodge.cli import _peak_rss_mb
+print(_peak_rss_mb())
 """
 
-# measured peak about 279 MB on x86_64 Linux; 396 MB when the step factor
-# was built before the Stokes start's factor was freed
-PEAK_MB_BOUND = 350
-# measured peak about 130 MB on x86_64 Linux
-SADDLE_PEAK_MB_BOUND = 162
+# measured peak about 252 MB on x86_64 Linux, the Stokes start's; 279 MB
+# while the run kept A_visc, A_red and the step block beside the step
+# factor, 396 MB when the step factor was built before the Stokes start's
+# factor was freed
+PEAK_MB_BOUND = 315
+# measured peak about 127 MB on x86_64 Linux; 130 MB while A_red and the
+# penalty term B'WB stayed alive beside the oracle's factor
+SADDLE_PEAK_MB_BOUND = 159
 
 
 def _peak_mb(script: str, *args: str) -> float:

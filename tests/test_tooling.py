@@ -59,3 +59,38 @@ def test_property_tests_are_derandomized():
                 keys = {kw.arg: kw.value for kw in named[own.args[0].id].keywords}
             assert "derandomize" in keys and ast.literal_eval(keys["derandomize"]) is True, where
     assert found >= 10
+
+
+
+def _cached_properties(tree: ast.Module) -> set[str]:
+    """Names of the methods decorated with cached_property or
+    functools.cached_property."""
+    return {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            for d in node.decorator_list
+            if getattr(d, "id", getattr(d, "attr", None)) == "cached_property"}
+
+
+def _vars_pops(tree: ast.Module):
+    """The first argument (None when there is none) of each
+    vars(<obj>).pop(...) call in tree."""
+    for node in ast.walk(tree):
+        f = node.func if isinstance(node, ast.Call) else None
+        if (isinstance(f, ast.Attribute) and f.attr == "pop" and isinstance(f.value, ast.Call)
+                and isinstance(f.value.func, ast.Name) and f.value.func.id == "vars"):
+            yield node.args[0] if node.args else None
+
+
+def test_released_attributes_are_cached_properties():
+    """A run releases an operator by removing it from vars(obj), and only a
+    functools.cached_property is built again on its next read; a misspelt
+    name releases nothing, and with a default raises nothing.  So every
+    vars(<obj>).pop("<name>", ...) in the package names, as a string, a
+    cached_property that the package defines."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "surfhodge").glob("*.py"))}
+    cached = set().union(*map(_cached_properties, trees.values()))
+    assert {"A_visc", "A_red", "system", "pressure_operator", "laplace_operator"} <= cached
+    released = [(name, arg) for name, tree in trees.items() for arg in _vars_pops(tree)]
+    assert len(released) >= 5
+    assert [f"{name}: {ast.unparse(arg) if arg else 'no name'}" for name, arg in released
+            if not (isinstance(arg, ast.Constant) and arg.value in cached)] == []
