@@ -137,7 +137,7 @@ def cmd_harmonic(args) -> int:
     mesh = manifest.mesh(args.mesh)
     manifest.phase("basis")
     solver = HodgeSolver(mesh, args.k)
-    basis = solver.harmonic_basis(seed=args.seed, tol=args.tol)
+    basis = solver.harmonic_basis(seed=args.seed)
     payload = {
         "b1": basis.dimension,
         "k": args.k,
@@ -182,7 +182,7 @@ def cmd_decompose(args) -> int:
         basis = HarmonicBasis.load_json(args.basis)
         solver.validate_basis(basis)
     else:
-        basis = solver.harmonic_basis(seed=args.seed, tol=args.tol)
+        basis = solver.harmonic_basis(seed=args.seed)
     manifest.phase("decompose")
     v = _decompose_input(args, solver)
     comp = solver.decompose(v, basis)
@@ -239,7 +239,7 @@ def cmd_stokes(args) -> int:
     ops = FlowOperators(mesh, config, basis=basis)
     manifest.phase("solve")
     state, info = ops.stokes_reduced()
-    vars(ops).pop("A_red")  # read last by the reduced solve; the oracle's factor lands without it
+    del ops.A_red  # read last by the reduced solve; the oracle's factor lands without it
     un = mnorm(state.u.coefficients, ops.M)
     payload = {
         "kinetic_energy": state.kinetic_energy,
@@ -355,7 +355,7 @@ def cmd_verify(args) -> int:
             resid = abs(BE).max() if BE.nnz else 0.0
             check(f"{name}: div o rot = 0 (k={k})", resid <= 1e-12 * max(scale, 1e-300),
                   f"residual {resid:.2e}")
-            basis = solver.harmonic_basis(seed=args.seed, tol=args.tol)
+            basis = solver.harmonic_basis(seed=args.seed)
             ok = basis.dimension == topo.b1 and basis.gram_residual <= 1e-10
             detail = f"b1 {basis.dimension} vs {topo.b1}, gram {basis.gram_residual:.1e}"
             if ok:  # each field divergence-free and orthogonal to rot
@@ -379,7 +379,6 @@ _SHARED_OPTIONS = {
                         "it overrides the config's mesh, for verify it replaces the corpus"),
     "--k": dict(type=int, default=0),
     "--seed": dict(type=int, default=0),
-    "--tol": dict(type=float, default=1e-8),
     "--basis": dict(default=None, help="harmonic basis JSON to reuse"),
     "--out-dir": dict(default=None),
 }
@@ -411,9 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     verb("topology", cmd_topology, "entity counts, Euler characteristic, Betti numbers",
          ("--mesh", "--out-dir"), required=("--mesh",))
     verb("harmonic", cmd_harmonic, "construct the orthonormal harmonic basis",
-         ("--mesh", "--k", "--seed", "--tol", "--out-dir"), required=("--mesh",))
+         ("--mesh", "--k", "--seed", "--out-dir"), required=("--mesh",))
     sp = verb("decompose", cmd_decompose, "three-way decomposition of a vector field",
-              ("--mesh", "--k", "--seed", "--tol", "--basis", "--out-dir"),
+              ("--mesh", "--k", "--seed", "--basis", "--out-dir"),
               required=("--mesh",))
     sp.add_argument("--field-mode", choices=("random", "rot", "expression"),
                     default="random")
@@ -431,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--compare-saddle", action="store_true")
 
     sp = verb("verify", cmd_verify, "dimension and invariant suites",
-              ("--mesh", "--seed", "--tol", "--out-dir"))
+              ("--mesh", "--seed", "--out-dir"))
     sp.add_argument("--k-max", type=int, default=2)
     return p
 

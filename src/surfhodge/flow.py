@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as dla
@@ -276,11 +275,10 @@ class FlowOperators:
     the draws used is released: no flow solve uses it.  The pressure
     factor L0 the draws used stays, for reconstruct_pressure.
 
-    A_visc and A_red are built in the constructor and cached on the
-    instance (functools.cached_property), like HodgeSolver's factors:
-    removing one from vars(ops) releases it, and its next read builds it
-    again.  run_simulation and the stokes command release what their run
-    no longer reads.
+    A_visc, the viscous form on the parent space (an empty matrix at mu =
+    0), and A_red are plain attributes built in the constructor;
+    run_simulation and the stokes command delete what their run no longer
+    reads.
     """
 
     def __init__(self, mesh: SurfaceMesh, config: SimulationConfig,
@@ -300,7 +298,16 @@ class FlowOperators:
         self.M = self.hodge.M
         self.pressure_mass = asm.assemble_mass(self.Q)  # diagonal: orthonormal DG basis
         self.emb = JEmbedding(self.hodge.E, basis.vectors)
-        self.A_red  # built here, and A_visc with it, so both are set-up work
+        if config.mu == 0:  # no viscous form remains
+            self.A_visc = sp.csr_matrix((self.V.total_dofs,) * 2)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                self.A_visc = asm.assemble_sip(self.V, mu=config.mu, alpha=config.alpha,
+                                               dirichlet=(config.bc == "noslip"))
+            if not np.isfinite(self.A_visc.data).all():
+                alpha = "" if config.alpha is None else f", alpha = {config.alpha:g}"
+                raise SolverFailure(f"viscous form is not finite at mu = {config.mu:g}{alpha}")
+        self.A_red = self.emb.reduce_matrix(self.A_visc)
         self.forcing = config.forcing if config.forcing is not None else _zero_forcing
         self._load_tab = asm.load_tabulation(self.V)
         self._steady_load = None
@@ -308,27 +315,6 @@ class FlowOperators:
             b = asm.assemble_load(self.V, self.forcing, time=0.0, tab=self._load_tab)
             b.flags.writeable = False
             self._steady_load = b
-
-    # --------------------------------------------------------- operators
-    @cached_property
-    def A_visc(self) -> sp.csr_matrix:
-        """The viscous form on the parent space (an empty matrix at mu = 0);
-        SolverFailure when it is not finite."""
-        config, n = self.config, self.V.total_dofs
-        if config.mu == 0:
-            return sp.csr_matrix((n, n))
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            A = asm.assemble_sip(self.V, mu=config.mu, alpha=config.alpha,
-                                 dirichlet=(config.bc == "noslip"))
-        if not np.isfinite(A.data).all():
-            alpha = "" if config.alpha is None else f", alpha = {config.alpha:g}"
-            raise SolverFailure(f"viscous form is not finite at mu = {config.mu:g}{alpha}")
-        return A
-
-    @cached_property
-    def A_red(self) -> BlockSystem:
-        """A_visc restricted to the divergence-free subspace."""
-        return self.emb.reduce_matrix(self.A_visc)
 
     # ------------------------------------------------------------- loads
     def load_vector(self, t: float) -> np.ndarray:
@@ -486,22 +472,18 @@ class NavierStokesStepper:
 
     def __init__(self, ops: FlowOperators):
         self.ops = ops
+        dt, red = ops.config.dt, ops.A_red
+        # the step block, A_red plus diag(L, I) / dt: the solver keeps only
+        # its factor and A_sh, so the sparse block dies with this frame.
+        # L' = L (exactly symmetric) as a csc view, so the sum is csc at once
+        system = BlockSystem(red.A_ss + ops.hodge.L.T / dt, red.A_sh,
+                             red.A_hh + np.eye(red.n_harmonic) / dt)
         try:
-            self.solver = ReducedSolver(self.system)
+            self.solver = ReducedSolver(system)
         except SingularOperator as exc:  # the mass shift makes this unexpected
             raise SolverFailure(f"time-step operator singular: {exc}") from exc
         self._cfl_warned = False
         self._conv_cache = asm.convection_tabulation(ops.V)
-
-    @cached_property
-    def system(self) -> BlockSystem:
-        """The step block, ops.A_red plus diag(L, I) / dt; the solver
-        reads only its factor and A_sh, so removing it from vars(stepper)
-        releases the sparse block, and its next read builds it again."""
-        dt, red = self.ops.config.dt, self.ops.A_red
-        # L' = L (exactly symmetric) as a csc view, so the sum is csc at once
-        return BlockSystem(red.A_ss + self.ops.hodge.L.T / dt, red.A_sh,
-                           red.A_hh + np.eye(red.n_harmonic) / dt)
 
     def step(self, state: FlowState) -> FlowState:
         """Advance one IMEX Euler step.  Raises NaNDetected, with no numpy
@@ -569,8 +551,8 @@ def run_simulation(mesh: SurfaceMesh, config: SimulationConfig,
     operator once it stops reading it, so every later factor lands on less
     resident memory: the pressure factor L0 before the start (a run
     reconstructs no pressure), A_visc once the start is solved, and A_red
-    and the stepper's sparse step block once the step factor exists.
-    Reading a released attribute builds it again.  Snapshots (velocity, its
+    once the step factor exists; the stepper keeps no sparse step block.
+    A released attribute is gone.  Snapshots (velocity, its
     rotational and harmonic parts, the streamfunction) are emitted every
     output_every steps through the vtk module when out_dir is given; a CSV
     time series is always accumulated and written to out_dir when given.
@@ -581,11 +563,9 @@ def run_simulation(mesh: SurfaceMesh, config: SimulationConfig,
     vars(ops.hodge).pop("pressure_operator", None)  # a run reconstructs no pressure
     # the start first: its Stokes factor is freed before the step factor exists
     state = ops.initial_state() if initial_state is None else initial_state
-    vars(ops).pop("A_visc")  # read last by the start's refinement
+    del ops.A_visc  # read last by the start's refinement
     stepper = NavierStokesStepper(ops)
-    # the step factor exists: the steps read neither block again
-    vars(ops).pop("A_red")
-    vars(stepper).pop("system")
+    del ops.A_red  # the step factor exists: the steps do not read it
     n_steps = int(round(config.t_end / config.dt))
     outputs = []
 

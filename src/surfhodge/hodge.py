@@ -19,7 +19,6 @@ space of discrete harmonic fields.  This module computes that splitting:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -44,6 +43,12 @@ from .quadrature import triangle_rule
 # a gap below the b1 leading Gram eigenvalues; 4 drew no more accurately
 # and costs two more solve columns.
 OVERSAMPLING = 2
+# A drawn block's rank: its Gram eigenvalues above RANK_TOL times the
+# largest.  Over the corpus meshes with b1 > 0, sphere_with_holes(3, 4) and
+# the 32x16 torus, k = 0-3 and seeds 0-19, the b1-th is at least 1.2e-3 of
+# the largest and the next at most 2.0e-15, so any threshold in
+# [1e-14, 1e-4] reads the same rank.
+RANK_TOL = 1e-8
 
 
 @dataclass
@@ -52,15 +57,20 @@ class HarmonicBasis:
 
     vectors has shape (b1, n_dofs): each row holds the coefficients of one
     harmonic field in the degree-k H(div) space with zero normal trace.
+    The basis keeps a read-only float copy of the vectors it is given, so
+    no alias can change it under a solver that caches its mass image.
     """
 
     k: int
     vectors: np.ndarray
     seed: int
-    tol: float
     mesh_checksum: str
     n_attempts: int = 0
     gram_residual: float = 0.0
+
+    def __post_init__(self):
+        self.vectors = np.array(self.vectors, dtype=float)
+        self.vectors.flags.writeable = False
 
     @property
     def dimension(self) -> int:
@@ -72,7 +82,7 @@ class HarmonicBasis:
             "version": 1,
             "k": self.k,
             "seed": self.seed,
-            "tol": self.tol,
+            "tol": RANK_TOL,
             "b1": int(self.dimension),
             "n_dofs": int(self.vectors.shape[1]),
             "mesh_checksum": self.mesh_checksum,
@@ -100,7 +110,6 @@ class HarmonicBasis:
                 k=payload["k"],
                 vectors=vectors,
                 seed=payload["seed"],
-                tol=payload["tol"],
                 mesh_checksum=payload["mesh_checksum"],
                 n_attempts=payload.get("n_attempts", 0),
                 gram_residual=payload.get("gram_residual", 0.0),
@@ -198,8 +207,7 @@ class HodgeSolver:
     immutable after construction; removing one from vars(solver) releases
     it, and its next use builds it again.  decompose also keeps the mass
     image H M of the last basis it was given, keyed by the basis.vectors
-    array object: a basis with other vectors gets its own image, while a
-    vectors array changed in place keeps the stale one.
+    array object, which the basis keeps read-only.
     """
 
     def __init__(self, mesh: SurfaceMesh, k: int):
@@ -288,7 +296,7 @@ class HodgeSolver:
         return self._G @ self.pressure_operator.solve(b[self._q0]) + self._PK @ b
 
     # ----------------------------------------------------------- operations
-    def harmonic_basis(self, seed: int = 0, tol: float = 1e-8) -> HarmonicBasis:
+    def harmonic_basis(self, seed: int = 0) -> HarmonicBasis:
         """Randomized construction of the orthonormal harmonic basis.
 
         Draw one Gaussian block W of b1 + OVERSAMPLING fields, make it
@@ -297,18 +305,15 @@ class HodgeSolver:
         part goes next), and remove its streamfunction part: W then spans
         the harmonic space with probability one (the randomized range finder
         with oversampling).  The rank is read off the spectrum of the Gram
-        matrix G = W' M W: the eigenvalues above tol times the largest must
-        number b1, else MaxAttemptsExceeded is raised (tol >= 1 accepts
-        none), and H = Lambda^-1/2 V' W' from those eigenpairs (Lambda, V),
-        largest first, is M-orthonormal.  n_attempts is the number of fields
-        drawn; at b1 = 0 none is drawn and no factor is built.  Raises
-        NonpositiveParameter unless seed is a nonnegative integer and tol is
-        finite and positive.
+        matrix G = W' M W: the eigenvalues above RANK_TOL times the largest
+        must number b1, else MaxAttemptsExceeded is raised, and H =
+        Lambda^-1/2 V' W' from those eigenpairs (Lambda, V), largest first,
+        is M-orthonormal.  n_attempts is the number of fields drawn; at b1 =
+        0 none is drawn and no factor is built.  Raises NonpositiveParameter
+        unless seed is a nonnegative integer.
         """
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise NonpositiveParameter(f"seed must be a nonnegative integer, got {seed!r}")
-        if not (math.isfinite(tol) and tol > 0):
-            raise NonpositiveParameter(f"tol must be finite and positive, got {tol!r}")
         b1, n = self.topology.b1, self.V.total_dofs
         draws = b1 + OVERSAMPLING if b1 else 0
         H = np.zeros((0, n))
@@ -317,7 +322,7 @@ class HodgeSolver:
             W -= self._right_inverse(self.B @ W)
             W -= self.E @ self.laplace_operator.solve(self._ET @ (self.M @ W))
             lam, V = np.linalg.eigh(W.T @ (self.M @ W))
-            rank = int((lam > tol * lam[-1]).sum())
+            rank = int((lam > RANK_TOL * lam[-1]).sum())
             if rank != b1:
                 raise MaxAttemptsExceeded(
                     f"harmonic basis draw of {draws} fields has rank {rank}, not b1 = {b1}")
@@ -327,7 +332,6 @@ class HodgeSolver:
             k=self.k,
             vectors=H,
             seed=seed,
-            tol=tol,
             mesh_checksum=self._checksum,
             n_attempts=draws,
             gram_residual=gram_residual,

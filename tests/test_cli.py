@@ -136,17 +136,41 @@ def test_harmonic_genus2(capsys):
     assert code == 0 and payload["b1"] == 4
 
 
-def test_harmonic_max_attempts_exit_3(capsys):
-    code = main(["harmonic", "--mesh", "builtin:torus", "--k", "0", "--tol", "10"])
-    assert code == 3
+@pytest.fixture
+def overstated_b1(monkeypatch):
+    """hodge.analyze_topology with b1 one too large: a drawn block's Gram
+    spectrum then shows one rank less than the solver expects."""
+    from surfhodge import hodge
+
+    analyze = hodge.analyze_topology
+
+    def overstated(mesh):
+        topology = analyze(mesh)
+        return replace(topology, b1=topology.b1 + 1)
+
+    monkeypatch.setattr(hodge, "analyze_topology", overstated)
 
 
-def test_decompose_passes_tol_exit_3(capsys):
-    """decompose builds its basis with --tol, as harmonic does: no Gram
-    eigenvalue of the drawn block exceeds 1e300 times the largest."""
-    assert main(["decompose", "--mesh", "builtin:torus", "--k", "1", "--tol", "1e300"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("algorithmic failure:") and len(err.splitlines()) == 1
+def test_harmonic_max_attempts_exit_3(capsys, overstated_b1):
+    assert_one_line_failure(capsys, ["harmonic", "--mesh", "builtin:torus", "--k", "0"],
+                            3, "algorithmic failure:")
+
+
+def test_decompose_rank_mismatch_exit_3(capsys, overstated_b1):
+    """decompose draws its basis as harmonic does, and a drawn block of
+    another rank than b1 exits 3 there too."""
+    assert_one_line_failure(capsys, ["decompose", "--mesh", "builtin:torus", "--k", "1"],
+                            3, "algorithmic failure:")
+
+
+@pytest.mark.parametrize("joined", [True, False])
+@pytest.mark.parametrize("verb", ["harmonic", "decompose", "verify"])
+def test_removed_tol_flag_exit_2(capsys, verb, joined):
+    """--tol left harmonic, decompose and verify on purpose (the draws'
+    rank threshold is hodge.RANK_TOL): argparse refuses it, as --tol=1e-8
+    and as --tol 1e-8, with one input-error line."""
+    tol = ["--tol=1e-8"] if joined else ["--tol", "1e-8"]
+    assert_input_error(capsys, [verb, "--mesh", "builtin:torus", *tol])
 
 
 # ---------------------------------------------------------------- decompose
@@ -431,9 +455,10 @@ def test_config_unknown_bc_exit_2(tmp_path, capsys):
                                  "harmonic --tol -1", "harmonic --tol 0", "harmonic --tol inf",
                                  "verify --k-max -1"])
 def test_bad_parameter_value_exit_2(tmp_path, capsys, bad):
-    """A config value (nse), a seed or tol flag (harmonic) or a degree bound
+    """A config value (nse), a seed flag (harmonic) or a degree bound
     (verify) out of its domain is an input error: no solver failure,
-    traceback or silent acceptance."""
+    traceback or silent acceptance.  harmonic no longer takes --tol, so
+    argparse refuses each --tol value as an unknown flag."""
     if bad.startswith(("harmonic", "verify")):
         argv = [*bad.split(), "--mesh", "builtin:torus"]
     else:
@@ -704,7 +729,7 @@ def test_topology_missing_mesh_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["harmonic", "--mesh", "builtin:torus", "--tol", "-inf"],  # -inf is read as a flag
+    ["harmonic", "--mesh", "builtin:torus", "--seed", "-inf"],  # -inf is read as a flag
     ["harmonic", "--mesh", "builtin:torus", "--no-such-flag"],
     ["topology"],
 ])

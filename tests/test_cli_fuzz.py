@@ -8,9 +8,8 @@ are mutated line by line, token by token and byte by byte, and a harmonic
 basis file (written by `harmonic --out-dir` on the built-in torus at k = 0,
 read by `stokes --basis`) in its values, shapes, keys and types.  The
 numeric flags of README's synopsis get any value argparse accepts: ints of
-any sign and size for --k, --seed, --field-seed and --k-max, any float
-and nan, inf, 0, negatives, 1e-320 and 1e308 for --tol, each run through
-every verb that takes the flag, as --flag=value or as --flag value (a
+any sign and size for --k, --seed, --field-seed and --k-max, each run
+through every verb that takes the flag, as --flag=value or as --flag value (a
 value that starts with - and is not a number is then argparse's usage
 error).  cli.main runs in process on each.  It
 must exit 0, 2, 3 or 4; a failure writes exactly one stderr line and no
@@ -224,27 +223,19 @@ FLAG_VERBS = {
     "--seed": ("harmonic", "decompose", "stokes", "nse", "verify"),
     "--field-seed": ("decompose",),
     "--k-max": ("verify",),
-    "--tol": ("harmonic", "decompose", "verify"),
 }
 # ints of any sign and size, with the 64-bit edges always among the draws
 FLAG_INTS = st.one_of(st.sampled_from([2**31, 2**63, -2**63, 2**64 + 1, 10**30]), st.integers())
-FLAG_VALUES = {
-    "--tol": st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e-320",
-                                        "1e308"]), st.floats().map(repr)),
-    **{flag: FLAG_INTS.map(str) for flag in ("--k", "--seed", "--field-seed", "--k-max")},
-}
+FLAG_VALUES = {flag: FLAG_INTS.map(str) for flag in FLAG_VERBS}
 
 
 def _flag_run(verb: str, flag: str, value: str, joined: bool) -> list[str]:
     """argv of one run on the tetrahedron (stokes and nse with the shipped
-    Stokes config), or for --tol on the torus at k = 0, whose b1 = 2 draws
-    the tolerance decides, with the flag and its value as one argument
+    Stokes config), with the flag and its value as one argument
     --flag=value when joined, else as two."""
     if verb in ("stokes", "nse"):
         base = ["--config", str(ROOT / "configs" / "stokes_torus.cfg"),
                 "--mesh", "builtin:tetrahedron"]
-    elif flag == "--tol":
-        base = ["--mesh", "builtin:torus", *(["--k-max", "0"] if verb == "verify" else [])]
     else:
         base = ["--mesh", "builtin:tetrahedron"]
     return [verb, *base, *([f"{flag}={value}"] if joined else [flag, value])]

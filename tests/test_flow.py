@@ -462,7 +462,7 @@ def test_run_steps_without_what_they_do_not_read(torus3, monkeypatch):
     built are unreachable: every step runs with none of them alive."""
     from surfhodge import flow
 
-    refs, alive = {}, []
+    refs, alive, blocks = {}, [], []
 
     class Operators(FlowOperators):
         def __init__(self, *args, **kwargs):
@@ -470,43 +470,47 @@ def test_run_steps_without_what_they_do_not_read(torus3, monkeypatch):
             refs.update(A_visc=weakref.ref(self.A_visc), A_red=weakref.ref(self.A_red),
                         L0=weakref.ref(vars(self.hodge)["pressure_operator"]))
 
+    class Solver(ReducedSolver):
+        def __init__(self, system):
+            blocks.append(weakref.ref(system.A_ss))
+            super().__init__(system)
+
     class Stepper(NavierStokesStepper):
         def __init__(self, ops):
             super().__init__(ops)
-            refs["step A_ss"] = weakref.ref(self.system.A_ss)
+            refs["step A_ss"] = blocks[-1]  # the last block factored is the stepper's
 
         def step(self, state):
             alive.append(sorted(name for name, ref in refs.items() if ref() is not None))
             return super().step(state)
 
     monkeypatch.setattr(flow, "FlowOperators", Operators)
+    monkeypatch.setattr(flow, "ReducedSolver", Solver)
     monkeypatch.setattr(flow, "NavierStokesStepper", Stepper)
     cfg = SimulationConfig(k=1, mu=0.2, dt=1e-2, t_end=2e-2, forcing=smooth_forcing(3))
     run_simulation(torus3, cfg)
-    assert len(refs) == 4
+    assert len(refs) == 4 and len(blocks) == 2  # the Stokes start's block, then the step's
     assert alive == [[], []]
 
 
-def test_released_operators_are_built_again_on_read(torus3, basis_cache):
-    """Removing A_visc, A_red or the step block from vars() releases it; the
-    next read builds the same bits again, and the stepper steps as before."""
+def test_stepper_steps_the_same_after_its_operators_are_deleted(torus3, basis_cache):
+    """A built stepper reads neither A_visc nor A_red: after del ops.A_visc,
+    ops.A_red it steps to the same bits as while they were alive, and the
+    deleted names are gone."""
     cfg = SimulationConfig(k=1, mu=0.2, dt=1e-2, forcing=smooth_forcing(3))
     ops = FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1))
     stepper = NavierStokesStepper(ops)
     state = ops.initial_state()
-    before = stepper.step(state).u.coefficients
-    kept = {"A_visc": ops.A_visc, "A_red": ops.A_red, "system": stepper.system}
-    for obj, name in ((ops, "A_visc"), (ops, "A_red"), (stepper, "system")):
-        vars(obj).pop(name)
-    assert np.array_equal(stepper.step(state).u.coefficients, before)
-    assert "A_red" not in vars(ops) and "system" not in vars(stepper)
-    again = {"A_visc": ops.A_visc, "A_red": ops.A_red, "system": stepper.system}
-    assert again["A_visc"] is not kept["A_visc"]
-    assert (again["A_visc"] != kept["A_visc"]).nnz == 0
-    for name in ("A_red", "system"):
-        new, old = again[name], kept[name]
-        assert new is not old and (new.A_ss != old.A_ss).nnz == 0
-        assert np.array_equal(new.A_sh, old.A_sh) and np.array_equal(new.A_hh, old.A_hh)
+    before = stepper.step(state)
+    del ops.A_visc, ops.A_red
+    after = stepper.step(state)
+    for got, want in ((after.u.coefficients, before.u.coefficients),
+                      (after.psi.coefficients, before.psi.coefficients),
+                      (after.h_coeffs, before.h_coeffs)):
+        assert got.tobytes() == want.tobytes()
+    for name in ("A_visc", "A_red"):
+        with pytest.raises(AttributeError):
+            getattr(ops, name)
 
 
 def test_draw_factor_released_pressure_factor_kept(torus3, track_factors):
@@ -704,14 +708,32 @@ def test_step_reads_the_state_in_reduced_coordinates(torus3, basis_cache):
         assert not np.allclose(stepper.step(altered).u.coefficients, plain)
 
 
-def test_step_block_is_viscous_block_plus_reduced_mass(torus3, basis_cache):
+def _step_block(ops, monkeypatch):
+    """(the BlockSystem that NavierStokesStepper(ops) factors, the stepper)."""
+    from surfhodge import flow
+
+    systems = []
+
+    class Recording(ReducedSolver):
+        def __init__(self, system):
+            systems.append(system)
+            super().__init__(system)
+
+    with monkeypatch.context() as m:
+        m.setattr(flow, "ReducedSolver", Recording)
+        stepper = NavierStokesStepper(ops)
+    (system,) = systems
+    return system, stepper
+
+
+def test_step_block_is_viscous_block_plus_reduced_mass(torus3, basis_cache, monkeypatch):
     """The step block is A_red plus the reduced mass diag(L, I) over dt:
     A_ss is A_red.A_ss + L/dt and A_sh is A_red.A_sh, bit for bit, and A_hh
     exceeds A_red.A_hh by exactly I/dt (1/dt dominates A_hh's diagonal,
     so subtracting A_red.A_hh from the sum gives 1/dt back)."""
     cfg = SimulationConfig(k=1, mu=0.1, dt=1e-2, t_end=1e-1)
     ops = FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1))
-    got, red = NavierStokesStepper(ops).system, ops.A_red
+    got, red = _step_block(ops, monkeypatch)[0], ops.A_red
     assert (got.A_ss != red.A_ss + ops.hodge.L / cfg.dt).nnz == 0
     assert got.A_sh.tobytes() == red.A_sh.tobytes()
     assert np.array_equal(got.A_hh - red.A_hh, np.eye(red.n_harmonic) / cfg.dt)
@@ -788,7 +810,7 @@ def test_step_reads_cfl_sup_norm_from_convection(torus3, basis_cache, monkeypatc
 
 
 @pytest.mark.parametrize("mesh_name", ["torus3", "sphere4"])
-def test_step_blocks_match_restricted_parent(mesh_name, basis_cache, request):
+def test_step_blocks_match_restricted_parent(mesh_name, basis_cache, request, monkeypatch):
     """The time-step blocks, summed from L, the restricted viscous form and
     the harmonic blocks of M, are the restriction of M/dt + A_visc: on a
     closed surface (torus, b1 = 2), whose step factor pins a dof, and an
@@ -796,8 +818,7 @@ def test_step_blocks_match_restricted_parent(mesh_name, basis_cache, request):
     mesh = request.getfixturevalue(mesh_name)
     cfg = SimulationConfig(k=1, mu=0.3, dt=1e-2, t_end=0.0)
     ops = FlowOperators(mesh, cfg, basis=basis_cache(mesh, 1))
-    stepper = NavierStokesStepper(ops)
-    got = stepper.system
+    got, stepper = _step_block(ops, monkeypatch)
     want = ops.emb.reduce_matrix(ops.M / cfg.dt + ops.A_visc)
     assert got.n_harmonic == {"torus3": 2, "sphere4": 3}[mesh_name]
     assert stepper.solver.op.pinned == (mesh_name == "torus3")

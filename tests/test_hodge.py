@@ -9,6 +9,7 @@ from surfhodge.errors import BasisMismatch, MaxAttemptsExceeded, WrongDegree
 from surfhodge.fespace import FeField, build_space
 from surfhodge.hodge import (
     OVERSAMPLING,
+    RANK_TOL,
     HarmonicBasis,
     HodgeSolver,
     decompose_p0_incomplete,
@@ -210,12 +211,60 @@ def test_streamfunction_form_is_stiffness(corpus, solver_cache, k):
             assert solver.L.nnz < ELE.nnz
 
 
-def test_max_attempts_exceeded(torus3):
-    solver = HodgeSolver(torus3, 0)
-    with pytest.raises(MaxAttemptsExceeded):
-        # tol is relative to the Gram matrix's largest eigenvalue, so a
-        # tolerance above 1 counts no eigenvalue of the drawn block
-        solver.harmonic_basis(seed=0, tol=10.0)
+def _recorded_gram_spectra(monkeypatch) -> list:
+    """Each Gram spectrum that np.linalg.eigh returns from now on."""
+    spectra, eigh = [], np.linalg.eigh
+
+    def recording(G):
+        lam, V = eigh(G)
+        spectra.append(lam)
+        return lam, V
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return spectra
+
+
+def test_max_attempts_exceeded(torus3, monkeypatch):
+    """The rank of a draw is the number of its Gram eigenvalues above
+    RANK_TOL times the largest: on the torus (b1 = 2) the draw raises once
+    the third largest is lifted to just above that threshold, and not when
+    it is lifted to just below it."""
+    solver, eigh = HodgeSolver(torus3, 0), np.linalg.eigh
+    for factor in (0.5, 2.0):
+        def lifted(G, factor=factor):
+            lam, V = eigh(G)
+            lam[-3] = factor * RANK_TOL * lam[-1]
+            return lam, V
+
+        monkeypatch.setattr(np.linalg, "eigh", lifted)
+        if factor < 1:
+            assert solver.harmonic_basis(seed=0).dimension == 2
+        else:
+            with pytest.raises(MaxAttemptsExceeded):
+                solver.harmonic_basis(seed=0)
+
+
+def test_rank_threshold_sits_in_the_gram_gap(corpus, solver_cache, monkeypatch):
+    """On every corpus mesh with b1 > 0, at k = 0-3 and seeds 0-4, the b1
+    leading Gram eigenvalues of a draw are at least 1e-4 of the largest
+    and the next at most 1e-12 of it, so RANK_TOL = 1e-8 is decades from
+    both sides (measured: at least 1.2e-3 and at most 2.0e-15)."""
+    spectra = _recorded_gram_spectra(monkeypatch)
+    draws = 0
+    for name, mesh in corpus.items():
+        for k in range(4):
+            solver = solver_cache(mesh, k)
+            b1 = solver.topology.b1
+            if not b1:
+                continue
+            for seed in range(5):
+                solver.harmonic_basis(seed=seed)
+                lam = spectra[-1] / spectra[-1][-1]
+                assert lam.size == b1 + OVERSAMPLING
+                assert lam[-b1] >= 1e-4 and lam[-b1 - 1] <= 1e-12, (name, k, seed)
+                draws += 1
+    assert len(spectra) == draws >= 40
+    assert 1e-12 < RANK_TOL < 1e-4
 
 
 def test_block_draw_is_divergence_free_at_seed_900():
@@ -253,6 +302,24 @@ def test_basis_json_round_trip(tmp_path, torus3, basis_cache):
     assert back.k == basis.k
     assert back.mesh_checksum == basis.mesh_checksum
     assert np.abs(back.vectors - basis.vectors).max() == 0.0  # bit exact
+
+
+def test_basis_vectors_are_read_only(torus3, solver_cache, basis_cache):
+    """decompose keeps the mass image H M of the last basis.vectors array it
+    read, keyed by the array.  A basis keeps a read-only copy of the
+    vectors it is given, so writing into them raises and writing into the
+    array it was built from leaves it, and its decompositions, as they
+    were."""
+    solver, basis = solver_cache(torus3, 1), basis_cache(torus3, 1)
+    with pytest.raises(ValueError):
+        basis.vectors[0, 0] = 1.0
+    H = basis.vectors.copy()
+    copied = dataclasses.replace(basis, vectors=H)
+    v = FeField(solver.V, np.random.default_rng(4).standard_normal(solver.V.total_dofs))
+    before = solver.decompose(v, copied).h_coeffs
+    H *= 2.0
+    assert copied.vectors.tobytes() == basis.vectors.tobytes()
+    assert solver.decompose(v, copied).h_coeffs.tobytes() == before.tobytes()
 
 
 def test_basis_mismatch(torus3, torus, basis_cache):

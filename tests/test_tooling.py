@@ -81,16 +81,56 @@ def _vars_pops(tree: ast.Module):
 
 
 def test_released_attributes_are_cached_properties():
-    """A run releases an operator by removing it from vars(obj), and only a
-    functools.cached_property is built again on its next read; a misspelt
-    name releases nothing, and with a default raises nothing.  So every
-    vars(<obj>).pop("<name>", ...) in the package names, as a string, a
-    cached_property that the package defines."""
+    """A run releases HodgeSolver's factors, which are built on first use
+    and may not exist, by removing them from vars(solver); only a
+    functools.cached_property is built again on its next read, and a
+    misspelt name releases nothing and, with a default, raises nothing.  So
+    every vars(<obj>).pop("<name>", ...) in the package names, as a string,
+    one of those two factors.  A plain attribute is released with del,
+    which raises on a misspelt name."""
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted((ROOT / "src" / "surfhodge").glob("*.py"))}
-    cached = set().union(*map(_cached_properties, trees.values()))
-    assert {"A_visc", "A_red", "system", "pressure_operator", "laplace_operator"} <= cached
+    factors = {"pressure_operator", "laplace_operator"}
+    assert factors <= _cached_properties(trees["hodge.py"])
     released = [(name, arg) for name, tree in trees.items() for arg in _vars_pops(tree)]
-    assert len(released) >= 5
+    assert len(released) >= 2
     assert [f"{name}: {ast.unparse(arg) if arg else 'no name'}" for name, arg in released
-            if not (isinstance(arg, ast.Constant) and arg.value in cached)] == []
+            if not (isinstance(arg, ast.Constant) and arg.value in factors)] == []
+
+
+def _eager_cached_properties(tree: ast.Module) -> list[str]:
+    """Class.name for each cached_property of a class in tree that the
+    class's own __init__ reads as self.name."""
+    found = []
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        cached = _cached_properties(ast.Module(body=cls.body, type_ignores=[]))
+        for init in (n for n in cls.body
+                     if isinstance(n, ast.FunctionDef) and n.name == "__init__"):
+            found += sorted({f"{cls.name}.{node.attr}" for node in ast.walk(init)
+                             if isinstance(node, ast.Attribute) and node.attr in cached
+                             and isinstance(node.value, ast.Name) and node.value.id == "self"})
+    return found
+
+
+def test_no_cached_property_is_read_in_its_own_init():
+    """A value a constructor builds is always there, so it is a plain
+    attribute: no cached_property of the package is read in its own
+    class's __init__."""
+    assert [f"{path.name}: {name}"
+            for path in sorted((ROOT / "src" / "surfhodge").glob("*.py"))
+            for name in _eager_cached_properties(ast.parse(path.read_text()))] == []
+
+
+def test_eager_cached_property_check_flags_a_read_in_init():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.block\n"
+        "        self.solver = f(self.system, other.lazy)\n"
+        "    @cached_property\n"
+        "    def block(self): ...\n"
+        "    @functools.cached_property\n"
+        "    def system(self): ...\n"
+        "    @cached_property\n"
+        "    def lazy(self): ...\n")
+    assert _eager_cached_properties(tree) == ["A.block", "A.system"]
