@@ -10,8 +10,10 @@ for any load by a Schur complement, with exactly (number of harmonic dofs
 
 A velocity-pressure saddle-point solver on the full H(div) space serves as
 the cross-validation oracle, an augmented-Lagrangian iteration on one SPD
-factor of the penalized viscous block; both formulations produce the same
-velocity up to solver precision.  The iteration may start from any
+factor of the penalized viscous block, restricted to the velocities whose
+divergence has only mean modes per triangle (the higher modes are matched
+exactly by the bubbles); both formulations produce the same velocity up to
+solver precision.  The iteration may start from any
 pressure, such as the one reconstruct_pressure recovers from the reduced
 velocity, and its answer does not depend on the start.
 
@@ -257,9 +259,9 @@ _zero_forcing.steady = True
 # ---------------------------------------------------------------- operators
 # Penalty of the saddle-point oracle, gamma = _AL_PENALTY |A| / |B'WB| in
 # largest entries, so that it does not depend on the scale of mu.  10 takes
-# 9-15 steps; a larger penalty takes fewer but leaves a larger momentum
-# residual (genus-2 block, k = 3, relative to |f|: 9.7e-12 at 10, 1.1e-10 at
-# 100, 1.0e-9 at 1000).
+# 7-9 steps from a zero start; a larger penalty takes fewer but leaves a
+# larger momentum residual (genus-2 block, k = 3, relative to |f|: 1.4e-12
+# in 9 steps at 10, 2.1e-12 in 5 at 100, 1.1e-11 in 4 at 1000).
 _AL_PENALTY = 10.0
 
 
@@ -278,7 +280,8 @@ class FlowOperators:
     A_visc, the viscous form on the parent space (an empty matrix at mu =
     0), and A_red are plain attributes built in the constructor;
     run_simulation and the stokes command delete what their run no longer
-    reads.
+    reads.  stokes_saddle keeps nothing: its basis and factor, of order
+    n_V - n_qp (no n_V x n_V penalized block), die with the call.
     """
 
     def __init__(self, mesh: SurfaceMesh, config: SimulationConfig,
@@ -382,26 +385,32 @@ class FlowOperators:
         [f; 0] on the parent space, A = A_visc, with a zero-mean pressure; f
         defaults to the forcing's load at t = 0.  Returns (u, p).
 
-        Augmented-Lagrangian (iterated penalty) solve on one SPD factor:
-        each step solves (A + gamma B'WB) u = f - B'p and sets p += gamma W
-        B u, W = M_Q^-1 the inverse pressure mass (diagonal: the DG basis is
-        orthonormal).  Every iterate satisfies the momentum equation, so the
-        loop may start from any multiplier: pressure, a field on Q or its
-        coefficients (default zero).  It stops at the first step after the
-        first with |B u|_W <= 1e-13 |u|_M, so the result does not depend on
-        the start beyond that tolerance.  From reconstruct_pressure's
-        pressure it stops after 2 solves, against 9-15 from zero.  Where
-        rounding keeps the relative divergence above 1e-13 (k = 4: it levels
-        off at 1e-13 to 1e-12), the loop stops at its plateau instead: at
-        the first step from the third on whose relative divergence is at
-        most 1e-10 and not below the step before's.  A converging loop
-        lowers it at every step, also at a slow rate such as 1/2.  Each
-        solve is written as a correction of u by the momentum residual,
-        which the next step then removes, as in iterative refinement; a
-        warm start's one step alone left twice the momentum residual of a
-        cold start, hence the second step.  The factor is nonsingular
-        exactly when the saddle matrix is; SolverFailure is raised when it
-        is not (e.g. mu = 0) and after 100 steps.  A start of the wrong
+        Each triangle's bubbles map one to one onto its higher pressure modes
+        qp through PK, the local inverse of pressure_solve, so B[qp] u = 0 is
+        met by construction: u = P z, P = HodgeSolver.divergence_mean_basis(),
+        and only the mean modes q0 are iterated.  Augmented-Lagrangian
+        (iterated penalty) solve on one SPD factor, of P'(A + gamma B0'W0 B0) P
+        with B0 = B[q0] and W0 the inverse pressure mass on q0 (diagonal: the
+        DG basis is orthonormal): each step solves for z with load P'(f -
+        B0'p0) and sets p0 += gamma W0 B0 u.  The loop leaves p[qp] as it was;
+        one correction by the bubble rows of the momentum residual, p[qp] +=
+        (PK'(f - A u - B'p))[qp], then recovers it.  Every iterate satisfies
+        the momentum equation tested with P, so the loop may start from any
+        multiplier: pressure, a field on Q or its coefficients (default zero).
+        It stops at the first step after the first with |B0 u|_W0 <= 1e-13
+        |u|_M, so the result does not depend on the start beyond that
+        tolerance.  From reconstruct_pressure's pressure it stops after 2
+        solves, against 7-9 from zero.  Where rounding keeps the relative
+        divergence above 1e-13 (k = 4: it levels off at 3e-13 to 7e-13), the
+        loop stops at its plateau instead: at the first step from the third on
+        whose relative divergence is at most 1e-10 and not below the step
+        before's.  A converging loop lowers it at every step, also at a slow
+        rate such as 1/2.  Each solve is written as a correction of u by the
+        momentum residual, which the next step then removes, as in iterative
+        refinement; a warm start's one step alone left twice the momentum
+        residual of a cold start, hence the second step.  The factor is
+        nonsingular exactly when the saddle matrix is; SolverFailure is raised
+        when it is not (e.g. mu = 0) and after 100 steps.  A start of the wrong
         shape raises DimensionMismatch, one that is not finite NaNDetected.
         """
         b = self.load_vector(0.0) if load is None else load
@@ -412,25 +421,26 @@ class FlowOperators:
             raise DimensionMismatch(f"starting pressure shape {p.shape} != ({B.shape[0]},)")
         if not np.isfinite(p).all():
             raise NaNDetected("non-finite starting pressure")
-        w = 1.0 / self.pressure_mass.diagonal()
-        BWB = B.T @ sp.diags(w) @ B  # csc
-        gamma = _AL_PENALTY * _max_abs(self.A_visc) / _max_abs(BWB)
-        BWB.data *= gamma
-        BWB.sort_indices()  # a product's order; the sum below is then sorted
-        K = BWB + self.A_visc.T  # A_visc' = A_visc (assemble_sip symmetrizes exactly), a csc view
-        del BWB  # SuperLU's fill lands without it
+        q0, w = self.Q.dof_map[:, 0], 1.0 / self.pressure_mass.diagonal()
+        # the largest entry of the semidefinite B'WB is on its diagonal
+        gamma = _AL_PENALTY * _max_abs(self.A_visc) / (B.multiply(B).T @ w).max()
+        P = self.hodge.divergence_mean_basis()
+        B0, w0 = B[q0], w[q0]
+        B0P = B0 @ P
+        K = (self.A_visc @ P).T @ P + B0P.T @ sp.diags(gamma * w0) @ B0P  # (A P)' = P' A
+        K.sort_indices()  # a product's order: canonical, K is factored from its own arrays
         try:
             op = FactorizedOperator(K)
         except (SingularMatrix, NotSPD) as exc:
             raise SolverFailure(f"saddle-point solve failed: {exc}") from exc
-        gw = gamma * w
-        u, div = np.zeros(B.shape[1]), np.zeros(B.shape[0])
+        PT, B0T, gw, p0 = P.T, B0.T, gamma * w0, p[q0]
+        u, div = np.zeros(B.shape[1]), np.zeros(q0.size)
         last = math.inf
         for step in range(100):
-            u += op.solve(b - self.A_visc @ u - B.T @ (p + gw * div))
-            div = B @ u
-            p += gw * div
-            div_norm, u_norm = math.sqrt(div @ (w * div)), mnorm(u, self.M)
+            u += P @ op.solve(PT @ (b - self.A_visc @ u - B0T @ (p0 + gw * div)))
+            div = B0 @ u
+            p0 += gw * div
+            div_norm, u_norm = math.sqrt(div @ (w0 * div)), mnorm(u, self.M)
             if step and div_norm <= 1e-13 * u_norm:
                 break
             rel = div_norm / u_norm if u_norm else math.inf
@@ -439,6 +449,8 @@ class FlowOperators:
             last = rel
         else:
             raise SolverFailure("saddle-point solve did not converge in 100 steps")
+        p[q0] = p0
+        p += self.hodge.higher_mode_pressure(b - self.A_visc @ u - B.T @ p)
         return FeField(self.V, u), self.hodge.pressure_field(p)
 
     def reconstruct_pressure(self, state: FlowState, load: np.ndarray | None = None) -> FeField:

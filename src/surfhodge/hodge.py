@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as dla
 import scipy.sparse as sp
 
 from . import assembly as asm
@@ -277,7 +278,7 @@ class HodgeSolver:
         right inverse of B on zero-mean pressures: lam[q0] = L0^-1 G' r and
         lam[qp] = (PK' r)[qp].  It solves B' lam = r exactly when the
         velocity functional r vanishes on the divergence-free subspace."""
-        lam = self._PKT @ r
+        lam = self.higher_mode_pressure(r)
         lam[self._q0] = self.pressure_operator.solve(self._GT @ r)
         return self.pressure_field(lam).coefficients
 
@@ -294,6 +295,29 @@ class HodgeSolver:
     def _right_inverse(self, b: np.ndarray) -> np.ndarray:
         """R b, so that B R b = b for every zero-mean pressure load b."""
         return self._G @ self.pressure_operator.solve(b[self._q0]) + self._PK @ b
+
+    def higher_mode_pressure(self, r: np.ndarray) -> np.ndarray:
+        """PK' r, pressure_solve's higher pressure modes lam[qp] of the
+        velocity functional r, with zero mean modes; it needs no factor."""
+        return self._PKT @ r
+
+    def divergence_mean_basis(self) -> sp.csc_matrix:
+        """Basis P of the velocities whose divergence has only mean modes,
+        the kernel of B[qp], built on each call.  Its columns are (I - PK B)
+        e_j for V's edge dofs j in increasing order, then N: per triangle,
+        a basis of the null space of the reference bubble divergence block,
+        its divergence-free bubbles (none at k <= 1, where P = I).  B[q0]
+        P is B[q0] on the edge columns and 0 on N."""
+        ne, n = self.V.ref.n_edge_dofs, self.V.total_dofs
+        edges = np.unique(self.V.dof_map[:, :ne])
+        edges = edges[edges >= 0]
+        null = dla.null_space(asm.reference_div_block(self.V, self.Q)[:, ne:])
+        T, n_null = self.mesh.n_triangles, null.shape[1]
+        N = asm._scatter(null, self.V.dof_map[:, ne:], 1 / self.V.dof_signs[:, ne:],
+                         np.arange(T * n_null).reshape(T, n_null), np.ones((T, n_null)),
+                         (n, T * n_null))
+        I_e = sp.eye(n, format="csc")[:, edges]
+        return sp.hstack([I_e - self._PK @ self.B[:, edges], N], format="csc")
 
     # ----------------------------------------------------------- operations
     def harmonic_basis(self, seed: int = 0) -> HarmonicBasis:

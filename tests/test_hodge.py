@@ -579,6 +579,39 @@ def test_pressure_solve_inverts_b_transpose_on_one_small_factor(name, k, corpus,
     assert built[0].solve_count == 2
 
 
+@pytest.mark.parametrize("name,k", [("torus16x8", 2), ("torus16x8", 3), ("torus16x8", 4),
+                                    ("pierced", 2), ("torus16x8", 0), ("torus16x8", 1)])
+def test_divergence_mean_basis_spans_the_kernel_of_the_higher_modes(name, k):
+    """P = divergence_mean_basis() has n_V - n_qp columns of full rank (its
+    Gram matrix P'P factors without SingularMatrix) and B[qp] P = 0 to
+    rounding; its edge columns keep their mean-mode divergence B[q0] and
+    its last columns N are divergence-free bubbles.  Without bubbles (k <=
+    1) P is the identity."""
+    mesh = (meshes.torus_structured(16, 8) if name == "torus16x8"
+            else meshes.sphere_with_holes(2, 4))
+    solver = HodgeSolver(mesh, k)
+    V, B, n = solver.V, solver.B, solver.V.total_dofs
+    q0, qp = solver.Q.dof_map[:, 0], solver.Q.dof_map[:, 1:].ravel()
+    P = solver.divergence_mean_basis()
+    if k <= 1:
+        assert qp.size == 0 and P.shape == (n, n) and (P != sp.eye(n)).nnz == 0
+        return
+    assert P.shape == (n, n - qp.size)
+    FactorizedOperator(P.T @ P)  # nonsingular: P has full column rank
+    assert abs(B[qp] @ P).max() <= 1e-12 * abs(B).max() * abs(P).max()
+    ne = V.ref.n_edge_dofs
+    edges = np.unique(V.dof_map[:, :ne])
+    edges = edges[edges >= 0]
+    B0 = B[q0]
+    assert (B0 @ P[:, :edges.size] != B0[:, edges]).nnz == 0
+    N = P[:, edges.size:]
+    assert N.shape[1] == mesh.n_triangles * {2: 1, 3: 3, 4: 6}[k]
+    bubbles = np.zeros(n, dtype=bool)
+    bubbles[V.dof_map[:, ne:]] = True
+    assert bubbles[N.tocoo().row].all()
+    assert abs(B @ N).max() <= 1e-12 * abs(B).max() * abs(N).max()
+
+
 @pytest.mark.parametrize("k", [0, 2])
 def test_pressure_field_shifts_only_the_mean_modes(k, torus, solver_cache):
     """pressure_field returns a zero-mean copy that differs from its input

@@ -300,29 +300,45 @@ def test_stokes_block_factor_fill():
 
 def test_saddle_oracle_factor_fill(flow_factors):
     """The saddle-point oracle of the 16x8 torus at k = 2 builds one SPD
-    factor, of the penalized velocity block A + gamma B'WB, not pinned:
-    about 0.51M LU entries; a deterministic guard for the ordering."""
+    factor, not pinned, of the penalized velocity block restricted to the
+    kernel of B[qp]: order n_V - n_qp = 1408 and about 0.34M LU entries
+    (the full penalized block A + gamma B'WB: 1920 and 0.51M); a
+    deterministic guard for the ordering."""
     from surfhodge import flow, meshes
 
     ops = flow.FlowOperators(meshes.torus_structured(16, 8), flow.SimulationConfig(k=2))
     flow_factors.clear()
     ops.stokes_saddle()
     (op,) = flow_factors
-    assert op.n == ops.V.total_dofs and not op.pinned
-    assert op.lu_nnz < 600_000
+    n_qp = ops.Q.dof_map[:, 1:].size
+    assert op.n == ops.V.total_dofs - n_qp == 1408 and not op.pinned
+    assert op.lu_nnz < 360_000
+
+
+def test_saddle_oracle_factor_fill_32x16(flow_factors):
+    """On the 32x16 torus at k = 2, the `stokes --compare-saddle` bench
+    mesh, the oracle's one factor has order 5632 (of 7680 H(div) dofs) and
+    about 2.03M LU entries (3.0M for the full penalized block)."""
+    from surfhodge import flow, meshes
+
+    ops = flow.FlowOperators(meshes.torus_structured(32, 16), flow.SimulationConfig(k=2))
+    flow_factors.clear()
+    ops.stokes_saddle()
+    (op,) = flow_factors
+    assert op.n == 5632 and op.lu_nnz <= 2_100_000
 
 
 def test_saddle_oracle_factor_fill_unstructured(flow_factors, sphere4):
     """On the unstructured pierced sphere (2, 4) at k = 2 the oracle's factor
-    holds about 0.50M LU entries with unrelaxed supernodes, against 0.74M
-    with SuperLU's default relax = 10."""
+    holds about 0.33M LU entries with unrelaxed supernodes (the full
+    penalized block: 0.50M, and 0.74M with SuperLU's default relax = 10)."""
     from surfhodge import flow
 
     ops = flow.FlowOperators(sphere4, flow.SimulationConfig(k=2))
     flow_factors.clear()
     ops.stokes_saddle()
     (op,) = flow_factors
-    assert op.lu_nnz < 600_000
+    assert op.lu_nnz < 360_000
 
 
 def _neumann_grid_laplacian(m):
@@ -363,25 +379,29 @@ def test_ungauged_singular_spd_raises(name, scale, rng):
             FactorizedOperator(bad)
 
 
-def test_saddle_factor_peak_memory():
-    """Building the saddle-point oracle's factor, of A + gamma B'WB,
-    allocates far less than its LU (12 bytes per entry) under tracemalloc:
-    no copy of U is made.  SuperLU's own allocations are not traced; the
-    guard is on the Python-side arrays around it."""
+def test_saddle_factor_peak_memory(monkeypatch):
+    """Building the saddle-point oracle's factor, of its penalized block on
+    the kernel of B[qp], allocates far less than its LU (12 bytes per
+    entry) under tracemalloc: no copy of U is made.  SuperLU's own
+    allocations are not traced; the guard is on the Python-side arrays
+    around it."""
     import tracemalloc
 
-    from surfhodge import assembly as asm
     from surfhodge import flow, meshes
 
+    peaks = []
+
+    class Traced(flow.FactorizedOperator):
+        def __init__(self, A):
+            tracemalloc.start()
+            try:
+                super().__init__(A)
+                peaks.append((self, tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+
     ops = flow.FlowOperators(meshes.torus_structured(16, 8), flow.SimulationConfig(k=2))
-    B = ops.hodge.B
-    BWB = B.T @ sp.diags(1.0 / asm.assemble_mass(ops.Q).diagonal()) @ B
-    gamma = flow._AL_PENALTY * abs(ops.A_visc).max() / abs(BWB).max()
-    K = (ops.A_visc + gamma * BWB).tocsc()
-    tracemalloc.start()
-    try:
-        op = FactorizedOperator(K)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    monkeypatch.setattr(flow, "FactorizedOperator", Traced)
+    ops.stokes_saddle()
+    ((op, peak),) = peaks
     assert peak < 12 * op.lu_nnz / 4
