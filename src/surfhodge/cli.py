@@ -1,12 +1,12 @@
 """Command line interface.
 
 Verbs: topology | harmonic | decompose | stokes | nse | verify.
-Exit codes: 0 success, 3 algorithmic failure, 4 solver failure, 2 input
-error (every other package error).  Every command prints a human-readable
-summary; the last stdout line is a JSON object for machine consumption.
-With --out-dir, output files plus a run manifest (config snapshot, mesh
-checksum, seed, phase timings, peak resident size, output list) are
-written there.
+Exit codes: 0 success, 3 algorithmic failure, 4 solver failure or out of
+memory, 2 input error (every other package error).  Every command prints a
+human-readable summary; the last stdout line is a JSON object for machine
+consumption.  With --out-dir, output files plus a run manifest (config
+snapshot, mesh checksum, seed, phase timings, peak resident size, output
+list) are written there.
 """
 
 from __future__ import annotations
@@ -448,6 +448,9 @@ def main(argv=None) -> int:
     except SurfHodgeError as exc:  # MeshInputError and every other input error
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # outside a factor, which reports it as SolverFailure
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ from .errors import (
 )
 from .fespace import FeField
 from .hodge import HarmonicBasis, HodgeSolver
-from .linalg import FactorizedOperator, check_symmetric, mnorm
+from .linalg import FactorizedOperator, _release_free_heap, check_symmetric, mnorm
 from .mesh import SurfaceMesh
 
 
@@ -392,9 +392,13 @@ class FlowOperators:
         (iterated penalty) solve on one SPD factor, of P'(A + gamma B0'W0 B0) P
         with B0 = B[q0] and W0 the inverse pressure mass on q0 (diagonal: the
         DG basis is orthonormal): each step solves for z with load P'(f -
-        B0'p0) and sets p0 += gamma W0 B0 u.  The loop leaves p[qp] as it was;
-        one correction by the bubble rows of the momentum residual, p[qp] +=
-        (PK'(f - A u - B'p))[qp], then recovers it.  Every iterate satisfies
+        B0'p0) and sets p0 += gamma W0 B0 u.  Just before that factor is built,
+        the C heap's freed pages are handed back to the OS
+        (linalg._release_free_heap), so it does not land on what the set-up
+        and the reduced solve freed; nothing after it reuses those pages.
+        The loop leaves p[qp] as it was; one correction by the bubble rows of
+        the momentum residual, p[qp] += (PK'(f - A u - B'p))[qp], then
+        recovers it.  Every iterate satisfies
         the momentum equation tested with P, so the loop may start from any
         multiplier: pressure, a field on Q or its coefficients (default zero).
         It stops at the first step after the first with |B0 u|_W0 <= 1e-13
@@ -428,7 +432,7 @@ class FlowOperators:
         B0, w0 = B[q0], w[q0]
         B0P = B0 @ P
         K = (self.A_visc @ P).T @ P + B0P.T @ sp.diags(gamma * w0) @ B0P  # (A P)' = P' A
-        K.sort_indices()  # a product's order: canonical, K is factored from its own arrays
+        _release_free_heap()  # the set-up's freed pages, before the run's last large factor
         try:
             op = FactorizedOperator(K)
         except (SingularMatrix, NotSPD) as exc:

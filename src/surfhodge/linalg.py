@@ -13,18 +13,20 @@ It is also the one place that decides singularity, by one near-null test
 on every factor, and that picks SuperLU's sweeps: the transposed ones for
 an exactly symmetric matrix, the plain ones otherwise.  Every
 FactorizedOperator counts its solves (one per right-hand side), which the
-Schur-complement instrumentation relies on.
+Schur-complement instrumentation relies on.  SuperLU running out of
+memory is a SolverFailure, like every other failure to factor.
 """
 
 from __future__ import annotations
 
+import ctypes
 import threading
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NotSPD, SingularMatrix
+from .errors import NotSPD, SingularMatrix, SolverFailure
 
 # One SuperLU policy for every factor: a symmetric minimum-degree ordering
 # and static diagonal pivots (on SPD blocks 4-5x less fill than a column
@@ -48,6 +50,25 @@ _SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "relax
 _KERNEL_TOL = 1e-10
 
 
+try:  # the C library's malloc_trim (glibc); None where it has none (macOS, musl, Windows)
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
+
+
+def _release_free_heap() -> None:
+    """Hand the C heap's free pages back to the OS, with malloc_trim(0),
+    which also releases free pages inside the heap, not only at its top.
+    glibc keeps what numpy and scipy free resident, and a large factor
+    built after a long set-up is allocated beside those pages, not on them.
+    Later allocations fault released pages back in, which costs time, so
+    this is called only before a factor that nothing after it reuses the
+    pages for.  Does nothing where the C library has no malloc_trim."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
 class FactorizedOperator:
     """Reusable LU factorization of a sparse SPD matrix A, or of one that is
     SPD up to a kernel of constants.  NotSPD is raised unless A is symmetric
@@ -64,23 +85,31 @@ class FactorizedOperator:
     A csc A, and a csr A that is exactly symmetric (its arrays read as csc
     are A' = A), is factored from its own arrays, or when pinned from one
     copy without its first row and column; another csr A is converted once,
-    and any other input is converted to csc.  The symmetry check's copy,
-    A', is released before SuperLU runs.  An exactly symmetric A (mass
-    matrices, the streamfunction and mean-mode Laplacians) is solved with
-    SuperLU's transposed sweeps, A' x = b, which are the same system and
-    faster; a matrix symmetric only to rounding (the Stokes and step blocks,
+    and any other input is converted to csc.  A csr or csc A that is not
+    canonical (unsorted indices or duplicate entries, as a sum of sparse
+    products leaves it) is made canonical in place by A.sum_duplicates(),
+    which changes the caller's matrix in its layout, not in its values; the
+    symmetry check then costs one copy, A', which is released before
+    SuperLU runs.  An exactly symmetric A (mass matrices, the
+    streamfunction and mean-mode Laplacians) is solved with SuperLU's
+    transposed sweeps, A' x = b, which are the same system and faster; a
+    matrix symmetric only to rounding (the Stokes and step blocks,
     the saddle oracle's block) keeps the plain sweeps, since A' x = b would
     move its solution by A's asymmetry.
 
     solve() accepts a vector or a matrix of right-hand-side columns and
     increments solve_count by the number of columns; concurrent solves from
     several threads are allowed.  n is the order of A and lu_nnz the number
-    of entries stored in its L and U factors (0 for an empty A).
+    of entries stored in its L and U factors (0 for an empty A).  When
+    SuperLU runs out of memory, SolverFailure names the order and entries
+    of the matrix it was factoring.
     """
 
     def __init__(self, A: sp.spmatrix):
         if not (sp.issparse(A) and A.format in ("csr", "csc")):
             A = sp.csc_matrix(A)
+        if not A.has_canonical_format:
+            A.sum_duplicates()  # in place; also sorts the indices
         n, m = A.shape
         if n != m:
             raise SingularMatrix("factorization requires a square matrix")
@@ -108,6 +137,9 @@ class FactorizedOperator:
             self._lu = spla.splu(F, **_SPLU_OPTIONS)
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise SingularMatrix(str(exc)) from exc
+        except MemoryError as exc:
+            raise SolverFailure(f"out of memory factoring a matrix of order {F.shape[0]} "
+                                f"with {F.nnz} entries") from exc
         self.lu_nnz = self._lu.nnz
         # the factor's own near-null vector (its solve is not counted)
         if _is_near_null(F, self._lu.solve(np.random.default_rng(0).standard_normal(F.shape[0]),

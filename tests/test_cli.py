@@ -431,6 +431,39 @@ def test_stokes_inviscid_exit_4(tmp_path, capsys):
     assert err.startswith("solver failure:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("message,line", [
+    ("Unable to allocate 1.17 GiB for an array", "out of memory: Unable to allocate 1.17 GiB"),
+    ("", "out of memory"),
+])
+def test_memory_error_in_setup_exit_4(tmp_path, capsys, monkeypatch, message, line):
+    """A MemoryError outside a factor (which reports SolverFailure), here
+    while the operators are set up, exits 4 with one stderr line."""
+    def operators(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "FlowOperators", operators)
+    cfg = write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\n")
+    assert_one_line_failure(capsys, ["stokes", "--config", cfg], 4, line)
+
+
+def test_only_the_saddle_oracle_releases_free_heap(tmp_path, capsys, monkeypatch):
+    """stokes --compare-saddle hands the C heap's free pages back to the OS
+    once, before the oracle's factor; stokes without the oracle and nse
+    never do."""
+    from surfhodge import linalg
+
+    calls = []
+    monkeypatch.setattr(linalg, "_MALLOC_TRIM", calls.append)
+    stokes = ["stokes", "--config", os.path.join(ROOT, "configs", "stokes_torus.cfg"),
+              "--mesh", "builtin:torus", "--k", "1"]
+    nse = write_cfg(tmp_path, "mesh = builtin:torus\nk = 1\nt_end = 0.05\ndt = 0.01\n")
+    for argv, expected in ((stokes + ["--compare-saddle"], [0]), (stokes, []),
+                           (["nse", "--config", nse], [])):
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert calls == expected, argv
+
+
 # ------------------------------------------------------ other input errors
 def assert_one_line_failure(capsys, argv, code, prefix):
     """argv exits with code, one stderr line starting with prefix and no

@@ -407,6 +407,49 @@ def test_saddle_oracle_inviscid_raises(torus):
         FlowOperators(torus, cfg).stokes_saddle()
 
 
+def test_saddle_releases_free_heap_once_before_its_factor(torus, monkeypatch):
+    """stokes_saddle hands the C heap's free pages back once: after its
+    penalized block exists, which the release finds in the caller's frame,
+    and before that block is factored, so the factor does not land on the
+    pages its set-up freed."""
+    import sys
+
+    from surfhodge import flow
+
+    ops = FlowOperators(torus, SimulationConfig(k=2, mu=0.5, forcing=smooth_forcing(0)))
+    n = ops.V.total_dofs - ops.Q.dof_map[:, 1:].size
+    events = []
+
+    def release():
+        blocks = [v for v in sys._getframe(1).f_locals.values()
+                  if sp.issparse(v) and v.shape == (n, n)]
+        events.append(("release", [id(v) for v in blocks]))
+
+    class Recording(flow.FactorizedOperator):
+        def __init__(self, A):
+            events.append(("factor", id(A)))
+            super().__init__(A)
+
+    monkeypatch.setattr(flow, "_release_free_heap", release)
+    monkeypatch.setattr(flow, "FactorizedOperator", Recording)
+    ops.stokes_saddle()
+    assert [event for event, _ in events] == ["release", "factor"]
+    assert events[0][1] == [events[1][1]]  # the block that exists is the one factored
+
+
+def test_saddle_solution_does_not_depend_on_heap_release(torus, monkeypatch):
+    """Releasing free heap pages before the oracle's factor moves no bit of
+    its velocity or pressure."""
+    from surfhodge import flow
+
+    ops = FlowOperators(torus, SimulationConfig(k=2, mu=0.5, forcing=smooth_forcing(0)))
+    u, p = ops.stokes_saddle()
+    monkeypatch.setattr(flow, "_release_free_heap", lambda: None)
+    u_kept, p_kept = ops.stokes_saddle()
+    assert np.array_equal(u.coefficients, u_kept.coefficients)
+    assert np.array_equal(p.coefficients, p_kept.coefficients)
+
+
 def test_pressure_robustness_gradient_forcing(torus_ops, rng):
     """Perturbing the load by a discrete gradient leaves the velocity
     unchanged and only shifts the pressure."""

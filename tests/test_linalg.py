@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from surfhodge.errors import NotSPD, SingularMatrix, SolverError
+from surfhodge.errors import NotSPD, SingularMatrix, SolverError, SolverFailure
 from surfhodge.linalg import FactorizedOperator, check_symmetric, zero_mean
 
 
@@ -405,3 +405,76 @@ def test_saddle_factor_peak_memory(monkeypatch):
     ops.stokes_saddle()
     ((op, peak),) = peaks
     assert peak < 12 * op.lu_nnz / 4
+
+
+def _traced_factor(A):
+    """FactorizedOperator(A) and the peak of its constructor's allocations
+    under tracemalloc."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        return FactorizedOperator(A), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_unsorted_input_factored_as_its_sorted_copy(monkeypatch):
+    """A csc matrix whose indices are unsorted, the order a sum of sparse
+    products leaves, is sorted in place before it is checked and factored:
+    the 16x8 oracle block with each column's entries shuffled solves bit for
+    bit as the sorted block, and its constructor peaks within 10% of the
+    sorted block's (0.79 MB each; 2.38 MB while the unsorted block took
+    check_symmetric's A - A' path)."""
+    from surfhodge import flow, meshes
+
+    blocks = []
+
+    class Kept(flow.FactorizedOperator):
+        def __init__(self, A):
+            super().__init__(A)
+            blocks.append(A)
+
+    ops = flow.FlowOperators(meshes.torus_structured(16, 8), flow.SimulationConfig(k=2))
+    monkeypatch.setattr(flow, "FactorizedOperator", Kept)
+    ops.stokes_saddle()
+    (K,) = blocks
+    assert K.format == "csc" and K.has_canonical_format
+    rng = np.random.default_rng(5)
+    order = np.concatenate([start + rng.permutation(stop - start)
+                            for start, stop in zip(K.indptr[:-1], K.indptr[1:])])
+    shuffled = sp.csc_matrix((K.data[order], K.indices[order], K.indptr.copy()), shape=K.shape)
+    assert not shuffled.has_sorted_indices
+    sorted_op, sorted_peak = _traced_factor(K)
+    shuffled_op, shuffled_peak = _traced_factor(shuffled)
+    assert shuffled.has_canonical_format  # sorted in place, its values kept
+    assert np.array_equal(shuffled.indices, K.indices) and np.array_equal(shuffled.data, K.data)
+    b = rng.standard_normal(K.shape[0])
+    assert np.array_equal(shuffled_op.solve(b), sorted_op.solve(b))
+    assert shuffled_peak <= 1.10 * sorted_peak, (shuffled_peak, sorted_peak)
+
+
+def test_duplicate_entries_summed_in_place():
+    """A csc matrix with a duplicate entry is factored as the matrix of its
+    sums, and is left canonical."""
+    A = sp.csc_matrix((np.array([2.0, 1.0, 1.0, 1.0, 3.0]), np.array([0, 1, 0, 1, 1]),
+                       np.array([0, 2, 5])), shape=(2, 2))  # A[1, 1] = 1 + 3
+    b = np.array([1.0, 2.0])
+    x = FactorizedOperator(A).solve(b)
+    assert A.has_canonical_format and A.nnz == 4
+    assert np.allclose(np.array([[2.0, 1.0], [1.0, 4.0]]) @ x, b, rtol=0, atol=1e-14)
+
+
+def test_superlu_out_of_memory_is_a_solver_failure(monkeypatch):
+    """SuperLU's MemoryError becomes a SolverFailure (CLI exit 4) that names
+    the order and entries of the matrix it was factoring."""
+    from surfhodge import linalg
+
+    def splu(F, **kwargs):
+        raise MemoryError("Not enough memory to perform factorization.")
+
+    monkeypatch.setattr(linalg.spla, "splu", splu)
+    A = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(5, 5), format="csc")
+    with pytest.raises(SolverFailure, match="out of memory factoring a matrix of order 5 "
+                                            "with 13 entries"):
+        FactorizedOperator(A)

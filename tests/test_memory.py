@@ -4,19 +4,23 @@ One rung is run_simulation, the path the nse command takes, on the 64x32
 torus, so the bound also sees which factors and operators it keeps alive
 at once (it releases A_visc, A_red, the sparse step block and the pressure
 factor once it stops reading them); the other is `stokes --compare-saddle`
-on the 32x16 torus, whose saddle-point factor lands on whatever set-up
-left resident (A_red is released before it).  Each runs in its own
-process, so the peak resident size it reports belongs to that rung alone
-and not to whatever the test run allocated before.  A bound is about
+on the 32x16 torus, whose saddle-point factor is built once A_red is
+released and the C heap's free pages are handed back to the OS.  Each
+runs in its own process, so the peak resident size it reports belongs to
+that rung alone and not to whatever the test run allocated before.  A bound is about
 1.25 times the measured peak: it guards against per-step or per-form
 tabulations that grow past the mesh (such as dense ambient gradient
 tables) and against set-up copies that outlive their use, not against
-small drifts, and it checks memory, not time.
+small drifts, and it checks memory, not time.  Two more tests run in their
+own processes: the release of free heap pages, and a run whose address
+space is too small for its factors.
 """
 
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -59,20 +63,27 @@ print(_peak_rss_mb())
 # factor, 396 MB when the step factor was built before the Stokes start's
 # factor was freed
 PEAK_MB_BOUND = 315
-# measured peak about 117-120 MB on x86_64 Linux, since the oracle factors
-# its penalized block only on the kernel of B[qp] (2.0M LU entries); 127 MB
-# with the full n_V x n_V block (3.0M), 130 MB while A_red and the penalty
-# term B'WB stayed alive beside that factor
-SADDLE_PEAK_MB_BOUND = 145
+# measured peak about 113-115 MB on x86_64 Linux, now at the reduced
+# solve's factor (A_ss, 1.57M LU entries), since the C heap's free pages
+# are handed back before the oracle's factor (2.0M); 117-120 MB while that
+# factor was allocated beside them, 127 MB with the full n_V x n_V oracle
+# block (3.0M), 130 MB while A_red and the penalty term B'WB stayed alive
+# beside it
+SADDLE_PEAK_MB_BOUND = 142
+
+
+def _run(script: str, *args: str, **kwargs) -> subprocess.CompletedProcess:
+    """script run in its own process, on this checkout's sources."""
+    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p),
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300, **kwargs)
 
 
 def _peak_mb(script: str, *args: str) -> float:
     """The peak resident size of script, run in its own process."""
-    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p),
-           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", script + PEAK, *args], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = _run(script + PEAK, *args)
     assert proc.returncode == 0, proc.stderr
     return float(proc.stdout.split()[-1])
 
@@ -90,3 +101,76 @@ def test_compare_saddle_peak_memory_32x16_k2():
     last."""
     peak_mb = _peak_mb(SADDLE, os.path.join(ROOT, "configs", "stokes_torus.cfg"))
     assert peak_mb <= SADDLE_PEAK_MB_BOUND, f"peak RSS {peak_mb:.0f} MB"
+
+
+# leaves 48 MiB of freed heap chunks resident, then releases them
+RELEASE = """
+import numpy as np
+from surfhodge.linalg import _MALLOC_TRIM, _release_free_heap
+
+def rss_mib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmRSS:")) / 1024
+
+if _MALLOC_TRIM is None:
+    print("no malloc_trim")
+    raise SystemExit
+big = np.ones(1 << 20)  # 8 MiB, mapped; freeing it raises glibc's mapping threshold
+del big
+kept, freed = [], []
+for _ in range(48):
+    freed.append(np.ones(1 << 17))  # 1 MiB, now on the heap
+    kept.append(np.ones(1 << 12))  # 32 KiB kept live, so the freed chunks stay inside the heap
+del freed
+before = rss_mib()
+_release_free_heap()
+print(before - rss_mib())
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS")
+def test_release_free_heap_returns_freed_pages():
+    """With 48 MiB of freed but resident heap chunks, none at the heap's
+    top, the release drops the resident size by at least 32 MiB (48 MiB
+    measured on x86_64 Linux with glibc)."""
+    proc = _run(RELEASE)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "no malloc_trim":
+        pytest.skip("the C library has no malloc_trim")
+    assert float(proc.stdout) >= 32
+
+
+# on x86_64 Linux the 64x32 torus stokes run at k = 2 exits 0 with a 520 MB
+# address space; with 400-500 MB SuperLU runs out of memory while it
+# factors the Stokes block A_ss (order 18,431)
+OOM_LIMIT_MB = 450
+
+STOKES = """
+import sys
+from surfhodge.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="address-space limit measured on Linux")
+def test_out_of_memory_run_exits_4_with_one_line(tmp_path):
+    """stokes on the 64x32 torus at k = 2 in a process whose address space
+    is too small for the Stokes block's factor: exit 4, no traceback, and
+    the run's one line is the last on stderr (SuperLU may print its own
+    before it)."""
+    from surfhodge import meshes
+    from surfhodge.mesh import save_off
+
+    mesh = str(tmp_path / "torus64x32.off")
+    save_off(meshes.torus_structured(64, 32), mesh)
+
+    def limit():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (OOM_LIMIT_MB << 20, OOM_LIMIT_MB << 20))
+
+    proc = _run(STOKES, "stokes", "--config", os.path.join(ROOT, "configs", "stokes_torus.cfg"),
+                "--mesh", mesh, "--k", "2", preexec_fn=limit)
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("solver failure: out of memory factoring")
