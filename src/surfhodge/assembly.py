@@ -499,13 +499,22 @@ def convection_tabulation(V: FeSpace) -> dict:
     q of edge e, from _side_traces; the edges vary fastest, so the upwind
     arithmetic runs over long contiguous rows.  "div" holds the reference
     divergences, weights and 1 / J of the divergence-free check.
+
+    The volume rule has degree 3 max(k, 1) - 1, the exact degree of the
+    integrand u . (grad(v) w) on affine triangles (V of degree 0 spans
+    degree-1 fields): 4 points per triangle at k = 0 and 1, 9 at k = 2, 25
+    at k = 3 and 36 at k = 4.  The edge rule, of degree max(2k + 2, 3k),
+    stays as it is: its points are where the upwind side is chosen, and w .
+    nu_0 may change sign inside an edge, so they define the facet term
+    rather than integrate a polynomial (on the 8x8 torus at k = 1, a 2-point
+    rule moves a random divergence-free C(w) w by 14%, a 4-point one by 7%).
     """
     mesh = V.mesh
     k = V.degree
     n_loc = V.ref.n_local
     tab: dict = {"space": V, "div": _divergence_tabulation(V)}
     V.scatter  # builds V's gather operators now, not in the first step
-    rule = triangle_rule(max(2 * k + 3, 3 * k))
+    rule = triangle_rule(3 * max(k, 1) - 1)
     vals = V.ref.eval(rule.xy).transpose(2, 1, 0)  # (2, n_q, n_loc)
     grads = np.moveaxis(V.ref.grad(rule.xy) * -rule.weights[:, None, None], 1, -1)
     g = np.ascontiguousarray(_gram(mesh.F).transpose(1, 2, 0)) / mesh.Jdet**2

@@ -313,6 +313,7 @@ class FlowOperators:
         self.A_red = self.emb.reduce_matrix(self.A_visc)
         self.forcing = config.forcing if config.forcing is not None else _zero_forcing
         self._load_tab = asm.load_tabulation(self.V)
+        self._held_L_psi = None  # (psi, L psi) of the state make_state made last
         self._steady_load = None
         if getattr(self.forcing, "steady", False):
             b = asm.assemble_load(self.V, self.forcing, time=0.0, tab=self._load_tab)
@@ -331,13 +332,22 @@ class FlowOperators:
     def make_state(self, t: float, x_s: np.ndarray, x_h: np.ndarray,
                    step: int = 0, t0: float | None = None) -> FlowState:
         """The state (x_s, x_h) at t, with energy 1/2 (psi' L psi + |x_h|^2)
-        in the reduced mass diag(L, I); NaNDetected if it is not finite."""
+        in the reduced mass diag(L, I); NaNDetected if it is not finite.
+
+        The state's psi coefficients are a read-only view, and the product
+        L psi is held for the last state made (_stream_mass_product), so the
+        next step and run_simulation's record of that state form no second
+        one."""
         h = np.asarray(x_h, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             u, psi = self.emb.apply(x_s, h), self.hodge.stream_field(x_s)
-            energy = 0.5 * (psi.coefficients @ (self.hodge.L @ psi.coefficients) + h @ h)
+            L_psi = self.hodge.L @ psi.coefficients
+            energy = 0.5 * (psi.coefficients @ L_psi + h @ h)
         if not math.isfinite(energy):
             raise NaNDetected(f"non-finite state at t = {t:g}")
+        psi.coefficients = psi.coefficients.view()
+        psi.coefficients.flags.writeable = False
+        self._held_L_psi = (psi.coefficients, L_psi)
         return FlowState(
             t=t,
             psi=psi,
@@ -347,6 +357,16 @@ class FlowOperators:
             step=step,
             t0=t0,
         )
+
+    def _stream_mass_product(self, state: FlowState) -> np.ndarray:
+        """L psi of state's streamfunction coefficients: the product
+        make_state formed, when state's psi is the one make_state made last
+        (the same array object), and a new product otherwise, such as for a
+        state built by hand or a copy whose psi was replaced."""
+        held = self._held_L_psi
+        if held is not None and held[0] is state.psi.coefficients:
+            return held[1]
+        return self.hodge.L @ state.psi.coefficients
 
     def initial_state(self) -> FlowState:
         """The state at t = 0 that config.initial names: zero, or the
@@ -480,7 +500,8 @@ class NavierStokesStepper:
     Each step costs one matrix-free convection action and one sparse solve,
     plus one load assembly only when the forcing is time-dependent.  Its
     other fixed work: the finiteness checks of u and of b = f - C(u) u,
-    the restriction E'b, H b plus the mass terms L psi / dt, h / dt, the
+    the restriction E'b, H b plus the mass terms L psi / dt, h / dt (L psi
+    is the product make_state formed for the state it made last), the
     b1 x b1 Cholesky solve by LAPACK's potrs and make_state.  The
     convection tabulation, V's gather operators and every transpose a step
     applies are built here.
@@ -526,9 +547,9 @@ class NavierStokesStepper:
             if not np.isfinite(b).all():
                 raise NaNDetected(f"non-finite right-hand side at t = {t_next:g}")
             b_s, b_h = ops.emb.reduce_vector(b)
-            x_s, x_h = self.solver.solve(b_s + ops.hodge.L @ state.psi.coefficients / cfg.dt,
+            x_s, x_h = self.solver.solve(b_s + ops._stream_mass_product(state) / cfg.dt,
                                          b_h + state.h_coeffs / cfg.dt)
-            return ops.make_state(t_next, x_s, x_h, step=n, t0=state.t0)
+        return ops.make_state(t_next, x_s, x_h, step=n, t0=state.t0)
 
 
 @dataclass
@@ -586,7 +607,7 @@ def run_simulation(mesh: SurfaceMesh, config: SimulationConfig,
     outputs = []
 
     def record(st: FlowState):
-        rot_norm = mnorm(st.psi.coefficients, ops.hodge.L)
+        rot_norm = mnorm(st.psi.coefficients, ops.hodge.L, ops._stream_mass_product(st))
         h_norm = float(np.linalg.norm(st.h_coeffs))
         return [st.t, st.kinetic_energy, h_norm, rot_norm, *st.h_coeffs.tolist()]
 

@@ -172,14 +172,20 @@ def zero_mean(x: np.ndarray, moment: np.ndarray | None) -> np.ndarray:
     return x if moment is None else x - (moment @ x) / moment.sum()
 
 
-def mnorm(x: np.ndarray, M: sp.spmatrix | None = None) -> float:
+def mnorm(x: np.ndarray, M: sp.spmatrix | None = None, Mx: np.ndarray | None = None) -> float:
     """sqrt(x' M x), or |x| for M None, formed on x scaled by the power of 2
     of its largest entry.  That scaling is exact, so the bits are those of
     the unscaled form wherever it is finite, and the norm overflows only
-    when it is itself beyond the float range."""
+    when it is itself beyond the float range.  Mx, a finite M x the caller
+    already holds, is scaled in place of a product M y: the same bits,
+    unless scaling pushes entries into the subnormal range."""
     _, e = np.frexp(np.abs(x).max(initial=0.0))
     y = np.ldexp(x, -e)
-    return float(np.ldexp(np.sqrt(max(y @ (y if M is None else M @ y), 0.0)), e))
+    if M is None:
+        My = y
+    else:
+        My = M @ y if Mx is None else np.ldexp(Mx, -e)
+    return float(np.ldexp(np.sqrt(max(y @ My, 0.0)), e))
 
 
 def check_symmetric(A: sp.spmatrix, what: str) -> bool:

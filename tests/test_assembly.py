@@ -8,7 +8,7 @@ from surfhodge.errors import (
     NonpositiveParameter,
     NotDivergenceFree,
 )
-from surfhodge.fespace import FeField, build_space, edge_ref_points
+from surfhodge.fespace import REF_EDGE_NORMALS, FeField, build_space, edge_ref_points
 from surfhodge.mesh import SurfaceMesh
 from surfhodge.quadrature import edge_rule, triangle_rule
 
@@ -597,6 +597,20 @@ def test_side_trace_normal_rows_store_own_edge_dofs(sphere4, k):
     assert row_nnz[1:].max() == V.ref.n_local
 
 
+@pytest.mark.parametrize("k", range(5))
+def test_normal_traces_of_other_edges_dofs_are_rounding(k):
+    """On a reference edge only the edge's own k + 1 BDM dofs have a normal
+    trace: the others' vanish exactly, and evaluate to rounding, below 1e-11
+    of the own dofs' largest (1.7e-12 at k = 4).  The flux rows of Psi and
+    the convection oracle's flux keep the own dofs alone."""
+    ref = build_space(meshes.single_triangle(), "bdm", k).ref
+    tq, _ = edge_rule(max(2 * k + 2, 3 * k))
+    for i, normal in enumerate(REF_EDGE_NORMALS):
+        vn = ref.eval(edge_ref_points(i, tq)) @ normal  # (n_loc, n_q)
+        own = np.arange(ref.n_local) // (k + 1) == i
+        assert np.abs(vn[~own]).max() <= 1e-11 * np.abs(vn[own]).max()
+
+
 def test_convection_facet_operators_store_no_cancelling_rows():
     """On trefoil_tube(24, 8) at k = 1 (576 interior edges, 3 points each)
     Psi stores 2 flux and 2 x 6 tangential entries per point, 3456 fewer
@@ -631,9 +645,12 @@ def _ambient_convection(V, w, u):
     bt = np.einsum("eslqi,ei->eslq", svals, tau)
     un = np.einsum("esl,eslq->esq", u_loc[sides], bn)
     ut = np.einsum("esl,eslq->esq", u_loc[sides], bt)
-    # w . nu seen from side 0, weighted; side 1 sees its negative
-    wn = np.einsum("el,elq->eq", w_loc[sides[:, 0]], bn[:, 0]) * tw * mesh.edge_lengths[
-        interior][:, None]
+    # w . nu seen from side 0, weighted; side 1 sees its negative.  Only the
+    # edge's own k + 1 dofs have a normal trace there: the others' vanish
+    # exactly, and evaluate to rounding (up to 1.7e-12 at k = 4)
+    own = np.arange(V.ref.n_local) // (k + 1) == le[:, 0, None]  # (E, n_loc)
+    wn = np.einsum("el,elq->eq", np.where(own, w_loc[sides[:, 0]], 0.0),
+                   bn[:, 0]) * tw * mesh.edge_lengths[interior][:, None]
     flux = wn[:, None, :] * np.array([1.0, -1.0])[None, :, None]
     ut_up = np.where(wn > 0, ut[:, 0], ut[:, 1])
     edge = np.einsum("eslq,esq->esl", bn, flux * un) + np.einsum(
@@ -648,7 +665,7 @@ def _ambient_convection(V, w, u):
 
 
 @pytest.mark.parametrize("mesh_name, k", [
-    *((name, k) for name in ("torus", "sphere4") for k in range(4)),
+    *((name, k) for name in ("torus", "sphere4") for k in range(5)),
     # no interior edges: an empty Psi, and zero-normal-trace dofs from k = 2
     ("single_triangle", 2), ("single_triangle", 3),
 ])
@@ -656,7 +673,9 @@ def test_convection_action_matches_ambient_oracle(request, rng, mesh_name, k):
     """The reference-frame action equals the ambient formula it replaced,
     for a generic u and for u = w; the largest |w| its evaluation returns
     for the CFL check equals the largest |w| that tabulate_field gives at
-    its rule."""
+    its rule.  The oracle integrates the volume term on a rule of higher
+    degree than the action's 3 max(k, 1) - 1, so agreement to rounding shows
+    that the action's rule is exact for the trilinear integrand."""
     mesh = (meshes.single_triangle() if mesh_name == "single_triangle"
             else request.getfixturevalue(mesh_name))
     V = build_space(mesh, "bdm", k, "zero_normal_trace")

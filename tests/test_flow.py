@@ -24,13 +24,14 @@ from surfhodge.fespace import FeField
 from surfhodge.flow import (
     BlockSystem,
     FlowOperators,
+    FlowState,
     JEmbedding,
     NavierStokesStepper,
     ReducedSolver,
     SimulationConfig,
     run_simulation,
 )
-from surfhodge.linalg import zero_mean
+from surfhodge.linalg import mnorm, zero_mean
 from surfhodge.quadrature import triangle_rule
 
 
@@ -761,6 +762,60 @@ def test_step_reads_the_state_in_reduced_coordinates(torus3, basis_cache):
     for altered in (replace(state, psi=FeField(ops.S, 2.0 * state.psi.coefficients)),
                     replace(state, h_coeffs=2.0 * state.h_coeffs)):
         assert not np.allclose(stepper.step(altered).u.coefficients, plain)
+
+
+def _same_state(a, b) -> bool:
+    return (a.t == b.t and a.kinetic_energy == b.kinetic_energy
+            and all(np.array_equal(x, y) for x, y in (
+                (a.psi.coefficients, b.psi.coefficients), (a.h_coeffs, b.h_coeffs),
+                (a.u.coefficients, b.u.coefficients))))
+
+
+def test_step_holds_l_psi_for_the_state_made_last_only(torus3, basis_cache):
+    """make_state holds L psi for the state it made last, and the step reads
+    it for that state alone: the state made last, a replace(state, psi=...)
+    copy of it, a hand-built FlowState and an earlier state each step to the
+    same bits as a hand-built copy of them on fresh operators, which hold
+    no product.  A state's psi
+    is read-only, so the held product cannot go stale in place."""
+    cfg = SimulationConfig(k=1, mu=0.1, dt=1e-2, t_end=1e-1, forcing=smooth_forcing(17))
+    basis = basis_cache(torus3, 1)
+    ops = FlowOperators(torus3, cfg, basis=basis)
+    stepper = NavierStokesStepper(ops)
+    s0 = ops.initial_state()
+    s1 = stepper.step(s0)
+    with pytest.raises(ValueError):
+        s1.psi.coefficients[0] = 1.0
+
+    def by_hand(st):  # a copy built from its fields' values alone
+        return FlowState(t=st.t, psi=FeField(ops.S, st.psi.coefficients.copy()),
+                         h_coeffs=st.h_coeffs.copy(), u=FeField(ops.V, st.u.coefficients.copy()),
+                         kinetic_energy=st.kinetic_energy, step=st.step, t0=st.t0)
+
+    altered = replace(s1, psi=FeField(ops.S, 2.0 * s1.psi.coefficients))
+    for state in (s1, altered, by_hand(s0), s0):
+        got = stepper.step(state)
+        fresh = NavierStokesStepper(FlowOperators(torus3, cfg, basis=basis))
+        assert _same_state(got, fresh.step(by_hand(state)))
+
+
+@pytest.mark.parametrize("name", ["nse_trefoil", "nse_torus_decay", "nse_pierced_sphere"])
+def test_recorded_rot_norm_is_mnorm_of_psi(name):
+    """Every rot_norm a shipped nse config records, formed on the L psi that
+    make_state held, equals mnorm(psi, L) of its state bit for bit: the
+    states are replayed on operators that hold the same basis."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg"
+    cfg, raw = load_simulation_config(path)
+    mesh = meshes.resolve(raw["mesh"])
+    result = run_simulation(mesh, cfg)
+    ops = FlowOperators(mesh, cfg, basis=result.basis)
+    stepper, state = NavierStokesStepper(ops), ops.initial_state()
+    want = [mnorm(state.psi.coefficients, ops.hodge.L)]
+    for _ in range(len(result.records) - 1):
+        state = stepper.step(state)
+        want.append(mnorm(state.psi.coefficients, ops.hodge.L))
+    assert _same_state(state, result.final_state)
+    assert np.array_equal(result.records[:, 3], want)
 
 
 def _step_block(ops, monkeypatch):

@@ -3,13 +3,23 @@ import pytest
 import scipy.sparse as sp
 
 from surfhodge.errors import NotSPD, SingularMatrix, SolverError, SolverFailure
-from surfhodge.linalg import FactorizedOperator, check_symmetric, zero_mean
+from surfhodge.linalg import FactorizedOperator, check_symmetric, mnorm, zero_mean
 
 
 def test_identity_solve():
     op = FactorizedOperator(sp.identity(5, format="csc"))
     b = np.arange(5.0)
     assert np.allclose(op.solve(b), b)
+
+
+@pytest.mark.parametrize("scale", [2.0**-600, 1e-3, 1.0, 3e4, 2.0**500])
+def test_mnorm_reads_a_held_product_with_the_same_bits(rng, scale):
+    """mnorm(x, M, M x) scales the held M x as it scales x, by a power of 2,
+    so it equals mnorm(x, M) bit for bit, however large or small x is."""
+    A = sp.random(60, 60, density=0.1, random_state=1)
+    M = (A @ A.T + sp.identity(60)).tocsr()
+    for x in (scale * rng.standard_normal(60), np.zeros(60)):
+        assert mnorm(x, M, M @ x) == mnorm(x, M)
 
 
 def test_two_by_two():

@@ -11,9 +11,9 @@ that rung alone and not to whatever the test run allocated before.  A bound is a
 1.25 times the measured peak: it guards against per-step or per-form
 tabulations that grow past the mesh (such as dense ambient gradient
 tables) and against set-up copies that outlive their use, not against
-small drifts, and it checks memory, not time.  Two more tests run in their
-own processes: the release of free heap pages, and a run whose address
-space is too small for its factors.
+small drifts, and it checks memory, not time.  More tests run in their
+own processes: the release of free heap pages, and a stokes and an nse run
+whose address space is too small for their factors.
 """
 
 import os
@@ -144,6 +144,10 @@ def test_release_free_heap_returns_freed_pages():
 # address space; with 400-500 MB SuperLU runs out of memory while it
 # factors the Stokes block A_ss (order 18,431)
 OOM_LIMIT_MB = 450
+# the nse run on the same mesh and degree exits 0 with 500 MB; with 440-490
+# MB it runs out while it factors the Stokes start's A_ss, as stokes does;
+# 430 MB fails in L's factor, whose SuperLU message ends without a newline
+NSE_OOM_LIMIT_MB = 460
 
 STOKES = """
 import sys
@@ -152,12 +156,9 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="address-space limit measured on Linux")
-def test_out_of_memory_run_exits_4_with_one_line(tmp_path):
-    """stokes on the 64x32 torus at k = 2 in a process whose address space
-    is too small for the Stokes block's factor: exit 4, no traceback, and
-    the run's one line is the last on stderr (SuperLU may print its own
-    before it)."""
+def _run_out_of_memory(tmp_path, limit_mb: int, verb: str, config: str):
+    """verb with config on the 64x32 torus at k = 2, in a process whose
+    address space is limit_mb MB."""
     from surfhodge import meshes
     from surfhodge.mesh import save_off
 
@@ -167,10 +168,30 @@ def test_out_of_memory_run_exits_4_with_one_line(tmp_path):
     def limit():
         import resource
 
-        resource.setrlimit(resource.RLIMIT_AS, (OOM_LIMIT_MB << 20, OOM_LIMIT_MB << 20))
+        resource.setrlimit(resource.RLIMIT_AS, (limit_mb << 20, limit_mb << 20))
 
-    proc = _run(STOKES, "stokes", "--config", os.path.join(ROOT, "configs", "stokes_torus.cfg"),
+    return _run(STOKES, verb, "--config", os.path.join(ROOT, "configs", config),
                 "--mesh", mesh, "--k", "2", preexec_fn=limit)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="address-space limit measured on Linux")
+def test_out_of_memory_run_exits_4_with_one_line(tmp_path):
+    """stokes on the 64x32 torus at k = 2 in a process whose address space
+    is too small for the Stokes block's factor: exit 4, no traceback, and
+    the run's one line is the last on stderr (SuperLU may print its own
+    before it)."""
+    proc = _run_out_of_memory(tmp_path, OOM_LIMIT_MB, "stokes", "stokes_torus.cfg")
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("solver failure: out of memory factoring")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="address-space limit measured on Linux")
+def test_out_of_memory_nse_run_exits_4_with_one_line(tmp_path):
+    """nse on the 64x32 torus at k = 2, its address space too small for the
+    Stokes start's factor: exit 4, no traceback, and the run's one line is
+    the last on stderr."""
+    proc = _run_out_of_memory(tmp_path, NSE_OOM_LIMIT_MB, "nse", "nse_torus_decay.cfg")
     assert proc.returncode == 4, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("solver failure: out of memory factoring")
