@@ -399,15 +399,15 @@ class HodgeSolver:
         with the basis.  The gradient part is g0 = R B v, which has v's
         divergence, minus its own projection onto J = rot S + H: it equals
         M^-1 B' lam up to solver precision, with no mass factor.  One
-        two-column L solve gives psi and g0's streamfunction, and the L0
-        solve of R gives g0.  Their loads are products with Es' M and the
-        harmonic coefficients of v and g0 products with the basis's mass
-        image H M, so the residual's is the call's one product with M.  The
-        residual measures the whole split: an incomplete basis or an
-        inaccurate L solve leaves it nonzero.  The pressure Poisson
-        multiplier lam of what the rot and harmonic parts leave is not
-        computed here but on its first read, with one more mass product and
-        L0 solve (HodgeComponents.lam).
+        two-column L solve, one blocked SuperLU pass, gives psi and g0's
+        streamfunction, and the L0 solve of R gives g0.  Their loads are
+        products with Es' M and the harmonic coefficients of v and g0
+        products with the basis's mass image H M, so the residual's is the
+        call's one product with M.  The residual measures the whole split:
+        an incomplete basis or an inaccurate L solve leaves it nonzero.  The
+        pressure Poisson multiplier lam of what the rot and harmonic parts
+        leave is not computed here but on its first read, with one more mass
+        product and L0 solve (HodgeComponents.lam).
         """
         self.check_basis(basis)
         if not self.V.same_as(v.space):
@@ -418,13 +418,13 @@ class HodgeSolver:
             HM = H @ self.M
             self._basis_image = (H, HM)
         g0 = self._right_inverse(self.B @ vc)
-        psi, psi_g = self.laplace_operator.solve(  # two products beat one (n, 2) product
+        psi, psi_g = self.laplace_operator.solve(  # two Es' M products beat one (n, 2) one
             np.column_stack([self._EsTM @ vc, self._EsTM @ g0])).T
         h = HM @ vc
-        rot_part, harmonic_part = self._Es @ psi, H.T @ h
+        rot_part, harmonic_part = self._Es @ psi, h @ H  # h @ H reads H in row order
         gradient_part = g0  # g0 - Es psi_g - H' H M g0, formed on g0
         gradient_part -= self._Es @ psi_g
-        gradient_part -= H.T @ (HM @ g0)
+        gradient_part -= (HM @ g0) @ H
         with np.errstate(over="ignore", invalid="ignore"):  # the caller sees inf or nan
             r = vc - rot_part  # kept for lam
             r -= harmonic_part

@@ -10,8 +10,8 @@ FactorizedOperator is the one factorization class, with one ordering and
 pivoting policy for every factor; it finds a constants kernel itself and
 pins the first dof, and zero_mean shifts a pinned solution to zero mean.
 It is also the one place that decides singularity, by one near-null test
-on every factor, and that picks SuperLU's sweeps: the transposed ones for
-an exactly symmetric matrix, the plain ones otherwise.  Every
+on every factor, and every factor solves with SuperLU's plain sweeps, which
+take a block of right-hand sides in one pass.  Every
 FactorizedOperator counts its solves (one per right-hand side), which the
 Schur-complement instrumentation relies on.  SuperLU running out of
 memory is a SolverFailure, like every other failure to factor.
@@ -90,12 +90,11 @@ class FactorizedOperator:
     products leaves it) is made canonical in place by A.sum_duplicates(),
     which changes the caller's matrix in its layout, not in its values; the
     symmetry check then costs one copy, A', which is released before
-    SuperLU runs.  An exactly symmetric A (mass matrices, the
-    streamfunction and mean-mode Laplacians) is solved with SuperLU's
-    transposed sweeps, A' x = b, which are the same system and faster; a
-    matrix symmetric only to rounding (the Stokes and step blocks,
-    the saddle oracle's block) keeps the plain sweeps, since A' x = b would
-    move its solution by A's asymmetry.
+    SuperLU runs.  Every factor is solved with SuperLU's plain sweeps,
+    A x = b, which take a block of columns in one supernodal pass (its
+    transposed sweeps take one column at a time) with dense block kernels,
+    so a column of a block agrees with its solve alone to rounding, not
+    always bitwise.
 
     solve() accepts a vector or a matrix of right-hand-side columns and
     increments solve_count by the number of columns; concurrent solves from
@@ -126,7 +125,6 @@ class FactorizedOperator:
         if (A.diagonal() <= 0).any():
             raise NotSPD("nonpositive diagonal entry in a matrix declared SPD")
         exact = check_symmetric(A, "matrix declared SPD")
-        self._trans = "T" if exact else "N"  # A' x = b is A x = b
         if A.format == "csr":  # A' = A: A's arrays read as csc are A itself
             A = sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape) if exact else A.tocsc()
         A_norm = (_abs(A) @ np.ones(n)).max()  # |A|'s largest row sum
@@ -142,8 +140,8 @@ class FactorizedOperator:
                                 f"with {F.nnz} entries") from exc
         self.lu_nnz = self._lu.nnz
         # the factor's own near-null vector (its solve is not counted)
-        if _is_near_null(F, self._lu.solve(np.random.default_rng(0).standard_normal(F.shape[0]),
-                                           self._trans), A_norm):
+        if _is_near_null(F, self._lu.solve(np.random.default_rng(0).standard_normal(F.shape[0])),
+                         A_norm):
             raise SingularMatrix("matrix is numerically singular")
 
     @property
@@ -158,10 +156,10 @@ class FactorizedOperator:
         if self.n == 0:
             return np.zeros_like(b)
         if not self._pinned:
-            return self._lu.solve(b, self._trans)
+            return self._lu.solve(b)
         x = np.empty_like(b)
         x[0] = 0.0
-        x[1:] = self._lu.solve(b[1:], self._trans)
+        x[1:] = self._lu.solve(b[1:])
         return x
 
 

@@ -124,11 +124,11 @@ class _CountingMass(sp.csr_matrix):
         return super().__matmul__(other)
 
 
-def test_decompose_makes_one_mass_product(torus, rng):
+def test_decompose_makes_one_mass_product(torus, rng, monkeypatch):
     """Once its first call has built Es' M and the basis's mass image H M,
     decompose makes one product with M (the residual's), two L solve
-    columns and one L0 solve; the first read of lam adds one M product and
-    one L0 solve."""
+    columns in one call of a 2-column block and one L0 solve; the first
+    read of lam adds one M product and one L0 solve."""
     solver = HodgeSolver(torus, 1)
     solver.M = M = _CountingMass(solver.M)
     basis = solver.harmonic_basis(seed=0)
@@ -137,8 +137,13 @@ def test_decompose_makes_one_mass_product(torus, rng):
     solver.decompose(v, basis)
     counts = lambda: (M.products, L.solve_count, L0.solve_count)  # noqa: E731
     before = counts()
+    calls = []
+    for name, op in (("L", L), ("L0", L0)):
+        monkeypatch.setattr(op, "solve", lambda b, name=name, solve=op.solve:
+                            calls.append((name, np.shape(b)[1:])) or solve(b))
     comp = solver.decompose(v, basis)
     assert counts() == (before[0] + 1, before[1] + 2, before[2] + 1)
+    assert sorted(calls) == [("L", (2,)), ("L0", ())]
     comp.lam
     assert counts() == (before[0] + 2, before[1] + 2, before[2] + 2)
 

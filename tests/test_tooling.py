@@ -134,3 +134,40 @@ def test_eager_cached_property_check_flags_a_read_in_init():
         "    @cached_property\n"
         "    def lazy(self): ...\n")
     assert _eager_cached_properties(tree) == ["A.block", "A.system"]
+
+
+def _superlu_uses(tree: ast.Module) -> list[int]:
+    """Sorted line numbers of each import or attribute named splu and of
+    each .solve(...) call on an attribute named _lu (a SuperLU factor) in
+    tree."""
+    lines = []
+    for node in ast.walk(tree):
+        name = getattr(node, "attr", getattr(node, "id", None))
+        if isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        f = node.func if isinstance(node, ast.Call) else None
+        if name == "splu" or (isinstance(f, ast.Attribute) and f.attr == "solve"
+                              and getattr(f.value, "attr", None) == "_lu"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_superlu_is_called_only_in_linalg():
+    """One factorization abstraction: splu, and solves on a SuperLU factor,
+    appear only in linalg.py; every other module factors and solves
+    through FactorizedOperator, so one sweep and pivot policy holds for
+    every factor."""
+    uses = {path.name: _superlu_uses(ast.parse(path.read_text()))
+            for path in sorted((ROOT / "src" / "surfhodge").glob("*.py"))}
+    assert uses["linalg.py"]
+    assert {name: lines for name, lines in uses.items() if lines and name != "linalg.py"} == {}
+
+
+def test_superlu_scan_flags_splu_and_factor_solves():
+    tree = ast.parse(
+        "from scipy.sparse.linalg import splu\n"
+        "lu = spla.splu(A)\n"
+        "x = self._lu.solve(b, 'T')\n"
+        "y = op.solve(b) + lu.solve(b)\n"
+        "import scipy.sparse.linalg.splu\n")
+    assert _superlu_uses(tree) == [1, 2, 3, 5]
