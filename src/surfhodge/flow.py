@@ -274,8 +274,8 @@ class FlowOperators:
 
     A basis passed in is checked by HodgeSolver.validate_basis; without one
     the basis is drawn with config.seed, and the streamfunction factor L
-    the draws used is released: no flow solve uses it.  The pressure
-    factor L0 the draws used stays, for reconstruct_pressure.
+    the draws used is released: no flow solve uses it.  The pressure side
+    they built, HodgeSolver.right_inverse, stays for the pressure solves.
 
     A_visc, the viscous form on the parent space (an empty matrix at mu =
     0), and A_red are plain attributes built in the constructor;
@@ -286,20 +286,15 @@ class FlowOperators:
 
     def __init__(self, mesh: SurfaceMesh, config: SimulationConfig,
                  basis: HarmonicBasis | None = None):
-        self.mesh = mesh
-        self.config = config
-        self.hodge = HodgeSolver(mesh, config.k)
+        self.mesh, self.config, self.hodge = mesh, config, HodgeSolver(mesh, config.k)
         if basis is None:
             basis = self.hodge.harmonic_basis(seed=config.seed)
             vars(self.hodge).pop("laplace_operator", None)  # b1 = 0 draws build none
         else:
             self.hodge.validate_basis(basis)
         self.basis = basis
-        self.V = self.hodge.V
-        self.S = self.hodge.S
-        self.Q = self.hodge.Q
-        self.M = self.hodge.M
-        self.pressure_mass = asm.assemble_mass(self.Q)  # diagonal: orthonormal DG basis
+        self.V, self.S, self.Q, self.M = self.hodge.V, self.hodge.S, self.hodge.Q, self.hodge.M
+        self.pressure_mass = asm.assemble_mass(self.Q)  # not diagonal: every local pair
         self.emb = JEmbedding(self.hodge.E, basis.vectors)
         if config.mu == 0:  # no viscous form remains
             self.A_visc = sp.csr_matrix((self.V.total_dofs,) * 2)
@@ -407,30 +402,30 @@ class FlowOperators:
 
         Each triangle's bubbles map one to one onto its higher pressure modes
         qp through PK, the local inverse of pressure_solve, so B[qp] u = 0 is
-        met by construction: u = P z, P = HodgeSolver.divergence_mean_basis(),
-        and only the mean modes q0 are iterated.  Augmented-Lagrangian
-        (iterated penalty) solve on one SPD factor, of P'(A + gamma B0'W0 B0) P
-        with B0 = B[q0] and W0 the inverse pressure mass on q0 (diagonal: the
-        DG basis is orthonormal): each step solves for z with load P'(f -
-        B0'p0) and sets p0 += gamma W0 B0 u.  Just before that factor is built,
-        the C heap's freed pages are handed back to the OS
+        met by construction: u = P z, and only the mean modes q0 are
+        iterated; q0, B0 = B[q0], P and PK' are HodgeSolver.right_inverse's.
+        Augmented-Lagrangian (iterated penalty) solve on one SPD factor, of
+        P'(A + gamma B0'W0 B0) P with W0 the inverse of the pressure mass's
+        diagonal on q0: each step solves for z with load P'(f - B0'p0) and
+        sets p0 += gamma W0 B0 u.  Just before that factor is built, the C
+        heap's freed pages are handed back to the OS
         (linalg._release_free_heap), so it does not land on what the set-up
         and the reduced solve freed; nothing after it reuses those pages.
         The loop leaves p[qp] as it was; one correction by the bubble rows of
         the momentum residual, p[qp] += (PK'(f - A u - B'p))[qp], then
-        recovers it.  Every iterate satisfies
-        the momentum equation tested with P, so the loop may start from any
-        multiplier: pressure, a field on Q or its coefficients (default zero).
-        It stops at the first step after the first with |B0 u|_W0 <= 1e-13
-        |u|_M, so the result does not depend on the start beyond that
-        tolerance.  From reconstruct_pressure's pressure it stops after 2
-        solves, against 7-9 from zero.  Where rounding keeps the relative
-        divergence above 1e-13 (k = 4: it levels off at 3e-13 to 7e-13), the
-        loop stops at its plateau instead: at the first step from the third on
-        whose relative divergence is at most 1e-10 and not below the step
-        before's.  A converging loop lowers it at every step, also at a slow
-        rate such as 1/2.  Each solve is written as a correction of u by the
-        momentum residual, which the next step then removes, as in iterative
+        recovers it.  Every iterate satisfies the momentum equation tested
+        with P, so the loop may start from any multiplier: pressure, a field
+        on Q or its coefficients (default zero).  It stops at the first step
+        after the first with |B0 u|_W0 <= 1e-13 |u|_M, so the result does not
+        depend on the start beyond that tolerance.  From
+        reconstruct_pressure's pressure it stops after 2 solves, against 7-9
+        from zero.  Where rounding keeps the relative divergence above 1e-13
+        (k = 4: it levels off at 3e-13 to 7e-13), the loop stops at its
+        plateau instead: at the first step from the third on whose relative
+        divergence is at most 1e-10 and not below the step before's.  A
+        converging loop lowers it at every step, also at a slow rate such as
+        1/2.  Each solve is written as a correction of u by the momentum
+        residual, which the next step then removes, as in iterative
         refinement; a warm start's one step alone left twice the momentum
         residual of a cold start, hence the second step.  The factor is
         nonsingular exactly when the saddle matrix is; SolverFailure is raised
@@ -445,11 +440,11 @@ class FlowOperators:
             raise DimensionMismatch(f"starting pressure shape {p.shape} != ({B.shape[0]},)")
         if not np.isfinite(p).all():
             raise NaNDetected("non-finite starting pressure")
-        q0, w = self.Q.dof_map[:, 0], 1.0 / self.pressure_mass.diagonal()
+        R = self.hodge.right_inverse  # built once the start is accepted
+        q0, B0, w = R.q0, R.B0, 1.0 / self.pressure_mass.diagonal()
         # the largest entry of the semidefinite B'WB is on its diagonal
         gamma = _AL_PENALTY * _max_abs(self.A_visc) / (B.multiply(B).T @ w).max()
-        P = self.hodge.divergence_mean_basis()
-        B0, w0 = B[q0], w[q0]
+        P, w0 = R.divergence_mean_basis(), w[q0]
         B0P = B0 @ P
         K = (self.A_visc @ P).T @ P + B0P.T @ sp.diags(gamma * w0) @ B0P  # (A P)' = P' A
         _release_free_heap()  # the set-up's freed pages, before the run's last large factor
@@ -474,7 +469,7 @@ class FlowOperators:
         else:
             raise SolverFailure("saddle-point solve did not converge in 100 steps")
         p[q0] = p0
-        p += self.hodge.higher_mode_pressure(b - self.A_visc @ u - B.T @ p)
+        p += R.higher_modes(b - self.A_visc @ u - B.T @ p)
         return FeField(self.V, u), self.hodge.pressure_field(p)
 
     def reconstruct_pressure(self, state: FlowState, load: np.ndarray | None = None) -> FeField:
@@ -586,18 +581,19 @@ def run_simulation(mesh: SurfaceMesh, config: SimulationConfig,
     The initial condition is the Stokes solution for the configured forcing
     (or zero, or an explicitly supplied state).  The run releases each
     operator once it stops reading it, so every later factor lands on less
-    resident memory: the pressure factor L0 before the start (a run
-    reconstructs no pressure), A_visc once the start is solved, and A_red
-    once the step factor exists; the stepper keeps no sparse step block.
-    A released attribute is gone.  Snapshots (velocity, its
-    rotational and harmonic parts, the streamfunction) are emitted every
-    output_every steps through the vtk module when out_dir is given; a CSV
-    time series is always accumulated and written to out_dir when given.
+    resident memory: the pressure side HodgeSolver.right_inverse, L0 with
+    it, before the start (a run reconstructs no pressure), A_visc once the
+    start is solved, and A_red once the step factor exists; the stepper
+    keeps no sparse step block.  A released attribute is gone.  Snapshots
+    (velocity, its rotational and harmonic parts, the streamfunction) are
+    emitted every output_every steps through the vtk module when out_dir is
+    given; a CSV time series is always accumulated and written to out_dir
+    when given.
     """
     from . import vtkio
 
     ops = FlowOperators(mesh, config, basis)
-    vars(ops.hodge).pop("pressure_operator", None)  # a run reconstructs no pressure
+    vars(ops.hodge).pop("right_inverse", None)  # a run reconstructs no pressure
     # the start first: its Stokes factor is freed before the step factor exists
     state = ops.initial_state() if initial_state is None else initial_state
     del ops.A_visc  # read last by the start's refinement

@@ -35,7 +35,7 @@ from .errors import (
     ParseError,
     WrongDegree,
 )
-from .fespace import FeField, build_space, count_dofs
+from .fespace import FeField, FeSpace, build_space, count_dofs
 from .linalg import FactorizedOperator, mnorm, zero_mean
 from .mesh import SurfaceMesh, TopologySummary, analyze_topology
 from .quadrature import triangle_rule
@@ -191,6 +191,61 @@ def verify_dimension(topology: TopologySummary, k: int) -> DimensionReport:
     )
 
 
+class RightInverse:
+    """The pressure side of (V, Q, B): the right inverse R of B on zero-mean
+    loads, apply(b) = R b = G L0^-1 b[q0] + PK b, and transpose(r) = R' r.
+
+    A triangle's mean mode q0 pairs only with its lowest edge-flux moments,
+    B0 = B[q0]; its bubbles' divergences span its other modes qp through one
+    reference block times their dof signs, so B PK is the identity on qp,
+    and G = (I - PK B) B0' has B G = [B0 B0'; 0].  L0 = B0 B0' is the one
+    pressure factor, a dual-graph Laplacian with one unknown per triangle
+    (exactly symmetric: a column of B0 has at most two entries).  R' r is
+    L0^-1 G' r on q0 and higher_modes(r) = PK' r, with no factor, on qp.
+    divergence_mean_basis() builds, on each call, the saddle oracle's basis
+    P of the kernel of B[qp]: (I - PK B) e_j for V's edge dofs j ascending,
+    then per triangle its divergence-free bubbles N, the null space of the
+    reference bubble divergence block (none at k <= 1: P = I); B0 P is B0
+    on the edge columns and 0 on N.
+    """
+
+    def __init__(self, V: FeSpace, Q: FeSpace, B: sp.csr_matrix):
+        self.V, self.Q, self.B = V, Q, B
+        ne = V.ref.n_edge_dofs
+        self.q0, qp = Q.dof_map[:, 0], Q.dof_map[:, 1:]
+        self.q0_moment = asm.assemble_moment(Q)[self.q0]
+        K = np.linalg.pinv(asm.reference_div_block(V, Q)[1:, ne:])
+        self.PK = asm._scatter(K, V.dof_map[:, ne:], 1 / V.dof_signs[:, ne:],
+                               qp, Q.dof_signs[:, 1:], B.T.shape)
+        self.B0 = B[self.q0]
+        self.G = (sp.eye(V.total_dofs, format="csr") - self.PK @ B) @ self.B0.T
+        self._PKT, self._GT = self.PK.T, self.G.T  # csc views, applied by transpose
+        self.L0 = FactorizedOperator(self.B0 @ self.B0.T)  # sorted there, in place
+
+    def apply(self, b: np.ndarray) -> np.ndarray:
+        return self.G @ self.L0.solve(b[self.q0]) + self.PK @ b
+
+    def transpose(self, r: np.ndarray) -> np.ndarray:
+        lam = self.higher_modes(r)
+        lam[self.q0] = self.L0.solve(self._GT @ r)
+        return lam
+
+    def higher_modes(self, r: np.ndarray) -> np.ndarray:
+        return self._PKT @ r
+
+    def divergence_mean_basis(self) -> sp.csc_matrix:
+        V, ne, n = self.V, self.V.ref.n_edge_dofs, self.V.total_dofs
+        edges = np.unique(V.dof_map[:, :ne])
+        edges = edges[edges >= 0]
+        null = dla.null_space(asm.reference_div_block(V, self.Q)[:, ne:])
+        T, n_null = V.mesh.n_triangles, null.shape[1]
+        N = asm._scatter(null, V.dof_map[:, ne:], 1 / V.dof_signs[:, ne:],
+                         np.arange(T * n_null).reshape(T, n_null), np.ones((T, n_null)),
+                         (n, T * n_null))
+        I_e = sp.eye(n, format="csc")[:, edges]
+        return sp.hstack([I_e - self.PK @ self.B[:, edges], N], format="csc")
+
+
 class HodgeSolver:
     """Spaces, operators and cached factorizations for one (mesh, degree).
 
@@ -202,20 +257,19 @@ class HodgeSolver:
     constants); pressure_field and stream_field report zero-mean fields.
     All operations are pure given the immutable mesh; the random number
     generator of the harmonic search is an explicit seeded input, so runs
-    are reproducible.  The factorizations and Es' M, decompose's
-    streamfunction load in one product, are built on first use and cached
-    on the instance (functools.cached_property), so the solver is not
-    immutable after construction; removing one from vars(solver) releases
-    it, and its next use builds it again.  decompose also keeps the mass
-    image H M of the last basis it was given, keyed by the basis.vectors
-    array object, which the basis keeps read-only.
+    are reproducible.  L's factor, the pressure side right_inverse (with
+    L0) and Es' M, decompose's streamfunction load, are built on first use
+    and cached on the instance (functools.cached_property), so the solver is
+    not immutable after construction; removing one from vars(solver)
+    releases it, and its next use builds it again.  decompose also keeps
+    the mass image H M of the last basis it was given, keyed by the
+    basis.vectors array object, which the basis keeps read-only.
     """
 
     def __init__(self, mesh: SurfaceMesh, k: int):
         if mesh.n_components != 1:
             raise DisconnectedMesh("decomposition requires a connected mesh")
-        self.mesh = mesh
-        self.k = int(k)
+        self.mesh, self.k = mesh, int(k)
         self.topology = analyze_topology(mesh)
         closed = mesh.is_closed
         self.V = build_space(mesh, "bdm", k, "zero_normal_trace")
@@ -233,34 +287,15 @@ class HodgeSolver:
         self._Es = asm.assemble_rot_embedding(self.S, self.V, asm.snap_rounding(rot))
         self.L = asm.assemble_broken_stiffness(self.S)
         self._psi_moment = asm.assemble_moment(self.S) if self.S.zero_mean else None
-        # Right inverse of B (pressure_solve).  A triangle's mean mode q0
-        # pairs only with its lowest edge-flux moments: B0 = B[q0].  Its
-        # bubbles' divergences span its other modes qp through one reference
-        # block times their dof signs s, so B PK is the identity on qp;
-        # G = (I - PK B) B0' has B G = [B0 B0'; 0].
-        ne = self.V.ref.n_edge_dofs
-        self._q0, qp = self.Q.dof_map[:, 0], self.Q.dof_map[:, 1:]
-        self._q0_moment = asm.assemble_moment(self.Q)[self._q0]
-        K = np.linalg.pinv(asm.reference_div_block(self.V, self.Q)[1:, ne:])
-        self._PK = asm._scatter(K, self.V.dof_map[:, ne:], 1 / self.V.dof_signs[:, ne:],
-                                qp, self.Q.dof_signs[:, 1:], self.B.T.shape)
-        self._B0 = self.B[self._q0]
-        self._G = (sp.eye(self.V.total_dofs, format="csr") - self._PK @ self.B) @ self._B0.T
-        # the transposes that every decomposition applies, as csc views
-        self._ET, self._PKT, self._GT = self.E.T, self._PK.T, self._G.T
+        self._ET = self.E.T  # a csc view, applied by the draws and decompositions
         self._basis_image = (None, None)  # (H, H M) of the last basis decompose read
         self._checksum = mesh.checksum()
 
     # ------------------------------------------------------------ operators
     @cached_property
-    def pressure_operator(self) -> FactorizedOperator:
-        """Factorized mean-mode Laplacian L0 = B0 B0', a dual-graph
-        Laplacian with one unknown per triangle: the one pressure factor.
-        Each column of B0 has at most two entries, so the product is exactly
-        symmetric; sorted, it is factored from its own arrays."""
-        L0 = self._B0 @ self._B0.T
-        L0.sum_duplicates()
-        return FactorizedOperator(L0)
+    def right_inverse(self) -> RightInverse:
+        """The pressure side, RightInverse(V, Q, B), with its factor L0."""
+        return RightInverse(self.V, self.Q, self.B)
 
     @cached_property
     def laplace_operator(self) -> FactorizedOperator:
@@ -274,58 +309,27 @@ class HodgeSolver:
         return (self.M.T @ self._Es).T
 
     def pressure_solve(self, r: np.ndarray) -> np.ndarray:
-        """Zero-mean multiplier lam = R' r, R b = G L0^-1 b[q0] + PK b the
-        right inverse of B on zero-mean pressures: lam[q0] = L0^-1 G' r and
-        lam[qp] = (PK' r)[qp].  It solves B' lam = r exactly when the
-        velocity functional r vanishes on the divergence-free subspace."""
-        lam = self.higher_mode_pressure(r)
-        lam[self._q0] = self.pressure_operator.solve(self._GT @ r)
-        return self.pressure_field(lam).coefficients
+        """Zero-mean multiplier lam = R' r, the exact solution of B' lam = r
+        when the velocity functional r vanishes on the divergence-free subspace."""
+        return self.pressure_field(self.right_inverse.transpose(r)).coefficients
 
     def pressure_field(self, p: np.ndarray) -> FeField:
         """A copy of the pressure p whose mean modes are shifted to zero mean."""
-        p = np.array(p, dtype=float)
-        p[self._q0] = zero_mean(p[self._q0], self._q0_moment)
+        R, p = self.right_inverse, np.array(p, dtype=float)
+        p[R.q0] = zero_mean(p[R.q0], R.q0_moment)
         return FeField(self.Q, p)
 
     def stream_field(self, x: np.ndarray) -> FeField:
         """The streamfunction x, shifted to zero mean on a closed surface."""
         return FeField(self.S, zero_mean(x, self._psi_moment))
 
-    def _right_inverse(self, b: np.ndarray) -> np.ndarray:
-        """R b, so that B R b = b for every zero-mean pressure load b."""
-        return self._G @ self.pressure_operator.solve(b[self._q0]) + self._PK @ b
-
-    def higher_mode_pressure(self, r: np.ndarray) -> np.ndarray:
-        """PK' r, pressure_solve's higher pressure modes lam[qp] of the
-        velocity functional r, with zero mean modes; it needs no factor."""
-        return self._PKT @ r
-
-    def divergence_mean_basis(self) -> sp.csc_matrix:
-        """Basis P of the velocities whose divergence has only mean modes,
-        the kernel of B[qp], built on each call.  Its columns are (I - PK B)
-        e_j for V's edge dofs j in increasing order, then N: per triangle,
-        a basis of the null space of the reference bubble divergence block,
-        its divergence-free bubbles (none at k <= 1, where P = I).  B[q0]
-        P is B[q0] on the edge columns and 0 on N."""
-        ne, n = self.V.ref.n_edge_dofs, self.V.total_dofs
-        edges = np.unique(self.V.dof_map[:, :ne])
-        edges = edges[edges >= 0]
-        null = dla.null_space(asm.reference_div_block(self.V, self.Q)[:, ne:])
-        T, n_null = self.mesh.n_triangles, null.shape[1]
-        N = asm._scatter(null, self.V.dof_map[:, ne:], 1 / self.V.dof_signs[:, ne:],
-                         np.arange(T * n_null).reshape(T, n_null), np.ones((T, n_null)),
-                         (n, T * n_null))
-        I_e = sp.eye(n, format="csc")[:, edges]
-        return sp.hstack([I_e - self._PK @ self.B[:, edges], N], format="csc")
-
     # ----------------------------------------------------------- operations
     def harmonic_basis(self, seed: int = 0) -> HarmonicBasis:
         """Randomized construction of the orthonormal harmonic basis.
 
         Draw one Gaussian block W of b1 + OVERSAMPLING fields, make it
-        divergence-free as W - R B W with the right inverse R of B of
-        pressure_solve (any divergence-free block will do, since its rot
+        divergence-free as W - R B W with the right inverse R of B
+        (right_inverse; any divergence-free block will do, since its rot
         part goes next), and remove its streamfunction part: W then spans
         the harmonic space with probability one (the randomized range finder
         with oversampling).  The rank is read off the spectrum of the Gram
@@ -343,7 +347,7 @@ class HodgeSolver:
         H = np.zeros((0, n))
         if draws:
             W = np.random.default_rng(seed).standard_normal((n, draws))
-            W -= self._right_inverse(self.B @ W)
+            W -= self.right_inverse.apply(self.B @ W)
             W -= self.E @ self.laplace_operator.solve(self._ET @ (self.M @ W))
             lam, V = np.linalg.eigh(W.T @ (self.M @ W))
             rank = int((lam > RANK_TOL * lam[-1]).sum())
@@ -417,7 +421,7 @@ class HodgeSolver:
         if key is not H:
             HM = H @ self.M
             self._basis_image = (H, HM)
-        g0 = self._right_inverse(self.B @ vc)
+        g0 = self.right_inverse.apply(self.B @ vc)
         psi, psi_g = self.laplace_operator.solve(  # two Es' M products beat one (n, 2) one
             np.column_stack([self._EsTM @ vc, self._EsTM @ g0])).T
         h = HM @ vc

@@ -8,6 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from surfhodge import meshes
 from surfhodge.hodge import HodgeSolver
@@ -112,6 +113,23 @@ def track_factors(monkeypatch):
         return built
 
     return track
+
+
+class _CountingMass(sp.csr_matrix):
+    """A mass matrix that counts its products (M @ x)."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+
+@pytest.fixture
+def counting_mass():
+    """counting_mass(M) is M as a csr matrix that counts its products
+    (M @ x) in its attribute products."""
+    return _CountingMass
 
 
 @pytest.fixture(scope="session")

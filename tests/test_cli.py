@@ -700,6 +700,32 @@ def test_nse_diverging_run_stops_at_first_overflow(tmp_path):
     assert not any("overflow" in line or "invalid value" in line for line in err)
 
 
+def test_harmonic_basis_moves_by_rounding_with_the_blas_thread_count(tmp_path):
+    """Output bits hold for one environment, which includes numpy's BLAS
+    thread count.  harmonic on sphere_with_holes(3, 4) at k = 3 wrote
+    different bases with OPENBLAS_NUM_THREADS = 1 and 2 on a 2-core x86_64
+    VM (52,337 entries differ, by at most 1.3e-13 of the largest).  Whether
+    or not the bytes differ, the two bases agree to 1e-11 of the largest
+    entry."""
+    mesh = tmp_path / "pierced.off"
+    save_off(meshes.sphere_with_holes(3, 4), str(mesh))
+    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
+    bases = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p),
+               "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "surfhodge.cli", "harmonic", "--mesh",
+                               str(mesh), "--k", "3", "--out-dir", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        with open(out / "harmonic_basis.json") as fh:
+            bases.append(np.array(json.load(fh)["vectors"]))
+    one, two = bases
+    assert one.shape == two.shape == (3, 17600)
+    assert np.abs(one - two).max() <= 1e-11 * np.abs(one).max()
+
+
 def test_nse_step_count_overflow_exit_2(tmp_path, capsys):
     """t_end / dt beyond the float range is refused with the config, not
     when the run converts it to a step count."""

@@ -469,24 +469,17 @@ def test_pressure_robustness_gradient_forcing(torus_ops, rng):
     assert np.abs(p1.coefficients - p0.coefficients).max() > 1e-6
 
 
-def test_one_pressure_factor_serves_draws_decompose_and_pressure(torus3, monkeypatch, rng):
+def test_one_pressure_factor_serves_draws_decompose_and_pressure(torus3, track_factors, rng):
     """The basis draws, decompose and reconstruct_pressure share one
     pressure factor, built once on first use: the mean-mode Laplacian with
     one unknown per triangle, not an operator on all DG pressure dofs (3 per
     triangle at k = 2).  The Schur solve still costs b1 + 1 solves."""
-    from surfhodge import hodge, linalg
+    from surfhodge import hodge
 
-    built = []
-
-    class Counting(linalg.FactorizedOperator):
-        def __init__(self, A, *args, **kwargs):
-            super().__init__(A, *args, **kwargs)
-            built.append(A.shape)
-
-    monkeypatch.setattr(hodge, "FactorizedOperator", Counting)
+    built = track_factors(hodge)
     ops = FlowOperators(torus3, SimulationConfig(k=2, mu=0.5, forcing=smooth_forcing(5)))
     solver = ops.hodge
-    op = solver.pressure_operator
+    op = solver.right_inverse.L0
     n_t, n_q = torus3.n_triangles, solver.Q.total_dofs
     assert op.n == n_t == n_q // 3
     assert op.solve_count == ops.basis.n_attempts == 2 + hodge.OVERSAMPLING  # b1 + p
@@ -494,10 +487,11 @@ def test_one_pressure_factor_serves_draws_decompose_and_pressure(torus3, monkeyp
     assert info["sparse_solves"] == ops.emb.n_harmonic + 1 == 3
     ops.reconstruct_pressure(state)
     solver.decompose(FeField(solver.V, rng.standard_normal(solver.V.total_dofs)), ops.basis)
-    assert solver.pressure_operator is op
+    assert solver.right_inverse.L0 is op
     assert op.solve_count == ops.basis.n_attempts + 2  # decompose's lam is not read
-    assert built.count((n_t, n_t)) == 1
-    assert (n_q, n_q) not in built
+    shapes = [A.shape for A, _, _ in built]
+    assert shapes.count((n_t, n_t)) == 1
+    assert (n_q, n_q) not in shapes
 
 
 def test_stokes_start_factor_freed_before_step_factor(torus3, basis_cache, track_factors):
@@ -514,8 +508,9 @@ def test_stokes_start_factor_freed_before_step_factor(torus3, basis_cache, track
 
 def test_run_steps_without_what_they_do_not_read(torus3, monkeypatch):
     """Once run_simulation has built its stepper, A_visc, A_red, the step
-    block's sparse A_ss and the pressure factor L0 that the basis draws
-    built are unreachable: every step runs with none of them alive."""
+    block's sparse A_ss and the pressure side that the basis draws built,
+    the right inverse and its factor L0, are unreachable: every step runs
+    with none of them alive."""
     from surfhodge import flow
 
     refs, alive, blocks = {}, [], []
@@ -523,8 +518,9 @@ def test_run_steps_without_what_they_do_not_read(torus3, monkeypatch):
     class Operators(FlowOperators):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            R = vars(self.hodge)["right_inverse"]
             refs.update(A_visc=weakref.ref(self.A_visc), A_red=weakref.ref(self.A_red),
-                        L0=weakref.ref(vars(self.hodge)["pressure_operator"]))
+                        right_inverse=weakref.ref(R), L0=weakref.ref(R.L0))
 
     class Solver(ReducedSolver):
         def __init__(self, system):
@@ -545,7 +541,7 @@ def test_run_steps_without_what_they_do_not_read(torus3, monkeypatch):
     monkeypatch.setattr(flow, "NavierStokesStepper", Stepper)
     cfg = SimulationConfig(k=1, mu=0.2, dt=1e-2, t_end=2e-2, forcing=smooth_forcing(3))
     run_simulation(torus3, cfg)
-    assert len(refs) == 4 and len(blocks) == 2  # the Stokes start's block, then the step's
+    assert len(refs) == 5 and len(blocks) == 2  # the Stokes start's block, then the step's
     assert alive == [[], []]
 
 
@@ -579,7 +575,7 @@ def test_draw_factor_released_pressure_factor_kept(torus3, track_factors):
     (laplace,) = [ref for A, ref, _ in built if A is ops.hodge.L]
     (pressure,) = [ref for A, ref, _ in built if A is not ops.hodge.L]
     assert laplace() is None
-    assert ops.hodge.pressure_operator is pressure()
+    assert ops.hodge.right_inverse.L0 is pressure()
     assert pressure().solve_count == ops.basis.n_attempts == 2 + hodge.OVERSAMPLING  # b1 + p
 
 
@@ -849,17 +845,7 @@ def test_step_block_is_viscous_block_plus_reduced_mass(torus3, basis_cache, monk
     assert np.array_equal(got.A_hh - red.A_hh, np.eye(red.n_harmonic) / cfg.dt)
 
 
-class _CountingMass(sp.csr_matrix):
-    """A mass matrix that counts its products (M @ x)."""
-
-    products = 0
-
-    def __matmul__(self, other):
-        self.products += 1
-        return super().__matmul__(other)
-
-
-def test_time_loop_makes_no_mass_product(torus3, basis_cache, monkeypatch):
+def test_time_loop_makes_no_mass_product(torus3, basis_cache, monkeypatch, counting_mass):
     """A run from a given basis and a zero start makes one product with M,
     validate_basis's: states, the step block, the steps and the recorded
     norms all work with the reduced mass diag(L, I)."""
@@ -869,7 +855,7 @@ def test_time_loop_makes_no_mass_product(torus3, basis_cache, monkeypatch):
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        self.M = _CountingMass(self.M)
+        self.M = counting_mass(self.M)
         masses.append(self.M)
 
     monkeypatch.setattr(HodgeSolver, "__init__", counting_init)

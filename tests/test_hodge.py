@@ -62,13 +62,14 @@ def test_sphere_needs_zero_solves(tetra):
     basis = solver.harmonic_basis(seed=0)
     assert basis.dimension == 0
     assert basis.n_attempts == 0
-    assert "pressure_operator" not in vars(solver)  # no factorization triggered
+    assert "right_inverse" not in vars(solver)  # no factorization triggered
     comp = solver.decompose(FeField(solver.V, np.ones(solver.V.total_dofs)), basis)
-    assert "pressure_operator" in vars(solver)
-    assert solver.pressure_operator.n == tetra.n_triangles  # one unknown per triangle
-    assert solver.pressure_operator.solve_count == 1  # R B v; the multiplier waits
+    assert "right_inverse" in vars(solver)
+    L0 = solver.right_inverse.L0
+    assert L0.n == tetra.n_triangles  # one unknown per triangle
+    assert L0.solve_count == 1  # R B v; the multiplier waits
     assert comp.lam.space is solver.Q
-    assert solver.pressure_operator.solve_count == 2  # and now the multiplier
+    assert L0.solve_count == 2  # and now the multiplier
 
 
 def test_decompose_builds_each_factor_once(torus3, track_factors, rng):
@@ -80,13 +81,13 @@ def test_decompose_builds_each_factor_once(torus3, track_factors, rng):
     built = track_factors(hodge)
     solver = HodgeSolver(torus3, 1)
     basis = solver.harmonic_basis(seed=0)
-    draws = solver.laplace_operator.solve_count, solver.pressure_operator.solve_count
+    draws = solver.laplace_operator.solve_count, solver.right_inverse.L0.solve_count
     for _ in range(3):
         solver.decompose(FeField(solver.V, rng.standard_normal(solver.V.total_dofs)), basis)
-    kept = (solver.laplace_operator, solver.pressure_operator)
+    kept = (solver.laplace_operator, solver.right_inverse.L0)
     assert sorted(map(id, kept)) == sorted(id(ref()) for _, ref, _ in built)
     assert solver.laplace_operator.solve_count == draws[0] + 2 * 3
-    assert solver.pressure_operator.solve_count == draws[1] + 3
+    assert solver.right_inverse.L0.solve_count == draws[1] + 3
 
 
 @pytest.mark.parametrize("name, k", [("torus", 2), ("sphere_4holes", 1), ("genus2", 0)])
@@ -97,7 +98,7 @@ def test_lam_on_first_read_is_the_eager_multiplier(name, k, corpus, rng):
     and to rounding the multiplier of M v - M (rot_part + harmonic_part)."""
     solver = HodgeSolver(corpus[name], k)
     basis = solver.harmonic_basis(seed=0)
-    L, L0 = solver.laplace_operator, solver.pressure_operator
+    L, L0 = solver.laplace_operator, solver.right_inverse.L0
     v = rng.standard_normal(solver.V.total_dofs)
     before = L.solve_count, L0.solve_count
     comp = solver.decompose(FeField(solver.V, v), basis)
@@ -114,25 +115,15 @@ def test_lam_on_first_read_is_the_eager_multiplier(name, k, corpus, rng):
     assert np.abs(lam.coefficients - split).max() <= 1e-12 * np.abs(split).max()
 
 
-class _CountingMass(sp.csr_matrix):
-    """A mass matrix that counts its products (M @ x)."""
-
-    products = 0
-
-    def __matmul__(self, other):
-        self.products += 1
-        return super().__matmul__(other)
-
-
-def test_decompose_makes_one_mass_product(torus, rng, monkeypatch):
+def test_decompose_makes_one_mass_product(torus, rng, monkeypatch, counting_mass):
     """Once its first call has built Es' M and the basis's mass image H M,
     decompose makes one product with M (the residual's), two L solve
     columns in one call of a 2-column block and one L0 solve; the first
     read of lam adds one M product and one L0 solve."""
     solver = HodgeSolver(torus, 1)
-    solver.M = M = _CountingMass(solver.M)
+    solver.M = M = counting_mass(solver.M)
     basis = solver.harmonic_basis(seed=0)
-    L, L0 = solver.laplace_operator, solver.pressure_operator
+    L, L0 = solver.laplace_operator, solver.right_inverse.L0
     v = FeField(solver.V, rng.standard_normal(solver.V.total_dofs))
     solver.decompose(v, basis)
     counts = lambda: (M.products, L.solve_count, L0.solve_count)  # noqa: E731
@@ -546,28 +537,21 @@ def test_right_inverse_reads_its_blocks_off_b(name, k, corpus, track_factors):
 
     built = track_factors(hodge)
     solver = HodgeSolver(corpus[name], k)
-    assert (solver._PK.data != 0).all()
-    solver.pressure_operator
+    assert (solver.right_inverse.PK.data != 0).all()
     B0 = solver.B[solver.Q.dof_map[:, 0]]
     assert len(built) == 1 and (built[0][0] != B0 @ B0.T).nnz == 0
 
 
 @pytest.mark.parametrize("k", range(5))
 @pytest.mark.parametrize("name", CORPUS)
-def test_pressure_solve_inverts_b_transpose_on_one_small_factor(name, k, corpus, monkeypatch):
+def test_pressure_solve_inverts_b_transpose_on_one_small_factor(name, k, corpus,
+                                                                track_factors):
     """pressure_solve(B' lam) returns the zero-mean lam, a draw r - R B r
     is divergence-free to rounding, and both use one factor with one
     unknown per triangle, whatever the degree."""
-    from surfhodge import hodge, linalg
+    from surfhodge import hodge
 
-    built = []
-
-    class Recording(linalg.FactorizedOperator):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    monkeypatch.setattr(hodge, "FactorizedOperator", Recording)
+    built = track_factors(hodge)
     mesh = corpus[name]
     solver = HodgeSolver(mesh, k)
     B, q0 = solver.B, solver.Q.dof_map[:, 0]
@@ -579,25 +563,25 @@ def test_pressure_solve_inverts_b_transpose_on_one_small_factor(name, k, corpus,
     assert np.abs(got - lam).max() <= 1e-12 * np.abs(lam).max()
     r = rng.standard_normal(B.shape[1])
     b = B @ r
-    assert np.abs(B @ (r - solver._right_inverse(b))).max() <= 1e-13 * np.abs(b).max()
-    assert [op.n for op in built] == [mesh.n_triangles]
-    assert built[0].solve_count == 2
+    assert np.abs(B @ (r - solver.right_inverse.apply(b))).max() <= 1e-13 * np.abs(b).max()
+    assert [ref().n for _, ref, _ in built] == [mesh.n_triangles]
+    assert built[0][1]().solve_count == 2
 
 
 @pytest.mark.parametrize("name,k", [("torus16x8", 2), ("torus16x8", 3), ("torus16x8", 4),
                                     ("pierced", 2), ("torus16x8", 0), ("torus16x8", 1)])
 def test_divergence_mean_basis_spans_the_kernel_of_the_higher_modes(name, k):
-    """P = divergence_mean_basis() has n_V - n_qp columns of full rank (its
-    Gram matrix P'P factors without SingularMatrix) and B[qp] P = 0 to
-    rounding; its edge columns keep their mean-mode divergence B[q0] and
-    its last columns N are divergence-free bubbles.  Without bubbles (k <=
-    1) P is the identity."""
+    """P = right_inverse.divergence_mean_basis() has n_V - n_qp columns of
+    full rank (its Gram matrix P'P factors without SingularMatrix) and
+    B[qp] P = 0 to rounding; its edge columns keep their mean-mode
+    divergence B[q0] and its last columns N are divergence-free bubbles.
+    Without bubbles (k <= 1) P is the identity."""
     mesh = (meshes.torus_structured(16, 8) if name == "torus16x8"
             else meshes.sphere_with_holes(2, 4))
     solver = HodgeSolver(mesh, k)
     V, B, n = solver.V, solver.B, solver.V.total_dofs
     q0, qp = solver.Q.dof_map[:, 0], solver.Q.dof_map[:, 1:].ravel()
-    P = solver.divergence_mean_basis()
+    P = solver.right_inverse.divergence_mean_basis()
     if k <= 1:
         assert qp.size == 0 and P.shape == (n, n) and (P != sp.eye(n)).nnz == 0
         return

@@ -238,9 +238,11 @@ def test_concurrent_solves_match_serial(torus):
 
 
 def test_gauged_batched_solve_matches_single_columns(torus):
-    """A pinned solve of several columns gives each column bitwise the
-    result of solving it alone, so a result does not depend on how a caller
-    batches its right-hand sides."""
+    """For this draw, raw Gaussian columns of default_rng(3), a pinned solve
+    of several columns gives each column bitwise the result of solving it
+    alone, whether the column is a view or a copy.  That is a property of
+    the draw, not of batching: SuperLU's block sweeps agree with single
+    solves only to rounding in general (see the next test)."""
     from surfhodge.hodge import HodgeSolver
 
     op = HodgeSolver(torus, 2).laplace_operator
@@ -250,6 +252,26 @@ def test_gauged_batched_solve_matches_single_columns(torus):
     for j in range(B.shape[1]):
         assert np.array_equal(X[:, j], op.solve(B[:, j]))
         assert np.array_equal(X[:, j], op.solve(B[:, j].copy()))
+
+
+@pytest.mark.parametrize("seed", [1, 3, 4])
+def test_gauged_batched_solve_agrees_with_single_columns(seed, torus):
+    """FactorizedOperator's promise for a block: each column of a pinned
+    5-column solve agrees with its solve alone to 1e-14 of the column's
+    largest entry.  These zero-mean columns of default_rng(seed) on the
+    8x8 torus's streamfunction Laplacian at k = 2 are draws whose block
+    solve is not bitwise: measured, 234, 433 and 9 entries differ, by at
+    most 4.5e-16 of the column's largest entry."""
+    from surfhodge.hodge import HodgeSolver
+
+    op = HodgeSolver(torus, 2).laplace_operator
+    assert op.pinned
+    B = np.random.default_rng(seed).standard_normal((op.n, 5))
+    B -= B.mean(axis=0)
+    X = op.solve(B)
+    for j in range(B.shape[1]):
+        x = op.solve(B[:, j])
+        assert np.abs(X[:, j] - x).max() <= 1e-14 * np.abs(x).max()
 
 
 @pytest.mark.parametrize("form", ["stream", "mass"])

@@ -81,16 +81,16 @@ def _vars_pops(tree: ast.Module):
 
 
 def test_released_attributes_are_cached_properties():
-    """A run releases HodgeSolver's factors, which are built on first use
-    and may not exist, by removing them from vars(solver); only a
-    functools.cached_property is built again on its next read, and a
-    misspelt name releases nothing and, with a default, raises nothing.  So
-    every vars(<obj>).pop("<name>", ...) in the package names, as a string,
-    one of those two factors.  A plain attribute is released with del,
-    which raises on a misspelt name."""
+    """A run releases HodgeSolver's factor L and its pressure side, which
+    are built on first use and may not exist, by removing them from
+    vars(solver); only a functools.cached_property is built again on its
+    next read, and a misspelt name releases nothing and, with a default,
+    raises nothing.  So every vars(<obj>).pop("<name>", ...) in the package
+    names, as a string, one of those two.  A plain attribute is released
+    with del, which raises on a misspelt name."""
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted((ROOT / "src" / "surfhodge").glob("*.py"))}
-    factors = {"pressure_operator", "laplace_operator"}
+    factors = {"right_inverse", "laplace_operator"}
     assert factors <= _cached_properties(trees["hodge.py"])
     released = [(name, arg) for name, tree in trees.items() for arg in _vars_pops(tree)]
     assert len(released) >= 2
@@ -171,3 +171,21 @@ def test_superlu_scan_flags_splu_and_factor_solves():
         "y = op.solve(b) + lu.solve(b)\n"
         "import scipy.sparse.linalg.splu\n")
     assert _superlu_uses(tree) == [1, 2, 3, 5]
+
+
+def _attribute_reads(tree: ast.Module, name: str) -> list[int]:
+    """Sorted line numbers of each attribute named name in tree."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def test_flow_and_cli_read_no_dof_map():
+    """Which pressure dof of a triangle is its mean mode q0 is read off
+    Q.dof_map behind HodgeSolver.right_inverse, which owns the mean-mode
+    split (q0, B0 = B[q0], P, PK' r); flow.py and cli.py take it from there
+    and never read a .dof_map themselves."""
+    reads = {name: _attribute_reads(ast.parse((ROOT / "src" / "surfhodge" / name).read_text()),
+                                    "dof_map") for name in ("flow.py", "cli.py")}
+    assert reads == {"flow.py": [], "cli.py": []}
+    assert _attribute_reads(ast.parse("q0 = self.Q.dof_map[:, 0]\nQ.dof_signs\n"),
+                            "dof_map") == [1]
