@@ -237,6 +237,8 @@ def cmd_stokes(args) -> int:
     manifest.phase("setup")
     mesh, config, basis = _flow_setup(args, manifest)
     ops = FlowOperators(mesh, config, basis=basis)
+    if not args.compare_saddle:
+        vars(ops.hodge).pop("right_inverse", None)  # only the oracle reads the pressure side
     manifest.phase("solve")
     state, info = ops.stokes_reduced()
     del ops.A_red  # read last by the reduced solve; the oracle's factor lands without it

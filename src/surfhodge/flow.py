@@ -267,10 +267,11 @@ _AL_PENALTY = 10.0
 
 class FlowOperators:
     """Spaces, forms and the embedding for one (mesh, config) pair; A_red
-    is the BlockSystem of A_visc, restricted once.  The load of a steady
-    forcing is assembled here too, so a forcing that is not finite fails at
-    construction with NaNDetected; a viscous form that is not finite (mu =
-    1e308 overflows it) raises SolverFailure.
+    is the BlockSystem of A_visc, restricted once, with E as interpolated:
+    its rounding entries, left out of HodgeSolver.E, shape A_ss's ordering.
+    The load of a steady forcing is assembled here too, so a forcing that
+    is not finite fails at construction with NaNDetected; a viscous form
+    that is not finite (mu = 1e308 overflows it) raises SolverFailure.
 
     A basis passed in is checked by HodgeSolver.validate_basis; without one
     the basis is drawn with config.seed, and the streamfunction factor L
@@ -295,7 +296,7 @@ class FlowOperators:
         self.basis = basis
         self.V, self.S, self.Q, self.M = self.hodge.V, self.hodge.S, self.hodge.Q, self.hodge.M
         self.pressure_mass = asm.assemble_mass(self.Q)  # not diagonal: every local pair
-        self.emb = JEmbedding(self.hodge.E, basis.vectors)
+        self.emb = JEmbedding(asm.assemble_rot_embedding(self.S, self.V), basis.vectors)
         if config.mu == 0:  # no viscous form remains
             self.A_visc = sp.csr_matrix((self.V.total_dofs,) * 2)
         else:

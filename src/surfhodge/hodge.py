@@ -250,15 +250,15 @@ class HodgeSolver:
     """Spaces, operators and cached factorizations for one (mesh, degree).
 
     L is the streamfunction form (rot psi, rot phi) = (grad psi, grad phi):
-    rot = n x grad is an isometry and rot maps S exactly into V (E), so L =
-    E' M E, assembled as the Lagrange stiffness it equals, which stores
-    none of the rounding-level entries of E; the flow solvers reuse it.  The
-    factors of L0 and, on a closed surface, L pin a dof (their kernel is the
+    rot = n x grad is an isometry and rot maps S exactly into V (E, its
+    interpolation rounding snapped to 0), so L = E' M E, assembled as the
+    Lagrange stiffness it equals; the flow solvers reuse it.  The factors
+    of L0 and, on a closed surface, L pin a dof (their kernel is the
     constants); pressure_field and stream_field report zero-mean fields.
     All operations are pure given the immutable mesh; the random number
     generator of the harmonic search is an explicit seeded input, so runs
     are reproducible.  L's factor, the pressure side right_inverse (with
-    L0) and Es' M, decompose's streamfunction load, are built on first use
+    L0) and E' M, decompose's streamfunction load, are built on first use
     and cached on the instance (functools.cached_property), so the solver is
     not immutable after construction; removing one from vars(solver)
     releases it, and its next use builds it again.  decompose also keeps
@@ -278,13 +278,8 @@ class HodgeSolver:
         self.Q = build_space(mesh, "dg_pressure", max(k - 1, 0), "zero_mean")
         self.M = asm.assemble_mass(self.V)
         self.B = asm.assemble_div(self.V, self.Q)
-        # E without its interpolation rounding, for decompose's products.
-        # E itself stays as assembled: it forms the flow solvers' A_ss, whose
-        # ordering its rounding entries shape, and u - E psi in the harmonic
-        # draws, whose divergence it lowers.
-        rot = asm.reference_rot_block(self.S, self.V)
-        self.E = asm.assemble_rot_embedding(self.S, self.V, rot)
-        self._Es = asm.assemble_rot_embedding(self.S, self.V, asm.snap_rounding(rot))
+        self.E = asm.assemble_rot_embedding(
+            self.S, self.V, asm.snap_rounding(asm.reference_rot_block(self.S, self.V)))
         self.L = asm.assemble_broken_stiffness(self.S)
         self._psi_moment = asm.assemble_moment(self.S) if self.S.zero_mean else None
         self._ET = self.E.T  # a csc view, applied by the draws and decompositions
@@ -303,10 +298,10 @@ class HodgeSolver:
         return FactorizedOperator(self.L)
 
     @cached_property
-    def _EsTM(self) -> sp.csr_matrix:
-        """Es' M, formed as (M' Es)', the transpose of a csc product, so
-        that it is csr."""
-        return (self.M.T @ self._Es).T
+    def _ETM(self) -> sp.csr_matrix:
+        """E' M, formed as (M' E)', the transpose of a csc product, so that
+        it is csr."""
+        return (self.M.T @ self.E).T
 
     def pressure_solve(self, r: np.ndarray) -> np.ndarray:
         """Zero-mean multiplier lam = R' r, the exact solution of B' lam = r
@@ -330,11 +325,12 @@ class HodgeSolver:
         Draw one Gaussian block W of b1 + OVERSAMPLING fields, make it
         divergence-free as W - R B W with the right inverse R of B
         (right_inverse; any divergence-free block will do, since its rot
-        part goes next), and remove its streamfunction part: W then spans
-        the harmonic space with probability one (the randomized range finder
-        with oversampling).  The rank is read off the spectrum of the Gram
-        matrix G = W' M W: the eigenvalues above RANK_TOL times the largest
-        must number b1, else MaxAttemptsExceeded is raised, and H =
+        part goes next), remove its streamfunction part and, for the
+        divergence E psi's rounding leaves, subtract R B W once more: W then
+        spans the harmonic space with probability one (the randomized range
+        finder with oversampling).  The rank is read off the spectrum of the
+        Gram matrix G = W' M W: the eigenvalues above RANK_TOL times the
+        largest must number b1, else MaxAttemptsExceeded is raised, and H =
         Lambda^-1/2 V' W' from those eigenpairs (Lambda, V), largest first,
         is M-orthonormal.  n_attempts is the number of fields drawn; at b1 =
         0 none is drawn and no factor is built.  Raises NonpositiveParameter
@@ -349,6 +345,7 @@ class HodgeSolver:
             W = np.random.default_rng(seed).standard_normal((n, draws))
             W -= self.right_inverse.apply(self.B @ W)
             W -= self.E @ self.laplace_operator.solve(self._ET @ (self.M @ W))
+            W -= self.right_inverse.apply(self.B @ W)
             lam, V = np.linalg.eigh(W.T @ (self.M @ W))
             rank = int((lam > RANK_TOL * lam[-1]).sum())
             if rank != b1:
@@ -405,7 +402,7 @@ class HodgeSolver:
         M^-1 B' lam up to solver precision, with no mass factor.  One
         two-column L solve, one blocked SuperLU pass, gives psi and g0's
         streamfunction, and the L0 solve of R gives g0.  Their loads are
-        products with Es' M and the harmonic coefficients of v and g0
+        products with E' M and the harmonic coefficients of v and g0
         products with the basis's mass image H M, so the residual's is the
         call's one product with M.  The residual measures the whole split:
         an incomplete basis or an inaccurate L solve leaves it nonzero.  The
@@ -422,12 +419,12 @@ class HodgeSolver:
             HM = H @ self.M
             self._basis_image = (H, HM)
         g0 = self.right_inverse.apply(self.B @ vc)
-        psi, psi_g = self.laplace_operator.solve(  # two Es' M products beat one (n, 2) one
-            np.column_stack([self._EsTM @ vc, self._EsTM @ g0])).T
+        psi, psi_g = self.laplace_operator.solve(  # two E' M products beat one (n, 2) one
+            np.column_stack([self._ETM @ vc, self._ETM @ g0])).T
         h = HM @ vc
-        rot_part, harmonic_part = self._Es @ psi, h @ H  # h @ H reads H in row order
-        gradient_part = g0  # g0 - Es psi_g - H' H M g0, formed on g0
-        gradient_part -= self._Es @ psi_g
+        rot_part, harmonic_part = self.E @ psi, h @ H  # h @ H reads H in row order
+        gradient_part = g0  # g0 - E psi_g - H' H M g0, formed on g0
+        gradient_part -= self.E @ psi_g
         gradient_part -= (HM @ g0) @ H
         with np.errstate(over="ignore", invalid="ignore"):  # the caller sees inf or nan
             r = vc - rot_part  # kept for lam

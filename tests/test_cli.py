@@ -12,6 +12,7 @@ import pytest
 
 from surfhodge import cli, config, meshes
 from surfhodge.cli import build_parser, main
+from surfhodge.hodge import HodgeSolver
 from surfhodge.mesh import analyze_topology, save_obj, save_off
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -726,6 +727,37 @@ def test_harmonic_basis_moves_by_rounding_with_the_blas_thread_count(tmp_path):
     assert np.abs(one - two).max() <= 1e-11 * np.abs(one).max()
 
 
+def test_decompose_moves_by_rounding_with_the_blas_thread_count(tmp_path):
+    """decompose of one fixed basis on sphere_with_holes(3, 4) at k = 3,
+    with OPENBLAS_NUM_THREADS = 1 and 2, wrote different decomposition.json
+    bytes on a 2-core x86_64 VM: input_norm moved by 1.3e-16 of itself, the
+    residual (3.5e-13) and the Pythagoras gap (2.0e-12) by 4e-4 and 6e-2 of
+    themselves.  Whether or not the bytes differ, every norm moves by at
+    most 1e-11 of |v|, and the gap, a difference of squares, by 1e-11 of
+    |v|^2."""
+    mesh = tmp_path / "pierced.off"
+    save_off(meshes.sphere_with_holes(3, 4), str(mesh))
+    basis = tmp_path / "basis.json"
+    HodgeSolver(meshes.resolve(str(mesh)), 3).harmonic_basis(seed=0).save_json(basis)
+    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
+    norms = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p),
+               "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "surfhodge.cli", "decompose", "--mesh",
+                               str(mesh), "--k", "3", "--basis", str(basis), "--out-dir",
+                               str(out)], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        with open(out / "decomposition.json") as fh:
+            norms.append(json.load(fh))
+    one, two = norms
+    assert one.keys() == two.keys() and len(one) == 6
+    scale = {key: one["input_norm"] ** (2 if key == "pythagoras_gap" else 1) for key in one}
+    assert {key: abs(one[key] - two[key]) / scale[key] for key in one
+            if not abs(one[key] - two[key]) <= 1e-11 * scale[key]} == {}
+
+
 def test_nse_step_count_overflow_exit_2(tmp_path, capsys):
     """t_end / dt beyond the float range is refused with the config, not
     when the run converts it to a step count."""
@@ -796,6 +828,36 @@ def test_compare_saddle_factors_its_oracle_without_reduced_operator(capsys, monk
                                "--mesh", "builtin:torus", "--k", "1", "--compare-saddle")
     assert code == 0 and payload["saddle_velocity_discrepancy"] <= 1e-11
     assert alive == [[True], [False]]  # the reduced solve's factor, then the oracle's
+
+
+@pytest.mark.parametrize("compare", [False, True])
+def test_stokes_releases_the_pressure_side_unless_it_compares(capsys, monkeypatch, compare):
+    """Only --compare-saddle reads the pressure side that the basis draws
+    built, HodgeSolver.right_inverse (PK, B0, G and L0): without the flag it
+    is gone before the Stokes factor is built; with it, it stays for the
+    oracle."""
+    from surfhodge import flow
+
+    owners, alive = [], []
+
+    class Operators(flow.FlowOperators):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            owners.append(weakref.ref(self.hodge.right_inverse))
+
+    class Recording(flow.FactorizedOperator):
+        def __init__(self, A, *args, **kwargs):
+            alive.append([ref() is not None for ref in owners])
+            super().__init__(A, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "FlowOperators", Operators)
+    monkeypatch.setattr(flow, "FactorizedOperator", Recording)
+    code, payload, _ = run_cli(capsys, "stokes", "--config",
+                               os.path.join(ROOT, "configs", "stokes_torus.cfg"),
+                               "--mesh", "builtin:torus", "--k", "1",
+                               *(["--compare-saddle"] if compare else []))
+    assert code == 0 and payload["sparse_solves"] == 3
+    assert alive == ([[True], [True]] if compare else [[False]])
 
 
 def test_topology_missing_mesh_exit_2(tmp_path, capsys):

@@ -473,7 +473,8 @@ def test_one_pressure_factor_serves_draws_decompose_and_pressure(torus3, track_f
     """The basis draws, decompose and reconstruct_pressure share one
     pressure factor, built once on first use: the mean-mode Laplacian with
     one unknown per triangle, not an operator on all DG pressure dofs (3 per
-    triangle at k = 2).  The Schur solve still costs b1 + 1 solves."""
+    triangle at k = 2).  The draws apply R twice, before and after their
+    rot step.  The Schur solve still costs b1 + 1 solves."""
     from surfhodge import hodge
 
     built = track_factors(hodge)
@@ -482,13 +483,13 @@ def test_one_pressure_factor_serves_draws_decompose_and_pressure(torus3, track_f
     op = solver.right_inverse.L0
     n_t, n_q = torus3.n_triangles, solver.Q.total_dofs
     assert op.n == n_t == n_q // 3
-    assert op.solve_count == ops.basis.n_attempts == 2 + hodge.OVERSAMPLING  # b1 + p
+    assert op.solve_count == 2 * ops.basis.n_attempts == 2 * (2 + hodge.OVERSAMPLING)  # b1 + p
     state, info = ops.stokes_reduced()
     assert info["sparse_solves"] == ops.emb.n_harmonic + 1 == 3
     ops.reconstruct_pressure(state)
     solver.decompose(FeField(solver.V, rng.standard_normal(solver.V.total_dofs)), ops.basis)
     assert solver.right_inverse.L0 is op
-    assert op.solve_count == ops.basis.n_attempts + 2  # decompose's lam is not read
+    assert op.solve_count == 2 * ops.basis.n_attempts + 2  # decompose's lam is not read
     shapes = [A.shape for A, _, _ in built]
     assert shapes.count((n_t, n_t)) == 1
     assert (n_q, n_q) not in shapes
@@ -567,7 +568,8 @@ def test_stepper_steps_the_same_after_its_operators_are_deleted(torus3, basis_ca
 
 def test_draw_factor_released_pressure_factor_kept(torus3, track_factors):
     """After FlowOperators draws its basis, the streamfunction factor L the
-    draws used is unreachable; the pressure factor they used stays."""
+    draws used is unreachable; the pressure factor they used, once before
+    and once after their rot step, stays."""
     from surfhodge import hodge
 
     built = track_factors(hodge)
@@ -576,7 +578,7 @@ def test_draw_factor_released_pressure_factor_kept(torus3, track_factors):
     (pressure,) = [ref for A, ref, _ in built if A is not ops.hodge.L]
     assert laplace() is None
     assert ops.hodge.right_inverse.L0 is pressure()
-    assert pressure().solve_count == ops.basis.n_attempts == 2 + hodge.OVERSAMPLING  # b1 + p
+    assert pressure().solve_count == 2 * ops.basis.n_attempts == 2 * (2 + hodge.OVERSAMPLING)
 
 
 def test_gradient_only_forcing_gives_zero_velocity(torus_ops, rng):

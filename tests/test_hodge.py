@@ -116,7 +116,7 @@ def test_lam_on_first_read_is_the_eager_multiplier(name, k, corpus, rng):
 
 
 def test_decompose_makes_one_mass_product(torus, rng, monkeypatch, counting_mass):
-    """Once its first call has built Es' M and the basis's mass image H M,
+    """Once its first call has built E' M and the basis's mass image H M,
     decompose makes one product with M (the residual's), two L solve
     columns in one call of a 2-column block and one L0 solve; the first
     read of lam adds one M product and one L0 solve."""
@@ -197,11 +197,12 @@ def test_harmonic_members_divfree_and_rot_orthogonal(corpus, solver_cache, basis
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_streamfunction_form_is_stiffness(corpus, solver_cache, k):
     """L, assembled as the Lagrange stiffness, equals E' M E (rot is an
-    isometry) and stores none of the rounding entries E carries into the
-    triple product."""
+    isometry) and stores none of the rounding entries the interpolated E
+    carries into the triple product."""
     for mesh in corpus.values():
         solver = solver_cache(mesh, k)
-        ELE = (solver.E.T @ solver.M @ solver.E).tocsr()
+        E = asm.assemble_rot_embedding(solver.S, solver.V)
+        ELE = (E.T @ solver.M @ E).tocsr()
         assert abs(solver.L - ELE).max() <= 1e-13 * abs(ELE).max()
         if k > 0:  # at k = 0 both couple exactly the vertices of each triangle
             assert solver.L.nnz < ELE.nnz
@@ -267,7 +268,8 @@ def test_block_draw_is_divergence_free_at_seed_900():
     """On the pierced sphere at k = 3, seed 900 drew a near-dependent
     third field when the fields were drawn one at a time (|div h| 7.0e-7,
     |E' M H| 1.8e-9); the oversampled block keeps every member at solver
-    precision (measured 6.0e-11 and 1.7e-13)."""
+    precision (measured 6.0e-11 and 1.7e-13; 8.1e-13 and 1.5e-13 since the
+    draw applies R again after its rot step)."""
     solver = HodgeSolver(meshes.sphere_with_holes(3, 4), 3)
     basis = solver.harmonic_basis(seed=900)
     H = basis.vectors
@@ -275,6 +277,21 @@ def test_block_draw_is_divergence_free_at_seed_900():
     assert max(asm.divergence_norm(solver.V, h) for h in H) <= 1e-10
     assert np.abs(solver._ET @ (solver.M @ H.T)).max() <= 1e-11
     assert basis.gram_residual <= 1e-13
+
+
+def test_draw_reapplies_the_right_inverse_after_its_rot_step():
+    """The rot step W - E L^-1 E' M W leaves the divergence of E psi's
+    rounding in the drawn block; applying W - R B W once more removes it.
+    On the pierced sphere at k = 3, seeds 0-4, the largest relative
+    divergence of a harmonic field fell from 4.8e-11 to 8.1e-13, with
+    |E' M h| at most 1.3e-13."""
+    solver = HodgeSolver(meshes.sphere_with_holes(3, 4), 3)
+    for seed in range(5):
+        H = solver.harmonic_basis(seed=seed).vectors
+        MH = solver.M @ H.T
+        for h, mh in zip(H, MH.T):
+            assert asm.divergence_norm(solver.V, h) <= 5e-12 * np.sqrt(h @ mh), seed
+        assert np.abs(solver._ET @ MH).max() <= 1e-11, seed
 
 
 @pytest.mark.parametrize("name, k, shift", [("torus", 1, -1), ("torus", 1, 1),
@@ -510,9 +527,9 @@ def test_divergence_blocks_behind_the_right_inverse(name, k, corpus, solver_cach
 def test_b_and_e_store_only_structural_entries(name, k, corpus, solver_cache):
     """An entry of B or E over its velocity dof's factor (an edge length or
     sqrt(J)) is an entry of its reference block.  B stores none at or below
-    1e-10 of its block's largest entry, E stores no zeros, and the copy of E
-    that decompose applies is E without the entries at or below that
-    threshold of E's block."""
+    1e-10 of its block's largest entry, the interpolated E stores no zeros,
+    and the solver's E is the interpolated one without the entries at or
+    below that threshold of its block."""
     solver = solver_cache(corpus[name], k)
     V = solver.V
     factor = np.zeros(V.total_dofs)
@@ -520,12 +537,12 @@ def test_b_and_e_store_only_structural_entries(name, k, corpus, solver_cache):
     B = solver.B.tocoo()
     block = abs(asm.reference_div_block(V, solver.Q)).max()
     assert (abs(B.data) / factor[B.col] > 1e-10 * block).all()
-    E = solver.E.tocoo()
+    E = asm.assemble_rot_embedding(solver.S, V).tocoo()
     assert (E.data != 0).all()
     structural = abs(E.data) * factor[E.row] > 1e-10 * abs(asm.reference_rot_block(
         solver.S, V)).max()
     Es = sp.coo_matrix((E.data[structural], (E.row[structural], E.col[structural])), E.shape)
-    assert (solver._Es != Es).nnz == 0 and solver._Es.nnz == structural.sum()
+    assert (solver.E != Es).nnz == 0 and solver.E.nnz == structural.sum()
 
 
 @pytest.mark.parametrize("k", range(5))

@@ -341,9 +341,10 @@ def test_streamfunction_factor_fill_unstructured():
 
 def test_stokes_block_factor_fill():
     """The pinned Stokes streamfunction block A_ss of the 32x16 torus at
-    k = 2 holds about 1.57M LU entries.  It is formed from E as assembled:
-    without E's rounding-level entries its minimum-degree ordering fills
-    1.76M, so this guards the rounding entries where A_ss is formed."""
+    k = 2 holds about 1.57M LU entries.  It is formed from the interpolated
+    E that FlowOperators assembles: without E's rounding-level entries its
+    minimum-degree ordering fills 1.76M, so this guards the rounding entries
+    where A_ss is formed."""
     from surfhodge import flow, meshes
 
     ops = flow.FlowOperators(meshes.torus_structured(32, 16), flow.SimulationConfig(k=2))

@@ -173,6 +173,47 @@ def test_superlu_scan_flags_splu_and_factor_solves():
     assert _superlu_uses(tree) == [1, 2, 3, 5]
 
 
+def _called_name(node) -> str | None:
+    """The name a call node calls (f(...) or obj.f(...)), else None."""
+    f = node.func if isinstance(node, ast.Call) else None
+    return getattr(f, "attr", getattr(f, "id", None))
+
+
+def _interpolated_rot_embeddings(tree: ast.Module) -> list[int]:
+    """Sorted line numbers of each assemble_rot_embedding(...) call in tree
+    whose block, its third positional or block= argument, is not a
+    snap_rounding(...) call: each that assembles E as interpolated."""
+    lines = []
+    for node in ast.walk(tree):
+        if _called_name(node) == "assemble_rot_embedding":
+            block = [kw.value for kw in node.keywords if kw.arg == "block"] or node.args[2:3]
+            if not (block and _called_name(block[0]) == "snap_rounding"):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_flow_assembles_the_interpolated_rot_embedding():
+    """HodgeSolver holds one rot embedding, E with its interpolation
+    rounding snapped to 0.  The interpolated E, whose rounding entries shape
+    the fill-reducing ordering of A_ss, is assembled only in flow.py, so the
+    Hodge solver does not come to hold two embeddings again."""
+    found = {path.name: _interpolated_rot_embeddings(ast.parse(path.read_text()))
+             for path in sorted((ROOT / "src" / "surfhodge").glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines and name != "flow.py"} == {}
+    assert found["flow.py"]
+
+
+def test_rot_embedding_scan_flags_blocks_that_are_not_snapped():
+    tree = ast.parse(
+        "E = asm.assemble_rot_embedding(S, V)\n"
+        "Es = asm.assemble_rot_embedding(S, V, asm.snap_rounding(rot))\n"
+        "E = assemble_rot_embedding(S, V, rot)\n"
+        "Es = assemble_rot_embedding(S, V, block=snap_rounding(rot))\n"
+        "E = assemble_rot_embedding(S, V, block=rot)\n"
+        "rot = asm.reference_rot_block(S, V)\n")
+    assert _interpolated_rot_embeddings(tree) == [1, 3, 5]
+
+
 def _attribute_reads(tree: ast.Module, name: str) -> list[int]:
     """Sorted line numbers of each attribute named name in tree."""
     return sorted(node.lineno for node in ast.walk(tree)
