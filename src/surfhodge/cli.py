@@ -6,18 +6,20 @@ memory, 2 input error (every other package error).  Every command prints a
 human-readable summary; the last stdout line is a JSON object for machine
 consumption.  With --out-dir, output files plus a run manifest (config
 snapshot, mesh checksum, seed, phase timings, peak resident size, output
-list) are written there.
+list, and the environment that sets the bits) are written there.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__, assembly as asm, meshes, vtkio
 from .config import expression_forcing, parse_config_file, simulation_config_from_dict
@@ -30,9 +32,33 @@ from .hodge import HarmonicBasis, HodgeSolver, verify_dimension
 from .mesh import analyze_topology
 
 
+try:  # numpy's bundled OpenBLAS (a numpy wheel's libscipy_openblas64_); None where it has none
+    _LIBS = os.path.dirname(np.__file__) + ".libs"
+    _OPENBLAS = ctypes.CDLL(os.path.join(_LIBS, next(
+        name for name in os.listdir(_LIBS) if name.startswith("libscipy_openblas64_"))))
+    _OPENBLAS_CONFIG = _OPENBLAS.scipy_openblas_get_config64_
+    _OPENBLAS_THREADS = _OPENBLAS.scipy_openblas_get_num_threads64_
+    _OPENBLAS_CONFIG.argtypes, _OPENBLAS_CONFIG.restype = [], ctypes.c_char_p
+    _OPENBLAS_THREADS.argtypes, _OPENBLAS_THREADS.restype = [], ctypes.c_int
+except (StopIteration, AttributeError, OSError):  # OSError: no such directory
+    _OPENBLAS_CONFIG = _OPENBLAS_THREADS = None
+
+
+def _environment() -> dict:
+    """What sets an output's bits besides the inputs: the numpy and scipy
+    versions, numpy's BLAS configuration (the string its OpenBLAS reports,
+    with the kernel it chose for this CPU) and numpy's OpenBLAS thread
+    count; the last two are None where numpy bundles no OpenBLAS."""
+    found = _OPENBLAS_THREADS is not None
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": _OPENBLAS_CONFIG().decode() if found else None,
+            "blas_threads": _OPENBLAS_THREADS() if found else None}
+
+
 class RunManifest:
-    """One CLI invocation: its phase timings, mesh checksum, peak resident
-    size and output files.  `finish` is the run tail every command shares."""
+    """One CLI invocation: its environment, phase timings, mesh checksum,
+    peak resident size and output files.  `finish` is the run tail every
+    command shares."""
 
     def __init__(self, args):
         self.out_dir = args.out_dir
@@ -44,6 +70,7 @@ class RunManifest:
                        if isinstance(v, (str, int, float, bool, type(None)))},
             "mesh_checksum": None,
             "seed": getattr(args, "seed", None),
+            "environment": _environment(),
             "timings_s": {},
             "peak_rss_mb": None,
             "outputs": [],

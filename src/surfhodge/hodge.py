@@ -127,25 +127,32 @@ class HodgeComponents:
     The reconstruction rot(psi) + sum_i h_i H_i + gradient_part reproduces
     the input up to residual_norm.  gradient_part is R B v minus its
     projection onto rot S + H (R the right inverse of B), which equals
-    M^-1 B' lam up to solver precision.  lam, the zero-mean
-    discrete-gradient potential
-    HodgeSolver.pressure_solve(M (v - rot_part - harmonic_part)), costs one
-    mass product and one L0 solve and is computed on first read, then
-    cached.  Until then the split keeps v - rot_part - harmonic_part and
-    its solver in _lam_source, which repr and == leave out.
+    M^-1 B' lam up to solver precision.  The parts are read-only arrays.
+    Two values are computed on first read, then cached: residual_norm,
+    |v - rot_part - harmonic_part - gradient_part|_M, costs one mass
+    product, and lam, the zero-mean discrete-gradient potential
+    HodgeSolver.pressure_solve(M (v - rot_part - harmonic_part)), one mass
+    product and one L0 solve.  Until then the split keeps v - rot_part -
+    harmonic_part, gradient_part and its solver in _source, which repr and
+    == leave out.
     """
 
     psi: FeField
     h_coeffs: np.ndarray
-    residual_norm: float
     rot_part: np.ndarray
     harmonic_part: np.ndarray
     gradient_part: np.ndarray
-    _lam_source: tuple[np.ndarray, HodgeSolver] = field(repr=False, compare=False)
+    _source: tuple[np.ndarray, np.ndarray, HodgeSolver] = field(repr=False, compare=False)
+
+    @cached_property
+    def residual_norm(self) -> float:
+        r, gradient_part, solver = self._source
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller sees inf or nan
+            return mnorm(r - gradient_part, solver.M)
 
     @cached_property
     def lam(self) -> FeField:
-        r, solver = self._lam_source
+        r, _, solver = self._source
         return FeField(solver.Q, solver.pressure_solve(solver.M @ r))
 
 
@@ -403,12 +410,14 @@ class HodgeSolver:
         two-column L solve, one blocked SuperLU pass, gives psi and g0's
         streamfunction, and the L0 solve of R gives g0.  Their loads are
         products with E' M and the harmonic coefficients of v and g0
-        products with the basis's mass image H M, so the residual's is the
-        call's one product with M.  The residual measures the whole split:
-        an incomplete basis or an inaccurate L solve leaves it nonzero.  The
-        pressure Poisson multiplier lam of what the rot and harmonic parts
-        leave is not computed here but on its first read, with one more mass
-        product and L0 solve (HodgeComponents.lam).
+        products with the basis's mass image H M, so the call makes no
+        product with M.  The residual, which measures the whole split (an
+        incomplete basis or an inaccurate L solve leaves it nonzero), and
+        the pressure Poisson multiplier lam of what the rot and harmonic
+        parts leave are not computed here but on their first reads, the
+        residual with one mass product and lam with one more and an L0
+        solve (HodgeComponents.residual_norm and lam).  The three parts are
+        returned read-only, so no edit of them moves a residual read later.
         """
         self.check_basis(basis)
         if not self.V.same_as(v.space):
@@ -427,17 +436,17 @@ class HodgeSolver:
         gradient_part -= self.E @ psi_g
         gradient_part -= (HM @ g0) @ H
         with np.errstate(over="ignore", invalid="ignore"):  # the caller sees inf or nan
-            r = vc - rot_part  # kept for lam
+            r = vc - rot_part  # kept for residual_norm and lam
             r -= harmonic_part
-            residual = mnorm(r - gradient_part, self.M)
+        for part in (rot_part, harmonic_part, gradient_part):
+            part.flags.writeable = False  # so a lazy residual_norm is that of these parts
         return HodgeComponents(
             psi=self.stream_field(psi),
             h_coeffs=h,
-            residual_norm=residual,
             rot_part=rot_part,
             harmonic_part=harmonic_part,
             gradient_part=gradient_part,
-            _lam_source=(r, self),
+            _source=(r, gradient_part, self),
         )
 
 

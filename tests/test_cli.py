@@ -758,6 +758,30 @@ def test_decompose_moves_by_rounding_with_the_blas_thread_count(tmp_path):
             if not abs(one[key] - two[key]) <= 1e-11 * scale[key]} == {}
 
 
+def test_manifest_records_the_environment_that_sets_the_bits(tmp_path):
+    """manifest.json's environment block holds the numpy and scipy
+    versions, numpy's BLAS configuration and numpy's OpenBLAS thread count,
+    which reads the OPENBLAS_NUM_THREADS the run was started with; the last
+    two are null only where numpy bundles no OpenBLAS."""
+    import scipy
+
+    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p),
+           "OPENBLAS_NUM_THREADS": "1"}
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "surfhodge.cli", "topology", "--mesh",
+                           "builtin:tetrahedron", "--out-dir", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    environment = json.loads((out / "manifest.json").read_text())["environment"]
+    assert set(environment) == {"numpy", "scipy", "blas", "blas_threads"}
+    assert (environment["numpy"], environment["scipy"]) == (np.__version__, scipy.__version__)
+    if cli._OPENBLAS_THREADS is None:
+        assert environment["blas"] is environment["blas_threads"] is None
+    else:
+        assert environment["blas"].startswith("OpenBLAS") and environment["blas_threads"] == 1
+
+
 def test_nse_step_count_overflow_exit_2(tmp_path, capsys):
     """t_end / dt beyond the float range is refused with the config, not
     when the run converts it to a step count."""
@@ -920,7 +944,7 @@ def test_damaged_basis_file_exit_2(tmp_path, capsys, damage, command):
 
 # --------------------------------------------------------- out-dir contract
 MANIFEST_KEYS = {"tool", "version", "command", "config", "mesh_checksum", "seed",
-                 "timings_s", "peak_rss_mb", "outputs"}
+                 "environment", "timings_s", "peak_rss_mb", "outputs"}
 NSE_CFG = ("mesh = builtin:torus\nk = 0\nmu = 0.1\ndt = 1e-2\nt_end = 2e-2\n"
            "output_every = 1\nforcing = rigid_rotation\n")
 # each verb's argv and the files it writes, in write order

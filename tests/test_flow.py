@@ -1228,3 +1228,40 @@ def test_flow_state_invariants(torus3, basis_cache):
     un = np.sqrt(state.u.coefficients @ (ops.M @ state.u.coefficients))
     assert asm.divergence_norm(ops.V, state.u.coefficients) <= 1e-10 * un
     assert state.kinetic_energy == pytest.approx(0.5 * un**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, k", [("sphere_with_holes", 2), ("trefoil_tube", 1)])
+def test_shared_solvers_under_threads_match_a_serial_run(name, k):
+    """A HodgeSolver and a stepper, shared after a first call from one
+    thread, serve several threads: 4 threads run decompose (reading its
+    residual_norm and lam) and NavierStokesStepper.step on one
+    FlowOperators' solver and one stepper, and every result is byte-equal
+    to the serial run's."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    mesh = meshes.sphere_with_holes(2, 4) if name == "sphere_with_holes" else \
+        meshes.trefoil_tube(12, 6)
+    ops = FlowOperators(mesh, SimulationConfig(k=k, mu=0.1, dt=1e-3, forcing=smooth_forcing(1)))
+    stepper, solver, basis = NavierStokesStepper(ops), ops.hodge, ops.basis
+    rng = np.random.default_rng(5)
+    states = [ops.initial_state()]
+    for _ in range(7):
+        states.append(stepper.step(states[-1]))
+    tasks = [("step", s) for s in states] + [
+        ("decompose", FeField(ops.V, rng.standard_normal(ops.V.total_dofs))) for _ in range(16)]
+
+    def run(task):
+        kind, x = task
+        if kind == "step":
+            st = stepper.step(x)
+            out = (st.psi.coefficients, st.h_coeffs, st.u.coefficients, st.kinetic_energy)
+        else:
+            comp = solver.decompose(x, basis)
+            out = (comp.psi.coefficients, comp.h_coeffs, comp.rot_part, comp.harmonic_part,
+                   comp.gradient_part, comp.residual_norm, comp.lam.coefficients)
+        return [np.asarray(a).tobytes() for a in out]
+
+    serial = [run(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(run, tasks * 8))
+    assert threaded == serial * 8

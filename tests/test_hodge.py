@@ -15,7 +15,7 @@ from surfhodge.hodge import (
     decompose_p0_incomplete,
     verify_dimension,
 )
-from surfhodge.linalg import FactorizedOperator
+from surfhodge.linalg import FactorizedOperator, mnorm
 from surfhodge.mesh import SurfaceMesh, analyze_topology
 from surfhodge.quadrature import triangle_rule
 
@@ -103,7 +103,7 @@ def test_lam_on_first_read_is_the_eager_multiplier(name, k, corpus, rng):
     before = L.solve_count, L0.solve_count
     comp = solver.decompose(FeField(solver.V, v), basis)
     assert (L.solve_count, L0.solve_count) == (before[0] + 2, before[1] + 1)
-    assert "lam" not in vars(comp) and "_lam_source" not in repr(comp)
+    assert "lam" not in vars(comp) and "_source" not in repr(comp)
     lam = comp.lam
     assert (L.solve_count, L0.solve_count) == (before[0] + 2, before[1] + 2)
     assert comp.lam is lam
@@ -115,11 +115,41 @@ def test_lam_on_first_read_is_the_eager_multiplier(name, k, corpus, rng):
     assert np.abs(lam.coefficients - split).max() <= 1e-12 * np.abs(split).max()
 
 
-def test_decompose_makes_one_mass_product(torus, rng, monkeypatch, counting_mass):
+@pytest.mark.parametrize("name, k", [("torus", 2), ("sphere_4holes", 1), ("genus2", 0)])
+def test_residual_on_first_read_is_the_eager_residual(name, k, corpus, rng, counting_mass):
+    """decompose makes no product with M; the first read of residual_norm
+    makes one, a second read none, and it is bit for bit mnorm(v - rot_part
+    - harmonic_part - gradient_part, M), the eager value.  repr leaves it
+    out, and the three parts it is formed from are read-only."""
+    solver = HodgeSolver(corpus[name], k)
+    basis = solver.harmonic_basis(seed=0)
+    solver.M = M = counting_mass(solver.M)
+    v = rng.standard_normal(solver.V.total_dofs)
+    solver.decompose(FeField(solver.V, v), basis)  # builds E' M and H M
+    before = M.products
+    comp = solver.decompose(FeField(solver.V, v), basis)
+    assert M.products == before
+    assert "residual_norm" not in vars(comp) and "residual_norm" not in repr(comp)
+    residual = comp.residual_norm
+    assert M.products == before + 1
+    assert comp.residual_norm == residual and M.products == before + 1
+    r = v - comp.rot_part
+    r -= comp.harmonic_part
+    assert np.float64(residual).tobytes() == np.float64(
+        mnorm(r - comp.gradient_part, M)).tobytes()
+    for part in (comp.rot_part, comp.harmonic_part, comp.gradient_part):
+        with pytest.raises(ValueError):
+            part[0] = 1.0
+        with pytest.raises(ValueError):
+            part *= 2.0
+
+
+def test_decompose_makes_no_mass_product(torus, rng, monkeypatch, counting_mass):
     """Once its first call has built E' M and the basis's mass image H M,
-    decompose makes one product with M (the residual's), two L solve
-    columns in one call of a 2-column block and one L0 solve; the first
-    read of lam adds one M product and one L0 solve."""
+    decompose makes no product with M, two L solve columns in one call of
+    a 2-column block and one L0 solve; the first read of residual_norm
+    adds one M product, and the first read of lam one M product and one
+    L0 solve."""
     solver = HodgeSolver(torus, 1)
     solver.M = M = counting_mass(solver.M)
     basis = solver.harmonic_basis(seed=0)
@@ -133,8 +163,10 @@ def test_decompose_makes_one_mass_product(torus, rng, monkeypatch, counting_mass
         monkeypatch.setattr(op, "solve", lambda b, name=name, solve=op.solve:
                             calls.append((name, np.shape(b)[1:])) or solve(b))
     comp = solver.decompose(v, basis)
-    assert counts() == (before[0] + 1, before[1] + 2, before[2] + 1)
+    assert counts() == (before[0], before[1] + 2, before[2] + 1)
     assert sorted(calls) == [("L", (2,)), ("L0", ())]
+    comp.residual_norm
+    assert counts() == (before[0] + 1, before[1] + 2, before[2] + 1)
     comp.lam
     assert counts() == (before[0] + 2, before[1] + 2, before[2] + 2)
 

@@ -100,12 +100,13 @@ def test_released_attributes_are_cached_properties():
 
 def _eager_cached_properties(tree: ast.Module) -> list[str]:
     """Class.name for each cached_property of a class in tree that the
-    class's own __init__ reads as self.name."""
+    class's own __init__, or a dataclass's __post_init__, reads as
+    self.name."""
     found = []
     for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
         cached = _cached_properties(ast.Module(body=cls.body, type_ignores=[]))
-        for init in (n for n in cls.body
-                     if isinstance(n, ast.FunctionDef) and n.name == "__init__"):
+        for init in (n for n in cls.body if isinstance(n, ast.FunctionDef)
+                     and n.name in ("__init__", "__post_init__")):
             found += sorted({f"{cls.name}.{node.attr}" for node in ast.walk(init)
                              if isinstance(node, ast.Attribute) and node.attr in cached
                              and isinstance(node.value, ast.Name) and node.value.id == "self"})
@@ -115,7 +116,7 @@ def _eager_cached_properties(tree: ast.Module) -> list[str]:
 def test_no_cached_property_is_read_in_its_own_init():
     """A value a constructor builds is always there, so it is a plain
     attribute: no cached_property of the package is read in its own
-    class's __init__."""
+    class's __init__ or __post_init__."""
     assert [f"{path.name}: {name}"
             for path in sorted((ROOT / "src" / "surfhodge").glob("*.py"))
             for name in _eager_cached_properties(ast.parse(path.read_text()))] == []
@@ -134,6 +135,23 @@ def test_eager_cached_property_check_flags_a_read_in_init():
         "    @cached_property\n"
         "    def lazy(self): ...\n")
     assert _eager_cached_properties(tree) == ["A.block", "A.system"]
+
+
+def test_eager_cached_property_check_flags_a_read_in_post_init():
+    tree = ast.parse(
+        "@dataclass\n"
+        "class Split:\n"
+        "    part: np.ndarray\n"
+        "    def __post_init__(self):\n"
+        "        self.part.flags.writeable = False\n"
+        "        self.residual_norm\n"
+        "    @cached_property\n"
+        "    def residual_norm(self): ...\n"
+        "    @cached_property\n"
+        "    def lam(self): ...\n"
+        "    def report(self):\n"
+        "        return self.lam\n")
+    assert _eager_cached_properties(tree) == ["Split.residual_norm"]
 
 
 def _superlu_uses(tree: ast.Module) -> list[int]:
