@@ -315,7 +315,7 @@ def _monomial_components(n_mono: int) -> np.ndarray:
 
 
 # ------------------------------------------------------------------- spaces
-@dataclass
+@dataclass(eq=False)
 class FeSpace:
     """A discrete function space: reference element plus global dof map.
 
@@ -377,7 +377,7 @@ class FeSpace:
         return (self.gather @ coefficients).reshape(self.dof_map.shape)
 
 
-@dataclass
+@dataclass(eq=False)
 class FeField:
     """Coefficient vector paired with its space."""
 

@@ -99,7 +99,7 @@ class JEmbedding:
         return BlockSystem((self.ET @ (A @ self.E)).tocsc(), self.ET @ AH, self.H @ AH)
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockSystem:
     """Symmetric reduced operator [[A_ss, A_sh], [A_sh', A_hh]]: sparse
     streamfunction block, dense harmonic columns and block.  Loads are not
@@ -160,7 +160,7 @@ class ReducedSolver:
 
 
 # -------------------------------------------------------------------- state
-@dataclass
+@dataclass(eq=False)
 class FlowState:
     """Velocity state of a flow computation: time, streamfunction and
     harmonic coefficients, the velocity field u = E psi + H' h (convection
@@ -548,7 +548,7 @@ class NavierStokesStepper:
         return ops.make_state(t_next, x_s, x_h, step=n, t0=state.t0)
 
 
-@dataclass
+@dataclass(eq=False)
 class SimulationResult:
     """Time series and final state of a Navier-Stokes run.
 

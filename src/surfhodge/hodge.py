@@ -52,7 +52,7 @@ OVERSAMPLING = 2
 RANK_TOL = 1e-8
 
 
-@dataclass
+@dataclass(eq=False)
 class HarmonicBasis:
     """L2-orthonormal basis of the discrete harmonic space.
 
@@ -120,7 +120,7 @@ class HarmonicBasis:
                 f"malformed harmonic basis container ({type(exc).__name__}: {exc})") from exc
 
 
-@dataclass
+@dataclass(eq=False)
 class HodgeComponents:
     """Three-way split of an H(div) field.
 
@@ -133,8 +133,8 @@ class HodgeComponents:
     product, and lam, the zero-mean discrete-gradient potential
     HodgeSolver.pressure_solve(M (v - rot_part - harmonic_part)), one mass
     product and one L0 solve.  Until then the split keeps v - rot_part -
-    harmonic_part, gradient_part and its solver in _source, which repr and
-    == leave out.
+    harmonic_part, gradient_part and its solver in _source, which repr
+    leaves out.  == is identity, as for every result that holds arrays.
     """
 
     psi: FeField
@@ -142,7 +142,7 @@ class HodgeComponents:
     rot_part: np.ndarray
     harmonic_part: np.ndarray
     gradient_part: np.ndarray
-    _source: tuple[np.ndarray, np.ndarray, HodgeSolver] = field(repr=False, compare=False)
+    _source: tuple[np.ndarray, np.ndarray, HodgeSolver] = field(repr=False)
 
     @cached_property
     def residual_norm(self) -> float:
@@ -451,7 +451,7 @@ class HodgeSolver:
 
 
 # ---------------------------------------------- lowest-order CR decomposition
-@dataclass
+@dataclass(eq=False)
 class P0Decomposition:
     psi: FeField
     h_coeffs: np.ndarray

@@ -1,12 +1,16 @@
 import dataclasses
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import surfhodge
 from surfhodge import assembly as asm, meshes
 from surfhodge.errors import BasisMismatch, MaxAttemptsExceeded, WrongDegree
 from surfhodge.fespace import FeField, build_space
+from surfhodge.flow import FlowOperators, SimulationConfig, run_simulation
 from surfhodge.hodge import (
     OVERSAMPLING,
     RANK_TOL,
@@ -933,3 +937,53 @@ def test_p0_wrong_degree(torus3, rng):
     v = FeField(P1, rng.standard_normal(P1.total_dofs))
     with pytest.raises(WrongDegree):
         decompose_p0_incomplete(v)
+
+
+# ---------------------------------------------------------------- equality
+def _array_dataclasses():
+    """Every dataclass of surfhodge with an ndarray among its fields."""
+    found = {}
+    for m in pkgutil.iter_modules(surfhodge.__path__):
+        for obj in vars(importlib.import_module(f"surfhodge.{m.name}")).values():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__.startswith("surfhodge.")
+                    and any("ndarray" in str(f.type) for f in dataclasses.fields(obj))):
+                found[obj.__name__] = obj
+    return found
+
+
+ARRAY_DATACLASSES = _array_dataclasses()
+# one instance of each, on the builtin torus at k = 0 (the flow's at k = 1)
+INSTANCES = {
+    "FeSpace": lambda env: env["solver"].V,
+    "FeField": lambda env: env["field"],
+    "HarmonicBasis": lambda env: env["basis"],
+    "HodgeComponents": lambda env: env["solver"].decompose(env["field"], env["basis"]),
+    "P0Decomposition": lambda env: decompose_p0_incomplete(env["p0_field"], env["basis"]),
+    "QuadratureRule": lambda env: triangle_rule(3),
+    "BlockSystem": lambda env: env["ops"].A_red,
+    "FlowState": lambda env: env["ops"].initial_state(),
+    "SimulationResult": lambda env: run_simulation(env["ops"].mesh, env["ops"].config,
+                                                   basis=env["flow_basis"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_DATACLASSES))
+def test_array_dataclasses_compare_by_identity(name, torus, solver_cache, basis_cache, rng):
+    """== on a dataclass holding arrays is identity: an instance equals
+    itself, and a copy whose arrays are equal but distinct is another
+    instance, not a ValueError on an ambiguous truth value."""
+    solver = solver_cache(torus, 0)
+    P0 = build_space(torus, "dg_vector", 0)
+    env = {"solver": solver, "basis": basis_cache(torus, 0),
+           "field": FeField(solver.V, rng.standard_normal(solver.V.total_dofs)),
+           "p0_field": FeField(P0, rng.standard_normal(P0.total_dofs)),
+           "ops": FlowOperators(torus, SimulationConfig(k=1, dt=1e-2, t_end=2e-2)),
+           "flow_basis": basis_cache(torus, 1)}
+    a = INSTANCES[name](env)
+    assert type(a) is ARRAY_DATACLASSES[name]
+    b = dataclasses.replace(a, **{f.name: getattr(a, f.name).copy()
+                                  for f in dataclasses.fields(a)
+                                  if f.init and isinstance(getattr(a, f.name), np.ndarray)})
+    assert a == a and b == b
+    assert not a == b and a != b

@@ -3,9 +3,14 @@ a script in scripts/ imports is used in that file or re-exported through
 its __all__, every parameter of a function of surfhodge is read in its
 body, every name in surfhodge.__all__ resolves, and every top-level
 function, class and constant of surfhodge is referenced somewhere in the
-package, scripts/ or tests/."""
+package, scripts/ or tests/.  One run in a child process checks what the
+CLI's verbs load."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,3 +148,31 @@ def test_every_top_level_name_is_referenced():
     dead = [f"{path.name}:{name}" for path in MODULES
             for name in top_level_names(path.read_text()) if name not in refs]
     assert dead == []
+
+
+def test_cli_runs_never_load_scipy_special(tmp_path):
+    """The Gauss rules are tabulated, so no run imports scipy.special, the
+    largest module the package would add to a process.  One process
+    imports the CLI and runs stokes --compare-saddle and a short nse on the
+    builtin torus, then harmonic and decompose on the pierced sphere at
+    k = 3."""
+    nse = tmp_path / "nse.cfg"
+    nse.write_text("mesh = builtin:torus\nk = 1\nmu = 0.5\ndt = 1e-2\nt_end = 3e-2\n"
+                   "output_every = 1\nforcing = expression\nfx = sin(y)\nfy = cos(z)\n"
+                   "fz = 0.2*x\n")
+    root = Path(__file__).resolve().parents[1]
+    runs = [["stokes", "--config", str(root / "configs" / "stokes_torus.cfg"),
+             "--compare-saddle"],
+            ["nse", "--config", str(nse)],
+            ["harmonic", "--mesh", "builtin:sphere_4holes", "--k", "3"],
+            ["decompose", "--mesh", "builtin:sphere_4holes", "--k", "3"]]
+    runs = [argv + ["--out-dir", str(tmp_path / argv[0])] for argv in runs]
+    script = ("import json, sys\nfrom surfhodge import cli\n"
+              "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(codes, 'scipy.special' in sys.modules)\n")
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
