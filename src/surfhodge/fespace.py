@@ -134,21 +134,13 @@ class LagrangeRef(ScalarPolyRef):
     def __init__(self, p: int):
         self.p = p
         nodes = [tuple(v) for v in REF_VERTS]
-        self.vertex_nodes = [0, 1, 2]
-        self.edge_nodes = []
-        for le in range(3):
-            ids = []
-            a, b = (REF_VERTS[v] for v in LOCAL_EDGES[le])
-            for i in range(1, p):
-                ids.append(len(nodes))
-                nodes.append(tuple(a + (i / p) * (b - a)))
-            self.edge_nodes.append(ids)
-        self.interior_nodes = []
-        for j in range(1, p):
-            for i in range(1, p - j):
-                self.interior_nodes.append(len(nodes))
-                nodes.append((i / p, j / p))
+        for a, b in (REF_VERTS[list(e)] for e in LOCAL_EDGES):
+            nodes += [tuple(a + (i / p) * (b - a)) for i in range(1, p)]
+        nodes += [(i / p, j / p) for j in range(1, p) for i in range(1, p - j)]
         self.nodes = np.array(nodes)
+        # node order: the vertices, each local edge's p - 1 nodes, the interior
+        self.vertex_nodes = np.arange(3)
+        self.edge_nodes = np.arange(3, 3 * p).reshape(3, p - 1)
         self.exps = scalar_monomials(p)
         V = eval_monomials(self.exps, self.nodes).T  # (n_nodes, n_mono)
         self.coeffs = np.linalg.inv(V).T
@@ -236,8 +228,6 @@ class BdmRef(VectorPolyRef):
         n_gen = len(gens)
         self._dof_scales = np.ones(n_gen)
         L = self._apply_raw_dofs(gens, self.exps)
-        if L.shape != (n_gen, n_gen):
-            raise AssertionError("BDM dof count mismatch")
         # Normalize the functionals: a fixed reference rescaling that keeps
         # the dual-basis inversion (and hence pointwise evaluation) well
         # conditioned at higher degree.  Edge moments share one scale per
@@ -343,11 +333,6 @@ class FeSpace:
     @property
     def zero_mean(self) -> bool:
         return self.constraint == "zero_mean"
-
-    @property
-    def constrained_dim(self) -> int:
-        """Dimension after enforcing the zero-mean constraint (if any)."""
-        return self.total_dofs - (1 if self.zero_mean else 0)
 
     def same_as(self, other: "FeSpace") -> bool:
         """other is this space or one built alike: same kind, degree, mesh
@@ -463,7 +448,16 @@ VALID_CONSTRAINTS = {kind: spec.constraints for kind, spec in _KINDS.items()}
 
 @lru_cache(maxsize=None)
 def _reference(kind: str, degree: int):
-    return _KINDS[kind].ref(degree)
+    """The reference element of (kind, degree), shared by every space built
+    alike on any mesh, so made read-only: its arrays are frozen and its
+    lists become tuples."""
+    ref = _KINDS[kind].ref(degree)
+    for name, value in list(vars(ref).items()) if ref else ():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        elif isinstance(value, list):
+            setattr(ref, name, tuple(value))
+    return ref
 
 
 def _check_space(kind: str, degree: int, constraint: str, n_components: int):
@@ -540,9 +534,8 @@ def count_dofs(topology: TopologySummary, kind: str, degree: int, constraint: st
 
     This counts what build_space numbers, so it matches build_space's
     total_dofs on every mesh, and raises what build_space raises for the
-    same arguments.  The zero_mean constraint does not change the count
-    (it removes no dof); use FeSpace.constrained_dim for the reduced
-    dimension.
+    same arguments.  The zero_mean constraint does not change the count:
+    it removes no dof.
     """
     kind, k = _check_space(kind, degree, constraint, topology.n_components)
     nv, ne, nt = _KINDS[kind].per_entity(k)

@@ -13,7 +13,7 @@ import pytest
 from surfhodge import cli, config, meshes
 from surfhodge.cli import build_parser, main
 from surfhodge.hodge import HodgeSolver
-from surfhodge.mesh import analyze_topology, save_obj, save_off
+from surfhodge.mesh import SurfaceMesh, analyze_topology, save_obj, save_off
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -388,22 +388,6 @@ def test_verify_flipped_triangles_repaired(tmp_path, capsys):
     assert payload["failures"] == 0
 
 
-def test_verify_euler_identity_checks_component_betti(monkeypatch, capsys):
-    """The Euler identity compares the per-component Betti numbers with
-    V - E + T, so a component count that is off fails it."""
-    def off_by_one(mesh):
-        topo = analyze_topology(mesh)
-        (b0, b1, b2), = topo.component_betti
-        return replace(topo, component_betti=((b0, b1 + 1, b2),))
-
-    monkeypatch.setattr(cli, "analyze_topology", off_by_one)
-    assert main(["verify", "--mesh", "builtin:tetrahedron", "--k-max", "0"]) == 3
-    captured = capsys.readouterr()
-    assert "FAIL  input: euler identity" in captured.out
-    assert "PASS  input: boundary edge/vertex balance" in captured.out
-    assert captured.err == "algorithmic failure: 1 verification checks failed\n"
-
-
 def test_verify_nonmanifold_exit_2(tmp_path):
     path = tmp_path / "nm.off"
     path.write_text(
@@ -478,6 +462,44 @@ def assert_one_line_failure(capsys, argv, code, prefix):
 
 def assert_input_error(capsys, argv):
     assert_one_line_failure(capsys, argv, 2, "input error:")
+
+
+_TETRA = meshes.tetrahedron()
+TWO_TETRAHEDRA = SurfaceMesh(np.vstack([_TETRA.vertices, _TETRA.vertices + 10.0]),
+                             np.vstack([_TETRA.triangles, _TETRA.triangles + 4]))
+DEEP_INPUT_ERRORS = {  # argv, its files (name -> text or mesh) and the stderr line
+    "stokes_config_without_mesh": (
+        ["stokes", "--config", "run.cfg"], {"run.cfg": "k = 1\nt_end = 0\n"},
+        "no mesh given (config key 'mesh' or --mesh)"),
+    "unknown_builtin": (
+        ["topology", "--mesh", "builtin:nosuch"], {},
+        f"unknown builtin mesh 'nosuch'; available: {sorted(meshes.BUILTIN)}"),
+    "harmonic_on_two_components": (
+        ["harmonic", "--mesh", "two.off"], {"two.off": TWO_TETRAHEDRA},
+        "decomposition requires a connected mesh"),
+    "expression_with_string_constant": (
+        ["stokes", "--config", "run.cfg"],
+        {"run.cfg": "mesh = builtin:torus\nk = 1\nt_end = 0\nforcing = expression\n"
+                    "fx = 'a'\nfy = 0\nfz = 0\n"},
+        "non-numeric constant in \"'a'\""),
+    "off_without_counts": (
+        ["topology", "--mesh", "bare.off"], {"bare.off": "OFF\n"},
+        "missing OFF counts line"),
+}
+
+
+@pytest.mark.parametrize("case", DEEP_INPUT_ERRORS)
+def test_input_failure_paths_exit_2(tmp_path, capsys, monkeypatch, case):
+    """Input errors raised deep in the mesh, config and Hodge layers reach
+    main as exit 2 with their one line."""
+    argv, files, message = DEEP_INPUT_ERRORS[case]
+    for name, content in files.items():
+        if isinstance(content, str):
+            (tmp_path / name).write_text(content)
+        else:
+            save_off(content, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    assert_one_line_failure(capsys, argv, 2, f"input error: {message}\n")
 
 
 def test_harmonic_unsupported_degree_exit_2(capsys):

@@ -14,6 +14,7 @@ import re
 from pathlib import Path
 
 import surfhodge
+from surfhodge.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = {m.name: importlib.import_module(f"surfhodge.{m.name}")
@@ -194,3 +195,25 @@ def test_checker_flags_names_that_are_back():
         "nowhere(x=): 0 objects to check, not one",
         "a b: cannot parse",
     ]
+
+
+def readme_verify_suite(text: str) -> tuple[set[str], set[str]]:
+    """The corpus and the check names (with `<k>` for the degree) that
+    README's `verify` paragraph and list give."""
+    paragraph, rest = text.split("`verify` checks each mesh of its corpus", 1)[1].split(
+        "Its suite is exactly:", 1)
+    corpus = set(re.findall(r"`(\w+)`", paragraph.split("else the builtins", 1)[1]
+                            .split(")", 1)[0]))
+    checks = set(re.findall(r"^- `([^`]+)`", rest.split("\n\n", 2)[1], re.M))
+    return corpus, checks
+
+
+def test_readme_lists_the_verify_suite(capsys):
+    """README's list of verify's checks is what `surfhodge verify` runs."""
+    assert main(["verify", "--k-max", "0"]) == 0
+    names = [line[6:].split("  (", 1)[0] for line in capsys.readouterr().out.splitlines()
+             if line[:6] in ("PASS  ", "FAIL  ")]
+    corpus = {name.split(": ", 1)[0] for name in names}
+    checks = {name.split(": ", 1)[1].replace("k=0", "k=<k>") for name in names}
+    assert (corpus, checks) == readme_verify_suite(README.read_text())
+    assert len(names) == len(corpus) * len(checks)

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from surfhodge import meshes
+from surfhodge.assembly import assemble_mass
 from surfhodge.errors import DisconnectedMesh, IndexOutOfRange, UnsupportedCombination
 from surfhodge.fespace import (
+    _KINDS,
     VALID_CONSTRAINTS,
     FeField,
     build_space,
@@ -42,7 +46,6 @@ def test_count_examples(tetra):
     assert count_dofs(topo, "bdm", 0, "zero_normal_trace") == 6  # one per edge
     space = build_space(tetra, "lagrange", 1, "zero_mean")
     assert space.total_dofs == 4
-    assert space.constrained_dim == 3
 
     sq = meshes.square_two_triangles()
     cr = build_space(sq, "crouzeix_raviart", 1, "zero_mean")
@@ -275,6 +278,42 @@ def test_piola_identity_embedding():
     assert np.allclose(out[:, 2], 0.0)
     bv = eval_basis(space, 0, [[1 / 3] * 3])
     assert np.allclose(ref_vals @ bv.values[:, 0], out, atol=1e-15)
+
+
+def test_eval_cells_of_a_scalar_field_matches_eval_basis(torus):
+    """eval_cells' scalar branch: on each triangle a Lagrange field is its
+    signed local coefficients against eval_basis's values."""
+    space = build_space(torus, "lagrange", 3)
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(space.total_dofs)
+    tris, pts = [0, 7, 19], rng.dirichlet([1, 1, 1], size=6)
+    out = FeField(space, c).eval_cells(tris, pts)
+    assert out.shape == (len(tris), len(pts))
+    for row, t in zip(out, tris):
+        loc = space.dof_signs[t] * c[space.dof_map[t]]
+        assert np.allclose(row, loc @ eval_basis(space, t, pts).values, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", sorted(set(_KINDS) - {"facet_tangential"}))
+def test_reference_elements_are_read_only(tetra, torus3, kind):
+    """Every space of one kind and degree, on any mesh, shares one reference
+    element, so none may write it: each array refuses a write, each
+    sequence is a tuple, and the mass matrix keeps the bits it has with a
+    freshly built, writeable reference."""
+    for degree in _KINDS[kind].degrees:
+        space = build_space(tetra, kind, degree)
+        assert space.ref is build_space(torus3, kind, degree).ref
+        before = assemble_mass(space)
+        for name, value in vars(space.ref).items():
+            if isinstance(value, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    value[...] = 0
+            else:
+                assert isinstance(value, (int, tuple)), (degree, name)
+        fresh = assemble_mass(replace(space, ref=_KINDS[kind].ref(degree)))
+        for M in (assemble_mass(space), fresh):
+            assert (M != before).nnz == 0
+            assert M.data.tobytes() == before.data.tobytes()
 
 
 def test_piola_scaling():
