@@ -11,9 +11,10 @@ pairing serves both), (f . v) J = (F'f) . vhat for the load, (f .
 grad(phi)) J = fhat . grad(phihat) for a Piola-mapped f, eps(u):eps(v) J =
 (tr(X' g Y g^-1) + tr(X Y)) / 2J for the SIP volume term and g / J^2 for
 convection.  Edge terms read one side-trace tabulation (_side_traces),
-which one CSR builder (_side_trace_operator) turns into sparse operators:
-the SIP facet terms are products of a jump and a traction operator, and
-the convection action upwinds the traces of one operator Psi.
+which the signed-row CSR builder (fespace._signed_rows, which also builds
+each space's gather) turns into sparse operators: the SIP facet terms are
+products of a jump and a traction operator, and the convection action
+upwinds the traces of one operator Psi.
 
 Convection is stepped explicitly, so it exists only as the matrix-free
 action C(w) u (convection_action), never as an assembled matrix.
@@ -35,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegreeMismatch, NaNDetected, NonpositiveParameter, NotDivergenceFree
-from .fespace import FeField, FeSpace, edge_ref_points
+from .fespace import FeField, FeSpace, _index_type, _signed_rows, edge_ref_points
 from .quadrature import edge_rule, triangle_rule
 
 
@@ -62,12 +63,6 @@ def physical_points(mesh, rule) -> np.ndarray:
     """Quadrature point positions (T, n_q, 3)."""
     p0 = mesh.vertices[mesh.triangles[:, 0]]
     return p0[:, None, :] + np.einsum("tid,qd->tqi", mesh.F, rule.xy)
-
-
-def _index_type(n: int) -> type:
-    """scipy's index type for n rows or columns: dofs cast to it before they
-    are broadcast are not cast again, entry by entry, by the sparse matrix."""
-    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
 def _scatter(local: np.ndarray, rows_map, rows_signs, cols_map, cols_signs, shape):
@@ -354,24 +349,6 @@ def _side_traces(V: FeSpace, edges: np.ndarray, tris: np.ndarray, tq, rows: slic
     return le, out.reshape(coef.shape[:3] + (n_q, n_loc)).transpose(2, 1, 3, 0, 4)
 
 
-def _side_trace_operator(n_cols: int, cols: np.ndarray, signs: np.ndarray,
-                         traces: np.ndarray) -> sp.csr_matrix:
-    """Sparse map from global coefficients to traces on edge sides.
-
-    traces (..., n) holds, for each row (the leading axes, flattened in C
-    order), the traces of n local basis functions; cols and signs, which
-    broadcast against traces, hold their global dofs and orientation
-    factors.  Entries whose dof is negative (removed by a trace constraint
-    or structurally zero) are dropped.  Each row's entries are written in
-    row order, so indptr and indices need no sorting.
-    """
-    data = traces * signs
-    cols = np.broadcast_to(cols.astype(_index_type(n_cols)), data.shape)
-    keep = cols >= 0
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=-1).ravel())])
-    return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(len(indptr) - 1, n_cols))
-
-
 # ---------------------------------------------------------------- SIP form
 _SIDES = np.array([[1.0], [-1.0]])  # side 0 counts +, side 1 - (jumps)
 
@@ -447,8 +424,8 @@ def _sip_facet_term(V: FeSpace, mu: float, alpha: float, dirichlet: bool) -> sp.
     coef = (alpha * mu / h_e)[:, None] * jump
     coef -= trac
     coef *= (tw[:, None] * h_e)[None, :, :, None]
-    P_j, WQ = (_side_trace_operator(V.total_dofs, cols, signs,
-                                    t.transpose(1, 2, 0, 3).reshape(len(tq), n_e, 2 * n_loc))
+    P_j, WQ = (_signed_rows(V.total_dofs, cols, signs,
+                            t.transpose(1, 2, 0, 3).reshape(len(tq), n_e, 2 * n_loc))
                for t in (jump, coef))
     del jump, trac, coef
     F = P_j.T @ WQ
@@ -529,7 +506,7 @@ def convection_tabulation(V: FeSpace) -> dict:
     # a normal trace is fixed by its edge's k + 1 moments: the flux rows keep
     # the dofs le (k + 1) .. le (k + 1) + k; the others' traces vanish exactly
     dofs[0, 0, np.arange(n_loc) // (k + 1) != le[:, :1]] = -1
-    psi = _side_trace_operator(V.total_dofs, dofs, V.dof_signs[sides], tr[[0, 1, 1], [0, 0, 1]])
+    psi = _signed_rows(V.total_dofs, dofs, V.dof_signs[sides], tr[[0, 1, 1], [0, 0, 1]])
     wq = (tw[:, None] * mesh.edge_lengths[interior]).ravel()
     n = len(wq)
     tab["edge"] = (psi, (psi[n:2 * n] - psi[2 * n:]).T.tocsr(), wq)

@@ -304,6 +304,31 @@ def _monomial_components(n_mono: int) -> np.ndarray:
     return np.eye(2 * n_mono).reshape(2 * n_mono, n_mono, 2)
 
 
+def _index_type(n: int) -> type:
+    """scipy's index type for n rows or columns: dofs cast to it before they
+    are broadcast are not cast again, entry by entry, by the sparse matrix."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
+def _signed_rows(n_cols: int, cols: np.ndarray, signs: np.ndarray,
+                 values: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix of signed entries, row by row.
+
+    values (..., n) holds n entries for each row (the leading axes,
+    flattened in C order), such as the traces of n local basis functions on
+    an edge side; cols and signs, which broadcast against values, hold
+    their global dofs and orientation factors.  Entries whose dof is
+    negative (removed by a trace constraint or structurally zero) are
+    dropped.  Each row's entries are written in row order, so indptr and
+    indices need no sorting.
+    """
+    data = values * signs
+    cols = np.broadcast_to(cols.astype(_index_type(n_cols)), data.shape)
+    keep = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=-1).ravel())])
+    return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(len(indptr) - 1, n_cols))
+
+
 # ------------------------------------------------------------------- spaces
 @dataclass(eq=False)
 class FeSpace:
@@ -345,11 +370,8 @@ class FeSpace:
         """The signed gather P (T n_local, n), a CSR built on first use: row
         t n_local + i holds dof_signs[t, i] in column dof_map[t, i] (no
         entry for a dropped dof), so P c is local_coefficients(c)."""
-        rows, signs = self.dof_map.ravel(), self.dof_signs.ravel()
-        keep = rows >= 0
-        indptr = np.concatenate([[0], np.cumsum(keep)])
-        return sp.csr_matrix((signs[keep], rows[keep], indptr),
-                             shape=(rows.size, self.total_dofs))
+        return _signed_rows(self.total_dofs, self.dof_map[..., None],
+                            self.dof_signs[..., None], np.ones(1))
 
     @cached_property
     def scatter(self) -> sp.csr_matrix:

@@ -210,7 +210,6 @@ class SurfaceMesh:
         cross = np.cross(p1 - p0, p2 - p0)
         nrm = np.linalg.norm(cross, axis=1)
         self.tri_normals = cross / nrm[:, None]
-        self.tri_areas = 0.5 * nrm
         # Affine map x = p0 + F xhat with F = [p1-p0 | p2-p0]  (3x2)
         self.F = np.stack([p1 - p0, p2 - p0], axis=2)
         self.Jdet = nrm  # sqrt(det(F^T F)) for a triangle = |(p1-p0)x(p2-p0)|
@@ -241,12 +240,6 @@ class SurfaceMesh:
     @property
     def is_closed(self) -> bool:
         return not self.boundary_edge_mask.any()
-
-    def local_edge_of(self, tri: int, edge: int) -> int:
-        loc = np.flatnonzero(self.tri_edges[tri] == edge)
-        if len(loc) == 0:
-            raise IndexOutOfRange(f"edge {edge} not on triangle {tri}")
-        return int(loc[0])
 
     def checksum(self) -> str:
         h = hashlib.sha256()

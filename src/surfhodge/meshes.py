@@ -36,21 +36,6 @@ def square_two_triangles() -> SurfaceMesh:
     return SurfaceMesh(verts, tris)
 
 
-def folded_square(angle_deg: float = 90.0) -> SurfaceMesh:
-    """Two unit triangles sharing the edge x=0..1, folded by angle_deg."""
-    a = np.deg2rad(angle_deg)
-    verts = np.array(
-        [
-            [0.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0],
-            [0.5, 1.0, 0.0],
-            [0.5, -np.cos(a), np.sin(a)],
-        ]
-    )
-    tris = np.array([[0, 1, 2], [1, 0, 3]])
-    return SurfaceMesh(verts, tris)
-
-
 def flat_patch(n: int = 4) -> SurfaceMesh:
     """Structured n x n triangulation of the unit square (simply connected)."""
     xs = np.linspace(0.0, 1.0, n + 1)

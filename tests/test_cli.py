@@ -388,6 +388,27 @@ def test_verify_flipped_triangles_repaired(tmp_path, capsys):
     assert payload["failures"] == 0
 
 
+def test_verify_failures_exit_3(tmp_path, capsys, monkeypatch):
+    """A topology that overstates b1 by one fails both dimension identities
+    and both harmonic-basis checks; verify still writes its report, then
+    exits 3 with one line on stderr."""
+    def overstated(mesh):
+        topo = analyze_topology(mesh)
+        return replace(topo, b1=topo.b1 + 1)
+
+    monkeypatch.setattr(cli, "analyze_topology", overstated)
+    code = main(["verify", "--mesh", "builtin:torus", "--k-max", "1", "--out-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err == "algorithmic failure: 4 verification checks failed\n"
+    assert json.loads(out.strip().splitlines()[-1]) == {"failures": 4, "checks": 6}
+    report = json.loads((tmp_path / "verify.json").read_text())
+    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert report["failures"] == 4
+    assert failed == [f"input: dimension identity k={k}" for k in (0, 1)] + [
+        f"input: harmonic basis k={k}" for k in (0, 1)]
+
+
 def test_verify_nonmanifold_exit_2(tmp_path):
     path = tmp_path / "nm.off"
     path.write_text(

@@ -244,7 +244,7 @@ def test_bdm_normal_continuity(corpus, k):
             traces = []
             for side in range(2):
                 t = int(mesh.edge_tris[e, side])
-                le = mesh.local_edge_of(t, e)
+                le = list(mesh.tri_edges[t]).index(e)
                 xy = edge_ref_points(le, tq, flip=not mesh.tri_edge_along[t, le])
                 phys = np.einsum("ic,lqc->lqi", mesh.F[t] / mesh.Jdet[t],
                                  space.ref.eval(xy))
@@ -260,7 +260,7 @@ def test_bdm_zero_normal_trace_on_boundary(sphere4):
     tq, _ = edge_rule(6)
     for e in np.flatnonzero(sphere4.boundary_edge_mask):
         t = int(sphere4.edge_tris[e, 0])
-        le = sphere4.local_edge_of(t, e)
+        le = list(sphere4.tri_edges[t]).index(e)
         xy = edge_ref_points(le, tq)
         phys = np.einsum("ic,lqc->lqi", sphere4.F[t] / sphere4.Jdet[t],
                          space.ref.eval(xy))

@@ -1,4 +1,5 @@
 import pathlib
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -698,6 +699,23 @@ def test_nse_nan_guard(torus3, basis_cache):
     bad = replace(good, u=FeField(ops.V, np.full(ops.V.total_dofs, np.nan)))
     with pytest.raises(NaNDetected):
         stepper.step(bad)
+
+
+def test_step_refuses_a_non_finite_right_hand_side():
+    """A finite state whose convection overflows: harmonic coefficients
+    (1e200, 0) give a velocity near 1e199.  The step raises NaNDetected at
+    its right-hand side, and no warning of any kind comes before it."""
+    ops = FlowOperators(meshes.torus_structured(8, 6), SimulationConfig(k=1, dt=1e-2))
+    stepper = NavierStokesStepper(ops)
+    good = ops.make_state(0.0, np.zeros(ops.emb.n_stream), np.zeros(ops.emb.n_harmonic))
+    h = np.array([1e200, 0.0])
+    u = ops.emb.apply(np.zeros(ops.emb.n_stream), h)
+    assert np.isfinite(u).all()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NaNDetected, match="^non-finite right-hand side at t = 0.01$"):
+            stepper.step(replace(good, h_coeffs=h, u=FeField(ops.V, u)))
+    assert caught == []
 
 
 @pytest.mark.parametrize("value", [np.nan, 1e300])

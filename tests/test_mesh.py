@@ -403,7 +403,9 @@ def test_frames_coplanar():
 
 
 def test_frames_folded_90():
-    mesh = meshes.folded_square(90.0)
+    """Two triangles sharing the edge x = 0..1, folded by 90 degrees."""
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.5, 0.0, 1.0]])
+    mesh = SurfaceMesh(verts, np.array([[0, 1, 2], [1, 0, 3]]))
     e = int(np.flatnonzero(~mesh.boundary_edge_mask)[0])
     _, nu1, nu2 = edge_frames(mesh, e)
     assert abs(np.dot(nu1, nu2)) < 1e-12
