@@ -3,18 +3,19 @@
 Every form is evaluated in the reference frame.  On an affine triangle the
 Piola map gives v = F vhat / J and grad v = F X G' / J with X = grad(vhat),
 g = F'F, G'G = g^-1 and G'F = I, and a scalar gradient is G grad(phihat).
-So each form reads the reference values and gradients, shared by all
-triangles, and a few numbers per triangle or edge side: (v . w) J =
-vhat' g what / J for the vector mass, grad(phi) . grad(psi) J =
-grad(phihat)' J g^-1 grad(psihat) for the scalar stiffness (one 2x2-metric
-pairing serves both), (f . v) J = (F'f) . vhat for the load, (f .
-grad(phi)) J = fhat . grad(phihat) for a Piola-mapped f, eps(u):eps(v) J =
-(tr(X' g Y g^-1) + tr(X Y)) / 2J for the SIP volume term and g / J^2 for
-convection.  Edge terms read one side-trace tabulation (_side_traces),
-which the signed-row CSR builder (fespace._signed_rows, which also builds
-each space's gather) turns into sparse operators: the SIP facet terms are
-products of a jump and a traction operator, and the convection action
-upwinds the traces of one operator Psi.
+The mesh forms g and g^-1 once, as SurfaceMesh.metric and .inverse_metric,
+and the forms read them.  So each form reads the reference values and
+gradients, shared by all triangles, and a few numbers per triangle or edge
+side: (v . w) J = vhat' g what / J for the vector mass, grad(phi) .
+grad(psi) J = grad(phihat)' J g^-1 grad(psihat) for the scalar stiffness
+(one 2x2-metric pairing serves both), (f . v) J = (F'f) . vhat for the
+load, (f . grad(phi)) J = fhat . grad(phihat) for a Piola-mapped f,
+eps(u):eps(v) J = (tr(X' g Y g^-1) + tr(X Y)) / 2J for the SIP volume term
+and g / J^2 for convection.  Edge terms read one side-trace tabulation
+(_side_traces), which the signed-row CSR builder (fespace._signed_rows,
+which also builds each space's gather) turns into sparse operators: the SIP
+facet terms are products of a jump and a traction operator, and the
+convection action upwinds the traces of one operator Psi.
 
 Convection is stepped explicitly, so it exists only as the matrix-free
 action C(w) u (convection_action), never as an assembled matrix.
@@ -51,12 +52,6 @@ def tabulate_field(field: FeField, rule) -> np.ndarray:
     xy = rule.xy
     return field.eval_cells(np.arange(field.space.mesh.n_triangles),
                             np.column_stack([1.0 - xy.sum(axis=1), xy]))
-
-
-def _gram(F: np.ndarray) -> np.ndarray:
-    """F'F of every triangle's (3, 2) matrix as (T, 2, 2), exactly
-    symmetric: the metric g from mesh.F, its inverse from mesh.G."""
-    return np.einsum("tia,tib->tab", F, F)
 
 
 def physical_points(mesh, rule) -> np.ndarray:
@@ -123,7 +118,7 @@ def _local_mass(rows: FeSpace, cols: FeSpace, rule) -> np.ndarray:
     if rows.value_shape == "scalar":
         block = np.einsum("lq,mq,q->lm", rv, cv, rule.weights)
         return block[None, :, :] * mesh.Jdet[:, None, None]
-    return _metric_pairing(_gram(mesh.F) / mesh.Jdet[:, None, None], rv, cv, rule)
+    return _metric_pairing(mesh.metric / mesh.Jdet[:, None, None], rv, cv, rule)
 
 
 def assemble_mass(space: FeSpace) -> sp.csr_matrix:
@@ -151,7 +146,7 @@ def assemble_broken_stiffness(space: FeSpace) -> sp.csr_matrix:
     rule = volume_rule(space)
     mesh = space.mesh
     X = space.ref.grad(rule.xy)  # (n_loc, n_q, 2)
-    local = _metric_pairing(_gram(mesh.G) * mesh.Jdet[:, None, None], X, X, rule)
+    local = _metric_pairing(mesh.inverse_metric * mesh.Jdet[:, None, None], X, X, rule)
     return _symmetrize(_scatter(local, space.dof_map, space.dof_signs, space.dof_map,
                                 space.dof_signs, (space.total_dofs, space.total_dofs)))
 
@@ -391,7 +386,7 @@ def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
     X = V.ref.grad(rule.xy)  # (n_loc, n_q, 2, 2)
     pairs = np.einsum("lqab,mqcd,q->abcdlm", X, X, rule.weights).reshape(16, -1)
     trace = np.einsum("lqab,mqba,q->lm", X, X, rule.weights).ravel()
-    ggi = np.einsum("tac,tdb->tabcd", _gram(mesh.F), _gram(mesh.G)).reshape(-1, 16)
+    ggi = np.einsum("tac,tdb->tabcd", mesh.metric, mesh.inverse_metric).reshape(-1, 16)
     local = (mu * 0.5 / mesh.Jdet)[:, None] * (ggi @ pairs + trace)
     A = _scatter(local.reshape(-1, n_loc, n_loc), V.dof_map, V.dof_signs, V.dof_map,
                  V.dof_signs, (V.total_dofs, V.total_dofs))
@@ -494,7 +489,7 @@ def convection_tabulation(V: FeSpace) -> dict:
     rule = triangle_rule(3 * max(k, 1) - 1)
     vals = V.ref.eval(rule.xy).transpose(2, 1, 0)  # (2, n_q, n_loc)
     grads = np.moveaxis(V.ref.grad(rule.xy) * -rule.weights[:, None, None], 1, -1)
-    g = np.ascontiguousarray(_gram(mesh.F).transpose(1, 2, 0)) / mesh.Jdet**2
+    g = np.ascontiguousarray(mesh.metric.transpose(1, 2, 0)) / mesh.Jdet**2
     tab["vol"] = (rule, vals.reshape(-1, n_loc), grads.reshape(n_loc, -1), g)
 
     tq, tw = edge_rule(max(2 * k + 2, 3 * k))

@@ -185,16 +185,13 @@ def cmd_harmonic(args) -> int:
     return manifest.finish(lines, payload, save_basis)
 
 
-def _decompose_input(args, solver: HodgeSolver) -> FeField:
-    if args.field_seed < 0:
-        raise NonpositiveParameter(f"--field-seed must be nonnegative, got {args.field_seed}")
+def _decompose_input(args, solver: HodgeSolver, f) -> FeField:
     rng = np.random.default_rng(args.field_seed)
     if args.field_mode == "random":
         return FeField(solver.V, rng.standard_normal(solver.V.total_dofs))
     if args.field_mode == "rot":
         psi = rng.standard_normal(solver.S.total_dofs)
         return FeField(solver.V, solver.E @ psi)
-    f = expression_forcing(args.fx, args.fy, args.fz)
     load = asm.assemble_load(solver.V, f)
     return FeField(solver.V, FactorizedOperator(solver.M).solve(load))
 
@@ -203,6 +200,10 @@ def cmd_decompose(args) -> int:
     manifest = RunManifest(args)
     manifest.phase("load")
     mesh = manifest.mesh(args.mesh)
+    # the field options are checked before the set-up; only expression mode reads --fx/--fy/--fz
+    if args.field_seed < 0:
+        raise NonpositiveParameter(f"--field-seed must be nonnegative, got {args.field_seed}")
+    f = expression_forcing(args.fx, args.fy, args.fz) if args.field_mode == "expression" else None
     manifest.phase("basis")
     solver = HodgeSolver(mesh, args.k)
     if args.basis:
@@ -211,7 +212,7 @@ def cmd_decompose(args) -> int:
     else:
         basis = solver.harmonic_basis(seed=args.seed)
     manifest.phase("decompose")
-    v = _decompose_input(args, solver)
+    v = _decompose_input(args, solver, f)
     comp = solver.decompose(v, basis)
     M = solver.M
     with np.errstate(over="ignore", invalid="ignore"):  # finish reports a non-finite norm

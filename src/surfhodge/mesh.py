@@ -17,6 +17,13 @@ scipy.sparse.csgraph labels the connected components of three graphs:
   vertex is manifold iff its corners form one group;
 * connected components: the dual graph, numbered by lowest triangle.
 
+Geometry is one pass after the topology, which forms each quantity once:
+one cross product per triangle gives the degeneracy test, the unit
+normals and J; one metric, metric = g = F'F, gives G = F g^-1 and
+inverse_metric = G'G = g^-1, the two (T, 2, 2) arrays the forms read; and
+the conormal of triangle t on its local edge le is (+-tau) x n_t, from the
+edge tangent tau with the sign of the triangle's traversal.
+
 Edge conventions
 ----------------
 * Edges are stored as vertex pairs (lo, hi) with lo < hi; the unit tangent
@@ -116,7 +123,6 @@ class SurfaceMesh:
 
         self.vertices = vertices
         self.triangles = triangles
-        self._check_degenerate()
         self._build_edges()
         self._check_umbrellas()
         self._build_boundary_loops()
@@ -125,17 +131,7 @@ class SurfaceMesh:
         self.vertices.setflags(write=False)
         self.triangles.setflags(write=False)
 
-    # ------------------------------------------------------------ validation
-    def _check_degenerate(self):
-        p = self.vertices[self.triangles]
-        cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        areas = 0.5 * np.linalg.norm(cross, axis=1)
-        diag = np.linalg.norm(self.vertices.max(0) - self.vertices.min(0))
-        tol = _DEGENERACY_REL_TOL * max(diag, 1e-300) ** 2
-        if (areas <= tol).any():
-            bad = int(np.argmax(areas <= tol))
-            raise DegenerateTriangle(f"triangle {bad} has (near-)zero area")
-
+    # ------------------------------------------------------------ topology
     def _build_edges(self):
         """Pair the half-edges into edges, repair inconsistent windings and
         order the sides of each edge as the module docstring describes."""
@@ -204,17 +200,23 @@ class SurfaceMesh:
 
     # -------------------------------------------------------------- geometry
     def _build_geometry(self):
+        """The one geometry pass of the module docstring; the area test
+        comes before anything divides by J."""
         P = self.vertices
         tri = self.triangles
         p0, p1, p2 = P[tri[:, 0]], P[tri[:, 1]], P[tri[:, 2]]
         cross = np.cross(p1 - p0, p2 - p0)
         nrm = np.linalg.norm(cross, axis=1)
+        degenerate = 0.5 * nrm <= _DEGENERACY_REL_TOL * np.linalg.norm(P.max(0) - P.min(0)) ** 2
+        if degenerate.any():
+            raise DegenerateTriangle(f"triangle {int(np.argmax(degenerate))} has (near-)zero area")
         self.tri_normals = cross / nrm[:, None]
         # Affine map x = p0 + F xhat with F = [p1-p0 | p2-p0]  (3x2)
         self.F = np.stack([p1 - p0, p2 - p0], axis=2)
         self.Jdet = nrm  # sqrt(det(F^T F)) for a triangle = |(p1-p0)x(p2-p0)|
-        FtF = np.einsum("tia,tib->tab", self.F, self.F)
-        self.G = np.einsum("tia,tab->tib", self.F, np.linalg.inv(FtF))  # F (F^T F)^-1
+        self.metric = np.einsum("tia,tib->tab", self.F, self.F)  # g = F'F, exactly symmetric
+        self.G = np.einsum("tia,tab->tib", self.F, np.linalg.inv(self.metric))  # F g^-1
+        self.inverse_metric = np.einsum("tia,tib->tab", self.G, self.G)  # G'G = g^-1
 
         e = self.edges
         vec = P[e[:, 1]] - P[e[:, 0]]
@@ -222,15 +224,11 @@ class SurfaceMesh:
         self.edge_tangents = vec / self.edge_lengths[:, None]
         self.h_min = float(self.edge_lengths.min())
 
-        # Outward conormal of triangle t on its local edge le.
-        self.conormals = np.zeros((self.n_triangles, 3, 3))
-        for le in range(3):
-            a = tri[:, le]
-            b = tri[:, (le + 1) % 3]
-            d = P[b] - P[a]
-            d = d / np.linalg.norm(d, axis=1)[:, None]
-            nu = np.cross(d, self.tri_normals)  # = -n x d
-            self.conormals[:, le, :] = nu
+        # Outward conormal (+-tau) x n of triangle t on its local edge le;
+        # 0.0 - tau, not -tau, keeps the +0 that subtracting the ends gives.
+        tau = self.edge_tangents[self.tri_edges]
+        d = np.where(self.tri_edge_along[:, :, None], tau, 0.0 - tau)
+        self.conormals = np.cross(d, self.tri_normals[:, None, :])
 
     def _build_components(self):
         t1, t2 = self.edge_tris[~self.boundary_edge_mask].T

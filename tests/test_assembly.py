@@ -214,6 +214,25 @@ def test_div_degree_mismatch(torus3):
         asm.assemble_rot_embedding(S, V)
 
 
+@pytest.mark.parametrize("form", [
+    lambda V, Q, S, S_other: asm.assemble_cross_mass(V, S),
+    lambda V, Q, S, S_other: asm.assemble_cross_mass(S, S_other),
+    lambda V, Q, S, S_other: asm.assemble_div(Q, V),
+    lambda V, Q, S, S_other: asm.assemble_moment(V),
+    lambda V, Q, S, S_other: asm.reference_rot_block(V, S),
+    lambda V, Q, S, S_other: asm.reference_rot_block(S_other, V),
+], ids=["cross_mass_value_shapes", "cross_mass_two_meshes", "div_swapped", "moment_of_bdm",
+        "rot_block_swapped", "rot_block_two_meshes"])
+def test_forms_reject_mismatched_spaces(torus3, form):
+    """A form given spaces of the wrong kinds, or spaces on two copies of
+    one mesh, raises DegreeMismatch before it assembles anything."""
+    V, Q, S = (build_space(torus3, kind, k)
+               for kind, k in (("bdm", 1), ("dg_pressure", 0), ("lagrange", 2)))
+    S_other = build_space(meshes.torus_structured(3, 3), "lagrange", 2)
+    with pytest.raises(DegreeMismatch):
+        form(V, Q, S, S_other)
+
+
 # ---------------------------------------------------------------------- SIP
 def test_sip_constant_field_free_slip_zero():
     mesh = meshes.single_triangle()

@@ -208,6 +208,17 @@ def test_decompose_expression_field(capsys):
     assert payload["residual"] <= 1e-10 * payload["input_norm"]
 
 
+@pytest.mark.parametrize("field", [["--field-seed", "-1"],
+                                   ["--field-mode", "expression", "--fx", "x +"]],
+                         ids=["negative_field_seed", "malformed_expression"])
+def test_decompose_checks_field_before_setup(capsys, monkeypatch, field):
+    """A bad field option exits 2 with one line before any solver is built."""
+    built = []
+    monkeypatch.setattr(cli, "HodgeSolver", lambda *a, **kw: built.append(a))
+    assert_input_error(capsys, ["decompose", "--mesh", "builtin:torus", "--k", "1", *field])
+    assert built == []
+
+
 def test_decompose_basis_reuse(tmp_path, capsys):
     """A basis written by `harmonic` passes the load checks and decomposes
     exactly as the basis drawn with the same seed."""

@@ -31,6 +31,8 @@ NOT_CHECKED = {
     '"symmetric-indefinite"': "a value of the removed kind= argument",
     "f(x)": "prose: how assemble_load used to call a forcing",
     "SurfaceMesh.conormals": "an instance attribute, set by SurfaceMesh.__init__",
+    "SurfaceMesh.metric": "an instance attribute, set by SurfaceMesh.__init__",
+    "SurfaceMesh.inverse_metric": "an instance attribute, set by SurfaceMesh.__init__",
     "SurfaceMesh.tri_areas": "an instance attribute: a class-level lookup would miss its return",
     "n": "an instance attribute of FactorizedOperator",
     "lu_nnz": "an instance attribute of FactorizedOperator",

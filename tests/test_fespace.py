@@ -11,6 +11,7 @@ from surfhodge.fespace import (
     _KINDS,
     VALID_CONSTRAINTS,
     FeField,
+    bary_to_ref,
     build_space,
     count_dofs,
     edge_ref_points,
@@ -63,6 +64,8 @@ def test_table_counts_synthetic_genus1():
 def test_unsupported_combinations(tetra):
     with pytest.raises(UnsupportedCombination):
         build_space(tetra, "lagrange", 0)
+    with pytest.raises(UnsupportedCombination):
+        build_space(tetra, "nedelec", 1)
     with pytest.raises(UnsupportedCombination):
         build_space(tetra, "crouzeix_raviart", 2)
     with pytest.raises(UnsupportedCombination):
@@ -350,6 +353,11 @@ def test_eval_basis_errors(tetra):
     facet = build_space(tetra, "facet_tangential", 1)
     with pytest.raises(UnsupportedCombination):
         eval_basis(facet, 0, np.array([[1.0, 0.0, 0.0]]))
+
+
+def test_bary_to_ref_needs_three_components():
+    with pytest.raises(ValueError):
+        bary_to_ref([[0.5, 0.5]])
 
 
 def test_fefield_validation(tetra):

@@ -121,6 +121,8 @@ def test_reduced_system_rejects_nonsymmetric(torus_ops):
 def test_dimension_mismatch(torus_ops):
     with pytest.raises(DimensionMismatch):
         torus_ops.emb.reduce_matrix(sp.identity(3, format="csr"))
+    with pytest.raises(DimensionMismatch):
+        JEmbedding(torus_ops.emb.E, np.zeros((2, 3)))
 
 
 # ------------------------------------------------------------------- Schur

@@ -74,6 +74,9 @@ def test_singular_matrix():
     for bad in (np.nan, np.inf):  # non-finite entries, rejected before SuperLU
         with pytest.raises(SingularMatrix):
             FactorizedOperator(sp.csc_matrix(np.diag([1.0, bad, 3.0])))
+    # 1 / 1e-320 overflows, so the near-null vector is not finite
+    with pytest.raises(SingularMatrix, match="matrix is numerically singular"):
+        FactorizedOperator(sp.diags([1.0, 1e-320], format="csc"))
 
 
 @pytest.mark.parametrize("form", ["mass", "stiffness"])

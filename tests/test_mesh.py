@@ -154,6 +154,10 @@ def test_parse_errors(tmp_path):
     short.write_text("v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n")
     with pytest.raises(ParseError, match="fewer than 3"):
         load_mesh(short)
+    with pytest.raises(ParseError):
+        SurfaceMesh(np.zeros((3, 2)), [[0, 1, 2]])
+    with pytest.raises(NonTriangle):
+        SurfaceMesh(np.eye(4, 3), [[0, 1, 2, 3]])
 
 
 
@@ -213,6 +217,25 @@ def test_degenerate_triangle_rejected():
     tris = np.array([[0, 1, 2], [0, 1, 3]])
     with pytest.raises(DegenerateTriangle):
         SurfaceMesh(verts, tris)
+
+
+def test_topological_defect_reported_before_degenerate_triangle():
+    """The area test runs in the geometry pass, after the edge, orientation
+    and umbrella checks: three triangles on one edge, one of them of zero
+    area, are rejected as non-manifold."""
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [2, 0, 0]], float)
+    with pytest.raises(NonManifold):
+        SurfaceMesh(verts, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: meshes.sphere_with_holes(2, 13),
+    lambda: meshes.sphere_with_holes(1, 4),
+    lambda: meshes.genus_g_torus_chain(0),
+], ids=["thirteen_holes", "one_subdivision", "genus_zero"])
+def test_generators_reject_bad_arguments(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_orientation_repair(torus):
