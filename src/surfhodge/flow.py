@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as dla
@@ -62,7 +63,8 @@ class JEmbedding:
     The first block maps Lagrange coefficients to the H(div) coefficients
     of their rotated gradients; the last b1 columns are the harmonic basis
     vectors.  The matrix has full column rank; the parent operators it
-    restricts are symmetric.
+    restricts are symmetric.  A csr E is held as it is, not copied, next to
+    its csr transpose.
     """
 
     def __init__(self, E: sp.spmatrix, H: np.ndarray):
@@ -266,12 +268,18 @@ _AL_PENALTY = 10.0
 
 
 class FlowOperators:
-    """Spaces, forms and the embedding for one (mesh, config) pair; A_red
-    is the BlockSystem of A_visc, restricted once, with E as interpolated:
-    its rounding entries, left out of HodgeSolver.E, shape A_ss's ordering.
-    The load of a steady forcing is assembled here too, so a forcing that
-    is not finite fails at construction with NaNDetected; a viscous form
-    that is not finite (mu = 1e308 overflows it) raises SolverFailure.
+    """Spaces, forms and the embedding for one (mesh, config) pair.
+
+    emb holds HodgeSolver.E, the one rot embedding a run keeps: the steps,
+    make_state, the Stokes refinement and the snapshots read it.  A_red is
+    the BlockSystem of A_visc, restricted once with E as interpolated,
+    whose rounding entries, left out of HodgeSolver.E, shape A_ss's
+    ordering; that E is assembled only as the argument of that restriction
+    and is freed when the constructor returns.  The load of a steady
+    forcing is assembled here too, so a forcing that is not finite fails at
+    construction with NaNDetected, and the load tabulation is kept only for
+    a forcing that reads t; a viscous form that is not finite (mu = 1e308
+    overflows it) raises SolverFailure.
 
     A basis passed in is checked by HodgeSolver.validate_basis; without one
     the basis is drawn with config.seed, and the streamfunction factor L
@@ -281,8 +289,10 @@ class FlowOperators:
     A_visc, the viscous form on the parent space (an empty matrix at mu =
     0), and A_red are plain attributes built in the constructor;
     run_simulation and the stokes command delete what their run no longer
-    reads.  stokes_saddle keeps nothing: its basis and factor, of order
-    n_V - n_qp (no n_V x n_V penalized block), die with the call.
+    reads.  pressure_mass is built on first use: only the saddle oracle and
+    the stokes command's pressure discrepancy read it.  stokes_saddle keeps
+    nothing: its basis and factor, of order n_V - n_qp (no n_V x n_V
+    penalized block), die with the call.
     """
 
     def __init__(self, mesh: SurfaceMesh, config: SimulationConfig,
@@ -295,8 +305,7 @@ class FlowOperators:
             self.hodge.validate_basis(basis)
         self.basis = basis
         self.V, self.S, self.Q, self.M = self.hodge.V, self.hodge.S, self.hodge.Q, self.hodge.M
-        self.pressure_mass = asm.assemble_mass(self.Q)  # not diagonal: every local pair
-        self.emb = JEmbedding(asm.assemble_rot_embedding(self.S, self.V), basis.vectors)
+        self.emb = JEmbedding(self.hodge.E, basis.vectors)
         if config.mu == 0:  # no viscous form remains
             self.A_visc = sp.csr_matrix((self.V.total_dofs,) * 2)
         else:
@@ -306,15 +315,22 @@ class FlowOperators:
             if not np.isfinite(self.A_visc.data).all():
                 alpha = "" if config.alpha is None else f", alpha = {config.alpha:g}"
                 raise SolverFailure(f"viscous form is not finite at mu = {config.mu:g}{alpha}")
-        self.A_red = self.emb.reduce_matrix(self.A_visc)
+        self.A_red = JEmbedding(asm.assemble_rot_embedding(self.S, self.V),
+                                basis.vectors).reduce_matrix(self.A_visc)
         self.forcing = config.forcing if config.forcing is not None else _zero_forcing
-        self._load_tab = asm.load_tabulation(self.V)
         self._held_L_psi = None  # (psi, L psi) of the state make_state made last
         self._steady_load = None
         if getattr(self.forcing, "steady", False):
-            b = asm.assemble_load(self.V, self.forcing, time=0.0, tab=self._load_tab)
+            b = asm.assemble_load(self.V, self.forcing, time=0.0)
             b.flags.writeable = False
             self._steady_load = b
+        else:
+            self._load_tab = asm.load_tabulation(self.V)
+
+    @cached_property
+    def pressure_mass(self) -> sp.csr_matrix:
+        """The mass matrix of Q: not diagonal, it pairs every local mode."""
+        return asm.assemble_mass(self.Q)
 
     # ------------------------------------------------------------- loads
     def load_vector(self, t: float) -> np.ndarray:

@@ -206,7 +206,11 @@ class SurfaceMesh:
         tri = self.triangles
         p0, p1, p2 = P[tri[:, 0]], P[tri[:, 1]], P[tri[:, 2]]
         cross = np.cross(p1 - p0, p2 - p0)
-        nrm = np.linalg.norm(cross, axis=1)
+        # J = |cross| on the cross product scaled by the power of 2 of its
+        # largest component, so that its squares neither overflow nor
+        # underflow: exact, and the same bits, under scaling by 2^j
+        _, scale = np.frexp(np.abs(cross).max(axis=1))
+        nrm = np.ldexp(np.linalg.norm(np.ldexp(cross, -scale[:, None]), axis=1), scale)
         degenerate = 0.5 * nrm <= _DEGENERACY_REL_TOL * np.linalg.norm(P.max(0) - P.min(0)) ** 2
         if degenerate.any():
             raise DegenerateTriangle(f"triangle {int(np.argmax(degenerate))} has (near-)zero area")

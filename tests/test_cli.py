@@ -938,6 +938,27 @@ def test_stokes_releases_the_pressure_side_unless_it_compares(capsys, monkeypatc
     assert alive == ([[True], [True]] if compare else [[False]])
 
 
+@pytest.mark.parametrize("argv, assembled", [
+    (["nse", "nse_torus_decay.cfg"], 0),
+    (["stokes", "stokes_torus.cfg"], 0),
+    (["stokes", "stokes_torus.cfg", "--compare-saddle"], 1),
+], ids=["nse", "stokes", "stokes_compare_saddle"])
+def test_only_the_saddle_comparison_assembles_the_pressure_mass(tmp_path, capsys, monkeypatch,
+                                                                argv, assembled):
+    """The pressure mass is built on first use: stokes --compare-saddle,
+    whose oracle and pressure discrepancy read it, assembles it once; nse
+    and stokes without the oracle never assemble it."""
+    from surfhodge import assembly
+
+    assemble, kinds = assembly.assemble_mass, []
+    monkeypatch.setattr(assembly, "assemble_mass",
+                        lambda space: kinds.append(space.kind) or assemble(space))
+    verb, cfg, *flags = argv
+    code, _, _ = run_cli(capsys, verb, "--config", os.path.join(ROOT, "configs", cfg),
+                         "--mesh", "builtin:torus", "--k", "1", "--out-dir", str(tmp_path), *flags)
+    assert code == 0 and kinds.count("dg_pressure") == assembled
+
+
 def test_topology_missing_mesh_exit_2(tmp_path, capsys):
     assert_input_error(capsys, ["topology", "--mesh", str(tmp_path / "nope.off")])
 

@@ -118,6 +118,24 @@ def test_reduced_system_rejects_nonsymmetric(torus_ops):
         torus_ops.emb.reduce_matrix(A.tocsr())
 
 
+def test_run_holds_one_rot_embedding(torus3, basis_cache, monkeypatch):
+    """emb holds HodgeSolver.E itself; E as interpolated, assembled only to
+    restrict A_visc to A_red (its rounding entries shape A_ss's ordering),
+    is freed when FlowOperators returns."""
+    assemble, interpolated = asm.assemble_rot_embedding, []
+
+    def recording(S, V, block=None):
+        E = assemble(S, V, block)
+        if block is None:
+            interpolated.append(weakref.ref(E))
+        return E
+
+    monkeypatch.setattr(asm, "assemble_rot_embedding", recording)
+    ops = FlowOperators(torus3, SimulationConfig(k=1, mu=0.2), basis=basis_cache(torus3, 1))
+    assert ops.emb.E is ops.hodge.E
+    assert len(interpolated) == 1 and interpolated[0]() is None
+
+
 def test_dimension_mismatch(torus_ops):
     with pytest.raises(DimensionMismatch):
         torus_ops.emb.reduce_matrix(sp.identity(3, format="csr"))
@@ -1042,6 +1060,17 @@ def test_cached_load_matches_assembly_in_time(torus3, basis_cache):
     assert np.abs(loads[0] - loads[1]).max() > 1e-3 * np.abs(loads[0]).max()
 
 
+def test_time_dependent_load_keeps_its_tabulation(torus3, basis_cache):
+    """nse_torus_decay's forcing reads t, so FlowOperators keeps the load
+    tabulation, and each load is assemble_load's, bit for bit."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "nse_torus_decay.cfg"
+    cfg, _ = load_simulation_config(path)
+    ops = FlowOperators(torus3, cfg, basis=basis_cache(torus3, 1))
+    assert "_load_tab" in vars(ops)
+    for t in (0.0, 0.002, 0.0025, 0.1):
+        assert ops.load_vector(t).tobytes() == asm.assemble_load(ops.V, cfg.forcing, t).tobytes()
+
+
 def _counted(f):
     """f with its calls' times recorded; keeps f's steady mark."""
     times = []
@@ -1084,6 +1113,7 @@ def test_steady_load_assembled_once_and_read_only(torus3, basis_cache):
     np.testing.assert_array_equal(b, asm.assemble_load(ops.V, f, time=2.5))
     with pytest.raises(ValueError):
         b[0] = 1.0
+    assert "_load_tab" not in vars(ops)  # a steady load is assembled once: no tabulation kept
     # no forcing is the zero forcing, steady as well
     zero = FlowOperators(torus3, SimulationConfig(k=1), basis=basis_cache(torus3, 1))
     assert zero.load_vector(1.0) is zero.load_vector(0.0)

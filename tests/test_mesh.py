@@ -229,6 +229,24 @@ def test_topological_defect_reported_before_degenerate_triangle():
 
 
 @pytest.mark.parametrize("build", [
+    lambda: meshes.torus_structured(8, 8),
+    lambda: meshes.trefoil_tube(),
+    lambda: meshes.sphere_with_holes(3, 4),
+], ids=["torus", "trefoil", "pierced_sphere"])
+def test_geometry_exact_under_power_of_2_scaling(build):
+    """J is formed without squaring the s^2-sized cross product, so a mesh
+    scaled by 2^j, j = +-300, builds with no warning (pytest turns one into
+    an error), J scales exactly by 2^2j, and the unit normals and conormals
+    keep their bits."""
+    mesh = build()
+    for j in (-300, -265, 260, 300):
+        scaled = SurfaceMesh(np.ldexp(mesh.vertices, j), mesh.triangles)
+        np.testing.assert_array_equal(scaled.Jdet, np.ldexp(mesh.Jdet, 2 * j))
+        for name in ("tri_normals", "conormals"):
+            assert getattr(scaled, name).tobytes() == getattr(mesh, name).tobytes(), (j, name)
+
+
+@pytest.mark.parametrize("build", [
     lambda: meshes.sphere_with_holes(2, 13),
     lambda: meshes.sphere_with_holes(1, 4),
     lambda: meshes.genus_g_torus_chain(0),

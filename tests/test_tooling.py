@@ -197,16 +197,38 @@ def _called_name(node) -> str | None:
     return getattr(f, "attr", getattr(f, "id", None))
 
 
+def _is_interpolated_rot_embedding(node) -> bool:
+    """Whether node is an assemble_rot_embedding(...) call whose block, its
+    third positional or block= argument, is not a snap_rounding(...) call:
+    one that assembles E as interpolated."""
+    if _called_name(node) != "assemble_rot_embedding":
+        return False
+    block = [kw.value for kw in node.keywords if kw.arg == "block"] or node.args[2:3]
+    return not (block and _called_name(block[0]) == "snap_rounding")
+
+
 def _interpolated_rot_embeddings(tree: ast.Module) -> list[int]:
-    """Sorted line numbers of each assemble_rot_embedding(...) call in tree
-    whose block, its third positional or block= argument, is not a
-    snap_rounding(...) call: each that assembles E as interpolated."""
+    """Sorted line numbers of each call in tree that assembles E as
+    interpolated."""
+    return sorted(node.lineno for node in ast.walk(tree) if _is_interpolated_rot_embedding(node))
+
+
+def _held_interpolated_rot_embeddings(tree: ast.Module) -> list[int]:
+    """Sorted line numbers of each call in tree that assembles E as
+    interpolated and is not an argument of another call, or is one of a
+    call whose value is assigned to an attribute: each that can keep that E
+    past its statement."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     lines = []
-    for node in ast.walk(tree):
-        if _called_name(node) == "assemble_rot_embedding":
-            block = [kw.value for kw in node.keywords if kw.arg == "block"] or node.args[2:3]
-            if not (block and _called_name(block[0]) == "snap_rounding"):
-                lines.append(node.lineno)
+    for node in filter(_is_interpolated_rot_embedding, ast.walk(tree)):
+        owner = parents[node]
+        if isinstance(owner, ast.keyword):
+            owner = parents[owner]
+        statement = parents.get(owner)
+        targets = (statement.targets if isinstance(statement, ast.Assign) else
+                   [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+        if not isinstance(owner, ast.Call) or any(isinstance(t, ast.Attribute) for t in targets):
+            lines.append(node.lineno)
     return sorted(lines)
 
 
@@ -214,11 +236,15 @@ def test_only_flow_assembles_the_interpolated_rot_embedding():
     """HodgeSolver holds one rot embedding, E with its interpolation
     rounding snapped to 0.  The interpolated E, whose rounding entries shape
     the fill-reducing ordering of A_ss, is assembled only in flow.py, so the
-    Hodge solver does not come to hold two embeddings again."""
+    Hodge solver does not come to hold two embeddings again; and there only
+    as a call argument whose call is not held as an attribute, so a flow
+    run holds one embedding too, HodgeSolver.E."""
     found = {path.name: _interpolated_rot_embeddings(ast.parse(path.read_text()))
              for path in sorted((ROOT / "src" / "surfhodge").glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines and name != "flow.py"} == {}
     assert found["flow.py"]
+    flow = ast.parse((ROOT / "src" / "surfhodge" / "flow.py").read_text())
+    assert _held_interpolated_rot_embeddings(flow) == []
 
 
 def test_rot_embedding_scan_flags_blocks_that_are_not_snapped():
@@ -230,6 +256,18 @@ def test_rot_embedding_scan_flags_blocks_that_are_not_snapped():
         "E = assemble_rot_embedding(S, V, block=rot)\n"
         "rot = asm.reference_rot_block(S, V)\n")
     assert _interpolated_rot_embeddings(tree) == [1, 3, 5]
+
+
+def test_rot_embedding_scan_flags_interpolated_embeddings_that_are_held():
+    tree = ast.parse(
+        "self.E = asm.assemble_rot_embedding(S, V)\n"
+        "E = assemble_rot_embedding(S, V)\n"
+        "self.emb = JEmbedding(asm.assemble_rot_embedding(S, V), H)\n"
+        "self.emb: JEmbedding = JEmbedding(E=assemble_rot_embedding(S, V), H=H)\n"
+        "self.A_red = JEmbedding(asm.assemble_rot_embedding(S, V), H).reduce_matrix(A)\n"
+        "red = JEmbedding(E=assemble_rot_embedding(S, V), H=H).reduce_matrix(A)\n"
+        "self.emb = JEmbedding(asm.assemble_rot_embedding(S, V, asm.snap_rounding(rot)), H)\n")
+    assert _held_interpolated_rot_embeddings(tree) == [1, 2, 3, 4]
 
 
 def _attribute_reads(tree: ast.Module, name: str) -> list[int]:
