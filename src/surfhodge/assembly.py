@@ -489,7 +489,10 @@ def convection_tabulation(V: FeSpace) -> dict:
     rule = triangle_rule(3 * max(k, 1) - 1)
     vals = V.ref.eval(rule.xy).transpose(2, 1, 0)  # (2, n_q, n_loc)
     grads = np.moveaxis(V.ref.grad(rule.xy) * -rule.weights[:, None, None], 1, -1)
-    g = np.ascontiguousarray(mesh.metric.transpose(1, 2, 0)) / mesh.Jdet**2
+    # g = F'F / J^2 with J = 2^e m, so that no s^4-sized square overflows
+    # or underflows: the same bits, and exact under scaling by 2^j
+    m, e = np.frexp(mesh.Jdet)
+    g = np.ldexp(np.ascontiguousarray(mesh.metric.transpose(1, 2, 0)) / (m * m), -2 * e)
     tab["vol"] = (rule, vals.reshape(-1, n_loc), grads.reshape(n_loc, -1), g)
 
     tq, tw = edge_rule(max(2 * k + 2, 3 * k))

@@ -1,20 +1,23 @@
 """Sparse direct factorization of SPD matrices, or of SPD matrices up to
 a kernel of constants.
 
-Desk-scale problems (<= ~1e5 dofs) are handled by scipy's SuperLU
-factorization; no iterative solvers.  Every factored operator is SPD (mass
-matrices, the saddle-point oracle's augmented block) or has the constants
-as its kernel (the streamfunction forms and step block on a closed
-surface, the mean-mode and Crouzeix-Raviart Laplacians).
-FactorizedOperator is the one factorization class, with one ordering and
-pivoting policy for every factor; it finds a constants kernel itself and
-pins the first dof, and zero_mean shifts a pinned solution to zero mean.
-It is also the one place that decides singularity, by one near-null test
-on every factor, and every factor solves with SuperLU's plain sweeps, which
-take a block of right-hand sides in one pass.  Every
+Desk-scale problems (<= ~1e5 dofs) are handled by direct factorizations;
+no iterative solvers.  Every factored operator is SPD (mass matrices, the
+saddle-point oracle's augmented block) or has the constants as its kernel
+(the streamfunction forms and step block on a closed surface, the
+mean-mode and Crouzeix-Raviart Laplacians).  FactorizedOperator is the one
+factorization class; it finds a constants kernel itself and pins the first
+dof, and zero_mean shifts a pinned solution to zero mean.  It has two
+backends, picked from the matrix and by no option: a small block whose
+reverse Cuthill-McKee band is narrow, and which is symmetric to a few ulps,
+is factored by LAPACK's banded Cholesky (dpbtrf, dpbtrs); every other
+block, and every block whose band factor breaks down, by scipy's SuperLU
+with one ordering and pivoting policy, solved with its plain sweeps, which
+take a block of right-hand sides in one pass.  It is also the one place
+that decides singularity, by one near-null test on every factor.  Every
 FactorizedOperator counts its solves (one per right-hand side), which the
-Schur-complement instrumentation relies on.  SuperLU running out of
-memory is a SolverFailure, like every other failure to factor.
+Schur-complement instrumentation relies on.  Running out of memory while
+factoring is a SolverFailure, like every other failure to factor.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import threading
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import NotSPD, SingularMatrix, SolverFailure
 
@@ -39,6 +44,28 @@ from .errors import NotSPD, SingularMatrix, SolverFailure
 # even with relax = 1.
 _SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "relax": 1,
                  "options": {"SymmetricMode": True}}
+
+# The band backend: a block of order <= _BAND_MAX_ORDER whose band storage
+# (bw + 1) n under a reverse Cuthill-McKee ordering is at most
+# _BAND_MAX_RATIO times its stored entries is factored by dpbtrf.  Measured
+# with one BLAS thread: the trefoil tube's (24, 8) Stokes and step blocks at
+# k = 1 (n = 767, bw = 177, ratio 5.6) store 136,526 band entries against
+# SuperLU's 113,440 and solve in 53 us against 124; the 32x16 torus's A_ss
+# at k = 2 (bw = 822, ratio 14.0) would store 3.79M against 1.57M and solve
+# in 2.3 ms against 1.3.  Blocks left to SuperLU: the trefoil's L0 (ratio
+# 6.8) and L (8.7), the 32x16 torus's L0 (12.8), L (25.6) and oracle block
+# (12.5), the 16x8 torus's oracle block (6.45) and the pierced sphere
+# (3, 4)'s L0 (11.5) and L (30.8) at k = 3.  The order gate keeps the RCM
+# test off desk-scale blocks, which it would only reject: run on every
+# factor, it moved `stokes --compare-saddle` on the 32x16 torus by +5.3% in
+# solve time and +0.6% in peak memory (within noise over 6 pairs; +7.9% and
+# +5.5% with an extra copy of each block).
+_BAND_MAX_ORDER = 2048
+_BAND_MAX_RATIO = 6.0
+# A band factor solves the system of A's upper triangle, not A x = b, so it
+# takes only a block whose asymmetry |A - A'| is within a few ulps of |A|
+# (largest entries; the trefoil blocks: 1.4e-16 and 2.3e-16).
+_BAND_MAX_ASYMMETRY = 4 * np.finfo(float).eps
 
 # Kernel tests, in infinity norms: A has the constants as a kernel when
 # |A 1| <= tol |A|, and a factor F of A is singular when z = F^-1 r is
@@ -70,7 +97,7 @@ def _release_free_heap() -> None:
 
 
 class FactorizedOperator:
-    """Reusable LU factorization of a sparse SPD matrix A, or of one that is
+    """Reusable factorization of a sparse SPD matrix A, or of one that is
     SPD up to a kernel of constants.  NotSPD is raised unless A is symmetric
     with a positive diagonal; that is necessary for SPD, not sufficient: an
     indefinite [[1, 2], [2, 1]] factors without NotSPD.
@@ -82,6 +109,19 @@ class FactorizedOperator:
     near-null, |F z| <= 1e-10 |A| |z| (so a kernel larger than the
     constants is rejected), and for non-finite entries of A.
 
+    Two backends, picked from F: banded is True when F has order <= 2048,
+    is symmetric to a few ulps (|A - A'| <= 4 eps |A|, largest entries) and
+    has a reverse Cuthill-McKee band bw with (bw + 1) n at most 6 times its
+    stored entries.  Such an F is factored by LAPACK's banded Cholesky,
+    dpbtrf, from its upper triangle, and solved by dpbtrs column by column,
+    so a column of a block has the bits of its solve alone.  Every other F,
+    and every F whose band factor breaks down (it is not positive
+    definite), is factored by SuperLU, with static diagonal pivots, and
+    solved with its plain sweeps, A x = b, which take a block of columns in
+    one supernodal pass (its transposed sweeps take one column at a time)
+    with dense block kernels, so a column of a block agrees with its solve
+    alone to rounding, not always bitwise.
+
     A csc A, and a csr A that is exactly symmetric (its arrays read as csc
     are A' = A), is factored from its own arrays, or when pinned from one
     copy without its first row and column; another csr A is converted once,
@@ -89,19 +129,16 @@ class FactorizedOperator:
     canonical (unsorted indices or duplicate entries, as a sum of sparse
     products leaves it) is made canonical in place by A.sum_duplicates(),
     which changes the caller's matrix in its layout, not in its values; the
-    symmetry check then costs one copy, A', which is released before
-    SuperLU runs.  Every factor is solved with SuperLU's plain sweeps,
-    A x = b, which take a block of columns in one supernodal pass (its
-    transposed sweeps take one column at a time) with dense block kernels,
-    so a column of a block agrees with its solve alone to rounding, not
-    always bitwise.
+    symmetry check then costs one copy, A', which is released before F is
+    factored.
 
     solve() accepts a vector or a matrix of right-hand-side columns and
     increments solve_count by the number of columns; concurrent solves from
     several threads are allowed.  n is the order of A and lu_nnz the number
-    of entries stored in its L and U factors (0 for an empty A).  When
-    SuperLU runs out of memory, SolverFailure names the order and entries
-    of the matrix it was factoring.
+    of entries stored in its factor: (bw + 1) n for a band, those of L and
+    U for SuperLU (0 for an empty A).  When either backend runs out of
+    memory, SolverFailure names the order and entries of the matrix it was
+    factoring.
     """
 
     def __init__(self, A: sp.spmatrix):
@@ -119,29 +156,38 @@ class FactorizedOperator:
         self.solve_count = 0
         self._count_lock = threading.Lock()
         self.lu_nnz = 0
+        self._lu = self._band = None
         if n == 0:  # empty systems occur e.g. for trace-constrained spaces
-            self._lu = None
             return
         if (A.diagonal() <= 0).any():
             raise NotSPD("nonpositive diagonal entry in a matrix declared SPD")
-        exact = check_symmetric(A, "matrix declared SPD")
+        exact, asymmetry = _symmetry(A, "matrix declared SPD")
         if A.format == "csr":  # A' = A: A's arrays read as csc are A itself
             A = sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape) if exact else A.tocsc()
         A_norm = (_abs(A) @ np.ones(n)).max()  # |A|'s largest row sum
         self._pinned = _is_near_null(A, np.ones(n), A_norm)
         F = A[1:, 1:] if self._pinned else A
         del A  # a csc copy of A is not kept beside a pinned factor's copy
-        try:
-            self._lu = spla.splu(F, **_SPLU_OPTIONS)
-        except RuntimeError as exc:  # "Factor is exactly singular"
-            raise SingularMatrix(str(exc)) from exc
-        except MemoryError as exc:
-            raise SolverFailure(f"out of memory factoring a matrix of order {F.shape[0]} "
-                                f"with {F.nnz} entries") from exc
-        self.lu_nnz = self._lu.nnz
+        band = None
+        if F.shape[0] <= _BAND_MAX_ORDER and asymmetry <= _BAND_MAX_ASYMMETRY:
+            band = _band_cholesky(F)
+        r = np.random.default_rng(0).standard_normal(F.shape[0])
+        if band is not None:
+            c, perm = band
+            # the pinned dof folded into the permutation: a solve reads b[perm + 1]
+            self._band, self.lu_nnz = (c, perm + self._pinned), c.size
+            z = _band_solve(c, perm, r)
+        else:
+            try:
+                self._lu = spla.splu(F, **_SPLU_OPTIONS)
+            except RuntimeError as exc:  # "Factor is exactly singular"
+                raise SingularMatrix(str(exc)) from exc
+            except MemoryError as exc:
+                raise _out_of_memory(F) from exc
+            self.lu_nnz = self._lu.nnz
+            z = self._lu.solve(r)
         # the factor's own near-null vector (its solve is not counted)
-        if _is_near_null(F, self._lu.solve(np.random.default_rng(0).standard_normal(F.shape[0])),
-                         A_norm):
+        if _is_near_null(F, z, A_norm):
             raise SingularMatrix("matrix is numerically singular")
 
     @property
@@ -149,12 +195,19 @@ class FactorizedOperator:
         """True when A's kernel is the constants and its first dof is pinned."""
         return self._pinned
 
+    @property
+    def banded(self) -> bool:
+        """True when F is factored by the banded Cholesky, not SuperLU."""
+        return self._band is not None
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         with self._count_lock:
             self.solve_count += 1 if b.ndim == 1 else b.shape[1]
         if self.n == 0:
             return np.zeros_like(b)
+        if self._band is not None:
+            return _band_solve(*self._band, b)
         if not self._pinned:
             return self._lu.solve(b)
         x = np.empty_like(b)
@@ -191,6 +244,12 @@ def check_symmetric(A: sp.spmatrix, what: str) -> bool:
     when A is canonical csr or csc and exactly symmetric, A' = A.  A
     canonical A with a symmetric pattern costs one copy, A' in A's format,
     whose data becomes the difference."""
+    return _symmetry(A, what)[0]
+
+
+def _symmetry(A: sp.spmatrix, what: str) -> tuple[bool, float]:
+    """check_symmetric's test: whether A is exactly symmetric, and its
+    asymmetry |A - A'| / |A| (largest entries)."""
     T = A.T.asformat(A.format)
     same = (A.format in ("csr", "csc") and A.has_canonical_format
             and np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices))
@@ -199,9 +258,49 @@ def check_symmetric(A: sp.spmatrix, what: str) -> bool:
         D = T.data
     else:
         D = (A - T).data
-    if D.size and np.abs(D, out=D).max() > 1e-12 * max(A.data.max(), -A.data.min()):
+    asymmetry = np.abs(D, out=D).max() / max(A.data.max(), -A.data.min()) if D.size else 0.0
+    if asymmetry > 1e-12:
         raise NotSPD(f"{what} is not symmetric")
-    return same and not D.any()
+    return same and not D.any(), float(asymmetry)
+
+
+def _out_of_memory(F: sp.spmatrix) -> SolverFailure:
+    return SolverFailure(f"out of memory factoring a matrix of order {F.shape[0]} "
+                         f"with {F.nnz} entries")
+
+
+def _band_cholesky(F: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """The banded Cholesky factor of F under a reverse Cuthill-McKee
+    ordering perm, read from F's upper triangle, and perm; None when the
+    band stores more than _BAND_MAX_RATIO times F's entries, or when dpbtrf
+    breaks down (F is not positive definite), which leaves F to SuperLU."""
+    n = F.shape[0]
+    try:
+        perm = reverse_cuthill_mckee(F, symmetric_mode=True)
+        at = np.empty_like(perm)
+        at[perm] = np.arange(n, dtype=perm.dtype)  # the position of each dof in perm
+        rows, cols = at[F.indices], np.repeat(at, np.diff(F.indptr))
+        upper = rows <= cols
+        rows, cols = rows[upper], cols[upper]
+        bw = int((cols - rows).max())
+        if (bw + 1) * n > _BAND_MAX_RATIO * F.nnz:
+            return None
+        ab = np.zeros((bw + 1, n), order="F")  # LAPACK's upper band storage
+        ab[bw + rows - cols, cols] = F.data[upper]
+        c, info = lapack.dpbtrf(ab, overwrite_ab=True)
+    except MemoryError as exc:
+        raise _out_of_memory(F) from exc
+    return None if info else (c, perm)
+
+
+def _band_solve(c: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with x[perm] the band factor c's solve of b[perm], for a vector or
+    each column of a matrix, and zero in every row perm misses.  dpbtrs
+    solves column by column, so a column of a block has the bits of its
+    solve alone."""
+    x = np.zeros_like(b)
+    x[perm] = lapack.dpbtrs(c, b[perm], overwrite_b=True)[0]
+    return x
 
 
 def _abs(A: sp.csc_matrix) -> sp.csc_matrix:  # |A|, sharing A's index arrays

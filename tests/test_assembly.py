@@ -962,3 +962,23 @@ def test_sip_consistency_continuous_field_flat():
     eps2 = (2 * x) ** 2 + (x - 6 * y) ** 2 + 2 * (0.5 * (y + 1)) ** 2
     hand = mu * float(np.einsum("tq,q,t->", eps2, rule.weights, mesh.Jdet))
     assert got == pytest.approx(hand, rel=1e-11)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: meshes.torus_structured(8, 8),
+    lambda: meshes.trefoil_tube(),
+    lambda: meshes.sphere_with_holes(3, 4),
+], ids=["torus", "trefoil", "pierced_sphere"])
+def test_convection_metric_exact_under_power_of_2_scaling(build):
+    """The convection form's metric g = F'F / J^2 is formed with J = 2^e m
+    and no s^4-sized square, so a mesh scaled by 2^j, j = +-300, tabulates
+    with no warning (pytest turns one into an error) and g scales exactly
+    by 2^-2j."""
+    def metric(mesh):
+        return asm.convection_tabulation(build_space(mesh, "bdm", 1, "zero_normal_trace"))["vol"][3]
+
+    mesh = build()
+    g = metric(mesh)
+    for j in (-300, 300):
+        scaled = SurfaceMesh(np.ldexp(mesh.vertices, j), mesh.triangles)
+        np.testing.assert_array_equal(metric(scaled), np.ldexp(g, -2 * j))

@@ -966,15 +966,18 @@ def test_step_blocks_match_restricted_parent(mesh_name, basis_cache, request, mo
 
 def test_step_factor_fill_on_trefoil(flow_factors):
     """The time-step block of the unstructured trefoil tube at the
-    nse_trefoil.cfg settings holds about 113k LU entries with unrelaxed
-    supernodes, against 138k with SuperLU's default relax = 10."""
+    nse_trefoil.cfg settings, pinned to order 767, takes the band path: its
+    reverse Cuthill-McKee band of 177 stores 178 * 767 = 136,526 entries
+    (SuperLU's LU: 113,440); a deterministic guard for the ordering."""
     path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "nse_trefoil.cfg"
     cfg, _ = load_simulation_config(path)
     ops = FlowOperators(meshes.trefoil_tube(24, 8), cfg)
     flow_factors.clear()
     stepper = NavierStokesStepper(ops)
     assert flow_factors == [stepper.solver.op]
-    assert stepper.solver.op.lu_nnz < 125_000
+    op = stepper.solver.op
+    assert op.banded and op.pinned and op.n == 768
+    assert op.lu_nnz == 136_526
 
 
 @pytest.mark.parametrize("name", ["nse_trefoil", "nse_torus_decay", "nse_pierced_sphere"])

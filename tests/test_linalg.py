@@ -1,9 +1,13 @@
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from surfhodge.errors import NotSPD, SingularMatrix, SolverError, SolverFailure
 from surfhodge.linalg import FactorizedOperator, check_symmetric, mnorm, zero_mean
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_identity_solve():
@@ -171,7 +175,7 @@ def test_rounding_symmetric_matrix_solves_a_x_equals_b(monkeypatch):
 def test_solve_counting(rng):
     A = sp.csc_matrix(np.diag([1.0, 2.0, 3.0]))
     op = FactorizedOperator(A)
-    assert (op.n, op.lu_nnz) == (3, 6)  # L's unit diagonal is stored too
+    assert op.banded and (op.n, op.lu_nnz) == (3, 3)  # a band of width 0
     op.solve(np.ones(3))
     op.solve(rng.standard_normal((3, 4)))
     assert op.solve_count == 5
@@ -523,14 +527,198 @@ def test_duplicate_entries_summed_in_place():
 
 def test_superlu_out_of_memory_is_a_solver_failure(monkeypatch):
     """SuperLU's MemoryError becomes a SolverFailure (CLI exit 4) that names
-    the order and entries of the matrix it was factoring."""
+    the order and entries of the matrix it was factoring; here a block one
+    above the band path's order gate."""
     from surfhodge import linalg
 
     def splu(F, **kwargs):
         raise MemoryError("Not enough memory to perform factorization.")
 
     monkeypatch.setattr(linalg.spla, "splu", splu)
+    n = linalg._BAND_MAX_ORDER + 1
+    A = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n), format="csc")
+    with pytest.raises(SolverFailure, match=f"out of memory factoring a matrix of order {n} "
+                                            f"with {3 * n - 2} entries"):
+        FactorizedOperator(A)
+
+
+def test_band_out_of_memory_is_a_solver_failure(monkeypatch):
+    """A MemoryError in the band factor is a SolverFailure too, with the
+    same message; SuperLU is not tried."""
+    from surfhodge import linalg
+
+    def dpbtrf(ab, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(linalg.lapack, "dpbtrf", dpbtrf)
+    monkeypatch.setattr(linalg.spla, "splu", None)
     A = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(5, 5), format="csc")
     with pytest.raises(SolverFailure, match="out of memory factoring a matrix of order 5 "
                                             "with 13 entries"):
         FactorizedOperator(A)
+
+
+def test_band_breakdown_falls_back_to_superlu():
+    """dpbtrf breaks down on the indefinite [[1, 2], [2, 1]], which passes
+    the symmetry and diagonal checks; SuperLU then factors it, as before the
+    band path, and solves A x = b."""
+    A = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    op = FactorizedOperator(A)
+    assert not op.banded
+    x = op.solve(np.array([3.0, 3.0]))
+    assert np.allclose(x, [1.0, 1.0], rtol=0, atol=1e-14)
+
+
+def _backends(monkeypatch, *modules):
+    """(order, banded) of each FactorizedOperator that the modules build
+    from here on, in order of construction."""
+    built = []
+
+    class Recorded(FactorizedOperator):
+        def __init__(self, A):
+            super().__init__(A)
+            built.append((self.n, self.banded))
+
+    for module in modules:
+        monkeypatch.setattr(module, "FactorizedOperator", Recorded)
+    return built
+
+
+def test_band_path_selection_on_the_trefoil(monkeypatch):
+    """On the trefoil tube at the nse_trefoil.cfg settings the band path
+    takes exactly the Stokes-start and step blocks ((bw + 1) n / nnz = 5.6
+    after pinning); L0 (6.8) and L (8.7) stay on SuperLU."""
+    from surfhodge import flow, hodge, meshes
+    from surfhodge.config import load_simulation_config
+
+    built = _backends(monkeypatch, flow, hodge)
+    cfg, _ = load_simulation_config(ROOT / "configs" / "nse_trefoil.cfg")
+    ops = flow.FlowOperators(meshes.trefoil_tube(24, 8), cfg)
+    ops.stokes_reduced()
+    flow.NavierStokesStepper(ops)
+    assert built == [(384, False), (768, False), (768, True), (768, True)]
+
+
+def test_band_path_selection_on_desk_meshes(monkeypatch):
+    """SuperLU keeps every factor of the 32x16 torus at k = 2 (L0, L, A_ss
+    and the oracle's K; (bw + 1) n / nnz = 12.8, 25.6, 14.0 and 12.5) and of
+    the pierced sphere (3, 4) at k = 3 (L0, L: 11.5, 30.8), where a band
+    stores more and solves slower.  Only the two L0, pinned to orders 1023
+    and 1259, are below the order gate, so only they pay for the RCM test."""
+    from surfhodge import flow, hodge, linalg, meshes
+
+    built = _backends(monkeypatch, flow, hodge)
+    ordered = []
+    rcm = linalg.reverse_cuthill_mckee
+    monkeypatch.setattr(linalg, "reverse_cuthill_mckee",
+                        lambda F, **kw: ordered.append(F.shape[0]) or rcm(F, **kw))
+    ops = flow.FlowOperators(meshes.torus_structured(32, 16), flow.SimulationConfig(k=2))
+    ops.stokes_reduced()
+    ops.stokes_saddle()
+    assert built == [(1024, False), (4608, False), (4608, False), (5632, False)]
+    built.clear()
+    solver = hodge.HodgeSolver(meshes.sphere_with_holes(3, 4), 3)
+    solver.right_inverse, solver.laplace_operator
+    assert [banded for _, banded in built] == [False, False]
+    assert ordered == [1023, 1259] and built[1][0] > linalg._BAND_MAX_ORDER
+
+
+@pytest.fixture(scope="module")
+def trefoil_blocks():
+    """The trefoil tube's Stokes-start block A_ss and step block at the
+    nse_trefoil.cfg settings, each with the FactorizedOperator the run
+    built of it: both pinned, both on the band path."""
+    from surfhodge import flow, meshes
+    from surfhodge.config import load_simulation_config
+
+    built = []
+
+    class Kept(flow.FactorizedOperator):
+        def __init__(self, A):
+            super().__init__(A)
+            built.append((A, self))
+
+    cfg, _ = load_simulation_config(ROOT / "configs" / "nse_trefoil.cfg")
+    ops = flow.FlowOperators(meshes.trefoil_tube(24, 8), cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "FactorizedOperator", Kept)
+        ops.stokes_reduced()
+        flow.NavierStokesStepper(ops)
+    assert all(op.banded and op.pinned for _, op in built)
+    return dict(zip(("stokes", "step"), built))
+
+
+@pytest.mark.parametrize("seed", [1, 3, 4])
+def test_band_batched_solve_is_bitwise_single_columns(seed, trefoil_blocks, rng):
+    """dpbtrs sweeps a block column by column, so each column of a 5-column
+    band solve has the bits of its solve alone, a view or a copy: for the
+    pinned step block, and for an unpinned dense SPD block (SuperLU's plain
+    sweeps agree only to rounding)."""
+    _, step = trefoil_blocks["step"]
+    R = rng.standard_normal((60, 60))
+    dense = FactorizedOperator(sp.csc_matrix(R.T @ R + 60 * np.eye(60)))
+    assert dense.banded and not dense.pinned
+    for op in (step, dense):
+        B = np.random.default_rng(seed).standard_normal((op.n, 5))
+        B -= B.mean(axis=0)
+        X = op.solve(B)
+        for j in range(B.shape[1]):
+            assert np.array_equal(X[:, j], op.solve(B[:, j]))
+            assert np.array_equal(X[:, j], op.solve(B[:, j].copy()))
+
+
+def test_band_concurrent_solves_match_serial(trefoil_blocks):
+    """Four threads solving on one shared band factor, the trefoil's step
+    block, switching often, give the serial results byte for byte and an
+    exact count."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    _, op = trefoil_blocks["step"]
+    before = op.solve_count
+    rhs = np.random.default_rng(5).standard_normal((200, op.n))
+    serial = [op.solve(b) for b in rhs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(op.solve, rhs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(serial, threaded))
+    assert op.solve_count - before == 400
+
+
+@pytest.mark.parametrize("block, agree", [("step", 1e-12), ("stokes", 1e-9)])
+def test_pinned_band_solve_matches_superlu(block, agree, trefoil_blocks, monkeypatch):
+    """The pinned band solve returns x_0 = 0 and, on the trefoil's blocks,
+    SuperLU's solution of the same pinned system: measured to 2.6e-13
+    (step) and 6.8e-11 (the Stokes block A_ss, before the start's
+    refinement, whose solution is 1e5 times larger than b) of its largest
+    entry.  Both are backward stable: |A x - b| <= 1e-14 |A| |x|
+    (measured: 6.2e-16 for the band and 3.1e-16 for SuperLU on A_ss)."""
+    from surfhodge import linalg
+
+    A, band = trefoil_blocks[block]
+    monkeypatch.setattr(linalg, "_BAND_MAX_ORDER", 0)
+    lu = FactorizedOperator(A)
+    assert not lu.banded and lu.pinned
+    b = np.random.default_rng(2).standard_normal(A.shape[0])
+    b -= b.mean()
+    x, y = band.solve(b), lu.solve(b)
+    assert x[0] == 0.0
+    assert np.abs(x - y).max() <= agree * np.abs(y).max()
+    A_norm = np.abs(A).sum(axis=1).max()
+    for z in (x, y):
+        assert np.abs(A @ z - b).max() <= 1e-14 * A_norm * np.abs(z).max()
+
+
+def test_band_factor_peak_memory(trefoil_blocks):
+    """dpbtrf factors the band storage in place: building the trefoil's step
+    factor peaks under tracemalloc at 1.65 times its band's 8 (bw + 1) n
+    bytes (the rest: the pinned copy of the block and the RCM index
+    arrays), where a copy of the band would pass 2."""
+    A, op = trefoil_blocks["step"]
+    band, peak = _traced_factor(A)
+    assert band.banded and band.lu_nnz == op.lu_nnz
+    assert peak < 2 * 8 * band.lu_nnz

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -154,8 +155,13 @@ def test_eager_cached_property_check_flags_a_read_in_post_init():
     assert _eager_cached_properties(tree) == ["Split.residual_norm"]
 
 
+# the band backend's LAPACK routines, by any precision prefix, and scipy's wrapper
+_BAND_CHOLESKY = re.compile(r"([sdcz]?pbtr[fs]|cholesky_banded)$")
+
+
 def _superlu_uses(tree: ast.Module) -> list[int]:
-    """Sorted line numbers of each import or attribute named splu and of
+    """Sorted line numbers of each import, attribute or name string of splu
+    or of a banded Cholesky routine (cholesky_banded, pbtrf, pbtrs), and of
     each .solve(...) call on an attribute named _lu (a SuperLU factor) in
     tree."""
     lines = []
@@ -163,18 +169,21 @@ def _superlu_uses(tree: ast.Module) -> list[int]:
         name = getattr(node, "attr", getattr(node, "id", None))
         if isinstance(node, ast.alias):
             name = node.name.rpartition(".")[2]
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value  # get_lapack_funcs(("pbtrf",)) names its routine
         f = node.func if isinstance(node, ast.Call) else None
-        if name == "splu" or (isinstance(f, ast.Attribute) and f.attr == "solve"
-                              and getattr(f.value, "attr", None) == "_lu"):
+        if (name == "splu" or (isinstance(name, str) and _BAND_CHOLESKY.match(name))
+                or (isinstance(f, ast.Attribute) and f.attr == "solve"
+                    and getattr(f.value, "attr", None) == "_lu")):
             lines.append(node.lineno)
     return sorted(lines)
 
 
 def test_superlu_is_called_only_in_linalg():
-    """One factorization abstraction: splu, and solves on a SuperLU factor,
-    appear only in linalg.py; every other module factors and solves
-    through FactorizedOperator, so one sweep and pivot policy holds for
-    every factor."""
+    """One factorization abstraction: splu, the banded Cholesky routines,
+    and solves on a SuperLU factor, appear only in linalg.py; every other
+    module factors and solves through FactorizedOperator, so one backend
+    rule, sweep and pivot policy holds for every factor."""
     uses = {path.name: _superlu_uses(ast.parse(path.read_text()))
             for path in sorted((ROOT / "src" / "surfhodge").glob("*.py"))}
     assert uses["linalg.py"]
@@ -187,10 +196,14 @@ def test_superlu_scan_flags_splu_and_factor_solves():
         "lu = spla.splu(A)\n"
         "x = self._lu.solve(b, 'T')\n"
         "y = op.solve(b) + lu.solve(b)\n"
-        "import scipy.sparse.linalg.splu\n")
-    assert _superlu_uses(tree) == [1, 2, 3, 5]
-
-
+        "import scipy.sparse.linalg.splu\n"
+        "c, info = lapack.dpbtrf(ab)\n"
+        "x, info = dpbtrs(c, b)\n"
+        "from scipy.linalg import cholesky_banded, solveh_banded\n"
+        "potrs, pbtrf = get_lapack_funcs(('potrs', 'pbtrf'))\n"
+        "c = scipy.linalg.cholesky_banded(ab)\n"
+        "z = cho_solve(c, b) + band.solve(b)\n")
+    assert _superlu_uses(tree) == [1, 2, 3, 5, 6, 7, 8, 9, 9, 10]
 def _called_name(node) -> str | None:
     """The name a call node calls (f(...) or obj.f(...)), else None."""
     f = node.func if isinstance(node, ast.Call) else None
