@@ -348,6 +348,11 @@ def _side_traces(V: FeSpace, edges: np.ndarray, tris: np.ndarray, tq, rows: slic
 _SIDES = np.array([[1.0], [-1.0]])  # side 0 counts +, side 1 - (jumps)
 
 
+def default_penalty(degree: int) -> float:
+    """assemble_sip's default penalty alpha, 4 (k+1)^2 at degree k."""
+    return 4.0 * (degree + 1) ** 2
+
+
 def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
                  dirichlet: bool = True) -> sp.csr_matrix:
     """Symmetric interior penalty form for the surface viscous operator.
@@ -376,7 +381,7 @@ def assemble_sip(V: FeSpace, mu: float, alpha: float | None = None,
     if mu <= 0:
         raise NonpositiveParameter("viscosity mu must be positive")
     if alpha is None:
-        alpha = 4.0 * (V.degree + 1) ** 2
+        alpha = default_penalty(V.degree)
     if alpha <= 0:
         raise NonpositiveParameter("penalty alpha must be positive")
     mesh = V.mesh

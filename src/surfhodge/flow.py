@@ -127,7 +127,8 @@ class ReducedSolver:
     streamfunction solve as it is.  A streamfunction block whose kernel is
     the constants (a closed surface) is solved with its first dof pinned; a
     block singular beyond the constants fails FactorizedOperator's
-    near-null-vector test and raises SingularOperator; a Schur complement
+    near-null-vector test and raises SingularOperator, as does one that
+    FactorizedOperator refuses as not positive definite; a Schur complement
     that Cholesky rejects (indefinite, singular or not finite) raises
     SingularSchur.  The solver keeps the factor, Z, the Schur factor and
     A_sh, which is all a solve reads; the caller owns the BlockSystem and
@@ -287,7 +288,10 @@ class FlowOperators:
     they built, HodgeSolver.right_inverse, stays for the pressure solves.
 
     A_visc, the viscous form on the parent space (an empty matrix at mu =
-    0), and A_red are plain attributes built in the constructor;
+    0), and A_red are plain attributes built in the constructor, as is
+    alpha, the form's penalty in effect (config.alpha, or assemble_sip's
+    default; None at mu = 0), which reduced_solver names when the Stokes
+    or step factor finds the form not positive definite;
     run_simulation and the stokes command delete what their run no longer
     reads.  pressure_mass is built on first use: only the saddle oracle and
     the stokes command's pressure discrepancy read it.  stokes_saddle keeps
@@ -306,15 +310,18 @@ class FlowOperators:
         self.basis = basis
         self.V, self.S, self.Q, self.M = self.hodge.V, self.hodge.S, self.hodge.Q, self.hodge.M
         self.emb = JEmbedding(self.hodge.E, basis.vectors)
+        self.alpha = None
         if config.mu == 0:  # no viscous form remains
             self.A_visc = sp.csr_matrix((self.V.total_dofs,) * 2)
         else:
+            self.alpha = (asm.default_penalty(self.V.degree) if config.alpha is None
+                          else config.alpha)
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                self.A_visc = asm.assemble_sip(self.V, mu=config.mu, alpha=config.alpha,
+                self.A_visc = asm.assemble_sip(self.V, mu=config.mu, alpha=self.alpha,
                                                dirichlet=(config.bc == "noslip"))
             if not np.isfinite(self.A_visc.data).all():
-                alpha = "" if config.alpha is None else f", alpha = {config.alpha:g}"
-                raise SolverFailure(f"viscous form is not finite at mu = {config.mu:g}{alpha}")
+                raise SolverFailure(f"viscous form is not finite at mu = {config.mu:g}, "
+                                    f"alpha = {self.alpha:g}")
         self.A_red = JEmbedding(asm.assemble_rot_embedding(self.S, self.V),
                                 basis.vectors).reduce_matrix(self.A_visc)
         self.forcing = config.forcing if config.forcing is not None else _zero_forcing
@@ -389,6 +396,18 @@ class FlowOperators:
         return self.stokes_reduced()[0]
 
     # ------------------------------------------------------------- Stokes
+    def reduced_solver(self, system: BlockSystem) -> ReducedSolver:
+        """ReducedSolver(system) for a block of the viscous form, such as
+        A_red or a step block: when its factor refuses it as not positive
+        definite, the SingularOperator says so of the form, at alpha."""
+        try:
+            return ReducedSolver(system)
+        except SingularOperator as exc:
+            if self.alpha is None or not isinstance(exc.__cause__, NotSPD):
+                raise
+            raise SingularOperator(
+                f"viscous form is not positive definite at alpha = {self.alpha:g}") from exc
+
     def stokes_reduced(self, load: np.ndarray | None = None):
         """Solve the reduced viscous problem for load (default: the
         forcing's load at t = 0); returns (state, info), the state at t = 0
@@ -400,10 +419,12 @@ class FlowOperators:
 
         Raises SingularOperator when the streamfunction block is singular
         beyond the constants, e.g. for mu = 0, where no viscous form remains,
-        and make_state's NaNDetected when the state is not finite.
+        or is found not positive definite, as an alpha too small for the
+        mesh leaves it; and make_state's NaNDetected when the state is not
+        finite.
         """
         b = self.load_vector(0.0) if load is None else load
-        solver = ReducedSolver(self.A_red)
+        solver = self.reduced_solver(self.A_red)
         x_s, x_h = solver.solve(*self.emb.reduce_vector(b))
         info = {"sparse_solves": solver.sparse_solves, "refinement_solves": 1,
                 "n_harmonic": self.A_red.n_harmonic}
@@ -528,9 +549,9 @@ class NavierStokesStepper:
         system = BlockSystem(red.A_ss + ops.hodge.L.T / dt, red.A_sh,
                              red.A_hh + np.eye(red.n_harmonic) / dt)
         try:
-            self.solver = ReducedSolver(system)
+            self.solver = ops.reduced_solver(system)
         except SingularOperator as exc:  # the mass shift makes this unexpected
-            raise SolverFailure(f"time-step operator singular: {exc}") from exc
+            raise SolverFailure(f"time-step operator: {exc}") from exc
         self._cfl_warned = False
         self._conv_cache = asm.convection_tabulation(ops.V)
 

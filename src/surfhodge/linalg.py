@@ -11,10 +11,12 @@ dof, and zero_mean shifts a pinned solution to zero mean.  It has two
 backends, picked from the matrix and by no option: a small block whose
 reverse Cuthill-McKee band is narrow, and which is symmetric to a few ulps,
 is factored by LAPACK's banded Cholesky (dpbtrf, dpbtrs); every other
-block, and every block whose band factor breaks down, by scipy's SuperLU
-with one ordering and pivoting policy, solved with its plain sweeps, which
-take a block of right-hand sides in one pass.  It is also the one place
-that decides singularity, by one near-null test on every factor.  Every
+block by scipy's SuperLU with one ordering and pivoting policy, solved
+with its plain sweeps, which take a block of right-hand sides in one pass.
+Both backends factor, pin and solve through one path.  It is also the one
+place that decides singularity, by one near-null test on every factor,
+and a band factor that breaks down is its definiteness verdict: such a
+block is refused as singular or else as not positive definite.  Every
 FactorizedOperator counts its solves (one per right-hand side), which the
 Schur-complement instrumentation relies on.  Running out of memory while
 factoring is a SolverFailure, like every other failure to factor.
@@ -99,8 +101,10 @@ def _release_free_heap() -> None:
 class FactorizedOperator:
     """Reusable factorization of a sparse SPD matrix A, or of one that is
     SPD up to a kernel of constants.  NotSPD is raised unless A is symmetric
-    with a positive diagonal; that is necessary for SPD, not sufficient: an
-    indefinite [[1, 2], [2, 1]] factors without NotSPD.
+    with a positive diagonal, and when the band factor (below) breaks down
+    on a block that SuperLU then factors and finds not singular, as on the
+    indefinite [[1, 2], [2, 1]].  A block left to SuperLU from the start is
+    not tested for definiteness: an indefinite one factors without NotSPD.
 
     When |A 1| <= 1e-10 |A| (infinity norms) A is factorized without its
     first row and column, pinned is True, and solve(b) returns the solution
@@ -115,12 +119,15 @@ class FactorizedOperator:
     stored entries.  Such an F is factored by LAPACK's banded Cholesky,
     dpbtrf, from its upper triangle, and solved by dpbtrs column by column,
     so a column of a block has the bits of its solve alone.  Every other F,
-    and every F whose band factor breaks down (it is not positive
-    definite), is factored by SuperLU, with static diagonal pivots, and
-    solved with its plain sweeps, A x = b, which take a block of columns in
-    one supernodal pass (its transposed sweeps take one column at a time)
-    with dense block kernels, so a column of a block agrees with its solve
-    alone to rounding, not always bitwise.
+    and an F whose band factor breaks down (to tell singular from not
+    positive definite), is factored by SuperLU, with static diagonal
+    pivots, and solved with its plain sweeps, A x = b, which take a block
+    of columns in one supernodal pass (its transposed sweeps take one
+    column at a time) with dense block kernels, so a column of a block
+    agrees with its solve alone to rounding, not always bitwise.  Either
+    factor keeps the rows of F in A, under the band's ordering for a band,
+    and solve(b), like the near-null test, solves b restricted to them and
+    returns x_0 = 0 in a pinned row.
 
     A csc A, and a csr A that is exactly symmetric (its arrays read as csc
     are A' = A), is factored from its own arrays, or when pinned from one
@@ -166,29 +173,28 @@ class FactorizedOperator:
             A = sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape) if exact else A.tocsc()
         A_norm = (_abs(A) @ np.ones(n)).max()  # |A|'s largest row sum
         self._pinned = _is_near_null(A, np.ones(n), A_norm)
-        F = A[1:, 1:] if self._pinned else A
+        p = int(self._pinned)  # the rows the factor keeps start at p
+        F = A[1:, 1:] if p else A
         del A  # a csc copy of A is not kept beside a pinned factor's copy
-        band = None
-        if F.shape[0] <= _BAND_MAX_ORDER and asymmetry <= _BAND_MAX_ASYMMETRY:
-            band = _band_cholesky(F)
-        r = np.random.default_rng(0).standard_normal(F.shape[0])
-        if band is not None:
-            c, perm = band
-            # the pinned dof folded into the permutation: a solve reads b[perm + 1]
-            self._band, self.lu_nnz = (c, perm + self._pinned), c.size
-            z = _band_solve(c, perm, r)
-        else:
-            try:
+        try:
+            band = (_band_cholesky(F) if F.shape[0] <= _BAND_MAX_ORDER
+                    and asymmetry <= _BAND_MAX_ASYMMETRY else "not tried")
+            if isinstance(band, tuple):  # the pinned dof folded into the permutation
+                self._band, self._rows, self.lu_nnz = band[0], band[1] + p, band[0].size
+            else:
                 self._lu = spla.splu(F, **_SPLU_OPTIONS)
-            except RuntimeError as exc:  # "Factor is exactly singular"
-                raise SingularMatrix(str(exc)) from exc
-            except MemoryError as exc:
-                raise _out_of_memory(F) from exc
-            self.lu_nnz = self._lu.nnz
-            z = self._lu.solve(r)
+                self._rows, self.lu_nnz = slice(p, n), self._lu.nnz
+        except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+            raise SingularMatrix(str(exc)) from exc
+        except MemoryError as exc:
+            raise _out_of_memory(F) from exc
         # the factor's own near-null vector (its solve is not counted)
-        if _is_near_null(F, z, A_norm):
+        r = np.zeros(n)
+        r[p:] = np.random.default_rng(0).standard_normal(n - p)
+        if _is_near_null(F, self._solve(r)[p:], A_norm):
             raise SingularMatrix("matrix is numerically singular")
+        if band == "broke down":
+            raise NotSPD("matrix declared SPD is not positive definite")
 
     @property
     def pinned(self) -> bool:
@@ -204,15 +210,18 @@ class FactorizedOperator:
         b = np.asarray(b, dtype=float)
         with self._count_lock:
             self.solve_count += 1 if b.ndim == 1 else b.shape[1]
-        if self.n == 0:
-            return np.zeros_like(b)
-        if self._band is not None:
-            return _band_solve(*self._band, b)
-        if not self._pinned:
-            return self._lu.solve(b)
+        return self._solve(b) if self.n else np.zeros_like(b)
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """x with x[rows] the factor's solve of b[rows], for the rows the
+        factor keeps, and a pinned x_0 = 0."""
         x = np.empty_like(b)
-        x[0] = 0.0
-        x[1:] = self._lu.solve(b[1:])
+        if self._pinned:
+            x[0] = 0.0
+        if self._band is not None:
+            x[self._rows] = lapack.dpbtrs(self._band, b[self._rows], overwrite_b=True)[0]
+        else:
+            x[self._rows] = self._lu.solve(b[self._rows])
         return x
 
 
@@ -269,38 +278,25 @@ def _out_of_memory(F: sp.spmatrix) -> SolverFailure:
                          f"with {F.nnz} entries")
 
 
-def _band_cholesky(F: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray] | None:
+def _band_cholesky(F: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray] | str:
     """The banded Cholesky factor of F under a reverse Cuthill-McKee
-    ordering perm, read from F's upper triangle, and perm; None when the
-    band stores more than _BAND_MAX_RATIO times F's entries, or when dpbtrf
-    breaks down (F is not positive definite), which leaves F to SuperLU."""
+    ordering perm, read from F's upper triangle, and perm; "too wide" when
+    the band stores more than _BAND_MAX_RATIO times F's entries, and
+    "broke down" when dpbtrf does (F is not positive definite)."""
     n = F.shape[0]
-    try:
-        perm = reverse_cuthill_mckee(F, symmetric_mode=True)
-        at = np.empty_like(perm)
-        at[perm] = np.arange(n, dtype=perm.dtype)  # the position of each dof in perm
-        rows, cols = at[F.indices], np.repeat(at, np.diff(F.indptr))
-        upper = rows <= cols
-        rows, cols = rows[upper], cols[upper]
-        bw = int((cols - rows).max())
-        if (bw + 1) * n > _BAND_MAX_RATIO * F.nnz:
-            return None
-        ab = np.zeros((bw + 1, n), order="F")  # LAPACK's upper band storage
-        ab[bw + rows - cols, cols] = F.data[upper]
-        c, info = lapack.dpbtrf(ab, overwrite_ab=True)
-    except MemoryError as exc:
-        raise _out_of_memory(F) from exc
-    return None if info else (c, perm)
-
-
-def _band_solve(c: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with x[perm] the band factor c's solve of b[perm], for a vector or
-    each column of a matrix, and zero in every row perm misses.  dpbtrs
-    solves column by column, so a column of a block has the bits of its
-    solve alone."""
-    x = np.zeros_like(b)
-    x[perm] = lapack.dpbtrs(c, b[perm], overwrite_b=True)[0]
-    return x
+    perm = reverse_cuthill_mckee(F, symmetric_mode=True)
+    at = np.empty_like(perm)
+    at[perm] = np.arange(n, dtype=perm.dtype)  # the position of each dof in perm
+    rows, cols = at[F.indices], np.repeat(at, np.diff(F.indptr))
+    upper = rows <= cols
+    rows, cols = rows[upper], cols[upper]
+    bw = int((cols - rows).max())
+    if (bw + 1) * n > _BAND_MAX_RATIO * F.nnz:
+        return "too wide"
+    ab = np.zeros((bw + 1, n), order="F")  # LAPACK's upper band storage
+    ab[bw + rows - cols, cols] = F.data[upper]
+    c, info = lapack.dpbtrf(ab, overwrite_ab=True)
+    return "broke down" if info else (c, perm)
 
 
 def _abs(A: sp.csc_matrix) -> sp.csc_matrix:  # |A|, sharing A's index arrays

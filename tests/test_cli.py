@@ -706,6 +706,18 @@ def test_extreme_numbers_one_line_failure(tmp_path, capsys, name):
     assert_one_line_failure(capsys, ["stokes", "--config", cfg, *flags], code, prefix)
 
 
+def test_indefinite_viscous_form_exit_4(tmp_path, capsys):
+    """configs/nse_trefoil.cfg with alpha = 4, a quarter of the default:
+    the Stokes block has 18 negative eigenvalues, its band factor breaks
+    down, and the run exits 4 with one line naming the penalty (it ran to
+    exit 0 before, its kinetic energy growing from 0.08 to 38.8 by t = 2)."""
+    with open(os.path.join(ROOT, "configs", "nse_trefoil.cfg")) as f:
+        cfg = write_cfg(tmp_path, f.read() + "alpha = 4\n")
+    assert_one_line_failure(
+        capsys, ["nse", "--config", cfg, "--out-dir", str(tmp_path / "out")], 4,
+        "solver failure: viscous form is not positive definite at alpha = 4")
+
+
 def test_decompose_infinite_forcing_constant_exit_3(capsys):
     assert_one_line_failure(
         capsys, ["decompose", "--mesh", "builtin:torus", "--k", "1", "--field-mode",

@@ -1261,6 +1261,30 @@ def test_stokes_inviscid_raises():
         ops.stokes_reduced()
 
 
+def test_indefinite_viscous_form_names_its_penalty():
+    """On the trefoil tube at k = 1 the viscous form is indefinite at alpha =
+    1: the Stokes block's band factor breaks down, and stokes_reduced raises
+    SingularOperator naming alpha; the step block at dt = 1, whose L / dt
+    shift does not make it definite, fails the stepper with SolverFailure
+    and the same words.  At mu = 0 no viscous form remains, no alpha is
+    named, and the block is reported singular as before."""
+    mesh = meshes.trefoil_tube(24, 8)
+    ops = FlowOperators(mesh, SimulationConfig(k=1, mu=0.1, alpha=1.0, dt=1.0))
+    assert ops.alpha == 1.0
+    with pytest.raises(SingularOperator, match="^viscous form is not positive definite "
+                                               "at alpha = 1$") as caught:
+        ops.stokes_reduced()
+    assert isinstance(caught.value.__cause__.__cause__, NotSPD)
+    with pytest.raises(SolverFailure, match="^time-step operator: viscous form is not "
+                                            "positive definite at alpha = 1$"):
+        NavierStokesStepper(ops)
+    assert FlowOperators(mesh, SimulationConfig(k=1, mu=0.1)).alpha == 16.0
+    inviscid = FlowOperators(mesh, SimulationConfig(k=1, mu=0.0, allow_inviscid=True))
+    assert inviscid.alpha is None
+    with pytest.raises(SingularOperator, match="^streamfunction block is singular$"):
+        inviscid.stokes_reduced()
+
+
 def test_equivalence_on_closed_genus2(genus2):
     cfg = SimulationConfig(k=1, mu=0.4, forcing=smooth_forcing(13))
     ops = FlowOperators(genus2, cfg)

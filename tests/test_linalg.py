@@ -3,6 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from surfhodge.errors import NotSPD, SingularMatrix, SolverError, SolverFailure
 from surfhodge.linalg import FactorizedOperator, check_symmetric, mnorm, zero_mean
@@ -558,15 +559,66 @@ def test_band_out_of_memory_is_a_solver_failure(monkeypatch):
         FactorizedOperator(A)
 
 
-def test_band_breakdown_falls_back_to_superlu():
+def test_band_breakdown_falls_back_to_superlu(monkeypatch):
     """dpbtrf breaks down on the indefinite [[1, 2], [2, 1]], which passes
-    the symmetry and diagonal checks; SuperLU then factors it, as before the
-    band path, and solves A x = b."""
-    A = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    op = FactorizedOperator(A)
-    assert not op.banded
-    x = op.solve(np.array([3.0, 3.0]))
-    assert np.allclose(x, [1.0, 1.0], rtol=0, atol=1e-14)
+    the symmetry and diagonal checks; SuperLU then factors it, its
+    near-null test finds it not singular, and the breakdown is the verdict:
+    NotSPD."""
+    from surfhodge import linalg
+
+    factored = []
+    splu = linalg.spla.splu
+    monkeypatch.setattr(linalg.spla, "splu", lambda F, **kw: factored.append(F) or splu(F, **kw))
+    with pytest.raises(NotSPD, match="not positive definite"):
+        FactorizedOperator(sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
+    assert len(factored) == 1
+
+
+@st.composite
+def _tridiagonal_inertia(draw):
+    """(A, d) for a tridiagonal A = C' D C, D = diag(d) and C unit upper
+    bidiagonal, with diag(A) > 0, a_ii = d_i + c_{i-1}^2 d_{i-1}: d_0 >= 1,
+    a d_i <= 0 only after a positive d_{i-1}, and then |c_{i-1}| = 2, so
+    that 4 d_{i-1} beats -d_i <= 3; after a negative d_{i-1}, |c_{i-1}| =
+    1/2, so that d_i >= 1 beats d_{i-1} / 4 >= -3/4.  Every entry is a
+    small dyadic rational, so A is formed exactly and, by Sylvester's law
+    of inertia, has D's inertia.  |c| != 1 keeps the constants out of A's
+    kernel (A 1 = C' D (C 1), and C 1 = (1 + c_0, ..., 1 + c_{n-2}, 1) has
+    no zero entry)."""
+    n = draw(st.integers(2, 9))
+    d, c = [draw(st.integers(1, 4))], []
+    for _ in range(n - 1):
+        d.append(draw(st.integers(-3 if d[-1] > 0 else 1, 4)))
+        size = draw(st.sampled_from([2.0] if d[-1] <= 0 else [0.5] if d[-2] < 0
+                                    else [0.5, 1.5, 2.0]))
+        c.append(draw(st.sampled_from([size, -size])))
+    d, c = np.array(d, dtype=float), np.array(c)
+    diag = d.copy()
+    diag[1:] += c**2 * d[:-1]
+    A = sp.diags([c * d[:-1], diag, c * d[:-1]], [-1, 0, 1], format="csc")
+    return A, d
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_tridiagonal_inertia())
+def test_tridiagonal_inertia_verdict(case):
+    """A tridiagonal A = C' D C with a positive diagonal is factored, and
+    solves as a dense solve to 1e-10, when D > 0; it raises SingularMatrix
+    when some d_i = 0, and NotSPD when none is zero and one is negative."""
+    A, d = case
+    assert (A.diagonal() > 0).all() and (A != A.T).nnz == 0
+    if (d == 0).any():
+        with pytest.raises(SingularMatrix):
+            FactorizedOperator(A)
+    elif (d < 0).any():
+        with pytest.raises(NotSPD):
+            FactorizedOperator(A)
+    else:
+        op = FactorizedOperator(A)
+        assert op.banded and not op.pinned
+        b = np.arange(1.0, A.shape[0] + 1)
+        x = np.linalg.solve(A.toarray(), b)
+        assert np.abs(op.solve(b) - x).max() <= 1e-10 * np.abs(x).max()
 
 
 def _backends(monkeypatch, *modules):

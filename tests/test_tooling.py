@@ -204,6 +204,39 @@ def test_superlu_scan_flags_splu_and_factor_solves():
         "c = scipy.linalg.cholesky_banded(ab)\n"
         "z = cho_solve(c, b) + band.solve(b)\n")
     assert _superlu_uses(tree) == [1, 2, 3, 5, 6, 7, 8, 9, 9, 10]
+
+
+def _triangular_solve_sites(tree: ast.Module) -> dict[str, list[int]]:
+    """Line numbers of each call in tree of dpbtrs, by any name path, and
+    of .solve on an attribute named _lu (a SuperLU factor)."""
+    sites = {"dpbtrs": [], "_lu.solve": []}
+    for node in ast.walk(tree):
+        name = _called_name(node)
+        if name == "dpbtrs":
+            sites["dpbtrs"].append(node.lineno)
+        elif name == "solve" and getattr(node.func.value, "attr", None) == "_lu":
+            sites["_lu.solve"].append(node.lineno)
+    return sites
+
+
+def test_each_backend_solves_from_one_site():
+    """FactorizedOperator has one solve path for both backends, pinned or
+    not: linalg.py calls dpbtrs once and a SuperLU factor's solve once,
+    from the row-restricted solve that solve() and the near-null test
+    share."""
+    sites = _triangular_solve_sites(ast.parse((ROOT / "src" / "surfhodge" / "linalg.py").read_text()))
+    assert {name: len(lines) for name, lines in sites.items()} == {"dpbtrs": 1, "_lu.solve": 1}
+
+
+def test_solve_site_scan_counts_every_call():
+    tree = ast.parse(
+        "x = self._lu.solve(b)\n"
+        "x[1:] = self._lu.solve(b[1:])\n"
+        "y = lapack.dpbtrs(c, b)[0] + dpbtrs(c, r)[0]\n"
+        "z = op.solve(b) + lu.solve(b) + self._lu.nnz\n")
+    assert _triangular_solve_sites(tree) == {"dpbtrs": [3, 3], "_lu.solve": [1, 2]}
+
+
 def _called_name(node) -> str | None:
     """The name a call node calls (f(...) or obj.f(...)), else None."""
     f = node.func if isinstance(node, ast.Call) else None
